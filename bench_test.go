@@ -8,6 +8,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -221,6 +222,9 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	rng := graph.NewRand(2)
 	pat := traffic.RandomPermutation(rng, sf.N())
 	b.ReportAllocs()
+	var events int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := fab.NewSimulation(netsim.NDPDefaults())
@@ -231,7 +235,14 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 		if netsim.CompletedFraction(res) < 0.99 {
 			b.Fatal("flows did not complete")
 		}
+		events += sim.Eng.Executed()
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	// The same two numbers the repo benchmark reports per traced sweep as
+	// netsim.ns_per_event / netsim.allocs_per_event (set-up included).
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(events), "allocs/event")
 }
 
 // BenchmarkNetsimReplicate measures one mid-size fig2-style replicate end

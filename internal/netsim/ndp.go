@@ -119,10 +119,9 @@ func (s *Sim) ndpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
 func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange, fin bool) {
 	host := f.spec.Dst
 	// Pace pulls at the access-link data rate (one per full-MTU time).
-	interval := Time(float64(s.Cfg.MTU*8) / s.Cfg.LinkBps * 1e9)
 	at := sh.Now()
-	if s.lastPull[host]+interval > at {
-		at = s.lastPull[host] + interval
+	if next := s.lastPull[host] + s.pullInterval; next > at {
+		at = next
 	}
 	s.lastPull[host] = at
 	pull := sh.newPacket()

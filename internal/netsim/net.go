@@ -61,8 +61,8 @@ type link struct {
 	ecnThresh int // mark CE when data queue length reaches this (0 = off)
 	trimMode  bool
 
-	q          []*Packet
-	pq         []*Packet
+	q          pktRing
+	pq         pktRing
 	busy       bool
 	failed     bool // dead cable: every packet handed to it is lost (§V-G)
 	deliverSeq uint32
@@ -70,6 +70,38 @@ type link struct {
 	// Stats.
 	Drops, Trims, TxPackets, TxBytes int64
 	failDrops                        int64
+}
+
+// pktRing is a growable power-of-two FIFO of packets. Steady-state push and
+// pop allocate nothing, and a popped slot is nil-ed so the ring never pins
+// a recycled packet.
+type pktRing struct {
+	buf  []*Packet // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *pktRing) len() int { return r.n }
+
+func (r *pktRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		// Full (or never used): double, unwrapping the contents to the front.
+		nb := make([]*Packet, max(4, 2*len(r.buf)))
+		k := copy(nb, r.buf[r.head:])
+		copy(nb[k:], r.buf[:r.head])
+		r.buf, r.head = nb, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+// pop removes the oldest packet; the ring must not be empty.
+func (r *pktRing) pop() *Packet {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
 }
 
 // txTime returns the serialization time of b bytes.
@@ -89,8 +121,8 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		return
 	}
 	if p.prio() {
-		if len(l.pq) < l.pqcap {
-			l.pq = append(l.pq, p)
+		if l.pq.len() < l.pqcap {
+			l.pq.push(p)
 			l.kick(sh)
 		} else {
 			l.Drops++
@@ -98,11 +130,11 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		}
 		return
 	}
-	if len(l.q) < l.qcap {
-		if l.ecnThresh > 0 && len(l.q)+1 >= l.ecnThresh {
+	if l.q.len() < l.qcap {
+		if l.ecnThresh > 0 && l.q.len()+1 >= l.ecnThresh {
 			p.ECN = true
 		}
-		l.q = append(l.q, p)
+		l.q.push(p)
 		l.kick(sh)
 		return
 	}
@@ -111,9 +143,9 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		// and prioritized so the receiver learns about the congestion.
 		p.Trimmed = true
 		p.Bytes = HeaderBytes
-		if len(l.pq) < l.pqcap {
+		if l.pq.len() < l.pqcap {
 			l.Trims++
-			l.pq = append(l.pq, p)
+			l.pq.push(p)
 			l.kick(sh)
 		} else {
 			l.Drops++
@@ -132,12 +164,10 @@ func (l *link) kick(sh *Shard) {
 		return
 	}
 	var p *Packet
-	if len(l.pq) > 0 {
-		p = l.pq[0]
-		l.pq = l.pq[1:]
-	} else if len(l.q) > 0 {
-		p = l.q[0]
-		l.q = l.q[1:]
+	if l.pq.len() > 0 {
+		p = l.pq.pop()
+	} else if l.q.len() > 0 {
+		p = l.q.pop()
 	} else {
 		return
 	}
@@ -150,7 +180,7 @@ func (l *link) kick(sh *Shard) {
 }
 
 // queueLen reports the current data-queue occupancy (tests/observability).
-func (l *link) queueLen() int { return len(l.q) }
+func (l *link) queueLen() int { return l.q.len() }
 
 // Network wires a topology, forwarding tables and hosts into a running
 // simulation.
@@ -164,6 +194,10 @@ type Network struct {
 	routerOut []map[int32]*link
 	hostUp    []*link // host -> its router
 	hostDown  []*link // router -> host
+	// hostRouter[h] is the router host h attaches to: forward resolves the
+	// destination router once per hop, so it indexes this table instead of
+	// binary-searching the topology's offset table.
+	hostRouter []int32
 
 	hostRecv func(sh *Shard, host int32, p *Packet)
 }
@@ -177,13 +211,14 @@ const maxHopBucket = 63
 // deterministic and independent of the shard count.
 func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Network {
 	n := &Network{
-		eng:       eng,
-		topo:      t,
-		fwd:       fwd,
-		cfg:       cfg,
-		routerOut: make([]map[int32]*link, t.Nr()),
-		hostUp:    make([]*link, t.N()),
-		hostDown:  make([]*link, t.N()),
+		eng:        eng,
+		topo:       t,
+		fwd:        fwd,
+		cfg:        cfg,
+		routerOut:  make([]map[int32]*link, t.Nr()),
+		hostUp:     make([]*link, t.N()),
+		hostDown:   make([]*link, t.N()),
+		hostRouter: make([]int32, t.N()),
 	}
 	nextID := int32(0)
 	mk := func(txPart, rxPart, toRouter, toHost int32) *link {
@@ -213,6 +248,7 @@ func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Con
 	}
 	for h := 0; h < t.N(); h++ {
 		r := int32(t.RouterOf(h))
+		n.hostRouter[h] = r
 		n.hostUp[h] = mk(r, r, r, -1)
 		n.hostDown[h] = mk(r, r, -1, int32(h))
 	}
@@ -263,7 +299,7 @@ func (n *Network) deliver(sh *Shard, l *link, p *Packet) {
 // one flowlet keep a consistent hop at every router; a new flowlet's
 // fresh salt re-hashes the whole path.
 func (n *Network) forward(sh *Shard, r int, p *Packet) {
-	dstRouter := n.topo.RouterOf(int(p.DstHost))
+	dstRouter := int(n.hostRouter[p.DstHost])
 	if r == dstRouter {
 		n.hostDown[p.DstHost].enqueue(sh, p)
 		return

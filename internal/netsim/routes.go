@@ -1,7 +1,5 @@
 package netsim
 
-import "hash/fnv"
-
 // Route lookup lives in internal/routing (surfaced through
 // layers.Forwarding): per-(layer, destination) multi-next-hop tables in
 // CSR form, built lazily under striped locks and shared by every
@@ -17,24 +15,25 @@ func hashNext(cands []int32, r int, p *Packet) int32 {
 	if len(cands) == 1 {
 		return cands[0]
 	}
-	h := fnv.New32a()
-	var buf [14]byte
-	buf[0] = byte(p.FlowID)
-	buf[1] = byte(p.FlowID >> 8)
-	buf[2] = byte(p.FlowID >> 16)
-	buf[3] = byte(p.FlowID >> 24)
-	buf[4] = byte(p.Salt)
-	buf[5] = byte(p.Salt >> 8)
-	buf[6] = byte(p.Salt >> 16)
-	buf[7] = byte(p.Salt >> 24)
-	buf[8] = byte(r)
-	buf[9] = byte(r >> 8)
-	buf[10] = byte(r >> 16)
-	buf[11] = byte(r >> 24)
-	buf[12] = byte(p.Kind)
-	buf[13] = byte(p.Layer)
-	h.Write(buf[:])
-	return cands[h.Sum32()%uint32(len(cands))]
+	return cands[flowHash(p.FlowID, p.Salt, r, p.Kind, p.Layer)%uint32(len(cands))]
+}
+
+// flowHash is 32-bit FNV-1a over the 14-byte tuple (FlowID, Salt, r as
+// little-endian 32-bit words, then Kind, Layer), inlined: hash/fnv costs an
+// interface call per router hop. Bit-identical to hash/fnv by test — every
+// golden depends on it.
+func flowHash(flowID int32, salt uint32, r int, kind PktKind, layer int8) uint32 {
+	const prime = 16777619
+	h := uint32(2166136261)
+	for _, w := range [3]uint32{uint32(flowID), salt, uint32(r)} {
+		h = (h ^ (w & 0xff)) * prime
+		h = (h ^ (w >> 8 & 0xff)) * prime
+		h = (h ^ (w >> 16 & 0xff)) * prime
+		h = (h ^ (w >> 24)) * prime
+	}
+	h = (h ^ uint32(kind)) * prime
+	h = (h ^ uint32(uint8(layer))) * prime
+	return h
 }
 
 // Packet recycling moved to per-shard arenas (Shard.newPacket /

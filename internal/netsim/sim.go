@@ -180,8 +180,10 @@ type Sim struct {
 	results []FlowResult
 
 	// lastPull implements per-host pull pacing for NDP receivers. Each
-	// entry is touched only by its host's partition.
-	lastPull []Time
+	// entry is touched only by its host's partition. pullInterval is the
+	// pacing gap: one full-MTU serialization time on the access link.
+	lastPull     []Time
+	pullInterval Time
 
 	traced bool
 }
@@ -307,12 +309,13 @@ func NewSim(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Sim {
 	eng := NewShardedEngine(t.Nr(), shards, cfg.LinkDelay)
 	net := buildNetwork(eng, t, fwd, cfg)
 	s := &Sim{
-		Eng:      eng,
-		Net:      net,
-		Cfg:      cfg,
-		Topo:     t,
-		Fwd:      fwd,
-		lastPull: make([]Time, t.N()),
+		Eng:          eng,
+		Net:          net,
+		Cfg:          cfg,
+		Topo:         t,
+		Fwd:          fwd,
+		lastPull:     make([]Time, t.N()),
+		pullInterval: Time(float64(cfg.MTU*8) / cfg.LinkBps * 1e9),
 	}
 	net.hostRecv = s.hostRecv
 	if cfg.Tracer.TryAcquire() {
@@ -340,8 +343,8 @@ func (s *Sim) AddFlow(spec FlowSpec) {
 		spec:     spec,
 		total:    total,
 		mss:      mss,
-		srcPart:  int32(s.Topo.RouterOf(int(spec.Src))),
-		dstPart:  int32(s.Topo.RouterOf(int(spec.Dst))),
+		srcPart:  s.Net.hostRouter[spec.Src],
+		dstPart:  s.Net.hostRouter[spec.Dst],
 		rngState: uint64(exec.FoldSeed(s.Cfg.Seed, uint64(uint32(len(s.flows))))),
 		layer:    s.initialLayer(),
 		received: make([]bool, total),
