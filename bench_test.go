@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diversity"
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/layers"
@@ -30,7 +31,7 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := experiments.Options{Quick: true, Seed: 42}
+	opts := experiments.Options{Quick: true, Run: exec.Run{Seed: 42}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab, err := e.Run(opts)
@@ -347,20 +348,20 @@ func BenchmarkScenarioCache(b *testing.B) {
 			b.StopTimer()
 			dir := b.TempDir() // a fresh, empty cache every iteration
 			b.StartTimer()
-			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Seed: 42, CacheDir: dir}); err != nil {
+			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, CacheDir: dir}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		dir := b.TempDir()
-		if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Seed: 42, CacheDir: dir}); err != nil {
+		if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, CacheDir: dir}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Seed: 42, CacheDir: dir}); err != nil {
+			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, CacheDir: dir}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,6 +26,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -41,21 +42,14 @@ type result struct {
 
 func main() {
 	var (
-		run        = flag.String("run", "", "experiment ID to run (or 'all')")
-		list       = flag.Bool("list", false, "list available experiments")
-		full       = flag.Bool("full", false, "paper-scale runs instead of quick mode")
-		seed       = flag.Int64("seed", 42, "random seed")
-		parallel   = flag.Int("parallel", 0, "worker goroutines per experiment (0 = all cores)")
-		shards     = flag.Int("shards", 0, "event-loop shards per simulation (0 = serial); results are byte-identical at every value")
-		jsonOut    = flag.Bool("json", false, "emit a JSON array of tables instead of text")
-		quiet      = flag.Bool("quiet", false, "suppress the per-cell progress line on stderr")
-		metrics    = flag.Bool("metrics", false, "dump the metrics registry to stderr when done")
-		telemetry  = flag.String("telemetry", "", "append per-cell run telemetry as JSONL to this file")
-		trace      = flag.String("trace", "", "write a Chrome trace_event JSON of one traced simulation window to this file")
-		traceMs    = flag.Float64("trace-ms", 50, "trace window length in simulated milliseconds")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache for scenario-backed experiments (see README \"Durable sweeps\")")
+		run      = flag.String("run", "", "experiment ID to run (or 'all')")
+		list     = flag.Bool("list", false, "list available experiments")
+		full     = flag.Bool("full", false, "paper-scale runs instead of quick mode")
+		seed     = flag.Int64("seed", 42, "random seed")
+		parallel = flag.Int("parallel", 0, "worker goroutines per experiment (0 = all cores)")
+		jsonOut  = flag.Bool("json", false, "emit a JSON array of tables instead of text")
+		cacheDir = flag.String("cache-dir", "", "content-addressed result cache for scenario-backed experiments (see README \"Durable sweeps\")")
+		startObs = obs.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -81,36 +75,21 @@ func main() {
 		todo = []experiments.Experiment{e}
 	}
 
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	sinks, stopObs, err := startObs()
 	if err != nil {
 		fatal(err)
 	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-	}
-	var tel *obs.Telemetry
-	if *telemetry != "" {
-		if tel, err = obs.OpenTelemetry(*telemetry); err != nil {
-			fatal(err)
-		}
-	}
-	var tracer *obs.Tracer
-	if *trace != "" {
-		tracer = obs.NewTracer(0, int64(*traceMs*1e6), 0)
-	}
-	var prog *obs.Progress
-	if !*quiet {
-		prog = obs.NewProgress(os.Stderr, "")
-	}
+	prog := sinks.Progress
 
 	var results []result
 	for _, e := range todo {
 		prog.SetLabel(e.ID)
 		opts := experiments.Options{
-			Quick: !*full, Seed: *seed, Parallelism: *parallel,
-			Shards: *shards, Progress: prog.Hook(), RunName: e.ID,
-			Obs: reg, Telemetry: tel, Tracer: tracer, CacheDir: *cacheDir,
+			Run: exec.Run{
+				Seed: *seed, Parallelism: *parallel, Name: e.ID, Progress: prog.Hook(),
+				Obs: sinks.Obs, Telemetry: sinks.Telemetry, Tracer: sinks.Tracer,
+			},
+			Quick: !*full, CacheDir: *cacheDir,
 		}
 		start := time.Now()
 		tab, err := e.Run(opts)
@@ -137,20 +116,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if reg != nil {
-		fmt.Fprintln(os.Stderr, "# metrics")
-		reg.Dump(os.Stderr)
-	}
-	if tracer != nil {
-		if err := tracer.WriteFile(*trace); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)\n", tracer.Len(), *trace)
-	}
-	if err := tel.Close(); err != nil {
-		fatal(err)
-	}
-	if err := stopProfiles(); err != nil {
+	if err := stopObs(); err != nil {
 		fatal(err)
 	}
 }

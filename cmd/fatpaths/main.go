@@ -23,28 +23,21 @@ import (
 
 func main() {
 	var (
-		kind       = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
-		size       = flag.String("size", "small", "size class: small (N≈200-1000) or medium (N≈10k)")
-		n          = flag.Int("layers", 9, "number of layers")
-		rho        = flag.Float64("rho", 0.6, "fraction of edges per sparsified layer")
-		scheme     = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
-		seed       = flag.Int64("seed", 1, "random seed")
-		shards     = flag.Int("shards", 0, "default event-loop shards for simulations of this fabric (0 = serial); results are byte-identical at every value")
-		save       = flag.String("save", "", "write the layer configuration as JSON to this file (§V-B artifact)")
-		deadlock   = flag.Bool("deadlock", false, "run the channel-dependency (lossless deployment) analysis per layer")
-		metrics    = flag.Bool("metrics", false, "dump routing-core metrics to stderr when done")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		kind     = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
+		size     = flag.String("size", "small", "size class: small (N≈200-1000) or medium (N≈10k)")
+		n        = flag.Int("layers", 9, "number of layers")
+		rho      = flag.Float64("rho", 0.6, "fraction of edges per sparsified layer")
+		scheme   = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
+		seed     = flag.Int64("seed", 1, "random seed")
+		save     = flag.String("save", "", "write the layer configuration as JSON to this file (§V-B artifact)")
+		deadlock = flag.Bool("deadlock", false, "run the channel-dependency (lossless deployment) analysis per layer")
+		startObs = obs.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	sinks, stopObs, err := startObs()
 	if err != nil {
 		fatal(err)
-	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
 	}
 
 	class := topo.Small
@@ -56,10 +49,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("negative shard count %d", *shards))
-	}
-	cfg := core.Config{NumLayers: *n, Rho: *rho, Seed: *seed, Shards: *shards, Obs: reg}
+	cfg := core.Config{NumLayers: *n, Rho: *rho, Seed: *seed, Obs: sinks.Obs}
 	switch *scheme {
 	case "random":
 		cfg.Scheme = core.RandomSampling
@@ -119,11 +109,7 @@ func main() {
 		}
 		fmt.Printf("\nlayer configuration written to %s\n", *save)
 	}
-	if reg != nil {
-		fmt.Fprintln(os.Stderr, "# metrics")
-		reg.Dump(os.Stderr)
-	}
-	if err := stopProfiles(); err != nil {
+	if err := stopObs(); err != nil {
 		fatal(err)
 	}
 }

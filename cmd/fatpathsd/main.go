@@ -40,6 +40,13 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. There is deliberately no WriteTimeout: /scenarios
+// streams progress for as long as the run takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8095", "listen address")
@@ -48,7 +55,6 @@ func main() {
 		buildW     = flag.Int("build-workers", 0, "admission table-build workers (0 = all cores)")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed scenario result cache directory, shared with cmd/scenarios")
 		parallel   = flag.Int("parallel", 0, "scenario worker goroutines (0 = all cores)")
-		shards     = flag.Int("shards", 0, "event-loop shards per scenario simulation (0 = serial); results are byte-identical at every value")
 		maxRuns    = flag.Int("max-runs", 1, "concurrently executing /scenarios submissions (excess queue)")
 		drainSecs  = flag.Float64("drain-timeout", 30, "seconds to wait for in-flight requests on shutdown")
 	)
@@ -65,11 +71,15 @@ func main() {
 		BuildWorkers:    *buildW,
 		CacheDir:        *cacheDir,
 		Parallelism:     *parallel,
-		Shards:          *shards,
 		MaxScenarioRuns: *maxRuns,
 	}, reg)
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

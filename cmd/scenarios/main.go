@@ -36,6 +36,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -55,20 +56,13 @@ func main() {
 		spec       = flag.String("spec", "", "scenario matrix spec file (further files may follow as positional arguments)")
 		seed       = flag.Int64("seed", 42, "random seed")
 		parallel   = flag.Int("parallel", 0, "worker goroutines (0 = all cores)")
-		shards     = flag.Int("shards", 0, "event-loop shards per simulation unless the cell sets its own (0 = serial); results are byte-identical at every value")
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of text tables")
 		cells      = flag.Bool("cells", false, "only expand and list the matrix cells, don't simulate")
-		quiet      = flag.Bool("quiet", false, "suppress the per-cell progress line on stderr")
-		metrics    = flag.Bool("metrics", false, "dump the metrics registry to stderr when done")
-		telemetry  = flag.String("telemetry", "", "append run/cell telemetry as JSONL to this file")
-		trace      = flag.String("trace", "", "write a Chrome trace_event JSON of one traced simulation window to this file")
-		traceMs    = flag.Float64("trace-ms", 50, "trace window length in simulated milliseconds")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (reused across runs; see README \"Durable sweeps\")")
 		noCache    = flag.Bool("no-cache", false, "ignore -cache-dir: simulate every cell and write nothing to the cache")
 		journalPth = flag.String("journal", "", "record completed cells to this run-journal file (crash-safe JSONL)")
 		resumePth  = flag.String("resume", "", "resume an interrupted run from this journal: skip recorded cells, append new ones")
+		startObs   = obs.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -98,28 +92,11 @@ func main() {
 		failAfter = n
 	}
 
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	sinks, stopObs, err := startObs()
 	if err != nil {
 		fail(err)
 	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-	}
-	var tel *obs.Telemetry
-	if *telemetry != "" {
-		if tel, err = obs.OpenTelemetry(*telemetry); err != nil {
-			fail(err)
-		}
-	}
-	var tracer *obs.Tracer
-	if *trace != "" {
-		tracer = obs.NewTracer(0, int64(*traceMs*1e6), 0)
-	}
-	var prog *obs.Progress
-	if !*quiet {
-		prog = obs.NewProgress(os.Stderr, "")
-	}
+	prog := sinks.Progress
 
 	var out []fileResult
 	for _, file := range files {
@@ -187,9 +164,10 @@ func main() {
 			hook = injectCrash(hook, journal, failAfter)
 		}
 		opts := scenario.RunOptions{
-			Seed: *seed, Parallelism: *parallel, Shards: *shards,
-			Progress: hook,
-			Name:     m.Name, Obs: reg, Telemetry: tel, Tracer: tracer,
+			Run: exec.Run{
+				Seed: *seed, Parallelism: *parallel, Name: m.Name, Progress: hook,
+				Obs: sinks.Obs, Telemetry: sinks.Telemetry, Tracer: sinks.Tracer,
+			},
 			CacheDir: *cacheDir, Journal: journal, Resume: resume,
 		}
 		start := time.Now()
@@ -220,20 +198,7 @@ func main() {
 			fail(err)
 		}
 	}
-	if reg != nil {
-		fmt.Fprintln(os.Stderr, "# metrics")
-		reg.Dump(os.Stderr)
-	}
-	if tracer != nil {
-		if err := tracer.WriteFile(*trace); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)\n", tracer.Len(), *trace)
-	}
-	if err := tel.Close(); err != nil {
-		fail(err)
-	}
-	if err := stopProfiles(); err != nil {
+	if err := stopObs(); err != nil {
 		fail(err)
 	}
 }

@@ -21,22 +21,15 @@ import (
 
 func main() {
 	var (
-		kind       = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
-		size       = flag.String("size", "small", "size class: small or medium")
-		samples    = flag.Int("samples", 300, "sampled router pairs for CDP/PI")
-		seed       = flag.Int64("seed", 1, "random seed")
-		shards     = flag.Int("shards", 0, "accepted for interface parity with the other tools; topoinfo runs no simulations")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		kind     = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
+		size     = flag.String("size", "small", "size class: small or medium")
+		samples  = flag.Int("samples", 300, "sampled router pairs for CDP/PI")
+		seed     = flag.Int64("seed", 1, "random seed")
+		startObs = obs.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "topoinfo: negative shard count %d\n", *shards)
-		os.Exit(1)
-	}
-
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	_, stopObs, err := startObs()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "topoinfo:", err)
 		os.Exit(1)
@@ -74,7 +67,7 @@ func main() {
 	fmt.Printf("  CDP mean %.0f%%, 1%% tail %.0f%%\n", 100*cdp.Mean, 100*cdp.Tail1Pct)
 	fmt.Printf("  PI  mean %.0f%%, 99.9%% tail %.0f%%\n", 100*pi.Mean, 100*pi.Tail999Pct)
 
-	if err := stopProfiles(); err != nil {
+	if err := stopObs(); err != nil {
 		fmt.Fprintln(os.Stderr, "topoinfo:", err)
 		os.Exit(1)
 	}

@@ -61,12 +61,6 @@ type Config struct {
 	Rho       float64
 	Scheme    LayerScheme
 	Seed      int64
-	// Shards is the default event-loop shard count for simulations created
-	// via NewSimulation (netsim.Config.Shards): the engine partitions
-	// routers into this many worker goroutines under conservative-lookahead
-	// synchronization. Execution knob only — results are byte-identical at
-	// every value. 0 leaves simulations serial.
-	Shards int
 	// Obs, when non-nil, instruments the fabric: the routing engine reports
 	// table builds and lock contention into it, and simulations created via
 	// NewSimulation default their metrics bundle from it. Purely
@@ -170,9 +164,6 @@ func (f *Fabric) NewSimulation(cfg netsim.Config) *netsim.Sim {
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = f.Cfg.Tracer
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = f.Cfg.Shards
 	}
 	return netsim.NewSim(f.Topo, f.Fwd, cfg)
 }

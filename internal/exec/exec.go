@@ -1,10 +1,12 @@
-// Package exec is the parallel experiment-execution runtime: a worker-pool
-// ParallelMap plus deterministic seed-splitting. The experiments layer
-// decomposes every figure and table into independent cells (one
-// topology/routing/transport/seed combination each), fans them out here,
-// and merges results in canonical cell order. Because each cell derives all
-// of its randomness from FoldSeed(baseSeed, cellIndex) alone, results are
-// byte-identical regardless of worker count or scheduling order.
+// Package exec is the parallel experiment-execution runtime: the run
+// context (Run) and the one cell loop (Cells) over a worker-pool
+// ParallelMap, plus deterministic seed-splitting. The experiments and
+// scenario layers decompose every figure, table and matrix into independent
+// cells (one topology/routing/transport/seed combination each), fan them
+// out here, and merge results in canonical cell order. Because each cell
+// derives all of its randomness from FoldSeed(baseSeed, cellIndex) alone,
+// results are byte-identical regardless of worker count or scheduling
+// order.
 package exec
 
 import (

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // scenarioBacked lists the experiment IDs that run through the scenario
@@ -42,7 +44,7 @@ func TestCacheGolden(t *testing.T) {
 			}
 			dir := t.TempDir()
 			for _, phase := range []string{"cold", "warm"} {
-				tab, err := e.Run(Options{Quick: true, Seed: goldenSeed, Parallelism: 8, CacheDir: dir})
+				tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 8}, CacheDir: dir})
 				if err != nil {
 					t.Fatalf("%s: %v", phase, err)
 				}

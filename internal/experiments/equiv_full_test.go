@@ -3,6 +3,8 @@ package experiments
 import (
 	"os"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // TestFullEquivalence runs EVERY registered experiment at Parallelism 1
@@ -19,11 +21,11 @@ func TestFullEquivalence(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			serialTab, err := e.Run(Options{Quick: true, Seed: 11, Parallelism: 1})
+			serialTab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: 11, Parallelism: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parTab, err := e.Run(Options{Quick: true, Seed: 11, Parallelism: 8})
+			parTab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: 11, Parallelism: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}

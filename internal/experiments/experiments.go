@@ -15,52 +15,21 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-// Options control experiment scale, determinism, and execution.
+// Options control experiment scale and execution: the run context every
+// runner hands down unchanged (seed, worker count, observers — see
+// exec.Run) plus the two settings only this layer reads.
 type Options struct {
+	exec.Run
 	// Quick selects reduced scale (small topologies, fewer samples).
 	Quick bool
-	// Seed drives all randomness.
-	Seed int64
-	// Parallelism is the number of worker goroutines fanning an
-	// experiment's independent cells out over cores. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs serially. Output is byte-identical for
-	// every value: cells derive their RNGs from (Seed, cell index) alone
-	// and rows merge in canonical cell order.
-	Parallelism int
-	// Shards is the per-simulation event-loop shard count (see
-	// netsim.Config.Shards): cell-level parallelism fans cells over
-	// workers, Shards splits each cell's event loop. Like Parallelism it is
-	// an execution knob — output is byte-identical for every value. 0 runs
-	// each simulation serially.
-	Shards int
-	// Progress, when non-nil, is called after each completed cell with the
-	// number of completed cells and the runner's total. Invocations may
-	// originate from worker goroutines but are serialized.
-	Progress func(done, total int)
-	// RunName labels telemetry records (the experiment ID being run).
-	RunName string
-	// Obs, when non-nil, instruments the run: fabrics report routing-core
-	// telemetry and simulations flush their counters into it. Purely
-	// observational — tables are byte-identical with or without it.
-	Obs *obs.Registry
-	// Telemetry, when non-nil, receives per-cell JSONL wall-time records.
-	Telemetry *obs.Telemetry
-	// Tracer, when non-nil, is offered to the runner's simulations; the
-	// first to acquire it records its event loop (one bounded window per
-	// process).
-	Tracer *obs.Tracer
 	// CacheDir, when non-empty, backs scenario-driven experiments with the
 	// content-addressed result cache (see internal/scenario.Cache): cells
 	// already computed under the same canonical identity, seed, and engine
@@ -70,16 +39,9 @@ type Options struct {
 }
 
 // coreCfg assembles the layer configuration for a runner's fabric build,
-// carrying the run's seed and instrumentation registry.
+// carrying the run's seed and instrumentation.
 func (o Options) coreCfg(layers int, rho float64) core.Config {
-	return core.Config{NumLayers: layers, Rho: rho, Seed: o.Seed, Shards: o.Shards, Obs: o.Obs, Tracer: o.Tracer}
-}
-
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
+	return core.Config{NumLayers: layers, Rho: rho, Seed: o.Seed, Obs: o.Obs, Tracer: o.Tracer}
 }
 
 // Experiment is one reproducible unit: a figure or table of the paper.
@@ -139,44 +101,17 @@ type Cell struct {
 // formatting like stats.Table.AddRowf.
 func (c *Cell) AddRowf(cells ...interface{}) { c.tab.AddRowf(cells...) }
 
-// runCells fans n independent cells out over Options.Parallelism workers
-// and appends each cell's rows to tab in cell order. The first failing
-// cell's error aborts the experiment.
+// runCells fans n independent cells out over the shared cell loop
+// (exec.Cells) and appends each cell's rows to tab in cell order. The first
+// failing cell's error aborts the experiment.
 func runCells(o Options, tab *stats.Table, n int, fn func(c *Cell) error) error {
-	var mu sync.Mutex
-	done := 0
-	//det:allow globalrand -- wall-clock telemetry (cell timings) is observational and never feeds table output
-	start := time.Now()
-	rows, err := exec.ParallelMapLabeled(o.workers(), n,
-		func(i int) string { return fmt.Sprintf("%s cell %d", o.RunName, i) },
-		func(i int) ([][]string, error) {
+	rows, err := exec.Cells(o.Run, n,
+		func(i int) string { return fmt.Sprintf("%s#%d", o.Name, i) },
+		func(i int) ([][]string, string, error) {
 			seed := exec.FoldSeed(o.Seed, uint64(i))
 			c := &Cell{Index: i, Seed: seed, Rng: graph.NewRand(seed)}
-			//det:allow globalrand -- wall-clock telemetry (cell timings) is observational and never feeds table output
-			cellStart := time.Now()
 			err := fn(c)
-			if o.Telemetry != nil {
-				rec := obs.CellRecord{
-					Type: "cell", Name: o.RunName, Index: i,
-					//det:allow globalrand -- wall-clock telemetry (cell timings) is observational and never feeds table output
-					WallMs:        time.Since(cellStart).Seconds() * 1e3,
-					StartOffsetMs: cellStart.Sub(start).Seconds() * 1e3,
-				}
-				if err != nil {
-					rec.Err = err.Error()
-				}
-				o.Telemetry.Emit(rec)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cell %d: %w", i, err)
-			}
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				o.Progress(done, n)
-				mu.Unlock()
-			}
-			return c.tab.Rows, nil
+			return c.tab.Rows, "", err
 		})
 	if err != nil {
 		return err

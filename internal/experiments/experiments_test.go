@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
-func quick() Options { return Options{Quick: true, Seed: 1} }
+func quick() Options { return Options{Quick: true, Run: exec.Run{Seed: 1}} }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 var update = flag.Bool("update", false, "regenerate golden tables under testdata/")
@@ -38,7 +40,7 @@ func TestGolden(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join("testdata", e.ID+".golden")
 			if *update {
-				tab, err := e.Run(Options{Quick: true, Seed: goldenSeed, Parallelism: 1})
+				tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 1}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +52,7 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (regenerate with -update): %v", err)
 			}
-			tab, err := e.Run(Options{Quick: true, Seed: goldenSeed, Parallelism: 8})
+			tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -35,12 +36,10 @@ func TestGoldenWithInstrumentation(t *testing.T) {
 			reg := obs.NewRegistry()
 			var telBuf bytes.Buffer
 			tracer := obs.NewTracer(0, 50_000_000, 0) // 50 simulated ms
-			tab, err := e.Run(Options{
-				Quick: true, Seed: goldenSeed, Parallelism: 4,
-				RunName: id, Obs: reg,
-				Telemetry: obs.NewTelemetry(&telBuf),
-				Tracer:    tracer,
-			})
+			tab, err := e.Run(Options{Quick: true, Run: exec.Run{
+				Seed: goldenSeed, Parallelism: 4, Name: id,
+				Obs: reg, Telemetry: obs.NewTelemetry(&telBuf), Tracer: tracer,
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,17 +55,31 @@ func TestGoldenWithInstrumentation(t *testing.T) {
 			if snap[obs.MetricRoutingTablesBuilt] == 0 {
 				t.Error("metrics on, but routing.tables_built = 0")
 			}
-			cells := 0
-			for _, line := range strings.Split(strings.TrimSpace(telBuf.String()), "\n") {
+			// Every path runs the one cell loop (exec.Cells), so hand-rolled
+			// IDs journal exactly what matrices do: run_start, one keyed cell
+			// record per cell, run_end with the worker utilization.
+			lines := strings.Split(strings.TrimSpace(telBuf.String()), "\n")
+			for i, line := range lines {
 				var rec map[string]any
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("telemetry line is not JSON: %v\n%s", err, line)
 				}
-				if rec["type"] == "cell" {
-					cells++
+				switch {
+				case i == 0:
+					if rec["type"] != "run_start" || rec["name"] != id || rec["cells"] != float64(len(lines)-2) {
+						t.Fatalf("bad run_start for %d lines: %s", len(lines), line)
+					}
+				case i == len(lines)-1:
+					if _, ok := rec["workerUtil"]; rec["type"] != "run_end" || !ok {
+						t.Fatalf("bad run_end: %s", line)
+					}
+				default:
+					if key, _ := rec["key"].(string); rec["type"] != "cell" || key == "" {
+						t.Fatalf("line %d: want a cell record with a non-empty key: %s", i, line)
+					}
 				}
 			}
-			if cells == 0 {
+			if len(lines) < 3 {
 				t.Error("telemetry on, but no cell records emitted")
 			}
 			if tracer.Len() == 0 {

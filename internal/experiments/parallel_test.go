@@ -3,6 +3,8 @@ package experiments
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // TestParallelSerialEquivalence asserts the tentpole determinism guarantee:
@@ -24,11 +26,11 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialTab, err := e.Run(Options{Quick: true, Seed: 3, Parallelism: 1})
+			serialTab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: 3, Parallelism: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parTab, err := e.Run(Options{Quick: true, Seed: 3, Parallelism: 8})
+			parTab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: 3, Parallelism: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,12 +56,12 @@ func TestProgressReporting(t *testing.T) {
 	var mu sync.Mutex
 	var dones []int
 	total := -1
-	opts := Options{Quick: true, Seed: 1, Parallelism: 4, Progress: func(done, tot int) {
+	opts := Options{Quick: true, Run: exec.Run{Seed: 1, Parallelism: 4, Progress: func(done, tot int) {
 		mu.Lock()
 		dones = append(dones, done)
 		total = tot
 		mu.Unlock()
-	}}
+	}}}
 	tab, err := e.Run(opts)
 	if err != nil {
 		t.Fatal(err)

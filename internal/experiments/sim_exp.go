@@ -45,7 +45,7 @@ func init() {
 	register("abl-randomization", "Ablation: workload randomization on vs off", runAblRandomization)
 }
 
-// smallSuite returns the per-figure topology set at quick or full scale.
+// simSuite returns the per-figure topology set at quick or full scale.
 func simSuite(o Options, rng *rand.Rand) (map[string]*topo.Topology, error) {
 	out := map[string]*topo.Topology{}
 	var err error
@@ -118,8 +118,8 @@ func scenTopos(o Options, kinds ...string) []scenario.Topology {
 }
 
 // runMatrices expands the given matrices, concatenates their cells in
-// order, and executes everything as one batch over the parallel runtime
-// with the experiment's seed and progress reporting.
+// order, and executes everything as one batch under the experiment's run
+// context.
 func runMatrices(o Options, ms ...*scenario.Matrix) ([]scenario.CellResult, error) {
 	var cells []scenario.Spec
 	for _, m := range ms {
@@ -129,17 +129,7 @@ func runMatrices(o Options, ms ...*scenario.Matrix) ([]scenario.CellResult, erro
 		}
 		cells = append(cells, cs...)
 	}
-	return scenario.RunSpecs(cells, scenario.RunOptions{
-		Seed:        o.Seed,
-		Parallelism: o.workers(),
-		Shards:      o.Shards,
-		Progress:    o.Progress,
-		Name:        o.RunName,
-		Obs:         o.Obs,
-		Telemetry:   o.Telemetry,
-		Tracer:      o.Tracer,
-		CacheDir:    o.CacheDir,
-	})
+	return scenario.RunSpecs(cells, scenario.RunOptions{Run: o.Run, CacheDir: o.CacheDir})
 }
 
 // runSeries simulates one (fabric, config, pattern, size) combination. The
@@ -151,9 +141,6 @@ func runSeries(o Options, fab *core.Fabric, cfg netsim.Config, pat traffic.Patte
 		return nil, err
 	}
 	cfg.Tracer = o.Tracer
-	if cfg.Shards == 0 {
-		cfg.Shards = o.Shards
-	}
 	wl := core.Workload{Pattern: pat, FlowSize: traffic.FixedSize(size), Lambda: lambda}
 	return fab.RunWorkload(cfg, wl, horizon, seed), nil
 }

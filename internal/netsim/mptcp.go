@@ -320,6 +320,7 @@ func (s *Sim) mptcpRTOFire(sh *Shard, f *flow, ms *mptcpSub, gen int64) {
 	if ms.cumAck >= ms.nextNew {
 		return
 	}
+	f.snd.timeouts++
 	ms.ssthresh = ms.cwnd / 2
 	if ms.ssthresh < 2 {
 		ms.ssthresh = 2

@@ -77,3 +77,21 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 		}
 	}
 }
+
+// TestMPTCPTimeoutsCounted: subflow RTO firings reach netsim.tcp_timeouts
+// like single-path TCP's do. Shallow queues under an incast force whole
+// windows to be lost, which only a retransmission timeout recovers.
+func TestMPTCPTimeoutsCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := TCPDefaults(TransportMPTCP)
+	cfg.QueueCap = 4
+	cfg.Metrics = obs.NewSimMetrics(reg)
+	s, sf := sfSim(t, 5, 4, 0.6, cfg, 7)
+	for i := 1; i <= 12; i++ {
+		s.AddFlow(FlowSpec{Src: int32(sf.N() - i), Dst: 0, Bytes: 256 << 10, Start: 0})
+	}
+	s.Run(1 * Second)
+	if got := reg.Snapshot()[obs.MetricSimTCPTimeouts]; got == 0 {
+		t.Fatal("lossy MPTCP incast flushed tcp_timeouts = 0")
+	}
+}

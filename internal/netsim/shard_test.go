@@ -27,10 +27,14 @@ func shardFabric(t *testing.T, q, nLayers int, rho float64, seed int64) (*topo.T
 }
 
 // runSharded runs a fixed permutation+incast workload at the given shard
-// count and returns the per-flow results plus the executed-event count.
-func runSharded(tp *topo.Topology, fwd *layers.Forwarding, cfg Config, shards int) ([]FlowResult, int64) {
+// count, with failLinks random router-router links failed before the run,
+// and returns the per-flow results plus the executed-event count.
+func runSharded(tp *topo.Topology, fwd *layers.Forwarding, cfg Config, shards, failLinks int) ([]FlowResult, int64) {
 	cfg.Shards = shards
 	s := NewSim(tp, fwd, cfg)
+	if failLinks > 0 {
+		s.Net.FailRandomLinks(failLinks, graph.NewRand(cfg.Seed))
+	}
 	n := tp.N()
 	half := n / 2
 	for i := 0; i < half; i++ {
@@ -50,29 +54,32 @@ func runSharded(tp *topo.Topology, fwd *layers.Forwarding, cfg Config, shards in
 }
 
 // TestShardedSimEquivalence is the determinism contract at the simulator
-// level: for every transport, running the identical workload at shard
-// counts 1, 2, 3, and 8 must produce identical per-flow results AND
-// execute the identical number of events — the event schedules are equal,
-// not merely the outcomes.
+// level: for every transport, and with links failed under the flows (the
+// ext-failures leg: packets die on failed links and flows re-route),
+// running the identical workload at shard counts 1, 2, 3, and 8 must
+// produce identical per-flow results AND execute the identical number of
+// events — the event schedules are equal, not merely the outcomes.
 func TestShardedSimEquivalence(t *testing.T) {
 	tp, fwd := shardFabric(t, 5, 4, 0.6, 11)
 	cases := []struct {
-		name string
-		cfg  Config
+		name      string
+		cfg       Config
+		failLinks int
 	}{
-		{"ndp-fatpaths", NDPDefaults()},
-		{"tcp-fatpaths", TCPDefaults(TransportTCP)},
-		{"dctcp-letflow", func() Config { c := TCPDefaults(TransportDCTCP); c.LB = LBLetFlow; return c }()},
-		{"mptcp", TCPDefaults(TransportMPTCP)},
+		{"ndp-fatpaths", NDPDefaults(), 0},
+		{"tcp-fatpaths", TCPDefaults(TransportTCP), 0},
+		{"dctcp-letflow", func() Config { c := TCPDefaults(TransportDCTCP); c.LB = LBLetFlow; return c }(), 0},
+		{"mptcp", TCPDefaults(TransportMPTCP), 0},
+		{"ndp-failed-links", NDPDefaults(), tp.G.M() / 10},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			tc.cfg.Seed = 42
-			base, baseEvents := runSharded(tp, fwd, tc.cfg, 1)
+			base, baseEvents := runSharded(tp, fwd, tc.cfg, 1, tc.failLinks)
 			for _, shards := range []int{2, 3, 8} {
-				got, gotEvents := runSharded(tp, fwd, tc.cfg, shards)
+				got, gotEvents := runSharded(tp, fwd, tc.cfg, shards, tc.failLinks)
 				if !reflect.DeepEqual(got, base) {
 					t.Fatalf("shards=%d: flow results diverge from serial run", shards)
 				}
@@ -102,14 +109,14 @@ func TestShardedRequiresLookahead(t *testing.T) {
 
 // TestShardBarrierHammer drives the window barrier hard under -race: many
 // concurrent simulations, each sharded well beyond the available cores,
-// sharing one forwarding view — the production layout of a parallel sweep
-// running sharded replicates. Every worker checks its results against a
+// sharing one forwarding view — the layout of a parallel sweep running
+// sharded replicates. Every worker checks its results against a
 // serial baseline.
 func TestShardBarrierHammer(t *testing.T) {
 	tp, fwd := shardFabric(t, 5, 3, 0.7, 3)
 	cfg := NDPDefaults()
 	cfg.Seed = 7
-	base, _ := runSharded(tp, fwd, cfg, 1)
+	base, _ := runSharded(tp, fwd, cfg, 1, 0)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {
@@ -117,7 +124,7 @@ func TestShardBarrierHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _ := runSharded(tp, fwd, cfg, 2+w%7)
+			got, _ := runSharded(tp, fwd, cfg, 2+w%7, 0)
 			if !reflect.DeepEqual(got, base) {
 				errs <- "concurrent sharded run diverged from serial baseline"
 			}

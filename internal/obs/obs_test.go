@@ -3,7 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -270,5 +274,64 @@ func TestProgress(t *testing.T) {
 	}
 	if NewProgress(nil, "x") != nil {
 		t.Fatal("progress over a nil writer must be nil")
+	}
+}
+
+// TestBindFlags: the shared CLI flag block. With nothing set every
+// collaborator but the progress line is nil and stop does nothing; with
+// everything set the trace, telemetry and profile files are written and the
+// telemetry file is closed by stop, once.
+func TestBindFlags(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	start := BindFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	s, stop, err := start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Obs != nil || s.Telemetry != nil || s.Tracer != nil {
+		t.Fatalf("no flag set, but collaborators are live: %+v", s)
+	}
+	if s.Progress == nil {
+		t.Fatal("progress must default on (only -quiet silences it)")
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("stop with nothing started: %v", err)
+	}
+
+	dir := t.TempDir()
+	paths := map[string]string{}
+	for _, name := range []string{"telemetry", "trace", "cpuprofile", "memprofile"} {
+		paths[name] = filepath.Join(dir, name)
+	}
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	start = BindFlags(fs)
+	if err := fs.Parse([]string{
+		"-quiet", "-metrics", "-trace-ms", "5",
+		"-telemetry", paths["telemetry"], "-trace", paths["trace"],
+		"-cpuprofile", paths["cpuprofile"], "-memprofile", paths["memprofile"],
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, stop, err = start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Obs == nil || s.Telemetry == nil || s.Tracer == nil || s.Progress != nil {
+		t.Fatalf("every flag set (incl. -quiet), got %+v", s)
+	}
+	s.Telemetry.Emit(RunEnd{Type: "run_end"})
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range paths {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("-%s %s: not written (%v)", name, p, err)
+		}
+	}
+	if err := s.Telemetry.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("telemetry Close after stop = %v, want os.ErrClosed (stop owns the close)", err)
 	}
 }

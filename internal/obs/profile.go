@@ -7,11 +7,11 @@ import (
 	"runtime/pprof"
 )
 
-// StartProfiles wires the standard pprof profiles into a CLI: cpuPath
+// startProfiles wires the standard pprof profiles into a CLI: cpuPath
 // starts a CPU profile immediately, memPath records a heap profile when
 // the returned stop function runs. Empty paths disable the respective
 // profile; stop is always safe to call once.
-func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpu *os.File
 	if cpuPath != "" {
 		cpu, err = os.Create(cpuPath)

@@ -78,8 +78,9 @@ type RunStart struct {
 type CellRecord struct {
 	Type string `json:"type"` // "cell"
 	Name string `json:"name,omitempty"`
-	// Index is the cell's position in canonical expansion order; Key is
-	// its canonical resource key (empty for runners without one).
+	// Index is the cell's position in canonical expansion order; Key names
+	// it: the canonical resource key of a scenario cell, "<run>#<index>"
+	// for a hand-rolled experiment cell.
 	Index int    `json:"index"`
 	Key   string `json:"key,omitempty"`
 	// WallMs is the cell's execution wall time; StartOffsetMs is the delay

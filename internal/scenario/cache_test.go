@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -62,17 +63,15 @@ func TestCacheIdentityCoversResultAffectingFields(t *testing.T) {
 	}
 }
 
-// TestCacheIdentityExcludesLabelsAndKnobs: Name is a display label and
-// Shards an execution knob — the determinism contract guarantees they
-// cannot change results, so they must not change the identity. The run
+// TestCacheIdentityExcludesLabelsAndKnobs: Name is a display label — it
+// cannot change results, so it must not change the identity. The run
 // seed folds in only when the cell does not override it.
 func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 	base := cacheSpec()
 	labeled := base
 	labeled.Name = "pretty label"
-	labeled.Shards = 4
 	if base.CacheIdentity(42) != labeled.CacheIdentity(42) {
-		t.Fatal("Name/Shards changed the cache identity")
+		t.Fatal("Name changed the cache identity")
 	}
 	if base.CacheIdentity(42) == base.CacheIdentity(43) {
 		t.Fatal("run seed did not fold into the identity")
@@ -173,19 +172,19 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 2})
+	plain, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 
 	coldReg := obs.NewRegistry()
-	cold, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 2, CacheDir: dir, Obs: coldReg})
+	cold, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: coldReg}, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmReg := obs.NewRegistry()
-	warm, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 2, CacheDir: dir, Obs: warmReg})
+	warm, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: warmReg}, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 2, CacheDir: dir}); err != nil {
+	if _, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}, CacheDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,12 +234,12 @@ func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunSpecs(editedCells, RunOptions{Seed: 7, Parallelism: 2})
+	plain, err := RunSpecs(editedCells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cached, err := RunSpecs(editedCells, RunOptions{Seed: 7, Parallelism: 2, CacheDir: dir, Obs: reg})
+	cached, err := RunSpecs(editedCells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: reg}, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -269,7 +270,7 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 2})
+	uninterrupted, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 	// header pins the full matrix (what a killed cmd/scenarios leaves
 	// behind).
 	j, path := newTestJournal(t, cells, 7)
-	if _, err := RunSpecs(cells[:k], RunOptions{Seed: 7, Parallelism: 1, Journal: j}); err != nil {
+	if _, err := RunSpecs(cells[:k], RunOptions{Run: exec.Run{Seed: 7, Parallelism: 1}, Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -329,7 +330,8 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		resumed, err := RunSpecs(cells, RunOptions{
-			Seed: 7, Parallelism: 2, Journal: j2, Resume: resume, Obs: reg,
+			Run:     exec.Run{Seed: 7, Parallelism: 2, Obs: reg},
+			Journal: j2, Resume: resume,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -18,34 +16,13 @@ import (
 	"repro/internal/traffic"
 )
 
-// RunOptions control scenario execution. The zero value runs serially at
-// seed 0.
+// RunOptions control scenario execution: the run context (exec.Run — seed,
+// worker count, observers) plus the durable runtime's stores. The zero
+// value runs on all cores at seed 0, uncached and unjournaled. A cell's
+// non-zero Spec.Seed overrides Run.Seed for that cell only, and Run.Tracer
+// is offered to cell 0 only (a deterministic choice).
 type RunOptions struct {
-	// Seed drives all randomness; a cell's non-zero Spec.Seed overrides it
-	// for that cell only.
-	Seed int64
-	// Parallelism is the worker count fanning cells out (0 = all cores,
-	// 1 = serial). Results are byte-identical for every value.
-	Parallelism int
-	// Progress, when non-nil, is called after each completed cell with the
-	// completed and total cell counts (invocations are serialized).
-	Progress func(done, total int)
-	// Name labels the run in telemetry records (typically the matrix name).
-	Name string
-	// Obs, when non-nil, instruments the run: fabrics report routing-core
-	// telemetry into it and every simulation flushes its counters there.
-	// Purely observational — results are byte-identical with or without it.
-	Obs *obs.Registry
-	// Telemetry, when non-nil, receives run_start / per-cell / run_end
-	// JSONL records (wall times, worker utilization).
-	Telemetry *obs.Telemetry
-	// Tracer, when non-nil, is offered to cell 0 only (a deterministic
-	// choice); the first simulation of that cell records its event loop.
-	Tracer *obs.Tracer
-	// Shards is the default per-simulation event-loop shard count for cells
-	// that do not set Spec.Shards. Like Parallelism it is an execution knob:
-	// results are byte-identical for every value. 0 runs simulations serially.
-	Shards int
+	exec.Run
 	// CacheDir, when non-empty, holds the content-addressed result cache:
 	// cells whose CacheKey has an entry return it without simulating, and
 	// freshly simulated cells are persisted for future runs. The
@@ -62,13 +39,6 @@ type RunOptions struct {
 	// matching cells merge into the output without re-execution and
 	// without re-journaling.
 	Resume map[string]CellResult
-}
-
-func (o RunOptions) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // CellResult is the measured outcome of one scenario cell.
@@ -245,12 +215,6 @@ func runCell(s Spec, cc *caches, o RunOptions, traced bool) (CellResult, error) 
 	if traced {
 		cfg.Tracer = o.Tracer
 	}
-	// Shards is an execution knob: it shapes how the event loop runs, never
-	// what it computes, so it stays out of the cache keys and seeds above.
-	cfg.Shards = s.Shards
-	if cfg.Shards == 0 {
-		cfg.Shards = o.Shards
-	}
 	horizon := netsim.Time(s.horizonMs() * 1e6)
 	workloadSeed := seedFor(runSeed, "workload|"+s.workloadKey())
 	failSeed := seedFor(runSeed, "fail|"+s.Topology.key()+"|"+AxisValueMust(s, "failFrac"))
@@ -363,11 +327,11 @@ func acquireCell(s Spec, i int, cc *caches, o RunOptions, cache *Cache, sm *obs.
 	return r, "", nil
 }
 
-// RunSpecs executes concrete cells over the parallel runtime and returns
-// their results in cell order. Output is byte-identical for every
-// Parallelism value: each cell's randomness derives from (seed, canonical
-// resource keys) alone, and shared fabrics are pure functions of their
-// keys. The same guarantee extends to the durable runtime — a cell
+// RunSpecs executes concrete cells over the shared cell loop (exec.Cells)
+// and returns their results in cell order. Output is byte-identical for
+// every Parallelism value: each cell's randomness derives from (seed,
+// canonical resource keys) alone, and shared fabrics are pure functions of
+// their keys. The same guarantee extends to the durable runtime — a cell
 // satisfied from the resume set or the result cache is byte-identical to
 // a freshly simulated one (replay equals rerun).
 func RunSpecs(cells []Spec, o RunOptions) ([]CellResult, error) {
@@ -380,58 +344,11 @@ func RunSpecs(cells []Spec, o RunOptions) ([]CellResult, error) {
 	}
 	sm := obs.NewScenarioMetrics(o.Obs)
 	cc := newCaches()
-	var mu sync.Mutex
-	done := 0
-	//det:allow globalrand -- wall-clock telemetry (run/cell timings) is observational and never feeds table output
-	start := time.Now()
-	var busy time.Duration
-	o.Telemetry.Emit(obs.RunStart{
-		Type: "run_start", Name: o.Name, Cells: len(cells),
-		Workers: o.workers(), Seed: o.Seed, UnixMs: obs.UnixMs(),
-	})
-	results, err := exec.ParallelMapLabeled(o.workers(), len(cells),
+	return exec.Cells(o.Run, len(cells),
 		func(i int) string { return cells[i].Key() },
-		func(i int) (CellResult, error) {
-			//det:allow globalrand -- wall-clock telemetry (per-cell timings) is observational and never feeds table output
-			cellStart := time.Now()
-			r, source, err := acquireCell(cells[i], i, cc, o, cache, sm)
-			//det:allow globalrand -- wall-clock telemetry (per-cell timings) is observational and never feeds table output
-			wall := time.Since(cellStart)
-			if o.Telemetry != nil {
-				rec := obs.CellRecord{
-					Type: "cell", Name: o.Name, Index: i, Key: cells[i].Key(),
-					WallMs:        wall.Seconds() * 1e3,
-					StartOffsetMs: cellStart.Sub(start).Seconds() * 1e3,
-					Source:        source,
-				}
-				if err != nil {
-					rec.Err = err.Error()
-				}
-				o.Telemetry.Emit(rec)
-			}
-			if err != nil {
-				return CellResult{}, fmt.Errorf("cell %d (%s): %w", i, cells[i].Key(), err)
-			}
-			mu.Lock()
-			busy += wall
-			done++
-			if o.Progress != nil {
-				o.Progress(done, len(cells))
-			}
-			mu.Unlock()
-			return r, nil
+		func(i int) (CellResult, string, error) {
+			return acquireCell(cells[i], i, cc, o, cache, sm)
 		})
-	//det:allow globalrand -- wall-clock telemetry (worker utilization) is observational and never feeds table output
-	elapsed := time.Since(start)
-	util := 0.0
-	if elapsed > 0 {
-		util = busy.Seconds() / (elapsed.Seconds() * float64(o.workers()))
-	}
-	o.Telemetry.Emit(obs.RunEnd{
-		Type: "run_end", Name: o.Name, Cells: len(cells),
-		WallMs: elapsed.Seconds() * 1e3, WorkerUtil: util, UnixMs: obs.UnixMs(),
-	})
-	return results, err
 }
 
 // Run expands the matrix and executes every cell.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -29,11 +30,11 @@ func tinyMatrix() *Matrix {
 // TestRunDeterministicAcrossParallelism: the rendered scenario table is
 // byte-identical at Parallelism 1 and 8 for the same seed.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	serial, err := Run(tinyMatrix(), RunOptions{Seed: 7, Parallelism: 1})
+	serial, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 7, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(tinyMatrix(), RunOptions{Seed: 7, Parallelism: 8})
+	par, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 7, Parallelism: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 
 // TestRunSeedChangesResults: a different run seed changes the workload.
 func TestRunSeedChangesResults(t *testing.T) {
-	a, err := Run(tinyMatrix(), RunOptions{Seed: 1, Parallelism: 1})
+	a, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 1, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tinyMatrix(), RunOptions{Seed: 2, Parallelism: 1})
+	b, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 2, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestReplicasAggregate(t *testing.T) {
 	}
 	three := one
 	three.Replicas = 3
-	rs, err := RunSpecs([]Spec{one, three}, RunOptions{Seed: 5, Parallelism: 2})
+	rs, err := RunSpecs([]Spec{one, three}, RunOptions{Run: exec.Run{Seed: 5, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +100,14 @@ func TestSpecSeedOverride(t *testing.T) {
 	override := base
 	override.Seed = 1234
 	cells := []Spec{base, override}
-	serial, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 1})
+	serial, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if Table("t", serial[:1]).String() == Table("t", serial[1:]).String() {
 		t.Fatal("Spec.Seed override had no effect next to a same-key cell")
 	}
-	par, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 8})
+	par, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSpecSeedOverride(t *testing.T) {
 // TestFailureModel: FailFrac fails the expected link count and the failed
 // set is identical across cells sharing (topology, failFrac).
 func TestFailureModel(t *testing.T) {
-	rs, err := Run(tinyMatrix(), RunOptions{Seed: 3, Parallelism: 1})
+	rs, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 3, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestMAT(t *testing.T) {
 		HorizonMs: 500,
 		MAT:       true,
 	}
-	rs, err := RunSpecs([]Spec{s}, RunOptions{Seed: 1, Parallelism: 1})
+	rs, err := RunSpecs([]Spec{s}, RunOptions{Run: exec.Run{Seed: 1, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestMAT(t *testing.T) {
 // failing cell index.
 func TestInvalidSpecRejected(t *testing.T) {
 	bad := Spec{Topology: Topology{Kind: "SF", Param: 3}, Pattern: Pattern{Kind: "zipf"}}
-	_, err := RunSpecs([]Spec{bad}, RunOptions{Parallelism: 1})
+	_, err := RunSpecs([]Spec{bad}, RunOptions{Run: exec.Run{Parallelism: 1}})
 	if err == nil || !strings.Contains(err.Error(), "cell 0") || !strings.Contains(err.Error(), "zipf") {
 		t.Fatalf("invalid spec must fail with cell index and cause, got %v", err)
 	}
@@ -202,7 +203,7 @@ func TestRunTelemetryAndDeterminism(t *testing.T) {
 	if skipped != 0 {
 		t.Fatalf("tiny matrix skipped %d cells", skipped)
 	}
-	plain, err := RunSpecs(cells, RunOptions{Seed: 7, Parallelism: 2})
+	plain, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +211,10 @@ func TestRunTelemetryAndDeterminism(t *testing.T) {
 	reg := obs.NewRegistry()
 	var telBuf bytes.Buffer
 	tracer := obs.NewTracer(0, 50_000_000, 0)
-	instrumented, err := RunSpecs(cells, RunOptions{
+	instrumented, err := RunSpecs(cells, RunOptions{Run: exec.Run{
 		Seed: 7, Parallelism: 2, Name: "tiny",
 		Obs: reg, Telemetry: obs.NewTelemetry(&telBuf), Tracer: tracer,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,12 +311,6 @@ type Spec struct {
 	// MAT additionally computes the maximum achievable throughput of the
 	// compiled (fabric, pattern) cell (the §VI layered LP, eps 0.12).
 	MAT bool `json:"mat,omitempty"`
-	// Shards is the per-simulation event-loop shard count
-	// (netsim.Config.Shards). Execution knob, NOT a model parameter: results
-	// are byte-identical at every value, so it is deliberately excluded from
-	// the canonical cell Key and every derived resource seed. 0 defers to
-	// RunOptions.Shards.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Scheme name tables. The zero value of each field is the first entry.
@@ -405,9 +399,6 @@ func (s Spec) Validate() error {
 	if s.Replicas < 0 {
 		return fmt.Errorf("scenario: negative replica count %d", s.Replicas)
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("scenario: negative shard count %d", s.Shards)
-	}
 	return nil
 }
 
@@ -443,9 +434,8 @@ func (s Spec) effectiveSeed(runSeed int64) int64 {
 // CacheIdentity renders the cell's full canonical identity for the durable
 // runtime (result cache and run journal): every result-affecting field in
 // canonical form plus the effective seed, and nothing else. Name (a label)
-// and Shards (an execution knob — results are byte-identical at every
-// value) are deliberately excluded, so renaming a cell or re-sharding its
-// event loop still hits the cache. The determinism contract makes equal
+// is deliberately excluded, so renaming a cell still hits the cache. The
+// determinism contract makes equal
 // identities provably equal results: every random draw of a cell derives
 // from (effective seed, canonical resource keys) alone.
 //

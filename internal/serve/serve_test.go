@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -217,6 +218,26 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: both POST endpoints refuse a body over maxBodyBytes with
+// 413 before decoding it, and a body under the limit is served as before.
+func TestBodyLimit(t *testing.T) {
+	s := testServer(t, Config{MaxFabrics: 1})
+	fabric := `"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7}`
+	huge := `{` + fabric + `,"failedEdges":[` + strings.Repeat("0,", maxBodyBytes/2) + `0]}`
+	for _, target := range []string{"/whatif", "/scenarios"} {
+		code, body := post(t, s, target, huge)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil || e.Error == "" {
+			t.Errorf("%s with a %d-byte body: status %d body %q, want 413 and an error object", target, len(huge), code, body)
+		}
+	}
+	if code, body := post(t, s, "/whatif", `{`+fabric+`,"failedEdges":[0]}`); code != http.StatusOK {
+		t.Fatalf("normal /whatif body: status %d (%s)", code, body)
+	}
+}
+
 // TestScenariosEndpoint submits a small matrix and checks the streamed
 // JSONL protocol plus the determinism contract: the final result line
 // matches an offline RunSpecs of the same matrix and seed exactly.
@@ -270,7 +291,7 @@ func TestScenariosEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scenario.RunSpecs(cells, scenario.RunOptions{Seed: 7})
+	want, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

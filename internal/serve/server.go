@@ -26,6 +26,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -54,9 +56,6 @@ type Config struct {
 	CacheDir string
 	// Parallelism is the scenario worker pool width (0 = all cores).
 	Parallelism int
-	// Shards is the per-simulation event-loop shard count for scenario
-	// cells that do not set their own (0 = serial).
-	Shards int
 	// MaxScenarioRuns caps concurrently executing /scenarios submissions;
 	// excess submissions queue (minimum and default 1). Path queries are
 	// never queued — they only read resident tables.
@@ -451,8 +450,7 @@ type WhatifAnswer struct {
 // readers are unaffected — and answers the queries against it.
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req WhatifRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	fab, err := s.fabric(req.Fabric)
@@ -506,8 +504,7 @@ type ScenarioRequest struct {
 // run starts). Submissions beyond MaxScenarioRuns queue on a semaphore.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	cells, skipped, err := req.Matrix.Expand()
@@ -534,13 +531,14 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	fw := &flushWriter{w: w}
 	tel := obs.NewTelemetry(fw)
 	results, err := scenario.RunSpecs(cells, scenario.RunOptions{
-		Seed:        seed,
-		Parallelism: s.cfg.Parallelism,
-		Shards:      s.cfg.Shards,
-		Name:        req.Matrix.Name,
-		Obs:         s.reg,
-		Telemetry:   tel,
-		CacheDir:    s.cfg.CacheDir,
+		Run: exec.Run{
+			Seed:        seed,
+			Parallelism: s.cfg.Parallelism,
+			Name:        req.Matrix.Name,
+			Obs:         s.reg,
+			Telemetry:   tel,
+		},
+		CacheDir: s.cfg.CacheDir,
 	})
 	if err != nil {
 		tel.Emit(map[string]string{"type": "error", "error": err.Error()})
@@ -612,16 +610,29 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// decodeJSON strictly decodes a request body (unknown fields rejected, so
-// typos fail loudly instead of silently selecting defaults — the same
-// discipline as cmd/scenarios spec files).
-func decodeJSON(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a POST body: a client cannot make the daemon buffer
+// and parse more than this per request. Spec matrices and /whatif edge and
+// query lists are KiB-sized.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON strictly decodes a request body of at most maxBodyBytes
+// (unknown fields rejected, so typos fail loudly instead of silently
+// selecting defaults — the same discipline as cmd/scenarios spec files).
+// On failure it writes the error response — 413 for an oversized body, 400
+// otherwise — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("request body: %w", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 // writeJSON writes one JSON object and a trailing newline (answers are
