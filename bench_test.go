@@ -112,9 +112,33 @@ func BenchmarkLayerConstructionMinInterference(b *testing.B) {
 	}
 }
 
+// benchBuildAll times eager construction of ls's tables, serially and on
+// all cores, and reports the routing core's ledger line — µs/table and
+// allocs/table — beside ns/op.
+func benchBuildAll(b *testing.B, ls *layers.LayerSet) {
+	tables := float64(ls.N() * ls.Base.N())
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				layers.NewForwarding(ls, 1).BuildAll(bc.workers)
+			}
+			runtime.ReadMemStats(&after)
+			built := tables * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/built, "µs/table")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/built, "allocs/table")
+		})
+	}
+}
+
 // BenchmarkRoutingBuild measures eager construction of the CSR multi-
-// next-hop tables (internal/routing) for a 9-layer Slim Fly, serially and
-// on all cores — the table-build path every fabric pays once.
+// next-hop tables (internal/routing) for a 9-layer Slim Fly — the
+// table-build path every fabric pays once.
 func BenchmarkRoutingBuild(b *testing.B) {
 	sf, err := topo.SlimFly(11, 0)
 	if err != nil {
@@ -124,16 +148,28 @@ func BenchmarkRoutingBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := layers.NewForwarding(ls, 1)
-				f.BuildAll(bc.workers)
-			}
+	benchBuildAll(b, ls)
+}
+
+// BenchmarkAdmissionTables is BenchmarkRoutingBuild over the five fabrics
+// the repository benchmark's daemon-churn workload admits (bench/e2e.go,
+// churnTopologies, at the daemon's default layer settings): the per-fabric
+// rows of PERF.md, "where a fabric admission's time goes".
+func BenchmarkAdmissionTables(b *testing.B) {
+	for _, t := range []scenario.Topology{
+		{Kind: "SF", Param: 11}, {Kind: "JF", Param: 11}, {Kind: "XP", Param: 16},
+		{Kind: "HX", Param: 7}, {Kind: "FT3", Param: 8},
+	} {
+		spec := scenario.Spec{Topology: t, Pattern: scenario.Pattern{Kind: "uniform"}}
+		_, fab, err := scenario.BuildFabric(spec, 42, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s%d", t.Kind, t.Param), func(b *testing.B) {
+			fab.Fwd.BuildAll(0)
+			st := fab.Fwd.Engine().Stat()
+			b.Logf("Nr=%d M=%d layers=%d tables=%d candEntries=%d", fab.Topo.Nr(), fab.Topo.G.M(), fab.Layers.N(), st.TablesBuilt, st.CandEntries)
+			benchBuildAll(b, fab.Layers)
 		})
 	}
 }

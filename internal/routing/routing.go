@@ -20,10 +20,21 @@
 // (graph, layer mask, destination) and tie-breaking folds the engine seed
 // with the (layer, src, dst) coordinates, so tables and next-hop picks are
 // byte-identical for any worker count and any build order.
+//
+// Construction is bit-parallel. The networks FatPaths targets have diameter
+// 2–3, so a reverse BFS has two or three levels and a candidate set is "the
+// neighbors of src one level closer" — a set intersection, not a graph
+// walk. Each layer therefore keeps an adjacency bitset index (one Nr-bit
+// row per router, built once from (graph, mask) on the layer's first table
+// and shared with every WithoutEdges view that leaves the layer untouched);
+// buildTable runs a level-synchronous BFS over whole rows and reads each
+// candidate set off as adj[src] & level[dist(src)-1].
 package routing
 
 import (
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,14 +46,18 @@ import (
 // Table is the multi-next-hop table of one (layer, destination) pair: for
 // every source router, the hop distance to the destination and the set of
 // neighbors one hop closer (the within-layer ECMP candidates), packed in
-// CSR form. Tables are immutable once published and safe to share.
+// CSR form. The three slices are carved from one allocation (Dist, then
+// Off, then Cand), each capped at its own length. Tables are immutable once
+// published and safe to share.
 type Table struct {
 	// Dist[src] is the hop count from src to the destination within the
 	// layer, or -1 when unreachable (possible in sparse layers).
 	Dist []int32
 	// Off/Cand is the CSR packing: Cand[Off[src]:Off[src+1]] lists src's
-	// candidate next hops in adjacency (neighbor-ID) order. The destination
-	// itself and unreachable sources have empty candidate sets.
+	// candidate next hops in ascending neighbor ID — the order of the
+	// generators' sorted adjacency lists (graph.SortAdjacency), guaranteed
+	// here whatever order edges were inserted in. The destination itself
+	// and unreachable sources have empty candidate sets.
 	Off  []int32
 	Cand []int32
 }
@@ -62,17 +77,33 @@ const numStripes = 64
 // graphs cannot overflow int64.
 const routeCountCap = int64(1) << 40
 
+// layerAdj is one layer's adjacency bitset index: bit h of row v is set iff
+// the edge (v,h) is enabled in the layer. Row v occupies
+// rows[v*words:(v+1)*words] with words = ⌈Nr/64⌉, so a materialized layer
+// costs Nr·⌈Nr/64⌉·8 bytes. It is filled on the layer's first table build;
+// engines whose (graph, mask) for the layer coincide share the holder, so
+// whichever of them builds first serves both.
+type layerAdj struct {
+	once sync.Once
+	rows []uint64
+}
+
 // Engine computes and caches the tables of one layered routing
 // configuration. It is safe for concurrent use: reads are lock-free once a
 // table is published, and first-touch builds take a per-slot striped lock.
 type Engine struct {
 	g     *graph.Graph
-	masks [][]bool // masks[layer]; nil means the full edge set
+	masks [][]bool    // masks[layer]; nil means the full edge set
+	adj   []*layerAdj // adj[layer], lazily filled from (g, masks[layer])
 	seed  int64
 	nr    int
 
 	tables  []atomic.Pointer[Table] // slot = layer*nr + dst
 	stripes [numStripes]sync.Mutex
+
+	// shared/invalidated count the parent's built tables a WithoutEdges
+	// derivation kept and dropped; zero for an engine from NewEngine.
+	shared, invalidated int
 
 	// m, when non-nil, receives routing-core telemetry (tables built, CSR
 	// entries deployed, stripe-lock contention samples). All counters fire
@@ -90,9 +121,14 @@ func (e *Engine) SetMetrics(m *obs.RoutingMetrics) { e.m = m }
 // layer). seed drives deterministic tie-breaking in Next. Masks are
 // treated as read-only and must not be mutated afterwards.
 func NewEngine(g *graph.Graph, masks [][]bool, seed int64) *Engine {
+	adj := make([]*layerAdj, len(masks))
+	for l := range adj {
+		adj[l] = new(layerAdj)
+	}
 	return &Engine{
 		g:      g,
 		masks:  masks,
+		adj:    adj,
 		seed:   seed,
 		nr:     g.N(),
 		tables: make([]atomic.Pointer[Table], len(masks)*g.N()),
@@ -108,14 +144,19 @@ func (e *Engine) Nr() int { return e.nr }
 // Seed returns the tie-breaking seed.
 func (e *Engine) Seed() int64 { return e.seed }
 
-// Table returns the (layer, dst) table, building it on first use. The
-// build is guarded by a striped lock so concurrent first touches of
-// different destinations do not serialize.
+// Table returns the (layer, dst) table, building it on first use.
 func (e *Engine) Table(layer, dst int) *Table {
-	slot := layer*e.nr + dst
-	if t := e.tables[slot].Load(); t != nil {
+	if t := e.tables[layer*e.nr+dst].Load(); t != nil {
 		return t
 	}
+	return e.firstTouch(layer, dst, new(buildScratch))
+}
+
+// firstTouch builds and publishes the (layer, dst) table unless another
+// goroutine got there first. The build is guarded by a striped lock so
+// concurrent first touches of different destinations do not serialize.
+func (e *Engine) firstTouch(layer, dst int, sc *buildScratch) *Table {
+	slot := layer*e.nr + dst
 	mu := &e.stripes[slot%numStripes]
 	if e.m != nil {
 		// Contention sampling: TryLock first so a blocked acquisition is
@@ -133,7 +174,7 @@ func (e *Engine) Table(layer, dst int) *Table {
 	if t := e.tables[slot].Load(); t != nil {
 		return t
 	}
-	t := buildTable(e.g, e.masks[layer], dst)
+	t := buildTable(e.layerRows(layer), e.nr, dst, sc)
 	e.tables[slot].Store(t)
 	if e.m != nil {
 		e.m.TablesBuilt.Inc()
@@ -142,48 +183,102 @@ func (e *Engine) Table(layer, dst int) *Table {
 	return t
 }
 
-// buildTable computes one (layer mask, destination) table via a reverse
-// BFS. Pure function of its inputs; adjacency lists are pre-sorted by the
-// generators, so candidate order is deterministic.
-func buildTable(g *graph.Graph, mask []bool, dst int) *Table {
-	var dist []int32
-	if mask == nil {
-		dist = g.BFS(dst)
-	} else {
-		dist = g.BFSEnabled(dst, mask)
+// layerRows returns the layer's adjacency bitset rows, filling the index
+// on first use. The fill is a pure function of (graph, mask), so which
+// goroutine or which sharing engine performs it is unobservable.
+func (e *Engine) layerRows(layer int) []uint64 {
+	a := e.adj[layer]
+	a.once.Do(func() { a.rows = adjacencyRows(e.g, e.masks[layer]) })
+	return a.rows
+}
+
+// adjacencyRows builds a layer's bitset index in O(M).
+func adjacencyRows(g *graph.Graph, mask []bool) []uint64 {
+	words := (g.N() + 63) / 64
+	rows := make([]uint64, g.N()*words)
+	for id, ed := range g.Edges() {
+		if mask != nil && !mask[id] {
+			continue
+		}
+		u, v := int(ed.U), int(ed.V)
+		rows[u*words+v>>6] |= 1 << (v & 63)
+		rows[v*words+u>>6] |= 1 << (u & 63)
 	}
-	nr := g.N()
+	return rows
+}
+
+// buildScratch is buildTable's reusable working set: the BFS level sets,
+// `words` words each, back to back. Block 0 is the empty set standing in
+// for "the level before the destination's"; block d+1 is level d.
+type buildScratch struct {
+	levels []uint64
+}
+
+// buildTable computes one (layer, destination) table from the layer's
+// adjacency rows. Pure function of (rows, dst); sc only lends memory.
+//
+// The BFS is level-synchronous: the next level is the union of the current
+// level's rows minus the current and previous levels (in an undirected
+// graph a level's neighbors lie in no earlier one, so no visited set is
+// kept). A source at level d has candidate set adj[src] & level[d-1]:
+// popcounts during the BFS size the table, trailing-zero extraction fills
+// it, which yields each set in ascending neighbor ID.
+func buildTable(rows []uint64, nr, dst int, sc *buildScratch) *Table {
+	words := (nr + 63) / 64
+	levels := append(sc.levels[:0], make([]uint64, 2*words)...)
+	levels[words+dst>>6] = 1 << (dst & 63)
 	total := 0
-	for src := 0; src < nr; src++ {
-		if src == dst || dist[src] <= 0 {
-			continue
-		}
-		for _, h := range g.Neighbors(src) {
-			if mask != nil && !mask[h.Edge] {
-				continue
+	for b := 1; ; b++ { // b is the block of the level being expanded
+		levels = append(levels, make([]uint64, words)...)
+		prev, cur, next := levels[(b-1)*words:b*words], levels[b*words:(b+1)*words], levels[(b+1)*words:]
+		for w, m := range cur {
+			for ; m != 0; m &= m - 1 {
+				v := w<<6 | bits.TrailingZeros64(m)
+				for i, r := range rows[v*words : (v+1)*words] {
+					next[i] |= r
+					total += bits.OnesCount64(r & prev[i])
+				}
 			}
-			if dist[h.To] == dist[src]-1 {
-				total++
+		}
+		var any uint64
+		for i := range next {
+			next[i] &^= cur[i] | prev[i]
+			any |= next[i]
+		}
+		if any == 0 {
+			levels = levels[:(b+1)*words]
+			break
+		}
+	}
+	sc.levels = levels
+
+	slab := make([]int32, 2*nr+1+total)
+	dist, off, cand := slab[:nr:nr], slab[nr:2*nr+1:2*nr+1], slab[2*nr+1:]
+	for i := range dist {
+		dist[i] = -1
+	}
+	for b := 1; b*words < len(levels); b++ {
+		for w, m := range levels[b*words : (b+1)*words] {
+			for ; m != 0; m &= m - 1 {
+				dist[w<<6|bits.TrailingZeros64(m)] = int32(b - 1)
 			}
 		}
 	}
-	off := make([]int32, nr+1)
-	cand := make([]int32, 0, total)
-	for src := 0; src < nr; src++ {
-		off[src] = int32(len(cand))
-		if src == dst || dist[src] <= 0 {
+	n := 0
+	for src, d := range dist {
+		off[src] = int32(n)
+		if d <= 0 {
 			continue
 		}
-		for _, h := range g.Neighbors(src) {
-			if mask != nil && !mask[h.Edge] {
-				continue
-			}
-			if dist[h.To] == dist[src]-1 {
-				cand = append(cand, h.To)
+		prev := levels[int(d)*words : int(d+1)*words] // block d holds level d-1
+		for w, r := range rows[src*words : (src+1)*words] {
+			for m := r & prev[w]; m != 0; m &= m - 1 {
+				cand[n] = int32(w<<6 | bits.TrailingZeros64(m))
+				n++
 			}
 		}
 	}
-	off[nr] = int32(len(cand))
+	off[nr] = int32(n)
 	return &Table{Dist: dist, Off: off, Cand: cand}
 }
 
@@ -224,16 +319,26 @@ func (e *Engine) Next(layer, src, dst int) int32 {
 // BuildAll materializes every (layer, destination) table eagerly on up to
 // `workers` goroutines (0 or negative selects all cores). Because each
 // table is a pure function of its slot, the resulting engine state is
-// identical for every worker count.
+// identical for every worker count. Each worker claims slots off a shared
+// counter and reuses one scratch, so the build allocates only the tables.
 func (e *Engine) BuildAll(workers int) {
-	n := e.NumLayers() * e.nr
+	n := len(e.tables)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	var next atomic.Int64
 	// fn never fails; the error return exists to satisfy ParallelMap.
-	_, _ = exec.ParallelMap(workers, n, func(i int) (struct{}, error) {
-		e.Table(i/e.nr, i%e.nr)
-		return struct{}{}, nil
+	_, _ = exec.ParallelMap(workers, workers, func(int) (struct{}, error) {
+		var sc buildScratch
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return struct{}{}, nil
+			}
+			if e.tables[i].Load() == nil {
+				e.firstTouch(i/e.nr, i%e.nr, &sc)
+			}
+		}
 	})
 }
 
@@ -307,71 +412,70 @@ func (e *Engine) Stat() Stats {
 // some minimal path, which is exactly when the edge appears in a candidate
 // set). Non-tight edges cannot change any distance or candidate set, so
 // those tables are shared with the parent engine; affected or unbuilt
-// tables rebuild lazily against the repaired masks.
+// tables rebuild lazily against the repaired masks. Out-of-range IDs are
+// ignored and duplicates count once.
 func (e *Engine) WithoutEdges(failed []int) *Engine {
-	dead := make([]bool, e.g.M())
-	for _, id := range failed {
-		if id >= 0 && id < len(dead) {
-			dead[id] = true
-		}
-	}
 	out := &Engine{
 		g:      e.g,
 		masks:  make([][]bool, len(e.masks)),
+		adj:    make([]*layerAdj, len(e.masks)),
 		seed:   e.seed,
 		nr:     e.nr,
 		tables: make([]atomic.Pointer[Table], len(e.tables)),
 		m:      e.m,
 	}
-	var shared, invalidated int64
-	for l := range e.masks {
-		old := e.masks[l]
-		mask := make([]bool, e.g.M())
+	m := e.g.M()
+	live := func(mask []bool, id int) bool {
+		return id >= 0 && id < m && (mask == nil || mask[id])
+	}
+	for l, old := range e.masks {
+		// A layer none of the failed edges is live in shares the parent's
+		// mask (immutable by contract) and adjacency index, and — removed
+		// staying empty — every built table, at O(|failed|) to decide: the
+		// hot shape for a daemon deriving a what-if view per request.
+		mask, adj := old, e.adj[l]
 		var removed []graph.Edge
-		for id := range mask {
-			on := old == nil || old[id]
-			if on && dead[id] {
-				removed = append(removed, e.g.Edge(id))
-				continue
+		if slices.ContainsFunc(failed, func(id int) bool { return live(old, id) }) {
+			mask, adj = make([]bool, m), new(layerAdj)
+			if old == nil {
+				for id := range mask {
+					mask[id] = true
+				}
+			} else {
+				copy(mask, old)
 			}
-			mask[id] = on
-		}
-		if len(removed) == 0 {
-			// None of the failed edges were live in this layer: the layer is
-			// untouched, so the parent's mask (immutable by contract) and
-			// every built table are shared wholesale. This keeps the
-			// per-derivation cost of an unaffected layer at O(M) mask scan
-			// instead of O(M) copy + O(Nr) table checks — the hot shape for
-			// a daemon deriving a what-if view per request.
-			out.masks[l] = old
-			for d := 0; d < e.nr; d++ {
-				if t := e.tables[l*e.nr+d].Load(); t != nil {
-					shared++
-					out.tables[l*e.nr+d].Store(t)
+			for _, id := range failed {
+				if live(mask, id) { // false for a duplicate: already cleared
+					mask[id] = false
+					removed = append(removed, e.g.Edge(id))
 				}
 			}
-			continue
 		}
-		out.masks[l] = mask
-		for d := 0; d < e.nr; d++ {
-			t := e.tables[l*e.nr+d].Load()
+		out.masks[l], out.adj[l] = mask, adj
+		for d := l * e.nr; d < (l+1)*e.nr; d++ {
+			t := e.tables[d].Load()
 			if t == nil {
 				continue
 			}
 			if tableUsesAny(t, removed) {
-				invalidated++
+				out.invalidated++
 				continue
 			}
-			shared++
-			out.tables[l*e.nr+d].Store(t)
+			out.shared++
+			out.tables[d].Store(t)
 		}
 	}
 	if e.m != nil {
-		e.m.TablesInvalidated.Add(invalidated)
-		e.m.TablesShared.Add(shared)
+		e.m.TablesInvalidated.Add(int64(out.invalidated))
+		e.m.TablesShared.Add(int64(out.shared))
 	}
 	return out
 }
+
+// Repair reports how WithoutEdges populated this engine from its parent's
+// built tables: how many it shares and how many it dropped for lazy
+// rebuild. Both are zero for an engine made by NewEngine.
+func (e *Engine) Repair() (shared, invalidated int) { return e.shared, e.invalidated }
 
 // tableUsesAny reports whether any of the removed edges is tight in the
 // table (a member of a candidate set in either direction).

@@ -17,11 +17,7 @@ import (
 func testMasks(g *graph.Graph, n int, rho float64, rng *rand.Rand) [][]bool {
 	masks := make([][]bool, n)
 	for l := 1; l < n; l++ {
-		m := make([]bool, g.M())
-		for id := range m {
-			m[id] = rng.Float64() < rho
-		}
-		masks[l] = m
+		masks[l] = randomMask(g.M(), rho, rng)
 	}
 	return masks
 }

@@ -193,6 +193,7 @@ func TestRequestValidation(t *testing.T) {
 		{"layer range", "GET", "/nexthop?" + testFabricQ + "&layer=2&src=0&dst=1", ""},
 		{"bad topo kind", "GET", "/nexthop?topo=NOPE&src=0&dst=1", ""},
 		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", ""},
+		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", ""},
 		{"whatif bad json", "POST", "/whatif", "{"},
 		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`},
 		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`},

@@ -377,7 +377,9 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if onlyLayer >= fab.Fwd.NumLayers() {
+	// -1 is the absent parameter ("all layers"); a negative value the
+	// client actually sent is as out of range as one past the last layer.
+	if onlyLayer >= fab.Fwd.NumLayers() || (onlyLayer < 0 && q.Get("layer") != "") {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("layer %d outside [0,%d)", onlyLayer, fab.Fwd.NumLayers()))
 		return
 	}
@@ -475,12 +477,11 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	if s.met != nil {
 		s.met.WhatifViews.Inc()
 	}
-	shared := derived.Engine().Stat().TablesBuilt
-	parentBuilt := fab.Fwd.Engine().Stat().TablesBuilt
+	shared, invalidated := derived.Engine().Repair()
 	ans := WhatifAnswer{
 		FailedEdges:       append([]int{}, req.FailedEdges...),
 		SharedTables:      shared,
-		InvalidatedTables: parentBuilt - shared,
+		InvalidatedTables: invalidated,
 		Answers:           make([]HopAnswer, 0, len(req.Queries)),
 	}
 	for _, qt := range req.Queries {
