@@ -293,64 +293,58 @@ func BenchmarkNetsimReplicate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, m *obs.SimMetrics) {
+	// cell runs one replicate of that workload per iteration under cfg and
+	// reports the event loop's cost per executed event, like the event-core
+	// ledger line of BenchmarkSimulatorEventThroughput.
+	cell := func(b *testing.B, cfg netsim.Config) {
 		fab, err := core.Build(sf, core.DefaultConfig(sf))
 		if err != nil {
 			b.Fatal(err)
 		}
 		rng := graph.NewRand(2)
-		pat := traffic.RandomizeMapping(traffic.RandomPermutation(rng, sf.N()), rng)
+		wl := core.Workload{
+			Pattern:  traffic.RandomizeMapping(traffic.RandomPermutation(rng, sf.N()), rng),
+			FlowSize: traffic.FixedSize(256 << 10),
+			Lambda:   300,
+		}
+		var events int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := netsim.NDPDefaults()
-			cfg.Metrics = m
-			wl := core.Workload{
-				Pattern:  pat,
-				FlowSize: traffic.FixedSize(256 << 10),
-				Lambda:   300,
-			}
-			res := fab.RunWorkload(cfg, wl, 4*netsim.Second, 7)
-			if netsim.CompletedFraction(res) < 0.95 {
+			sim := fab.NewSimulation(cfg)
+			wl.Schedule(sim, graph.NewRand(7))
+			if netsim.CompletedFraction(sim.Run(4*netsim.Second)) < 0.95 {
 				b.Fatal("flows did not complete")
 			}
+			events += sim.Eng.Executed()
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	}
-	b.Run("plain", func(b *testing.B) { run(b, nil) })
+	b.Run("plain", func(b *testing.B) { cell(b, netsim.NDPDefaults()) })
 	b.Run("instrumented", func(b *testing.B) {
-		run(b, obs.NewSimMetrics(obs.NewRegistry()))
+		cfg := netsim.NDPDefaults()
+		cfg.Metrics = obs.NewSimMetrics(obs.NewRegistry())
+		cell(b, cfg)
 	})
 
-	// shards=S: one fig14-style DCTCP cell under the sharded event loop.
-	// Results are byte-identical across the sweep (the engine's determinism
-	// contract), so the only thing that varies is wall clock: the ratio of
-	// shards=1 to shards=8 is the parallel-engine speedup on this machine's
-	// cores. CI archives the sweep in BENCH_netsim.json.
+	// shards=S: a fig14-style DCTCP cell under the sharded event loop. Results are
+	// byte-identical across the sweep (the engine's determinism contract),
+	// so the only thing that varies is wall clock: the ratio of shards=1 to
+	// shards=8 is the parallel-engine speedup on this machine's cores. CI
+	// archives the sweep in BENCH_netsim.json.
 	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			fab, err := core.Build(sf, core.DefaultConfig(sf))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := graph.NewRand(2)
-			pat := traffic.RandomizeMapping(traffic.RandomPermutation(rng, sf.N()), rng)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := netsim.TCPDefaults(netsim.TransportDCTCP)
-				cfg.Shards = shards
-				wl := core.Workload{
-					Pattern:  pat,
-					FlowSize: traffic.FixedSize(256 << 10),
-					Lambda:   300,
-				}
-				res := fab.RunWorkload(cfg, wl, 4*netsim.Second, 7)
-				if netsim.CompletedFraction(res) < 0.95 {
-					b.Fatal("flows did not complete")
-				}
-			}
-		})
+		cfg := netsim.TCPDefaults(netsim.TransportDCTCP)
+		cfg.Shards = shards
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { cell(b, cfg) })
+	}
+
+	// transport=T: the same cell, serial, under each window law of the one
+	// Reno sender, so each law has its own ns/event in BENCH_netsim.json.
+	for _, tr := range []struct {
+		name string
+		t    netsim.Transport
+	}{{"tcp", netsim.TransportTCP}, {"dctcp", netsim.TransportDCTCP}, {"mptcp", netsim.TransportMPTCP}} {
+		b.Run("transport="+tr.name, func(b *testing.B) { cell(b, netsim.TCPDefaults(tr.t)) })
 	}
 }
 

@@ -51,8 +51,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8095", "listen address")
 		maxFabrics = flag.Int("max-fabrics", 8, "resident-fabric LRU capacity")
-		lazy       = flag.Bool("lazy", false, "build routing tables per destination on first query instead of eagerly at fabric admission")
-		buildW     = flag.Int("build-workers", 0, "admission table-build workers (0 = all cores)")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed scenario result cache directory, shared with cmd/scenarios")
 		parallel   = flag.Int("parallel", 0, "scenario worker goroutines (0 = all cores)")
 		maxRuns    = flag.Int("max-runs", 1, "concurrently executing /scenarios submissions (excess queue)")
@@ -67,8 +65,6 @@ func main() {
 	reg := obs.NewRegistry()
 	s := serve.New(serve.Config{
 		MaxFabrics:      *maxFabrics,
-		Lazy:            *lazy,
-		BuildWorkers:    *buildW,
 		CacheDir:        *cacheDir,
 		Parallelism:     *parallel,
 		MaxScenarioRuns: *maxRuns,

@@ -177,20 +177,10 @@ func (f *Fabric) RouterRoute(srcEp, dstEp, layer int) []int32 {
 	if rs == rt {
 		return []int32{int32(rs)}
 	}
-	if layer < 0 || layer >= f.Fwd.NumLayers() || !f.Fwd.Reachable(layer, rs, rt) {
+	if layer < 0 || layer >= f.Fwd.NumLayers() {
 		return nil
 	}
-	path := []int32{int32(rs)}
-	v := rs
-	for v != rt {
-		nxt := f.Fwd.Next(layer, v, rt)
-		if nxt < 0 || len(path) > f.Topo.Nr() {
-			return nil
-		}
-		path = append(path, nxt)
-		v = int(nxt)
-	}
-	return path
+	return f.Fwd.Route(layer, rs, rt)
 }
 
 // Diversity summarizes the deployed path diversity of the layer set.
@@ -227,10 +217,11 @@ type Workload struct {
 	Repeat int
 }
 
-// RunWorkload simulates the workload and returns per-flow results.
-func (f *Fabric) RunWorkload(simCfg netsim.Config, wl Workload, horizon netsim.Time, seed int64) []netsim.FlowResult {
-	rng := graph.NewRand(seed)
-	sim := f.NewSimulation(simCfg)
+// Schedule adds the workload's flows to sim, drawing from rng per flow the
+// exponential start delay (iff Lambda > 0) and then the size. It is the one
+// place that drawing order lives, so every caller at the same seed gets the
+// same flows.
+func (wl Workload) Schedule(sim *netsim.Sim, rng *rand.Rand) {
 	repeat := wl.Repeat
 	if repeat < 1 {
 		repeat = 1
@@ -248,6 +239,12 @@ func (f *Fabric) RunWorkload(simCfg netsim.Config, wl Workload, horizon netsim.T
 			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: size, Start: start})
 		}
 	}
+}
+
+// RunWorkload simulates the workload and returns per-flow results.
+func (f *Fabric) RunWorkload(simCfg netsim.Config, wl Workload, horizon netsim.Time, seed int64) []netsim.FlowResult {
+	sim := f.NewSimulation(simCfg)
+	wl.Schedule(sim, graph.NewRand(seed))
 	return sim.Run(horizon)
 }
 

@@ -195,6 +195,24 @@ func (f *Forwarding) PathLen(layer, src, dst int) int {
 	return int(f.eng.Dist(layer, src, dst))
 }
 
+// Route follows the representative next hops (Next) from src to dst within
+// the layer and returns the router sequence, both ends included. It gives
+// up with nil on a routing hole (sparse or repaired layers) or after Nr
+// hops.
+func (f *Forwarding) Route(layer, src, dst int) []int32 {
+	path := []int32{int32(src)}
+	v := src
+	for v != dst {
+		nxt := f.Next(layer, v, dst)
+		if nxt < 0 || len(path) > f.Nr {
+			return nil
+		}
+		path = append(path, nxt)
+		v = int(nxt)
+	}
+	return path
+}
+
 // WithoutEdges returns a repaired view with the given base edges removed
 // from every layer — the §V-G "major topology update" path. Invalidation
 // is incremental and per destination: tables whose minimal-path DAG never

@@ -164,6 +164,32 @@ func TestLayerPathLengthsAndPaths(t *testing.T) {
 	}
 }
 
+// TestRouteHoleAndSelf covers the walker's two edges: a trivial route is
+// the router itself, and a layer that cannot reach dst yields nil where
+// the full layer yields the path.
+func TestRouteHoleAndSelf(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	ls := &LayerSet{Base: g, Layers: []Layer{
+		fullLayer(g),
+		{Mask: []bool{true, false}, EdgeCount: 1}, // 1-2 missing
+	}}
+	f := NewForwarding(ls, 1)
+	if p := f.Route(0, 0, 2); len(p) != 3 || p[0] != 0 || p[1] != 1 || p[2] != 2 {
+		t.Fatalf("full layer route 0->2 = %v, want [0 1 2]", p)
+	}
+	if p := f.Route(1, 0, 2); p != nil {
+		t.Fatalf("route across a hole = %v, want nil", p)
+	}
+	if p := f.Route(1, 2, 2); len(p) != 1 || p[0] != 2 {
+		t.Fatalf("self route = %v, want [2]", p)
+	}
+	if got := LayerPaths(f, 0, 2); len(got) != 1 {
+		t.Fatalf("LayerPaths kept %d paths, want only the full layer's", len(got))
+	}
+}
+
 func TestMinInterferenceLayers(t *testing.T) {
 	sf, _ := topo.SlimFly(5, 0)
 	rng := graph.NewRand(7)

@@ -93,21 +93,7 @@ func KShortestPathSets(g *graph.Graph, pairs [][2]int, k int) map[[2]int][][]int
 func LayerPaths(f *Forwarding, src, dst int) [][]int32 {
 	var out [][]int32
 	for l := 0; l < f.NumLayers(); l++ {
-		if !f.Reachable(l, src, dst) {
-			continue
-		}
-		path := []int32{int32(src)}
-		v := src
-		for v != dst {
-			nxt := f.Next(l, v, dst)
-			if nxt < 0 || len(path) > f.Nr {
-				path = nil
-				break
-			}
-			path = append(path, nxt)
-			v = int(nxt)
-		}
-		if path != nil {
+		if path := f.Route(l, src, dst); path != nil {
 			out = append(out, path)
 		}
 	}

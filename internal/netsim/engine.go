@@ -2,9 +2,9 @@
 // for the paper's §VII evaluation — an htsim/OMNeT-style substrate with
 // full-duplex links, output-queued routers (tail-drop, ECN marking, or
 // NDP-style payload trimming with priority queues), per-layer
-// destination-based forwarding, ECMP hashing, flowlet switching, and three
-// transports: the purified NDP-style receiver-driven transport of §III-C,
-// TCP Reno, and DCTCP.
+// destination-based forwarding, ECMP hashing, flowlet switching, and two
+// transport families: the purified NDP-style receiver-driven transport of
+// §III-C, and one Reno sender under the TCP, DCTCP and MPTCP window laws.
 package netsim
 
 import "repro/internal/obs"

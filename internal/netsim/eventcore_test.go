@@ -249,21 +249,33 @@ var eventCoreCases = []struct {
 	cfg            Config
 	events         int64 // Eng.Executed() after Run(50ms), recorded before the event-core rebuild
 	queueHighWater int   // Eng.QueueHighWater(), likewise
+	retx           int64 // FlowResult.Retx summed over flows: moves with any window-law slip
 	allocCeiling   float64
 }{
-	{"dctcp", TCPDefaults(TransportDCTCP), 727144, 16735, 0.10},
-	{"ndp", NDPDefaults(), 158906, 765, 0.10},
+	{"tcp", TCPDefaults(TransportTCP), 684374, 17182, 453, 0.10},
+	{"dctcp", TCPDefaults(TransportDCTCP), 727144, 16735, 5879, 0.10},
+	{"mptcp", TCPDefaults(TransportMPTCP), 692516, 19996, 2294, 0.10},
+	{"ndp", NDPDefaults(), 158906, 765, 2932, 0.10},
 }
 
 // TestEventCountPinned holds the simulated model fixed while its cost
-// changes: a fixed-seed DCTCP and NDP run must execute exactly the events,
-// and reach exactly the queue depth, they did with the single inline-
-// payload heap and slice queues.
+// changes: a fixed-seed run of each transport must execute exactly the
+// events, and reach exactly the queue depth, it did with the single inline-
+// payload heap and slice queues (dctcp, ndp) and with tcp.go and mptcp.go
+// as separate Reno machines (tcp, mptcp, and the retransmission sums).
 func TestEventCountPinned(t *testing.T) {
 	for _, c := range eventCoreCases {
 		s := permSim(t, c.cfg)
-		if res := s.Run(50 * Millisecond); CompletedFraction(res) != 1 {
+		res := s.Run(50 * Millisecond)
+		if CompletedFraction(res) != 1 {
 			t.Fatalf("%s: only %.3f of flows completed", c.name, CompletedFraction(res))
+		}
+		var retx int64
+		for _, r := range res {
+			retx += r.Retx
+		}
+		if retx != c.retx {
+			t.Errorf("%s: %d retransmissions, pinned %d", c.name, retx, c.retx)
 		}
 		if got := s.Eng.Executed(); got != c.events {
 			t.Errorf("%s: executed %d events, pinned %d", c.name, got, c.events)

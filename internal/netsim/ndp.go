@@ -21,6 +21,21 @@ package netsim
 //     sender an explicit, sender-local completion signal (the sharded
 //     engine forbids the sender reading the receiver's done flag directly).
 
+// ndpSender is the NDP sender's state.
+type ndpSender struct {
+	nextNew   int32
+	retxQ     []int32
+	delivered []bool
+	nDeliv    int32
+	inflight  int32
+	lastAct   Time
+	kaNext    int32 // keepalive retransmission rotor
+	// finished latches when a Fin pull arrives: the receiver has the whole
+	// message and the sender-side keepalive may stop. Sender-local — the
+	// sharded engine forbids the sender reading the receiver's done flag.
+	finished bool
+}
+
 // ndpStart launches a flow: the first RTT worth of packets at line rate.
 func (s *Sim) ndpStart(sh *Shard, f *flow) {
 	iw := int32(s.Cfg.InitialWindow)
@@ -28,41 +43,18 @@ func (s *Sim) ndpStart(sh *Shard, f *flow) {
 		iw = f.total
 	}
 	for i := int32(0); i < iw; i++ {
-		s.ndpSendData(sh, f, f.snd.nextNew, false)
-		f.snd.nextNew++
+		s.ndpSendData(sh, f, f.ndp.nextNew, false)
+		f.ndp.nextNew++
 	}
-	f.snd.lastAct = sh.Now()
+	f.ndp.lastAct = sh.Now()
 	s.ndpKeepalive(sh, f)
 }
 
 // ndpSendData transmits one data packet (possibly a retransmission).
 func (s *Sim) ndpSendData(sh *Shard, f *flow, seq int32, retx bool) {
 	s.pickRoute(sh, f)
-	size := f.mss + HeaderBytes
-	if int64(seq+1)*int64(f.mss) > f.spec.Bytes {
-		rem := f.spec.Bytes - int64(seq)*int64(f.mss)
-		if rem < 1 {
-			rem = 1
-		}
-		size = int32(rem) + HeaderBytes
-	}
-	p := sh.newPacket()
-	*p = Packet{
-		FlowID:  f.id,
-		SrcHost: f.spec.Src,
-		DstHost: f.spec.Dst,
-		Seq:     seq,
-		Bytes:   size,
-		Kind:    KindData,
-		Layer:   f.layer,
-		Salt:    f.salt,
-		Retx:    retx,
-	}
-	if retx {
-		f.snd.retxCount++
-	}
-	f.snd.inflight++
-	s.Net.sendFromHost(sh, p)
+	f.ndp.inflight++
+	s.Net.sendFromHost(sh, s.dataPacket(sh, f, seq, f.layer, retx))
 }
 
 // ndpRecv handles both receiver-side data and sender-side pulls.
@@ -132,7 +124,7 @@ func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange
 		Seq:     seq,
 		Bytes:   HeaderBytes,
 		Kind:    KindPull,
-		Layer:   s.controlLayer(f.spec.Dst, f.spec.Src),
+		Layer:   controlLayer,
 		Trimmed: wasTrimmed,
 		ECN:     layerChange, // repurposed bit: "change layer" hint
 		Fin:     fin,
@@ -141,22 +133,22 @@ func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange
 }
 
 func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
-	f.snd.lastAct = sh.Now()
+	f.ndp.lastAct = sh.Now()
 	if pull.Fin {
 		// Receiver has the whole message: stop sending, let the keepalive
 		// find the latch and die.
-		f.snd.finished = true
+		f.ndp.finished = true
 		return
 	}
-	if f.snd.inflight > 0 {
-		f.snd.inflight--
+	if f.ndp.inflight > 0 {
+		f.ndp.inflight--
 	}
 	if pull.Trimmed {
 		// The referenced sequence lost its payload: queue a priority retx.
-		f.snd.retxQ = append(f.snd.retxQ, pull.Seq)
-	} else if !f.snd.delivered[pull.Seq] {
-		f.snd.delivered[pull.Seq] = true
-		f.snd.nDeliv++
+		f.ndp.retxQ = append(f.ndp.retxQ, pull.Seq)
+	} else if !f.ndp.delivered[pull.Seq] {
+		f.ndp.delivered[pull.Seq] = true
+		f.ndp.nDeliv++
 	}
 	if pull.ECN && s.Cfg.LB == LBFatPaths {
 		// Receiver observed congestion on the current layer: re-randomize
@@ -164,15 +156,15 @@ func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
 		s.reselectLayer(f)
 	}
 	// A pull releases one packet: retransmissions first.
-	if len(f.snd.retxQ) > 0 {
-		seq := f.snd.retxQ[0]
-		f.snd.retxQ = f.snd.retxQ[1:]
+	if len(f.ndp.retxQ) > 0 {
+		seq := f.ndp.retxQ[0]
+		f.ndp.retxQ = f.ndp.retxQ[1:]
 		s.ndpSendData(sh, f, seq, true)
 		return
 	}
-	if f.snd.nextNew < f.total {
-		s.ndpSendData(sh, f, f.snd.nextNew, false)
-		f.snd.nextNew++
+	if f.ndp.nextNew < f.total {
+		s.ndpSendData(sh, f, f.ndp.nextNew, false)
+		f.ndp.nextNew++
 	}
 }
 
@@ -182,28 +174,28 @@ func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
 func (s *Sim) ndpKeepalive(sh *Shard, f *flow) {
 	const idlePeriods = 4
 	sh.after(f.srcPart, Time(idlePeriods)*s.Cfg.RTOMin, func(sh *Shard) {
-		if f.snd.finished {
+		if f.ndp.finished {
 			return
 		}
-		if sh.Now()-f.snd.lastAct >= Time(idlePeriods)*s.Cfg.RTOMin {
+		if sh.Now()-f.ndp.lastAct >= Time(idlePeriods)*s.Cfg.RTOMin {
 			// Rotate through undelivered sequences rather than hammering
 			// the lowest one: with lossy control paths the lowest may have
 			// arrived long ago while a later one is genuinely missing.
-			for probe := int32(0); probe < f.snd.nextNew; probe++ {
-				seq := (f.snd.kaNext + probe) % f.snd.nextNew
-				if !f.snd.delivered[seq] {
+			for probe := int32(0); probe < f.ndp.nextNew; probe++ {
+				seq := (f.ndp.kaNext + probe) % f.ndp.nextNew
+				if !f.ndp.delivered[seq] {
 					s.ndpSendData(sh, f, seq, true)
-					f.snd.kaNext = seq + 1
+					f.ndp.kaNext = seq + 1
 					break
 				}
 			}
-			if f.snd.nextNew < f.total {
+			if f.ndp.nextNew < f.total {
 				// Also nudge a new packet in case all sent ones arrived but
 				// their pulls were lost.
-				s.ndpSendData(sh, f, f.snd.nextNew, false)
-				f.snd.nextNew++
+				s.ndpSendData(sh, f, f.ndp.nextNew, false)
+				f.ndp.nextNew++
 			}
-			f.snd.lastAct = sh.Now()
+			f.ndp.lastAct = sh.Now()
 		}
 		s.ndpKeepalive(sh, f)
 	})

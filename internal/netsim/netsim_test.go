@@ -431,20 +431,38 @@ func TestMPTCPSingleFlowCompletes(t *testing.T) {
 	}
 }
 
+// TestZeroInitialWindowFallsBack: Config.InitialWindow is "zero means
+// default" for the whole TCP family. MPTCP used to take it literally — a
+// zero window sends nothing, so the flow stalled after 5 events.
+func TestZeroInitialWindowFallsBack(t *testing.T) {
+	for _, tr := range []Transport{TransportTCP, TransportDCTCP, TransportMPTCP} {
+		cfg := TCPDefaults(tr)
+		cfg.InitialWindow = 0
+		s, sf := sfSim(t, 5, 4, 0.7, cfg, 40)
+		s.AddFlow(FlowSpec{Src: 0, Dst: int32(sf.N() - 1), Bytes: 1 << 20})
+		if res := s.Run(2 * Second); !res[0].Done {
+			t.Errorf("transport %d: flow did not complete (%d events)", tr, s.Eng.Executed())
+		}
+	}
+}
+
 func TestMPTCPUsesMultipleLayers(t *testing.T) {
 	cfg := TCPDefaults(TransportMPTCP)
 	s, sf := sfSim(t, 5, 4, 0.7, cfg, 41)
 	s.AddFlow(FlowSpec{Src: 0, Dst: int32(sf.N() - 1), Bytes: 1 << 20})
 	s.Run(2 * Second)
 	f := s.flows[0]
-	if len(f.mptcp) < 2 {
-		t.Fatalf("expected multiple subflows, got %d", len(f.mptcp))
+	if len(f.subs) < 2 {
+		t.Fatalf("expected multiple subflows, got %d", len(f.subs))
 	}
 	seen := map[int8]bool{}
-	for _, ms := range f.mptcp {
-		seen[ms.layer] = true
-		if !ms.done() {
-			t.Fatalf("subflow [%d,%d) incomplete", ms.lo, ms.hi)
+	for _, sub := range f.subs {
+		seen[sub.layer] = true
+		if !sub.pinned {
+			t.Fatalf("subflow [%d,%d) is not pinned to its layer", sub.lo, sub.hi)
+		}
+		if !sub.done() {
+			t.Fatalf("subflow [%d,%d) incomplete", sub.lo, sub.hi)
 		}
 	}
 	if len(seen) < 2 {
@@ -452,8 +470,8 @@ func TestMPTCPUsesMultipleLayers(t *testing.T) {
 	}
 	// Ranges partition the sequence space.
 	covered := int32(0)
-	for _, ms := range f.mptcp {
-		covered += ms.hi - ms.lo
+	for _, sub := range f.subs {
+		covered += sub.hi - sub.lo
 	}
 	if covered != f.total {
 		t.Fatalf("subflow ranges cover %d of %d packets", covered, f.total)
@@ -480,14 +498,14 @@ func TestMPTCPIncastWithECN(t *testing.T) {
 
 func TestLIAAlphaCoupling(t *testing.T) {
 	// Equal windows: alpha = total*max/sum^2 = k*w*w/(k*w)^2 = 1/k.
-	subs := []*mptcpSub{
+	subs := []renoSub{
 		{cwnd: 10, hi: 100}, {cwnd: 10, hi: 200, lo: 100},
 	}
 	if a := liaAlpha(subs); a < 0.49 || a > 0.51 {
 		t.Fatalf("alpha=%f, want 0.5 for two equal subflows", a)
 	}
 	// Degenerate: all done -> alpha 1 (no coupling left).
-	done := []*mptcpSub{{cwnd: 10, lo: 0, hi: 10, cumAck: 10}}
+	done := []renoSub{{cwnd: 10, lo: 0, hi: 10, cumAck: 10}}
 	if a := liaAlpha(done); a != 1 {
 		t.Fatalf("alpha=%f, want 1 when no live subflows", a)
 	}

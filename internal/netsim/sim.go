@@ -217,22 +217,33 @@ type flow struct {
 	// into the metrics bundle at flush).
 	reroutes int64
 
-	// MPTCP subflows: created by the sender's start event, read-only at
-	// the receiver (first data arrives >= 2 link delays — at least one
-	// full synchronization window — after creation).
-	mptcp []*mptcpSub
-
 	// Receiver state (shared by transports).
 	received     []bool
 	numReceived  int32
 	done         bool
 	finish       Time
 	trimsSeen    int64
-	cumExpected  int32 // TCP cumulative next-expected seq
-	pendingLayer bool  // NDP: ask sender to change layer on next pull
+	pendingLayer bool // NDP: ask sender to change layer on next pull
+	// rcvInOrder[i] counts the packets of TCP-family subflow i received in
+	// order: the subflow's cumulative next-expected is subs[i].lo plus it.
+	// Kept incrementally, and here rather than in renoSub, because it is
+	// the receiver's partition that advances it.
+	rcvInOrder [MPTCPSubflows]int32
 
-	// Sender state.
-	snd senderState
+	// Sender state. retxCount is common; of the rest only the running
+	// transport's part is initialised (by AddFlow and the start event).
+	retxCount int64
+	ndp       ndpSender
+
+	// TCP-family subflows: created by the sender's start event, and from
+	// then on their lo/hi are read-only at the receiver (first data arrives
+	// >= 2 link delays — at least one full synchronization window — after
+	// creation). A single subflow lives in one, so TCP and DCTCP allocate
+	// nothing and the ACK path stays inside the flow.
+	subs     []renoSub
+	one      [1]renoSub
+	sendTime []Time // first transmission time per sequence (RTT samples)
+	timeouts int64  // RTO firings (summed at flush)
 }
 
 // randU64 advances the flow's SplitMix64 stream.
@@ -252,42 +263,6 @@ func (f *flow) randUint32() uint32 { return uint32(f.randU64() >> 32) }
 // randIntn draws uniformly from [0, n); the modulo bias is negligible for
 // the tiny n (layer counts) drawn here.
 func (f *flow) randIntn(n int) int { return int(f.randU64() % uint64(n)) }
-
-// senderState is the union of per-transport sender variables.
-type senderState struct {
-	// Common.
-	nextNew   int32
-	retxCount int64
-
-	// NDP.
-	retxQ     []int32
-	delivered []bool
-	nDeliv    int32
-	inflight  int32
-	lastAct   Time
-	kaNext    int32 // keepalive retransmission rotor
-	// finished latches when a Fin pull arrives: the receiver has the whole
-	// message and the sender-side keepalive may stop. Sender-local — the
-	// sharded engine forbids the sender reading the receiver's done flag.
-	finished bool
-	timeouts int64 // TCP RTO firings (summed at flush)
-
-	// TCP.
-	cumAck       int32
-	cwnd         float64
-	ssthresh     float64
-	dupacks      int
-	inRecovery   bool
-	recover      int32
-	rtoGen       int64
-	rto          Time
-	srtt, rttvar Time
-	sendTime     []Time
-	// DCTCP.
-	alpha                      float64
-	ceAcked, totalAcked        int64
-	alphaWindowEnd, lastCutSeq int32
-}
 
 // NewSim builds a simulation over a topology with per-layer routing
 // tables. fwd must include at least layer 0 (all links). The tables live
@@ -356,27 +331,22 @@ func (s *Sim) AddFlow(spec FlowSpec) {
 		}
 		f.layer = spec.PinLayer
 	}
-	f.snd.cwnd = float64(s.Cfg.InitialWindow)
-	f.snd.ssthresh = 1 << 20
-	f.snd.rto = 1 * Millisecond
-	f.snd.sendTime = make([]Time, total)
 	if s.Cfg.Transport == TransportNDP {
-		f.snd.delivered = make([]bool, total)
+		f.ndp.delivered = make([]bool, total)
+	} else {
+		f.sendTime = make([]Time, total)
 	}
 	s.flows = append(s.flows, f)
 	s.Eng.AtPart(spec.Start, f.srcPart, func(sh *Shard) { s.startFlow(sh, f) })
 }
 
-// controlLayer picks the layer for a control packet (ACK/PULL): always the
+// controlLayer is the layer of every control packet (ACK/PULL): always the
 // minimal layer — the pull/ACK clock must not ride long paths. Resilience
 // against a failed link black-holing a flow's control channel comes from
 // the sender side instead: the NDP keepalive rotates retransmissions
 // through undelivered sequences on fresh flowlet layers (§V-G), and TCP's
 // timeout path re-randomizes the layer.
-func (s *Sim) controlLayer(from, to int32) int8 {
-	_, _ = from, to
-	return 0
-}
+const controlLayer int8 = 0
 
 func (s *Sim) initialLayer() int8 {
 	switch s.Cfg.LB {
@@ -419,6 +389,37 @@ func (s *Sim) pickRoute(sh *Shard, f *flow) {
 	f.lastSend = now
 }
 
+// dataPacket builds data packet seq of f for the given layer — the one
+// place a KindData packet is made, for every transport — and counts it
+// against the flow when it is a retransmission. The last packet of a
+// message carries only the bytes that remain (at least one).
+func (s *Sim) dataPacket(sh *Shard, f *flow, seq int32, layer int8, retx bool) *Packet {
+	size := f.mss + HeaderBytes
+	if int64(seq+1)*int64(f.mss) > f.spec.Bytes {
+		rem := f.spec.Bytes - int64(seq)*int64(f.mss)
+		if rem < 1 {
+			rem = 1
+		}
+		size = int32(rem) + HeaderBytes
+	}
+	p := sh.newPacket()
+	*p = Packet{
+		FlowID:  f.id,
+		SrcHost: f.spec.Src,
+		DstHost: f.spec.Dst,
+		Seq:     seq,
+		Bytes:   size,
+		Kind:    KindData,
+		Layer:   layer,
+		Salt:    f.salt,
+		Retx:    retx,
+	}
+	if retx {
+		f.retxCount++
+	}
+	return p
+}
+
 // reselectLayer picks a layer uniformly at random among layers that reach
 // the destination (§III-B: a random path per flowlet, no probing; flowlet
 // elasticity does the adaptation). Pinned flows never move.
@@ -454,8 +455,6 @@ func (s *Sim) startFlow(sh *Shard, f *flow) {
 	switch s.Cfg.Transport {
 	case TransportNDP:
 		s.ndpStart(sh, f)
-	case TransportMPTCP:
-		s.mptcpStart(sh, f)
 	default:
 		s.tcpStart(sh, f)
 	}
@@ -467,8 +466,6 @@ func (s *Sim) hostRecv(sh *Shard, host int32, p *Packet) {
 	switch s.Cfg.Transport {
 	case TransportNDP:
 		s.ndpRecv(sh, f, host, p)
-	case TransportMPTCP:
-		s.mptcpRecv(sh, f, host, p)
 	default:
 		s.tcpRecv(sh, f, host, p)
 	}
@@ -505,7 +502,7 @@ func (s *Sim) Run(until Time) []FlowResult {
 			FlowSpec:  f.spec,
 			Done:      f.done,
 			Finish:    f.finish,
-			Retx:      f.snd.retxCount,
+			Retx:      f.retxCount,
 			TrimsSeen: f.trimsSeen,
 		})
 	}
@@ -552,7 +549,7 @@ func (s *Sim) flushMetrics() {
 	var reroutes, timeouts int64
 	for _, f := range s.flows {
 		reroutes += f.reroutes
-		timeouts += f.snd.timeouts
+		timeouts += f.timeouts
 	}
 	m.FlowletReroutes.Add(reroutes)
 	m.TCPTimeouts.Add(timeouts)

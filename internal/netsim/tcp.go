@@ -1,15 +1,18 @@
 package netsim
 
-// TCP Reno and DCTCP senders over the simulated fabric (§VII-A6, §VIII):
-// slow start, congestion avoidance, triple-duplicate-ACK fast retransmit
-// with fast recovery, retransmission timeouts with a 200µs floor and
-// exponential backoff, ECN echo, and — for DCTCP — the fractional window
-// law driven by the marked-byte estimate α.
+// The Reno sender behind TCP, DCTCP and MPTCP (§VII-A6, §VIII): slow start,
+// congestion avoidance, triple-duplicate-ACK fast retransmit with fast
+// recovery, retransmission timeouts with a 200µs floor and exponential
+// backoff, ECN echo. One subflow state machine, renoSub, is the only
+// TCP-family sender state: a TCP or DCTCP flow runs it once, unpinned, over
+// the whole message; an MPTCP flow runs it up to MPTCPSubflows times, each
+// pinned to a layer and owning a contiguous sequence range (mptcp.go). The
+// transports differ only in windowLaw.
 //
 // All sender handlers run on the source host's partition and all receiver
 // handlers on the destination's; completion is decided on each side from
-// its own state (cumAck at the sender, cumExpected at the receiver), never
-// by peeking across.
+// its own state (cumAck at the sender, received counts at the receiver),
+// never by peeking across.
 
 const (
 	dctcpG       = 1.0 / 16 // DCTCP EWMA gain
@@ -17,62 +20,118 @@ const (
 	initialCwndF = 10.0
 )
 
-// tcpStart opens a flow in slow start.
-func (s *Sim) tcpStart(sh *Shard, f *flow) {
-	f.snd.cwnd = initialCwndF
-	if s.Cfg.InitialWindow > 0 {
-		f.snd.cwnd = float64(s.Cfg.InitialWindow)
+// renoSub is one Reno sender over the sequence range [lo, hi) of flow f.
+// The back-pointer keeps the RTO closure — the event loop's one steady-state
+// allocation — at (sim, subflow, generation), whatever the subflow count.
+type renoSub struct {
+	f            *flow
+	lo, hi       int32
+	nextNew      int32
+	cumAck       int32
+	cwnd         float64
+	ssthresh     float64
+	dupacks      int
+	inRecovery   bool
+	recover      int32
+	rtoGen       int64
+	rto          Time
+	srtt, rttvar Time
+	lastCutSeq   int32 // last window-cut boundary (once-per-window ECN response)
+	// A pinned subflow sends on layer for its whole life; an unpinned one
+	// follows the flow's flowlet policy and re-randomizes the flow's layer
+	// when it sees congestion.
+	pinned bool
+	layer  int8
+	// DCTCP.
+	alpha               float64
+	ceAcked, totalAcked int64
+	alphaWindowEnd      int32
+}
+
+func (sub *renoSub) done() bool { return sub.cumAck >= sub.hi }
+
+// halve sets ssthresh to half the window, floored at 2.
+func (sub *renoSub) halve() {
+	sub.ssthresh = sub.cwnd / 2
+	if sub.ssthresh < 2 {
+		sub.ssthresh = 2
 	}
-	f.snd.ssthresh = 1 << 20
-	f.snd.alphaWindowEnd = 0
-	s.tcpTrySend(sh, f)
-	s.tcpArmRTO(sh, f)
+}
+
+// grow is Reno's window increase for newly acked packets outside recovery.
+func (sub *renoSub) grow(newly int32) {
+	if sub.inRecovery {
+		return
+	}
+	if sub.cwnd < sub.ssthresh {
+		sub.cwnd += float64(newly) // slow start
+	} else {
+		sub.cwnd += float64(newly) / sub.cwnd // congestion avoidance
+	}
+}
+
+// subIndex returns the subflow whose range holds seq.
+func (f *flow) subIndex(seq int32) int {
+	for i := range f.subs {
+		if seq < f.subs[i].hi {
+			return i
+		}
+	}
+	panic("netsim: sequence outside every subflow")
+}
+
+// tcpStart opens the flow's subflows in slow start.
+func (s *Sim) tcpStart(sh *Shard, f *flow) {
+	if s.Cfg.Transport == TransportMPTCP {
+		f.subs = s.mptcpSplit(f)
+	} else {
+		f.one[0] = renoSub{hi: f.total}
+		f.subs = f.one[:]
+	}
+	cwnd := initialCwndF
+	if s.Cfg.InitialWindow > 0 {
+		cwnd = float64(s.Cfg.InitialWindow)
+	}
+	for i := range f.subs {
+		sub := &f.subs[i]
+		sub.f = f
+		sub.nextNew, sub.cumAck = sub.lo, sub.lo
+		sub.cwnd = cwnd
+		sub.ssthresh = 1 << 20
+		sub.rto = 1 * Millisecond
+		s.tcpTrySend(sh, sub)
+		s.tcpArmRTO(sh, sub)
+	}
 }
 
 // tcpTrySend transmits while the congestion window allows. Sending with an
 // idle retransmission timer re-arms it so tail losses cannot stall a flow.
-func (s *Sim) tcpTrySend(sh *Shard, f *flow) {
+func (s *Sim) tcpTrySend(sh *Shard, sub *renoSub) {
 	sent := false
-	for f.snd.nextNew < f.total {
-		inflight := float64(f.snd.nextNew - f.snd.cumAck)
-		if inflight >= f.snd.cwnd {
+	for sub.nextNew < sub.hi {
+		inflight := float64(sub.nextNew - sub.cumAck)
+		if inflight >= sub.cwnd {
 			break
 		}
-		s.tcpSendData(sh, f, f.snd.nextNew, false)
-		f.snd.nextNew++
+		s.tcpSendData(sh, sub, sub.nextNew, false)
+		sub.nextNew++
 		sent = true
 	}
 	if sent {
-		s.tcpArmRTO(sh, f)
+		s.tcpArmRTO(sh, sub)
 	}
 }
 
-func (s *Sim) tcpSendData(sh *Shard, f *flow, seq int32, retx bool) {
-	s.pickRoute(sh, f)
-	size := f.mss + HeaderBytes
-	if int64(seq+1)*int64(f.mss) > f.spec.Bytes {
-		rem := f.spec.Bytes - int64(seq)*int64(f.mss)
-		if rem < 1 {
-			rem = 1
-		}
-		size = int32(rem) + HeaderBytes
+func (s *Sim) tcpSendData(sh *Shard, sub *renoSub, seq int32, retx bool) {
+	f := sub.f
+	layer := sub.layer
+	if !sub.pinned {
+		s.pickRoute(sh, f)
+		layer = f.layer
 	}
-	p := sh.newPacket()
-	*p = Packet{
-		FlowID:  f.id,
-		SrcHost: f.spec.Src,
-		DstHost: f.spec.Dst,
-		Seq:     seq,
-		Bytes:   size,
-		Kind:    KindData,
-		Layer:   f.layer,
-		Salt:    f.salt,
-		Retx:    retx,
-	}
-	if retx {
-		f.snd.retxCount++
-	} else {
-		f.snd.sendTime[seq] = sh.Now()
+	p := s.dataPacket(sh, f, seq, layer, retx)
+	if !retx {
+		f.sendTime[seq] = sh.Now()
 	}
 	s.Net.sendFromHost(sh, p)
 }
@@ -97,186 +156,219 @@ func (s *Sim) tcpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
 	if !f.received[p.Seq] {
 		f.received[p.Seq] = true
 		f.numReceived++
+		if f.numReceived == f.total {
+			s.markDone(sh, f)
+		}
 	}
-	for f.cumExpected < f.total && f.received[f.cumExpected] {
-		f.cumExpected++
-	}
-	if f.cumExpected == f.total {
-		s.markDone(sh, f)
-	}
-	// Cumulative ACK; ECN echo reflects the CE mark of this data packet
+	// Per-subflow cumulative ACK: next expected within the packet's range.
+	// The wire reuses the existing Packet format — Salt carries the range's
+	// lo, which identifies the subflow at the sender — so routers need
+	// nothing new. The ECN echo reflects the CE mark of this data packet
 	// (per-packet echo, sufficient for the DCTCP estimator).
+	i := f.subIndex(p.Seq)
+	lo, hi := f.subs[i].lo, f.subs[i].hi
+	cum := lo + f.rcvInOrder[i]
+	for cum < hi && f.received[cum] {
+		cum++
+	}
+	f.rcvInOrder[i] = cum - lo
 	ack := sh.newPacket()
 	*ack = Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Dst,
 		DstHost: f.spec.Src,
-		Seq:     f.cumExpected,
+		Seq:     cum,
 		Bytes:   HeaderBytes,
 		Kind:    KindAck,
-		Layer:   s.controlLayer(f.spec.Dst, f.spec.Src),
+		Layer:   controlLayer,
 		ECN:     p.ECN,
+		Salt:    uint32(lo),
 	}
 	s.Net.sendFromHost(sh, ack)
 }
 
 func (s *Sim) tcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
-	snd := &f.snd
+	sub := &f.subs[f.subIndex(int32(ack.Salt))]
 	cum := ack.Seq
 	switch {
-	case cum > snd.cumAck:
-		newly := cum - snd.cumAck
+	case cum > sub.cumAck:
+		newly := cum - sub.cumAck
 		// RTT sample from the highest newly acked original transmission.
-		if st := snd.sendTime[cum-1]; st > 0 {
-			s.tcpUpdateRTT(f, sh.Now()-st)
+		if st := f.sendTime[cum-1]; st > 0 {
+			s.tcpUpdateRTT(sub, sh.Now()-st)
 		}
-		snd.cumAck = cum
-		snd.dupacks = 0
-		if snd.inRecovery {
-			if cum >= snd.recover {
-				snd.inRecovery = false
-				snd.cwnd = snd.ssthresh
+		sub.cumAck = cum
+		sub.dupacks = 0
+		if sub.inRecovery {
+			if cum >= sub.recover {
+				sub.inRecovery = false
+				sub.cwnd = sub.ssthresh
 			} else {
 				// NewReno partial ACK: the next hole is at cum —
 				// retransmit it immediately instead of waiting for an RTO.
-				s.tcpSendData(sh, f, cum, true)
+				s.tcpSendData(sh, sub, cum, true)
 			}
 		}
-		if !snd.inRecovery {
-			if snd.cwnd < snd.ssthresh {
-				snd.cwnd += float64(newly) // slow start
-			} else {
-				snd.cwnd += float64(newly) / snd.cwnd // congestion avoidance
-			}
-		}
-		// ECN response.
-		if s.Cfg.Transport == TransportDCTCP {
-			snd.totalAcked += int64(newly)
-			if ack.ECN {
-				snd.ceAcked += int64(newly)
-			}
-			if cum >= snd.alphaWindowEnd {
-				frac := 0.0
-				if snd.totalAcked > 0 {
-					frac = float64(snd.ceAcked) / float64(snd.totalAcked)
-				}
-				snd.alpha = (1-dctcpG)*snd.alpha + dctcpG*frac
-				if frac > 0 {
-					snd.cwnd = snd.cwnd * (1 - snd.alpha/2)
-					if snd.cwnd < 1 {
-						snd.cwnd = 1
-					}
-					snd.ssthresh = snd.cwnd
-					// A window cut is a natural flowlet boundary: FatPaths
-					// re-randomizes the layer here (§VIII-A1).
-					if s.Cfg.LB == LBFatPaths {
-						s.reselectLayer(f)
-					}
-				}
-				snd.ceAcked, snd.totalAcked = 0, 0
-				snd.alphaWindowEnd = snd.nextNew
-			}
-		} else if ack.ECN && cum > snd.lastCutSeq {
-			// Reno+ECN: halve once per window on echoed congestion.
-			snd.ssthresh = snd.cwnd / 2
-			if snd.ssthresh < 2 {
-				snd.ssthresh = 2
-			}
-			snd.cwnd = snd.ssthresh
-			snd.lastCutSeq = snd.nextNew
-			if s.Cfg.LB == LBFatPaths {
-				s.reselectLayer(f)
-			}
-		}
-		s.tcpArmRTO(sh, f)
-	case cum == snd.cumAck && cum < f.total:
-		snd.dupacks++
-		if snd.dupacks == 3 && !snd.inRecovery {
+		s.windowLaw(sub, newly, cum, ack.ECN)
+		s.tcpArmRTO(sh, sub)
+	case cum == sub.cumAck && cum < sub.hi:
+		sub.dupacks++
+		if sub.dupacks == 3 && !sub.inRecovery {
 			// Fast retransmit + fast recovery.
-			snd.ssthresh = snd.cwnd / 2
-			if snd.ssthresh < 2 {
-				snd.ssthresh = 2
-			}
-			snd.cwnd = snd.ssthresh + 3
-			snd.inRecovery = true
-			snd.recover = snd.nextNew
-			s.tcpSendData(sh, f, cum, true)
-			if s.Cfg.LB == LBFatPaths {
-				s.reselectLayer(f) // loss signals congestion on this layer
-			}
-			s.tcpArmRTO(sh, f)
-		} else if snd.inRecovery {
-			snd.cwnd++ // window inflation per dupack
+			sub.halve()
+			sub.cwnd = sub.ssthresh + 3
+			sub.inRecovery = true
+			sub.recover = sub.nextNew
+			s.tcpSendData(sh, sub, cum, true)
+			s.congested(sub) // loss signals congestion on this layer
+			s.tcpArmRTO(sh, sub)
+		} else if sub.inRecovery {
+			sub.cwnd++ // window inflation per dupack
 		}
 	}
-	s.tcpTrySend(sh, f)
+	s.tcpTrySend(sh, sub)
 }
 
-func (s *Sim) tcpUpdateRTT(f *flow, sample Time) {
-	snd := &f.snd
-	if snd.srtt == 0 {
-		snd.srtt = sample
-		snd.rttvar = sample / 2
+// congested re-randomizes the layer of an unpinned subflow's flow: a window
+// cut or a loss is a natural flowlet boundary, and FatPaths re-randomizes
+// the layer there (§VIII-A1). reselectLayer draws from the flow's RNG, so
+// where this is called is part of the model.
+func (s *Sim) congested(sub *renoSub) {
+	if !sub.pinned && s.Cfg.LB == LBFatPaths {
+		s.reselectLayer(sub.f)
+	}
+}
+
+// windowLaw is all that differs between the transports: how a subflow's
+// window responds to an ACK that advanced cumAck to cum by newly packets,
+// echoing ecn. Reno and DCTCP grow first and then apply their ECN response
+// (the response also runs in recovery, growth does not); MPTCP's ECN cut
+// replaces growth, and in recovery its window is left alone.
+func (s *Sim) windowLaw(sub *renoSub, newly, cum int32, ecn bool) {
+	switch s.Cfg.Transport {
+	case TransportMPTCP:
+		// §VIII-A2: "If an incoming ACK packet does not have the ECN field
+		// set, we increase the window analogously to traditional TCP.
+		// Otherwise (every roundtrip time) we update the congestion window
+		// size accordingly."
+		switch {
+		case sub.inRecovery: // window held until recovery exits
+		case ecn && cum > sub.lastCutSeq:
+			sub.halve()
+			sub.cwnd = sub.ssthresh
+			sub.lastCutSeq = sub.nextNew
+		case sub.cwnd < sub.ssthresh:
+			sub.cwnd += float64(newly) // slow start per subflow
+		default:
+			// Coupled increase (LIA): min(α/cwnd_total, 1/cwnd_i).
+			subs := sub.f.subs
+			alpha := liaAlpha(subs)
+			var total float64
+			for i := range subs {
+				if !subs[i].done() {
+					total += subs[i].cwnd
+				}
+			}
+			inc := alpha / total
+			if uncoupled := 1 / sub.cwnd; uncoupled < inc {
+				inc = uncoupled
+			}
+			sub.cwnd += float64(newly) * inc
+		}
+	case TransportDCTCP:
+		// The fractional window law driven by the marked-byte estimate α.
+		sub.grow(newly)
+		sub.totalAcked += int64(newly)
+		if ecn {
+			sub.ceAcked += int64(newly)
+		}
+		if cum >= sub.alphaWindowEnd {
+			frac := 0.0
+			if sub.totalAcked > 0 {
+				frac = float64(sub.ceAcked) / float64(sub.totalAcked)
+			}
+			sub.alpha = (1-dctcpG)*sub.alpha + dctcpG*frac
+			if frac > 0 {
+				sub.cwnd = sub.cwnd * (1 - sub.alpha/2)
+				if sub.cwnd < 1 {
+					sub.cwnd = 1
+				}
+				sub.ssthresh = sub.cwnd
+				s.congested(sub)
+			}
+			sub.ceAcked, sub.totalAcked = 0, 0
+			sub.alphaWindowEnd = sub.nextNew
+		}
+	default:
+		// Reno+ECN: halve once per window on echoed congestion.
+		sub.grow(newly)
+		if ecn && cum > sub.lastCutSeq {
+			sub.halve()
+			sub.cwnd = sub.ssthresh
+			sub.lastCutSeq = sub.nextNew
+			s.congested(sub)
+		}
+	}
+}
+
+func (s *Sim) tcpUpdateRTT(sub *renoSub, sample Time) {
+	if sub.srtt == 0 {
+		sub.srtt = sample
+		sub.rttvar = sample / 2
 	} else {
-		diff := snd.srtt - sample
+		diff := sub.srtt - sample
 		if diff < 0 {
 			diff = -diff
 		}
-		snd.rttvar = (3*snd.rttvar + diff) / 4
-		snd.srtt = (7*snd.srtt + sample) / 8
+		sub.rttvar = (3*sub.rttvar + diff) / 4
+		sub.srtt = (7*sub.srtt + sample) / 8
 	}
-	snd.rto = snd.srtt + 4*snd.rttvar
-	if snd.rto < s.Cfg.RTOMin {
-		snd.rto = s.Cfg.RTOMin
+	sub.rto = sub.srtt + 4*sub.rttvar
+	if sub.rto < s.Cfg.RTOMin {
+		sub.rto = s.Cfg.RTOMin
 	}
-	if snd.rto > maxRTO {
-		snd.rto = maxRTO
+	if sub.rto > maxRTO {
+		sub.rto = maxRTO
 	}
 }
 
 // tcpArmRTO (re)arms the retransmission timer on the sender's partition.
-func (s *Sim) tcpArmRTO(sh *Shard, f *flow) {
-	snd := &f.snd
-	snd.rtoGen++
-	gen := snd.rtoGen
-	rto := snd.rto
+func (s *Sim) tcpArmRTO(sh *Shard, sub *renoSub) {
+	sub.rtoGen++
+	gen := sub.rtoGen
+	rto := sub.rto
 	if rto <= 0 {
 		rto = 1 * Millisecond
 	}
-	sh.after(f.srcPart, rto, func(sh *Shard) { s.tcpRTOFire(sh, f, gen) })
+	sh.after(sub.f.srcPart, rto, func(sh *Shard) { s.tcpRTOFire(sh, sub, gen) })
 }
 
-func (s *Sim) tcpRTOFire(sh *Shard, f *flow, gen int64) {
-	snd := &f.snd
-	// Completion is judged from sender state alone (cumAck): the receiver's
-	// done flag lives on another partition.
-	if gen != snd.rtoGen || snd.cumAck >= f.total {
+func (s *Sim) tcpRTOFire(sh *Shard, sub *renoSub, gen int64) {
+	// Completion is judged per subflow from sender state alone (cumAck):
+	// the receiver's done flag lives on another partition.
+	if gen != sub.rtoGen || sub.done() {
 		return
 	}
-	if snd.cumAck >= snd.nextNew {
+	if sub.cumAck >= sub.nextNew {
 		// Nothing outstanding; timer idles until the next send.
 		return
 	}
 	// Timeout: multiplicative backoff, window collapse, go-back-N restart
-	// (retransmit everything from the first hole, as SACK-less Reno does;
-	// duplicates are discarded by the receiver).
-	snd.timeouts++
-	snd.ssthresh = snd.cwnd / 2
-	if snd.ssthresh < 2 {
-		snd.ssthresh = 2
+	// within the subflow (retransmit everything from the first hole, as
+	// SACK-less Reno does; duplicates are discarded by the receiver).
+	f := sub.f
+	f.timeouts++
+	sub.halve()
+	sub.cwnd = 1
+	sub.dupacks = 0
+	sub.inRecovery = false
+	sub.rto *= 2
+	if sub.rto > maxRTO {
+		sub.rto = maxRTO
 	}
-	snd.cwnd = 1
-	snd.dupacks = 0
-	snd.inRecovery = false
-	snd.rto *= 2
-	if snd.rto > maxRTO {
-		snd.rto = maxRTO
-	}
-	snd.retxCount += int64(snd.nextNew - snd.cumAck)
-	snd.nextNew = snd.cumAck
-	s.tcpTrySend(sh, f)
-	if s.Cfg.LB == LBFatPaths {
-		s.reselectLayer(f)
-	}
-	s.tcpArmRTO(sh, f)
+	f.retxCount += int64(sub.nextNew - sub.cumAck)
+	sub.nextNew = sub.cumAck
+	s.tcpTrySend(sh, sub)
+	s.congested(sub)
+	s.tcpArmRTO(sh, sub)
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // RunOptions control scenario execution: the run context (exec.Run — seed,
@@ -219,7 +218,7 @@ func runCell(s Spec, cc *caches, o RunOptions, traced bool) (CellResult, error) 
 	workloadSeed := seedFor(runSeed, "workload|"+s.workloadKey())
 	failSeed := seedFor(runSeed, "fail|"+s.Topology.key()+"|"+AxisValueMust(s, "failFrac"))
 	nFail := int(s.FailFrac * float64(t.G.M()))
-	sizeOf := s.FlowSize.sampler()
+	wl := core.Workload{Pattern: pat, FlowSize: s.FlowSize.sampler(), Lambda: s.Load}
 
 	res := CellResult{
 		Spec: s, TopoName: t.Name, TopoN: t.N(),
@@ -233,17 +232,8 @@ func runCell(s Spec, cc *caches, o RunOptions, traced bool) (CellResult, error) 
 			//det:allow seedfold -- rep is the replicate number, a stable coordinate of the resource key (folded over failSeed), not an enumeration index
 			sim.Net.FailRandomLinks(nFail, graph.NewRand(exec.FoldSeed(failSeed, uint64(rep))))
 		}
-		// Flow starts and sizes replay core.RunWorkload's drawing order so a
-		// scenario cell and a hand-rolled workload at the same seed agree.
 		//det:allow seedfold -- rep is the replicate number, a stable coordinate of the resource key (folded over workloadSeed), not an enumeration index
-		rng := graph.NewRand(exec.FoldSeed(workloadSeed, uint64(rep)))
-		for _, fl := range pat.Flows {
-			var start netsim.Time
-			if s.Load > 0 {
-				start = netsim.Time(traffic.ExpInterarrival(rng, s.Load) * 1e9)
-			}
-			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: sizeOf(rng), Start: start})
-		}
+		wl.Schedule(sim, graph.NewRand(exec.FoldSeed(workloadSeed, uint64(rep))))
 		frs := sim.Run(horizon)
 		res.Flows += len(frs)
 		for _, fr := range frs {

@@ -26,12 +26,6 @@ type FabricCache struct {
 
 	reg *obs.Registry // instruments built fabrics (routing-core metrics)
 	met *obs.ServeMetrics
-	// prebuild, when >= 0, eagerly materializes every (layer, destination)
-	// table on admission with that many workers (0 = all cores): the
-	// daemon's "expensive to build, cheap to query" shape, and what makes
-	// /whatif shared/invalidated counts deterministic. -1 leaves tables
-	// lazy.
-	prebuild int
 }
 
 // fabricEntry is one resident fabric. The once gates the single-flight
@@ -47,18 +41,17 @@ type fabricEntry struct {
 }
 
 // NewFabricCache returns a cache holding at most capacity fabrics
-// (minimum 1). prebuild as documented on FabricCache.
-func NewFabricCache(capacity, prebuild int, reg *obs.Registry, met *obs.ServeMetrics) *FabricCache {
+// (minimum 1).
+func NewFabricCache(capacity int, reg *obs.Registry, met *obs.ServeMetrics) *FabricCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &FabricCache{
-		cap:      capacity,
-		order:    list.New(),
-		items:    map[string]*list.Element{},
-		reg:      reg,
-		met:      met,
-		prebuild: prebuild,
+		cap:   capacity,
+		order: list.New(),
+		items: map[string]*list.Element{},
+		reg:   reg,
+		met:   met,
 	}
 }
 
@@ -94,8 +87,13 @@ func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core
 		e := &fabricEntry{key: key}
 		e.build = func() (*topo.Topology, *core.Fabric, error) {
 			t, fab, err := scenario.BuildFabric(s, runSeed, c.reg)
-			if err == nil && c.prebuild >= 0 {
-				fab.Fwd.BuildAll(c.prebuild)
+			if err == nil {
+				// Admission materializes every (layer, destination) table on
+				// all cores: the daemon's "expensive to build, cheap to
+				// query" shape, and what makes /whatif shared/invalidated
+				// counts independent of which destinations earlier queries
+				// touched.
+				fab.Fwd.BuildAll(0)
 			}
 			return t, fab, err
 		}

@@ -22,7 +22,7 @@ func lruSpec(layers int) scenario.Spec {
 // order, plus the metrics ledger the daemon's /metrics exposes.
 func TestFabricCacheLRU(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewFabricCache(2, -1, reg, obs.NewServeMetrics(reg))
+	c := NewFabricCache(2, reg, obs.NewServeMetrics(reg))
 
 	_, fab1, err := c.Get(lruSpec(1), 42)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestFabricCacheLRU(t *testing.T) {
 // one build (one miss admission, every caller handed the same fabric).
 func TestFabricCacheSingleFlight(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewFabricCache(2, 0, reg, obs.NewServeMetrics(reg))
+	c := NewFabricCache(2, reg, obs.NewServeMetrics(reg))
 	const callers = 16
 	fabs := make([]interface{}, callers)
 	var wg sync.WaitGroup
@@ -98,7 +98,7 @@ func TestFabricCacheSingleFlight(t *testing.T) {
 // TestFabricCacheBuildError: a spec that fails validation returns its
 // error to every waiter but does not stay resident.
 func TestFabricCacheBuildError(t *testing.T) {
-	c := NewFabricCache(2, -1, nil, nil)
+	c := NewFabricCache(2, nil, nil)
 	if _, _, err := c.Get(lruSpec(2), 42); err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,6 @@ type Config struct {
 	// MaxFabrics bounds the resident-fabric LRU (minimum and default 1;
 	// cmd/fatpathsd defaults to 8).
 	MaxFabrics int
-	// Lazy skips the eager BuildAll at fabric admission, leaving routing
-	// tables to materialize per destination on first query. The default
-	// (eager) front-loads the build so queries are uniformly cheap and
-	// /whatif shared/invalidated counts are deterministic.
-	Lazy bool
-	// BuildWorkers is the admission BuildAll worker count (0 = all cores).
-	BuildWorkers int
 	// CacheDir, when non-empty, is the content-addressed scenario result
 	// cache shared with cmd/scenarios (README "Durable sweeps").
 	CacheDir string
@@ -78,10 +71,6 @@ type Server struct {
 // scenario simulation (netsim.*).
 func New(cfg Config, reg *obs.Registry) *Server {
 	met := obs.NewServeMetrics(reg)
-	prebuild := cfg.BuildWorkers
-	if cfg.Lazy {
-		prebuild = -1
-	}
 	runs := cfg.MaxScenarioRuns
 	if runs < 1 {
 		runs = 1
@@ -90,7 +79,7 @@ func New(cfg Config, reg *obs.Registry) *Server {
 		cfg:     cfg,
 		reg:     reg,
 		met:     met,
-		fabrics: NewFabricCache(cfg.MaxFabrics, prebuild, reg, met),
+		fabrics: NewFabricCache(cfg.MaxFabrics, reg, met),
 		sem:     make(chan struct{}, runs),
 		mux:     http.NewServeMux(),
 	}
@@ -393,7 +382,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		lp := LayerPath{Layer: l, Len: fab.Fwd.PathLen(l, src, dst)}
 		if lp.Len >= 0 {
 			lp.Candidates = len(fab.Fwd.Candidates(l, src, dst))
-			lp.Path = walkPath(fab, l, src, dst)
+			lp.Path = fab.Fwd.Route(l, src, dst)
 			for _, nh := range fab.Fwd.Candidates(l, src, dst) {
 				distinct[route{nh, lp.Len}] = true
 			}
@@ -404,22 +393,6 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	}
 	ans.DistinctPaths = len(distinct)
 	writeJSON(w, http.StatusOK, ans)
-}
-
-// walkPath follows the representative next hops from src to dst within a
-// layer. The hop bound guards routing holes (sparse repaired layers).
-func walkPath(fab *core.Fabric, layer, src, dst int) []int32 {
-	path := []int32{int32(src)}
-	v := src
-	for v != dst {
-		nxt := fab.Fwd.Next(layer, v, dst)
-		if nxt < 0 || len(path) > fab.Topo.Nr() {
-			return nil
-		}
-		path = append(path, nxt)
-		v = int(nxt)
-	}
-	return path
 }
 
 // WhatifRequest is the POST /whatif body: a fabric, the base edge IDs to
