@@ -1,18 +1,11 @@
 // Command detlint is the multichecker for the repository's determinism
 // contract: it compiles the internal/analysis suite (maprange,
-// globalrand, seedfold, syncpool, obsguard) into one binary.
-//
-// Standalone (the usual way — loads and type-checks the module itself,
-// no network, no toolchain cache needed):
+// globalrand, seedfold, syncpool, obsguard, cachekey) into one binary
+// that loads and type-checks the module from source itself — no network,
+// no toolchain cache needed:
 //
 //	go run ./cmd/detlint ./...
 //	go run ./cmd/detlint -rules maprange,seedfold ./internal/routing
-//
-// As a `go vet` backend (speaks the vet tool protocol: -V=full plus a
-// vet.cfg, type-checking from the build cache's export data):
-//
-//	go build -o /tmp/detlint ./cmd/detlint
-//	go vet -vettool=/tmp/detlint ./...
 //
 // Exit status: 0 clean, 1 usage/load failure, 2 diagnostics reported.
 // Suppressions: //det:allow <rule>[,<rule>] -- <reason> on the flagged
@@ -21,11 +14,9 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,72 +25,7 @@ import (
 )
 
 func main() {
-	// Vet tool protocol: `detlint -V=full` prints an identity line the go
-	// command uses as a cache key, `detlint -flags` describes the flags
-	// go vet may pass through, and `detlint [flags] <dir>/vet.cfg`
-	// analyzes one package described by the config file.
-	args := os.Args[1:]
-	if len(args) == 1 {
-		switch args[0] {
-		case "-V=full":
-			printVersion()
-			return
-		case "-flags":
-			printFlagDefs()
-			return
-		}
-	}
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		os.Exit(runVetArgs(args))
-	}
-	os.Exit(runStandalone())
-}
-
-// printFlagDefs answers go vet's -flags probe: a JSON description of
-// the tool flags go vet should accept and pass through.
-func printFlagDefs() {
-	type flagDef struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	out, _ := json.Marshal([]flagDef{
-		{Name: "rules", Bool: false, Usage: "comma-separated subset of rules to run (default: all)"},
-	})
-	fmt.Println(string(out))
-}
-
-// runVetArgs parses the pass-through flags ahead of the vet.cfg path
-// and dispatches to runVet.
-func runVetArgs(args []string) int {
-	fs := flag.NewFlagSet("detlint (vet mode)", flag.ContinueOnError)
-	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "detlint: vet mode expects [flags] <vet.cfg>")
-		return 1
-	}
-	analyzers, err := selectAnalyzers(*rules)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		return 1
-	}
-	return runVet(fs.Arg(0), analyzers)
-}
-
-// printVersion emits "detlint version <id>" with a content hash of the
-// executable, so go vet's action cache invalidates when detlint changes.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("%x", h.Sum(nil))[:16]
-			}
-			f.Close()
-		}
-	}
-	fmt.Printf("detlint version v1-%s\n", id)
+	os.Exit(run())
 }
 
 // selectAnalyzers filters the suite by a comma-separated -rules list.
@@ -117,7 +43,11 @@ func selectAnalyzers(rules string) ([]*analysis.Analyzer, error) {
 		r = strings.TrimSpace(r)
 		a, ok := byName[r]
 		if !ok {
-			return nil, fmt.Errorf("unknown rule %q (have: maprange, globalrand, seedfold, syncpool, obsguard)", r)
+			names := make([]string, len(all))
+			for i, a := range all {
+				names[i] = a.Name
+			}
+			return nil, fmt.Errorf("unknown rule %q (have: %s)", r, strings.Join(names, ", "))
 		}
 		out = append(out, a)
 	}
@@ -133,7 +63,7 @@ type jsonDiag struct {
 	Message string `json:"message"`
 }
 
-func runStandalone() int {
+func run() int {
 	fs := flag.NewFlagSet("detlint", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON lines")
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")

@@ -40,9 +40,9 @@ func main() {
 		fatal(err)
 	}
 
-	class := topo.Small
-	if *size == "medium" {
-		class = topo.Medium
+	class, err := topo.ParseSizeClass(*size)
+	if err != nil {
+		fatal(err)
 	}
 	rng := graph.NewRand(*seed)
 	t, err := topo.ByName(*kind, class, rng)

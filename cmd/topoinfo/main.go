@@ -35,9 +35,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	class := topo.Small
-	if *size == "medium" {
-		class = topo.Medium
+	class, err := topo.ParseSizeClass(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "topoinfo:", err)
+		os.Exit(1)
 	}
 	rng := graph.NewRand(*seed)
 	t, err := topo.ByName(*kind, class, rng)

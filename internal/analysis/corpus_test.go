@@ -9,6 +9,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -60,13 +61,24 @@ func parseWants(t *testing.T, pkg *Package) map[lineKey][]*regexp.Regexp {
 	return wants
 }
 
+// newCorpusLoader returns a loader for the analysistest corpus rooted at
+// srcRoot, where package path P lives in srcRoot/P.
+func newCorpusLoader(srcRoot string) *Loader {
+	return &Loader{
+		Fset:       token.NewFileSet(),
+		corpusRoot: srcRoot,
+		pkgs:       map[string]*Package{},
+		loading:    map[string]bool{},
+	}
+}
+
 // runCorpus loads one corpus package, runs the given analyzers through
 // RunPackage (so det:allow suppression and malformed-annotation
 // reporting both apply, exactly as in production), and reconciles the
 // diagnostics with the corpus's want comments.
 func runCorpus(t *testing.T, path string, analyzers ...*Analyzer) {
 	t.Helper()
-	loader := NewCorpusLoader("testdata/src")
+	loader := newCorpusLoader("testdata/src")
 	pkg, err := loader.Load(path)
 	if err != nil {
 		t.Fatalf("loading corpus %s: %v", path, err)

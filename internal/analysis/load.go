@@ -86,17 +86,6 @@ func NewModuleLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// NewCorpusLoader returns a loader for an analysistest corpus rooted at
-// srcRoot, where package path P lives in srcRoot/P.
-func NewCorpusLoader(srcRoot string) *Loader {
-	return &Loader{
-		Fset:       token.NewFileSet(),
-		corpusRoot: srcRoot,
-		pkgs:       map[string]*Package{},
-		loading:    map[string]bool{},
-	}
-}
-
 // readModulePath extracts the module path from a go.mod file.
 func readModulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

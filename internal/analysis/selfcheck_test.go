@@ -6,9 +6,11 @@ package analysis
 //   - TestModuleClean: the full suite over the real module reports
 //     nothing — every violation is fixed or carries a det:allow.
 //   - TestScratchViolationFlagged: deliberately adding an unsorted
-//     map-range to a scratch copy of internal/routing is flagged, so a
-//     green TestModuleClean is evidence of enforcement, not of a suite
-//     that never fires.
+//     map-range in an uncalled function to a scratch copy of
+//     internal/routing is flagged — by maprange and by the reachability
+//     walk of reach_test.go — so a green TestModuleClean and
+//     TestEveryFunctionReached are evidence of enforcement, not of
+//     checks that never fire.
 
 import (
 	"io/fs"
@@ -32,9 +34,8 @@ func moduleRoot(t *testing.T) string {
 	return root
 }
 
-// runSuite loads and analyzes every package of the module rooted at
-// root, returning all formatted diagnostics.
-func runSuite(t *testing.T, root string) []string {
+// loadModule type-checks every package of the module rooted at root.
+func loadModule(t *testing.T, root string) []*Package {
 	t.Helper()
 	loader, err := NewModuleLoader(root)
 	if err != nil {
@@ -44,12 +45,21 @@ func runSuite(t *testing.T, root string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
+	pkgs := make([]*Package, 0, len(paths))
 	for _, p := range paths {
 		pkg, err := loader.Load(p)
 		if err != nil {
 			t.Fatalf("loading %s: %v", p, err)
 		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs
+}
+
+// runSuite analyzes pkgs, returning all formatted diagnostics.
+func runSuite(pkgs []*Package) []string {
+	var out []string
+	for _, pkg := range pkgs {
 		for _, d := range RunPackage(pkg, Analyzers()) {
 			out = append(out, d.Format(pkg.Fset))
 		}
@@ -61,7 +71,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	for _, d := range runSuite(t, moduleRoot(t)) {
+	for _, d := range runSuite(loadModule(t, moduleRoot(t))) {
 		t.Errorf("detlint: %s", d)
 	}
 }
@@ -128,8 +138,9 @@ func scratchFirstKey(m map[string]float64) float64 {
 		t.Fatal(err)
 	}
 
+	pkgs := loadModule(t, scratch)
 	flagged := false
-	for _, d := range runSuite(t, scratch) {
+	for _, d := range runSuite(pkgs) {
 		if strings.Contains(d, "zz_scratch_violation.go") && strings.Contains(d, "maprange") {
 			flagged = true
 		} else {
@@ -138,5 +149,10 @@ func scratchFirstKey(m map[string]float64) float64 {
 	}
 	if !flagged {
 		t.Error("planted unsorted map-range in internal/routing was not flagged")
+	}
+	// Nothing calls the planted function either: the reachability walk
+	// (reach_test.go) must name it, and nothing else.
+	if got := outsideKeepList(unreachedFunctions(pkgs)); len(got) != 1 || got[0] != "routing.scratchFirstKey" {
+		t.Errorf("unreached functions in scratch copy = %v, want exactly [routing.scratchFirstKey]", got)
 	}
 }

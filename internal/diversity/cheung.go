@@ -89,81 +89,6 @@ func matRank(rows [][]uint64) int {
 	return rank
 }
 
-// VertexConnectivityBounded returns (w.h.p.) the maximum number of
-// internally vertex-disjoint s-t paths of length at most maxLen. s and t
-// must be distinct and non-adjacent (vertex connectivity is not defined
-// for neighbors; Appendix B, footnote 6).
-func VertexConnectivityBounded(g *graph.Graph, s, t, maxLen int, rng *rand.Rand) int {
-	if s == t || g.HasEdge(s, t) {
-		panic("VertexConnectivityBounded: s and t must be distinct non-neighbors")
-	}
-	if maxLen < 2 {
-		return 0
-	}
-	n := g.N()
-	k := g.Degree(s)
-	// Random connection matrix K: one coefficient per directed traversal.
-	coeff := make([]uint64, 2*g.M())
-	for i := range coeff {
-		coeff[i] = randNonzero(rng)
-	}
-	arcOf := func(e graph.Edge, from int32, id int32) int32 {
-		if e.U == from {
-			return 2 * id
-		}
-		return 2*id + 1
-	}
-	// Ps: unit vector index per neighbor of s.
-	unit := make(map[int32]int, k)
-	for i, h := range g.Neighbors(s) {
-		unit[h.To] = i
-	}
-	// F columns: F[v] is the k-vector at vertex v.
-	F := make([][]uint64, n)
-	newF := make([][]uint64, n)
-	for v := range F {
-		F[v] = make([]uint64, k)
-		newF[v] = make([]uint64, k)
-	}
-	// maxLen-hop paths: inject + (maxLen-1) propagation rounds. Each
-	// iteration of Eq. 15 both propagates one hop and re-injects at s's
-	// neighborhood, so running maxLen-1 iterations admits paths
-	// s -> neighbor (1 hop) plus up to maxLen-2 further hops to a neighbor
-	// of t, plus the final hop into t.
-	iters := maxLen - 1
-	for it := 0; it < iters; it++ {
-		for v := 0; v < n; v++ {
-			col := newF[v]
-			for i := range col {
-				col[i] = 0
-			}
-			for _, h := range g.Neighbors(v) {
-				u := int(h.To)
-				if u == s || u == t {
-					continue // paths are internally disjoint; do not route through endpoints
-				}
-				c := coeff[arcOf(g.Edge(int(h.Edge)), h.To, h.Edge)]
-				src := F[u]
-				for i := range col {
-					if src[i] != 0 {
-						col[i] = fadd(col[i], fmul(c, src[i]))
-					}
-				}
-			}
-			if i, ok := unit[int32(v)]; ok {
-				col[i] = fadd(col[i], 1)
-			}
-		}
-		F, newF = newF, F
-	}
-	// Rank of columns at t's neighbors.
-	rows := make([][]uint64, 0, g.Degree(t))
-	for _, h := range g.Neighbors(t) {
-		rows = append(rows, append([]uint64(nil), F[h.To]...))
-	}
-	return matRank(rows)
-}
-
 // EdgeConnectivityBounded returns (w.h.p.) the maximum number of
 // edge-disjoint s-t paths of length at most maxLen, using the directed-arc
 // transformed graph of Appendix B-C (Eq. 12): vectors live on arcs, unit

@@ -42,58 +42,3 @@ func CollisionTakeaway(h *stats.IntHistogram) (fracAtLeast4 float64, max int) {
 	}
 	return fracAtLeast4, max
 }
-
-// OverlapCount computes, for a pattern routed over single shortest paths,
-// how many flows traverse each router-router link (a direct measure of path
-// overlap, the second flow-conflict type of §IV-A). It returns a histogram
-// of link load in flows.
-func OverlapCount(t *topo.Topology, p traffic.Pattern) *stats.IntHistogram {
-	load := make([]int, t.G.M())
-	// One BFS parent-edge tree per source router, cached across flows.
-	type tree struct{ parentVert, parentEdge []int32 }
-	cache := make(map[int]tree)
-	buildTree := func(src int) tree {
-		pv := make([]int32, t.G.N())
-		pe := make([]int32, t.G.N())
-		dist := make([]int32, t.G.N())
-		for i := range dist {
-			dist[i] = -1
-			pv[i] = -1
-			pe[i] = -1
-		}
-		dist[src] = 0
-		queue := []int32{int32(src)}
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			for _, h := range t.G.Neighbors(int(v)) {
-				if dist[h.To] == -1 {
-					dist[h.To] = dist[v] + 1
-					pv[h.To] = v
-					pe[h.To] = h.Edge
-					queue = append(queue, h.To)
-				}
-			}
-		}
-		return tree{parentVert: pv, parentEdge: pe}
-	}
-	for _, f := range p.Flows {
-		rs := t.RouterOf(int(f.Src))
-		rt := t.RouterOf(int(f.Dst))
-		if rs == rt {
-			continue
-		}
-		tr, ok := cache[rs]
-		if !ok {
-			tr = buildTree(rs)
-			cache[rs] = tr
-		}
-		for v := int32(rt); tr.parentEdge[v] >= 0; v = tr.parentVert[v] {
-			load[tr.parentEdge[v]]++
-		}
-	}
-	hist := stats.NewIntHistogram()
-	for _, l := range load {
-		hist.Add(l)
-	}
-	return hist
-}

@@ -2,8 +2,8 @@
 // FatPaths paper: minimal-path length/count distributions (Fig 6), counts
 // of disjoint non-minimal paths CDP (Fig 7, Table IV), Path Interference PI
 // (Fig 8, Table IV), Total Network Load (§IV-B3), per-pattern collision
-// histograms (Fig 4), and the matrix- and rank-based path counting
-// machinery of Appendix B.
+// histograms (Fig 4), and the rank-based length-limited edge connectivity
+// of Appendix B-C.
 package diversity
 
 import (
@@ -202,13 +202,6 @@ func TNL(kPrime, nr int, avgPathLen float64) float64 {
 		return 0
 	}
 	return float64(kPrime*nr) / avgPathLen
-}
-
-// TNLOf computes TNL using the topology's exact mean shortest-path length
-// (minimal routing assumption, d <= D).
-func TNLOf(t *topo.Topology) float64 {
-	_, d := t.G.DiameterAndMean()
-	return TNL(t.NominalRadix, t.Nr(), d)
 }
 
 // HostRouters returns the routers that host at least one endpoint — the

@@ -126,17 +126,6 @@ func TestQueueModel(t *testing.T) {
 	}
 }
 
-func TestLayerCountComparison(t *testing.T) {
-	sf, _ := topo.SlimFly(5, 0)
-	tab, err := LayerCountComparison(sf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(tab.Rows))
-	}
-}
-
 // The packet-simulation experiments are exercised end-to-end (including
 // full table content) by the golden-table harness in golden_test.go; the
 // heaviest figures additionally run as benchmarks (bench_test.go at the

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/layers"
 	"repro/internal/mcf"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -141,53 +140,5 @@ func runFig10(o Options) (*stats.Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return tab, nil
-}
-
-// LayerCountComparison supports the §VI-B analysis: layers needed per
-// scheme to cover the network's links (FatPaths needs O(1); SPAIN/PAST
-// need O(k') to O(N_r) tree layers).
-func LayerCountComparison(t *topo.Topology, seed int64) (*stats.Table, error) {
-	rng := graph.NewRand(seed)
-	tab := &stats.Table{
-		Title:   "§VI-B: layers and edges per layer by scheme",
-		Headers: []string{"scheme", "layers", "edges/layer (max)", "links covered"},
-	}
-	add := func(name string, ls *layers.LayerSet) {
-		maxE := 0
-		covered := make([]bool, t.G.M())
-		for _, l := range ls.Layers[1:] {
-			if l.EdgeCount > maxE {
-				maxE = l.EdgeCount
-			}
-			for id, on := range l.Mask {
-				if on {
-					covered[id] = true
-				}
-			}
-		}
-		n := 0
-		for _, c := range covered {
-			if c {
-				n++
-			}
-		}
-		tab.AddRowf(name, ls.N()-1, maxE, fmtPct(float64(n)/float64(t.G.M())))
-	}
-	fp, err := layers.Random(t.G, 9, 0.6, rng)
-	if err != nil {
-		return nil, err
-	}
-	add("FatPaths(random, n=9)", fp)
-	sp, err := layers.SPAIN(t.G, layers.SPAINConfig{K: 2}, rng)
-	if err != nil {
-		return nil, err
-	}
-	add("SPAIN(all)", sp)
-	pa, err := layers.PAST(t.G, 9, layers.PASTNonMinimal, rng)
-	if err != nil {
-		return nil, err
-	}
-	add("PAST(n=9)", pa)
 	return tab, nil
 }

@@ -47,14 +47,6 @@ func (g *Graph) BFSEnabled(src int, enabled []bool) []int32 {
 	return dist
 }
 
-// Dist returns the hop distance between s and t, or -1 if disconnected.
-func (g *Graph) Dist(s, t int) int {
-	if s == t {
-		return 0
-	}
-	return int(g.BFS(s)[t])
-}
-
 // Connected reports whether the graph is connected (all vertices reachable
 // from vertex 0). An empty graph is connected.
 func (g *Graph) Connected() bool {
@@ -119,41 +111,6 @@ func (g *Graph) DiameterAndMean() (int, float64) {
 	return diam, sum / pairs
 }
 
-// SampledMeanDistance estimates the mean shortest path length using BFS from
-// at most samples source vertices (deterministically strided). For
-// samples >= N it is exact.
-func (g *Graph) SampledMeanDistance(samples int) float64 {
-	if g.n <= 1 {
-		return 0
-	}
-	if samples <= 0 || samples > g.n {
-		samples = g.n
-	}
-	stride := g.n / samples
-	if stride == 0 {
-		stride = 1
-	}
-	var sum float64
-	var cnt float64
-	dist := make([]int32, g.n)
-	for s := 0; s < g.n; s += stride {
-		for i := range dist {
-			dist[i] = Unreachable
-		}
-		g.bfsInto(s, dist, nil)
-		for t, d := range dist {
-			if t != s && d != Unreachable {
-				sum += float64(d)
-				cnt++
-			}
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / cnt
-}
-
 // ShortestPathDAGCounts computes, for a fixed source s, the distance of
 // every vertex and the number of distinct shortest paths from s to it
 // (counts saturate at the given cap to avoid overflow on dense graphs;
@@ -185,49 +142,4 @@ func (g *Graph) ShortestPathDAGCounts(s int, cap int64) (dist []int32, count []i
 		}
 	}
 	return dist, count
-}
-
-// PathTo reconstructs one shortest path from s to t (inclusive vertex
-// sequence), or nil if t is unreachable. If enabled is non-nil only enabled
-// edges are used.
-func (g *Graph) PathTo(s, t int, enabled []bool) []int32 {
-	if s == t {
-		return []int32{int32(s)}
-	}
-	parent := make([]int32, g.n)
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-		parent[i] = -1
-	}
-	dist[s] = 0
-	queue := []int32{int32(s)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if int(v) == t {
-			break
-		}
-		for _, h := range g.adj[v] {
-			if enabled != nil && !enabled[h.Edge] {
-				continue
-			}
-			if dist[h.To] == Unreachable {
-				dist[h.To] = dist[v] + 1
-				parent[h.To] = v
-				queue = append(queue, h.To)
-			}
-		}
-	}
-	if dist[t] == Unreachable {
-		return nil
-	}
-	path := make([]int32, 0, dist[t]+1)
-	for v := int32(t); v != -1; v = parent[v] {
-		path = append(path, v)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

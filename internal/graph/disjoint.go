@@ -111,16 +111,12 @@ func (g *Graph) DisjointPathsBounded(A, B []int, opts DisjointPathsOpts) int {
 	}
 }
 
-// DisjointPathsPair is shorthand for c_l({s},{t}).
-func (g *Graph) DisjointPathsPair(s, t, maxLen int) int {
-	return g.DisjointPathsBounded([]int{s}, []int{t}, DisjointPathsOpts{MaxLen: maxLen})
-}
-
 // EdgeConnectivityPair returns the exact (unbounded-length) edge
 // connectivity between s and t via Ford–Fulkerson augmentation on the
 // unit-capacity bidirected graph. Unlike the greedy bounded variant this is
-// exact: augmenting paths may cancel earlier flow. Used to validate the
-// greedy estimate in tests and to compute unbounded CDP values.
+// exact: augmenting paths may cancel earlier flow. No binary calls it; it
+// is the max-flow oracle the tests hold DisjointPathsBounded and
+// diversity.EdgeConnectivityBounded against.
 func (g *Graph) EdgeConnectivityPair(s, t int) int {
 	if s == t {
 		return 0
@@ -177,36 +173,4 @@ func (g *Graph) EdgeConnectivityPair(s, t int) int {
 		}
 		flow++
 	}
-}
-
-// NeighborhoodWithin returns the set (as a boolean mask) of vertices within
-// l hops of any vertex in A, i.e. the paper's h_l(A) including A itself.
-func (g *Graph) NeighborhoodWithin(A []int, l int) []bool {
-	in := make([]bool, g.n)
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	queue := make([]int32, 0, g.n)
-	for _, a := range A {
-		if dist[a] == Unreachable {
-			dist[a] = 0
-			in[a] = true
-			queue = append(queue, int32(a))
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		if int(dist[v]) >= l {
-			continue
-		}
-		for _, h := range g.adj[v] {
-			if dist[h.To] == Unreachable {
-				dist[h.To] = dist[v] + 1
-				in[h.To] = true
-				queue = append(queue, h.To)
-			}
-		}
-	}
-	return in
 }

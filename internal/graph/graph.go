@@ -29,14 +29,6 @@ type Edge struct {
 	U, V int32
 }
 
-// Other returns the endpoint of e opposite to x.
-func (e Edge) Other(x int32) int32 {
-	if e.U == x {
-		return e.V
-	}
-	return e.U
-}
-
 // Graph is an undirected simple graph with stable edge IDs.
 // The zero value is an empty graph with no vertices; use New.
 type Graph struct {
@@ -125,16 +117,6 @@ func (g *Graph) TryAddEdge(u, v int) bool {
 	return true
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, adj: make([][]Half, g.n), edges: make([]Edge, len(g.edges))}
-	copy(c.edges, g.edges)
-	for v := range g.adj {
-		c.adj[v] = append([]Half(nil), g.adj[v]...)
-	}
-	return c
-}
-
 // Subgraph returns a new graph on the same vertex set containing exactly the
 // edges whose IDs are enabled. Edge IDs are NOT preserved in the subgraph.
 func (g *Graph) Subgraph(enabled []bool) *Graph {
@@ -148,27 +130,6 @@ func (g *Graph) Subgraph(enabled []bool) *Graph {
 		}
 	}
 	return s
-}
-
-// SubgraphFromEdgeIDs returns a new graph containing exactly the listed edges.
-func (g *Graph) SubgraphFromEdgeIDs(ids []int) *Graph {
-	s := New(g.n)
-	for _, id := range ids {
-		e := g.edges[id]
-		s.AddEdge(int(e.U), int(e.V))
-	}
-	return s
-}
-
-// MaxDegree returns the maximum vertex degree (0 for an edgeless graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := range g.adj {
-		if d := len(g.adj[v]); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // IsRegular reports whether every vertex has the same degree, and that degree.
@@ -193,14 +154,4 @@ func (g *Graph) SortAdjacency() {
 		a := g.adj[v]
 		sort.Slice(a, func(i, j int) bool { return a[i].To < a[j].To })
 	}
-}
-
-// DegreeHistogram returns a map from degree to the number of vertices with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := range g.adj {
-		h[len(g.adj[v])]++
-	}
-	return h
 }

@@ -20,15 +20,6 @@ func Permutation(rng *rand.Rand, n int) []int32 {
 	return p
 }
 
-// InversePermutation returns q with q[p[i]] = i.
-func InversePermutation(p []int32) []int32 {
-	q := make([]int32, len(p))
-	for i, v := range p {
-		q[v] = int32(i)
-	}
-	return q
-}
-
 // SampleDistinctPair draws two distinct integers from [0, n) uniformly.
 func SampleDistinctPair(rng *rand.Rand, n int) (int, int) {
 	a := rng.Intn(n)

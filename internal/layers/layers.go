@@ -2,8 +2,9 @@
 // dividing the links of a topology into (not necessarily disjoint) subsets
 // called layers, routing minimally within each layer so that layer-local
 // minimal paths are non-minimal globally, and populating per-layer
-// destination-based forwarding tables. It also implements the comparison
-// baselines of §VI / Appendix C: SPAIN, PAST, and k-shortest-paths.
+// destination-based forwarding tables. It also implements the layered
+// comparison baselines of §VI / Appendix C: SPAIN and PAST (the
+// k-shortest-paths baseline is path-based and lives in internal/mcf).
 package layers
 
 import (
@@ -219,18 +220,6 @@ func (f *Forwarding) Route(layer, src, dst int) []int32 {
 // used a removed edge are shared with the parent, the rest rebuild lazily.
 func (f *Forwarding) WithoutEdges(failed []int) *Forwarding {
 	return &Forwarding{Nr: f.Nr, eng: f.eng.WithoutEdges(failed)}
-}
-
-// LayerPathLengths returns, for a router pair, the per-layer path length
-// under the layer's minimal routing (-1 where unreachable). Layer-local
-// minimal paths in sparsified layers are the paper's "almost" shortest
-// global paths.
-func (f *Forwarding) LayerPathLengths(src, dst int) []int {
-	out := make([]int, f.NumLayers())
-	for l := range out {
-		out[l] = f.PathLen(l, src, dst)
-	}
-	return out
 }
 
 // Stats summarizes a layer set: edges per layer and two deployed

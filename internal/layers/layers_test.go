@@ -144,14 +144,13 @@ func TestLayerPathLengthsAndPaths(t *testing.T) {
 	ls, _ := Random(sf.G, 4, 0.7, rng)
 	f := NewForwarding(ls, 1)
 	s, d := 0, 17
-	lens := f.LayerPathLengths(s, d)
 	paths := LayerPaths(f, s, d)
-	if len(paths) != len(lens) {
-		t.Fatalf("%d paths vs %d lengths", len(paths), len(lens))
+	if len(paths) != f.NumLayers() {
+		t.Fatalf("%d paths vs %d layers", len(paths), f.NumLayers())
 	}
 	for i, p := range paths {
-		if len(p)-1 != lens[i] {
-			t.Fatalf("path %d has %d hops, length table says %d", i, len(p)-1, lens[i])
+		if want := f.PathLen(i, s, d); len(p)-1 != want {
+			t.Fatalf("path %d has %d hops, length table says %d", i, len(p)-1, want)
 		}
 		if p[0] != int32(s) || p[len(p)-1] != int32(d) {
 			t.Fatal("path endpoints wrong")
@@ -322,25 +321,6 @@ func TestPASTLayersAreSpanningTrees(t *testing.T) {
 			}
 			if !sf.G.SubsetConnected(ls.Layers[i].Mask) {
 				t.Fatalf("PAST layer %d does not span", i)
-			}
-		}
-	}
-}
-
-func TestKShortestPathSets(t *testing.T) {
-	hx, _ := topo.HyperX(2, 4, 0)
-	pairs := [][2]int{{0, 5}, {1, 10}}
-	sets := KShortestPathSets(hx.G, pairs, 3)
-	if len(sets) != 2 {
-		t.Fatal("missing pair entries")
-	}
-	for pr, paths := range sets {
-		if len(paths) == 0 {
-			t.Fatalf("no paths for %v", pr)
-		}
-		for _, p := range paths {
-			if int(p[0]) != pr[0] || int(p[len(p)-1]) != pr[1] {
-				t.Fatal("path endpoints wrong")
 			}
 		}
 	}

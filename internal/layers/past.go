@@ -74,19 +74,6 @@ func spanningTreeBFS(g *graph.Graph, root int, rng *rand.Rand) []bool {
 	return mask
 }
 
-// KShortestPathSets computes, for each requested router pair, up to k
-// loop-free shortest paths (Yen's algorithm) — the k-shortest-paths
-// comparison baseline of §VI (the routing used by Jellyfish). The result
-// feeds the path-restricted MCF formulation; it is path-based rather than
-// layer-based, exactly as in the paper's comparison.
-func KShortestPathSets(g *graph.Graph, pairs [][2]int, k int) map[[2]int][][]int32 {
-	out := make(map[[2]int][][]int32, len(pairs))
-	for _, pr := range pairs {
-		out[pr] = g.YenKShortest(pr[0], pr[1], k, graph.Unit)
-	}
-	return out
-}
-
 // LayerPaths extracts, for a router pair, the concrete per-layer path
 // (vertex sequence) induced by a forwarding table — the path set a
 // FatPaths sender load-balances over.

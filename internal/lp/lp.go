@@ -45,9 +45,6 @@ func New(n int) *Problem {
 	return &Problem{numVars: n, objective: make([]float64, n)}
 }
 
-// NumVars returns the number of structural variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // SetObjective sets the coefficient of variable i in the maximization
 // objective.
 func (p *Problem) SetObjective(i int, c float64) {

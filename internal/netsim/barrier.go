@@ -1,14 +1,6 @@
 package netsim
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
-
-// windowOccupancyBounds aliases the shared histogram bounds so shards can
-// bucket window occupancy locally without touching the registry per window.
-var windowOccupancyBounds = obs.WindowOccupancyBuckets
+import "sync"
 
 // Conservative parallel execution. The engine advances in synchronization
 // windows of lookahead length: with gvt the earliest queued time anywhere,
@@ -37,7 +29,6 @@ func (e *Engine) runParallel(until Time) int {
 				if ran == 0 {
 					sh.stalls++
 				}
-				sh.occ[occBucket(ran)]++
 				sh.done <- struct{}{}
 			}
 		}(sh)
@@ -98,15 +89,4 @@ func (e *Engine) runParallel(until Time) int {
 		e.now = until
 	}
 	return int(e.Executed() - before)
-}
-
-// occBucket maps a window's executed-event count onto the shared
-// window-occupancy histogram bounds (index len(bounds) is overflow).
-func occBucket(ran int64) int {
-	for i, b := range windowOccupancyBounds {
-		if float64(ran) <= b {
-			return i
-		}
-	}
-	return len(windowOccupancyBounds)
 }

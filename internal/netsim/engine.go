@@ -86,10 +86,6 @@ type Engine struct {
 	tracer  *obs.Tracer
 }
 
-// NewEngine returns a serial (single-shard, single-partition) engine at
-// time 0 — the configuration every test helper and standalone use gets.
-func NewEngine() *Engine { return NewShardedEngine(1, 1, 0) }
-
 // NewShardedEngine returns an engine over parts partitions drained by
 // shards workers. lookahead is the conservative synchronization window —
 // the minimum delay of any cross-partition event — and must be positive
@@ -117,12 +113,7 @@ func NewShardedEngine(parts, shards int, lookahead Time) *Engine {
 		e.partShard[p] = int32(p * shards / parts)
 	}
 	for s := range e.shards {
-		sh := &Shard{
-			eng:    e,
-			id:     int32(s),
-			partLo: -1,
-			occ:    make([]int64, len(obs.WindowOccupancyBuckets)+1),
-		}
+		sh := &Shard{eng: e, id: int32(s), partLo: -1}
 		if shards > 1 {
 			sh.outbox = make([][]outEvent, shards)
 		}
@@ -137,17 +128,6 @@ func NewShardedEngine(parts, shards int, lookahead Time) *Engine {
 	}
 	return e
 }
-
-// NumShards reports the engine's worker count.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
-// Now returns the current simulation time. Only meaningful between runs;
-// event callbacks read their shard's clock instead.
-func (e *Engine) Now() Time { return e.now }
-
-// At schedules fn at absolute time t (>= now) on partition 0 — the serial
-// engine's scheduling entry point, also used for pre-run setup.
-func (e *Engine) At(t Time, fn func(*Shard)) { e.AtPart(t, 0, fn) }
 
 // AtPart schedules fn at absolute time t on the given partition. It must
 // not be called while a parallel run is draining (schedule through the
@@ -244,13 +224,4 @@ func (e *Engine) QueueHighWater() int {
 		}
 	}
 	return hw
-}
-
-// Pending returns the number of queued events across all shards.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, sh := range e.shards {
-		n += sh.heap.len()
-	}
-	return n
 }

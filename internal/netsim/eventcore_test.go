@@ -188,8 +188,8 @@ func TestLinkQueueBehaviour(t *testing.T) {
 			pkts = append(pkts, p)
 			l.enqueue(sh, p)
 		}
-		if l.queueLen() != 5 {
-			t.Fatalf("trim=%v: data queue holds %d, capacity is 5", trim, l.queueLen())
+		if l.q.len() != 5 {
+			t.Fatalf("trim=%v: data queue holds %d, capacity is 5", trim, l.q.len())
 		}
 		for seq, p := range pkts[:5] {
 			if want := seq+1 >= 4; p.ECN != want {

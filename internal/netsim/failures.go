@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"math/rand"
-
-	"repro/internal/graph"
-)
+import "math/rand"
 
 // Fault tolerance (§V-G of the paper): FatPaths preprovisions multiple
 // paths within different layers, so when a link fails the flowlet load
@@ -55,39 +51,4 @@ func (n *Network) FailRandomLinks(count int, rng *rand.Rand) []int {
 		}
 	}
 	return failed
-}
-
-// FailedPacketCount reports how many packets died on failed links.
-func (n *Network) FailedPacketCount() int64 {
-	var c int64
-	for _, m := range n.routerOut {
-		for _, l := range m {
-			c += l.failDrops
-		}
-	}
-	return c
-}
-
-// HealAllLinks restores every failed link.
-func (n *Network) HealAllLinks() {
-	for _, m := range n.routerOut {
-		for _, l := range m {
-			l.failed = false
-		}
-	}
-}
-
-// MaskedForwardingInput returns an edge mask with the given edges removed,
-// for checking or recomputing routes after a major topology update (§V-G:
-// "for major (infrequent) topology updates, we recompute layers"; the
-// repair itself is layers.Forwarding.WithoutEdges).
-func MaskedForwardingInput(g *graph.Graph, failedEdges []int) []bool {
-	mask := make([]bool, g.M())
-	for i := range mask {
-		mask[i] = true
-	}
-	for _, id := range failedEdges {
-		mask[id] = false
-	}
-	return mask
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/layers"
 	"repro/internal/topo"
@@ -179,9 +178,6 @@ func (l *link) kick(sh *Shard) {
 	sh.afterTxDone(l.txTime(p.Bytes), l, p)
 }
 
-// queueLen reports the current data-queue occupancy (tests/observability).
-func (l *link) queueLen() int { return l.q.len() }
-
 // Network wires a topology, forwarding tables and hosts into a running
 // simulation.
 type Network struct {
@@ -277,7 +273,6 @@ func (n *Network) free(sh *Shard, p *Packet) {
 // returns (no handler retains it) and goes back to the arena.
 func (n *Network) deliver(sh *Shard, l *link, p *Packet) {
 	if l.toHost >= 0 {
-		sh.delivered++
 		if p.Kind == KindData {
 			h := p.Hops
 			if h > maxHopBucket {
@@ -329,16 +324,6 @@ func (n *Network) forward(sh *Shard, r int, p *Packet) {
 	n.routerOut[r][next].enqueue(sh, p)
 }
 
-// DeliveredData counts packets handed to their destination hosts, summed
-// over shards (read between runs).
-func (n *Network) DeliveredData() int64 {
-	var d int64
-	for _, sh := range n.eng.shards {
-		d += sh.delivered
-	}
-	return d
-}
-
 // TotalDrops sums packet drops over all links.
 func (n *Network) TotalDrops() int64 {
 	var d int64
@@ -371,38 +356,4 @@ func (n *Network) TotalTrims() int64 {
 		d += l.Trims
 	}
 	return d
-}
-
-// LinkUtilization summarizes router-router link usage over the run: the
-// fraction of the run each link spent transmitting, aggregated to mean and
-// max (observability for layer-sweep analyses; Fig 12 discussion).
-func (n *Network) LinkUtilization(elapsed Time) (mean, max float64) {
-	if elapsed <= 0 {
-		return 0, 0
-	}
-	// Iterate neighbor maps in sorted order: float accumulation rounds
-	// differently per order, so summing in map order would make the low
-	// bits of the reported mean depend on the runtime's map hashing.
-	var sum float64
-	count := 0
-	for _, m := range n.routerOut {
-		nbrs := make([]int32, 0, len(m))
-		for v := range m {
-			nbrs = append(nbrs, v)
-		}
-		slices.Sort(nbrs)
-		for _, v := range nbrs {
-			l := m[v]
-			busy := float64(l.TxBytes*8) / l.bps / elapsed.Seconds()
-			sum += busy
-			count++
-			if busy > max {
-				max = busy
-			}
-		}
-	}
-	if count == 0 {
-		return 0, 0
-	}
-	return sum / float64(count), max
 }

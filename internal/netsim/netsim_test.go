@@ -10,11 +10,11 @@ import (
 )
 
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
+	e := NewShardedEngine(1, 1, 0)
 	var order []int
-	e.At(10, func(*Shard) { order = append(order, 1) })
-	e.At(5, func(*Shard) { order = append(order, 0) })
-	e.At(10, func(*Shard) { order = append(order, 2) }) // same-time FIFO
+	e.AtPart(10, 0, func(*Shard) { order = append(order, 1) })
+	e.AtPart(5, 0, func(*Shard) { order = append(order, 0) })
+	e.AtPart(10, 0, func(*Shard) { order = append(order, 2) }) // same-time FIFO
 	n := e.Run(100)
 	if n != 3 {
 		t.Fatalf("executed %d events, want 3", n)
@@ -22,20 +22,20 @@ func TestEngineOrdering(t *testing.T) {
 	if order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("order=%v", order)
 	}
-	if e.Now() != 100 {
-		t.Fatalf("now=%d, want horizon 100", e.Now())
+	if e.now != 100 {
+		t.Fatalf("now=%d, want horizon 100", e.now)
 	}
 }
 
 func TestEngineHorizonStopsEarly(t *testing.T) {
-	e := NewEngine()
+	e := NewShardedEngine(1, 1, 0)
 	fired := false
-	e.At(1000, func(*Shard) { fired = true })
+	e.AtPart(1000, 0, func(*Shard) { fired = true })
 	e.Run(500)
 	if fired {
 		t.Fatal("event beyond horizon must not fire")
 	}
-	if e.Pending() != 1 {
+	if e.shards[0].heap.len() != 1 {
 		t.Fatal("event should remain queued")
 	}
 }
@@ -383,12 +383,12 @@ func TestLinkStatsSanity(t *testing.T) {
 func TestEngineOrderProperty(t *testing.T) {
 	rng := randNew(23)
 	for trial := 0; trial < 50; trial++ {
-		e := NewEngine()
+		e := NewShardedEngine(1, 1, 0)
 		var times []Time
 		n := 1 + rng.Intn(200)
 		for i := 0; i < n; i++ {
 			at := Time(rng.Intn(1000))
-			e.At(at, func(sh *Shard) { times = append(times, sh.Now()) })
+			e.AtPart(at, 0, func(sh *Shard) { times = append(times, sh.Now()) })
 		}
 		e.Run(10000)
 		for i := 1; i < len(times); i++ {
@@ -403,20 +403,6 @@ func TestEngineOrderProperty(t *testing.T) {
 }
 
 func randNew(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }
-
-func TestLinkUtilization(t *testing.T) {
-	cfg := NDPDefaults()
-	s, sf := sfSim(t, 5, 2, 0.8, cfg, 30)
-	s.AddFlow(FlowSpec{Src: 0, Dst: int32(sf.N() - 1), Bytes: 1 << 20})
-	s.Run(1 * Second)
-	mean, max := s.Net.LinkUtilization(s.Eng.Now())
-	if mean <= 0 || max <= 0 || max > 1.01 || mean > max {
-		t.Fatalf("utilization mean=%f max=%f out of range", mean, max)
-	}
-	if m, x := s.Net.LinkUtilization(0); m != 0 || x != 0 {
-		t.Fatal("zero elapsed must give zero utilization")
-	}
-}
 
 func TestMPTCPSingleFlowCompletes(t *testing.T) {
 	cfg := TCPDefaults(TransportMPTCP)

@@ -37,10 +37,8 @@ type Shard struct {
 	queueHW  int
 	windows  int64 // synchronization windows participated in
 	stalls   int64 // windows in which this shard had no executable event
-	occ      []int64
 
 	// Network tallies (the per-shard split of the old Network fields).
-	delivered  int64
 	inflight   int64
 	inflightHW int64
 	hopHist    [maxHopBucket + 1]int64

@@ -525,18 +525,7 @@ func (s *Sim) flushMetrics() {
 		if sh.inflightHW > 0 {
 			inflightHW += sh.inflightHW
 		}
-		m.ShardEvents.Observe(float64(sh.executed))
 		m.BarrierStalls.Add(sh.stalls)
-		for i, c := range sh.occ {
-			if c == 0 {
-				continue
-			}
-			v := windowOccupancyBounds[len(windowOccupancyBounds)-1] * 2
-			if i < len(windowOccupancyBounds) {
-				v = windowOccupancyBounds[i]
-			}
-			m.WindowOccupancy.ObserveN(v, c)
-		}
 		for i, c := range sh.hopHist {
 			if c > 0 {
 				m.PathHops.ObserveN(float64(i), c)

@@ -19,12 +19,9 @@ const (
 	MetricSimTCPTimeouts     = "netsim.tcp_timeouts"
 	MetricSimDrops           = "netsim.drops"
 	MetricSimFlowsCompleted  = "netsim.flows_completed"
-	// Sharded-engine metrics: per-shard executed-event counts, windows in
-	// which a shard reached the barrier without executing anything, and the
-	// events-per-shard-window occupancy distribution.
-	MetricSimShardEvents     = "netsim.shard_events"
-	MetricSimBarrierStalls   = "netsim.barrier_stalls"
-	MetricSimWindowOccupancy = "netsim.window_occupancy"
+	// Sharded-engine metric: windows in which a shard reached the barrier
+	// without executing anything.
+	MetricSimBarrierStalls = "netsim.barrier_stalls"
 )
 
 // Durable-sweep-runtime metric names (internal/scenario cache + journal).
@@ -72,20 +69,6 @@ var FCTBucketsMs = []float64{
 // detours.
 var PathHopBuckets = []float64{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32}
 
-// ShardEventBuckets are the per-shard executed-events histogram bounds —
-// one observation per shard per simulation, log-spaced from trivial test
-// runs to paper-scale replicates.
-var ShardEventBuckets = []float64{
-	1e2, 1e3, 1e4, 1e5, 1e6, 3e6, 1e7, 3e7, 1e8, 1e9,
-}
-
-// WindowOccupancyBuckets are the events-per-shard-window histogram bounds
-// for parallel runs. Shards bucket locally during the run and flush once,
-// so these bounds are shared with internal/netsim's local tally.
-var WindowOccupancyBuckets = []float64{
-	0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096,
-}
-
 // SimMetrics is the simulator's metric bundle. Simulations accumulate
 // locally (plain fields on the single-goroutine hot paths) and flush here
 // once per Run, so concurrent replicates on different workers share these
@@ -110,13 +93,9 @@ type SimMetrics struct {
 	TCPTimeouts     *Counter
 	Drops           *Counter
 	FlowsCompleted  *Counter
-	// ShardEvents digests per-shard executed-event counts (one observation
-	// per shard per run); BarrierStalls counts shard windows that executed
-	// nothing; WindowOccupancy digests events per shard window. The latter
-	// two stay zero on serial (shards=1) runs, which have no windows.
-	ShardEvents     *Histogram
-	BarrierStalls   *Counter
-	WindowOccupancy *Histogram
+	// BarrierStalls counts shard windows that executed nothing; it stays
+	// zero on serial (shards=1) runs, which have no windows.
+	BarrierStalls *Counter
 }
 
 // NewSimMetrics returns the simulator bundle backed by r, or nil (the
@@ -137,9 +116,7 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		TCPTimeouts:       r.Counter(MetricSimTCPTimeouts),
 		Drops:             r.Counter(MetricSimDrops),
 		FlowsCompleted:    r.Counter(MetricSimFlowsCompleted),
-		ShardEvents:       r.Histogram(MetricSimShardEvents, ShardEventBuckets),
 		BarrierStalls:     r.Counter(MetricSimBarrierStalls),
-		WindowOccupancy:   r.Histogram(MetricSimWindowOccupancy, WindowOccupancyBuckets),
 	}
 }
 

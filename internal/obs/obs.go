@@ -200,31 +200,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.max.load()
 }
 
-// Merge adds o's observations into h. The two histograms must share
-// identical bounds.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d: %v vs %v", i, b, o.bounds[i])
-		}
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.add(o.sum.load())
-	h.max.setMax(o.max.load())
-	return nil
-}
-
 // atomicFloat is a CAS-loop float64 for concurrent sums and maxima.
 type atomicFloat struct {
 	bits atomic.Uint64

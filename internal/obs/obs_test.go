@@ -80,7 +80,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 		t.Fatal("nil tracer acquired")
 	}
 	tr.Instant("c", "n", 0, 0)
-	tr.Complete("c", "n", 0, 1, 0)
 	tr.CounterEvent("n", 0, 1)
 	tr.SpanBegin("c", "n", "1", 0)
 	tr.SpanEnd("c", "n", "1", 0)
@@ -111,27 +110,6 @@ func TestHistogramStats(t *testing.T) {
 	// p90 lands in (100, +inf); the histogram reports the observed max.
 	if got := h.Percentile(0.99); got != 500 {
 		t.Fatalf("p99 = %v, want 500 (observed max)", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 10})
-	b := NewHistogram([]float64{1, 10})
-	a.Observe(0.5)
-	b.Observe(5)
-	b.Observe(50)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if got := a.Max(); got != 50 {
-		t.Fatalf("merged max = %v", got)
-	}
-	c := NewHistogram([]float64{2, 20})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge across different bounds must fail")
 	}
 }
 
@@ -215,7 +193,7 @@ func TestTracerWindowAndJSON(t *testing.T) {
 	}
 	tr.Instant("ev", "before", 50, 1) // outside window
 	tr.Instant("ev", "inside", 120, 1)
-	tr.Complete("ev", "span", 130, 10, 2)
+	tr.SpanBegin("ev", "span", "1", 130)
 	tr.CounterEvent("depth", 140, 3)
 	tr.Instant("ev", "after", 200, 1) // outside window
 	if tr.Len() != 3 {
@@ -239,7 +217,7 @@ func TestTracerWindowAndJSON(t *testing.T) {
 	for _, ev := range out.TraceEvents {
 		phases[ev["ph"].(string)] = true
 	}
-	for _, ph := range []string{"i", "X", "C"} {
+	for _, ph := range []string{"i", "b", "C"} {
 		if !phases[ph] {
 			t.Fatalf("missing phase %q in %v", ph, phases)
 		}

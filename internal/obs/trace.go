@@ -29,14 +29,13 @@ type Tracer struct {
 	dropped int64
 }
 
-// traceEvent is one trace_event record. Ts/Dur are microseconds (floats),
-// per the trace format; IDs scope async (flow) spans.
+// traceEvent is one trace_event record. Ts is microseconds (a float), per
+// the trace format; IDs scope async (flow) spans.
 type traceEvent struct {
 	Name string                 `json:"name"`
 	Cat  string                 `json:"cat"`
 	Ph   string                 `json:"ph"`
 	Ts   float64                `json:"ts"`
-	Dur  *float64               `json:"dur,omitempty"`
 	Pid  int                    `json:"pid"`
 	Tid  int                    `json:"tid"`
 	ID   string                 `json:"id,omitempty"`
@@ -99,15 +98,6 @@ func (t *Tracer) Instant(cat, name string, tsNs int64, tid int) {
 	}
 	t.push(traceEvent{Name: name, Cat: cat, Ph: "i", Ts: float64(tsNs) / 1e3, Tid: tid,
 		Args: map[string]interface{}{"s": "t"}})
-}
-
-// Complete records a duration slice (ph "X") of durNs.
-func (t *Tracer) Complete(cat, name string, tsNs, durNs int64, tid int) {
-	if t == nil || !t.inWindow(tsNs) {
-		return
-	}
-	d := float64(durNs) / 1e3
-	t.push(traceEvent{Name: name, Cat: cat, Ph: "X", Ts: float64(tsNs) / 1e3, Dur: &d, Tid: tid})
 }
 
 // CounterEvent records a counter sample (ph "C") rendered as a track in

@@ -234,7 +234,7 @@ func TestConcurrentIndexFirstTouch(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for l := 0; l < e.NumLayers(); l++ {
-					for d := w; d < e.Nr(); d += workers {
+					for d := w; d < e.nr; d += workers {
 						e.Table(l, d)
 					}
 					seen[w] = append(seen[w], &e.layerRows(l)[0])
@@ -249,7 +249,7 @@ func TestConcurrentIndexFirstTouch(t *testing.T) {
 			}
 		}
 		for l := 0; l < e.NumLayers(); l++ {
-			for d := 0; d < e.Nr(); d++ {
+			for d := 0; d < e.nr; d++ {
 				if diff := diffTables(e.Table(l, d), referenceTable(sf.G, masks[l], d)); diff != "" {
 					t.Fatalf("round %d table (%d,%d): %s", round, l, d, diff)
 				}
@@ -305,7 +305,7 @@ func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
 func TestWithoutEdgesIgnoresBadIDs(t *testing.T) {
 	parent, g := testEngine(t, 3)
 	parent.BuildAll(2)
-	total := parent.NumLayers() * parent.Nr()
+	total := parent.NumLayers() * parent.nr
 	for _, failed := range [][]int{nil, {}, {-1, g.M(), g.M() + 7}} {
 		dv := parent.WithoutEdges(failed)
 		if shared, invalidated := dv.Repair(); shared != total || invalidated != 0 {

@@ -22,8 +22,8 @@ func TestConcurrentWithoutEdgesDerivation(t *testing.T) {
 	eng, g := testEngine(t, 7)
 	eng.BuildAll(8)
 	parentBuilt := eng.Stat().TablesBuilt
-	if parentBuilt != eng.NumLayers()*eng.Nr() {
-		t.Fatalf("parent not fully built: %d/%d", parentBuilt, eng.NumLayers()*eng.Nr())
+	if parentBuilt != eng.NumLayers()*eng.nr {
+		t.Fatalf("parent not fully built: %d/%d", parentBuilt, eng.NumLayers()*eng.nr)
 	}
 
 	edgeSets := [][]int{
@@ -35,7 +35,7 @@ func TestConcurrentWithoutEdgesDerivation(t *testing.T) {
 	type answer struct{ next, dist []int32 }
 	refShared := make([]int, len(edgeSets))
 	refAnswers := make([]answer, len(edgeSets))
-	nl, nr := eng.NumLayers(), eng.Nr()
+	nl, nr := eng.NumLayers(), eng.nr
 	flatten := func(e *Engine) answer {
 		a := answer{
 			next: make([]int32, nl*nr*nr),

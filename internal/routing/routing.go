@@ -138,12 +138,6 @@ func NewEngine(g *graph.Graph, masks [][]bool, seed int64) *Engine {
 // NumLayers returns the number of routing layers.
 func (e *Engine) NumLayers() int { return len(e.masks) }
 
-// Nr returns the number of routers.
-func (e *Engine) Nr() int { return e.nr }
-
-// Seed returns the tie-breaking seed.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Table returns the (layer, dst) table, building it on first use.
 func (e *Engine) Table(layer, dst int) *Table {
 	if t := e.tables[layer*e.nr+dst].Load(); t != nil {

@@ -36,11 +36,11 @@ func testEngine(t *testing.T, seed int64) (*Engine, *graph.Graph) {
 // for every (layer, destination).
 func requireEqualEngines(t *testing.T, a, b *Engine) {
 	t.Helper()
-	if a.NumLayers() != b.NumLayers() || a.Nr() != b.Nr() {
-		t.Fatalf("shape mismatch: %d/%d layers, %d/%d routers", a.NumLayers(), b.NumLayers(), a.Nr(), b.Nr())
+	if a.NumLayers() != b.NumLayers() || a.nr != b.nr {
+		t.Fatalf("shape mismatch: %d/%d layers, %d/%d routers", a.NumLayers(), b.NumLayers(), a.nr, b.nr)
 	}
 	for l := 0; l < a.NumLayers(); l++ {
-		for d := 0; d < a.Nr(); d++ {
+		for d := 0; d < a.nr; d++ {
 			ta, tb := a.Table(l, d), b.Table(l, d)
 			if !reflect.DeepEqual(ta, tb) {
 				t.Fatalf("table (%d,%d) differs", l, d)
@@ -56,7 +56,7 @@ func TestLazyVsEagerIdentical(t *testing.T) {
 	// Touch the lazy engine in a scrambled destination order first, so any
 	// build-order dependence would surface.
 	rng := graph.NewRand(1)
-	for _, d := range rng.Perm(lazy.Nr()) {
+	for _, d := range rng.Perm(lazy.nr) {
 		for l := lazy.NumLayers() - 1; l >= 0; l-- {
 			lazy.Table(l, d)
 		}
@@ -87,15 +87,15 @@ func TestConcurrentFirstTouch(t *testing.T) {
 			rng := graph.NewRand(int64(w))
 			for i := 0; i < 200; i++ {
 				l := rng.Intn(shared.NumLayers())
-				d := rng.Intn(shared.Nr())
+				d := rng.Intn(shared.nr)
 				shared.Table(l, d)
-				shared.Next(l, rng.Intn(shared.Nr()), d)
+				shared.Next(l, rng.Intn(shared.nr), d)
 			}
 		}(w)
 	}
 	wg.Wait()
 	for l := 0; l < ref.NumLayers(); l++ {
-		for d := 0; d < ref.Nr(); d++ {
+		for d := 0; d < ref.nr; d++ {
 			if !reflect.DeepEqual(ref.Table(l, d), shared.Table(l, d)) {
 				t.Fatalf("concurrent build of (%d,%d) differs from serial", l, d)
 			}
@@ -108,8 +108,8 @@ func TestNextIsDeterministicCandidate(t *testing.T) {
 	e2, _ := testEngine(t, 11)
 	e2.BuildAll(4)
 	for l := 0; l < e.NumLayers(); l++ {
-		for s := 0; s < e.Nr(); s += 3 {
-			for d := 0; d < e.Nr(); d += 5 {
+		for s := 0; s < e.nr; s += 3 {
+			for d := 0; d < e.nr; d += 5 {
 				nh := e.Next(l, s, d)
 				if nh != e2.Next(l, s, d) {
 					t.Fatalf("Next(%d,%d,%d) differs across builds", l, s, d)
@@ -137,8 +137,8 @@ func TestNextIsDeterministicCandidate(t *testing.T) {
 	ea := NewEngine(hx.G, make([][]bool, 1), 1)
 	eb := NewEngine(hx.G, make([][]bool, 1), 2)
 	changed := false
-	for s := 0; s < ea.Nr() && !changed; s++ {
-		for d := 0; d < ea.Nr(); d++ {
+	for s := 0; s < ea.nr && !changed; s++ {
+		for d := 0; d < ea.nr; d++ {
 			if ea.Next(0, s, d) != eb.Next(0, s, d) {
 				changed = true
 				break
@@ -201,7 +201,7 @@ func TestWithoutEdgesIncremental(t *testing.T) {
 	// whose minimal-path DAG used a failed edge were dropped and rebuilt.
 	shared, rebuilt := 0, 0
 	for l := 0; l < parent.NumLayers(); l++ {
-		for d := 0; d < parent.Nr(); d++ {
+		for d := 0; d < parent.nr; d++ {
 			if derived.Table(l, d) == parent.Table(l, d) {
 				shared++
 			} else {
@@ -223,7 +223,7 @@ func TestWithoutEdgesIncremental(t *testing.T) {
 	}
 	// And no repaired table offers a failed edge as a candidate.
 	for l := 0; l < derived.NumLayers(); l++ {
-		for d := 0; d < derived.Nr(); d++ {
+		for d := 0; d < derived.nr; d++ {
 			tab := derived.Table(l, d)
 			for _, id := range failed {
 				e := g.Edge(id)
@@ -237,7 +237,7 @@ func TestWithoutEdgesIncremental(t *testing.T) {
 
 func TestStatCountsMaterialization(t *testing.T) {
 	e, _ := testEngine(t, 23)
-	if st := e.Stat(); st.TablesBuilt != 0 || st.TablesTotal != e.NumLayers()*e.Nr() {
+	if st := e.Stat(); st.TablesBuilt != 0 || st.TablesTotal != e.NumLayers()*e.nr {
 		t.Fatalf("fresh engine stat %+v", st)
 	}
 	e.Table(0, 5)
@@ -327,7 +327,7 @@ func TestRoutingMetrics(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("incremental repair must share unaffected tables")
 	}
-	if total := int64(e.NumLayers() * e.Nr()); inval+shared != total {
+	if total := int64(e.NumLayers() * e.nr); inval+shared != total {
 		t.Fatalf("invalidated(%d) + shared(%d) != built tables (%d)", inval, shared, total)
 	}
 	derived.Table(0, 0)

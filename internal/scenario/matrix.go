@@ -50,47 +50,80 @@ type Matrix struct {
 	Skip []Constraint `json:"skip,omitempty"`
 }
 
-// axisNames is the fixed nesting order of expansion, outermost first. Cell
-// order is the row order of every scenario table.
-var axisNames = []string{
-	"topology", "pattern", "routing", "transport", "layers", "rho",
-	"construction", "flowSize", "load", "failFrac",
+// An axis is one swept dimension of a Matrix, stated once: its name, how
+// many override values a matrix lists for it, how the i-th override is
+// written into a cell, the key under which two overrides count as
+// duplicates, and the canonical string a cell's value renders to.
+type axis struct {
+	name   string
+	n      func(*Axes) int
+	set    func(*Spec, *Axes, int)
+	key    func(*Axes, int) string
+	render func(Spec) string
+}
+
+// axisOf states an axis whose overrides are vals(axes) and whose value in a
+// cell is *field(spec).
+func axisOf[T any](name string, vals func(*Axes) []T, field func(*Spec) *T, key func(T) string, render func(Spec) string) axis {
+	return axis{
+		name:   name,
+		n:      func(a *Axes) int { return len(vals(a)) },
+		set:    func(s *Spec, a *Axes, i int) { *field(s) = vals(a)[i] },
+		key:    func(a *Axes, i int) string { return key(vals(a)[i]) },
+		render: render,
+	}
+}
+
+func asIs(v string) string  { return v }
+func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// axes is every matrix axis in the fixed nesting order of expansion,
+// outermost first. Cell order is the row order of every scenario table.
+// Renderings: topology → kind, pattern → kind (plus "+rand"), flowSize →
+// byte count or "pfabric", numeric axes → %g, scheme axes → resolved name.
+var axes = []axis{
+	axisOf("topology", func(a *Axes) []Topology { return a.Topologies }, func(s *Spec) *Topology { return &s.Topology },
+		Topology.key, func(s Spec) string { return s.Topology.Kind }),
+	axisOf("pattern", func(a *Axes) []Pattern { return a.Patterns }, func(s *Spec) *Pattern { return &s.Pattern },
+		Pattern.key, func(s Spec) string { return s.Pattern.label() }),
+	axisOf("routing", func(a *Axes) []string { return a.Routings }, func(s *Spec) *string { return &s.Routing },
+		asIs, Spec.routing),
+	axisOf("transport", func(a *Axes) []string { return a.Transports }, func(s *Spec) *string { return &s.Transport },
+		asIs, Spec.transport),
+	axisOf("layers", func(a *Axes) []int { return a.Layers }, func(s *Spec) *int { return &s.Layers },
+		strconv.Itoa, func(s Spec) string { return strconv.Itoa(s.Layers) }),
+	axisOf("rho", func(a *Axes) []float64 { return a.Rhos }, func(s *Spec) *float64 { return &s.Rho },
+		fmtG, func(s Spec) string { return fmtG(s.Rho) }),
+	axisOf("construction", func(a *Axes) []string { return a.Constructions }, func(s *Spec) *string { return &s.Construction },
+		asIs, Spec.construction),
+	axisOf("flowSize", func(a *Axes) []FlowSize { return a.FlowSizes }, func(s *Spec) *FlowSize { return &s.FlowSize },
+		FlowSize.key, func(s Spec) string { return s.FlowSize.label() }),
+	axisOf("load", func(a *Axes) []float64 { return a.Loads }, func(s *Spec) *float64 { return &s.Load },
+		fmtG, func(s Spec) string { return fmtG(s.Load) }),
+	axisOf("failFrac", func(a *Axes) []float64 { return a.FailFracs }, func(s *Spec) *float64 { return &s.FailFrac },
+		fmtG, func(s Spec) string { return fmtG(s.FailFrac) }),
 }
 
 // AxisNames returns the matrix axis names in their fixed nesting order
 // (outermost first) — the one list constraint keys and cell renderings are
 // defined over.
 func AxisNames() []string {
-	return append([]string(nil), axisNames...)
+	names := make([]string, len(axes))
+	for i, ax := range axes {
+		names[i] = ax.name
+	}
+	return names
 }
 
 // AxisValue renders one axis of a spec to its canonical constraint-matching
-// string: topology → kind, pattern → kind (plus "+rand"), flowSize → byte
-// count or "pfabric", numeric axes → %g, scheme axes → resolved name.
-func AxisValue(s Spec, axis string) (string, error) {
-	switch axis {
-	case "topology":
-		return s.Topology.Kind, nil
-	case "pattern":
-		return s.Pattern.label(), nil
-	case "routing":
-		return s.routing(), nil
-	case "transport":
-		return s.transport(), nil
-	case "layers":
-		return strconv.Itoa(s.Layers), nil
-	case "rho":
-		return strconv.FormatFloat(s.Rho, 'g', -1, 64), nil
-	case "construction":
-		return s.construction(), nil
-	case "flowSize":
-		return s.FlowSize.label(), nil
-	case "load":
-		return strconv.FormatFloat(s.Load, 'g', -1, 64), nil
-	case "failFrac":
-		return strconv.FormatFloat(s.FailFrac, 'g', -1, 64), nil
+// string (see axes for the renderings).
+func AxisValue(s Spec, name string) (string, error) {
+	for _, ax := range axes {
+		if ax.name == name {
+			return ax.render(s), nil
+		}
 	}
-	return "", fmt.Errorf("scenario: unknown axis %q (have %v)", axis, axisNames)
+	return "", fmt.Errorf("scenario: unknown axis %q (have %v)", name, AxisNames())
 }
 
 // skipped reports whether any constraint matches the cell.
@@ -116,50 +149,18 @@ func (m *Matrix) skipped(s Spec) (bool, error) {
 	return false, nil
 }
 
-// validateAxes rejects duplicate values within an axis and invalid
-// constraint shapes up front, so Expand failures carry useful messages.
+// validate rejects duplicate values within an axis and invalid constraint
+// shapes up front, so Expand failures carry useful messages.
 func (m *Matrix) validate() error {
-	seen := func(axis string, n int, key func(i int) string) error {
-		set := make(map[string]bool, n)
-		for i := 0; i < n; i++ {
-			k := key(i)
+	for _, ax := range axes {
+		set := map[string]bool{}
+		for i := 0; i < ax.n(&m.Axes); i++ {
+			k := ax.key(&m.Axes, i)
 			if set[k] {
-				return fmt.Errorf("scenario: matrix %q: duplicate %s axis value %s", m.Name, axis, k)
+				return fmt.Errorf("scenario: matrix %q: duplicate %s axis value %s", m.Name, ax.name, k)
 			}
 			set[k] = true
 		}
-		return nil
-	}
-	ax := &m.Axes
-	if err := seen("topology", len(ax.Topologies), func(i int) string { return ax.Topologies[i].key() }); err != nil {
-		return err
-	}
-	if err := seen("pattern", len(ax.Patterns), func(i int) string { return ax.Patterns[i].key() }); err != nil {
-		return err
-	}
-	if err := seen("routing", len(ax.Routings), func(i int) string { return ax.Routings[i] }); err != nil {
-		return err
-	}
-	if err := seen("transport", len(ax.Transports), func(i int) string { return ax.Transports[i] }); err != nil {
-		return err
-	}
-	if err := seen("layers", len(ax.Layers), func(i int) string { return strconv.Itoa(ax.Layers[i]) }); err != nil {
-		return err
-	}
-	if err := seen("rho", len(ax.Rhos), func(i int) string { return strconv.FormatFloat(ax.Rhos[i], 'g', -1, 64) }); err != nil {
-		return err
-	}
-	if err := seen("construction", len(ax.Constructions), func(i int) string { return ax.Constructions[i] }); err != nil {
-		return err
-	}
-	if err := seen("flowSize", len(ax.FlowSizes), func(i int) string { return ax.FlowSizes[i].key() }); err != nil {
-		return err
-	}
-	if err := seen("load", len(ax.Loads), func(i int) string { return strconv.FormatFloat(ax.Loads[i], 'g', -1, 64) }); err != nil {
-		return err
-	}
-	if err := seen("failFrac", len(ax.FailFracs), func(i int) string { return strconv.FormatFloat(ax.FailFracs[i], 'g', -1, 64) }); err != nil {
-		return err
 	}
 	for _, c := range m.Skip {
 		if len(c.When) == 0 {
@@ -174,114 +175,48 @@ func (m *Matrix) validate() error {
 	return nil
 }
 
-// Size returns the unfiltered cross-product size of the matrix.
-func (m *Matrix) Size() int {
-	n := 1
-	for _, l := range []int{
-		len(m.Axes.Topologies), len(m.Axes.Patterns), len(m.Axes.Routings),
-		len(m.Axes.Transports), len(m.Axes.Layers), len(m.Axes.Rhos),
-		len(m.Axes.Constructions), len(m.Axes.FlowSizes), len(m.Axes.Loads),
-		len(m.Axes.FailFracs),
-	} {
-		if l > 0 {
-			n *= l
-		}
-	}
-	return n
-}
-
 // Expand compiles the matrix into concrete, validated cells in the fixed
-// nesting order of axisNames and reports how many cross-product cells the
-// skip constraints filtered. Expansion is a pure function of the matrix:
-// the same matrix always yields the same cells in the same order.
+// nesting order of axes and reports how many cross-product cells the skip
+// constraints filtered. Expansion is a pure function of the matrix: the
+// same matrix always yields the same cells in the same order.
 func (m *Matrix) Expand() (cells []Spec, filtered int, err error) {
 	if err := m.validate(); err != nil {
 		return nil, 0, err
 	}
-	// Each axis contributes its override list, or the single base value.
-	tops := m.Axes.Topologies
-	if len(tops) == 0 {
-		tops = []Topology{m.Base.Topology}
+	// idx is an odometer over the override lists, last axis fastest. An
+	// axis without overrides has one position: the Base spec's value.
+	idx, n := make([]int, len(axes)), make([]int, len(axes))
+	for k, ax := range axes {
+		n[k] = ax.n(&m.Axes)
 	}
-	pats := m.Axes.Patterns
-	if len(pats) == 0 {
-		pats = []Pattern{m.Base.Pattern}
-	}
-	routings := m.Axes.Routings
-	if len(routings) == 0 {
-		routings = []string{m.Base.Routing}
-	}
-	transports := m.Axes.Transports
-	if len(transports) == 0 {
-		transports = []string{m.Base.Transport}
-	}
-	layerCounts := m.Axes.Layers
-	if len(layerCounts) == 0 {
-		layerCounts = []int{m.Base.Layers}
-	}
-	rhos := m.Axes.Rhos
-	if len(rhos) == 0 {
-		rhos = []float64{m.Base.Rho}
-	}
-	constrs := m.Axes.Constructions
-	if len(constrs) == 0 {
-		constrs = []string{m.Base.Construction}
-	}
-	sizes := m.Axes.FlowSizes
-	if len(sizes) == 0 {
-		sizes = []FlowSize{m.Base.FlowSize}
-	}
-	loads := m.Axes.Loads
-	if len(loads) == 0 {
-		loads = []float64{m.Base.Load}
-	}
-	fails := m.Axes.FailFracs
-	if len(fails) == 0 {
-		fails = []float64{m.Base.FailFrac}
-	}
-
-	for _, tp := range tops {
-		for _, pt := range pats {
-			for _, rt := range routings {
-				for _, tr := range transports {
-					for _, n := range layerCounts {
-						for _, rho := range rhos {
-							for _, cs := range constrs {
-								for _, fs := range sizes {
-									for _, load := range loads {
-										for _, ff := range fails {
-											s := m.Base
-											s.Topology = tp
-											s.Pattern = pt
-											s.Routing = rt
-											s.Transport = tr
-											s.Layers = n
-											s.Rho = rho
-											s.Construction = cs
-											s.FlowSize = fs
-											s.Load = load
-											s.FailFrac = ff
-											skip, err := m.skipped(s)
-											if err != nil {
-												return nil, 0, err
-											}
-											if skip {
-												filtered++
-												continue
-											}
-											if err := s.Validate(); err != nil {
-												return nil, 0, fmt.Errorf("matrix %q cell %d: %w", m.Name, len(cells), err)
-											}
-											cells = append(cells, s)
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	for {
+		s := m.Base
+		for k, ax := range axes {
+			if n[k] > 0 {
+				ax.set(&s, &m.Axes, idx[k])
 			}
 		}
+		skip, err := m.skipped(s)
+		if err != nil {
+			return nil, 0, err
+		}
+		if skip {
+			filtered++
+		} else {
+			if err := s.Validate(); err != nil {
+				return nil, 0, fmt.Errorf("matrix %q cell %d: %w", m.Name, len(cells), err)
+			}
+			cells = append(cells, s)
+		}
+		k := len(axes) - 1
+		for ; k >= 0; k-- {
+			if idx[k]++; idx[k] < n[k] {
+				break
+			}
+			idx[k] = 0
+		}
+		if k < 0 {
+			return cells, filtered, nil
+		}
 	}
-	return cells, filtered, nil
 }

@@ -341,15 +341,6 @@ func RunSpecs(cells []Spec, o RunOptions) ([]CellResult, error) {
 		})
 }
 
-// Run expands the matrix and executes every cell.
-func Run(m *Matrix, o RunOptions) ([]CellResult, error) {
-	cells, _, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
-	return RunSpecs(cells, o)
-}
-
 // Table renders results as the canonical scenario table. A MAT column
 // appears iff any cell requested it.
 func Table(title string, results []CellResult) *stats.Table {

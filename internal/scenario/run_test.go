@@ -27,17 +27,25 @@ func tinyMatrix() *Matrix {
 	}
 }
 
+// runTiny expands tinyMatrix and runs every cell.
+func runTiny(t *testing.T, run exec.Run) []CellResult {
+	t.Helper()
+	cells, _, err := tinyMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := RunSpecs(cells, RunOptions{Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 // TestRunDeterministicAcrossParallelism: the rendered scenario table is
 // byte-identical at Parallelism 1 and 8 for the same seed.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	serial, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 7, Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 7, Parallelism: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runTiny(t, exec.Run{Seed: 7, Parallelism: 1})
+	par := runTiny(t, exec.Run{Seed: 7, Parallelism: 8})
 	s, p := Table("t", serial).String(), Table("t", par).String()
 	if s != p {
 		t.Fatalf("parallel differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
@@ -54,14 +62,8 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 
 // TestRunSeedChangesResults: a different run seed changes the workload.
 func TestRunSeedChangesResults(t *testing.T) {
-	a, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 1, Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 2, Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runTiny(t, exec.Run{Seed: 1, Parallelism: 1})
+	b := runTiny(t, exec.Run{Seed: 2, Parallelism: 1})
 	if Table("t", a).String() == Table("t", b).String() {
 		t.Fatal("distinct seeds produced identical tables")
 	}
@@ -119,10 +121,7 @@ func TestSpecSeedOverride(t *testing.T) {
 // TestFailureModel: FailFrac fails the expected link count and the failed
 // set is identical across cells sharing (topology, failFrac).
 func TestFailureModel(t *testing.T) {
-	rs, err := Run(tinyMatrix(), RunOptions{Run: exec.Run{Seed: 3, Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runTiny(t, exec.Run{Seed: 3, Parallelism: 1})
 	for _, r := range rs {
 		if r.Spec.FailFrac == 0 && r.FailedLinks != 0 {
 			t.Fatalf("failFrac 0 failed %d links", r.FailedLinks)

@@ -92,7 +92,18 @@ func TestExpandProperties(t *testing.T) {
 			t.Fatalf("trial %d: %v\nmatrix: %+v", trial, err, m)
 		}
 		// Count: product of axis lengths == kept + filtered.
-		if got, want := len(cells)+filtered, m.Size(); got != want {
+		want := 1
+		for _, n := range []int{
+			len(m.Axes.Topologies), len(m.Axes.Patterns), len(m.Axes.Routings),
+			len(m.Axes.Transports), len(m.Axes.Layers), len(m.Axes.Rhos),
+			len(m.Axes.Constructions), len(m.Axes.FlowSizes), len(m.Axes.Loads),
+			len(m.Axes.FailFracs),
+		} {
+			if n > 0 {
+				want *= n
+			}
+		}
+		if got := len(cells) + filtered; got != want {
 			t.Fatalf("trial %d: cells(%d)+filtered(%d) = %d, want product %d",
 				trial, len(cells), filtered, got, want)
 		}
@@ -235,6 +246,16 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("bad spec %d accepted: %+v", i, s)
 		}
+	}
+	// Star has no size class to fall back on: without param it must be
+	// rejected here, by name, not deep inside the cell as an unknown kind.
+	star := Spec{Topology: Topology{Kind: "Star"}, Pattern: Pattern{Kind: "uniform"}}
+	if err := star.Validate(); err == nil || !strings.Contains(err.Error(), "param") {
+		t.Fatalf("Star without param: err %v, want one naming param", err)
+	}
+	star.Topology.Param = 8
+	if err := star.Validate(); err != nil {
+		t.Fatalf("Star with param rejected: %v", err)
 	}
 }
 

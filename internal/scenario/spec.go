@@ -60,13 +60,11 @@ func (ts Topology) class() string {
 }
 
 func (ts Topology) sizeClass() (topo.SizeClass, error) {
-	switch ts.class() {
-	case "small":
-		return topo.Small, nil
-	case "medium":
-		return topo.Medium, nil
+	class, err := topo.ParseSizeClass(ts.class())
+	if err != nil {
+		return 0, fmt.Errorf("scenario: topology %s: %w", ts.Kind, err)
 	}
-	return 0, fmt.Errorf("scenario: unknown topology class %q (want small or medium)", ts.Class)
+	return class, nil
 }
 
 func (ts Topology) validate() error {
@@ -80,6 +78,10 @@ func (ts Topology) validate() error {
 	}
 	if ts.Param < 0 || ts.Param2 < 0 {
 		return fmt.Errorf("scenario: topology %s: negative size parameter", ts.Kind)
+	}
+	if ts.Kind == "Star" && ts.Param == 0 {
+		// topo.ByName has no class-sized Star to fall back on.
+		return fmt.Errorf("scenario: topology Star has no size class: set param (the host count)")
 	}
 	return nil
 }

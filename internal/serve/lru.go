@@ -62,17 +62,6 @@ func (c *FabricCache) Len() int {
 	return c.order.Len()
 }
 
-// Keys returns the resident fabric keys, most recently used first.
-func (c *FabricCache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*fabricEntry).key)
-	}
-	return keys
-}
-
 // Get returns the resident fabric for the cell's fabric key, building and
 // admitting it on a miss (evicting the least recently used entry when the
 // cache is full). The build runs outside the cache lock; a second request

@@ -35,16 +35,12 @@ func TestFabricCacheLRU(t *testing.T) {
 	if _, again, err := c.Get(lruSpec(1), 42); err != nil || again != fab1 {
 		t.Fatalf("hit must return the resident fabric (err %v)", err)
 	}
-	if _, _, err := c.Get(lruSpec(3), 42); err != nil {
+	_, fab3, err := c.Get(lruSpec(3), 42)
+	if err != nil {
 		t.Fatal(err)
 	}
-	keys := c.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("resident %d fabrics, want 2", len(keys))
-	}
-	want1, want3 := lruSpec(1).FabricKey(42), lruSpec(3).FabricKey(42)
-	if keys[0] != want3 || keys[1] != want1 {
-		t.Fatalf("keys %v, want [%s %s] (MRU first)", keys, want3, want1)
+	if c.Len() != 2 {
+		t.Fatalf("resident %d fabrics, want 2", c.Len())
 	}
 	snap := reg.Snapshot()
 	if snap[obs.MetricServeFabricHits] != 1 || snap[obs.MetricServeFabricMisses] != 3 ||
@@ -52,6 +48,21 @@ func TestFabricCacheLRU(t *testing.T) {
 		t.Fatalf("cache ledger hits/misses/evicts/resident = %d/%d/%d/%d, want 1/3/1/2",
 			snap[obs.MetricServeFabricHits], snap[obs.MetricServeFabricMisses],
 			snap[obs.MetricServeFabricEvicts], snap[obs.MetricServeFabricsResident])
+	}
+	// The survivors are layers=1 and layers=3: both still answer with the
+	// fabric they were admitted with, layers=2 has to be rebuilt.
+	if _, again, _ := c.Get(lruSpec(1), 42); again != fab1 {
+		t.Fatal("layers=1 was promoted and must have survived the eviction")
+	}
+	if _, again, _ := c.Get(lruSpec(3), 42); again != fab3 {
+		t.Fatal("layers=3 was just admitted and must be resident")
+	}
+	if _, _, err := c.Get(lruSpec(2), 42); err != nil {
+		t.Fatal(err)
+	}
+	if snap = reg.Snapshot(); snap[obs.MetricServeFabricHits] != 3 || snap[obs.MetricServeFabricMisses] != 4 {
+		t.Fatalf("after re-querying: hits/misses = %d/%d, want 3/4 (layers=2 was the one evicted)",
+			snap[obs.MetricServeFabricHits], snap[obs.MetricServeFabricMisses])
 	}
 	// Seed participates in the key: same axes, different run seed, new entry.
 	if lruSpec(1).FabricKey(42) == lruSpec(1).FabricKey(43) {
@@ -99,7 +110,8 @@ func TestFabricCacheSingleFlight(t *testing.T) {
 // error to every waiter but does not stay resident.
 func TestFabricCacheBuildError(t *testing.T) {
 	c := NewFabricCache(2, nil, nil)
-	if _, _, err := c.Get(lruSpec(2), 42); err != nil {
+	_, fab, err := c.Get(lruSpec(2), 42)
+	if err != nil {
 		t.Fatal(err)
 	}
 	bad := lruSpec(2)
@@ -110,7 +122,7 @@ func TestFabricCacheBuildError(t *testing.T) {
 			t.Fatalf("attempt %d: err %v, want unknown-topology error", i, err)
 		}
 	}
-	if c.Len() != 1 || c.Keys()[0] != lruSpec(2).FabricKey(42) {
-		t.Fatalf("failed builds disturbed residency: %v", c.Keys())
+	if _, again, _ := c.Get(lruSpec(2), 42); c.Len() != 1 || again != fab {
+		t.Fatalf("failed builds disturbed residency: %d resident, same fabric %v", c.Len(), again == fab)
 	}
 }

@@ -183,22 +183,24 @@ func TestRequestValidation(t *testing.T) {
 	s := testServer(t, Config{MaxFabrics: 1})
 	cases := []struct {
 		name, method, target, body string
+		want                       string // substring the error must carry, if any
 	}{
-		{"unknown param", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=1&bogus=1", ""},
-		{"missing topo", "GET", "/nexthop?src=0&dst=1", ""},
-		{"missing src", "GET", "/nexthop?" + testFabricQ + "&dst=1", ""},
-		{"non-integer", "GET", "/nexthop?" + testFabricQ + "&src=zero&dst=1", ""},
-		{"src range", "GET", "/nexthop?" + testFabricQ + "&src=50&dst=1", ""},
-		{"dst range", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=-1", ""},
-		{"layer range", "GET", "/nexthop?" + testFabricQ + "&layer=2&src=0&dst=1", ""},
-		{"bad topo kind", "GET", "/nexthop?topo=NOPE&src=0&dst=1", ""},
-		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", ""},
-		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", ""},
-		{"whatif bad json", "POST", "/whatif", "{"},
-		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`},
-		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`},
-		{"whatif query range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"queries":[{"layer":0,"src":0,"dst":400}]}`},
-		{"scenarios bad matrix", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF"},"pattern":{"kind":"uniform"}},"axes":{"rhos":[0.5,0.5]}}}`},
+		{"unknown param", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=1&bogus=1", "", ""},
+		{"missing topo", "GET", "/nexthop?src=0&dst=1", "", ""},
+		{"missing src", "GET", "/nexthop?" + testFabricQ + "&dst=1", "", ""},
+		{"non-integer", "GET", "/nexthop?" + testFabricQ + "&src=zero&dst=1", "", ""},
+		{"src range", "GET", "/nexthop?" + testFabricQ + "&src=50&dst=1", "", ""},
+		{"dst range", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=-1", "", ""},
+		{"layer range", "GET", "/nexthop?" + testFabricQ + "&layer=2&src=0&dst=1", "", ""},
+		{"bad topo kind", "GET", "/nexthop?topo=NOPE&src=0&dst=1", "", ""},
+		{"star without param", "GET", "/nexthop?topo=Star&src=0&dst=1", "", "param"},
+		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", "", ""},
+		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", ""},
+		{"whatif bad json", "POST", "/whatif", "{", ""},
+		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`, ""},
+		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`, ""},
+		{"whatif query range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"queries":[{"layer":0,"src":0,"dst":400}]}`, ""},
+		{"scenarios bad matrix", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF"},"pattern":{"kind":"uniform"}},"axes":{"rhos":[0.5,0.5]}}}`, ""},
 	}
 	for _, c := range cases {
 		code, body := do(t, s, c.method, c.target, c.body)
@@ -211,6 +213,9 @@ func TestRequestValidation(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: body %q is not an error object", c.name, body)
+		}
+		if !strings.Contains(e.Error, c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, e.Error, c.want)
 		}
 	}
 	// A failed build must not occupy LRU capacity.

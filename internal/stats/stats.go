@@ -25,15 +25,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(xs []float64) {
-	s.xs = append(s.xs, xs...)
-	s.sorted = false
-}
-
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
-
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -44,24 +35,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Min returns the smallest observation (+Inf for empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.Inf(1)
-	}
-	s.ensureSorted()
-	return s.xs[0]
-}
-
-// Max returns the largest observation (-Inf for empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return math.Inf(-1)
-	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1]
 }
 
 func (s *Sample) ensureSorted() {
@@ -91,21 +64,6 @@ func (s *Sample) Percentile(p float64) float64 {
 		return s.xs[len(s.xs)-1]
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Summary is the (mean, selected percentiles) digest the paper reports.
@@ -283,11 +241,6 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
-}
-
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
 }
 
 // AddRowf appends a row formatting each value with %v (floats with %.4g).

@@ -25,9 +25,6 @@ func TestSampleMeanAndPercentiles(t *testing.T) {
 	if p := s.Percentile(0.5); math.Abs(p-50.5) > 1e-9 {
 		t.Fatalf("median=%f, want 50.5", p)
 	}
-	if s.Min() != 1 || s.Max() != 100 {
-		t.Fatal("min/max wrong")
-	}
 }
 
 func TestSampleEmpty(t *testing.T) {
@@ -37,9 +34,6 @@ func TestSampleEmpty(t *testing.T) {
 	}
 	if !math.IsNaN(s.Percentile(0.5)) {
 		t.Fatal("empty percentile should be NaN")
-	}
-	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
-		t.Fatal("empty min/max should be infinities")
 	}
 }
 
@@ -51,7 +45,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 				s.Add(x)
 			}
 		}
-		if s.Len() == 0 {
+		if s.Summarize().N == 0 {
 			return true
 		}
 		prev := math.Inf(-1)
@@ -66,19 +60,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if sd := s.Stddev(); math.Abs(sd-2.138) > 0.01 {
-		t.Fatalf("stddev=%f, want ≈2.138", sd)
-	}
-	var one Sample
-	one.Add(5)
-	if one.Stddev() != 0 {
-		t.Fatal("single observation stddev should be 0")
 	}
 }
 
@@ -132,7 +113,7 @@ func TestIntHistogramEmpty(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "demo", Headers: []string{"name", "value"}}
-	tab.AddRow("alpha", "1")
+	tab.AddRowf("alpha", 1)
 	tab.AddRowf("beta", 2.5)
 	out := tab.String()
 	if !strings.Contains(out, "demo") || !strings.Contains(out, "alpha") || !strings.Contains(out, "2.5") {

@@ -18,6 +18,18 @@ const (
 	Medium
 )
 
+// ParseSizeClass resolves a size-class name as the CLIs and scenario specs
+// spell it.
+func ParseSizeClass(name string) (SizeClass, error) {
+	switch name {
+	case "small":
+		return Small, nil
+	case "medium":
+		return Medium, nil
+	}
+	return 0, fmt.Errorf("unknown size class %q (want small or medium)", name)
+}
+
 // Suite holds one topology of each deterministic family at comparable size,
 // the set compared throughout the evaluation.
 type Suite struct {

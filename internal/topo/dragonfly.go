@@ -67,7 +67,3 @@ func Dragonfly(p int) (*Topology, error) {
 	}
 	return t.finish(), nil
 }
-
-// DragonflyGroupOf returns the group index of router r for a Dragonfly
-// built with parameter p.
-func DragonflyGroupOf(p, r int) int { return r / (2 * p) }

@@ -69,19 +69,6 @@ func FatTree3(m, o int) (*Topology, error) {
 	return t.finish(), nil
 }
 
-// FT3Layer reports which layer a router of an FT3(m, ·) belongs to:
-// 0 = edge, 1 = aggregation, 2 = core.
-func FT3Layer(m, r int) int {
-	pods := 2 * m
-	if r >= pods*2*m {
-		return 2
-	}
-	if r%(2*m) < m {
-		return 0
-	}
-	return 1
-}
-
 // Complete builds the fully connected graph K_{k′+1} with p endpoints per
 // router (default p = k′, the 2×-oversubscribed crossbar of Appendix A-G).
 func Complete(kp, p int) (*Topology, error) {

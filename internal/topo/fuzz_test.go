@@ -24,7 +24,7 @@ func FuzzBuilders(f *testing.F) {
 		{6, 8, 8, 7},  // Xpander
 		{7, 18, 5, 7}, // Jellyfish
 		{7, 3, 9, 7},  // Jellyfish kp >= nr
-		{8, 6, 2, 7},  // XpanderMultiLift
+		{6, 1, 2, 7},  // Xpander kp=1
 	} {
 		f.Add(int16(seed[0]), int16(seed[1]), int16(seed[2]), seed[3])
 	}
@@ -33,7 +33,7 @@ func FuzzBuilders(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		var tp *Topology
 		var err error
-		switch mod(int(which), 9) {
+		switch mod(int(which), 8) {
 		case 0:
 			tp, err = SlimFly(mod(pa, 30), mod(pb, 40))
 		case 1:
@@ -50,8 +50,6 @@ func FuzzBuilders(f *testing.F) {
 			tp, err = Xpander(mod(pa, 12), mod(pb, 12), 0, rng)
 		case 7:
 			tp, err = Jellyfish(mod(pa, 40), mod(pb, 16), 2, rng)
-		case 8:
-			tp, err = XpanderMultiLift(mod(pa, 8), mod(pb, 4), 0, rng)
 		}
 		if err != nil {
 			return

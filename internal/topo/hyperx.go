@@ -71,11 +71,3 @@ func HyperX(L, S, p int) (*Topology, error) {
 	}
 	return t.finish(), nil
 }
-
-// HyperXCoord returns coordinate d of router r in an (L,S) HyperX.
-func HyperXCoord(S, d, r int) int {
-	for i := 0; i < d; i++ {
-		r /= S
-	}
-	return r % S
-}

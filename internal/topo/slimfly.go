@@ -197,15 +197,3 @@ func powMod(b, e, m int) int {
 	}
 	return r
 }
-
-// SlimFlyQs lists the prime q values usable by SlimFly in increasing order
-// up to max (primes ≡ ±1 mod 4, i.e. all odd primes).
-func SlimFlyQs(max int) []int {
-	var qs []int
-	for q := 3; q <= max; q++ {
-		if isPrime(q) {
-			qs = append(qs, q)
-		}
-	}
-	return qs
-}

@@ -63,67 +63,3 @@ func Xpander(kp, lift, p int, rng *rand.Rand) (*Topology, error) {
 	}
 	return nil, fmt.Errorf("xpander: failed to build connected lift after %d attempts", maxAttempts)
 }
-
-// XpanderMultiLift builds an Xpander by repeatedly 2-lifting K_{k'+1}
-// `lifts` times (the paper's alternative construction, Appendix A-D: "We
-// also consider ℓ = 2 with multiple lifts as this ensures good
-// properties"). N_r = 2^lifts · (k'+1).
-func XpanderMultiLift(kp, lifts, p int, rng *rand.Rand) (*Topology, error) {
-	if kp < 2 || lifts < 1 {
-		return nil, fmt.Errorf("xpander: invalid kp=%d lifts=%d", kp, lifts)
-	}
-	if p <= 0 {
-		p = ceilDiv(kp, 2)
-	}
-	// Start from K_{k'+1} and lift repeatedly.
-	cur := graph.New(kp + 1)
-	for u := 0; u < kp+1; u++ {
-		for v := u + 1; v < kp+1; v++ {
-			cur.AddEdge(u, v)
-		}
-	}
-	const maxAttempts = 50
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g := cur
-		ok := true
-		for step := 0; step < lifts; step++ {
-			lifted := graph.New(2 * g.N())
-			for _, e := range g.Edges() {
-				// A random 2-lift: either parallel or crossed replacement.
-				u, v := int(e.U), int(e.V)
-				if rng.Intn(2) == 0 {
-					lifted.AddEdge(2*u, 2*v)
-					lifted.AddEdge(2*u+1, 2*v+1)
-				} else {
-					lifted.AddEdge(2*u, 2*v+1)
-					lifted.AddEdge(2*u+1, 2*v)
-				}
-			}
-			g = lifted
-		}
-		if !g.Connected() {
-			ok = false
-		}
-		if ok {
-			conc := make([]int, g.N())
-			for i := range conc {
-				conc[i] = p
-			}
-			linkOf := make([]LinkClass, g.M())
-			for i := range linkOf {
-				linkOf[i] = Fiber
-			}
-			t := &Topology{
-				Name:         fmt.Sprintf("XP2(k'=%d,lifts=%d,p=%d)", kp, lifts, p),
-				Kind:         "XP",
-				G:            g,
-				Conc:         conc,
-				LinkOf:       linkOf,
-				Diameter:     -1,
-				NominalRadix: kp,
-			}
-			return t.finish(), nil
-		}
-	}
-	return nil, fmt.Errorf("xpander: failed to build connected multi-lift")
-}

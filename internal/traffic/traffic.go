@@ -218,28 +218,6 @@ func RandomizeMapping(p Pattern, rng *rand.Rand) Pattern {
 	return Pattern{Name: p.Name + "+randomized", N: p.N, Flows: flows}
 }
 
-// MeanRouterDistance reports the average router-level hop distance of a
-// pattern's flows on a topology (used to verify worst-case stress).
-func MeanRouterDistance(t *topo.Topology, p Pattern) float64 {
-	if len(p.Flows) == 0 {
-		return 0
-	}
-	cache := make(map[int][]int32)
-	var sum float64
-	for _, f := range p.Flows {
-		rs, rt := t.RouterOf(int(f.Src)), t.RouterOf(int(f.Dst))
-		d, ok := cache[rs]
-		if !ok {
-			d = t.G.BFS(rs)
-			cache[rs] = d
-		}
-		if d[rt] >= 0 {
-			sum += float64(d[rt])
-		}
-	}
-	return sum / float64(len(p.Flows))
-}
-
 // ExpInterarrival draws an exponential inter-arrival time for a Poisson
 // process with the given rate (events per second). Returns seconds.
 func ExpInterarrival(rng *rand.Rand, rate float64) float64 {
