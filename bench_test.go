@@ -247,7 +247,10 @@ func BenchmarkRankConnectivity(b *testing.B) {
 
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	// Measures raw packet-event throughput: a saturated permutation on a
-	// small Slim Fly under the purified transport.
+	// small Slim Fly, under the purified transport (shallow queues: the
+	// event queue holds a few hundred entries) and under DCTCP (100-packet
+	// queues: a few thousand), so the ledger sees both ends of the event
+	// queue's operating range.
 	sf, err := topo.SlimFly(5, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -258,28 +261,35 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	}
 	rng := graph.NewRand(2)
 	pat := traffic.RandomPermutation(rng, sf.N())
-	b.ReportAllocs()
-	var events int64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := fab.NewSimulation(netsim.NDPDefaults())
-		for _, fl := range pat.Flows {
-			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: 128 << 10})
-		}
-		res := sim.Run(2 * netsim.Second)
-		if netsim.CompletedFraction(res) < 0.99 {
-			b.Fatal("flows did not complete")
-		}
-		events += sim.Eng.Executed()
+	for _, tr := range []struct {
+		name string
+		cfg  netsim.Config
+	}{{"ndp", netsim.NDPDefaults()}, {"dctcp", netsim.TCPDefaults(netsim.TransportDCTCP)}} {
+		b.Run(tr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim := fab.NewSimulation(tr.cfg)
+				for _, fl := range pat.Flows {
+					sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: 128 << 10})
+				}
+				res := sim.Run(2 * netsim.Second)
+				if netsim.CompletedFraction(res) < 0.99 {
+					b.Fatal("flows did not complete")
+				}
+				events += sim.Eng.Executed()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			// The same two numbers the repo benchmark reports per traced sweep as
+			// netsim.ns_per_event / netsim.allocs_per_event (set-up included).
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(events), "allocs/event")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	// The same two numbers the repo benchmark reports per traced sweep as
-	// netsim.ns_per_event / netsim.allocs_per_event (set-up included).
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(events), "allocs/event")
 }
 
 // BenchmarkNetsimReplicate measures one mid-size fig2-style replicate end

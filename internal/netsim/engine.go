@@ -26,16 +26,18 @@ const maxTime = Time(1<<63 - 1)
 // Seconds converts a Time to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// eventKind discriminates the event payload. The two link events carry
-// their operands inline instead of in a closure: every packet transmission
-// schedules two events per hop, so avoiding those closure allocations is
-// the simulator's single largest allocation saving per replicate.
+// eventKind discriminates the event payload. Everything the steady state
+// schedules carries its operands inline instead of in a closure — every
+// packet transmission schedules two events per hop, every ACK re-arms a
+// timer, every NDP arrival paces a pull — so the event loop allocates
+// nothing once queues and arenas have reached their size.
 type eventKind uint8
 
 const (
-	evFunc    eventKind = iota // generic callback
+	evTimer   eventKind = iota // an entry of timer tm popped (shard.go)
 	evTxDone                   // link finished serializing pkt; start next, then deliver
 	evDeliver                  // pkt arrives at the far end of link
+	evInject                   // pkt enters the network at link, its source host's uplink
 )
 
 // Canonical event keys. Same-time events execute in ascending key order,
@@ -89,9 +91,11 @@ type Engine struct {
 // NewShardedEngine returns an engine over parts partitions drained by
 // shards workers. lookahead is the conservative synchronization window —
 // the minimum delay of any cross-partition event — and must be positive
-// when shards > 1. Shard s owns the contiguous partition block
-// {p : p*shards/parts == s}.
-func NewShardedEngine(parts, shards int, lookahead Time) *Engine {
+// when shards > 1. nearSpan is how far ahead the bulk of events is
+// scheduled (a packet's serialization or link delay); it sizes the event
+// queues' calendar tick and affects cost only, never order. Shard s owns
+// the contiguous partition block {p : p*shards/parts == s}.
+func NewShardedEngine(parts, shards int, lookahead, nearSpan Time) *Engine {
 	if parts < 1 {
 		parts = 1
 	}
@@ -114,6 +118,7 @@ func NewShardedEngine(parts, shards int, lookahead Time) *Engine {
 	}
 	for s := range e.shards {
 		sh := &Shard{eng: e, id: int32(s), partLo: -1}
+		sh.heap.near.shift = wheelShift(nearSpan)
 		if shards > 1 {
 			sh.outbox = make([][]outEvent, shards)
 		}
@@ -150,20 +155,16 @@ func (e *Engine) Run(until Time) int {
 // straight to the horizon.
 func (e *Engine) runSerial(until Time) int {
 	sh := e.shards[0]
-	n := 0
-	for sh.heap.len() > 0 && sh.heap.minAt() <= until {
-		sh.step()
-		n++
-	}
+	n := sh.run(until)
 	if sh.now < until && sh.heap.len() == 0 {
 		sh.now = until
 	}
 	e.now = sh.now
-	return n
+	return int(n)
 }
 
 // eventTraceName maps event kinds onto trace slice names.
-var eventTraceName = [...]string{evFunc: "timer", evTxDone: "tx-done", evDeliver: "deliver"}
+var eventTraceName = [...]string{evTimer: "timer", evTxDone: "tx-done", evDeliver: "deliver", evInject: "inject"}
 
 // traceEvent records one executed event in the engine's trace window, plus
 // a periodic event-queue-depth counter track. Packet events land on a tid

@@ -1,9 +1,12 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -28,90 +31,334 @@ func TestFlowHashMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestEventHeapOrderProperty drives random interleavings of packet and
-// timer pushes and pops, with many equal times, through the split heap, a
-// lone quadHeap fed everything, and a sorted-slice model: all three must
-// pop in (at, key) order. Along the way the slot tables may never outgrow
-// their heap's live high-water mark, and vacated slots must hold nothing.
+// queueCheck drives one script of pushes and pops through the shard queue
+// (wheel + far heap), a lone quadHeap fed everything, and a sorted-slice
+// model: all three must pop in (at, key) order. Along the way the slot
+// tables may never outgrow their structure's live high-water mark, free
+// and live slots must add up, and vacated slots must hold nothing.
+type queueCheck struct {
+	t      testing.TB
+	h      eventHeap
+	single quadHeap
+	model  []queuedEv
+	now    Time // time of the last pop: pushes never go below it, as in the engine
+	next   int32
+	fired  int32
+	nearHW int
+	farHW  int
+}
+
+type queuedEv struct {
+	at  Time
+	key uint64
+	id  int32
+}
+
+func newQueueCheck(t testing.TB, shift uint8) *queueCheck {
+	q := &queueCheck{t: t}
+	q.h.near.shift = shift
+	return q
+}
+
+// push queues a fresh event delta after the last popped time, as a packet
+// event or as a callback.
+func (q *queueCheck) push(delta Time, keyHi uint32, callback bool) {
+	id := q.next
+	q.next++
+	e := queuedEv{at: q.now + delta, key: uint64(keyHi)<<32 | uint64(id), id: id}
+	pay := eventPayload{kind: evDeliver, link: &link{}, pkt: &Packet{Seq: id}}
+	if callback {
+		pay = eventPayload{kind: evTimer, tm: &timer{fire: func(*Shard) { q.fired = id }}}
+	}
+	q.h.push(e.at, e.key, pay)
+	q.single.push(e.at, e.key, pay)
+	q.model = append(q.model, e)
+	q.nearHW = max(q.nearHW, q.h.near.n)
+	q.checkLen()
+}
+
+func (q *queueCheck) ident(p eventPayload) int32 {
+	if p.kind == evTimer {
+		p.tm.fire(nil)
+		return q.fired
+	}
+	return p.pkt.Seq
+}
+
+// pop removes the minimum from all three and compares; on an empty queue
+// it checks that the queue says so.
+func (q *queueCheck) pop() {
+	q.t.Helper()
+	if len(q.model) == 0 {
+		if _, _, _, ok := q.h.popUntil(maxTime); ok || q.h.minAt() != maxTime {
+			q.t.Fatal("empty queue popped an event or reported a time")
+		}
+		return
+	}
+	sort.Slice(q.model, func(i, j int) bool {
+		a, b := q.model[i], q.model[j]
+		return a.at < b.at || (a.at == b.at && a.key < b.key)
+	})
+	want := q.model[0]
+	q.model = q.model[1:]
+	if got := q.h.minAt(); got != want.at {
+		q.t.Fatalf("minAt = %d, model says %d", got, want.at)
+	}
+	if _, _, _, ok := q.h.popUntil(want.at - 1); ok {
+		q.t.Fatalf("popUntil(%d) popped an event due at %d", want.at-1, want.at)
+	}
+	at, key, pay, ok := q.h.popUntil(want.at)
+	sat, skey, spay := q.single.pop()
+	if !ok || at != want.at || key != want.key || q.ident(pay) != want.id ||
+		sat != want.at || skey != want.key || q.ident(spay) != want.id {
+		q.t.Fatalf("popped (%d,%#x) ok=%v from the queue, (%d,%#x) from the lone heap, model says (%d,%#x)",
+			at, key, ok, sat, skey, want.at, want.key)
+	}
+	q.now = at
+	q.checkLen()
+}
+
+func (q *queueCheck) checkLen() {
+	q.t.Helper()
+	q.farHW = max(q.farHW, q.h.far.len()+1) // +1: a pop may have moved a bucket over before taking its event
+	if q.h.len() != len(q.model) {
+		q.t.Fatalf("len = %d, model holds %d", q.h.len(), len(q.model))
+	}
+}
+
+func (q *queueCheck) checkSlots() {
+	q.t.Helper()
+	check := func(name string, pay []eventPayload, free []int32, live, hw int) {
+		q.t.Helper()
+		if len(pay) > hw {
+			q.t.Fatalf("%s slot table has %d slots, live high-water is %d", name, len(pay), hw)
+		}
+		if len(free)+live != len(pay) {
+			q.t.Fatalf("%s: %d free + %d live slots != table size %d", name, len(free), live, len(pay))
+		}
+		for _, s := range free {
+			if p := pay[s]; p.tm != nil || p.link != nil || p.pkt != nil {
+				q.t.Fatalf("%s: vacated slot %d still holds a payload", name, s)
+			}
+		}
+	}
+	w := &q.h.near
+	check("wheel", w.slots.pay, w.slots.free, w.n, q.nearHW)
+	check("far heap", q.h.far.slots.pay, q.h.far.slots.free, q.h.far.len(), q.farHW)
+	if len(w.node) != len(w.slots.pay) {
+		q.t.Fatalf("wheel: %d nodes beside %d payload slots", len(w.node), len(w.slots.pay))
+	}
+	held := 0
+	for b := range w.head {
+		if w.occ[b>>6]>>(b&63)&1 == 0 {
+			continue
+		}
+		for c := w.head[b]; c >= 0; c = w.node[c].next {
+			if int64(w.node[c].at)>>w.shift&(wheelBuckets-1) != int64(b) {
+				q.t.Fatalf("wheel: bucket %d lists an event of tick %d", b, int64(w.node[c].at)>>w.shift)
+			}
+			held++
+		}
+	}
+	if held != w.n {
+		q.t.Fatalf("wheel: buckets list %d events, the wheel counts %d", held, w.n)
+	}
+}
+
+// TestEventHeapOrderProperty drives random interleavings of packet-event
+// and callback pushes and pops through queueCheck at three tick widths.
+// Deltas are drawn, in ticks, to hit every regime of the wheel: a few
+// ticks (many equal times and shared buckets), anywhere in the window,
+// its last tick and the first one beyond it, and far past it (the far
+// heap, and events that enter the window's range only after time has moved
+// up); now and then a burst at one instant grows a bucket past
+// wheelBucketCap, which the pop that reaches it must move to the heap.
+// Pops advance time, so the bucket ring wraps many times over.
 func TestEventHeapOrderProperty(t *testing.T) {
-	type ev struct {
-		at  Time
-		key uint64
-		id  int32
-	}
-	rng := randNew(3)
-	var h eventHeap
-	var single quadHeap
-	var model []ev
-	var pktHW, tmrHW int
-	var fired int32
-	ident := func(p eventPayload) int32 {
-		if p.kind == evFunc {
-			p.fn(nil)
-			return fired
-		}
-		return p.pkt.Seq
-	}
-	checkSlots := func(name string, q *quadHeap, hw int) {
-		t.Helper()
-		if len(q.pay) > hw {
-			t.Fatalf("%s slot table has %d slots, live high-water is %d", name, len(q.pay), hw)
-		}
-		if len(q.free)+q.len() != len(q.pay) {
-			t.Fatalf("%s: %d free + %d live slots != table size %d", name, len(q.free), q.len(), len(q.pay))
-		}
-		for _, s := range q.free {
-			if p := q.pay[s]; p.fn != nil || p.link != nil || p.pkt != nil {
-				t.Fatalf("%s: vacated slot %d still holds a payload", name, s)
+	for _, shift := range []uint8{0, 3, 12} {
+		rng := randNew(3 + int64(shift))
+		q := newQueueCheck(t, shift)
+		tick := Time(1) << shift
+		for op := 0; op < 20000; op++ {
+			if len(q.model) == 0 || rng.Intn(100) < 52 {
+				var delta Time
+				switch r := rng.Intn(20); {
+				case r < 10:
+					delta = Time(rng.Intn(6)) * tick / 2
+				case r < 15:
+					delta = Time(rng.Intn(wheelBuckets)) * tick
+				case r < 17:
+					delta = Time(wheelBuckets-2+rng.Intn(3))*tick + Time(rng.Intn(2))*(tick-1)
+				default:
+					delta = Time(wheelBuckets+rng.Intn(3*wheelBuckets)) * tick
+				}
+				if rng.Intn(4) == 0 {
+					// A peek before the push: whatever minAt learnt must
+					// not outlive a push that undercuts it.
+					q.h.minAt()
+				}
+				q.push(delta, rng.Uint32(), rng.Intn(3) == 0)
+				if rng.Intn(200) == 0 {
+					for i := 0; i < 2*wheelBucketCap; i++ {
+						q.push(delta, rng.Uint32(), false)
+					}
+				}
+			} else {
+				q.pop()
+			}
+			if op%64 == 0 {
+				q.checkSlots()
 			}
 		}
+		if q.nearHW == 0 || q.farHW == 0 {
+			t.Fatalf("shift %d: script left a structure unused (wheel high-water %d, far %d)", shift, q.nearHW, q.farHW)
+		}
+		for len(q.model) > 0 {
+			q.pop()
+		}
+		q.pop() // empty
+		q.checkSlots()
 	}
-	base := Time(0)
-	for op, next := 0, int32(0); op < 20000; op++ {
-		if len(model) == 0 || rng.Intn(100) < 52 {
-			id := next
-			next++
-			e := ev{at: base + Time(rng.Intn(6)), key: uint64(rng.Uint32())<<32 | uint64(id), id: id}
-			pay := eventPayload{kind: evDeliver, link: &link{}, pkt: &Packet{Seq: id}}
-			if rng.Intn(3) == 0 {
-				pay = eventPayload{kind: evFunc, fn: func(*Shard) { fired = id }}
+}
+
+// FuzzEventQueue turns arbitrary bytes into a push/pop script for
+// queueCheck: the first byte picks the tick width, then every three bytes
+// are one operation — a pop, or a push whose delta spans up to 64 Ki ticks
+// scaled down by 0, 4, 8 or 12 bits, so short and window-overflowing
+// distances both come up.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0}) // the corpus proper is committed under testdata/fuzz/FuzzEventQueue
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		q := newQueueCheck(t, script[0]%16)
+		for ops := script[1:]; len(ops) >= 3 && len(q.model) < 512; ops = ops[3:] {
+			op, lo, hi := ops[0], ops[1], ops[2]
+			if op&3 == 0 {
+				q.pop()
+				continue
 			}
-			h.push(e.at, e.key, pay)
-			single.push(e.at, e.key, pay)
-			model = append(model, e)
-			pktHW, tmrHW = max(pktHW, h.pkt.len()), max(tmrHW, h.tmr.len())
-		} else {
-			sort.Slice(model, func(i, j int) bool {
-				return model[i].at < model[j].at || (model[i].at == model[j].at && model[i].key < model[j].key)
+			delta := (Time(hi)<<8 | Time(lo)) << q.h.near.shift >> (4 * (op >> 2 & 3))
+			q.push(delta, uint32(op>>4), op&3 == 3)
+		}
+		q.checkSlots()
+		for len(q.model) > 0 {
+			q.pop()
+		}
+		q.checkSlots()
+	})
+}
+
+// TestTimerModel runs random arm sequences — later, earlier and equal-time
+// deadlines, re-arms from inside fire, arms after an idle fire — through
+// the live timers and through the scheme they replaced, kept here as the
+// model: one queue entry and one closure per arm, a generation counter
+// deciding at pop time whether the entry is the live one. fire must run
+// exactly when the model's live generation does, at the same (at, key),
+// and therefore never for a superseded arm.
+func TestTimerModel(t *testing.T) {
+	const timers, parts = 5, 2
+	type firing struct {
+		at    Time
+		key   uint64
+		timer int
+	}
+	type driverOp struct {
+		at    Time
+		timer int
+		mode  int  // 0: fresh delay, 1: same deadline again, 2: earlier, 3: later
+		d     Time // the fresh delay, or the distance for modes 2 and 3
+	}
+	run := func(seed int64, lazy bool) (log []firing, events int64) {
+		rng := randNew(seed)
+		var script []driverOp
+		for at := Time(0); at < 60000; at += Time(rng.Intn(90)) {
+			script = append(script, driverOp{at, rng.Intn(timers), rng.Intn(4), Time(rng.Intn(1500))})
+		}
+		// What fire does is a function of (timer, firing count) alone, so
+		// both schemes see the same decisions: idle, or re-arm from inside.
+		onFire := make([][]Time, timers)
+		for i := range onFire {
+			for k := 0; k < 4096; k++ {
+				d := Time(-1)
+				if rng.Intn(3) > 0 {
+					d = Time(rng.Intn(1200))
+				}
+				onFire[i] = append(onFire[i], d)
+			}
+		}
+
+		e := NewShardedEngine(parts, 1, 0, 100) // a 1 ns tick: deadlines land in the wheel and beyond it
+		var tms [timers]timer
+		var gen, fires [timers]int
+		var deadline [timers]Time
+		var arm func(sh *Shard, i int, d Time)
+		fire := func(sh *Shard, i int, key uint64) {
+			log = append(log, firing{sh.Now(), key, i})
+			fires[i]++
+			if d := onFire[i][fires[i]]; d >= 0 {
+				arm(sh, i, d)
+			}
+		}
+		arm = func(sh *Shard, i int, d Time) {
+			part := int32(i % parts)
+			deadline[i] = sh.Now() + d
+			if lazy {
+				sh.arm(&tms[i], part, sh.Now()+d)
+				return
+			}
+			gen[i]++
+			g := gen[i]
+			key := localKey(part, sh.seq[part]+1)
+			sh.at(part, sh.Now()+d, func(sh *Shard) {
+				if g == gen[i] {
+					fire(sh, i, key)
+				}
 			})
-			want := model[0]
-			model = model[1:]
-			if got := h.minAt(); got != want.at {
-				t.Fatalf("op %d: minAt = %d, model says %d", op, got, want.at)
-			}
-			at, pay := h.pop()
-			sat, spay := single.pop()
-			if at != want.at || ident(pay) != want.id || sat != want.at || ident(spay) != want.id {
-				t.Fatalf("op %d: popped (%d,#%d) split / (%d,#%d) single, model says (%d,#%d)",
-					op, at, ident(pay), sat, ident(spay), want.at, want.id)
-			}
-			base = at // time never runs backwards, as in the engine
 		}
-		if h.len() != len(model) {
-			t.Fatalf("op %d: len = %d, model holds %d", op, h.len(), len(model))
+		for i := range tms {
+			i := i
+			tms[i].fire = func(sh *Shard) { fire(sh, i, tms[i].key) }
 		}
-		if op%64 == 0 {
-			checkSlots("packet", &h.pkt, pktHW)
-			checkSlots("timer", &h.tmr, tmrHW)
+		for _, op := range script {
+			op := op
+			e.AtPart(op.at, int32(op.timer%parts), func(sh *Shard) {
+				left := deadline[op.timer] - sh.Now()
+				d := op.d
+				switch {
+				case left <= 0 || op.mode == 0:
+				case op.mode == 1:
+					d = left
+				case op.mode == 2:
+					d = left - min(left, 1+op.d%left)
+				default:
+					d = left + 1 + op.d
+				}
+				arm(sh, op.timer, d)
+			})
 		}
+		e.Run(maxTime)
+		return log, e.Executed()
 	}
-	for h.len() > 0 {
-		h.pop()
-	}
-	checkSlots("packet", &h.pkt, pktHW)
-	checkSlots("timer", &h.tmr, tmrHW)
-	if h.minAt() != maxTime {
-		t.Fatal("empty heap must report maxTime")
+	for seed := int64(1); seed <= 20; seed++ {
+		got, gotEvents := run(seed, true)
+		want, wantEvents := run(seed, false)
+		if len(want) < 100 {
+			t.Fatalf("seed %d: only %d firings, script too tame", seed, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d: firing %d differs: live timers %+v, model %+v (of %d / %d)",
+						seed, i, got[min(i, len(got)-1)], want[i], len(got), len(want))
+				}
+			}
+			t.Fatalf("seed %d: live timers fired %d times, model %d", seed, len(got), len(want))
+		}
+		if gotEvents >= wantEvents {
+			t.Errorf("seed %d: live timers executed %d events, one entry per arm %d", seed, gotEvents, wantEvents)
+		}
 	}
 }
 
@@ -214,7 +461,7 @@ func TestLinkQueueBehaviour(t *testing.T) {
 		for i, want := range wantOrder {
 			l.busy = false
 			l.kick(sh)
-			_, pay := sh.heap.pop()
+			_, _, pay, _ := sh.heap.popUntil(maxTime)
 			if pay.kind != evTxDone || pay.pkt.Seq != want {
 				t.Fatalf("trim=%v: transmission %d sent seq %d, want %d", trim, i, pay.pkt.Seq, want)
 			}
@@ -247,22 +494,26 @@ func permSim(t *testing.T, cfg Config) *Sim {
 var eventCoreCases = []struct {
 	name           string
 	cfg            Config
-	events         int64 // Eng.Executed() after Run(50ms), recorded before the event-core rebuild
+	events         int64 // Eng.Executed() after Run(50ms)
 	queueHighWater int   // Eng.QueueHighWater(), likewise
 	retx           int64 // FlowResult.Retx summed over flows: moves with any window-law slip
 	allocCeiling   float64
+	digest         uint64 // flowDigest after the same run (TestFlowResultsPinned)
 }{
-	{"tcp", TCPDefaults(TransportTCP), 684374, 17182, 453, 0.10},
-	{"dctcp", TCPDefaults(TransportDCTCP), 727144, 16735, 5879, 0.10},
-	{"mptcp", TCPDefaults(TransportMPTCP), 692516, 19996, 2294, 0.10},
-	{"ndp", NDPDefaults(), 158906, 765, 2932, 0.10},
+	{"tcp", TCPDefaults(TransportTCP), 621736, 1169, 453, 0.01, 0x4d8a58bb1bb33892},
+	{"dctcp", TCPDefaults(TransportDCTCP), 674665, 1302, 5879, 0.01, 0xc011ea92e1c32ee1},
+	{"mptcp", TCPDefaults(TransportMPTCP), 638205, 3373, 2294, 0.01, 0x8bb9134d2e067785},
+	{"ndp", NDPDefaults(), 158906, 765, 2932, 0.02, 0xa6a87bbb54c1086e},
 }
 
 // TestEventCountPinned holds the simulated model fixed while its cost
 // changes: a fixed-seed run of each transport must execute exactly the
-// events, and reach exactly the queue depth, it did with the single inline-
-// payload heap and slice queues (dctcp, ndp) and with tcp.go and mptcp.go
-// as separate Reno machines (tcp, mptcp, and the retransmission sums).
+// events, and reach exactly the queue depth, it did when the live timers
+// went in. The TCP-family literals were re-pinned once, then: a superseded
+// RTO no longer costs an entry and a pop (tcp 684374 -> 621736 events,
+// dctcp 727144 -> 674665, mptcp 692516 -> 638205; high-water 17182 / 16735
+// / 19996 before), with ndp, every retransmission sum and every
+// TestFlowResultsPinned digest unchanged.
 func TestEventCountPinned(t *testing.T) {
 	for _, c := range eventCoreCases {
 		s := permSim(t, c.cfg)
@@ -286,11 +537,54 @@ func TestEventCountPinned(t *testing.T) {
 	}
 }
 
+// flowDigest folds everything a flow reports — FlowResult's Done, Finish,
+// Retx and TrimsSeen, plus the sender's RTO firings and flowlet reroutes —
+// into one FNV-1a value, flow by flow in id order.
+func flowDigest(s *Sim, res []FlowResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for i, r := range res {
+		done := int64(0)
+		if r.Done {
+			done = 1
+		}
+		put(done)
+		put(int64(r.Finish))
+		put(r.Retx)
+		put(r.TrimsSeen)
+		put(s.flows[i].timeouts)
+		put(s.flows[i].reroutes)
+	}
+	return h.Sum64()
+}
+
+// TestFlowResultsPinned is the proof obligation of any change to how events
+// are queued or timers armed: the event count may move (TestEventCountPinned
+// is re-pinned when it does), but no flow may finish at another time, or
+// retransmit, time out or re-route another number of times. The literals
+// were recorded with one heap entry and one closure per timer arm, before
+// the calendar queue and the live timers.
+func TestFlowResultsPinned(t *testing.T) {
+	for _, c := range eventCoreCases {
+		s := permSim(t, c.cfg)
+		res := s.Run(50 * Millisecond)
+		if got := flowDigest(s, res); got != c.digest {
+			t.Errorf("%s: flow-result digest %#x, pinned %#x", c.name, got, c.digest)
+		}
+	}
+}
+
 // TestAllocsPerEventCeiling bounds the event loop's steady-state heap
-// allocations: after a warm-up that sizes heaps, rings and the packet
-// arena, what remains is one closure per RTO re-arm or paced pull (it was
-// ≈0.45 when link queues re-allocated every few packets). Not parallel, so
-// no other test's allocations land in the delta.
+// allocations: after a warm-up that sizes queues, rings and the packet
+// arena nothing on the event path allocates — timers re-arm in place and
+// pulls are typed events — so what remains is late growth: a ring or slot
+// table doubling, NDP's retransmit queues (it was ≈0.08 with a closure per
+// RTO re-arm and paced pull). Not parallel, so no other test's allocations
+// land in the delta.
 func TestAllocsPerEventCeiling(t *testing.T) {
 	for _, c := range eventCoreCases {
 		s := permSim(t, c.cfg)
@@ -309,5 +603,42 @@ func TestAllocsPerEventCeiling(t *testing.T) {
 		if got > c.allocCeiling {
 			t.Errorf("%s: %.3f allocs/event, ceiling %.2f", c.name, got, c.allocCeiling)
 		}
+	}
+}
+
+// BenchmarkEventQueue is the classic hold model: a queue of n events, each
+// operation pops the earliest and pushes one at now + U(0, span). It runs
+// the shard queue with its tick fitted to span (every push lands in the
+// wheel) beside a lone 4-ary heap, so the depth at which the calendar
+// queue overtakes the heap is a committed number.
+func BenchmarkEventQueue(b *testing.B) {
+	const span = 2048
+	pay := eventPayload{kind: evDeliver, link: &link{}, pkt: &Packet{}}
+	for _, n := range []int{64, 512, 4096} {
+		b.Run("wheel/n="+strconv.Itoa(n), func(b *testing.B) {
+			rng := randNew(1)
+			var h eventHeap
+			h.near.shift = wheelShift(span)
+			for i := 0; i < n; i++ {
+				h.push(Time(rng.Intn(span)), uint64(i), pay)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at, _, _, _ := h.popUntil(maxTime)
+				h.push(at+Time(rng.Intn(span)), uint64(n+i), pay)
+			}
+		})
+		b.Run("heap/n="+strconv.Itoa(n), func(b *testing.B) {
+			rng := randNew(1)
+			var h quadHeap
+			for i := 0; i < n; i++ {
+				h.push(Time(rng.Intn(span)), uint64(i), pay)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at, _, _ := h.pop()
+				h.push(at+Time(rng.Intn(span)), uint64(n+i), pay)
+			}
+		})
 	}
 }

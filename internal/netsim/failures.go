@@ -16,9 +16,8 @@ import "math/rand"
 // FailRouterLink marks the router-router link between routers u and v as
 // failed in both directions. It reports whether such a link existed.
 func (n *Network) FailRouterLink(u, v int) bool {
-	lu, okU := n.routerOut[u][int32(v)]
-	lv, okV := n.routerOut[v][int32(u)]
-	if !okU || !okV {
+	lu, lv := n.routerLink(u, int32(v)), n.routerLink(v, int32(u))
+	if lu == nil || lv == nil {
 		return false
 	}
 	lu.failed = true

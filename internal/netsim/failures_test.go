@@ -66,7 +66,7 @@ func TestPinnedMinimalFlowStallsOnFailure(t *testing.T) {
 	if res[0].Done {
 		t.Fatal("pinned minimal-path flow should stall on a dead link")
 	}
-	if s.Net.routerOut[srcRouter][int32(next)].failDrops == 0 {
+	if s.Net.routerLink(srcRouter, int32(next)).failDrops == 0 {
 		t.Fatal("packets should have died on the failed link")
 	}
 }
@@ -135,18 +135,23 @@ func TestLayerRecomputationAfterFailure(t *testing.T) {
 func TestFailRandomLinksExactCount(t *testing.T) {
 	cfg := NDPDefaults()
 	s, sf := sfSim(t, 5, 2, 0.8, cfg, 11)
-	// Remove the router-router entries of a third of the edges: those edge
-	// IDs still exist in the graph but FailRouterLink reports false for
-	// them, exactly the shape of a topology whose edge list is wider than
-	// its failable link set.
-	unfailable := 0
-	for id := 0; id < sf.G.M(); id += 3 {
-		e := sf.G.Edge(id)
-		delete(s.Net.routerOut[e.U], e.V)
-		delete(s.Net.routerOut[e.V], e.U)
-		unfailable++
+	// Let the network draw from an edge list half again as wide as its link
+	// set: the extra edge IDs exist in the graph but join routers no link
+	// connects, so FailRouterLink reports false for them.
+	wide := graph.New(sf.Nr())
+	for _, e := range sf.G.Edges() {
+		wide.AddEdge(int(e.U), int(e.V))
 	}
-	want := sf.G.M() / 4
+	unfailable := 0
+	for u := 0; u < sf.Nr() && unfailable < sf.G.M()/2; u++ {
+		for v := u + 1; v < sf.Nr() && unfailable < sf.G.M()/2; v++ {
+			if wide.TryAddEdge(u, v) {
+				unfailable++
+			}
+		}
+	}
+	s.Net.topo = &topo.Topology{G: wide}
+	want := wide.M() / 4
 	if want <= unfailable/2 {
 		t.Fatalf("test wants a count (%d) large enough to overlap unfailable draws (%d)", want, unfailable)
 	}
@@ -160,16 +165,15 @@ func TestFailRandomLinksExactCount(t *testing.T) {
 			t.Fatalf("edge %d failed twice", id)
 		}
 		seen[id] = true
-		e := sf.G.Edge(id)
-		if _, ok := s.Net.routerOut[e.U][e.V]; !ok {
-			t.Fatalf("reported edge %d has no router-router entry", id)
+		if e := wide.Edge(id); s.Net.routerLink(int(e.U), e.V) == nil {
+			t.Fatalf("reported edge %d has no router-router link", id)
 		}
 	}
 	// Asking for more than the failable supply fails everything failable
 	// (an already-failed link fails again) and stops, instead of looping
 	// or overcounting.
-	all := s.Net.FailRandomLinks(sf.G.M(), graph.NewRand(17))
-	if got, wantAll := len(all), sf.G.M()-unfailable; got != wantAll {
+	all := s.Net.FailRandomLinks(wide.M(), graph.NewRand(17))
+	if got, wantAll := len(all), sf.G.M(); got != wantAll {
 		t.Fatalf("graph-exhausting request failed %d links, want all %d failable", got, wantAll)
 	}
 }

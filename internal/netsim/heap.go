@@ -1,78 +1,96 @@
 package netsim
 
-// Per-shard event storage. The heap is the simulator's hottest data
+import "math/bits"
+
+// Per-shard event storage. The queue is the simulator's hottest data
 // structure, so its layout is built around three decisions:
 //
-//   - 4-ary instead of binary: sift paths are half as deep and the four
-//     children of a node sit in adjacent cache lines.
-//   - Pointer-free sift array: a heap entry is the ordering key (at, key)
-//     plus an int32 slot reference. The payload (callback / link / packet
-//     operands) sits out of line in a slot table with a free list; it is
-//     written once on push and cleared once on pop, so sifting never moves
-//     a pointer and the GC neither scans nor write-barriers the heap array.
-//   - Packet events and timers queue apart: evTxDone/evDeliver live about
-//     one serialization or link delay, evFunc timers about an RTO — and
-//     most of those are stale by the time they fire (every ACK arms a
-//     fresh RTO). Kept together, thousands of dead timers deepen every
-//     packet-event sift; apart, the packet heap holds a few hundred
-//     entries. pop takes the smaller of the two heads, so execution order
-//     is the same total (at, key) order a single heap would give.
+//   - Near and far events queue apart. A packet event (evTxDone, evDeliver,
+//     evInject) is scheduled at most one MTU serialization or one link
+//     delay ahead; a timer about an RTO, a thousand times further. The near
+//     future lives in a calendar queue (wheel): a fixed ring of buckets,
+//     one per tick, where push is a list prepend and pop is a bitmap scan
+//     plus a walk over the one or two events that share the tick — no sift,
+//     whatever the queue depth. Whatever does not fit the wheel's window
+//     (timers, flow starts, pulls paced far ahead, barrier merges, a
+//     configuration whose delays dwarf the window) goes to a 4-ary heap,
+//     and so does a bucket that a lock-step workload grew too long to walk.
+//     popUntil takes the smaller (at, key) head of the two, so execution
+//     order is the total (at, key) order a single heap would give and never
+//     depends on which structure held an event.
+//   - Pointer-free ordering arrays: a wheel node and a heap entry hold the
+//     ordering key (at, key) and an int32 reference. The payload (timer or
+//     link and packet operands) sits out of line in a slot table with a
+//     free list; it is written once on push and cleared once on pop, so
+//     neither list surgery nor sifting moves a pointer, and the GC neither
+//     scans nor write-barriers the arrays the hot loops walk.
+//   - The far heap is 4-ary instead of binary: sift paths are half as deep
+//     and the four children of a node sit in adjacent cache lines.
 //
 // Ordering is (at, key): key is the canonical event key (see engine.go),
-// unique per event, which makes heap order — and therefore execution
+// unique per event, which makes queue order — and therefore execution
 // order — independent of the shard count.
 
-// eventPayload is the non-key part of an event.
+// eventPayload is the non-key part of an event. It is four words on
+// purpose: up to that size the compiler copies a pointer-bearing struct
+// with inline stores, beyond it through runtime.typedmemmove, and a fifth
+// word measured 20 % on both simulation sweeps (PERF.md).
 type eventPayload struct {
 	kind eventKind
-	fn   func(*Shard) // evFunc only
-	link *link        // evTxDone, evDeliver
-	pkt  *Packet      // evTxDone, evDeliver
+	tm   *timer  // evTimer only
+	link *link   // evTxDone, evDeliver, evInject
+	pkt  *Packet // evTxDone, evDeliver, evInject
+}
+
+// slotTable holds the payloads of one structure's queued events; what the
+// structure orders is the slot index put returns.
+type slotTable struct {
+	pay  []eventPayload // never longer than the live high-water mark
+	free []int32        // vacated slots, reused LIFO
+}
+
+func (t *slotTable) put(pay eventPayload) int32 {
+	if n := len(t.free); n > 0 {
+		s := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.pay[s] = pay
+		return s
+	}
+	t.pay = append(t.pay, pay)
+	return int32(len(t.pay) - 1)
+}
+
+func (t *slotTable) take(s int32) eventPayload {
+	pay := t.pay[s]
+	t.pay[s] = eventPayload{} // clear tm/link/pkt for the GC
+	t.free = append(t.free, s)
+	return pay
+}
+
+// earlier is the queue order: (at, key) before (bAt, bKey).
+func earlier(at Time, key uint64, bAt Time, bKey uint64) bool {
+	return at < bAt || (at == bAt && key < bKey)
 }
 
 // heapEntry is what the sift loops compare and move.
 type heapEntry struct {
 	at   Time
 	key  uint64
-	slot int32 // index into quadHeap.pay
+	slot int32
 }
 
-func (a *heapEntry) less(b *heapEntry) bool {
-	return a.at < b.at || (a.at == b.at && a.key < b.key)
-}
+func (a *heapEntry) less(b *heapEntry) bool { return earlier(a.at, a.key, b.at, b.key) }
 
 // quadHeap is one 4-ary min-heap over (at, key) with out-of-line payloads.
 type quadHeap struct {
-	ent  []heapEntry
-	pay  []eventPayload // slot table; never longer than the live high-water mark
-	free []int32        // vacated slots, reused LIFO
+	ent   []heapEntry
+	slots slotTable
 }
 
 func (h *quadHeap) len() int { return len(h.ent) }
 
-// headBefore reports whether h's minimum orders before o's. An empty heap
-// orders after everything.
-func (h *quadHeap) headBefore(o *quadHeap) bool {
-	if len(o.ent) == 0 {
-		return true
-	}
-	if len(h.ent) == 0 {
-		return false
-	}
-	return h.ent[0].less(&o.ent[0])
-}
-
 func (h *quadHeap) push(at Time, key uint64, pay eventPayload) {
-	var s int32
-	if n := len(h.free); n > 0 {
-		s = h.free[n-1]
-		h.free = h.free[:n-1]
-		h.pay[s] = pay
-	} else {
-		s = int32(len(h.pay))
-		h.pay = append(h.pay, pay)
-	}
-	e := heapEntry{at, key, s}
+	e := heapEntry{at, key, h.slots.put(pay)}
 	h.ent = append(h.ent, e)
 	// Sift up with a hole: the new entry is held in registers and written
 	// once at its final position.
@@ -90,11 +108,8 @@ func (h *quadHeap) push(at Time, key uint64, pay eventPayload) {
 }
 
 // pop removes and returns the minimum event.
-func (h *quadHeap) pop() (Time, eventPayload) {
-	at0, s0 := h.ent[0].at, h.ent[0].slot
-	pay0 := h.pay[s0]
-	h.pay[s0] = eventPayload{} // clear fn/link/pkt for the GC
-	h.free = append(h.free, s0)
+func (h *quadHeap) pop() (Time, uint64, eventPayload) {
+	at0, key0, pay0 := h.ent[0].at, h.ent[0].key, h.slots.take(h.ent[0].slot)
 	last := len(h.ent) - 1
 	e := h.ent[last]
 	ent := h.ent[:last]
@@ -125,42 +140,187 @@ func (h *quadHeap) pop() (Time, eventPayload) {
 		}
 		ent[i] = e
 	}
-	return at0, pay0
+	return at0, key0, pay0
 }
 
-// eventHeap is a shard's event queue: the packet-event heap and the timer
-// heap behind one len/minAt/push/pop surface.
+// The wheel's geometry. The bucket count is a constant — 256 and 4096 both
+// measured within 3 % of it on the two simulation sweeps (PERF.md) — and
+// the tick width, the one quantity that has to fit the simulated network,
+// is derived from the configuration (wheelShift), not set.
+const (
+	wheelBuckets = 1024
+	wheelWords   = wheelBuckets / 64
+	// wheelBucketCap bounds the list a pop walks: a bucket holds 1.3 events
+	// on average, but flows started in lock-step on identical links
+	// schedule hundreds of events at the same nanosecond. A pop that finds
+	// a longer list moves it to the heap.
+	wheelBucketCap = 32
+)
+
+// wheelShift returns the tick width, as a shift, for a queue whose near
+// events are scheduled at most span ahead: the smallest power of two at
+// which an event span after any instant of the window's first tick still
+// lands inside the window, so that a packet event always finds a bucket
+// and buckets stay as sparse as they can be.
+func wheelShift(span Time) uint8 {
+	var s uint8
+	for s < 62 && Time(wheelBuckets-2)<<s < span {
+		s++
+	}
+	return s
+}
+
+// wheelNode is one queued event in a bucket's list. Like heapEntry it is
+// pointer-free; its index in wheel.node is also its payload's slot.
+type wheelNode struct {
+	at   Time
+	key  uint64
+	next int32 // next node of the same bucket, -1 at the end
+}
+
+// wheel is a calendar queue over the ticks [cur, cur+wheelBuckets), a tick
+// being at>>shift. Every queued event's tick lies in that window, so
+// events of different ticks never share a bucket and bucket order, read
+// cyclically from cur, is time order. A bucket is an unsorted list — its
+// minimum is found by walking it — and is valid only while its occupancy
+// bit is set.
+type wheel struct {
+	shift uint8
+	cur   int64 // tick of the last event popped from the shard's queue
+	n     int
+	occ   [wheelWords]uint64
+	head  [wheelBuckets]int32
+	node  []wheelNode // parallel to slots.pay
+	slots slotTable
+}
+
+// push queues the event if its tick lies in the window and reports whether
+// it did.
+func (w *wheel) push(at Time, key uint64, pay eventPayload) bool {
+	tick := int64(at) >> w.shift
+	if uint64(tick-w.cur) >= wheelBuckets {
+		return false
+	}
+	s := w.slots.put(pay)
+	if int(s) == len(w.node) {
+		w.node = append(w.node, wheelNode{})
+	}
+	b := tick & (wheelBuckets - 1)
+	next := int32(-1)
+	if bit := uint64(1) << (b & 63); w.occ[b>>6]&bit != 0 {
+		next = w.head[b]
+	} else {
+		w.occ[b>>6] |= bit
+	}
+	w.node[s] = wheelNode{at, key, next}
+	w.head[b] = s
+	w.n++
+	return true
+}
+
+// min locates the earliest queued event: its bucket, its node and the node
+// before it in the bucket's list (-1 when it is the head). The wheel must
+// not be empty. long reports a list beyond wheelBucketCap.
+func (w *wheel) min() (b int, s, prev int32, long bool) {
+	// First occupied bucket at or after cur's, wrapping around the ring:
+	// the first word is read from cur's bit up, the rest whole, and a full
+	// lap ends on the first word's low bits.
+	b = int(w.cur & (wheelBuckets - 1))
+	i := b >> 6
+	m := w.occ[i] &^ (1<<(b&63) - 1)
+	for m == 0 {
+		i = (i + 1) & (wheelWords - 1)
+		m = w.occ[i]
+	}
+	b = i<<6 | bits.TrailingZeros64(m)
+
+	node := w.node
+	s, prev = w.head[b], -1
+	best := &node[s]
+	walked := 0
+	for p, c := s, best.next; c >= 0; p, c = c, node[c].next {
+		if n := &node[c]; earlier(n.at, n.key, best.at, best.key) {
+			s, prev, best = c, p, n
+		}
+		walked++
+	}
+	return b, s, prev, walked >= wheelBucketCap
+}
+
+// take unlinks the node min located and returns its payload.
+func (w *wheel) take(b int, s, prev int32) eventPayload {
+	next := w.node[s].next
+	switch {
+	case prev >= 0:
+		w.node[prev].next = next
+	case next >= 0:
+		w.head[b] = next
+	default:
+		w.occ[b>>6] &^= 1 << (b & 63)
+	}
+	w.n--
+	return w.slots.take(s)
+}
+
+// eventHeap is a shard's event queue: the wheel for the near future and
+// the heap for everything else behind one len/minAt/push/popUntil surface.
 type eventHeap struct {
-	pkt quadHeap // evTxDone, evDeliver
-	tmr quadHeap // evFunc
+	near wheel
+	far  quadHeap
 }
 
-func (h *eventHeap) len() int { return h.pkt.len() + h.tmr.len() }
+func (h *eventHeap) len() int { return h.near.n + h.far.len() }
 
 // minAt returns the earliest queued time, or maxTime when empty.
 func (h *eventHeap) minAt() Time {
 	t := maxTime
-	if h.pkt.len() > 0 {
-		t = h.pkt.ent[0].at
+	if h.far.len() > 0 {
+		t = h.far.ent[0].at
 	}
-	if h.tmr.len() > 0 && h.tmr.ent[0].at < t {
-		t = h.tmr.ent[0].at
+	if h.near.n > 0 {
+		if _, s, _, _ := h.near.min(); h.near.node[s].at < t {
+			t = h.near.node[s].at
+		}
 	}
 	return t
 }
 
 func (h *eventHeap) push(at Time, key uint64, pay eventPayload) {
-	if pay.kind == evFunc {
-		h.tmr.push(at, key, pay)
-	} else {
-		h.pkt.push(at, key, pay)
+	if !h.near.push(at, key, pay) {
+		h.far.push(at, key, pay)
 	}
 }
 
-// pop removes and returns the minimum event of the two heaps by (at, key).
-func (h *eventHeap) pop() (Time, eventPayload) {
-	if h.pkt.headBefore(&h.tmr) {
-		return h.pkt.pop()
+// popUntil removes and returns the minimum event of the two structures by
+// (at, key), unless the queue is empty or that event lies beyond limit.
+// Popping moves the wheel's window up to the popped time: no later push can
+// be earlier (Shard.push clamps to the clock).
+func (h *eventHeap) popUntil(limit Time) (at Time, key uint64, pay eventPayload, ok bool) {
+	w := &h.near
+	if w.n > 0 {
+		b, s, prev, long := w.min()
+		if long {
+			// Past the cap a sift is cheaper than the walk: the bucket
+			// moves to the heap, each event once, and the pop starts over.
+			for w.occ[b>>6]>>(b&63)&1 != 0 {
+				first := w.node[w.head[b]]
+				h.far.push(first.at, first.key, w.take(b, w.head[b], -1))
+			}
+			return h.popUntil(limit)
+		}
+		nd := w.node[s]
+		if h.far.len() == 0 || earlier(nd.at, nd.key, h.far.ent[0].at, h.far.ent[0].key) {
+			if nd.at > limit {
+				return 0, 0, eventPayload{}, false
+			}
+			w.cur = int64(nd.at) >> w.shift
+			return nd.at, nd.key, w.take(b, s, prev), true
+		}
 	}
-	return h.tmr.pop()
+	if h.far.len() == 0 || h.far.ent[0].at > limit {
+		return 0, 0, eventPayload{}, false
+	}
+	at, key, pay = h.far.pop()
+	w.cur = int64(at) >> w.shift
+	return at, key, pay, true
 }

@@ -30,6 +30,7 @@ type ndpSender struct {
 	inflight  int32
 	lastAct   Time
 	kaNext    int32 // keepalive retransmission rotor
+	kaTimer   timer
 	// finished latches when a Fin pull arrives: the receiver has the whole
 	// message and the sender-side keepalive may stop. Sender-local — the
 	// sharded engine forbids the sender reading the receiver's done flag.
@@ -47,7 +48,8 @@ func (s *Sim) ndpStart(sh *Shard, f *flow) {
 		f.ndp.nextNew++
 	}
 	f.ndp.lastAct = sh.Now()
-	s.ndpKeepalive(sh, f)
+	f.ndp.kaTimer.fire = func(sh *Shard) { s.ndpKeepalive(sh, f) }
+	s.ndpArmKeepalive(sh, f)
 }
 
 // ndpSendData transmits one data packet (possibly a retransmission).
@@ -129,7 +131,7 @@ func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange
 		ECN:     layerChange, // repurposed bit: "change layer" hint
 		Fin:     fin,
 	}
-	sh.at(f.dstPart, at, func(sh *Shard) { s.Net.sendFromHost(sh, pull) })
+	sh.pushLocal(at, f.dstPart, eventPayload{kind: evInject, link: s.Net.hostUp[host], pkt: pull})
 }
 
 func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
@@ -168,35 +170,39 @@ func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
 	}
 }
 
+// ndpIdlePeriods is the keepalive period in units of RTOMin.
+const ndpIdlePeriods = 4
+
+func (s *Sim) ndpArmKeepalive(sh *Shard, f *flow) {
+	sh.arm(&f.ndp.kaTimer, f.srcPart, sh.now+ndpIdlePeriods*s.Cfg.RTOMin)
+}
+
 // ndpKeepalive recovers from lost control packets: if nothing happened for
 // several RTOmin periods and the flow is incomplete, resend the lowest
 // sequence not known to be delivered.
 func (s *Sim) ndpKeepalive(sh *Shard, f *flow) {
-	const idlePeriods = 4
-	sh.after(f.srcPart, Time(idlePeriods)*s.Cfg.RTOMin, func(sh *Shard) {
-		if f.ndp.finished {
-			return
-		}
-		if sh.Now()-f.ndp.lastAct >= Time(idlePeriods)*s.Cfg.RTOMin {
-			// Rotate through undelivered sequences rather than hammering
-			// the lowest one: with lossy control paths the lowest may have
-			// arrived long ago while a later one is genuinely missing.
-			for probe := int32(0); probe < f.ndp.nextNew; probe++ {
-				seq := (f.ndp.kaNext + probe) % f.ndp.nextNew
-				if !f.ndp.delivered[seq] {
-					s.ndpSendData(sh, f, seq, true)
-					f.ndp.kaNext = seq + 1
-					break
-				}
+	if f.ndp.finished {
+		return
+	}
+	if sh.Now()-f.ndp.lastAct >= ndpIdlePeriods*s.Cfg.RTOMin {
+		// Rotate through undelivered sequences rather than hammering
+		// the lowest one: with lossy control paths the lowest may have
+		// arrived long ago while a later one is genuinely missing.
+		for probe := int32(0); probe < f.ndp.nextNew; probe++ {
+			seq := (f.ndp.kaNext + probe) % f.ndp.nextNew
+			if !f.ndp.delivered[seq] {
+				s.ndpSendData(sh, f, seq, true)
+				f.ndp.kaNext = seq + 1
+				break
 			}
-			if f.ndp.nextNew < f.total {
-				// Also nudge a new packet in case all sent ones arrived but
-				// their pulls were lost.
-				s.ndpSendData(sh, f, f.ndp.nextNew, false)
-				f.ndp.nextNew++
-			}
-			f.ndp.lastAct = sh.Now()
 		}
-		s.ndpKeepalive(sh, f)
-	})
+		if f.ndp.nextNew < f.total {
+			// Also nudge a new packet in case all sent ones arrived but
+			// their pulls were lost.
+			s.ndpSendData(sh, f, f.ndp.nextNew, false)
+			f.ndp.nextNew++
+		}
+		f.ndp.lastAct = sh.Now()
+	}
+	s.ndpArmKeepalive(sh, f)
 }

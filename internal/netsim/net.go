@@ -186,10 +186,17 @@ type Network struct {
 	fwd  *layers.Forwarding
 	cfg  Config
 
-	// routerOut[r] maps neighbor router -> transmitting link.
-	routerOut []map[int32]*link
-	hostUp    []*link // host -> its router
-	hostDown  []*link // router -> host
+	// links holds every link, indexed by id: router-router edges first
+	// (both directions per edge, in the topology's edge order), then host
+	// up/down pairs. One slab instead of an object per link; pointers into
+	// it are stable because it never grows.
+	links []link
+	// Router r's outgoing router-router links in CSR form: its neighbours,
+	// ascending, are outNbr[outOff[r]:outOff[r+1]], and outLink holds the
+	// matching link ids.
+	outOff, outNbr, outLink []int32
+	hostUp                  []*link // host -> its router
+	hostDown                []*link // router -> host
 	// hostRouter[h] is the router host h attaches to: forward resolves the
 	// destination router once per hop, so it indexes this table instead of
 	// binary-searching the topology's offset table.
@@ -202,25 +209,27 @@ type Network struct {
 const maxHopBucket = 63
 
 // buildNetwork constructs links per the config. Link ids follow
-// construction order — router-router edges first (both directions per
-// edge, in the topology's edge order), then host up/down pairs — which is
-// deterministic and independent of the shard count.
+// construction order, which is deterministic and independent of the shard
+// count.
 func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Network {
+	edges := t.G.Edges()
 	n := &Network{
 		eng:        eng,
 		topo:       t,
 		fwd:        fwd,
 		cfg:        cfg,
-		routerOut:  make([]map[int32]*link, t.Nr()),
+		links:      make([]link, 0, 2*len(edges)+2*t.N()),
+		outOff:     make([]int32, t.Nr()+1),
+		outNbr:     make([]int32, 2*len(edges)),
+		outLink:    make([]int32, 2*len(edges)),
 		hostUp:     make([]*link, t.N()),
 		hostDown:   make([]*link, t.N()),
 		hostRouter: make([]int32, t.N()),
 	}
-	nextID := int32(0)
 	mk := func(txPart, rxPart, toRouter, toHost int32) *link {
-		l := &link{
+		n.links = append(n.links, link{
 			net:       n,
-			id:        nextID,
+			id:        int32(len(n.links)),
 			toRouter:  toRouter,
 			toHost:    toHost,
 			txPart:    txPart,
@@ -231,16 +240,31 @@ func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Con
 			pqcap:     cfg.PrioQueueCap,
 			ecnThresh: cfg.ECNThreshold,
 			trimMode:  cfg.TrimMode,
-		}
-		nextID++
-		return l
+		})
+		return &n.links[len(n.links)-1]
+	}
+	for _, e := range edges {
+		mk(e.U, e.V, e.V, -1)
+		mk(e.V, e.U, e.U, -1)
 	}
 	for r := 0; r < t.Nr(); r++ {
-		n.routerOut[r] = make(map[int32]*link, t.G.Degree(r))
-	}
-	for _, e := range t.G.Edges() {
-		n.routerOut[e.U][e.V] = mk(e.U, e.V, e.V, -1)
-		n.routerOut[e.V][e.U] = mk(e.V, e.U, e.U, -1)
+		lo := n.outOff[r]
+		hi := lo
+		for _, h := range t.G.Neighbors(r) {
+			id := 2 * h.Edge // the U->V direction; V->U is the next id
+			if edges[h.Edge].U != int32(r) {
+				id++
+			}
+			// Insertion sort by neighbour: generated topologies arrive
+			// sorted, so this is one comparison per entry.
+			i := hi
+			for ; i > lo && n.outNbr[i-1] > h.To; i-- {
+				n.outNbr[i], n.outLink[i] = n.outNbr[i-1], n.outLink[i-1]
+			}
+			n.outNbr[i], n.outLink[i] = h.To, id
+			hi++
+		}
+		n.outOff[r+1] = hi
 	}
 	for h := 0; h < t.N(); h++ {
 		r := int32(t.RouterOf(h))
@@ -249,6 +273,24 @@ func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Con
 		n.hostDown[h] = mk(r, r, -1, int32(h))
 	}
 	return n
+}
+
+// routerLink returns the link from router r to its neighbour to, or nil
+// when the two are not adjacent.
+func (n *Network) routerLink(r int, to int32) *link {
+	lo, hi := n.outOff[r], n.outOff[r+1]
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if n.outNbr[mid] < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == n.outOff[r+1] || n.outNbr[lo] != to {
+		return nil
+	}
+	return &n.links[n.outLink[lo]]
 }
 
 // sendFromHost injects a packet at its source host's uplink. It must run
@@ -321,22 +363,14 @@ func (n *Network) forward(sh *Shard, r int, p *Packet) {
 	} else {
 		next = hashNext(cands, r, p)
 	}
-	n.routerOut[r][next].enqueue(sh, p)
+	n.routerLink(r, next).enqueue(sh, p)
 }
 
 // TotalDrops sums packet drops over all links.
 func (n *Network) TotalDrops() int64 {
 	var d int64
-	for _, m := range n.routerOut {
-		for _, l := range m {
-			d += l.Drops
-		}
-	}
-	for _, l := range n.hostUp {
-		d += l.Drops
-	}
-	for _, l := range n.hostDown {
-		d += l.Drops
+	for i := range n.links {
+		d += n.links[i].Drops
 	}
 	return d
 }
@@ -344,16 +378,8 @@ func (n *Network) TotalDrops() int64 {
 // TotalTrims sums NDP payload trims over all links.
 func (n *Network) TotalTrims() int64 {
 	var d int64
-	for _, m := range n.routerOut {
-		for _, l := range m {
-			d += l.Trims
-		}
-	}
-	for _, l := range n.hostUp {
-		d += l.Trims
-	}
-	for _, l := range n.hostDown {
-		d += l.Trims
+	for i := range n.links {
+		d += n.links[i].Trims
 	}
 	return d
 }

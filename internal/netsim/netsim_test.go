@@ -10,7 +10,7 @@ import (
 )
 
 func TestEngineOrdering(t *testing.T) {
-	e := NewShardedEngine(1, 1, 0)
+	e := NewShardedEngine(1, 1, 0, 0)
 	var order []int
 	e.AtPart(10, 0, func(*Shard) { order = append(order, 1) })
 	e.AtPart(5, 0, func(*Shard) { order = append(order, 0) })
@@ -28,7 +28,7 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineHorizonStopsEarly(t *testing.T) {
-	e := NewShardedEngine(1, 1, 0)
+	e := NewShardedEngine(1, 1, 0, 0)
 	fired := false
 	e.AtPart(1000, 0, func(*Shard) { fired = true })
 	e.Run(500)
@@ -365,16 +365,24 @@ func TestLinkStatsSanity(t *testing.T) {
 			t.Fatal("transmitted bytes below header floor")
 		}
 	}
-	for _, m := range s.Net.routerOut {
-		for _, l := range m {
-			check(l)
+	if want := 2*sf.G.M() + 2*sf.N(); len(s.Net.links) != want {
+		t.Fatalf("network has %d links, want %d", len(s.Net.links), want)
+	}
+	for i := range s.Net.links {
+		if l := &s.Net.links[i]; l.id != int32(i) {
+			t.Fatalf("link %d carries id %d", i, l.id)
+		}
+		check(&s.Net.links[i])
+	}
+	// The CSR index finds, for every edge, the link of each direction.
+	for id, e := range sf.G.Edges() {
+		uv, vu := s.Net.routerLink(int(e.U), e.V), s.Net.routerLink(int(e.V), e.U)
+		if uv != &s.Net.links[2*id] || vu != &s.Net.links[2*id+1] || uv.toRouter != e.V || vu.toRouter != e.U {
+			t.Fatalf("edge %d (%d,%d): index resolves to the wrong links", id, e.U, e.V)
 		}
 	}
-	for _, l := range s.Net.hostUp {
-		check(l)
-	}
-	for _, l := range s.Net.hostDown {
-		check(l)
+	if s.Net.routerLink(0, 0) != nil || s.Net.routerLink(0, int32(sf.Nr())) != nil {
+		t.Fatal("routerLink found a link between non-adjacent routers")
 	}
 }
 
@@ -383,7 +391,7 @@ func TestLinkStatsSanity(t *testing.T) {
 func TestEngineOrderProperty(t *testing.T) {
 	rng := randNew(23)
 	for trial := 0; trial < 50; trial++ {
-		e := NewShardedEngine(1, 1, 0)
+		e := NewShardedEngine(1, 1, 0, 0)
 		var times []Time
 		n := 1 + rng.Intn(200)
 		for i := 0; i < n; i++ {

@@ -80,15 +80,68 @@ func (sh *Shard) pushLocal(t Time, part int32, pay eventPayload) {
 	sh.push(t, localKey(part, sh.seq[i]), pay)
 }
 
-// at schedules fn at absolute time t on partition part, which must be
-// owned by this shard (hosts schedule on their own router's partition).
-func (sh *Shard) at(part int32, t Time, fn func(*Shard)) {
-	sh.pushLocal(t, part, eventPayload{kind: evFunc, fn: fn})
+// timer is a re-armable deadline with at most one live firing: a subflow's
+// retransmission timeout, an NDP sender's keepalive. Re-arming — every ACK
+// does it — moves the deadline and queues nothing while an entry that pops
+// no later is already queued, so a timer costs one queue entry, not one per
+// arm, and no allocation after fire is set.
+//
+// (at, key) is the live deadline; (queuedAt, queuedKey) is the one queue
+// entry that counts, valid while queued. An entry that pops with any other
+// (at, key) was superseded by an earlier deadline and is dropped; the one
+// that counts fires if it is the live deadline and otherwise re-queues
+// itself at it. Either way fire runs at exactly the (at, key) the last arm
+// drew — where an entry pushed by that arm would have popped.
+type timer struct {
+	at        Time
+	key       uint64
+	queuedAt  Time
+	queuedKey uint64
+	queued    bool
+	fire      func(*Shard)
 }
 
-// after schedules fn after delay d on partition part.
-func (sh *Shard) after(part int32, d Time, fn func(*Shard)) {
-	sh.at(part, sh.now+d, fn)
+// arm sets tm's deadline to absolute time t (no earlier than now) on
+// partition part, which this shard must own — hosts schedule on their own
+// router's partition — replacing any earlier deadline. Every arm draws the
+// partition's next sequence number, queued or not, so no other event's key
+// depends on how often an entry is pushed.
+func (sh *Shard) arm(tm *timer, part int32, t Time) {
+	if t < sh.now {
+		t = sh.now
+	}
+	i := part - sh.partLo
+	sh.seq[i]++
+	tm.at, tm.key = t, localKey(part, sh.seq[i])
+	if !tm.queued || t < tm.queuedAt {
+		sh.queueTimer(tm)
+	}
+}
+
+// at schedules fn once at absolute time t on partition part: a timer
+// nobody re-arms.
+func (sh *Shard) at(part int32, t Time, fn func(*Shard)) {
+	sh.arm(&timer{fire: fn}, part, t)
+}
+
+// queueTimer pushes the entry for tm's live deadline and makes it the one
+// that counts.
+func (sh *Shard) queueTimer(tm *timer) {
+	tm.queued, tm.queuedAt, tm.queuedKey = true, tm.at, tm.key
+	sh.push(tm.at, tm.key, eventPayload{kind: evTimer, tm: tm})
+}
+
+// popTimer handles a timer entry popped at (at, key).
+func (sh *Shard) popTimer(tm *timer, at Time, key uint64) {
+	switch {
+	case !tm.queued || at != tm.queuedAt || key != tm.queuedKey:
+		// Superseded: an arm with an earlier deadline queued its own entry.
+	case at != tm.at || key != tm.key:
+		sh.queueTimer(tm) // the deadline moved later since this was queued
+	default:
+		tm.queued = false
+		tm.fire(sh)
+	}
 }
 
 // afterTxDone schedules the end of a packet's serialization on a link the
@@ -118,41 +171,34 @@ func (sh *Shard) afterDeliver(l *link, p *Packet) {
 	sh.outbox[dst] = append(sh.outbox[dst], outEvent{at: t, key: key, pay: pay})
 }
 
-// step executes the shard's earliest event.
-func (sh *Shard) step() {
-	at, pay := sh.heap.pop()
-	sh.now = at
-	sh.executed++
-	if sh.eng.tracer != nil {
-		sh.traceEvent(pay)
-	}
-	switch pay.kind {
-	case evFunc:
-		pay.fn(sh)
-	case evTxDone:
-		l := pay.link
-		l.busy = false
-		l.kick(sh)
-		sh.afterDeliver(l, pay.pkt)
-	case evDeliver:
-		pay.link.net.deliver(sh, pay.link, pay.pkt)
-	}
-}
-
-// drain executes local events strictly before wend (exclusive — events at
-// the window end wait for the barrier merge) and at or before the horizon
-// (inclusive, matching the serial engine's contract). It returns the
-// number of events executed.
-func (sh *Shard) drain(wend, until Time) int64 {
+// run executes the shard's events in (at, key) order up to and including
+// time limit, and returns how many it executed.
+func (sh *Shard) run(limit Time) int64 {
 	n0 := sh.executed
-	for sh.heap.len() > 0 {
-		t := sh.heap.minAt()
-		if t >= wend || t > until {
-			break
+	for {
+		at, key, pay, ok := sh.heap.popUntil(limit)
+		if !ok {
+			return sh.executed - n0
 		}
-		sh.step()
+		sh.now = at
+		sh.executed++
+		if sh.eng.tracer != nil {
+			sh.traceEvent(pay)
+		}
+		switch pay.kind {
+		case evTimer:
+			sh.popTimer(pay.tm, at, key)
+		case evTxDone:
+			l := pay.link
+			l.busy = false
+			l.kick(sh)
+			sh.afterDeliver(l, pay.pkt)
+		case evDeliver:
+			pay.link.net.deliver(sh, pay.link, pay.pkt)
+		case evInject:
+			pay.link.net.sendFromHost(sh, pay.pkt)
+		}
 	}
-	return sh.executed - n0
 }
 
 // newPacket takes a Packet from the shard's arena. Callers overwrite every

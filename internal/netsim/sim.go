@@ -281,7 +281,10 @@ func NewSim(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Sim {
 	if shards > 1 && cfg.LinkDelay <= 0 {
 		panic("netsim: Shards > 1 requires a positive LinkDelay (the conservative lookahead)")
 	}
-	eng := NewShardedEngine(t.Nr(), shards, cfg.LinkDelay)
+	// No packet event is scheduled further ahead than one full-MTU
+	// serialization or one link delay.
+	mtuTime := Time(float64(cfg.MTU*8) / cfg.LinkBps * 1e9)
+	eng := NewShardedEngine(t.Nr(), shards, cfg.LinkDelay, max(mtuTime, cfg.LinkDelay))
 	net := buildNetwork(eng, t, fwd, cfg)
 	s := &Sim{
 		Eng:          eng,
@@ -290,7 +293,7 @@ func NewSim(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Sim {
 		Topo:         t,
 		Fwd:          fwd,
 		lastPull:     make([]Time, t.N()),
-		pullInterval: Time(float64(cfg.MTU*8) / cfg.LinkBps * 1e9),
+		pullInterval: mtuTime,
 	}
 	net.hostRecv = s.hostRecv
 	if cfg.Tracer.TryAcquire() {

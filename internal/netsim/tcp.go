@@ -21,8 +21,6 @@ const (
 )
 
 // renoSub is one Reno sender over the sequence range [lo, hi) of flow f.
-// The back-pointer keeps the RTO closure — the event loop's one steady-state
-// allocation — at (sim, subflow, generation), whatever the subflow count.
 type renoSub struct {
 	f            *flow
 	lo, hi       int32
@@ -33,8 +31,8 @@ type renoSub struct {
 	dupacks      int
 	inRecovery   bool
 	recover      int32
-	rtoGen       int64
 	rto          Time
+	rtoTimer     timer
 	srtt, rttvar Time
 	lastCutSeq   int32 // last window-cut boundary (once-per-window ECN response)
 	// A pinned subflow sends on layer for its whole life; an unpinned one
@@ -99,6 +97,7 @@ func (s *Sim) tcpStart(sh *Shard, f *flow) {
 		sub.cwnd = cwnd
 		sub.ssthresh = 1 << 20
 		sub.rto = 1 * Millisecond
+		sub.rtoTimer.fire = func(sh *Shard) { s.tcpRTOFire(sh, sub) }
 		s.tcpTrySend(sh, sub)
 		s.tcpArmRTO(sh, sub)
 	}
@@ -334,19 +333,17 @@ func (s *Sim) tcpUpdateRTT(sub *renoSub, sample Time) {
 
 // tcpArmRTO (re)arms the retransmission timer on the sender's partition.
 func (s *Sim) tcpArmRTO(sh *Shard, sub *renoSub) {
-	sub.rtoGen++
-	gen := sub.rtoGen
 	rto := sub.rto
 	if rto <= 0 {
 		rto = 1 * Millisecond
 	}
-	sh.after(sub.f.srcPart, rto, func(sh *Shard) { s.tcpRTOFire(sh, sub, gen) })
+	sh.arm(&sub.rtoTimer, sub.f.srcPart, sh.now+rto)
 }
 
-func (s *Sim) tcpRTOFire(sh *Shard, sub *renoSub, gen int64) {
+func (s *Sim) tcpRTOFire(sh *Shard, sub *renoSub) {
 	// Completion is judged per subflow from sender state alone (cumAck):
 	// the receiver's done flag lives on another partition.
-	if gen != sub.rtoGen || sub.done() {
+	if sub.done() {
 		return
 	}
 	if sub.cumAck >= sub.nextNew {
