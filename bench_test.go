@@ -337,18 +337,7 @@ func BenchmarkNetsimReplicate(b *testing.B) {
 		cell(b, cfg)
 	})
 
-	// shards=S: a fig14-style DCTCP cell under the sharded event loop. Results are
-	// byte-identical across the sweep (the engine's determinism contract),
-	// so the only thing that varies is wall clock: the ratio of shards=1 to
-	// shards=8 is the parallel-engine speedup on this machine's cores. CI
-	// archives the sweep in BENCH_netsim.json.
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := netsim.TCPDefaults(netsim.TransportDCTCP)
-		cfg.Shards = shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { cell(b, cfg) })
-	}
-
-	// transport=T: the same cell, serial, under each window law of the one
+	// transport=T: the same cell under each window law of the one
 	// Reno sender, so each law has its own ns/event in BENCH_netsim.json.
 	for _, tr := range []struct {
 		name string

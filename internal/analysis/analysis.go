@@ -1,7 +1,7 @@
 // Package analysis is detlint: a suite of static analyzers that enforce
 // the repository's determinism contract — the invariant, inherited from
 // the FatPaths reproduction's golden harness, that every table is
-// byte-identical at any worker count, shard count, and build order.
+// byte-identical at any worker count and build order.
 //
 // The analyzers encode the rules the tree already follows dynamically:
 //
@@ -14,8 +14,8 @@
 //   - cachekey: the durable sweep runtime's cache/journal keys derive
 //     from canonical cell identity, never loop indices or wall-clock
 //     time.
-//   - syncpool: no sync.Pool in internal/netsim (per-shard arenas
-//     replaced it; a pool would reintroduce cross-shard sharing).
+//   - syncpool: no sync.Pool in internal/netsim (per-engine arenas
+//     replaced it; a pool would couple concurrently running cells).
 //   - obsguard: obs hooks on simulator/routing hot paths stay nil-safe
 //     per internal/obs's zero-cost-when-disabled contract.
 //

@@ -2,7 +2,7 @@ package analysis
 
 // cimeta_test keeps the CI workflow honest about the tests it names:
 // every Test/Benchmark identifier appearing in ci.yml — in step
-// comments ("TestShardBarrierHammer drives ...") or -run/-bench
+// comments ("... (TestSharedRoutingEngineConcurrent)") or -run/-bench
 // patterns — must match a function actually declared in the module, as
 // an exact name or a prefix (the `go test -run` matching convention).
 // Renaming a test without updating the workflow fails here, not months

@@ -1,12 +1,12 @@
 package analysis
 
 // syncpool: PR 7 replaced internal/netsim's process-global packet
-// sync.Pool with per-shard arenas — a pool shares buffers across
-// shards, which both serializes the shard workers on the pool's
-// internals and (worse) makes allocation reuse depend on scheduling,
-// the exact cross-shard coupling the sharded event loop's determinism
-// contract forbids. Any reappearance of sync.Pool in netsim is a
-// regression; other packages are free to use it.
+// sync.Pool with an arena per engine. A sweep simulates many cells at
+// once, one engine per worker goroutine: a process-global pool makes them
+// serialize on the pool's internals and trade packet structs between
+// cores, and makes which memory a simulation reuses depend on scheduling.
+// Any reappearance of sync.Pool in netsim is a regression; other packages
+// are free to use it.
 
 import (
 	"go/ast"
@@ -15,7 +15,7 @@ import (
 
 var SyncPoolAnalyzer = &Analyzer{
 	Name: "syncpool",
-	Doc:  "no sync.Pool in internal/netsim; per-shard arenas own packet recycling",
+	Doc:  "no sync.Pool in internal/netsim; each engine's arena owns packet recycling",
 	Run:  runSyncPool,
 }
 
@@ -34,7 +34,7 @@ func runSyncPool(pass *Pass) {
 				return true
 			}
 			if obj.Pkg().Path() == "sync" && obj.Name() == "Pool" {
-				pass.Reportf(id.Pos(), "sync.Pool in internal/netsim shares buffers across shards; use the per-shard arena (see Shard.freePacket)")
+				pass.Reportf(id.Pos(), "sync.Pool in internal/netsim is shared by every concurrently running cell, which would serialize on it and trade packets through it; use the per-engine arena (see Engine.freePacket)")
 			}
 			return true
 		})

@@ -1,5 +1,5 @@
 // Corpus for the syncpool analyzer: sync.Pool is banned in
-// internal/netsim (per-shard arenas own packet recycling).
+// internal/netsim (each engine's arena owns packet recycling).
 package netsim
 
 import "sync"

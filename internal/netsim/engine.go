@@ -20,9 +20,6 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
-// maxTime is the empty-heap sentinel.
-const maxTime = Time(1<<63 - 1)
-
 // Seconds converts a Time to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
@@ -34,27 +31,31 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 type eventKind uint8
 
 const (
-	evTimer   eventKind = iota // an entry of timer tm popped (shard.go)
+	evTimer   eventKind = iota // an entry of timer tm popped
 	evTxDone                   // link finished serializing pkt; start next, then deliver
 	evDeliver                  // pkt arrives at the far end of link
 	evInject                   // pkt enters the network at link, its source host's uplink
 )
 
 // Canonical event keys. Same-time events execute in ascending key order,
-// and keys are constructed so that the total (at, key) order is a property
-// of the simulated system alone — never of how partitions were grouped
-// into shards:
+// and keys are built from the simulated system — a partition is one router
+// plus its attached hosts — never from the order in which the queue
+// happened to be filled:
 //
-//   - Partition-local events (timers, tx-done) fold the owning partition id
-//     and that partition's private push counter. Within one partition,
-//     scheduling order is execution order, exactly as in the serial engine.
-//   - Link deliveries fold the link's globally stable id and a per-link
-//     transmit sequence. A delivery gets this key whether or not it crosses
-//     a shard boundary, so co-locating transmitter and receiver (S=1)
-//     yields the same order as separating them (S=8).
+//   - Partition-local events (timers, tx-done, paced pulls) fold the owning
+//     partition id and that partition's private push counter. Within one
+//     partition, scheduling order is execution order; across partitions,
+//     the lower id goes first whichever was pushed first.
+//   - Link deliveries fold the link's construction-order id and a per-link
+//     transmit sequence, and sort after the local class at equal times.
 //
-// The delivery class sorts after the local class at equal times, which is
-// well-defined either way; what matters is that the rule is fixed.
+// One global push counter would give a total order as well, but then
+// same-time events at different routers would run in whatever order
+// earlier events happened to push them; here the order between partitions
+// is fixed by id, so it can be stated without replaying the run and does
+// not move when an unrelated push is added or removed. It is also the order
+// every golden, TestEventCountPinned and TestFlowResultsPinned record: the
+// rule is part of the model.
 func localKey(part int32, seq uint32) uint64 {
 	return uint64(uint32(part))<<32 | uint64(seq)
 }
@@ -63,105 +64,213 @@ func deliverKey(linkID int32, seq uint32) uint64 {
 	return 1<<63 | uint64(uint32(linkID))<<32 | uint64(seq)
 }
 
-// Engine is a deterministic discrete-event scheduler, optionally sharded:
-// partitions (one per router, hosts riding with their router) are split
-// into contiguous blocks, each drained by its own worker goroutine under
-// conservative synchronization — a window of lookahead length is safe to
-// drain independently because every cross-partition event (a link
-// delivery) is scheduled at least one link delay ahead. Results are
-// byte-identical at every shard count; see the canonical-key comment.
+// Engine is the deterministic discrete-event scheduler of one simulation:
+// the clock, the event queue, the per-partition sequence counters behind
+// the canonical keys, the packet arena and the run's plain-field tallies.
+// It is single-threaded — a sweep runs many engines side by side, one per
+// cell, and nothing here is shared between them. Event callbacks receive
+// the executing *Engine.
 type Engine struct {
-	shards    []*Shard
-	partShard []int32 // partition id -> owning shard
-	lookahead Time
+	now   Time
+	queue eventHeap
 
-	// now is the engine-wide clock: live during serial runs, and updated
-	// from the shard clocks when a parallel run returns. Engine.Now is only
-	// meaningful between runs — code executing on a shard uses Shard.Now.
-	now Time
+	// seq[p] is partition p's push counter (see localKey).
+	seq []uint32
 
-	// windows / stalls summarize parallel-run synchronization (flushed to
-	// the obs layer by Sim.Run). tracer is nil except for the single
-	// simulation that acquired the run's tracer; obs.Tracer is internally
-	// locked, so shard workers may record concurrently.
-	windows int64
-	tracer  *obs.Tracer
+	// Packet arena: a free list fed by chunked allocations. It belongs to
+	// the engine, not the process, because cells of a sweep simulate
+	// concurrently: a shared pool would serialize them on its locks and
+	// trade packet structs between cores (detlint's syncpool rule).
+	pfree []*Packet
+
+	executed int64
+	queueHW  int
+
+	// Network tallies, flushed to the obs layer by Sim.Run.
+	inflight   int64
+	inflightHW int64
+	hopHist    [maxHopBucket + 1]int64
+
+	// tracer is nil except for the one simulation that acquired the run's
+	// tracer.
+	tracer *obs.Tracer
 }
 
-// NewShardedEngine returns an engine over parts partitions drained by
-// shards workers. lookahead is the conservative synchronization window —
-// the minimum delay of any cross-partition event — and must be positive
-// when shards > 1. nearSpan is how far ahead the bulk of events is
-// scheduled (a packet's serialization or link delay); it sizes the event
-// queues' calendar tick and affects cost only, never order. Shard s owns
-// the contiguous partition block {p : p*shards/parts == s}.
-func NewShardedEngine(parts, shards int, lookahead, nearSpan Time) *Engine {
-	if parts < 1 {
-		parts = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > parts {
-		shards = parts
-	}
-	if shards > 1 && lookahead <= 0 {
-		panic("netsim: sharded engine requires a positive lookahead (the minimum link delay)")
-	}
-	e := &Engine{
-		partShard: make([]int32, parts),
-		lookahead: lookahead,
-		shards:    make([]*Shard, shards),
-	}
-	for p := 0; p < parts; p++ {
-		e.partShard[p] = int32(p * shards / parts)
-	}
-	for s := range e.shards {
-		sh := &Shard{eng: e, id: int32(s), partLo: -1}
-		sh.heap.near.shift = wheelShift(nearSpan)
-		if shards > 1 {
-			sh.outbox = make([][]outEvent, shards)
-		}
-		e.shards[s] = sh
-	}
-	for p := 0; p < parts; p++ {
-		sh := e.shards[e.partShard[p]]
-		if sh.partLo < 0 {
-			sh.partLo = int32(p)
-		}
-		sh.seq = append(sh.seq, 0)
-	}
+// NewEngine returns an engine over parts partitions. nearSpan is how far
+// ahead the bulk of events is scheduled (a packet's serialization or link
+// delay); it sizes the event queue's calendar tick and affects cost only,
+// never order.
+func NewEngine(parts int, nearSpan Time) *Engine {
+	e := &Engine{seq: make([]uint32, parts)}
+	e.queue.near.shift = wheelShift(nearSpan)
 	return e
 }
 
-// AtPart schedules fn at absolute time t on the given partition. It must
-// not be called while a parallel run is draining (schedule through the
-// executing *Shard there); before Run, and on serial engines, it is the
-// ordinary front door.
-func (e *Engine) AtPart(t Time, part int32, fn func(*Shard)) {
-	e.shards[e.partShard[part]].at(part, t, fn)
+// Now returns the current simulation time.
+func (e *Engine) Now() Time { return e.now }
+
+// Executed returns the number of events executed so far.
+func (e *Engine) Executed() int64 { return e.executed }
+
+// QueueHighWater returns the largest event-queue depth reached.
+func (e *Engine) QueueHighWater() int { return e.queueHW }
+
+// SetTracer attaches an acquired tracer to the engine's event loop.
+func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
+
+// push queues an event with an explicit canonical key.
+func (e *Engine) push(t Time, key uint64, pay eventPayload) {
+	if t < e.now {
+		t = e.now
+	}
+	e.queue.push(t, key, pay)
+	if n := e.queue.len(); n > e.queueHW {
+		e.queueHW = n
+	}
 }
 
-// Run executes events until the queues empty or the horizon passes. It
-// returns the number of events executed.
+// pushLocal queues a partition-local event under the partition's next key.
+func (e *Engine) pushLocal(t Time, part int32, pay eventPayload) {
+	e.seq[part]++
+	e.push(t, localKey(part, e.seq[part]), pay)
+}
+
+// timer is a re-armable deadline with at most one live firing: a subflow's
+// retransmission timeout, an NDP sender's keepalive. Re-arming — every ACK
+// does it — moves the deadline and queues nothing while an entry that pops
+// no later is already queued, so a timer costs one queue entry, not one per
+// arm, and no allocation after fire is set.
+//
+// (at, key) is the live deadline; (queuedAt, queuedKey) is the one queue
+// entry that counts, valid while queued. An entry that pops with any other
+// (at, key) was superseded by an earlier deadline and is dropped; the one
+// that counts fires if it is the live deadline and otherwise re-queues
+// itself at it. Either way fire runs at exactly the (at, key) the last arm
+// drew — where an entry pushed by that arm would have popped.
+type timer struct {
+	at        Time
+	key       uint64
+	queuedAt  Time
+	queuedKey uint64
+	queued    bool
+	fire      func(*Engine)
+}
+
+// arm sets tm's deadline to absolute time t (no earlier than now) on
+// partition part — hosts schedule on their own router's partition —
+// replacing any earlier deadline. Every arm draws the partition's next
+// sequence number, queued or not, so no other event's key depends on how
+// often an entry is pushed.
+func (e *Engine) arm(tm *timer, part int32, t Time) {
+	if t < e.now {
+		t = e.now
+	}
+	e.seq[part]++
+	tm.at, tm.key = t, localKey(part, e.seq[part])
+	if !tm.queued || t < tm.queuedAt {
+		e.queueTimer(tm)
+	}
+}
+
+// AtPart schedules fn once at absolute time t on partition part: a timer
+// nobody re-arms.
+func (e *Engine) AtPart(t Time, part int32, fn func(*Engine)) {
+	e.arm(&timer{fire: fn}, part, t)
+}
+
+// queueTimer pushes the entry for tm's live deadline and makes it the one
+// that counts.
+func (e *Engine) queueTimer(tm *timer) {
+	tm.queued, tm.queuedAt, tm.queuedKey = true, tm.at, tm.key
+	e.push(tm.at, tm.key, eventPayload{kind: evTimer, tm: tm})
+}
+
+// popTimer handles a timer entry popped at (at, key).
+func (e *Engine) popTimer(tm *timer, at Time, key uint64) {
+	switch {
+	case !tm.queued || at != tm.queuedAt || key != tm.queuedKey:
+		// Superseded: an arm with an earlier deadline queued its own entry.
+	case at != tm.at || key != tm.key:
+		e.queueTimer(tm) // the deadline moved later since this was queued
+	default:
+		tm.queued = false
+		tm.fire(e)
+	}
+}
+
+// afterTxDone schedules the end of a packet's serialization on link l (the
+// transmit side of l lives on partition l.txPart).
+func (e *Engine) afterTxDone(d Time, l *link, p *Packet) {
+	e.pushLocal(e.now+d, l.txPart, eventPayload{kind: evTxDone, link: l, pkt: p})
+}
+
+// afterDeliver schedules a packet's arrival at the far end of a link, under
+// the link's next delivery key.
+func (e *Engine) afterDeliver(l *link, p *Packet) {
+	l.deliverSeq++
+	e.push(e.now+l.delay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, link: l, pkt: p})
+}
+
+// Run executes events in (at, key) order until the queue empties or the
+// horizon passes — events at the horizon still run — and returns how many
+// it executed. A drained queue leaves the clock at the horizon.
 func (e *Engine) Run(until Time) int {
-	if len(e.shards) == 1 {
-		return e.runSerial(until)
+	n0 := e.executed
+	for {
+		at, key, pay, ok := e.queue.popUntil(until)
+		if !ok {
+			break
+		}
+		e.now = at
+		e.executed++
+		if e.tracer != nil {
+			e.traceEvent(pay)
+		}
+		switch pay.kind {
+		case evTimer:
+			e.popTimer(pay.tm, at, key)
+		case evTxDone:
+			l := pay.link
+			l.busy = false
+			l.kick(e)
+			e.afterDeliver(l, pay.pkt)
+		case evDeliver:
+			pay.link.net.deliver(e, pay.link, pay.pkt)
+		case evInject:
+			pay.link.net.sendFromHost(e, pay.pkt)
+		}
 	}
-	return e.runParallel(until)
+	if e.now < until && e.queue.len() == 0 {
+		e.now = until
+	}
+	return int(e.executed - n0)
 }
 
-// runSerial is the single-shard fast path: no windows, no barriers, drain
-// straight to the horizon.
-func (e *Engine) runSerial(until Time) int {
-	sh := e.shards[0]
-	n := sh.run(until)
-	if sh.now < until && sh.heap.len() == 0 {
-		sh.now = until
+// newPacket takes a Packet from the arena. Callers overwrite every field
+// (allocation sites assign a full composite literal), so no zeroing happens
+// here.
+func (e *Engine) newPacket() *Packet {
+	if n := len(e.pfree); n > 0 {
+		p := e.pfree[n-1]
+		e.pfree = e.pfree[:n-1]
+		return p
 	}
-	e.now = sh.now
-	return int(n)
+	chunk := make([]Packet, packetChunk)
+	for i := 1; i < len(chunk); i++ {
+		e.pfree = append(e.pfree, &chunk[i])
+	}
+	return &chunk[0]
 }
+
+// freePacket recycles a dead packet into the arena. The struct is zeroed
+// so a stale field read after free fails loudly rather than plausibly.
+func (e *Engine) freePacket(p *Packet) {
+	*p = Packet{}
+	e.pfree = append(e.pfree, p)
+}
+
+// packetChunk is the arena growth quantum.
+const packetChunk = 256
 
 // eventTraceName maps event kinds onto trace slice names.
 var eventTraceName = [...]string{evTimer: "timer", evTxDone: "tx-done", evDeliver: "deliver", evInject: "inject"}
@@ -170,9 +279,9 @@ var eventTraceName = [...]string{evTimer: "timer", evTxDone: "tx-done", evDelive
 // a periodic event-queue-depth counter track. Packet events land on a tid
 // derived from the packet's destination so per-flow activity separates
 // into rows in the viewer.
-func (sh *Shard) traceEvent(pay eventPayload) {
-	ts := int64(sh.now)
-	tr := sh.eng.tracer
+func (e *Engine) traceEvent(pay eventPayload) {
+	ts := int64(e.now)
+	tr := e.tracer
 	if !tr.Active(ts) {
 		return
 	}
@@ -183,8 +292,8 @@ func (sh *Shard) traceEvent(pay eventPayload) {
 		name = pktTraceName(name, pay.pkt)
 	}
 	tr.Instant("event", name, ts, tid)
-	if sh.executed%64 == 0 {
-		tr.CounterEvent("event_queue_depth", ts, int64(sh.heap.len()))
+	if e.executed%64 == 0 {
+		tr.CounterEvent("event_queue_depth", ts, int64(e.queue.len()))
 	}
 }
 
@@ -201,28 +310,4 @@ func pktTraceName(base string, p *Packet) string {
 		}
 		return base + ":data"
 	}
-}
-
-// SetTracer attaches an acquired tracer to the engine's event loop.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
-
-// Executed returns the number of events executed so far, summed over
-// shards.
-func (e *Engine) Executed() int64 {
-	var n int64
-	for _, sh := range e.shards {
-		n += sh.executed
-	}
-	return n
-}
-
-// QueueHighWater returns the largest event-queue depth any shard reached.
-func (e *Engine) QueueHighWater() int {
-	hw := 0
-	for _, sh := range e.shards {
-		if sh.queueHW > hw {
-			hw = sh.queueHW
-		}
-	}
-	return hw
 }

@@ -8,7 +8,15 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/layers"
+	"repro/internal/topo"
 )
+
+// maxTime is the latest representable time: popUntil(maxTime) and
+// Run(maxTime) drain the queue.
+const maxTime = Time(1<<63 - 1)
 
 // TestFlowHashMatchesFNV pins the inlined ECMP hash to hash/fnv: one
 // differing bit would move every golden.
@@ -31,7 +39,7 @@ func TestFlowHashMatchesFNV(t *testing.T) {
 	}
 }
 
-// queueCheck drives one script of pushes and pops through the shard queue
+// queueCheck drives one script of pushes and pops through the event queue
 // (wheel + far heap), a lone quadHeap fed everything, and a sorted-slice
 // model: all three must pop in (at, key) order. Along the way the slot
 // tables may never outgrow their structure's live high-water mark, free
@@ -68,7 +76,7 @@ func (q *queueCheck) push(delta Time, keyHi uint32, callback bool) {
 	e := queuedEv{at: q.now + delta, key: uint64(keyHi)<<32 | uint64(id), id: id}
 	pay := eventPayload{kind: evDeliver, link: &link{}, pkt: &Packet{Seq: id}}
 	if callback {
-		pay = eventPayload{kind: evTimer, tm: &timer{fire: func(*Shard) { q.fired = id }}}
+		pay = eventPayload{kind: evTimer, tm: &timer{fire: func(*Engine) { q.fired = id }}}
 	}
 	q.h.push(e.at, e.key, pay)
 	q.single.push(e.at, e.key, pay)
@@ -90,8 +98,8 @@ func (q *queueCheck) ident(p eventPayload) int32 {
 func (q *queueCheck) pop() {
 	q.t.Helper()
 	if len(q.model) == 0 {
-		if _, _, _, ok := q.h.popUntil(maxTime); ok || q.h.minAt() != maxTime {
-			q.t.Fatal("empty queue popped an event or reported a time")
+		if _, _, _, ok := q.h.popUntil(maxTime); ok || q.h.len() != 0 {
+			q.t.Fatal("empty queue popped an event or reported a length")
 		}
 		return
 	}
@@ -101,9 +109,7 @@ func (q *queueCheck) pop() {
 	})
 	want := q.model[0]
 	q.model = q.model[1:]
-	if got := q.h.minAt(); got != want.at {
-		q.t.Fatalf("minAt = %d, model says %d", got, want.at)
-	}
+	// The head is due at want.at exactly: nothing pops one tick short of it.
 	if _, _, _, ok := q.h.popUntil(want.at - 1); ok {
 		q.t.Fatalf("popUntil(%d) popped an event due at %d", want.at-1, want.at)
 	}
@@ -193,9 +199,9 @@ func TestEventHeapOrderProperty(t *testing.T) {
 					delta = Time(wheelBuckets+rng.Intn(3*wheelBuckets)) * tick
 				}
 				if rng.Intn(4) == 0 {
-					// A peek before the push: whatever minAt learnt must
-					// not outlive a push that undercuts it.
-					q.h.minAt()
+					// A refused pop before the push: whatever locating the
+					// head learnt must not outlive a push that undercuts it.
+					q.h.popUntil(q.now - 1)
 				}
 				q.push(delta, rng.Uint32(), rng.Intn(3) == 0)
 				if rng.Intn(200) == 0 {
@@ -289,42 +295,42 @@ func TestTimerModel(t *testing.T) {
 			}
 		}
 
-		e := NewShardedEngine(parts, 1, 0, 100) // a 1 ns tick: deadlines land in the wheel and beyond it
+		e := NewEngine(parts, 100) // a 1 ns tick: deadlines land in the wheel and beyond it
 		var tms [timers]timer
 		var gen, fires [timers]int
 		var deadline [timers]Time
-		var arm func(sh *Shard, i int, d Time)
-		fire := func(sh *Shard, i int, key uint64) {
-			log = append(log, firing{sh.Now(), key, i})
+		var arm func(e *Engine, i int, d Time)
+		fire := func(e *Engine, i int, key uint64) {
+			log = append(log, firing{e.Now(), key, i})
 			fires[i]++
 			if d := onFire[i][fires[i]]; d >= 0 {
-				arm(sh, i, d)
+				arm(e, i, d)
 			}
 		}
-		arm = func(sh *Shard, i int, d Time) {
+		arm = func(e *Engine, i int, d Time) {
 			part := int32(i % parts)
-			deadline[i] = sh.Now() + d
+			deadline[i] = e.Now() + d
 			if lazy {
-				sh.arm(&tms[i], part, sh.Now()+d)
+				e.arm(&tms[i], part, e.Now()+d)
 				return
 			}
 			gen[i]++
 			g := gen[i]
-			key := localKey(part, sh.seq[part]+1)
-			sh.at(part, sh.Now()+d, func(sh *Shard) {
+			key := localKey(part, e.seq[part]+1)
+			e.AtPart(e.Now()+d, part, func(e *Engine) {
 				if g == gen[i] {
-					fire(sh, i, key)
+					fire(e, i, key)
 				}
 			})
 		}
 		for i := range tms {
 			i := i
-			tms[i].fire = func(sh *Shard) { fire(sh, i, tms[i].key) }
+			tms[i].fire = func(e *Engine) { fire(e, i, tms[i].key) }
 		}
 		for _, op := range script {
 			op := op
-			e.AtPart(op.at, int32(op.timer%parts), func(sh *Shard) {
-				left := deadline[op.timer] - sh.Now()
+			e.AtPart(op.at, int32(op.timer%parts), func(e *Engine) {
+				left := deadline[op.timer] - e.Now()
 				d := op.d
 				switch {
 				case left <= 0 || op.mode == 0:
@@ -335,7 +341,7 @@ func TestTimerModel(t *testing.T) {
 				default:
 					d = left + 1 + op.d
 				}
-				arm(sh, op.timer, d)
+				arm(e, op.timer, d)
 			})
 		}
 		e.Run(maxTime)
@@ -417,23 +423,23 @@ func TestLinkQueueBehaviour(t *testing.T) {
 		cfg := TCPDefaults(TransportTCP)
 		cfg.QueueCap, cfg.PrioQueueCap, cfg.ECNThreshold, cfg.TrimMode = 5, 4, 4, trim
 		s := starSim(t, 2, cfg)
-		sh, l := s.Eng.shards[0], s.Net.hostUp[0]
+		e, l := s.Eng, s.Net.hostUp[0]
 		l.busy = true // hold the transmitter so arrivals accumulate
 		data := func(seq int32) *Packet {
-			p := sh.newPacket()
+			p := e.newPacket()
 			*p = Packet{Seq: seq, Bytes: 1500, Kind: KindData}
-			sh.inflight++
+			e.inflight++
 			return p
 		}
-		ack := sh.newPacket()
+		ack := e.newPacket()
 		*ack = Packet{Seq: 100, Bytes: HeaderBytes, Kind: KindAck}
-		sh.inflight++
-		l.enqueue(sh, ack) // control traffic goes straight to the priority queue
+		e.inflight++
+		l.enqueue(e, ack) // control traffic goes straight to the priority queue
 		var pkts []*Packet
 		for seq := int32(0); seq < 10; seq++ {
 			p := data(seq)
 			pkts = append(pkts, p)
-			l.enqueue(sh, p)
+			l.enqueue(e, p)
 		}
 		if l.q.len() != 5 {
 			t.Fatalf("trim=%v: data queue holds %d, capacity is 5", trim, l.q.len())
@@ -460,8 +466,8 @@ func TestLinkQueueBehaviour(t *testing.T) {
 		}
 		for i, want := range wantOrder {
 			l.busy = false
-			l.kick(sh)
-			_, _, pay, _ := sh.heap.popUntil(maxTime)
+			l.kick(e)
+			_, _, pay, _ := e.queue.popUntil(maxTime)
 			if pay.kind != evTxDone || pay.pkt.Seq != want {
 				t.Fatalf("trim=%v: transmission %d sent seq %d, want %d", trim, i, pay.pkt.Seq, want)
 			}
@@ -470,18 +476,34 @@ func TestLinkQueueBehaviour(t *testing.T) {
 			}
 		}
 		l.busy = false
-		l.kick(sh)
-		if l.busy || sh.heap.len() != 0 {
+		l.kick(e)
+		if l.busy || e.queue.len() != 0 {
 			t.Fatalf("trim=%v: empty link started a transmission", trim)
 		}
 	}
 }
 
+// sfFabric builds a SlimFly fabric with random layers: one topology and one
+// set of forwarding tables serve every simulation of a test, exactly as
+// replicates share them in production.
+func sfFabric(t *testing.T, q, nLayers int, rho float64, seed int64) (*topo.Topology, *layers.Forwarding) {
+	t.Helper()
+	sf, err := topo.SlimFly(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := layers.Random(sf.G, nLayers, rho, graph.NewRand(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sf, layers.NewForwarding(ls, seed)
+}
+
 // permSim loads a full permutation of long flows onto a 4-layer SF q=5
-// fabric at a fixed seed: the steady-state workload of the two tests below.
+// fabric at a fixed seed: the steady-state workload of the tests below.
 func permSim(t *testing.T, cfg Config) *Sim {
 	t.Helper()
-	tp, fwd := shardFabric(t, 5, 4, 0.6, 11)
+	tp, fwd := sfFabric(t, 5, 4, 0.6, 11)
 	cfg.Seed = 42
 	s := NewSim(tp, fwd, cfg)
 	n := tp.N()
@@ -491,19 +513,81 @@ func permSim(t *testing.T, cfg Config) *Sim {
 	return s
 }
 
+// mixedSim loads the same fabric with half a permutation of 96 KiB flows
+// plus a six-to-one incast onto host 0, which stresses trims, timeouts and
+// control traffic; failLinks fails every tenth router-router link under the
+// flows first (the ext-failures leg: packets die on failed links and flows
+// re-route or stall).
+func mixedSim(t *testing.T, cfg Config, failLinks bool) *Sim {
+	t.Helper()
+	tp, fwd := sfFabric(t, 5, 4, 0.6, 11)
+	cfg.Seed = 42
+	s := NewSim(tp, fwd, cfg)
+	if failLinks {
+		s.Net.FailRandomLinks(tp.G.M()/10, graph.NewRand(cfg.Seed))
+	}
+	n := tp.N()
+	half := n / 2
+	for i := 0; i < half; i++ {
+		s.AddFlow(FlowSpec{Src: int32(i), Dst: int32((i + half) % n), Bytes: 96 << 10, Start: Time(i) * 3 * Microsecond})
+	}
+	for i := 1; i <= 6; i++ {
+		s.AddFlow(FlowSpec{Src: int32(i), Dst: 0, Bytes: 64 << 10, Start: 5 * Microsecond})
+	}
+	return s
+}
+
+func withLB(cfg Config, lb LoadBalance) Config {
+	cfg.LB = lb
+	return cfg
+}
+
+// pinnedLoad selects the workload of a pinned case.
+type pinnedLoad uint8
+
+const (
+	perm        pinnedLoad = iota // permSim, run to 50 ms
+	mixed                         // mixedSim, run to 80 ms
+	mixedFailed                   // mixedSim with links failed, run to 80 ms
+)
+
+// eventCoreCases pins fixed-seed runs. The mixed rows are the five workloads on
+// which the sharded engine used to be compared with the serial one; their
+// literals are the serial engine's, recorded at the last commit that had
+// both (PR 17), and they are the only simulator-level pins of LetFlow under
+// DCTCP and of failed links.
 var eventCoreCases = []struct {
 	name           string
 	cfg            Config
-	events         int64 // Eng.Executed() after Run(50ms)
-	queueHighWater int   // Eng.QueueHighWater(), likewise
-	retx           int64 // FlowResult.Retx summed over flows: moves with any window-law slip
-	allocCeiling   float64
-	digest         uint64 // flowDigest after the same run (TestFlowResultsPinned)
+	load           pinnedLoad
+	events         int64   // Eng.Executed() after the run
+	queueHighWater int     // Eng.QueueHighWater(), likewise
+	done           int     // flows completed
+	retx           int64   // FlowResult.Retx summed over flows: moves with any window-law slip
+	allocCeiling   float64 // 0: the run is too short to measure
+	digest         uint64  // flowDigest after the same run (TestFlowResultsPinned)
 }{
-	{"tcp", TCPDefaults(TransportTCP), 621736, 1169, 453, 0.01, 0x4d8a58bb1bb33892},
-	{"dctcp", TCPDefaults(TransportDCTCP), 674665, 1302, 5879, 0.01, 0xc011ea92e1c32ee1},
-	{"mptcp", TCPDefaults(TransportMPTCP), 638205, 3373, 2294, 0.01, 0x8bb9134d2e067785},
-	{"ndp", NDPDefaults(), 158906, 765, 2932, 0.02, 0xa6a87bbb54c1086e},
+	{"tcp", TCPDefaults(TransportTCP), perm, 621736, 1169, 200, 453, 0.01, 0x4d8a58bb1bb33892},
+	{"dctcp", TCPDefaults(TransportDCTCP), perm, 674665, 1302, 200, 5879, 0.01, 0xc011ea92e1c32ee1},
+	{"mptcp", TCPDefaults(TransportMPTCP), perm, 638205, 3373, 200, 2294, 0.01, 0x8bb9134d2e067785},
+	{"ndp", NDPDefaults(), perm, 158906, 765, 200, 2932, 0.02, 0xa6a87bbb54c1086e},
+	{"mixed-ndp-fatpaths", NDPDefaults(), mixed, 29484, 336, 106, 462, 0, 0xb1b5406a3832d331},
+	{"mixed-tcp-fatpaths", TCPDefaults(TransportTCP), mixed, 120720, 553, 106, 152, 0, 0x748ac3a178dba81f},
+	{"mixed-dctcp-letflow", withLB(TCPDefaults(TransportDCTCP), LBLetFlow), mixed, 110406, 494, 106, 798, 0, 0x60d4bc5722051684},
+	{"mixed-mptcp", TCPDefaults(TransportMPTCP), mixed, 122254, 1262, 106, 209, 0, 0xe390d9a9a29581c3},
+	{"mixed-ndp-failed-links", NDPDefaults(), mixedFailed, 35306, 297, 98, 1778, 0, 0x8a11da6e8547c835},
+}
+
+// runPinned runs case i of eventCoreCases to its horizon.
+func runPinned(t *testing.T, i int) (*Sim, []FlowResult) {
+	t.Helper()
+	c := eventCoreCases[i]
+	if c.load != perm {
+		s := mixedSim(t, c.cfg, c.load == mixedFailed)
+		return s, s.Run(80 * Millisecond)
+	}
+	s := permSim(t, c.cfg)
+	return s, s.Run(50 * Millisecond)
 }
 
 // TestEventCountPinned holds the simulated model fixed while its cost
@@ -515,25 +599,30 @@ var eventCoreCases = []struct {
 // / 19996 before), with ndp, every retransmission sum and every
 // TestFlowResultsPinned digest unchanged.
 func TestEventCountPinned(t *testing.T) {
-	for _, c := range eventCoreCases {
-		s := permSim(t, c.cfg)
-		res := s.Run(50 * Millisecond)
-		if CompletedFraction(res) != 1 {
-			t.Fatalf("%s: only %.3f of flows completed", c.name, CompletedFraction(res))
-		}
-		var retx int64
-		for _, r := range res {
-			retx += r.Retx
-		}
-		if retx != c.retx {
-			t.Errorf("%s: %d retransmissions, pinned %d", c.name, retx, c.retx)
-		}
-		if got := s.Eng.Executed(); got != c.events {
-			t.Errorf("%s: executed %d events, pinned %d", c.name, got, c.events)
-		}
-		if got := s.Eng.QueueHighWater(); got != c.queueHighWater {
-			t.Errorf("%s: queue high-water %d, pinned %d", c.name, got, c.queueHighWater)
-		}
+	for i, c := range eventCoreCases {
+		t.Run(c.name, func(t *testing.T) {
+			s, res := runPinned(t, i)
+			done := 0
+			var retx int64
+			for _, r := range res {
+				retx += r.Retx
+				if r.Done {
+					done++
+				}
+			}
+			if done != c.done {
+				t.Errorf("%d of %d flows completed, pinned %d", done, len(res), c.done)
+			}
+			if retx != c.retx {
+				t.Errorf("%d retransmissions, pinned %d", retx, c.retx)
+			}
+			if got := s.Eng.Executed(); got != c.events {
+				t.Errorf("executed %d events, pinned %d", got, c.events)
+			}
+			if got := s.Eng.QueueHighWater(); got != c.queueHighWater {
+				t.Errorf("queue high-water %d, pinned %d", got, c.queueHighWater)
+			}
+		})
 	}
 }
 
@@ -569,9 +658,8 @@ func flowDigest(s *Sim, res []FlowResult) uint64 {
 // were recorded with one heap entry and one closure per timer arm, before
 // the calendar queue and the live timers.
 func TestFlowResultsPinned(t *testing.T) {
-	for _, c := range eventCoreCases {
-		s := permSim(t, c.cfg)
-		res := s.Run(50 * Millisecond)
+	for i, c := range eventCoreCases {
+		s, res := runPinned(t, i)
 		if got := flowDigest(s, res); got != c.digest {
 			t.Errorf("%s: flow-result digest %#x, pinned %#x", c.name, got, c.digest)
 		}
@@ -587,6 +675,9 @@ func TestFlowResultsPinned(t *testing.T) {
 // land in the delta.
 func TestAllocsPerEventCeiling(t *testing.T) {
 	for _, c := range eventCoreCases {
+		if c.allocCeiling == 0 {
+			continue
+		}
 		s := permSim(t, c.cfg)
 		s.Eng.Run(200 * Microsecond)
 		warm := s.Eng.Executed()
@@ -608,7 +699,7 @@ func TestAllocsPerEventCeiling(t *testing.T) {
 
 // BenchmarkEventQueue is the classic hold model: a queue of n events, each
 // operation pops the earliest and pushes one at now + U(0, span). It runs
-// the shard queue with its tick fitted to span (every push lands in the
+// the event queue with its tick fitted to span (every push lands in the
 // wheel) beside a lone 4-ary heap, so the depth at which the calendar
 // queue overtakes the heap is a committed number.
 func BenchmarkEventQueue(b *testing.B) {

@@ -2,8 +2,8 @@ package netsim
 
 import "math/bits"
 
-// Per-shard event storage. The queue is the simulator's hottest data
-// structure, so its layout is built around three decisions:
+// Event storage. The queue is the simulator's hottest data structure, so
+// its layout is built around three decisions:
 //
 //   - Near and far events queue apart. A packet event (evTxDone, evDeliver,
 //     evInject) is scheduled at most one MTU serialization or one link
@@ -12,9 +12,9 @@ import "math/bits"
 //     one per tick, where push is a list prepend and pop is a bitmap scan
 //     plus a walk over the one or two events that share the tick — no sift,
 //     whatever the queue depth. Whatever does not fit the wheel's window
-//     (timers, flow starts, pulls paced far ahead, barrier merges, a
-//     configuration whose delays dwarf the window) goes to a 4-ary heap,
-//     and so does a bucket that a lock-step workload grew too long to walk.
+//     (timers, flow starts, pulls paced far ahead, a configuration whose
+//     delays dwarf the window) goes to a 4-ary heap, and so does a bucket
+//     that a lock-step workload grew too long to walk.
 //     popUntil takes the smaller (at, key) head of the two, so execution
 //     order is the total (at, key) order a single heap would give and never
 //     depends on which structure held an event.
@@ -28,8 +28,9 @@ import "math/bits"
 //     and the four children of a node sit in adjacent cache lines.
 //
 // Ordering is (at, key): key is the canonical event key (see engine.go),
-// unique per event, which makes queue order — and therefore execution
-// order — independent of the shard count.
+// unique per event, so queue order — and therefore execution order — is
+// total and never depends on which structure held an event or on the order
+// of pushes.
 
 // eventPayload is the non-key part of an event. It is four words on
 // purpose: up to that size the compiler copies a pointer-bearing struct
@@ -186,7 +187,7 @@ type wheelNode struct {
 // bit is set.
 type wheel struct {
 	shift uint8
-	cur   int64 // tick of the last event popped from the shard's queue
+	cur   int64 // tick of the last event popped from the engine's queue
 	n     int
 	occ   [wheelWords]uint64
 	head  [wheelBuckets]int32
@@ -262,28 +263,14 @@ func (w *wheel) take(b int, s, prev int32) eventPayload {
 	return w.slots.take(s)
 }
 
-// eventHeap is a shard's event queue: the wheel for the near future and
-// the heap for everything else behind one len/minAt/push/popUntil surface.
+// eventHeap is the engine's event queue: the wheel for the near future and
+// the heap for everything else behind one len/push/popUntil surface.
 type eventHeap struct {
 	near wheel
 	far  quadHeap
 }
 
 func (h *eventHeap) len() int { return h.near.n + h.far.len() }
-
-// minAt returns the earliest queued time, or maxTime when empty.
-func (h *eventHeap) minAt() Time {
-	t := maxTime
-	if h.far.len() > 0 {
-		t = h.far.ent[0].at
-	}
-	if h.near.n > 0 {
-		if _, s, _, _ := h.near.min(); h.near.node[s].at < t {
-			t = h.near.node[s].at
-		}
-	}
-	return t
-}
 
 func (h *eventHeap) push(at Time, key uint64, pay eventPayload) {
 	if !h.near.push(at, key, pay) {
@@ -294,7 +281,7 @@ func (h *eventHeap) push(at Time, key uint64, pay eventPayload) {
 // popUntil removes and returns the minimum event of the two structures by
 // (at, key), unless the queue is empty or that event lies beyond limit.
 // Popping moves the wheel's window up to the popped time: no later push can
-// be earlier (Shard.push clamps to the clock).
+// be earlier (Engine.push clamps to the clock).
 func (h *eventHeap) popUntil(limit Time) (at Time, key uint64, pay eventPayload, ok bool) {
 	w := &h.near
 	if w.n > 0 {

@@ -18,8 +18,9 @@ package netsim
 //   - A sender-side keepalive recovers from lost control packets. It stops
 //     when a FIN pull arrives: once the receiver holds the whole message it
 //     answers any further data with a FIN instead of a credit, giving the
-//     sender an explicit, sender-local completion signal (the sharded
-//     engine forbids the sender reading the receiver's done flag directly).
+//     sender an explicit, sender-local completion signal. The simulator
+//     could let the sender read the receiver's done flag, but a real sender
+//     cannot, and the FIN round trip is the behaviour the goldens record.
 
 // ndpSender is the NDP sender's state.
 type ndpSender struct {
@@ -32,50 +33,50 @@ type ndpSender struct {
 	kaNext    int32 // keepalive retransmission rotor
 	kaTimer   timer
 	// finished latches when a Fin pull arrives: the receiver has the whole
-	// message and the sender-side keepalive may stop. Sender-local — the
-	// sharded engine forbids the sender reading the receiver's done flag.
+	// message and the sender-side keepalive may stop. Sender-local: the
+	// sender learns of completion from the wire, never from f.done.
 	finished bool
 }
 
 // ndpStart launches a flow: the first RTT worth of packets at line rate.
-func (s *Sim) ndpStart(sh *Shard, f *flow) {
+func (s *Sim) ndpStart(e *Engine, f *flow) {
 	iw := int32(s.Cfg.InitialWindow)
 	if iw > f.total {
 		iw = f.total
 	}
 	for i := int32(0); i < iw; i++ {
-		s.ndpSendData(sh, f, f.ndp.nextNew, false)
+		s.ndpSendData(e, f, f.ndp.nextNew, false)
 		f.ndp.nextNew++
 	}
-	f.ndp.lastAct = sh.Now()
-	f.ndp.kaTimer.fire = func(sh *Shard) { s.ndpKeepalive(sh, f) }
-	s.ndpArmKeepalive(sh, f)
+	f.ndp.lastAct = e.Now()
+	f.ndp.kaTimer.fire = func(e *Engine) { s.ndpKeepalive(e, f) }
+	s.ndpArmKeepalive(e, f)
 }
 
 // ndpSendData transmits one data packet (possibly a retransmission).
-func (s *Sim) ndpSendData(sh *Shard, f *flow, seq int32, retx bool) {
-	s.pickRoute(sh, f)
+func (s *Sim) ndpSendData(e *Engine, f *flow, seq int32, retx bool) {
+	s.pickRoute(e, f)
 	f.ndp.inflight++
-	s.Net.sendFromHost(sh, s.dataPacket(sh, f, seq, f.layer, retx))
+	s.Net.sendFromHost(e, s.dataPacket(e, f, seq, f.layer, retx))
 }
 
 // ndpRecv handles both receiver-side data and sender-side pulls.
-func (s *Sim) ndpRecv(sh *Shard, f *flow, host int32, p *Packet) {
+func (s *Sim) ndpRecv(e *Engine, f *flow, host int32, p *Packet) {
 	switch p.Kind {
 	case KindData:
 		if host != f.spec.Dst {
 			return // stray
 		}
-		s.ndpDataAtReceiver(sh, f, p)
+		s.ndpDataAtReceiver(e, f, p)
 	case KindPull:
 		if host != f.spec.Src {
 			return
 		}
-		s.ndpPullAtSender(sh, f, p)
+		s.ndpPullAtSender(e, f, p)
 	}
 }
 
-func (s *Sim) ndpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
+func (s *Sim) ndpDataAtReceiver(e *Engine, f *flow, p *Packet) {
 	wantLayerChange := false
 	if p.Trimmed {
 		f.trimsSeen++
@@ -84,7 +85,7 @@ func (s *Sim) ndpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
 		f.received[p.Seq] = true
 		f.numReceived++
 		if f.numReceived == f.total {
-			s.markDone(sh, f)
+			s.markDone(e, f)
 		}
 	}
 	if f.pendingLayer {
@@ -96,29 +97,29 @@ func (s *Sim) ndpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
 		// request) so the sender latches completion and its keepalive
 		// quiesces. Duplicates arriving later re-trigger the FIN, which
 		// also covers a lost one.
-		s.ndpSendPull(sh, f, p.Seq, false, false, true)
+		s.ndpSendPull(e, f, p.Seq, false, false, true)
 		return
 	}
 	if p.Trimmed && f.received[p.Seq] {
 		// Duplicate of an already-received sequence got trimmed; still pull
 		// (it carries the layer-change hint) but do not request retx.
-		s.ndpSendPull(sh, f, p.Seq, false, wantLayerChange, false)
+		s.ndpSendPull(e, f, p.Seq, false, wantLayerChange, false)
 		return
 	}
-	s.ndpSendPull(sh, f, p.Seq, p.Trimmed, wantLayerChange, false)
+	s.ndpSendPull(e, f, p.Seq, p.Trimmed, wantLayerChange, false)
 }
 
 // ndpSendPull emits a paced PULL carrying the sequence it acknowledges
 // (or nacks, when trimmed), the layer-change hint, and the FIN flag.
-func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange, fin bool) {
+func (s *Sim) ndpSendPull(e *Engine, f *flow, seq int32, wasTrimmed, layerChange, fin bool) {
 	host := f.spec.Dst
 	// Pace pulls at the access-link data rate (one per full-MTU time).
-	at := sh.Now()
+	at := e.Now()
 	if next := s.lastPull[host] + s.pullInterval; next > at {
 		at = next
 	}
 	s.lastPull[host] = at
-	pull := sh.newPacket()
+	pull := e.newPacket()
 	*pull = Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Dst,
@@ -131,11 +132,11 @@ func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange
 		ECN:     layerChange, // repurposed bit: "change layer" hint
 		Fin:     fin,
 	}
-	sh.pushLocal(at, f.dstPart, eventPayload{kind: evInject, link: s.Net.hostUp[host], pkt: pull})
+	e.pushLocal(at, f.dstPart, eventPayload{kind: evInject, link: s.Net.hostUp[host], pkt: pull})
 }
 
-func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
-	f.ndp.lastAct = sh.Now()
+func (s *Sim) ndpPullAtSender(e *Engine, f *flow, pull *Packet) {
+	f.ndp.lastAct = e.Now()
 	if pull.Fin {
 		// Receiver has the whole message: stop sending, let the keepalive
 		// find the latch and die.
@@ -161,11 +162,11 @@ func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
 	if len(f.ndp.retxQ) > 0 {
 		seq := f.ndp.retxQ[0]
 		f.ndp.retxQ = f.ndp.retxQ[1:]
-		s.ndpSendData(sh, f, seq, true)
+		s.ndpSendData(e, f, seq, true)
 		return
 	}
 	if f.ndp.nextNew < f.total {
-		s.ndpSendData(sh, f, f.ndp.nextNew, false)
+		s.ndpSendData(e, f, f.ndp.nextNew, false)
 		f.ndp.nextNew++
 	}
 }
@@ -173,25 +174,25 @@ func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
 // ndpIdlePeriods is the keepalive period in units of RTOMin.
 const ndpIdlePeriods = 4
 
-func (s *Sim) ndpArmKeepalive(sh *Shard, f *flow) {
-	sh.arm(&f.ndp.kaTimer, f.srcPart, sh.now+ndpIdlePeriods*s.Cfg.RTOMin)
+func (s *Sim) ndpArmKeepalive(e *Engine, f *flow) {
+	e.arm(&f.ndp.kaTimer, f.srcPart, e.now+ndpIdlePeriods*s.Cfg.RTOMin)
 }
 
 // ndpKeepalive recovers from lost control packets: if nothing happened for
 // several RTOmin periods and the flow is incomplete, resend the lowest
 // sequence not known to be delivered.
-func (s *Sim) ndpKeepalive(sh *Shard, f *flow) {
+func (s *Sim) ndpKeepalive(e *Engine, f *flow) {
 	if f.ndp.finished {
 		return
 	}
-	if sh.Now()-f.ndp.lastAct >= ndpIdlePeriods*s.Cfg.RTOMin {
+	if e.Now()-f.ndp.lastAct >= ndpIdlePeriods*s.Cfg.RTOMin {
 		// Rotate through undelivered sequences rather than hammering
 		// the lowest one: with lossy control paths the lowest may have
 		// arrived long ago while a later one is genuinely missing.
 		for probe := int32(0); probe < f.ndp.nextNew; probe++ {
 			seq := (f.ndp.kaNext + probe) % f.ndp.nextNew
 			if !f.ndp.delivered[seq] {
-				s.ndpSendData(sh, f, seq, true)
+				s.ndpSendData(e, f, seq, true)
 				f.ndp.kaNext = seq + 1
 				break
 			}
@@ -199,10 +200,10 @@ func (s *Sim) ndpKeepalive(sh *Shard, f *flow) {
 		if f.ndp.nextNew < f.total {
 			// Also nudge a new packet in case all sent ones arrived but
 			// their pulls were lost.
-			s.ndpSendData(sh, f, f.ndp.nextNew, false)
+			s.ndpSendData(e, f, f.ndp.nextNew, false)
 			f.ndp.nextNew++
 		}
-		f.ndp.lastAct = sh.Now()
+		f.ndp.lastAct = e.Now()
 	}
-	s.ndpArmKeepalive(sh, f)
+	s.ndpArmKeepalive(e, f)
 }

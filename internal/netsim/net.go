@@ -41,17 +41,14 @@ type Packet struct {
 func (p *Packet) prio() bool { return p.Kind != KindData || p.Trimmed || p.Retx }
 
 // link is one direction of a full-duplex cable with an output queue at its
-// transmitter. Its mutable state (queues, busy flag, stats, delivery
-// sequence) is touched only by events of the transmitting partition, so a
-// link never needs a lock; id is a construction-order identifier that is
-// stable across shard counts and keys the canonical delivery order.
+// transmitter. id is a construction-order identifier; with deliverSeq it
+// keys the canonical delivery order (engine.go).
 type link struct {
 	net      *Network
 	id       int32
 	toRouter int32 // receiving router, or -1
 	toHost   int32 // receiving host, or -1
-	txPart   int32 // partition owning the transmit queue
-	rxPart   int32 // partition where deliveries execute
+	txPart   int32 // partition of the transmitter: its tx-done events draw their keys there
 
 	bps       float64
 	delay     Time
@@ -111,21 +108,20 @@ func (l *link) txTime(b int32) Time {
 // enqueue places a packet into the transmitter queue, applying the
 // configured congestion behaviour: ECN marking, NDP payload trimming into
 // the priority queue (§III-C), or tail drop. Dropped packets return to the
-// executing shard's arena — nothing references them once they leave the
-// queues.
-func (l *link) enqueue(sh *Shard, p *Packet) {
+// arena — nothing references them once they leave the queues.
+func (l *link) enqueue(e *Engine, p *Packet) {
 	if l.failed {
 		l.failDrops++
-		l.net.free(sh, p)
+		l.net.free(e, p)
 		return
 	}
 	if p.prio() {
 		if l.pq.len() < l.pqcap {
 			l.pq.push(p)
-			l.kick(sh)
+			l.kick(e)
 		} else {
 			l.Drops++
-			l.net.free(sh, p)
+			l.net.free(e, p)
 		}
 		return
 	}
@@ -134,7 +130,7 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 			p.ECN = true
 		}
 		l.q.push(p)
-		l.kick(sh)
+		l.kick(e)
 		return
 	}
 	if l.trimMode {
@@ -145,20 +141,20 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		if l.pq.len() < l.pqcap {
 			l.Trims++
 			l.pq.push(p)
-			l.kick(sh)
+			l.kick(e)
 		} else {
 			l.Drops++
-			l.net.free(sh, p)
+			l.net.free(e, p)
 		}
 		return
 	}
 	l.Drops++
-	l.net.free(sh, p)
+	l.net.free(e, p)
 }
 
 // kick starts transmitting if idle. Priority traffic (control packets,
 // trimmed headers, retransmissions) is served first (§III-C).
-func (l *link) kick(sh *Shard) {
+func (l *link) kick(e *Engine) {
 	if l.busy {
 		return
 	}
@@ -175,13 +171,12 @@ func (l *link) kick(sh *Shard) {
 	l.TxBytes += int64(p.Bytes)
 	// Typed event: the engine frees the link, restarts it, and schedules
 	// the delivery — without allocating per-packet closures.
-	sh.afterTxDone(l.txTime(p.Bytes), l, p)
+	e.afterTxDone(l.txTime(p.Bytes), l, p)
 }
 
 // Network wires a topology, forwarding tables and hosts into a running
 // simulation.
 type Network struct {
-	eng  *Engine
 	topo *topo.Topology
 	fwd  *layers.Forwarding
 	cfg  Config
@@ -202,19 +197,17 @@ type Network struct {
 	// binary-searching the topology's offset table.
 	hostRouter []int32
 
-	hostRecv func(sh *Shard, host int32, p *Packet)
+	hostRecv func(e *Engine, host int32, p *Packet)
 }
 
 // maxHopBucket saturates the hop histogram's index.
 const maxHopBucket = 63
 
 // buildNetwork constructs links per the config. Link ids follow
-// construction order, which is deterministic and independent of the shard
-// count.
-func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Network {
+// construction order, which is a function of the topology alone.
+func buildNetwork(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Network {
 	edges := t.G.Edges()
 	n := &Network{
-		eng:        eng,
 		topo:       t,
 		fwd:        fwd,
 		cfg:        cfg,
@@ -226,14 +219,13 @@ func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Con
 		hostDown:   make([]*link, t.N()),
 		hostRouter: make([]int32, t.N()),
 	}
-	mk := func(txPart, rxPart, toRouter, toHost int32) *link {
+	mk := func(txPart, toRouter, toHost int32) *link {
 		n.links = append(n.links, link{
 			net:       n,
 			id:        int32(len(n.links)),
 			toRouter:  toRouter,
 			toHost:    toHost,
 			txPart:    txPart,
-			rxPart:    rxPart,
 			bps:       cfg.LinkBps,
 			delay:     cfg.LinkDelay,
 			qcap:      cfg.QueueCap,
@@ -244,8 +236,8 @@ func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Con
 		return &n.links[len(n.links)-1]
 	}
 	for _, e := range edges {
-		mk(e.U, e.V, e.V, -1)
-		mk(e.V, e.U, e.U, -1)
+		mk(e.U, e.V, -1)
+		mk(e.V, e.U, -1)
 	}
 	for r := 0; r < t.Nr(); r++ {
 		lo := n.outOff[r]
@@ -269,8 +261,8 @@ func buildNetwork(eng *Engine, t *topo.Topology, fwd *layers.Forwarding, cfg Con
 	for h := 0; h < t.N(); h++ {
 		r := int32(t.RouterOf(h))
 		n.hostRouter[h] = r
-		n.hostUp[h] = mk(r, r, r, -1)
-		n.hostDown[h] = mk(r, r, -1, int32(h))
+		n.hostUp[h] = mk(r, r, -1)
+		n.hostDown[h] = mk(r, -1, int32(h))
 	}
 	return n
 }
@@ -293,40 +285,39 @@ func (n *Network) routerLink(r int, to int32) *link {
 	return &n.links[n.outLink[lo]]
 }
 
-// sendFromHost injects a packet at its source host's uplink. It must run
-// on the shard owning the source host's partition.
-func (n *Network) sendFromHost(sh *Shard, p *Packet) {
-	sh.inflight++
-	if sh.inflight > sh.inflightHW {
-		sh.inflightHW = sh.inflight
+// sendFromHost injects a packet at its source host's uplink.
+func (n *Network) sendFromHost(e *Engine, p *Packet) {
+	e.inflight++
+	if e.inflight > e.inflightHW {
+		e.inflightHW = e.inflight
 	}
-	n.hostUp[p.SrcHost].enqueue(sh, p)
+	n.hostUp[p.SrcHost].enqueue(e, p)
 }
 
 // free retires a dead packet: the in-flight tally drops and the struct
-// returns to the executing shard's arena.
-func (n *Network) free(sh *Shard, p *Packet) {
-	sh.inflight--
-	sh.freePacket(p)
+// returns to the arena.
+func (n *Network) free(e *Engine, p *Packet) {
+	e.inflight--
+	e.freePacket(p)
 }
 
 // deliver handles a packet arriving at the receiving end of a link. A
 // packet handed to its destination host is dead once the transport handler
 // returns (no handler retains it) and goes back to the arena.
-func (n *Network) deliver(sh *Shard, l *link, p *Packet) {
+func (n *Network) deliver(e *Engine, l *link, p *Packet) {
 	if l.toHost >= 0 {
 		if p.Kind == KindData {
 			h := p.Hops
 			if h > maxHopBucket {
 				h = maxHopBucket
 			}
-			sh.hopHist[h]++
+			e.hopHist[h]++
 		}
-		n.hostRecv(sh, l.toHost, p)
-		n.free(sh, p)
+		n.hostRecv(e, l.toHost, p)
+		n.free(e, p)
 		return
 	}
-	n.forward(sh, int(l.toRouter), p)
+	n.forward(e, int(l.toRouter), p)
 }
 
 // forward routes a packet at a router: it hashes the packet onto the
@@ -335,10 +326,10 @@ func (n *Network) deliver(sh *Shard, l *link, p *Packet) {
 // routing over the full topology, which is exactly layer 0. Packets of
 // one flowlet keep a consistent hop at every router; a new flowlet's
 // fresh salt re-hashes the whole path.
-func (n *Network) forward(sh *Shard, r int, p *Packet) {
+func (n *Network) forward(e *Engine, r int, p *Packet) {
 	dstRouter := int(n.hostRouter[p.DstHost])
 	if r == dstRouter {
-		n.hostDown[p.DstHost].enqueue(sh, p)
+		n.hostDown[p.DstHost].enqueue(e, p)
 		return
 	}
 	p.Hops++
@@ -363,7 +354,7 @@ func (n *Network) forward(sh *Shard, r int, p *Packet) {
 	} else {
 		next = hashNext(cands, r, p)
 	}
-	n.routerLink(r, next).enqueue(sh, p)
+	n.routerLink(r, next).enqueue(e, p)
 }
 
 // TotalDrops sums packet drops over all links.

@@ -10,11 +10,11 @@ import (
 )
 
 func TestEngineOrdering(t *testing.T) {
-	e := NewShardedEngine(1, 1, 0, 0)
+	e := NewEngine(1, 0)
 	var order []int
-	e.AtPart(10, 0, func(*Shard) { order = append(order, 1) })
-	e.AtPart(5, 0, func(*Shard) { order = append(order, 0) })
-	e.AtPart(10, 0, func(*Shard) { order = append(order, 2) }) // same-time FIFO
+	e.AtPart(10, 0, func(*Engine) { order = append(order, 1) })
+	e.AtPart(5, 0, func(*Engine) { order = append(order, 0) })
+	e.AtPart(10, 0, func(*Engine) { order = append(order, 2) }) // same-time FIFO
 	n := e.Run(100)
 	if n != 3 {
 		t.Fatalf("executed %d events, want 3", n)
@@ -28,14 +28,14 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineHorizonStopsEarly(t *testing.T) {
-	e := NewShardedEngine(1, 1, 0, 0)
+	e := NewEngine(1, 0)
 	fired := false
-	e.AtPart(1000, 0, func(*Shard) { fired = true })
+	e.AtPart(1000, 0, func(*Engine) { fired = true })
 	e.Run(500)
 	if fired {
 		t.Fatal("event beyond horizon must not fire")
 	}
-	if e.shards[0].heap.len() != 1 {
+	if e.queue.len() != 1 {
 		t.Fatal("event should remain queued")
 	}
 }
@@ -391,12 +391,12 @@ func TestLinkStatsSanity(t *testing.T) {
 func TestEngineOrderProperty(t *testing.T) {
 	rng := randNew(23)
 	for trial := 0; trial < 50; trial++ {
-		e := NewShardedEngine(1, 1, 0, 0)
+		e := NewEngine(1, 0)
 		var times []Time
 		n := 1 + rng.Intn(200)
 		for i := 0; i < n; i++ {
 			at := Time(rng.Intn(1000))
-			e.AtPart(at, 0, func(sh *Shard) { times = append(times, sh.Now()) })
+			e.AtPart(at, 0, func(e *Engine) { times = append(times, e.Now()) })
 		}
 		e.Run(10000)
 		for i := 1; i < len(times); i++ {

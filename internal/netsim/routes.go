@@ -35,9 +35,3 @@ func flowHash(flowID int32, salt uint32, r int, kind PktKind, layer int8) uint32
 	h = (h ^ uint32(uint8(layer))) * prime
 	return h
 }
-
-// Packet recycling moved to per-shard arenas (Shard.newPacket /
-// Shard.freePacket): the old process-global sync.Pool serialized
-// concurrently running replicates on its shards' locks and bounced packet
-// structs between cores; a shard-local free list costs one slice append
-// with no synchronization at all.

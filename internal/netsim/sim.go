@@ -69,11 +69,9 @@ type Config struct {
 	// SoftwareLatency models endpoint interrupt throttling (100 kHz).
 	SoftwareLatency Time
 
-	// Shards splits the event loop across this many worker goroutines with
-	// conservative lookahead synchronization (one LinkDelay). 0 or 1 runs
-	// serially. Results are byte-identical at every value — Shards is an
-	// execution knob, not a model parameter — so it never enters resource
-	// keys or golden baselines. Requires LinkDelay > 0 when > 1.
+	// Shards is inert: NewSim does not read it. It is still declared only
+	// because the frozen bench/layers.go assigns it; the [benchmark] PR of
+	// ROADMAP item 1(a) deletes it.
 	Shards int
 
 	// Metrics, when non-nil, receives the simulation's observability
@@ -179,20 +177,19 @@ type Sim struct {
 	flows   []*flow
 	results []FlowResult
 
-	// lastPull implements per-host pull pacing for NDP receivers. Each
-	// entry is touched only by its host's partition. pullInterval is the
-	// pacing gap: one full-MTU serialization time on the access link.
+	// lastPull implements per-host pull pacing for NDP receivers;
+	// pullInterval is the pacing gap: one full-MTU serialization time on
+	// the access link.
 	lastPull     []Time
 	pullInterval Time
 
 	traced bool
 }
 
-// flow carries per-flow transport state (sender + receiver ends). Sender
-// fields are touched only by events of the source host's partition,
-// receiver fields only by the destination's; the immutable spec and the
-// completion flag are the narrow interface between the two (see the field
-// comments for the cross-partition rules).
+// flow carries per-flow transport state (sender + receiver ends). The two
+// ends are separate hosts and talk only through packets: sender handlers
+// read sender fields, receiver handlers receiver fields, and what both may
+// read is the immutable spec and the subflow ranges.
 type flow struct {
 	id    int32
 	spec  FlowSpec
@@ -204,8 +201,9 @@ type flow struct {
 
 	// rngState is the flow's private SplitMix64 PRNG, seeded from
 	// (Config.Seed, flow id): flowlet salts and layer draws are a sender
-	// affair, and a per-flow stream keeps them deterministic regardless of
-	// how flows interleave across shards.
+	// affair, and a stream per flow means one flow's draws never depend on
+	// how many another flow made before it: adding, removing or slowing a
+	// flow leaves every other flow's choices where they were.
 	rngState uint64
 
 	// Routing / flowlet state (sender side).
@@ -227,7 +225,7 @@ type flow struct {
 	// rcvInOrder[i] counts the packets of TCP-family subflow i received in
 	// order: the subflow's cumulative next-expected is subs[i].lo plus it.
 	// Kept incrementally, and here rather than in renoSub, because it is
-	// the receiver's partition that advances it.
+	// the receiver that advances it.
 	rcvInOrder [MPTCPSubflows]int32
 
 	// Sender state. retxCount is common; of the rest only the running
@@ -235,10 +233,9 @@ type flow struct {
 	retxCount int64
 	ndp       ndpSender
 
-	// TCP-family subflows: created by the sender's start event, and from
-	// then on their lo/hi are read-only at the receiver (first data arrives
-	// >= 2 link delays — at least one full synchronization window — after
-	// creation). A single subflow lives in one, so TCP and DCTCP allocate
+	// TCP-family subflows: created by the sender's start event, before any
+	// data can arrive, and from then on their lo/hi are read-only at the
+	// receiver. A single subflow lives in one, so TCP and DCTCP allocate
 	// nothing and the ACK path stays inside the flow.
 	subs     []renoSub
 	one      [1]renoSub
@@ -274,18 +271,11 @@ func NewSim(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Sim {
 	if cfg.LinkBps == 0 {
 		panic("netsim: zero link bandwidth")
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 && cfg.LinkDelay <= 0 {
-		panic("netsim: Shards > 1 requires a positive LinkDelay (the conservative lookahead)")
-	}
 	// No packet event is scheduled further ahead than one full-MTU
 	// serialization or one link delay.
 	mtuTime := Time(float64(cfg.MTU*8) / cfg.LinkBps * 1e9)
-	eng := NewShardedEngine(t.Nr(), shards, cfg.LinkDelay, max(mtuTime, cfg.LinkDelay))
-	net := buildNetwork(eng, t, fwd, cfg)
+	eng := NewEngine(t.Nr(), max(mtuTime, cfg.LinkDelay))
+	net := buildNetwork(t, fwd, cfg)
 	s := &Sim{
 		Eng:          eng,
 		Net:          net,
@@ -340,7 +330,7 @@ func (s *Sim) AddFlow(spec FlowSpec) {
 		f.sendTime = make([]Time, total)
 	}
 	s.flows = append(s.flows, f)
-	s.Eng.AtPart(spec.Start, f.srcPart, func(sh *Shard) { s.startFlow(sh, f) })
+	s.Eng.AtPart(spec.Start, f.srcPart, func(e *Engine) { s.startFlow(e, f) })
 }
 
 // controlLayer is the layer of every control packet (ACK/PULL): always the
@@ -361,8 +351,8 @@ func (s *Sim) initialLayer() int8 {
 }
 
 // pickRoute applies the flowlet policy before transmitting a data packet.
-func (s *Sim) pickRoute(sh *Shard, f *flow) {
-	now := sh.Now()
+func (s *Sim) pickRoute(e *Engine, f *flow) {
+	now := e.Now()
 	if f.spec.Pinned {
 		f.lastSend = now
 		return
@@ -396,7 +386,7 @@ func (s *Sim) pickRoute(sh *Shard, f *flow) {
 // place a KindData packet is made, for every transport — and counts it
 // against the flow when it is a retransmission. The last packet of a
 // message carries only the bytes that remain (at least one).
-func (s *Sim) dataPacket(sh *Shard, f *flow, seq int32, layer int8, retx bool) *Packet {
+func (s *Sim) dataPacket(e *Engine, f *flow, seq int32, layer int8, retx bool) *Packet {
 	size := f.mss + HeaderBytes
 	if int64(seq+1)*int64(f.mss) > f.spec.Bytes {
 		rem := f.spec.Bytes - int64(seq)*int64(f.mss)
@@ -405,7 +395,7 @@ func (s *Sim) dataPacket(sh *Shard, f *flow, seq int32, layer int8, retx bool) *
 		}
 		size = int32(rem) + HeaderBytes
 	}
-	p := sh.newPacket()
+	p := e.newPacket()
 	*p = Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Src,
@@ -448,42 +438,42 @@ func (s *Sim) reselectLayer(f *flow) {
 	f.layer = 0
 }
 
-func (s *Sim) startFlow(sh *Shard, f *flow) {
+func (s *Sim) startFlow(e *Engine, f *flow) {
 	if s.traced {
-		now := int64(sh.Now())
+		now := int64(e.Now())
 		if s.Cfg.Tracer.Active(now) {
 			s.Cfg.Tracer.SpanBegin("flow", flowSpanName(f), strconv.Itoa(int(f.id)), now)
 		}
 	}
 	switch s.Cfg.Transport {
 	case TransportNDP:
-		s.ndpStart(sh, f)
+		s.ndpStart(e, f)
 	default:
-		s.tcpStart(sh, f)
+		s.tcpStart(e, f)
 	}
 }
 
 // hostRecv dispatches an arriving packet to the right transport handler.
-func (s *Sim) hostRecv(sh *Shard, host int32, p *Packet) {
+func (s *Sim) hostRecv(e *Engine, host int32, p *Packet) {
 	f := s.flows[p.FlowID]
 	switch s.Cfg.Transport {
 	case TransportNDP:
-		s.ndpRecv(sh, f, host, p)
+		s.ndpRecv(e, f, host, p)
 	default:
-		s.tcpRecv(sh, f, host, p)
+		s.tcpRecv(e, f, host, p)
 	}
 }
 
 // markDone finalizes a flow at the receiver.
-func (s *Sim) markDone(sh *Shard, f *flow) {
+func (s *Sim) markDone(e *Engine, f *flow) {
 	if f.done {
 		return
 	}
 	f.done = true
 	// Software/interrupt latency before the application sees the message.
-	f.finish = sh.Now() + s.Cfg.SoftwareLatency
+	f.finish = e.Now() + s.Cfg.SoftwareLatency
 	if s.traced {
-		ts := int64(sh.Now())
+		ts := int64(e.Now())
 		if s.Cfg.Tracer.Active(ts) {
 			s.Cfg.Tracer.SpanEnd("flow", flowSpanName(f), strconv.Itoa(int(f.id)), ts)
 		}
@@ -523,19 +513,12 @@ func (s *Sim) flushMetrics() {
 	e := s.Eng
 	m.Events.Add(e.Executed())
 	m.QueueHighWater.SetMax(int64(e.QueueHighWater()))
-	var inflightHW int64
-	for _, sh := range e.shards {
-		if sh.inflightHW > 0 {
-			inflightHW += sh.inflightHW
-		}
-		m.BarrierStalls.Add(sh.stalls)
-		for i, c := range sh.hopHist {
-			if c > 0 {
-				m.PathHops.ObserveN(float64(i), c)
-			}
+	m.InflightHighWater.SetMax(e.inflightHW)
+	for i, c := range e.hopHist {
+		if c > 0 {
+			m.PathHops.ObserveN(float64(i), c)
 		}
 	}
-	m.InflightHighWater.SetMax(inflightHW)
 	m.Drops.Add(s.Net.TotalDrops())
 	m.Trims.Add(s.Net.TotalTrims())
 	var reroutes, timeouts int64

@@ -79,7 +79,7 @@ func (f *flow) subIndex(seq int32) int {
 }
 
 // tcpStart opens the flow's subflows in slow start.
-func (s *Sim) tcpStart(sh *Shard, f *flow) {
+func (s *Sim) tcpStart(e *Engine, f *flow) {
 	if s.Cfg.Transport == TransportMPTCP {
 		f.subs = s.mptcpSplit(f)
 	} else {
@@ -97,66 +97,66 @@ func (s *Sim) tcpStart(sh *Shard, f *flow) {
 		sub.cwnd = cwnd
 		sub.ssthresh = 1 << 20
 		sub.rto = 1 * Millisecond
-		sub.rtoTimer.fire = func(sh *Shard) { s.tcpRTOFire(sh, sub) }
-		s.tcpTrySend(sh, sub)
-		s.tcpArmRTO(sh, sub)
+		sub.rtoTimer.fire = func(e *Engine) { s.tcpRTOFire(e, sub) }
+		s.tcpTrySend(e, sub)
+		s.tcpArmRTO(e, sub)
 	}
 }
 
 // tcpTrySend transmits while the congestion window allows. Sending with an
 // idle retransmission timer re-arms it so tail losses cannot stall a flow.
-func (s *Sim) tcpTrySend(sh *Shard, sub *renoSub) {
+func (s *Sim) tcpTrySend(e *Engine, sub *renoSub) {
 	sent := false
 	for sub.nextNew < sub.hi {
 		inflight := float64(sub.nextNew - sub.cumAck)
 		if inflight >= sub.cwnd {
 			break
 		}
-		s.tcpSendData(sh, sub, sub.nextNew, false)
+		s.tcpSendData(e, sub, sub.nextNew, false)
 		sub.nextNew++
 		sent = true
 	}
 	if sent {
-		s.tcpArmRTO(sh, sub)
+		s.tcpArmRTO(e, sub)
 	}
 }
 
-func (s *Sim) tcpSendData(sh *Shard, sub *renoSub, seq int32, retx bool) {
+func (s *Sim) tcpSendData(e *Engine, sub *renoSub, seq int32, retx bool) {
 	f := sub.f
 	layer := sub.layer
 	if !sub.pinned {
-		s.pickRoute(sh, f)
+		s.pickRoute(e, f)
 		layer = f.layer
 	}
-	p := s.dataPacket(sh, f, seq, layer, retx)
+	p := s.dataPacket(e, f, seq, layer, retx)
 	if !retx {
-		f.sendTime[seq] = sh.Now()
+		f.sendTime[seq] = e.Now()
 	}
-	s.Net.sendFromHost(sh, p)
+	s.Net.sendFromHost(e, p)
 }
 
 // tcpRecv dispatches data at the receiver and ACKs at the sender.
-func (s *Sim) tcpRecv(sh *Shard, f *flow, host int32, p *Packet) {
+func (s *Sim) tcpRecv(e *Engine, f *flow, host int32, p *Packet) {
 	switch p.Kind {
 	case KindData:
 		if host != f.spec.Dst {
 			return
 		}
-		s.tcpDataAtReceiver(sh, f, p)
+		s.tcpDataAtReceiver(e, f, p)
 	case KindAck:
 		if host != f.spec.Src {
 			return
 		}
-		s.tcpAckAtSender(sh, f, p)
+		s.tcpAckAtSender(e, f, p)
 	}
 }
 
-func (s *Sim) tcpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
+func (s *Sim) tcpDataAtReceiver(e *Engine, f *flow, p *Packet) {
 	if !f.received[p.Seq] {
 		f.received[p.Seq] = true
 		f.numReceived++
 		if f.numReceived == f.total {
-			s.markDone(sh, f)
+			s.markDone(e, f)
 		}
 	}
 	// Per-subflow cumulative ACK: next expected within the packet's range.
@@ -171,7 +171,7 @@ func (s *Sim) tcpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
 		cum++
 	}
 	f.rcvInOrder[i] = cum - lo
-	ack := sh.newPacket()
+	ack := e.newPacket()
 	*ack = Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Dst,
@@ -183,10 +183,10 @@ func (s *Sim) tcpDataAtReceiver(sh *Shard, f *flow, p *Packet) {
 		ECN:     p.ECN,
 		Salt:    uint32(lo),
 	}
-	s.Net.sendFromHost(sh, ack)
+	s.Net.sendFromHost(e, ack)
 }
 
-func (s *Sim) tcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
+func (s *Sim) tcpAckAtSender(e *Engine, f *flow, ack *Packet) {
 	sub := &f.subs[f.subIndex(int32(ack.Salt))]
 	cum := ack.Seq
 	switch {
@@ -194,7 +194,7 @@ func (s *Sim) tcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
 		newly := cum - sub.cumAck
 		// RTT sample from the highest newly acked original transmission.
 		if st := f.sendTime[cum-1]; st > 0 {
-			s.tcpUpdateRTT(sub, sh.Now()-st)
+			s.tcpUpdateRTT(sub, e.Now()-st)
 		}
 		sub.cumAck = cum
 		sub.dupacks = 0
@@ -205,11 +205,11 @@ func (s *Sim) tcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
 			} else {
 				// NewReno partial ACK: the next hole is at cum —
 				// retransmit it immediately instead of waiting for an RTO.
-				s.tcpSendData(sh, sub, cum, true)
+				s.tcpSendData(e, sub, cum, true)
 			}
 		}
 		s.windowLaw(sub, newly, cum, ack.ECN)
-		s.tcpArmRTO(sh, sub)
+		s.tcpArmRTO(e, sub)
 	case cum == sub.cumAck && cum < sub.hi:
 		sub.dupacks++
 		if sub.dupacks == 3 && !sub.inRecovery {
@@ -218,14 +218,14 @@ func (s *Sim) tcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
 			sub.cwnd = sub.ssthresh + 3
 			sub.inRecovery = true
 			sub.recover = sub.nextNew
-			s.tcpSendData(sh, sub, cum, true)
+			s.tcpSendData(e, sub, cum, true)
 			s.congested(sub) // loss signals congestion on this layer
-			s.tcpArmRTO(sh, sub)
+			s.tcpArmRTO(e, sub)
 		} else if sub.inRecovery {
 			sub.cwnd++ // window inflation per dupack
 		}
 	}
-	s.tcpTrySend(sh, sub)
+	s.tcpTrySend(e, sub)
 }
 
 // congested re-randomizes the layer of an unpinned subflow's flow: a window
@@ -332,17 +332,17 @@ func (s *Sim) tcpUpdateRTT(sub *renoSub, sample Time) {
 }
 
 // tcpArmRTO (re)arms the retransmission timer on the sender's partition.
-func (s *Sim) tcpArmRTO(sh *Shard, sub *renoSub) {
+func (s *Sim) tcpArmRTO(e *Engine, sub *renoSub) {
 	rto := sub.rto
 	if rto <= 0 {
 		rto = 1 * Millisecond
 	}
-	sh.arm(&sub.rtoTimer, sub.f.srcPart, sh.now+rto)
+	e.arm(&sub.rtoTimer, sub.f.srcPart, e.now+rto)
 }
 
-func (s *Sim) tcpRTOFire(sh *Shard, sub *renoSub) {
+func (s *Sim) tcpRTOFire(e *Engine, sub *renoSub) {
 	// Completion is judged per subflow from sender state alone (cumAck):
-	// the receiver's done flag lives on another partition.
+	// a sender cannot see the receiver's done flag.
 	if sub.done() {
 		return
 	}
@@ -365,7 +365,7 @@ func (s *Sim) tcpRTOFire(sh *Shard, sub *renoSub) {
 	}
 	f.retxCount += int64(sub.nextNew - sub.cumAck)
 	sub.nextNew = sub.cumAck
-	s.tcpTrySend(sh, sub)
+	s.tcpTrySend(e, sub)
 	s.congested(sub)
-	s.tcpArmRTO(sh, sub)
+	s.tcpArmRTO(e, sub)
 }

@@ -19,8 +19,9 @@ const (
 	MetricSimTCPTimeouts     = "netsim.tcp_timeouts"
 	MetricSimDrops           = "netsim.drops"
 	MetricSimFlowsCompleted  = "netsim.flows_completed"
-	// Sharded-engine metric: windows in which a shard reached the barrier
-	// without executing anything.
+	// Inert: nothing registers a metric under this name any more. The
+	// constant stays only because the frozen bench/layers.go looks it up;
+	// the [benchmark] PR of ROADMAP item 1(a) deletes it.
 	MetricSimBarrierStalls = "netsim.barrier_stalls"
 )
 
@@ -93,9 +94,6 @@ type SimMetrics struct {
 	TCPTimeouts     *Counter
 	Drops           *Counter
 	FlowsCompleted  *Counter
-	// BarrierStalls counts shard windows that executed nothing; it stays
-	// zero on serial (shards=1) runs, which have no windows.
-	BarrierStalls *Counter
 }
 
 // NewSimMetrics returns the simulator bundle backed by r, or nil (the
@@ -116,7 +114,6 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		TCPTimeouts:       r.Counter(MetricSimTCPTimeouts),
 		Drops:             r.Counter(MetricSimDrops),
 		FlowsCompleted:    r.Counter(MetricSimFlowsCompleted),
-		BarrierStalls:     r.Counter(MetricSimBarrierStalls),
 	}
 }
 

@@ -4,12 +4,12 @@ package scenario
 // completed cell's CellResult persists under a key derived from the
 // cell's canonical identity (Spec.CacheIdentity: every result-affecting
 // field plus the effective seed) and the engine fingerprint. The repo's
-// determinism contract — byte-identical output at any parallelism, shard
-// count, and build order, pinned by the golden harness and detlint —
-// makes cache hits provably exact: two cells with equal identities under
-// one fingerprint cannot produce different results, so re-running an
-// edited matrix recomputes only cells whose canonical identity changed
-// and repeated runs of an unchanged spec are near-free.
+// determinism contract — byte-identical output at any parallelism and
+// build order, pinned by the golden harness and detlint — makes cache hits
+// provably exact: two cells with equal identities under one fingerprint
+// cannot produce different results, so re-running an edited matrix
+// recomputes only cells whose canonical identity changed and repeated runs
+// of an unchanged spec are near-free.
 
 import (
 	"crypto/sha256"
