@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/layers"
 	"repro/internal/mcf"
@@ -251,13 +252,17 @@ func (f *Fabric) RunWorkload(simCfg netsim.Config, wl Workload, horizon netsim.T
 // RunStencilRounds simulates a bulk-synchronous stencil: each round all
 // pattern flows execute and a barrier waits for the slowest (Fig 17's
 // "stencil + barrier" workload). Rounds run in separate simulations (the
-// barrier drains the network between rounds); the returned total is the
-// sum over rounds of the slowest flow's completion time. The bool reports
-// whether every flow of every round completed within the per-round horizon.
+// barrier drains the network between rounds), each seeded from (seed, round
+// number) so that rounds differ in their flowlet and layer draws; the
+// returned total is the sum over rounds of the slowest flow's completion
+// time. The bool reports whether every flow of every round completed within
+// the per-round horizon.
 func (f *Fabric) RunStencilRounds(simCfg netsim.Config, p traffic.Pattern, flowBytes int64, rounds int, horizon netsim.Time, seed int64) (netsim.Time, bool) {
 	var total netsim.Time
 	ok := true
 	for r := 0; r < rounds; r++ {
+		//det:allow seedfold -- r is the round number, a stable coordinate of the workload (folded over the caller's seed), not an enumeration index
+		simCfg.Seed = exec.FoldSeed(seed, uint64(r))
 		sim := f.NewSimulation(simCfg)
 		for _, fl := range p.Flows {
 			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: flowBytes, Start: 0})

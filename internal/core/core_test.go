@@ -177,12 +177,28 @@ func TestRunWorkloadPoisson(t *testing.T) {
 func TestRunStencilRounds(t *testing.T) {
 	fab := buildSF(t, 5, Config{NumLayers: 4, Rho: 0.7, Scheme: RandomSampling, Seed: 14})
 	pat := traffic.Stencil2D(fab.Topo.N(), []int{1, 17})
-	total, ok := fab.RunStencilRounds(netsim.NDPDefaults(), pat, 32<<10, 3, 2*netsim.Second, 15)
-	if !ok {
-		t.Fatal("stencil rounds did not complete")
+	run := func(rounds int, seed int64) netsim.Time {
+		total, ok := fab.RunStencilRounds(netsim.NDPDefaults(), pat, 32<<10, rounds, 2*netsim.Second, seed)
+		if !ok {
+			t.Fatal("stencil rounds did not complete")
+		}
+		if total <= 0 {
+			t.Fatal("total time must be positive")
+		}
+		return total
 	}
-	if total <= 0 {
-		t.Fatal("total time must be positive")
+	total := run(3, 15)
+	if again := run(3, 15); again != total {
+		t.Fatalf("same seed gave %d then %d ns", total, again)
+	}
+	// The seed must reach the simulations, one fold per round: a second
+	// seed draws other flowlet layers, and three rounds are three different
+	// simulations rather than one repeated.
+	if other := run(3, 16); other == total {
+		t.Fatalf("seeds 15 and 16 both gave %d ns: the seed does not reach the rounds", total)
+	}
+	if one := run(1, 15); total == 3*one {
+		t.Fatalf("3 rounds = 3 x the one-round total (%d ns): every round is the same simulation", one)
 	}
 }
 

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/obs"
 )
 
 // scenarioBacked lists the experiment IDs that run through the scenario
 // engine and therefore gain the durable runtime's content-addressed
-// cache via Options.CacheDir.
+// cache via Options.CacheDir: every simulation ID but fig17 and ext-mptcp.
 var scenarioBacked = []string{
-	"fig2", "fig11", "fig13", "abl-transport", "abl-construction", "abl-randomization",
+	"fig2", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig20", "fig21",
+	"abl-transport", "abl-construction", "abl-randomization", "ext-failures",
 }
 
 // shortCacheGolden is the subset exercised under -short.
@@ -20,9 +22,10 @@ var shortCacheGolden = map[string]bool{"fig2": true, "abl-transport": true}
 
 // TestCacheGolden: scenario-backed experiments render byte-identical
 // golden tables with caching on — once cold (populating the cache) and
-// once warm (every cell a hit). This is the replay-equals-rerun pin at
-// the experiment level: a cached result that changed any byte of any
-// golden table fails here.
+// once warm (every cell a hit: the warm pass must miss nothing and process
+// no simulator event). This is the replay-equals-rerun pin at the
+// experiment level: a cached result that changed any byte of any golden
+// table fails here.
 func TestCacheGolden(t *testing.T) {
 	byID := map[string]Experiment{}
 	for _, e := range All() {
@@ -37,6 +40,9 @@ func TestCacheGolden(t *testing.T) {
 			if testing.Short() && !shortCacheGolden[id] {
 				t.Skip("subset only under -short")
 			}
+			if slowGolden[id] && raceEnabled {
+				t.Skip("slow simulation figure: skipped under -race")
+			}
 			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 			if err != nil {
@@ -44,12 +50,21 @@ func TestCacheGolden(t *testing.T) {
 			}
 			dir := t.TempDir()
 			for _, phase := range []string{"cold", "warm"} {
-				tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 8}, CacheDir: dir})
+				reg := obs.NewRegistry()
+				tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 8, Obs: reg}, CacheDir: dir})
 				if err != nil {
 					t.Fatalf("%s: %v", phase, err)
 				}
 				if got := tab.String(); got != string(want) {
 					t.Errorf("%s cached table differs from golden:\n--- got ---\n%s\n--- want ---\n%s", phase, got, want)
+				}
+				snap := reg.Snapshot()
+				misses, events := snap[obs.MetricScenarioCacheMisses], snap[obs.MetricSimEvents]
+				if phase == "cold" && (misses == 0 || events == 0) {
+					t.Errorf("cold pass: %d cache misses, %d simulator events: it simulated nothing", misses, events)
+				}
+				if phase == "warm" && (misses != 0 || events != 0) {
+					t.Errorf("warm pass: %d cache misses, %d simulator events, want 0 and 0", misses, events)
 				}
 			}
 		})

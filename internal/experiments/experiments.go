@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -36,12 +35,6 @@ type Options struct {
 	// fingerprint are read back instead of re-simulated. Output is
 	// byte-identical with or without it, by the determinism contract.
 	CacheDir string
-}
-
-// coreCfg assembles the layer configuration for a runner's fabric build,
-// carrying the run's seed and instrumentation.
-func (o Options) coreCfg(layers int, rho float64) core.Config {
-	return core.Config{NumLayers: layers, Rho: rho, Seed: o.Seed, Obs: o.Obs, Tracer: o.Tracer}
 }
 
 // Experiment is one reproducible unit: a figure or table of the paper.
@@ -120,14 +113,6 @@ func runCells(o Options, tab *stats.Table, n int, fn func(c *Cell) error) error 
 		tab.Rows = append(tab.Rows, rs...)
 	}
 	return nil
-}
-
-// sharedSeed derives a seed for a resource shared by several cells of one
-// runner (e.g. the sim seed every series of a sweep compares on). The tag
-// space sits above 1<<32 so it never collides with per-cell seeds, which
-// fold small cell indices.
-func sharedSeed(o Options, tag uint64) int64 {
-	return exec.FoldSeed(o.Seed, (1<<32)+tag)
 }
 
 // fmtPct renders a fraction as a percentage string.

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/netsim"
-	"repro/internal/topo"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
@@ -131,21 +129,18 @@ func TestQueueModel(t *testing.T) {
 // heaviest figures additionally run as benchmarks (bench_test.go at the
 // repository root) and via cmd/experiments.
 
-// TestMalformedPatternRejected: runSeries (the gate every hand-rolled
-// simulation runner funnels through; scenario-backed runners validate in
+// TestMalformedPatternRejected: handSim (the gate the two hand-rolled
+// simulation runners funnel through; scenario-backed runners validate in
 // internal/scenario) must reject an out-of-range or self-flow pattern with
 // a useful error instead of simulating garbage.
 func TestMalformedPatternRejected(t *testing.T) {
-	sf, err := topo.SlimFly(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab, err := core.Build(sf, core.Config{NumLayers: 2, Rho: 1, Seed: 1})
+	spec := scenario.Spec{Topology: scenario.Topology{Kind: "SF", Param: 3}, Layers: 2, Rho: 1}
+	sf, err := scenario.BuildTopology(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := traffic.Pattern{Name: "broken", N: sf.N(), Flows: []traffic.Flow{{Src: 0, Dst: int32(sf.N() + 5)}}}
-	_, err = runSeries(Options{}, fab, netsim.NDPDefaults(), bad, 32<<10, 0, netsim.Second, 1)
+	_, _, err = handSim(quick(), spec, sf, bad)
 	if err == nil {
 		t.Fatal("out-of-range pattern must be rejected")
 	}
@@ -155,8 +150,11 @@ func TestMalformedPatternRejected(t *testing.T) {
 		}
 	}
 	self := traffic.Pattern{Name: "selfie", N: sf.N(), Flows: []traffic.Flow{{Src: 3, Dst: 3}}}
-	if _, err := runSeries(Options{}, fab, netsim.NDPDefaults(), self, 32<<10, 0, netsim.Second, 1); err == nil {
+	if _, _, err := handSim(quick(), spec, sf, self); err == nil {
 		t.Fatal("self-flow pattern must be rejected")
+	}
+	if _, _, err := handSim(quick(), spec, sf, traffic.Shuffle(sf.N())); err != nil {
+		t.Fatalf("well-formed pattern rejected: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layers"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -24,7 +25,24 @@ func init() {
 }
 
 func runExtFailures(o Options) (*stats.Table, error) {
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
+	ss := []series{
+		{"FatPaths(9 layers)", "fatpaths", 9, 0.6},
+		{"single minimal path", "minimal", 1, 1},
+	}
+	fracs := []float64{0, 0.02, 0.05, 0.10}
+	// Flow endpoints and the failed-link set of a fraction fold from keys
+	// that leave the series out, so the same failures hit both series. The
+	// uniform pattern is thinned to ≈60 (quick) / ≈200 (full) flows.
+	intensity := 0.3
+	if !o.Quick {
+		intensity = 0.09
+	}
+	results, err := runMatrices(o, seriesMatrices("ext-failures", scenario.Spec{
+		Topology:  scenTopo(o, "SF"),
+		Pattern:   scenario.Pattern{Kind: "uniform", Intensity: intensity},
+		FlowSize:  scenario.FlowSize{Bytes: 64 << 10},
+		HorizonMs: 3000,
+	}, scenario.Axes{FailFracs: fracs}, ss)...)
 	if err != nil {
 		return nil, err
 	}
@@ -32,108 +50,66 @@ func runExtFailures(o Options) (*stats.Table, error) {
 		Title:   "Resilience under link failures (NDP transport, 64KiB flows)",
 		Headers: []string{"series", "failed links", "completed", "mean FCT ms", "p99 ms"},
 	}
-	flows := pick(o, 60, 200)
-	fractions := []float64{0, 0.02, 0.05, 0.10}
-	series := []struct {
-		name   string
-		cfgLB  netsim.LoadBalance
-		layers int
-		rho    float64
-	}{
-		{"FatPaths(9 layers)", netsim.LBFatPaths, 9, 0.6},
-		{"single minimal path", netsim.LBMinimalLayer, 1, 1.0},
-	}
-	fabs := make([]*core.Fabric, len(series))
-	for i, s := range series {
-		fabs[i], err = core.Build(sf, o.coreCfg(s.layers, s.rho))
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Failure counts and flow endpoints derive from o.Seed alone (the same
-	// failed-link set must hit both series), so cells stay comparable at
-	// every parallelism.
-	if err := runCells(o, tab, len(series)*len(fractions), func(c *Cell) error {
-		si := c.Index / len(fractions)
-		frac := fractions[c.Index%len(fractions)]
-		s := series[si]
-		cfg := netsim.NDPDefaults()
-		cfg.LB = s.cfgLB
-		sim := fabs[si].NewSimulation(cfg)
-		nFail := int(frac * float64(sf.G.M()))
-		sim.Net.FailRandomLinks(nFail, graph.NewRand(o.Seed+int64(nFail)))
-		frng := graph.NewRand(o.Seed)
-		for i := 0; i < flows; i++ {
-			src, dst := graph.SampleDistinctPair(frng, sf.N())
-			sim.AddFlow(netsim.FlowSpec{Src: int32(src), Dst: int32(dst), Bytes: 64 << 10})
-		}
-		res := sim.Run(3 * netsim.Second)
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(s.name, nFail, fmtPct(netsim.CompletedFraction(res)), fct.Mean, fct.P99)
-		return nil
-	}); err != nil {
-		return nil, err
+	for i, r := range results {
+		tab.AddRowf(ss[i/len(fracs)].name, r.FailedLinks, fmtPct(r.Completed), r.FCT.Mean, r.FCT.P99)
 	}
 	return tab, nil
 }
 
+// runExtMPTCP is no scenario matrix: its k=2 and k=4 series stripe every
+// message over k subflows pinned to distinct layers and report per-message
+// completion (the slowest subflow), and Spec has no axis for k nor
+// CellResult a per-message digest. It takes topology, fabric and simulator
+// configuration from the scenario layer and keeps its own cell loop.
 func runExtMPTCP(o Options) (*stats.Table, error) {
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
-	if err != nil {
-		return nil, err
-	}
-	fab, err := core.Build(sf, o.coreCfg(4, 0.6))
+	spec := scenario.Spec{Topology: scenTopo(o, "SF"), Layers: 4, Rho: 0.6, Transport: "tcp"}
+	sf, err := scenario.BuildTopology(spec, o.Seed)
 	if err != nil {
 		return nil, err
 	}
 	pat := traffic.AdversarialOffDiagonal(sf)
+	fab, tcp, err := handSim(o, spec, sf, pat)
+	if err != nil {
+		return nil, err
+	}
+	// Native MPTCP transport: LIA-coupled subflows over pinned layers.
+	lia := tcp
+	lia.Transport = netsim.TransportMPTCP
 	size := int64(512 << 10)
 	horizon := 10 * netsim.Second
 	tab := &stats.Table{
 		Title:   "MPTCP subflow striping vs flowlet FatPaths (512KiB messages, TCP)",
 		Headers: []string{"series", "mean FCT ms", "p99 ms", "completed"},
 	}
-	// All four series run the identical workload.
-	simSeed := sharedSeed(o, 0)
+	wl := core.Workload{Pattern: pat, FlowSize: traffic.FixedSize(size)}
 	stripeKs := []int{2, 4}
+	// All four series run the identical workload at the run's seed.
 	if err := runCells(o, tab, 2+len(stripeKs), func(c *Cell) error {
-		switch c.Index {
-		case 0:
-			// Flowlet FatPaths baseline.
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			res, err := runSeries(o, fab, cfg, pat, size, 0, horizon, simSeed)
-			if err != nil {
-				return err
+		if c.Index < 2 {
+			name, cfg := "flowlet FatPaths", tcp
+			if c.Index == 1 {
+				name, cfg = "MPTCP transport (LIA)", lia
 			}
+			res := fab.RunWorkload(cfg, wl, horizon, o.Seed)
 			fct := netsim.SummarizeFCT(res)
-			c.AddRowf("flowlet FatPaths", fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-		case 1:
-			// Native MPTCP transport (LIA-coupled subflows over pinned layers).
-			mcfg := netsim.TCPDefaults(netsim.TransportMPTCP)
-			mres, err := runSeries(o, fab, mcfg, pat, size, 0, horizon, simSeed)
-			if err != nil {
-				return err
-			}
-			mfct := netsim.SummarizeFCT(mres)
-			c.AddRowf("MPTCP transport (LIA)", mfct.Mean, mfct.P99, fmtPct(netsim.CompletedFraction(mres)))
-		default:
-			k := stripeKs[c.Index-2]
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			mres, err := fab.RunWorkloadMPTCP(cfg, pat, size, k, horizon, simSeed)
-			if err != nil {
-				return err
-			}
-			var sm stats.Sample
-			done := 0
-			for _, r := range mres {
-				if r.Done {
-					done++
-					sm.Add(r.FCT.Seconds() * 1e3)
-				}
-			}
-			s := sm.Summarize()
-			c.AddRowf("MPTCP k="+strconv.Itoa(k), s.Mean, s.P99, fmtPct(float64(done)/float64(len(mres))))
+			c.AddRowf(name, fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
+			return nil
 		}
+		k := stripeKs[c.Index-2]
+		mres, err := fab.RunWorkloadMPTCP(tcp, pat, size, k, horizon, o.Seed)
+		if err != nil {
+			return err
+		}
+		var sm stats.Sample
+		done := 0
+		for _, r := range mres {
+			if r.Done {
+				done++
+				sm.Add(r.FCT.Seconds() * 1e3)
+			}
+		}
+		s := sm.Summarize()
+		c.AddRowf("MPTCP k="+strconv.Itoa(k), s.Mean, s.P99, fmtPct(float64(done)/float64(len(mres))))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -173,7 +149,7 @@ func runExtTables(o Options) (*stats.Table, error) {
 		// destination, so a workload routing to a handful of destination
 		// routers occupies a sliver of the dense n·Nr² footprint even at
 		// the paper-example scale.
-		fab, err := core.Build(t, o.coreCfg(sz.Layers, 0.6))
+		fab, err := core.Build(t, core.Config{NumLayers: sz.Layers, Rho: 0.6, Seed: o.Seed, Obs: o.Obs})
 		if err != nil {
 			return err
 		}

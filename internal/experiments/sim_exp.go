@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
@@ -21,13 +20,15 @@ import (
 // transport/construction/randomization ablations (see README.md's
 // experiment table).
 //
-// fig2, fig11, fig13 and the three ablations are declarative scenario
-// matrices (internal/scenario): the runner states the swept axes and skip
-// constraints, the engine expands, seeds, and executes the cells over the
-// parallel runtime, and the runner only reformats CellResults into the
-// figure's table shape. The remaining runners enumerate cells by hand (they
-// embed per-cell baselines or model predictions the matrix form does not
-// express) and fan out via runCells with the same seed-folding discipline.
+// Every ID here but fig17 is a declarative scenario matrix
+// (internal/scenario): the runner states the swept axes and skip
+// constraints, the engine expands, seeds, caches and executes the cells over
+// the parallel runtime, and the runner only reformats CellResults into the
+// figure's table shape. Two simulation IDs are not matrices, because Spec
+// cannot state their workload: fig17 (barrier-separated stencil rounds,
+// below) and ext-mptcp (k pinned subflows per message, extensions_exp.go).
+// Both take topology, fabric and simulator configuration from the scenario
+// layer (scenTopo + handSim) and fan their own cells out via runCells.
 
 func init() {
 	register("fig2", "Throughput/flow vs flow size: low-diameter+FatPaths vs FT+NDP (randomized workload)", runFig2)
@@ -45,52 +46,8 @@ func init() {
 	register("abl-randomization", "Ablation: workload randomization on vs off", runAblRandomization)
 }
 
-// simSuite returns the per-figure topology set at quick or full scale.
-func simSuite(o Options, rng *rand.Rand) (map[string]*topo.Topology, error) {
-	out := map[string]*topo.Topology{}
-	var err error
-	add := func(k string, t *topo.Topology, e error) {
-		if err == nil && e != nil {
-			err = e
-		}
-		out[k] = t
-	}
-	if o.Quick {
-		sf, e := topo.SlimFly(5, 0)
-		add("SF", sf, e)
-		df, e := topo.Dragonfly(3)
-		add("DF", df, e)
-		hx, e := topo.HyperX(3, 4, 0)
-		add("HX", hx, e)
-		xp, e := topo.Xpander(8, 8, 0, rng)
-		add("XP", xp, e)
-		ft, e := topo.FatTree3(4, 2)
-		add("FT", ft, e)
-	} else {
-		sf, e := topo.SlimFly(11, 0)
-		add("SF", sf, e)
-		df, e := topo.Dragonfly(4)
-		add("DF", df, e)
-		hx, e := topo.HyperX(3, 7, 0)
-		add("HX", hx, e)
-		xp, e := topo.Xpander(16, 16, 0, rng)
-		add("XP", xp, e)
-		ft, e := topo.FatTree3(8, 2)
-		add("FT", ft, e)
-	}
-	if err != nil {
-		return nil, err
-	}
-	jf, e := topo.EquivalentJellyfish(out["SF"], rng)
-	if e != nil {
-		return nil, e
-	}
-	out["JF"] = jf
-	return out, nil
-}
-
-// scenTopo maps a simSuite family tag onto the scenario topology spec of
-// the same size at the current scale.
+// scenTopo is the one statement of the simulation suite: it maps a family
+// tag onto the scenario topology spec of that family at the current scale.
 func scenTopo(o Options, kind string) scenario.Topology {
 	switch kind {
 	case "SF":
@@ -132,19 +89,6 @@ func runMatrices(o Options, ms ...*scenario.Matrix) ([]scenario.CellResult, erro
 	return scenario.RunSpecs(cells, scenario.RunOptions{Run: o.Run, CacheDir: o.CacheDir})
 }
 
-// runSeries simulates one (fabric, config, pattern, size) combination. The
-// pattern is validated first: a malformed pattern aborts the experiment
-// with a useful error instead of simulating garbage. The run's tracer (if
-// any) is offered to every series; the first simulation wins it.
-func runSeries(o Options, fab *core.Fabric, cfg netsim.Config, pat traffic.Pattern, size int64, lambda float64, horizon netsim.Time, seed int64) ([]netsim.FlowResult, error) {
-	if err := pat.ValidateFlows(); err != nil {
-		return nil, err
-	}
-	cfg.Tracer = o.Tracer
-	wl := core.Workload{Pattern: pat, FlowSize: traffic.FixedSize(size), Lambda: lambda}
-	return fab.RunWorkload(cfg, wl, horizon, seed), nil
-}
-
 func flowSizes(o Options) []int64 {
 	if o.Quick {
 		return []int64{32 << 10, 256 << 10, 2 << 20}
@@ -152,9 +96,9 @@ func flowSizes(o Options) []int64 {
 	return []int64{32 << 10, 128 << 10, 512 << 10, 2 << 20}
 }
 
-func scenSizes(o Options) []scenario.FlowSize {
+func scenSizes(bytes []int64) []scenario.FlowSize {
 	var out []scenario.FlowSize
-	for _, b := range flowSizes(o) {
+	for _, b := range bytes {
 		out = append(out, scenario.FlowSize{Bytes: b})
 	}
 	return out
@@ -174,7 +118,7 @@ func runFig2(o Options) (*stats.Table, error) {
 		Base: base,
 		Axes: scenario.Axes{
 			Topologies: scenTopos(o, "SF", "XP", "HX", "DF"),
-			FlowSizes:  scenSizes(o),
+			FlowSizes:  scenSizes(flowSizes(o)),
 		},
 	}
 	ftBase := base
@@ -185,7 +129,7 @@ func runFig2(o Options) (*stats.Table, error) {
 	ft := &scenario.Matrix{
 		Name: "fig2-ndp-ft",
 		Base: ftBase,
-		Axes: scenario.Axes{FlowSizes: scenSizes(o)},
+		Axes: scenario.Axes{FlowSizes: scenSizes(flowSizes(o))},
 	}
 	results, err := runMatrices(o, lowDiam, ft)
 	if err != nil {
@@ -224,7 +168,7 @@ func runFig11(o Options) (*stats.Table, error) {
 			Routings:   []string{"fatpaths", "spray"},
 			Layers:     []int{0, 1},
 			Rhos:       []float64{0, 1},
-			FlowSizes:  scenSizes(o),
+			FlowSizes:  scenSizes(flowSizes(o)),
 		},
 		Skip: []scenario.Constraint{
 			{When: map[string]string{"routing": "fatpaths", "layers": "1"}},
@@ -253,16 +197,30 @@ func runFig11(o Options) (*stats.Table, error) {
 }
 
 func runFig12(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
-	if err != nil {
-		return nil, err
+	ns := []int{2, 5, 9}
+	if !o.Quick {
+		ns = []int{2, 5, 9, 17, 33}
 	}
-	df, err := topo.Dragonfly(pick(o, 3, 4))
-	if err != nil {
-		return nil, err
+	// The whole (n, rho) sweep of one topology compares FCT on the same
+	// workload: the cells agree on every workload-defining axis.
+	m := &scenario.Matrix{
+		Name: "fig12",
+		Base: scenario.Spec{
+			Pattern:   scenario.Pattern{Kind: "permutation", Randomize: true},
+			Load:      300,
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{
+			Topologies: []scenario.Topology{
+				{Kind: "Clique", Param: pick(o, 15, 40)},
+				scenTopo(o, "SF"),
+				scenTopo(o, "DF"),
+			},
+			Layers: ns,
+			Rhos:   []float64{0.5, 0.7, 0.8},
+		},
 	}
-	cl, err := topo.Complete(pick(o, 15, 40), 0)
+	results, err := runMatrices(o, m)
 	if err != nil {
 		return nil, err
 	}
@@ -270,46 +228,8 @@ func runFig12(o Options) (*stats.Table, error) {
 		Title:   "Fig 12: effect of n and rho on 1MiB-flow FCT [ms] (NDP mode)",
 		Headers: []string{"topology", "n", "rho", "mean", "p10", "p99", "completed"},
 	}
-	ns := []int{2, 5, 9}
-	rhos := []float64{0.5, 0.7, 0.8}
-	if !o.Quick {
-		ns = []int{2, 5, 9, 17, 33}
-	}
-	horizon := 10 * netsim.Second
-	type cell struct {
-		t       *topo.Topology
-		pat     traffic.Pattern
-		n       int
-		rho     float64
-		simSeed int64
-	}
-	var cells []cell
-	for ti, t := range []*topo.Topology{cl, sf, df} {
-		// The whole (n, rho) sweep of one topology compares FCT on the same
-		// workload: pattern and sim seed are shared across its cells.
-		pat := traffic.RandomizeMapping(traffic.RandomPermutation(rng, t.N()), rng)
-		simSeed := sharedSeed(o, uint64(ti))
-		for _, n := range ns {
-			for _, rho := range rhos {
-				cells = append(cells, cell{t, pat, n, rho, simSeed})
-			}
-		}
-	}
-	if err := runCells(o, tab, len(cells), func(c *Cell) error {
-		cl := cells[c.Index]
-		fab, err := core.Build(cl.t, o.coreCfg(cl.n, cl.rho))
-		if err != nil {
-			return err
-		}
-		res, err := runSeries(o, fab, netsim.NDPDefaults(), cl.pat, 1<<20, 300, horizon, cl.simSeed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(cl.t.Kind, cl.n, cl.rho, fct.Mean, fct.P10, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Topology.Kind, r.Spec.Layers, r.Spec.Rho, r.FCT.Mean, r.FCT.P10, r.FCT.P99, fmtPct(r.Completed))
 	}
 	return tab, nil
 }
@@ -345,83 +265,101 @@ func runFig13(o Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// tcpSeriesConfig returns the four Fig 14 series: ECMP, LetFlow,
-// FatPaths(rho=0.6), FatPaths(rho=1), all with n=4 layers (§VII-C).
-type tcpSeries struct {
-	name   string
-	lb     netsim.LoadBalance
-	layers int
-	rho    float64
+// series is one compared routing configuration of a figure: its row label
+// and the scheme, layer count and sparsity it writes into a spec.
+type series struct {
+	name    string
+	routing string
+	layers  int
+	rho     float64
 }
 
-func tcpSeriesSet() []tcpSeries {
-	return []tcpSeries{
-		{"ECMP", netsim.LBECMP, 1, 1},
-		{"LetFlow", netsim.LBLetFlow, 1, 1},
-		{"FatPaths(0.6)", netsim.LBFatPaths, 4, 0.6},
-		{"FatPaths(1.0)", netsim.LBFatPaths, 4, 1.0},
+func (s series) on(base scenario.Spec) scenario.Spec {
+	base.Routing, base.Layers, base.Rho = s.routing, s.layers, s.rho
+	return base
+}
+
+// seriesMatrices sweeps axes once per series — one matrix each, in series
+// order, so the batch's results are series-major.
+func seriesMatrices(name string, base scenario.Spec, axes scenario.Axes, ss []series) []*scenario.Matrix {
+	ms := make([]*scenario.Matrix, len(ss))
+	for i, s := range ss {
+		ms[i] = &scenario.Matrix{Name: name + "-" + s.name, Base: s.on(base), Axes: axes}
+	}
+	return ms
+}
+
+// tcpSeriesSet returns the four Fig 14 series: ECMP, LetFlow,
+// FatPaths(rho=0.6), FatPaths(rho=1), the latter two with n=4 layers
+// (§VII-C). ECMP comes first: the speedup columns divide by it.
+func tcpSeriesSet() []series {
+	return []series{
+		{"ECMP", "ecmp", 1, 1},
+		{"LetFlow", "letflow", 1, 1},
+		{"FatPaths(0.6)", "fatpaths", 4, 0.6},
+		{"FatPaths(1.0)", "fatpaths", 4, 1.0},
 	}
 }
 
 func runFig14(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	suite, err := simSuite(o, rng)
+	names := []string{"DF", "FT", "HX", "JF", "SF", "XP"}
+	sizes := []int64{20e3, 200e3, 2e6}
+	ss := tcpSeriesSet()
+	// Synchronized starts (load 0): at this scaled-down N, Poisson
+	// staggering would dissolve the path collisions the figure studies (the
+	// paper's N≈10k runs have enough concurrent flows for lambda=200 to
+	// keep collisions persistent).
+	results, err := runMatrices(o, seriesMatrices("fig14", scenario.Spec{
+		Transport: "tcp",
+		Pattern:   scenario.Pattern{Kind: "adversarial"},
+		HorizonMs: 12000,
+	}, scenario.Axes{Topologies: scenTopos(o, names...), FlowSizes: scenSizes(sizes)}, ss)...)
 	if err != nil {
 		return nil, err
 	}
-	sizes := []int64{20e3, 200e3, 2e6}
 	tab := &stats.Table{
 		Title:   "Fig 14: TCP — speedup over ECMP (mean and 99% tail of FCT)",
 		Headers: []string{"topology", "flow KB", "series", "mean FCT ms", "p99 ms", "speedup mean", "speedup p99"},
 	}
-	horizon := 12 * netsim.Second
-	names := []string{"DF", "FT", "HX", "JF", "SF", "XP"}
-	// One cell per (topology, size): the ECMP baseline the speedup columns
-	// divide by lives in the same cell as the series compared against it.
-	if err := runCells(o, tab, len(names)*len(sizes), func(c *Cell) error {
-		name := names[c.Index/len(sizes)]
-		size := sizes[c.Index%len(sizes)]
-		t := suite[name]
-		pat := traffic.AdversarialOffDiagonal(t)
-		var base stats.Summary
-		for _, s := range tcpSeriesSet() {
-			fab, err := core.Build(t, o.coreCfg(s.layers, s.rho))
-			if err != nil {
-				return err
+	// Rows group the series of one (topology, size) together, below the
+	// ECMP cell their speedup columns divide by.
+	perSeries := len(names) * len(sizes)
+	for ti, name := range names {
+		for zi, size := range sizes {
+			var base stats.Summary
+			for si, s := range ss {
+				fct := results[si*perSeries+ti*len(sizes)+zi].FCT
+				if si == 0 {
+					base = fct
+				}
+				spMean, spTail := 0.0, 0.0
+				if fct.Mean > 0 {
+					spMean = base.Mean / fct.Mean
+				}
+				if fct.P99 > 0 {
+					spTail = base.P99 / fct.P99
+				}
+				tab.AddRowf(name, size/1000, s.name, fct.Mean, fct.P99, spMean, spTail)
 			}
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			cfg.LB = s.lb
-			// Synchronized starts: at this scaled-down N, Poisson
-			// staggering would dissolve the path collisions the figure
-			// studies (the paper's N≈10k runs have enough concurrent
-			// flows for lambda=200 to keep collisions persistent).
-			res, err := runSeries(o, fab, cfg, pat, size, 0, horizon, c.Seed)
-			if err != nil {
-				return err
-			}
-			fct := netsim.SummarizeFCT(res)
-			if s.name == "ECMP" {
-				base = fct
-			}
-			spMean, spTail := 0.0, 0.0
-			if fct.Mean > 0 {
-				spMean = base.Mean / fct.Mean
-			}
-			if fct.P99 > 0 {
-				spTail = base.P99 / fct.P99
-			}
-			c.AddRowf(name, size/1000, s.name, fct.Mean, fct.P99, spMean, spTail)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	return tab, nil
 }
 
 func runFig15(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
+	lambda := 200.0
+	ss := []series{
+		{"FatPaths(TCP)", "fatpaths", 4, 0.6},
+		{"ECMP", "ecmp", 1, 1},
+	}
+	// Both simulated series face the identical Poisson arrival process.
+	results, err := runMatrices(o, seriesMatrices("fig15", scenario.Spec{
+		Topology:  scenTopo(o, "SF"),
+		Transport: "tcp",
+		Pattern:   scenario.Pattern{Kind: "permutation", Randomize: true},
+		Load:      lambda,
+		HorizonMs: 12000,
+	}, scenario.Axes{}, ss)...)
 	if err != nil {
 		return nil, err
 	}
@@ -429,90 +367,76 @@ func runFig15(o Options) (*stats.Table, error) {
 		Title:   "Fig 15: 1MiB-flow FCT distribution on SF (TCP)",
 		Headers: []string{"series", "p10 ms", "p50 ms", "p90 ms", "p99 ms", "mean ms"},
 	}
-	lambda := 200.0
-	horizon := 12 * netsim.Second
-	pat := traffic.RandomizeMapping(traffic.RandomPermutation(rng, sf.N()), rng)
-	// Both simulated series face the identical Poisson arrival process.
-	simSeed := sharedSeed(o, 0)
-	series := []tcpSeries{
-		{"FatPaths(TCP)", netsim.LBFatPaths, 4, 0.6},
-		{"ECMP", netsim.LBECMP, 1, 1},
-	}
-	// Cell 0 is the M/M/1-PS queueing-model prediction at the access link;
-	// cells 1.. are the simulated series.
-	if err := runCells(o, tab, 1+len(series), func(c *Cell) error {
-		if c.Index == 0 {
-			model := QueueModelSample(c.Rng, 4000, 1<<20, 10e9, lambda, 20*netsim.Microsecond)
-			c.AddRowf("queueing model", model.P10, model.P50, model.P90, model.P99, model.Mean)
-			return nil
-		}
-		s := series[c.Index-1]
-		fab, err := core.Build(sf, o.coreCfg(s.layers, s.rho))
-		if err != nil {
-			return err
-		}
-		cfg := netsim.TCPDefaults(netsim.TransportTCP)
-		cfg.LB = s.lb
-		res, err := runSeries(o, fab, cfg, pat, 1<<20, lambda, horizon, simSeed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(s.name, fct.P10, fct.P50, fct.P90, fct.P99, fct.Mean)
-		return nil
-	}); err != nil {
-		return nil, err
+	// The first row is the M/M/1-PS queueing-model prediction at the access
+	// link; it simulates nothing, so it is no cell.
+	model := QueueModelSample(graph.NewRand(exec.FoldSeed(o.Seed, 0)), 4000, 1<<20, 10e9, lambda, 20*netsim.Microsecond)
+	tab.AddRowf("queueing model", model.P10, model.P50, model.P90, model.P99, model.Mean)
+	for i, r := range results {
+		tab.AddRowf(ss[i].name, r.FCT.P10, r.FCT.P50, r.FCT.P90, r.FCT.P99, r.FCT.Mean)
 	}
 	return tab, nil
 }
 
 func runFig16(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	suite, err := simSuite(o, rng)
-	if err != nil {
-		return nil, err
-	}
 	rhos := []float64{0.5, 0.7, 0.9, 1.0}
 	if !o.Quick {
 		rhos = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+	}
+	// The rho sweep of one topology compares against the same workload.
+	m := &scenario.Matrix{
+		Name: "fig16",
+		Base: scenario.Spec{
+			Layers:    4,
+			Transport: "tcp",
+			Pattern:   scenario.Pattern{Kind: "adversarial"},
+			Load:      200,
+			HorizonMs: 12000,
+		},
+		Axes: scenario.Axes{
+			Topologies: scenTopos(o, "DF", "JF", "HX", "SF", "XP"),
+			Rhos:       rhos,
+		},
+	}
+	results, err := runMatrices(o, m)
+	if err != nil {
+		return nil, err
 	}
 	tab := &stats.Table{
 		Title:   "Fig 16: impact of rho on 1MiB-flow FCT (TCP, n=4)",
 		Headers: []string{"topology", "rho", "mean ms", "p10 ms", "p99 ms"},
 	}
-	horizon := 12 * netsim.Second
-	names := []string{"DF", "JF", "HX", "SF", "XP"}
-	if err := runCells(o, tab, len(names)*len(rhos), func(c *Cell) error {
-		ti := c.Index / len(rhos)
-		name := names[ti]
-		rho := rhos[c.Index%len(rhos)]
-		t := suite[name]
-		pat := traffic.AdversarialOffDiagonal(t)
-		fab, err := core.Build(t, o.coreCfg(4, rho))
-		if err != nil {
-			return err
-		}
-		cfg := netsim.TCPDefaults(netsim.TransportTCP)
-		// The rho sweep of one topology compares against the same workload.
-		res, err := runSeries(o, fab, cfg, pat, 1<<20, 200, horizon, sharedSeed(o, uint64(ti)))
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(name, rho, fct.Mean, fct.P10, fct.P99)
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Topology.Kind, r.Spec.Rho, r.FCT.Mean, r.FCT.P10, r.FCT.P99)
 	}
 	return tab, nil
 }
 
-func runFig17(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	suite, err := simSuite(o, rng)
-	if err != nil {
-		return nil, err
+// handSim is what the two hand-rolled simulation runners take from the
+// scenario layer for one spec: the fabric over t and the simulator
+// configuration, exactly as a matrix cell of that spec would get them. The
+// pattern is validated first: a malformed pattern aborts the experiment
+// with a useful error instead of simulating garbage. The run's tracer (if
+// any) is offered to every simulation; the first one wins it.
+func handSim(o Options, s scenario.Spec, t *topo.Topology, pat traffic.Pattern) (*core.Fabric, netsim.Config, error) {
+	if err := pat.ValidateFlows(); err != nil {
+		return nil, netsim.Config{}, err
 	}
+	cfg, err := scenario.SimConfig(s)
+	if err != nil {
+		return nil, netsim.Config{}, err
+	}
+	cfg.Tracer = o.Tracer
+	fab, err := scenario.BuildFabricOn(s, t, o.Seed, o.Obs)
+	return fab, cfg, err
+}
+
+// runFig17 is no scenario matrix: its workload is rounds of one stencil
+// with a barrier between them — every round a fresh simulation, the figure
+// the sum over rounds of the slowest flow — and Spec has no axis for rounds
+// nor CellResult a field for a barrier total. It takes topologies, fabrics
+// and simulator configurations from the scenario layer and keeps its own
+// cell loop.
+func runFig17(o Options) (*stats.Table, error) {
 	sizes := []int64{20e3, 200e3}
 	if !o.Quick {
 		sizes = append(sizes, 2e6)
@@ -523,34 +447,41 @@ func runFig17(o Options) (*stats.Table, error) {
 		Headers: []string{"topology", "flow KB", "series", "total ms", "speedup"},
 	}
 	names := []string{"DF", "FT", "HX", "JF", "SF", "XP"}
+	ss := tcpSeriesSet()
+	rng := graph.NewRand(o.Seed)
 	pats := make([]traffic.Pattern, len(names))
-	for i, name := range names {
-		pats[i] = traffic.RandomizeMapping(traffic.DefaultStencil(suite[name].N()), rng)
+	fabs := make([][]*core.Fabric, len(names))
+	cfgs := make([]netsim.Config, len(ss)) // a series' configuration is the same on every topology
+	for ti, name := range names {
+		base := scenario.Spec{Topology: scenTopo(o, name), Transport: "tcp"}
+		t, err := scenario.BuildTopology(base, o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		pats[ti] = traffic.RandomizeMapping(traffic.DefaultStencil(t.N()), rng)
+		fabs[ti] = make([]*core.Fabric, len(ss))
+		for si, s := range ss {
+			if fabs[ti][si], cfgs[si], err = handSim(o, s.on(base), t, pats[ti]); err != nil {
+				return nil, err
+			}
+		}
 	}
 	// One cell per (topology, size); the series loop stays inside so the
 	// ECMP total the speedups divide by is computed alongside.
 	if err := runCells(o, tab, len(names)*len(sizes), func(c *Cell) error {
 		ti := c.Index / len(sizes)
-		name := names[ti]
 		size := sizes[c.Index%len(sizes)]
-		t := suite[name]
 		var base netsim.Time
-		for _, s := range tcpSeriesSet() {
-			fab, err := core.Build(t, o.coreCfg(s.layers, s.rho))
-			if err != nil {
-				return err
-			}
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			cfg.LB = s.lb
-			total, _ := fab.RunStencilRounds(cfg, pats[ti], size, rounds, 6*netsim.Second, c.Seed)
-			if s.name == "ECMP" {
+		for si, s := range ss {
+			total, _ := fabs[ti][si].RunStencilRounds(cfgs[si], pats[ti], size, rounds, 6*netsim.Second, c.Seed)
+			if si == 0 {
 				base = total
 			}
 			sp := 0.0
 			if total > 0 {
 				sp = float64(base) / float64(total)
 			}
-			c.AddRowf(name, size/1000, s.name, total.Seconds()*1e3, sp)
+			c.AddRowf(names[ti], size/1000, s.name, total.Seconds()*1e3, sp)
 		}
 		return nil
 	}); err != nil {
@@ -560,12 +491,21 @@ func runFig17(o Options) (*stats.Table, error) {
 }
 
 func runFig20(o Options) (*stats.Table, error) {
-	n := pick(o, 24, 60)
-	st, err := topo.Star(n)
-	if err != nil {
-		return nil, err
+	m := &scenario.Matrix{
+		Name: "fig20",
+		Base: scenario.Spec{
+			Topology:  scenario.Topology{Kind: "Star", Param: pick(o, 24, 60)},
+			Layers:    1,
+			Rho:       1,
+			Routing:   "minimal",
+			Transport: "tcp",
+			Pattern:   scenario.Pattern{Kind: "uniform"},
+			FlowSize:  scenario.FlowSize{Bytes: 2e6},
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{Loads: []float64{100, 250, 500, 800}},
 	}
-	fab, err := core.Build(st, o.coreCfg(1, 1))
+	results, err := runMatrices(o, m)
 	if err != nil {
 		return nil, err
 	}
@@ -573,36 +513,32 @@ func runFig20(o Options) (*stats.Table, error) {
 		Title:   "Fig 20: 2MB-flow FCT vs arrival rate on a crossbar (TCP)",
 		Headers: []string{"lambda", "p10 ms", "mean ms", "p90 ms", "completed"},
 	}
-	rng := graph.NewRand(o.Seed)
-	lambdas := []float64{100, 250, 500, 800}
-	pats := make([]traffic.Pattern, len(lambdas))
-	for i := range lambdas {
-		pats[i] = traffic.RandomUniform(rng, n)
-	}
-	if err := runCells(o, tab, len(lambdas), func(c *Cell) error {
-		cfg := netsim.TCPDefaults(netsim.TransportTCP)
-		cfg.LB = netsim.LBMinimalLayer
-		res, err := runSeries(o, fab, cfg, pats[c.Index], 2e6, lambdas[c.Index], 10*netsim.Second, c.Seed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(lambdas[c.Index], fct.P10, fct.Mean, fct.P90, fmtPct(netsim.CompletedFraction(res)))
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Load, r.FCT.P10, r.FCT.Mean, r.FCT.P90, fmtPct(r.Completed))
 	}
 	return tab, nil
 }
 
 func runFig21(o Options) (*stats.Table, error) {
-	n := pick(o, 24, 128)
-	st, err := topo.Star(n)
-	if err != nil {
-		return nil, err
+	m := &scenario.Matrix{
+		Name: "fig21",
+		Base: scenario.Spec{
+			Layers:    1,
+			Rho:       1,
+			Routing:   "spray",
+			Pattern:   scenario.Pattern{Kind: "uniform"},
+			FlowSize:  scenario.FlowSize{Bytes: 256 << 10},
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{
+			Topologies: []scenario.Topology{
+				{Kind: "Star", Param: pick(o, 24, 128)},
+				{Kind: "FT3", Param: pick(o, 3, 6)},
+			},
+			Loads: []float64{100, 300, 500},
+		},
 	}
-	m := pick(o, 3, 6)
-	ft, err := topo.FatTree3(m, 2)
+	results, err := runMatrices(o, m)
 	if err != nil {
 		return nil, err
 	}
@@ -610,36 +546,8 @@ func runFig21(o Options) (*stats.Table, error) {
 		Title:   "Fig 21: influence of lambda on baseline NDP (per-packet spray)",
 		Headers: []string{"topology", "lambda", "FCT p10 ms", "mean ms", "p99 ms", "completed"},
 	}
-	rng := graph.NewRand(o.Seed)
-	lambdas := []float64{100, 300, 500}
-	type cell struct {
-		fab *core.Fabric
-		pat traffic.Pattern
-		l   float64
-	}
-	var cells []cell
-	for _, t := range []*topo.Topology{st, ft} {
-		fab, err := core.Build(t, o.coreCfg(1, 1))
-		if err != nil {
-			return nil, err
-		}
-		for _, lambda := range lambdas {
-			cells = append(cells, cell{fab, traffic.RandomUniform(rng, t.N()), lambda})
-		}
-	}
-	if err := runCells(o, tab, len(cells), func(c *Cell) error {
-		cl := cells[c.Index]
-		cfg := netsim.NDPDefaults()
-		cfg.LB = netsim.LBPacketSpray
-		res, err := runSeries(o, cl.fab, cfg, cl.pat, 256<<10, cl.l, 10*netsim.Second, c.Seed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(cl.fab.Topo.Kind, cl.l, fct.P10, fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Topology.Kind, r.Spec.Load, r.FCT.P10, r.FCT.Mean, r.FCT.P99, fmtPct(r.Completed))
 	}
 	return tab, nil
 }

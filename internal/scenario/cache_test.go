@@ -84,6 +84,14 @@ func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 	if pinned.CacheIdentity(42) != base.CacheIdentity(7) {
 		t.Fatal("Spec.Seed 7 and run seed 7 must address the same entry")
 	}
+	// FT is an alias of FT3, not a second topology: one key, so one cache
+	// entry, one fabric, one workload and one set of folded seeds.
+	ft, ft3 := base, base
+	ft.Topology, ft3.Topology = Topology{Kind: "FT", Param: 4}, Topology{Kind: "FT3", Param: 4}
+	if ft.CacheIdentity(42) != ft3.CacheIdentity(42) || ft.FabricKey(42) != ft3.FabricKey(42) ||
+		ft.workloadKey() != ft3.workloadKey() {
+		t.Fatalf("FT and FT3 specs differ in identity:\n%s\n%s", ft.CacheIdentity(42), ft3.CacheIdentity(42))
+	}
 }
 
 // TestCacheRoundTrip: Put then Get returns the stored result; misses on

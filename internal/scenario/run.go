@@ -126,9 +126,9 @@ func (c *caches) fabric(key string, build func() (*core.Fabric, error)) (*core.F
 	return e.fab, e.err
 }
 
-// simConfig maps the spec's transport and routing names onto a netsim
+// SimConfig maps the spec's transport and routing names onto a netsim
 // configuration.
-func simConfig(s Spec) (netsim.Config, error) {
+func SimConfig(s Spec) (netsim.Config, error) {
 	var cfg netsim.Config
 	switch s.transport() {
 	case "ndp":
@@ -207,7 +207,7 @@ func runCell(s Spec, cc *caches, o RunOptions, traced bool) (CellResult, error) 
 		return CellResult{}, fmt.Errorf("scenario: compiled pattern invalid: %w", err)
 	}
 
-	cfg, err := simConfig(s)
+	cfg, err := SimConfig(s)
 	if err != nil {
 		return CellResult{}, err
 	}

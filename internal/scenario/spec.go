@@ -49,7 +49,16 @@ type Topology struct {
 // key is the canonical identity of the topology spec; equal keys mean
 // identical built topologies at a fixed run seed.
 func (ts Topology) key() string {
-	return fmt.Sprintf("%s/%s/%d/%d", ts.Kind, ts.class(), ts.Param, ts.Param2)
+	return fmt.Sprintf("%s/%s/%d/%d", ts.kind(), ts.class(), ts.Param, ts.Param2)
+}
+
+// kind resolves the FT alias, so that FT and FT3 specs are one topology
+// with one key: one fabric, one cache identity, one set of folded seeds.
+func (ts Topology) kind() string {
+	if ts.Kind == "FT" {
+		return "FT3"
+	}
+	return ts.Kind
 }
 
 func (ts Topology) class() string {
@@ -95,9 +104,9 @@ func (ts Topology) build(seed int64) (*topo.Topology, error) {
 		if err != nil {
 			return nil, err
 		}
-		return topo.ByName(ts.Kind, class, rng)
+		return topo.ByName(ts.kind(), class, rng)
 	}
-	switch ts.Kind {
+	switch ts.kind() {
 	case "SF":
 		return topo.SlimFly(ts.Param, ts.Param2)
 	case "JF":
@@ -120,7 +129,7 @@ func (ts Topology) build(seed int64) (*topo.Topology, error) {
 			lift = ts.Param
 		}
 		return topo.Xpander(ts.Param, lift, 0, rng)
-	case "FT3", "FT":
+	case "FT3":
 		o := ts.Param2
 		if o == 0 {
 			o = 2

@@ -68,6 +68,20 @@ func TestFabricCacheLRU(t *testing.T) {
 	if lruSpec(1).FabricKey(42) == lruSpec(1).FabricKey(43) {
 		t.Fatal("fabric key must fold the run seed")
 	}
+	// The FT alias does not: FT and FT3 are one key, one build, one slot.
+	ft, ft3 := lruSpec(1), lruSpec(1)
+	ft.Topology, ft3.Topology = scenario.Topology{Kind: "FT", Param: 4}, scenario.Topology{Kind: "FT3", Param: 4}
+	_, fabFT, err := c.Get(ft, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fabFT3, _ := c.Get(ft3, 42); fabFT3 != fabFT || ft.FabricKey(42) != ft3.FabricKey(42) {
+		t.Fatalf("FT (%s) and FT3 (%s) must resolve to one resident fabric", ft.FabricKey(42), ft3.FabricKey(42))
+	}
+	if snap = reg.Snapshot(); snap[obs.MetricServeFabricHits] != 4 || snap[obs.MetricServeFabricMisses] != 5 {
+		t.Fatalf("after FT then FT3: hits/misses = %d/%d, want 4/5 (one build for the two names)",
+			snap[obs.MetricServeFabricHits], snap[obs.MetricServeFabricMisses])
+	}
 }
 
 // TestFabricCacheSingleFlight: concurrent requests for one key must share

@@ -222,6 +222,17 @@ func TestRequestValidation(t *testing.T) {
 	if n := s.Fabrics().Len(); n != 1 {
 		t.Fatalf("%d resident fabrics after the 400 walk, want 1 (the valid one)", n)
 	}
+	// The FT alias is valid and names the FT3 fabric: both spellings answer
+	// 200 with the same bytes from one admission.
+	misses := s.reg.Snapshot()[obs.MetricServeFabricMisses]
+	codeFT, bodyFT := get(t, s, "/nexthop?topo=FT&param=4&layers=2&rho=0.7&layer=1&src=0&dst=7")
+	codeFT3, bodyFT3 := get(t, s, "/nexthop?topo=FT3&param=4&layers=2&rho=0.7&layer=1&src=0&dst=7")
+	if codeFT != http.StatusOK || codeFT3 != http.StatusOK || string(bodyFT) != string(bodyFT3) {
+		t.Fatalf("topo=FT: %d %s\ntopo=FT3: %d %s", codeFT, bodyFT, codeFT3, bodyFT3)
+	}
+	if built := s.reg.Snapshot()[obs.MetricServeFabricMisses] - misses; built != 1 {
+		t.Fatalf("topo=FT then topo=FT3 admitted %d fabrics, want 1", built)
+	}
 }
 
 // TestBodyLimit: both POST endpoints refuse a body over maxBodyBytes with
