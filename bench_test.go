@@ -112,6 +112,25 @@ func BenchmarkLayerConstructionMinInterference(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerConstructionSPAIN builds fig9's SPAIN layers on its Xpander:
+// Nr²·K Dijkstra searches on one scratch, colouring, forest merging. The
+// exact solve those layers feed is BenchmarkLPPathMAT in internal/lp, the
+// one place a pivot count can be read.
+func BenchmarkLayerConstructionSPAIN(b *testing.B) {
+	xp, err := topo.Xpander(8, 8, 0, graph.NewRand(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := graph.NewRand(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := layers.SPAIN(xp.G, layers.SPAINConfig{K: 2, MaxLayers: 4}, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchBuildAll times eager construction of ls's tables, serially and on
 // all cores, and reports the routing core's ledger line — µs/table and
 // allocs/table — beside ns/op.

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // WeightFunc assigns a non-negative traversal cost to an edge; hop-count
 // routing uses Unit.
@@ -12,29 +9,60 @@ type WeightFunc func(edgeID int) float64
 // Unit is the hop-count weight function.
 func Unit(int) float64 { return 1 }
 
+// dijkstraItem is one heap entry; stale entries (a vertex pushed again at a
+// smaller distance) are skipped when popped.
 type dijkstraItem struct {
-	vertex int32
 	dist   float64
-	index  int
+	vertex int32
 }
 
-type dijkstraHeap []*dijkstraItem
-
-func (h dijkstraHeap) Len() int           { return len(h) }
-func (h dijkstraHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h dijkstraHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *dijkstraHeap) Push(x interface{}) {
-	it := x.(*dijkstraItem)
-	it.index = len(*h)
-	*h = append(*h, it)
+// DijkstraScratch is the state of one Dijkstra search, reusable across calls
+// on graphs of any size so that callers issuing many searches (SPAIN's
+// Nr²·K, Yen's k·len(path)) allocate it once. The zero value is ready; a
+// scratch must not be shared between goroutines.
+type DijkstraScratch struct {
+	dist   []float64
+	parent []int32
+	done   []bool
+	heap   []dijkstraItem
 }
-func (h *dijkstraHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+// push and pop repeat container/heap's up and down swap for swap, ordered
+// on dist alone: equal-distance vertices leave in the order they always
+// have, so every tie — and with it every SPAIN layer — is unchanged.
+func (sc *DijkstraScratch) push(it dijkstraItem) {
+	h := append(sc.heap, it)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	sc.heap = h
+}
+
+func (sc *DijkstraScratch) pop() dijkstraItem {
+	h := sc.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	sc.heap = h[:n]
+	return h[n]
 }
 
 // Dijkstra computes a minimum-weight path from s to t under w, honoring the
@@ -42,20 +70,28 @@ func (h *dijkstraHeap) Pop() interface{} {
 // computation). It returns the vertex path and its total weight, or
 // (nil, +Inf) if t is unreachable.
 func (g *Graph) Dijkstra(s, t int, w WeightFunc, edgeOff, vertOff []bool) ([]int32, float64) {
-	dist := make([]float64, g.n)
+	return g.DijkstraWith(new(DijkstraScratch), s, t, w, edgeOff, vertOff)
+}
+
+// DijkstraWith is Dijkstra on caller-owned scratch. The returned path is
+// freshly allocated and does not alias sc.
+func (g *Graph) DijkstraWith(sc *DijkstraScratch, s, t int, w WeightFunc, edgeOff, vertOff []bool) ([]int32, float64) {
+	if len(sc.dist) != g.n {
+		sc.dist = make([]float64, g.n)
+		sc.parent = make([]int32, g.n)
+		sc.done = make([]bool, g.n)
+	}
+	dist, parent, done := sc.dist, sc.parent, sc.done
+	inf := math.Inf(1)
 	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	parent := make([]int32, g.n)
-	for i := range parent {
+		dist[i] = inf
 		parent[i] = -1
+		done[i] = false
 	}
-	done := make([]bool, g.n)
 	dist[s] = 0
-	h := dijkstraHeap{{vertex: int32(s), dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(*dijkstraItem)
-		v := it.vertex
+	sc.heap = append(sc.heap[:0], dijkstraItem{vertex: int32(s)})
+	for len(sc.heap) > 0 {
+		v := sc.pop().vertex
 		if done[v] {
 			continue
 		}
@@ -74,19 +110,20 @@ func (g *Graph) Dijkstra(s, t int, w WeightFunc, edgeOff, vertOff []bool) ([]int
 			if nd < dist[half.To] {
 				dist[half.To] = nd
 				parent[half.To] = v
-				heap.Push(&h, &dijkstraItem{vertex: half.To, dist: nd})
+				sc.push(dijkstraItem{vertex: half.To, dist: nd})
 			}
 		}
 	}
 	if math.IsInf(dist[t], 1) {
-		return nil, math.Inf(1)
+		return nil, inf
 	}
-	path := []int32{}
-	for v := int32(t); v != -1; v = parent[v] {
-		path = append(path, v)
+	hops := 0
+	for v := parent[t]; v != -1; v = parent[v] {
+		hops++
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	path := make([]int32, hops+1)
+	for v, i := int32(t), hops; i >= 0; v, i = parent[v], i-1 {
+		path[i] = v
 	}
 	return path, dist[t]
 }
@@ -127,8 +164,12 @@ func (g *Graph) YenKShortest(s, t, k int, w WeightFunc) [][]int32 {
 		return nil
 	}
 	paths := [][]int32{first}
+	if k == 1 {
+		return paths
+	}
 	var candidates []yenCandidate
 
+	var sc DijkstraScratch // shared by every spur search below
 	edgeOff := make([]bool, g.M())
 	vertOff := make([]bool, g.n)
 
@@ -162,7 +203,7 @@ func (g *Graph) YenKShortest(s, t, k int, w WeightFunc) [][]int32 {
 			for _, v := range root[:len(root)-1] {
 				vertOff[v] = true
 			}
-			spurPath, _ := g.Dijkstra(int(prev[spur]), t, w, edgeOff, vertOff)
+			spurPath, _ := g.DijkstraWith(&sc, int(prev[spur]), t, w, edgeOff, vertOff)
 			if spurPath == nil {
 				continue
 			}

@@ -264,18 +264,24 @@ func TestVlanCompatible(t *testing.T) {
 	// Paths sharing vertex 1 with the same successor 2 are compatible.
 	a := []int32{0, 1, 2}
 	b := []int32{3, 1, 2}
-	if !vlanCompatible(a, b) {
+	next := []int32{-1, -1, -1, -1, -1, -1, -1, -1}
+	if !vlanCompatible(next, a, b) {
 		t.Fatal("same-successor paths must be compatible")
 	}
 	// Diverging at vertex 1: incompatible.
 	c := []int32{3, 1, 4}
-	if vlanCompatible(a, c) {
+	if vlanCompatible(next, a, c) {
 		t.Fatal("diverging paths must be incompatible")
 	}
 	// Disjoint paths are compatible.
 	d := []int32{5, 6, 7}
-	if !vlanCompatible(a, d) {
+	if !vlanCompatible(next, a, d) {
 		t.Fatal("disjoint paths must be compatible")
+	}
+	for v, n := range next {
+		if n != -1 {
+			t.Fatalf("scratch not restored: next[%d]=%d", v, n)
+		}
 	}
 }
 

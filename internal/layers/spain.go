@@ -2,6 +2,7 @@ package layers
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -41,6 +42,8 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 	//    perDest[u] = all paths from any v to u.
 	perDest := make([][]pathT, nr)
 	w := make([]float64, g.M())
+	weight := func(id int) float64 { return w[id] }
+	var sc graph.DijkstraScratch
 	for u := 0; u < nr; u++ {
 		var paths []pathT
 		for v := 0; v < nr; v++ {
@@ -50,17 +53,12 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 			for i := range w {
 				w[i] = 1 // base hop cost; disjointness penalty added below
 			}
-			seen := map[string]bool{}
+			first := len(paths) // paths[first:] are this pair's
 			for k := 0; k < cfg.K; k++ {
-				p, _ := g.Dijkstra(v, u, func(id int) float64 { return w[id] }, nil, nil)
-				if p == nil {
-					break
+				p, _ := g.DijkstraWith(&sc, v, u, weight, nil, nil)
+				if p == nil || slices.ContainsFunc(paths[first:], func(q pathT) bool { return slices.Equal(p, q) }) {
+					break // unreachable, or no further distinct path found
 				}
-				key := fingerprint(p)
-				if seen[key] {
-					break // no further distinct path found
-				}
-				seen[key] = true
 				paths = append(paths, p)
 				for i := 0; i+1 < len(p); i++ {
 					id := g.EdgeBetween(int(p[i]), int(p[i+1]))
@@ -78,6 +76,10 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 		count int
 	}
 	var candidates []*subgraph
+	next := make([]int32, nr) // vlanCompatible's scratch
+	for i := range next {
+		next[i] = -1
+	}
 	for u := 0; u < nr; u++ {
 		paths := perDest[u]
 		if len(paths) == 0 {
@@ -86,7 +88,7 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 		adj := make([][]int, len(paths))
 		for i := 0; i < len(paths); i++ {
 			for j := i + 1; j < len(paths); j++ {
-				if !vlanCompatible(paths[i], paths[j]) {
+				if !vlanCompatible(next, paths[i], paths[j]) {
 					adj[i] = append(adj[i], j)
 					adj[j] = append(adj[j], i)
 				}
@@ -153,18 +155,21 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 
 // vlanCompatible implements the listing's predicate: whenever the two paths
 // visit a common vertex they must continue to the same successor, so that
-// per-destination forwarding within one VLAN is unambiguous.
-func vlanCompatible(pi, pj []int32) bool {
-	next := make(map[int32]int32, len(pi))
+// per-destination forwarding within one VLAN is unambiguous. next is
+// scratch indexed by vertex, all -1 on entry and on return.
+func vlanCompatible(next, pi, pj []int32) bool {
 	for i := 0; i+1 < len(pi); i++ {
 		next[pi[i]] = pi[i+1]
 	}
-	for j := 0; j+1 < len(pj); j++ {
-		if n, ok := next[pj[j]]; ok && n != pj[j+1] {
-			return false
-		}
+	ok := true
+	for j := 0; j+1 < len(pj) && ok; j++ {
+		n := next[pj[j]]
+		ok = n < 0 || n == pj[j+1]
 	}
-	return true
+	for i := 0; i+1 < len(pi); i++ {
+		next[pi[i]] = -1
+	}
+	return ok
 }
 
 // greedyColoring colors a conflict graph given as adjacency lists,
@@ -220,12 +225,4 @@ func acyclicUnion(g *graph.Graph, a, b []bool) bool {
 		parent[ru] = rv
 	}
 	return true
-}
-
-func fingerprint(p []int32) string {
-	b := make([]byte, 0, len(p)*4)
-	for _, v := range p {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
 }

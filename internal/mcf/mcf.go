@@ -17,6 +17,7 @@ package mcf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -94,13 +95,9 @@ type PathSets struct {
 func FromForwarding(g *graph.Graph, f *layers.Forwarding, comms []Commodity) PathSets {
 	ps := PathSets{G: g, Comms: comms, Paths: make([][][]int32, len(comms))}
 	for i, c := range comms {
-		all := layers.LayerPaths(f, c.Src, c.Dst)
-		seen := map[string]bool{}
 		var uniq [][]int32
-		for _, p := range all {
-			key := fmt.Sprint(p)
-			if !seen[key] {
-				seen[key] = true
+		for _, p := range layers.LayerPaths(f, c.Src, c.Dst) {
+			if !slices.ContainsFunc(uniq, func(q []int32) bool { return slices.Equal(p, q) }) {
 				uniq = append(uniq, p)
 			}
 		}
@@ -136,10 +133,22 @@ func FromKShortest(g *graph.Graph, comms []Commodity, k int) PathSets {
 // the source) hold by construction because every variable is a whole
 // fixed path within one layer.
 func PathMAT(ps PathSets, capacity float64) (float64, error) {
+	p, err := PathLP(ps, capacity)
+	if err != nil {
+		return 0, err
+	}
+	_, obj, err := p.Solve()
+	return obj, err
+}
+
+// PathLP builds PathMAT's linear program: one variable per candidate path,
+// then T; one equality row per commodity, then one capacity row per used arc
+// in arc order.
+func PathLP(ps PathSets, capacity float64) (*lp.Problem, error) {
 	nPathVars := 0
 	for i := range ps.Paths {
 		if len(ps.Paths[i]) == 0 {
-			return 0, fmt.Errorf("mcf: commodity %d (%d->%d) has no candidate paths",
+			return nil, fmt.Errorf("mcf: commodity %d (%d->%d) has no candidate paths",
 				i, ps.Comms[i].Src, ps.Comms[i].Dst)
 		}
 		nPathVars += len(ps.Paths[i])
@@ -182,11 +191,7 @@ func PathMAT(ps PathSets, capacity float64) (float64, error) {
 		}
 		p.AddConstraint(users, coeffs, lp.LE, capacity)
 	}
-	_, obj, err := p.Solve()
-	if err != nil {
-		return 0, err
-	}
-	return obj, nil
+	return p, nil
 }
 
 // PathMATApprox approximates the same program with the Garg–Könemann /

@@ -180,6 +180,40 @@ func TestPathMATApproxMatchesLP(t *testing.T) {
 	if approx < 0.75*exact {
 		t.Fatalf("approx %f too far below exact %f", approx, exact)
 	}
+
+	// The six fig9 instances (quick scale, 5 random layers, worst-case
+	// pattern at 0.55): the simplex optimum must sit inside the bracket the
+	// multiplicative-weights scheme guarantees.
+	rng := graph.NewRand(42)
+	sf, _ := topo.SlimFly(5, 0)
+	df, _ := topo.Dragonfly(2)
+	hx, _ := topo.HyperX(3, 4, 0)
+	xp, _ := topo.Xpander(8, 8, 0, rng)
+	ft, _ := topo.FatTree3(4, 2)
+	jf, err := topo.EquivalentJellyfish(sf, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 0.1
+	for _, tp := range []*topo.Topology{sf, df, hx, xp, ft, jf} {
+		ls, err := layers.Random(tp.G, 5, 0.6, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comms := CommoditiesFromPattern(tp, traffic.WorstCase(tp, 0.55, rng))
+		ps := FromForwarding(tp.G, layers.NewForwarding(ls, 1), comms)
+		exact, err := PathMAT(ps, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tp.Name, err)
+		}
+		approx, err := PathMATApprox(ps, 1, eps)
+		if err != nil {
+			t.Fatalf("%s: %v", tp.Name, err)
+		}
+		if hi := approx / math.Pow(1-eps, 3); approx > exact+1e-9 || exact > hi+1e-9 {
+			t.Errorf("%s: exact %f outside [approx, approx/(1-eps)^3] = [%f, %f]", tp.Name, exact, approx, hi)
+		}
+	}
 }
 
 func TestPathMATApproxOnLayeredSlimFly(t *testing.T) {
