@@ -5,8 +5,9 @@
 //
 // The analyzers encode the rules the tree already follows dynamically:
 //
-//   - maprange: map iteration in ordering-sensitive packages must flow
-//     into a sort or an order-insensitive sink.
+//   - maprange: no range over a map (or a maps.Keys/Values/All iterator)
+//     in the ordering-sensitive packages; range over
+//     slices.Sorted(maps.Keys(m)) or write down why order cannot matter.
 //   - globalrand: no math/rand global state, time.Now, or os.Getpid in
 //     sim/output paths; randomness derives from exec.FoldSeed streams.
 //   - seedfold: exec.FoldSeed keys come from canonical resource keys,
@@ -14,18 +15,19 @@
 //   - cachekey: the durable sweep runtime's cache/journal keys derive
 //     from canonical cell identity, never loop indices or wall-clock
 //     time.
-//   - syncpool: no sync.Pool in internal/netsim (per-engine arenas
-//     replaced it; a pool would couple concurrently running cells).
 //   - obsguard: obs hooks on simulator/routing hot paths stay nil-safe
 //     per internal/obs's zero-cost-when-disabled contract.
+//
+// (That internal/netsim holds no sync.Pool — nor any other sync
+// primitive — is not an analyzer: the module self-check in
+// selfcheck_test.go asserts the package's import set.)
 //
 // The suite is intentionally self-contained: it reimplements the small
 // slice of golang.org/x/tools/go/analysis it needs (Analyzer, Pass,
 // diagnostics, an analysistest-style corpus runner) on top of the
 // standard library's go/ast and go/types, so the module keeps its
-// zero-dependency build. cmd/detlint compiles the suite into a
-// multichecker runnable standalone (`go run ./cmd/detlint ./...`) or as
-// a `go vet -vettool` backend.
+// zero-dependency build. cmd/detlint is its one front end
+// (`go run ./cmd/detlint ./...`); every rule always runs.
 //
 // # Suppressions
 //
@@ -34,8 +36,10 @@
 //
 //	//det:allow <rule>[,<rule>...] -- <reason>
 //
-// The reason is mandatory; a det:allow without one (or naming an unknown
-// rule) is itself a diagnostic. Suppressions are deliberate, documented
+// The reason is mandatory; a det:allow without one, naming an unknown
+// rule, or naming a rule that has nothing to suppress there (so a stale
+// annotation cannot pre-approve whatever lands on its line next) is
+// itself a diagnostic. Suppressions are deliberate, documented
 // exceptions — the golden harness still re-proves the contract
 // dynamically behind every one of them.
 package analysis
@@ -46,6 +50,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -71,8 +76,8 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Reportf records a diagnostic at pos unless a det:allow annotation for
-// this analyzer covers the position's line.
+// Reportf records a diagnostic at pos; RunPackage drops it if a det:allow
+// annotation for this analyzer covers the position's line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:     pos,
@@ -88,36 +93,29 @@ type Diagnostic struct {
 	Message string
 }
 
-// Position resolves the diagnostic's file position against fset.
-func (d Diagnostic) Position(fset *token.FileSet) token.Position {
-	return fset.Position(d.Pos)
-}
-
-// String renders "file:line:col: rule: message" against fset.
+// Format renders "file:line:col: rule: message" against fset.
 func (d Diagnostic) Format(fset *token.FileSet) string {
 	return fmt.Sprintf("%s: %s: %s", fset.Position(d.Pos), d.Rule, d.Message)
 }
 
-// Analyzers returns the full detlint suite in canonical order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		MapRangeAnalyzer,
-		GlobalRandAnalyzer,
-		SeedFoldAnalyzer,
-		CacheKeyAnalyzer,
-		SyncPoolAnalyzer,
-		ObsGuardAnalyzer,
-	}
+// analyzers is the full detlint suite in canonical order. RunPackage
+// always runs all of it.
+var analyzers = []*Analyzer{
+	MapRangeAnalyzer,
+	GlobalRandAnalyzer,
+	SeedFoldAnalyzer,
+	CacheKeyAnalyzer,
+	ObsGuardAnalyzer,
 }
 
-// ruleNames returns the set of valid rule names for det:allow validation.
-func ruleNames() map[string]bool {
+// ruleNames is the set of valid rule names for det:allow validation.
+var ruleNames = func() map[string]bool {
 	names := map[string]bool{}
-	for _, a := range Analyzers() {
+	for _, a := range analyzers {
 		names[a.Name] = true
 	}
 	return names
-}
+}()
 
 // allowRe matches the head of a det:allow annotation; the rest of the
 // comment is validated by parseAllow.
@@ -130,12 +128,20 @@ type allowKey struct {
 	rule string
 }
 
+// An annotation is one well-formed det:allow comment and the rules it
+// names that have not suppressed a diagnostic yet.
+type annotation struct {
+	pos  token.Pos
+	idle []string
+}
+
 // suppressions is the per-package det:allow index plus any diagnostics
 // about malformed annotations (reported under the pseudo-rule
 // "detallow", which cannot itself be suppressed).
 type suppressions struct {
-	allow     map[allowKey]bool
-	malformed []Diagnostic
+	allow       map[allowKey]*annotation
+	annotations []*annotation
+	malformed   []Diagnostic
 }
 
 // parseAllow validates one det:allow comment and returns the rules it
@@ -146,13 +152,12 @@ func parseAllow(text string) (rules []string, err error) {
 	if !found || strings.TrimSpace(reason) == "" {
 		return nil, fmt.Errorf("det:allow needs a reason: //det:allow <rule> -- <reason>")
 	}
-	known := ruleNames()
 	for _, r := range strings.Split(ruleSpec, ",") {
 		r = strings.TrimSpace(r)
 		if r == "" {
 			continue
 		}
-		if !known[r] {
+		if !ruleNames[r] {
 			return nil, fmt.Errorf("det:allow names unknown rule %q", r)
 		}
 		rules = append(rules, r)
@@ -167,7 +172,7 @@ func parseAllow(text string) (rules []string, err error) {
 // annotations. An annotation suppresses matching diagnostics on its own
 // line and on the line below it (comment-above style).
 func indexSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
-	s := &suppressions{allow: map[allowKey]bool{}}
+	s := &suppressions{allow: map[allowKey]*annotation{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -182,9 +187,11 @@ func indexSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 					})
 					continue
 				}
+				ann := &annotation{pos: c.Pos(), idle: rules}
+				s.annotations = append(s.annotations, ann)
 				for _, r := range rules {
-					s.allow[allowKey{pos.Filename, pos.Line, r}] = true
-					s.allow[allowKey{pos.Filename, pos.Line + 1, r}] = true
+					s.allow[allowKey{pos.Filename, pos.Line, r}] = ann
+					s.allow[allowKey{pos.Filename, pos.Line + 1, r}] = ann
 				}
 			}
 		}
@@ -192,15 +199,37 @@ func indexSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	return s
 }
 
+// covers reports whether an annotation suppresses d, and records that
+// the annotation earned its place.
 func (s *suppressions) covers(fset *token.FileSet, d Diagnostic) bool {
 	pos := fset.Position(d.Pos)
-	return s.allow[allowKey{pos.Filename, pos.Line, d.Rule}]
+	ann := s.allow[allowKey{pos.Filename, pos.Line, d.Rule}]
+	if ann == nil {
+		return false
+	}
+	ann.idle = slices.DeleteFunc(ann.idle, func(r string) bool { return r == d.Rule })
+	return true
 }
 
-// RunPackage applies the analyzers to one loaded package and returns
-// the surviving diagnostics (suppressed ones dropped, malformed
+// idle returns one detallow diagnostic per annotation naming a rule that
+// suppressed nothing. Meaningful only after every raw diagnostic has
+// been through covers — which is why every rule always runs.
+func (s *suppressions) idle() []Diagnostic {
+	var out []Diagnostic
+	for _, ann := range s.annotations {
+		if len(ann.idle) > 0 {
+			out = append(out, Diagnostic{Pos: ann.pos, Rule: "detallow", Message: fmt.Sprintf(
+				"det:allow %s suppresses nothing: the rule reports no diagnostic on this line or the next; delete it",
+				strings.Join(ann.idle, ","))})
+		}
+	}
+	return out
+}
+
+// RunPackage applies the suite to one loaded package and returns the
+// surviving diagnostics (suppressed ones dropped, malformed and idle
 // det:allow annotations added) sorted by position.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+func RunPackage(pkg *Package) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -221,6 +250,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 	out = append(out, sup.malformed...)
+	out = append(out, sup.idle()...)
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(out[i].Pos), pkg.Fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {

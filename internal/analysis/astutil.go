@@ -10,11 +10,11 @@ import (
 	"go/types"
 )
 
-// pkgFunc returns the *types.Func behind a call expression when the
-// callee is a package-level function (not a method, not a builtin),
+// calledFunc returns the function or method a call invokes by name,
 // else nil. Works through parens and through selector or bare-ident
-// call syntax, so import aliasing cannot hide a callee.
-func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+// call syntax, so import aliasing or a renamed receiver cannot hide a
+// callee.
+func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -28,13 +28,21 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	if !ok || fn.Pkg() == nil {
 		return nil
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+	return fn
+}
+
+// pkgFunc is calledFunc restricted to package-level functions (not a
+// method, not a builtin).
+func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := calledFunc(info, call)
+	if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return nil
 	}
 	return fn
 }
 
-// usedObjects collects the objects of every identifier used below n.
+// eachUse visits every identifier used below n with the object it
+// resolves to.
 func eachUse(info *types.Info, n ast.Node, fn func(id *ast.Ident, obj types.Object)) {
 	ast.Inspect(n, func(c ast.Node) bool {
 		if id, ok := c.(*ast.Ident); ok {
@@ -44,24 +52,6 @@ func eachUse(info *types.Info, n ast.Node, fn func(id *ast.Ident, obj types.Obje
 		}
 		return true
 	})
-}
-
-// usesAny reports whether any identifier below n resolves to one of the
-// given objects.
-func usesAny(info *types.Info, n ast.Node, objs map[types.Object]bool) bool {
-	found := false
-	eachUse(info, n, func(_ *ast.Ident, obj types.Object) {
-		if objs[obj] {
-			found = true
-		}
-	})
-	return found
-}
-
-// declaredWithin reports whether obj's declaration lies inside [lo, hi]
-// — used to distinguish per-iteration locals from loop-external state.
-func declaredWithin(obj types.Object, lo, hi token.Pos) bool {
-	return obj.Pos() != token.NoPos && lo <= obj.Pos() && obj.Pos() <= hi
 }
 
 // exprString renders a (small) expression to canonical source text, for

@@ -4,13 +4,16 @@ package analysis
 // corpus package under testdata/src declares its expected diagnostics
 // in `// want "regex"` comments (double- or backtick-quoted, several
 // per line allowed), and runCorpus fails the test on any mismatch in
-// either direction. Corpus packages pose as the targeted real packages
-// via import-path suffix (e.g. maprange/internal/routing).
+// either direction. Each corpus is a module-shaped tree rooted at
+// testdata/src/<corpus> with module path <corpus>, so its packages pose
+// as the targeted real packages via import-path suffix (e.g.
+// maprange/internal/routing) and import each other like real ones.
 
 import (
 	"fmt"
-	"go/token"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,29 +64,20 @@ func parseWants(t *testing.T, pkg *Package) map[lineKey][]*regexp.Regexp {
 	return wants
 }
 
-// newCorpusLoader returns a loader for the analysistest corpus rooted at
-// srcRoot, where package path P lives in srcRoot/P.
-func newCorpusLoader(srcRoot string) *Loader {
-	return &Loader{
-		Fset:       token.NewFileSet(),
-		corpusRoot: srcRoot,
-		pkgs:       map[string]*Package{},
-		loading:    map[string]bool{},
-	}
-}
-
-// runCorpus loads one corpus package, runs the given analyzers through
-// RunPackage (so det:allow suppression and malformed-annotation
-// reporting both apply, exactly as in production), and reconciles the
-// diagnostics with the corpus's want comments.
-func runCorpus(t *testing.T, path string, analyzers ...*Analyzer) {
+// runCorpus loads one package of a corpus, runs the suite through
+// RunPackage (so det:allow suppression and annotation validation both
+// apply, exactly as in production), and reconciles the diagnostics of
+// the given rules with the corpus's want comments. A corpus poses as a
+// real package to exercise one rule; what the other rules make of its
+// stub code is not its subject.
+func runCorpus(t *testing.T, corpus, pkgPath string, rules ...string) {
 	t.Helper()
-	loader := newCorpusLoader("testdata/src")
-	pkg, err := loader.Load(path)
+	path := corpus + "/" + pkgPath
+	pkg, err := newLoader(filepath.Join("testdata", "src", corpus), corpus).Load(path)
 	if err != nil {
 		t.Fatalf("loading corpus %s: %v", path, err)
 	}
-	diags := RunPackage(pkg, analyzers)
+	diags := slices.DeleteFunc(RunPackage(pkg), func(d Diagnostic) bool { return !slices.Contains(rules, d.Rule) })
 	wants := parseWants(t, pkg)
 
 	matched := map[lineKey][]bool{}
@@ -91,7 +85,7 @@ func runCorpus(t *testing.T, path string, analyzers ...*Analyzer) {
 		matched[k] = make([]bool, len(res))
 	}
 	for _, d := range diags {
-		pos := d.Position(pkg.Fset)
+		pos := pkg.Fset.Position(d.Pos)
 		k := lineKey{pos.Filename, pos.Line}
 		text := fmt.Sprintf("%s: %s", d.Rule, d.Message)
 		found := false
@@ -116,36 +110,32 @@ func runCorpus(t *testing.T, path string, analyzers ...*Analyzer) {
 }
 
 func TestMapRangeCorpus(t *testing.T) {
-	runCorpus(t, "maprange/internal/routing", MapRangeAnalyzer)
+	runCorpus(t, "maprange", "internal/routing", "maprange")
 }
 
 func TestGlobalRandCorpus(t *testing.T) {
-	runCorpus(t, "globalrand/internal/netsim", GlobalRandAnalyzer)
+	runCorpus(t, "globalrand", "internal/netsim", "globalrand")
 }
 
 func TestSeedFoldCorpus(t *testing.T) {
-	runCorpus(t, "seedfold/internal/scenario", SeedFoldAnalyzer)
+	runCorpus(t, "seedfold", "internal/scenario", "seedfold")
 }
 
 func TestCacheKeyCorpus(t *testing.T) {
-	runCorpus(t, "cachekey/internal/scenario", CacheKeyAnalyzer)
-}
-
-func TestSyncPoolCorpus(t *testing.T) {
-	runCorpus(t, "syncpool/internal/netsim", SyncPoolAnalyzer)
-	// Outside internal/netsim the same code is unrestricted.
-	runCorpus(t, "syncpool/internal/arena", SyncPoolAnalyzer)
+	runCorpus(t, "cachekey", "internal/scenario", "cachekey")
 }
 
 func TestObsGuardCorpus(t *testing.T) {
 	// Producer side: the corpus obs package itself.
-	runCorpus(t, "obsguard/internal/obs", ObsGuardAnalyzer)
+	runCorpus(t, "obsguard", "internal/obs", "obsguard")
 	// Consumer side: a hot-path package reading obs bundles.
-	runCorpus(t, "obsguard/internal/netsim", ObsGuardAnalyzer)
+	runCorpus(t, "obsguard", "internal/netsim", "obsguard")
 }
 
 func TestDetAllowCorpus(t *testing.T) {
-	// Malformed det:allow annotations are reported by RunPackage itself,
-	// under the unsuppressible pseudo-rule "detallow".
-	runCorpus(t, "detallow/internal/routing", Analyzers()...)
+	// Malformed and idle det:allow annotations are reported by RunPackage
+	// itself, under the unsuppressible pseudo-rule "detallow"; the rules
+	// the corpus's annotations name are kept too, so one that failed to
+	// suppress would surface.
+	runCorpus(t, "detallow", "internal/routing", "detallow", "maprange", "seedfold")
 }

@@ -1,12 +1,13 @@
 package analysis
 
 // This file is detlint's package loader: it parses and type-checks the
-// packages of this module (or of a GOPATH-style analysistest corpus)
-// using only the standard library. Module-internal imports resolve
-// through the loader itself; everything else falls back to the
-// toolchain's source importer, which type-checks the standard library
-// from $GOROOT/src and therefore works fully offline — the module keeps
-// its zero-dependency go.mod.
+// packages of one module (this one, or an analysistest corpus under
+// testdata/src, each of which is a module-shaped tree of its own) using
+// only the standard library. Module-internal imports resolve through the
+// loader itself; everything else falls back to the toolchain's source
+// importer, which type-checks the standard library from $GOROOT/src and
+// therefore works fully offline — the module keeps its zero-dependency
+// go.mod.
 
 import (
 	"fmt"
@@ -18,14 +19,13 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // A Package is one parsed, type-checked package ready for analysis.
 type Package struct {
-	Dir   string
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -33,38 +33,24 @@ type Package struct {
 	Info  *types.Info
 }
 
-var (
-	stdOnce     sync.Once
-	stdImporter types.ImporterFrom
-)
-
 // stdlibImporter returns the shared source importer for non-module
 // imports. It is process-global so the (expensive, cached) stdlib
 // type-checking is paid once per process, not once per Loader. Cgo is
 // disabled so packages like net select their pure-Go fallbacks, which
 // the source importer can check.
-func stdlibImporter() types.ImporterFrom {
-	stdOnce.Do(func() {
-		build.Default.CgoEnabled = false
-		stdImporter = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
-	})
-	return stdImporter
-}
+var stdlibImporter = sync.OnceValue(func() types.ImporterFrom {
+	build.Default.CgoEnabled = false
+	return importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+})
 
 // A Loader parses and type-checks packages on demand, memoizing by
-// import path. One Loader serves one module root or one corpus root.
+// import path. One Loader serves one module: import paths under
+// modulePath resolve to directories under moduleRoot.
 type Loader struct {
 	Fset *token.FileSet
 
-	// moduleRoot/modulePath describe module mode: import paths under
-	// modulePath resolve to directories under moduleRoot.
 	moduleRoot string
 	modulePath string
-
-	// corpusRoot describes GOPATH-style corpus mode: import path P
-	// resolves to corpusRoot/P when that directory exists. Corpus
-	// packages can thereby pose as e.g. repro/internal/netsim.
-	corpusRoot string
 
 	pkgs    map[string]*Package
 	loading map[string]bool
@@ -77,13 +63,19 @@ func NewModuleLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLoader(root, modPath), nil
+}
+
+// newLoader returns a loader serving import paths under modPath from
+// root.
+func newLoader(root, modPath string) *Loader {
 	return &Loader{
 		Fset:       token.NewFileSet(),
 		moduleRoot: root,
 		modulePath: modPath,
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
-	}, nil
+	}
 }
 
 // readModulePath extracts the module path from a go.mod file.
@@ -105,24 +97,16 @@ func readModulePath(gomod string) (string, error) {
 // loader, or ok=false when the path belongs to the outside world (the
 // standard library, in this dependency-free module).
 func (l *Loader) resolveDir(path string) (string, bool) {
-	if l.modulePath != "" {
-		if path == l.modulePath {
-			return l.moduleRoot, true
-		}
-		if rest, ok := strings.CutPrefix(path, l.modulePath+"/"); ok {
-			return filepath.Join(l.moduleRoot, filepath.FromSlash(rest)), true
-		}
+	if path == l.modulePath {
+		return l.moduleRoot, true
 	}
-	if l.corpusRoot != "" {
-		dir := filepath.Join(l.corpusRoot, filepath.FromSlash(path))
-		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-			return dir, true
-		}
+	if rest, ok := strings.CutPrefix(path, l.modulePath+"/"); ok {
+		return filepath.Join(l.moduleRoot, filepath.FromSlash(rest)), true
 	}
 	return "", false
 }
 
-// Import implements types.Importer for the module/corpus packages;
+// Import implements types.Importer for the module's own packages;
 // everything else delegates to the stdlib source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, "", 0)
@@ -185,7 +169,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("detlint: type-checking %s: %v", path, typeErrs[0])
 	}
-	pkg := &Package{Dir: dir, Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
@@ -220,67 +204,37 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 
 // ExpandPatterns resolves go-tool-style package patterns ("./...",
 // "./internal/...", "./cmd/detlint") against the module root into
-// import paths, in sorted order. Only module mode supports patterns.
+// import paths, in sorted order. A pattern names a package of the module
+// or, with a trailing "/...", that package's directory and everything
+// below it.
 func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
-	if l.modulePath == "" {
-		return nil, fmt.Errorf("detlint: patterns need a module loader")
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(path string) {
-		if !seen[path] {
-			seen[path] = true
-			out = append(out, path)
-		}
-	}
 	all, err := l.modulePackages()
 	if err != nil {
 		return nil, err
 	}
+	var out []string
 	for _, pat := range patterns {
-		switch {
-		case pat == "all" || pat == "./...":
-			for _, p := range all {
-				add(p)
+		if pat == "all" {
+			pat = "./..."
+		}
+		rel, recursive := strings.CutSuffix(pat, "/...")
+		prefix := l.modulePath
+		if rel = filepath.ToSlash(filepath.Clean(rel)); rel != "." {
+			prefix += "/" + rel
+		}
+		matched := false
+		for _, p := range all {
+			if p == prefix || recursive && strings.HasPrefix(p, prefix+"/") {
+				out = append(out, p)
+				matched = true
 			}
-		case strings.HasSuffix(pat, "/..."):
-			prefix := l.modulePath
-			if rel := strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/..."); rel != "" && rel != "." {
-				prefix = l.modulePath + "/" + path_Clean(rel)
-			}
-			matched := false
-			for _, p := range all {
-				if p == prefix || strings.HasPrefix(p, prefix+"/") {
-					add(p)
-					matched = true
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("detlint: pattern %q matched no packages", pat)
-			}
-		default:
-			rel := strings.TrimPrefix(pat, "./")
-			p := l.modulePath
-			if rel != "" && rel != "." {
-				p = l.modulePath + "/" + path_Clean(rel)
-			}
-			dir, ok := l.resolveDir(p)
-			if !ok {
-				return nil, fmt.Errorf("detlint: package %q outside module", pat)
-			}
-			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-				return nil, fmt.Errorf("detlint: no such package %q", pat)
-			}
-			add(p)
+		}
+		if !matched {
+			return nil, fmt.Errorf("detlint: pattern %q matched no packages", pat)
 		}
 	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// path_Clean normalizes a slash-separated relative pattern.
-func path_Clean(p string) string {
-	return strings.Trim(filepath.ToSlash(filepath.Clean(filepath.FromSlash(p))), "/")
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // modulePackages walks the module tree for directories containing
@@ -322,6 +276,6 @@ func (l *Loader) modulePackages() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out, nil
 }

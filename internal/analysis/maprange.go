@@ -1,38 +1,22 @@
 package analysis
 
 // maprange: map iteration order is randomized by the runtime, so in the
-// ordering-sensitive packages every `range` over a map must flow into a
-// sort or an order-insensitive sink before it can influence tables,
-// telemetry, routing state, or simulation schedules.
+// ordering-sensitive packages a `range` over a map — or over a
+// maps.Keys / maps.Values / maps.All iterator, which yields the same
+// order — is a diagnostic. There are two ways past it:
 //
-// The analyzer classifies each statement of the loop body:
+//   - iterate sorted keys: `for _, k := range slices.Sorted(maps.Keys(m))`
+//     ranges over a slice and is not flagged;
+//   - say in writing why order cannot matter (an exact integer sum, a
+//     pure existence check):
+//     `//det:allow maprange -- <why order cannot influence the result>`.
 //
-//   - commutative accumulation into loop-external variables is allowed:
-//     integer `+= -= *= |= &= ^=`, `++/--`, `x = max/min(x, e)`, and the
-//     `if e > x { x = e }` high-water idiom (float accumulation is NOT
-//     allowed — float addition rounds differently per order);
-//   - keyed stores `m2[k] = v` indexed by the iteration variables (or
-//     per-iteration locals) are allowed unless the value reads the
-//     destination map (e.g. append-to-map-slot, which is order-sensitive);
-//   - `delete`, `panic`, constant assignments, branch statements, and
-//     returns of loop-independent values are allowed;
-//   - `s = append(s, ...)` is allowed only when s is later passed to a
-//     sort/slices sorting call in the same function (collect-then-sort);
-//   - everything else — writes of loop-dependent values to loop-external
-//     state, bare calls with side effects, string concatenation, defer,
-//     go — is reported.
-//
-// Ranging over maps.Keys/maps.Values/maps.All iterators is treated
-// exactly like ranging over the map itself.
-//
-// The classification is a heuristic: it cannot prove injectivity of
-// computed keys or purity of callees. Genuinely order-insensitive loops
-// it cannot see through carry an explicit
-// `//det:allow maprange -- <reason>` annotation instead.
+// The rule does not look into the loop body: whether a body is
+// order-insensitive is a claim a reviewer checks against the written
+// reason, not one a classifier proves.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -49,7 +33,7 @@ var mapRangePackages = []string{
 
 var MapRangeAnalyzer = &Analyzer{
 	Name: "maprange",
-	Doc:  "map iteration in ordering-sensitive packages must flow into a sort or an order-insensitive sink",
+	Doc:  "no range over a map or maps iterator in ordering-sensitive packages: range over slices.Sorted(maps.Keys(m)), or annotate why order cannot matter",
 	Run:  runMapRange,
 }
 
@@ -57,23 +41,20 @@ func runMapRange(pass *Pass) {
 	if !inPackages(pass, mapRangePackages...) {
 		return
 	}
-	funcBodies(pass.Files, func(_ ast.Node, body *ast.BlockStmt) {
-		ast.Inspect(body, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok || !isMapRange(pass.TypesInfo, rng) {
-				return true
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rng, ok := n.(*ast.RangeStmt); ok && isMapRange(pass.TypesInfo, rng) {
+				pass.Reportf(rng.Pos(), "range over a map visits keys in a different order every run; range over slices.Sorted(maps.Keys(m)), or annotate //det:allow maprange -- <why order cannot matter>")
 			}
-			checkMapRange(pass, body, rng)
 			return true
 		})
-	})
+	}
 }
 
 // isMapRange reports whether rng iterates a map or a maps.Keys /
 // maps.Values / maps.All iterator.
 func isMapRange(info *types.Info, rng *ast.RangeStmt) bool {
-	tv, ok := info.Types[rng.X]
-	if ok && tv.Type != nil {
+	if tv, ok := info.Types[rng.X]; ok && tv.Type != nil {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 			return true
 		}
@@ -87,465 +68,4 @@ func isMapRange(info *types.Info, rng *ast.RangeStmt) bool {
 		}
 	}
 	return false
-}
-
-// checkMapRange classifies one map-range loop inside its enclosing
-// function body and reports it when an order-sensitive sink survives.
-func checkMapRange(pass *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
-	info := pass.TypesInfo
-
-	// Assign-form range (`for k = range m`) writes iteration elements
-	// straight into loop-external variables.
-	if rng.Tok == token.ASSIGN {
-		pass.Reportf(rng.Pos(), "map iteration assigns elements to outer variables; order is nondeterministic")
-		return
-	}
-
-	c := &mapRangeChecker{
-		pass:     pass,
-		loop:     rng,
-		loopVars: map[types.Object]bool{},
-	}
-	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				c.loopVars[obj] = true
-			}
-		}
-	}
-
-	c.block(rng.Body, types.Object(nil))
-
-	// Collected slices must reach a sort in this function after the loop.
-	for obj, pos := range c.needsSort {
-		if !sortedAfter(pass, funcBody, rng.End(), obj) {
-			pass.Reportf(pos, "map iteration collects into %q, which is never sorted in this function; sort it or annotate //det:allow maprange -- <reason>", obj.Name())
-		}
-	}
-}
-
-// mapRangeChecker walks a loop body accumulating diagnostics and
-// slices that require a downstream sort.
-type mapRangeChecker struct {
-	pass     *Pass
-	loop     *ast.RangeStmt
-	loopVars map[types.Object]bool
-	// needsSort maps a loop-external slice object appended to inside the
-	// loop to the position of its first append.
-	needsSort map[types.Object]token.Pos
-}
-
-func (c *mapRangeChecker) info() *types.Info { return c.pass.TypesInfo }
-
-// bodyLocal reports whether obj is declared inside the loop body (a
-// per-iteration local, including nested-loop variables).
-func (c *mapRangeChecker) bodyLocal(obj types.Object) bool {
-	return declaredWithin(obj, c.loop.Body.Pos(), c.loop.Body.End())
-}
-
-// loopDerived reports whether expr reads any iteration variable or
-// per-iteration local — i.e. whether its value can vary across
-// iterations of the map range.
-func (c *mapRangeChecker) loopDerived(e ast.Node) bool {
-	derived := false
-	eachUse(c.info(), e, func(_ *ast.Ident, obj types.Object) {
-		if c.loopVars[obj] || (isVar(obj) && c.bodyLocal(obj)) {
-			derived = true
-		}
-	})
-	return derived
-}
-
-func isVar(obj types.Object) bool {
-	_, ok := obj.(*types.Var)
-	return ok
-}
-
-// report anchors every order-sensitivity diagnostic at the range
-// statement itself (citing the offending line), so one //det:allow on
-// the loop covers the whole body.
-func (c *mapRangeChecker) report(n ast.Node, why string) {
-	line := c.pass.Fset.Position(n.Pos()).Line
-	c.pass.Reportf(c.loop.Pos(), "map iteration is order-sensitive: %s (line %d); sort the keys first or annotate //det:allow maprange -- <reason>", why, line)
-}
-
-// block classifies every statement of a block. maxVar, when non-nil, is
-// the variable a surrounding high-water `if` compares, whose plain
-// reassignment is therefore order-insensitive.
-func (c *mapRangeChecker) block(b *ast.BlockStmt, maxVar types.Object) {
-	for _, s := range b.List {
-		c.stmt(s, maxVar)
-	}
-}
-
-func (c *mapRangeChecker) stmt(s ast.Stmt, maxVar types.Object) {
-	switch st := s.(type) {
-	case *ast.AssignStmt:
-		c.assign(st, maxVar)
-	case *ast.IncDecStmt:
-		c.incDec(st)
-	case *ast.ExprStmt:
-		c.exprStmt(st)
-	case *ast.IfStmt:
-		inner := maxVar
-		if v := c.highWaterVar(st); v != nil {
-			inner = v
-		}
-		if st.Init != nil {
-			c.stmt(st.Init, nil)
-		}
-		c.block(st.Body, inner)
-		switch e := st.Else.(type) {
-		case *ast.BlockStmt:
-			c.block(e, inner)
-		case *ast.IfStmt:
-			c.stmt(e, inner)
-		}
-	case *ast.BlockStmt:
-		c.block(st, maxVar)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			c.stmt(st.Init, nil)
-		}
-		if st.Post != nil {
-			c.stmt(st.Post, nil)
-		}
-		c.block(st.Body, nil)
-	case *ast.RangeStmt:
-		// Nested map ranges are visited and judged on their own; here we
-		// only classify the nested body's effects on loop-external state.
-		c.block(st.Body, nil)
-	case *ast.SwitchStmt:
-		for _, cc := range st.Body.List {
-			for _, bs := range cc.(*ast.CaseClause).Body {
-				c.stmt(bs, maxVar)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range st.Body.List {
-			for _, bs := range cc.(*ast.CaseClause).Body {
-				c.stmt(bs, maxVar)
-			}
-		}
-	case *ast.LabeledStmt:
-		c.stmt(st.Stmt, maxVar)
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			if c.loopDerived(r) {
-				c.report(st, "returns a value derived from the iteration element; which element returns first depends on map order")
-				return
-			}
-		}
-	case *ast.BranchStmt, *ast.DeclStmt, *ast.EmptyStmt:
-		// Local declarations, break/continue/goto: order-neutral.
-	case *ast.DeferStmt:
-		c.report(st, "defer inside a map range runs in iteration order")
-	case *ast.GoStmt:
-		c.report(st, "goroutines launched from a map range start in iteration order")
-	default:
-		c.report(s, "statement form not recognized as order-insensitive")
-	}
-}
-
-// highWaterVar recognizes `if e OP x { ... }` where OP is an ordered
-// comparison against a loop-external variable x; inside such an if,
-// `x = e` is the commutative max/min idiom.
-func (c *mapRangeChecker) highWaterVar(st *ast.IfStmt) types.Object {
-	bin, ok := st.Cond.(*ast.BinaryExpr)
-	if !ok {
-		return nil
-	}
-	switch bin.Op {
-	case token.LSS, token.GTR, token.LEQ, token.GEQ:
-	default:
-		return nil
-	}
-	for _, side := range []ast.Expr{bin.X, bin.Y} {
-		if id, ok := ast.Unparen(side).(*ast.Ident); ok {
-			if obj := c.info().Uses[id]; obj != nil && isVar(obj) && !c.bodyLocal(obj) && !c.loopVars[obj] {
-				return obj
-			}
-		}
-	}
-	return nil
-}
-
-func (c *mapRangeChecker) assign(st *ast.AssignStmt, maxVar types.Object) {
-	if st.Tok == token.DEFINE {
-		return // fresh per-iteration locals
-	}
-	for i, lhs := range st.Lhs {
-		var rhs ast.Expr
-		if len(st.Rhs) == len(st.Lhs) {
-			rhs = st.Rhs[i]
-		} else {
-			rhs = st.Rhs[0]
-		}
-		c.assignTarget(st, lhs, rhs, st.Tok, maxVar)
-	}
-}
-
-func (c *mapRangeChecker) assignTarget(st *ast.AssignStmt, lhs, rhs ast.Expr, tok token.Token, maxVar types.Object) {
-	info := c.info()
-	switch target := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		if target.Name == "_" {
-			return
-		}
-		obj := info.Uses[target]
-		if obj == nil || c.bodyLocal(obj) {
-			return
-		}
-		// s = append(s, ...): collect-then-sort, resolved after the loop.
-		if tok == token.ASSIGN && c.isSelfAppend(obj, rhs) {
-			if c.needsSort == nil {
-				c.needsSort = map[types.Object]token.Pos{}
-			}
-			if _, ok := c.needsSort[obj]; !ok {
-				c.needsSort[obj] = st.Pos()
-			}
-			return
-		}
-		if tok != token.ASSIGN {
-			c.opAssign(st, target, obj, tok)
-			return
-		}
-		if c.isCommutativeReassign(obj, rhs, maxVar) {
-			return
-		}
-		if !c.loopDerived(rhs) {
-			return // same value every iteration
-		}
-		c.report(st, "assigns a value derived from the iteration element to "+target.Name)
-	case *ast.IndexExpr:
-		c.keyedStore(st, target, rhs, tok)
-	case *ast.SelectorExpr:
-		base := target.X
-		if id, ok := ast.Unparen(base).(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && c.bodyLocal(obj) {
-				return
-			}
-		}
-		if tok != token.ASSIGN {
-			c.opAssignType(st, info.Types[target].Type, tok)
-			return
-		}
-		if !c.loopDerived(rhs) {
-			return
-		}
-		c.report(st, "assigns a value derived from the iteration element to a field of loop-external state")
-	case *ast.StarExpr:
-		if !c.loopDerived(rhs) {
-			return
-		}
-		c.report(st, "writes a value derived from the iteration element through a pointer")
-	default:
-		c.report(st, "assignment target not recognized as order-insensitive")
-	}
-}
-
-// opAssign judges `x op= e` on a loop-external variable.
-func (c *mapRangeChecker) opAssign(st *ast.AssignStmt, id *ast.Ident, obj types.Object, tok token.Token) {
-	c.opAssignType(st, obj.Type(), tok)
-}
-
-func (c *mapRangeChecker) opAssignType(st ast.Node, t types.Type, tok token.Token) {
-	switch tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN, token.AND_NOT_ASSIGN:
-	default:
-		c.report(st, "compound assignment "+tok.String()+" on loop-external state is not commutative")
-		return
-	}
-	if t == nil {
-		c.report(st, "compound assignment on loop-external state of unknown type")
-		return
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		c.report(st, "compound assignment on loop-external non-basic state")
-		return
-	}
-	switch {
-	case b.Info()&types.IsInteger != 0:
-		// Exact and commutative-accumulative: fine.
-	case b.Info()&types.IsFloat != 0, b.Info()&types.IsComplex != 0:
-		c.report(st, "floating-point accumulation rounds differently per iteration order")
-	case b.Info()&types.IsString != 0:
-		c.report(st, "string concatenation depends on iteration order")
-	default:
-		c.report(st, "compound assignment on loop-external state")
-	}
-}
-
-// keyedStore judges `m2[idx] = v` / `m2[idx] op= v` on loop-external
-// collections.
-func (c *mapRangeChecker) keyedStore(st *ast.AssignStmt, target *ast.IndexExpr, rhs ast.Expr, tok token.Token) {
-	info := c.info()
-	if id, ok := ast.Unparen(target.X).(*ast.Ident); ok {
-		if obj := info.Uses[id]; obj != nil && c.bodyLocal(obj) {
-			return
-		}
-	}
-	if tok != token.ASSIGN {
-		c.opAssignType(st, info.Types[target].Type, tok)
-		return
-	}
-	if !c.loopDerived(target.Index) {
-		// A fixed cell overwritten each iteration: harmless only when the
-		// stored value is iteration-independent too.
-		if c.loopDerived(rhs) {
-			c.report(st, "stores a value derived from the iteration element into a fixed slot")
-		}
-		return
-	}
-	// Keyed by the iteration: order-insensitive unless the value reads
-	// the destination collection (append-to-slot and friends).
-	if c.readsCollection(target.X, rhs) {
-		c.report(st, "updates a collection slot from its own previous value (e.g. append); slot contents depend on iteration order")
-	}
-}
-
-// readsCollection reports whether rhs mentions the same collection
-// expression being stored into.
-func (c *mapRangeChecker) readsCollection(coll ast.Expr, rhs ast.Expr) bool {
-	want := exprString(c.pass.Fset, coll)
-	found := false
-	ast.Inspect(rhs, func(n ast.Node) bool {
-		if e, ok := n.(ast.Expr); ok && exprString(c.pass.Fset, e) == want {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func (c *mapRangeChecker) incDec(st *ast.IncDecStmt) {
-	switch target := ast.Unparen(st.X).(type) {
-	case *ast.Ident:
-		if obj := c.info().Uses[target]; obj != nil && !c.bodyLocal(obj) {
-			c.opAssignType(st, obj.Type(), token.ADD_ASSIGN)
-		}
-	case *ast.IndexExpr:
-		c.opAssignType(st, c.info().Types[target].Type, token.ADD_ASSIGN)
-	case *ast.SelectorExpr:
-		if id, ok := ast.Unparen(target.X).(*ast.Ident); ok {
-			if obj := c.info().Uses[id]; obj != nil && c.bodyLocal(obj) {
-				return // field of a per-iteration local
-			}
-		}
-		c.opAssignType(st, c.info().Types[target].Type, token.ADD_ASSIGN)
-	default:
-		c.report(st, "increment of unrecognized target")
-	}
-}
-
-func (c *mapRangeChecker) exprStmt(st *ast.ExprStmt) {
-	call, ok := ast.Unparen(st.X).(*ast.CallExpr)
-	if !ok {
-		c.report(st, "expression statement inside a map range")
-		return
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch c.info().Uses[id].(type) {
-		case *types.Builtin:
-			switch id.Name {
-			case "delete", "clear", "panic", "print", "println":
-				// delete/clear commute; panic/print are crash paths, not output.
-				return
-			}
-		}
-		if id.Name == "panic" {
-			return
-		}
-	}
-	c.report(st, "bare call may have order-dependent side effects")
-}
-
-// isSelfAppend recognizes `append(s, ...)` growing the same slice s.
-func (c *mapRangeChecker) isSelfAppend(obj types.Object, rhs ast.Expr) bool {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if _, ok := c.info().Uses[id].(*types.Builtin); !ok {
-		return false
-	}
-	first, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	return ok && c.info().Uses[first] == obj
-}
-
-// isCommutativeReassign recognizes the two sanctioned plain-assignment
-// accumulators on loop-external variables: the body of a high-water
-// `if e > x { x = e }` (x is maxVar), and `x = max(x, e)` / `x = min(x, e)`
-// with the builtins — both exact and commutative.
-func (c *mapRangeChecker) isCommutativeReassign(obj types.Object, rhs ast.Expr, maxVar types.Object) bool {
-	if obj == maxVar {
-		return true
-	}
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || (id.Name != "max" && id.Name != "min") {
-		return false
-	}
-	if _, ok := c.info().Uses[id].(*types.Builtin); !ok {
-		return false
-	}
-	for _, a := range call.Args {
-		if aid, ok := ast.Unparen(a).(*ast.Ident); ok && c.info().Uses[aid] == obj {
-			return true
-		}
-	}
-	return false
-}
-
-// sortNames are the sort / slices package functions accepted as
-// ordering sinks.
-var sortNames = map[string]bool{
-	"Sort": true, "Stable": true, "Strings": true, "Ints": true,
-	"Float64s": true, "Slice": true, "SliceStable": true, "SliceIsSorted": false,
-	"SortFunc": true, "SortStableFunc": true, "Sorted": true, "SortedFunc": true,
-	"SortedStableFunc": true, "Compact": false,
-}
-
-// sortedAfter reports whether the slice object appears in the argument
-// tree of a sort/slices sorting call positioned after `after` within
-// the function body.
-func sortedAfter(pass *Pass, funcBody *ast.BlockStmt, after token.Pos, slice types.Object) bool {
-	found := false
-	ast.Inspect(funcBody, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < after {
-			return true
-		}
-		fn := pkgFunc(pass.TypesInfo, call)
-		if fn == nil {
-			return true
-		}
-		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
-			return true
-		}
-		if !sortNames[fn.Name()] {
-			return true
-		}
-		for _, arg := range call.Args {
-			if usesAny(pass.TypesInfo, arg, map[types.Object]bool{slice: true}) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -4,11 +4,14 @@ package analysis
 // both directions:
 //
 //   - TestModuleClean: the full suite over the real module reports
-//     nothing — every violation is fixed or carries a det:allow.
+//     nothing — every violation is fixed or carries a det:allow, every
+//     det:allow suppresses something, and non-test internal/netsim
+//     imports no sync.
 //   - TestScratchViolationFlagged: deliberately adding an unsorted
 //     map-range in an uncalled function to a scratch copy of
 //     internal/routing is flagged — by maprange and by the reachability
-//     walk of reach_test.go — so a green TestModuleClean and
+//     walk of reach_test.go — and so is a sync.Pool added to the scratch
+//     internal/netsim, so a green TestModuleClean and
 //     TestEveryFunctionReached are evidence of enforcement, not of
 //     checks that never fire.
 
@@ -60,8 +63,21 @@ func loadModule(t *testing.T, root string) []*Package {
 func runSuite(pkgs []*Package) []string {
 	var out []string
 	for _, pkg := range pkgs {
-		for _, d := range RunPackage(pkg, Analyzers()) {
+		for _, d := range RunPackage(pkg) {
 			out = append(out, d.Format(pkg.Fset))
+		}
+		// One engine per cell, each single-threaded: a sync.Pool (PR 7's
+		// per-engine arenas replaced one) or any other sync primitive in
+		// the simulator would couple concurrently running cells.
+		if !pathMatches(pkg.Path, "internal/netsim") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"sync"` {
+					out = append(out, pkg.Fset.Position(imp.Pos()).String()+": non-test internal/netsim imports sync")
+				}
+			}
 		}
 	}
 	return out
@@ -137,18 +153,38 @@ func scratchFirstKey(m map[string]float64) float64 {
 	if err := os.WriteFile(planted, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// And a packet pool in the scratch internal/netsim (read by an init,
+	// so the reachability walk has nothing to say about it).
+	pool := filepath.Join(scratch, "internal", "netsim", "zz_scratch_pool.go")
+	src = `package netsim
+
+import "sync"
+
+var scratchPool sync.Pool
+
+func init() { scratchPool.Put(scratchPool.Get()) }
+`
+	if err := os.WriteFile(pool, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	pkgs := loadModule(t, scratch)
-	flagged := false
+	flagged, pooled := false, false
 	for _, d := range runSuite(pkgs) {
-		if strings.Contains(d, "zz_scratch_violation.go") && strings.Contains(d, "maprange") {
+		switch {
+		case strings.Contains(d, "zz_scratch_violation.go") && strings.Contains(d, "maprange"):
 			flagged = true
-		} else {
+		case strings.Contains(d, "zz_scratch_pool.go") && strings.Contains(d, "imports sync"):
+			pooled = true
+		default:
 			t.Errorf("unexpected diagnostic in scratch copy: %s", d)
 		}
 	}
 	if !flagged {
 		t.Error("planted unsorted map-range in internal/routing was not flagged")
+	}
+	if !pooled {
+		t.Error("planted sync.Pool in internal/netsim was not flagged")
 	}
 	// Nothing calls the planted function either: the reachability walk
 	// (reach_test.go) must name it, and nothing else.

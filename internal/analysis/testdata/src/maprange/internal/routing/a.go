@@ -2,12 +2,16 @@
 // ordering-sensitive package via its import-path suffix.
 package routing
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // Float accumulation in map order rounds nondeterministically.
 func sumFloats(m map[string]float64) float64 {
 	var sum float64
-	for _, v := range m { // want `floating-point accumulation`
+	for _, v := range m { // want `maprange: range over a map`
 		sum += v
 	}
 	return sum
@@ -16,65 +20,81 @@ func sumFloats(m map[string]float64) float64 {
 // Collected keys that never reach a sort stay in map order.
 func keysUnsorted(m map[int]bool) []int {
 	var keys []int
-	for k := range m {
-		keys = append(keys, k) // want `never sorted in this function`
+	for k := range m { // want `range over a map`
+		keys = append(keys, k)
 	}
 	return keys
 }
 
-// Collect-then-sort is the sanctioned pattern.
+// Collect-then-sort is order-insensitive, but the rule does not read
+// bodies: the loop is flagged like any other...
 func keysSorted(m map[int]bool) []int {
 	var keys []int
-	for k := range m {
+	for k := range m { // want `range over slices.Sorted\(maps.Keys\(m\)\)`
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
 	return keys
 }
 
-// Integer counting commutes exactly.
+// ...because the sanctioned form is one expression, and ranging over the
+// slice it returns is not a map range.
+func keysSortedExpr(m map[int]bool) []int {
+	var doubled []int
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		doubled = append(doubled, 2*k)
+	}
+	return doubled
+}
+
+// Integer counting commutes exactly — which is a reason to write down,
+// not one the analyzer infers.
 func count(m map[string]int) int {
 	n := 0
+	for range m { // want `annotate //det:allow maprange`
+		n++
+	}
+	return n
+}
+
+func countAllowed(m map[string]int) int {
+	n := 0
+	//det:allow maprange -- corpus: exact integer count, the same in any order
 	for range m {
 		n++
 	}
 	return n
 }
 
-// The high-water `if v > best { best = v }` idiom commutes.
-func maxVal(m map[string]int) int {
-	best := 0
-	for _, v := range m {
-		if v > best {
-			best = v
-		}
+// A named map type is still a map.
+type set map[int]bool
+
+func (s set) first() int {
+	for k := range s { // want `range over a map`
+		return k
 	}
-	return best
+	return -1
 }
 
-// So does the max builtin.
-func maxBuiltin(m map[string]int) int {
-	best := 0
-	for _, v := range m {
-		best = max(best, v)
+// The maps iterators yield map order too.
+func iterators(m map[string]int) (ks []string, vs []int, n int) {
+	for k := range maps.Keys(m) { // want `range over a map`
+		ks = append(ks, k)
 	}
-	return best
+	for v := range maps.Values(m) { // want `range over a map`
+		vs = append(vs, v)
+	}
+	for range maps.All(m) { // want `range over a map`
+		n++
+	}
+	return ks, vs, n
 }
 
-// Keyed stores indexed by the iteration element are order-insensitive.
-func invert(m map[string]int) map[int]string {
-	out := make(map[int]string, len(m))
-	for k, v := range m {
-		out[v] = k
-	}
-	return out
-}
-
-// ...unless the stored value reads the destination slot (append-to-slot
-// builds slices whose element order is the iteration order).
+// Append-to-slot builds slices whose element order is the iteration
+// order.
 func adjacency(edges map[[2]int]bool) map[int][]int {
 	adj := map[int][]int{}
-	for e := range edges { // want `own previous value`
+	for e := range edges { // want `range over a map`
 		adj[e[0]] = append(adj[e[0]], e[1])
 	}
 	return adj
@@ -83,14 +103,14 @@ func adjacency(edges map[[2]int]bool) map[int][]int {
 // Assign-form range leaks the last-iterated element.
 func assignForm(m map[string]int) string {
 	var last string
-	for last = range m { // want `assigns elements to outer variables`
+	for last = range m { // want `range over a map`
 	}
 	return last
 }
 
 // A bare call may observe iteration order through side effects.
 func emit(m map[string]int, f func(string)) {
-	for k := range m { // want `order-dependent side effects`
+	for k := range m { // want `range over a map`
 		f(k)
 	}
 }
@@ -106,7 +126,7 @@ func emitAllowed(m map[string]int, f func(string)) {
 // String concatenation depends on iteration order.
 func join(m map[string]bool) string {
 	var s string
-	for k := range m { // want `string concatenation`
+	for k := range m { // want `range over a map`
 		s += k
 	}
 	return s
@@ -114,7 +134,22 @@ func join(m map[string]bool) string {
 
 // Deferred calls run in (reverse) iteration order.
 func deferring(m map[string]func()) {
-	for _, f := range m { // want `defer inside a map range`
+	for _, f := range m { // want `range over a map`
 		defer f()
 	}
+}
+
+// A map range inside a closure in a package-level initializer is found
+// too; slices and channels are not maps.
+var initKeys = func(m map[int]bool, xs []int, ch chan int) (out []int) {
+	for k := range m { // want `range over a map`
+		out = append(out, k)
+	}
+	for _, x := range xs {
+		out = append(out, x)
+	}
+	for x := range ch {
+		out = append(out, x)
+	}
+	return out
 }

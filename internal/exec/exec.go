@@ -3,10 +3,14 @@
 // ParallelMap, plus deterministic seed-splitting. The experiments and
 // scenario layers decompose every figure, table and matrix into independent
 // cells (one topology/routing/transport/seed combination each), fan them
-// out here, and merge results in canonical cell order. Because each cell
-// derives all of its randomness from FoldSeed(baseSeed, cellIndex) alone,
-// results are byte-identical regardless of worker count or scheduling
-// order.
+// out here, and merge results in canonical cell order. Each cell derives
+// all of its randomness from FoldSeed(baseSeed, key), where key names what
+// the randomness is for: scenario cells fold on a hash of the resource
+// (topology, workload, replicate), so a cell draws the same numbers from
+// any matrix, and a hand-rolled experiment's cells fold on their fixed
+// position in that experiment. The index of whatever loop surrounds the
+// call is never a key (detlint's seedfold rule). Results are therefore
+// byte-identical regardless of worker count or scheduling order.
 package exec
 
 import (

@@ -84,6 +84,7 @@ func AnalyzeDeadlock(f *Forwarding, ls *LayerSet, layer int) DeadlockReport {
 		node int
 		next int
 	}
+	//det:allow maprange -- start only picks the DFS roots; whether the dependency graph has a cycle does not depend on which root finds it
 	for start := range used {
 		if color[start] != white {
 			continue

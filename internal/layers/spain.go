@@ -183,9 +183,7 @@ func greedyColoring(adj [][]int, rng *rand.Rand) []int {
 	}
 	used := map[int]bool{}
 	for _, v := range order {
-		for k := range used {
-			delete(used, k)
-		}
+		clear(used)
 		for _, u := range adj[v] {
 			if colors[u] >= 0 {
 				used[colors[u]] = true

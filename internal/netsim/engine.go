@@ -80,7 +80,8 @@ type Engine struct {
 	// Packet arena: a free list fed by chunked allocations. It belongs to
 	// the engine, not the process, because cells of a sweep simulate
 	// concurrently: a shared pool would serialize them on its locks and
-	// trade packet structs between cores (detlint's syncpool rule).
+	// trade packet structs between cores (internal/analysis's
+	// TestModuleClean holds this package to importing no sync at all).
 	pfree []*Packet
 
 	executed int64

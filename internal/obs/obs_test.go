@@ -133,6 +133,63 @@ func TestRegistryDumpAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestMetricCatalogMatchesRegistry: the README "Metric catalog" table and
+// the names the four bundles register are the same set, so the catalog
+// can neither advertise a metric nothing feeds nor miss one a dump
+// prints. obs.MetricSimBarrierStalls — declared for the frozen bench/,
+// registered by nothing — must be in neither.
+func TestMetricCatalogMatchesRegistry(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(readme), "\n### Metric catalog\n")
+	if !found {
+		t.Fatal(`README.md has no "### Metric catalog" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	catalog := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			catalog[name] = true
+		}
+	}
+
+	r := NewRegistry()
+	NewSimMetrics(r)
+	NewRoutingMetrics(r)
+	NewScenarioMetrics(r)
+	NewServeMetrics(r)
+	registered := map[string]bool{}
+	for name := range r.counters {
+		registered[name] = true
+	}
+	for name := range r.gauges {
+		registered[name] = true
+	}
+	for name := range r.hists {
+		registered[name] = true
+	}
+
+	if len(catalog) == 0 || len(registered) == 0 {
+		t.Fatalf("catalog has %d names, registry %d; the test is miswired", len(catalog), len(registered))
+	}
+	for name := range registered {
+		if !catalog[name] {
+			t.Errorf("%s is registered but missing from the README metric catalog", name)
+		}
+	}
+	for name := range catalog {
+		if !registered[name] {
+			t.Errorf("%s is in the README metric catalog but no bundle registers it", name)
+		}
+	}
+	if catalog[MetricSimBarrierStalls] || registered[MetricSimBarrierStalls] {
+		t.Errorf("%s is inert (kept for the frozen bench/ only) and must be neither registered nor catalogued", MetricSimBarrierStalls)
+	}
+}
+
 // TestRegistryConcurrent hammers get-or-create and updates from many
 // goroutines; run under -race this guards the registry's locking and the
 // lock-free metric updates.

@@ -16,8 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -270,12 +271,7 @@ func (st *JournalState) Match(cells []Spec, runSeed int64) (map[string]CellResul
 	var warnings []string
 	// Sorted identity order keeps the warning list (and nothing else —
 	// resume is a keyed lookup) deterministic.
-	ids := make([]string, 0, len(st.Done))
-	for id := range st.Done {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(st.Done)) {
 		cd := st.Done[id]
 		if !want[id] {
 			warnings = append(warnings, fmt.Sprintf("journal records a cell absent from the expanded matrix (ignored): %s", cd.Key))

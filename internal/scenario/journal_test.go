@@ -358,3 +358,37 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 		}
 	}
 }
+
+// FuzzJournalRead: a journal is bytes from disk that a crash, an editor
+// or a concatenation may have left in any state. Whatever they are,
+// ReadJournal returns an error or a state that holds its own invariants
+// — a run_header, every record keyed by its own non-empty identity —
+// and that Match can be asked about; it never panics. The committed
+// corpus (testdata/fuzz/FuzzJournalRead) covers the shapes the journal
+// tests above build by hand.
+func FuzzJournalRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadJournal(path)
+		if err != nil {
+			return
+		}
+		if st.Header.Type != "run_header" {
+			t.Fatalf("accepted a journal whose header type is %q", st.Header.Type)
+		}
+		for id, cd := range st.Done {
+			if id == "" || id != cd.Identity || cd.Type != "cell_done" {
+				t.Fatalf("Done[%q] holds record type %q identity %q", id, cd.Type, cd.Identity)
+			}
+		}
+		// No cells expanded: every record is a stranger, so past the header
+		// checks Match must warn once per record and resume nothing.
+		resume, warnings, err := st.Match(nil, st.Header.Seed)
+		if err == nil && (len(resume) != 0 || len(warnings) != len(st.Done)) {
+			t.Fatalf("Match(nil): %d resumed, %d warnings for %d records", len(resume), len(warnings), len(st.Done))
+		}
+	})
+}

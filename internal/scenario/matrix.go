@@ -2,19 +2,15 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 )
 
 // sortedKeys returns a map's keys in sorted order, for deterministic
 // iteration over constraint axes.
 func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(m))
 }
 
 // Axes lists the swept values per axis. An empty axis keeps the Base

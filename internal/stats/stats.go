@@ -7,7 +7,9 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -195,6 +197,7 @@ func (h *IntHistogram) FractionAtLeast(v int) float64 {
 		return 0
 	}
 	var c int64
+	//det:allow maprange -- an int64 sum is exact and commutative: c is the same in any order
 	for val, n := range h.Counts {
 		if val >= v {
 			c += n
@@ -205,12 +208,7 @@ func (h *IntHistogram) FractionAtLeast(v int) float64 {
 
 // Keys returns the observed values in increasing order.
 func (h *IntHistogram) Keys() []int {
-	keys := make([]int, 0, len(h.Counts))
-	for k := range h.Counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
+	return slices.Sorted(maps.Keys(h.Counts))
 }
 
 // Mean returns the mean observed value.
