@@ -19,6 +19,7 @@ import (
 	"repro/internal/layers"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -145,7 +146,7 @@ func benchBuildAll(b *testing.B, ls *layers.LayerSet) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				layers.NewForwarding(ls, 1).BuildAll(bc.workers)
+				routing.NewEngine(ls.Base, ls.Masks(), 1).BuildAll(bc.workers)
 			}
 			runtime.ReadMemStats(&after)
 			built := tables * float64(b.N)
@@ -179,14 +180,14 @@ func BenchmarkAdmissionTables(b *testing.B) {
 		{Kind: "SF", Param: 11}, {Kind: "JF", Param: 11}, {Kind: "XP", Param: 16},
 		{Kind: "HX", Param: 7}, {Kind: "FT3", Param: 8},
 	} {
-		spec := scenario.Spec{Topology: t, Pattern: scenario.Pattern{Kind: "uniform"}}
+		spec := scenario.Spec{Topology: t}
 		_, fab, err := scenario.BuildFabric(spec, 42, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("%s%d", t.Kind, t.Param), func(b *testing.B) {
 			fab.Fwd.BuildAll(0)
-			st := fab.Fwd.Engine().Stat()
+			st := fab.Fwd.Stat()
 			b.Logf("Nr=%d M=%d layers=%d tables=%d candEntries=%d", fab.Topo.Nr(), fab.Topo.G.M(), fab.Layers.N(), st.TablesBuilt, st.CandEntries)
 			benchBuildAll(b, fab.Layers)
 		})
@@ -205,7 +206,7 @@ func BenchmarkForwardingHotPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := layers.NewForwarding(ls, 1)
+	f := routing.NewEngine(ls.Base, ls.Masks(), 1)
 	f.BuildAll(0)
 	nr := sf.Nr()
 	nl := f.NumLayers()

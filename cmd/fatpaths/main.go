@@ -1,6 +1,8 @@
 // Command fatpaths builds a FatPaths fabric over a chosen topology and
 // reports its deployed configuration: layer sizes, exposed path diversity,
-// per-layer reachability, total network load, and equipment cost.
+// per-layer reachability, total network load, and equipment cost. The
+// fabric is scenario.BuildFabric's: at a given -seed, the one cmd/scenarios
+// cells simulate and cmd/fatpathsd serves for the same axes.
 //
 // Usage:
 //
@@ -13,11 +15,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/diversity"
-	"repro/internal/graph"
 	"repro/internal/layers"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/topo"
 )
 
@@ -25,8 +26,8 @@ func main() {
 	var (
 		kind     = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
 		size     = flag.String("size", "small", "size class: small (N≈200-1000) or medium (N≈10k)")
-		n        = flag.Int("layers", 9, "number of layers")
-		rho      = flag.Float64("rho", 0.6, "fraction of edges per sparsified layer")
+		n        = flag.Int("layers", 9, "number of layers (0: the topology's default)")
+		rho      = flag.Float64("rho", 0.6, "fraction of edges per sparsified layer (0: the topology's default)")
 		scheme   = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
 		seed     = flag.Int64("seed", 1, "random seed")
 		save     = flag.String("save", "", "write the layer configuration as JSON to this file (§V-B artifact)")
@@ -40,29 +41,12 @@ func main() {
 		fatal(err)
 	}
 
-	class, err := topo.ParseSizeClass(*size)
-	if err != nil {
-		fatal(err)
-	}
-	rng := graph.NewRand(*seed)
-	t, err := topo.ByName(*kind, class, rng)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{NumLayers: *n, Rho: *rho, Seed: *seed, Obs: sinks.Obs}
-	switch *scheme {
-	case "random":
-		cfg.Scheme = core.RandomSampling
-	case "min-interference":
-		cfg.Scheme = core.MinInterference
-	case "spain":
-		cfg.Scheme = core.SPAINScheme
-	case "past":
-		cfg.Scheme = core.PASTScheme
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
-	}
-	fab, err := core.Build(t, cfg)
+	t, fab, err := scenario.BuildFabric(scenario.Spec{
+		Topology:     scenario.Topology{Kind: *kind, Class: *size},
+		Layers:       *n,
+		Rho:          *rho,
+		Construction: *scheme,
+	}, *seed, sinks.Obs)
 	if err != nil {
 		fatal(err)
 	}
@@ -75,7 +59,7 @@ func main() {
 	cost := topo.Default100GbE().Cost(t)
 	fmt.Printf("cost       %s\n\n", cost)
 
-	fmt.Printf("layers (%s, n=%d, rho=%.2f):\n", cfg.Scheme, *n, *rho)
+	fmt.Printf("layers (%s, n=%d, rho=%.2f):\n", fab.Cfg.Scheme, fab.Cfg.NumLayers, fab.Cfg.Rho)
 	for i, l := range fab.Layers.Layers {
 		frac := float64(l.EdgeCount) / float64(t.G.M())
 		fmt.Printf("  layer %2d: %5d edges (%.0f%%)\n", i, l.EdgeCount, 100*frac)

@@ -89,7 +89,6 @@ func main() {
 	spec := scenario.Spec{
 		Topology: scenario.Topology{Kind: "SF", Param: 5},
 		Layers:   4, Rho: 0.7,
-		Pattern: scenario.Pattern{Kind: "uniform"},
 	}
 	_, fab, err := scenario.BuildFabric(spec, 42, nil)
 	if err != nil {

@@ -64,7 +64,7 @@ func main() {
 	fab.Fwd.BuildAll(0)
 	failed := []int{0, 1, 2, 3, 4}
 	fwd := fab.Fwd.WithoutEdges(failed)
-	kept := fwd.Engine().Stat()
+	kept := fwd.Stat()
 	holes := 0
 	for s := 0; s < sf.Nr(); s++ {
 		for d := 0; d < sf.Nr(); d++ {

@@ -47,7 +47,6 @@ func main() {
 	}
 	cfg := core.DefaultConfig(sf)
 	cfg.Obs = reg
-	cfg.Tracer = tracer
 	fab, err := core.Build(sf, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -60,13 +59,15 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "running %d replicates of a randomized-uniform workload on %s...\n", replicates, sf.Name)
 	rng := graph.NewRand(1)
+	simCfg := netsim.NDPDefaults()
+	simCfg.Tracer = tracer
 	for i := 0; i < replicates; i++ {
 		wl := core.Workload{
 			Pattern:  traffic.RandomizeMapping(traffic.RandomPermutation(rng, sf.N()), rng),
 			FlowSize: traffic.FixedSize(128 << 10),
 			Lambda:   300,
 		}
-		res := fab.RunWorkload(netsim.NDPDefaults(), wl, 2*netsim.Second, int64(10+i))
+		res := fab.RunWorkload(simCfg, wl, 2*netsim.Second, int64(10+i))
 		fct := netsim.SummarizeFCT(res)
 		tel.Emit(obs.CellRecord{
 			Type: "cell", Name: "obs-demo", Index: i,

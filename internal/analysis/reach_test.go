@@ -45,10 +45,10 @@ var referenceKeepList = []keptReference{
 	// BFS shortest-path counting: oracle of routing.Engine.RouteCounts.
 	{"graph.Graph.ShortestPathDAGCounts", "internal/routing/routing_test.go", "TestRouteCountsMatchShortestPathDAG"},
 	// Materialized layer subgraph: BFS on it is the oracle of the masked
-	// per-layer tables behind Forwarding.PathLen.
+	// per-layer tables behind routing.Engine.PathLen.
 	{"graph.Graph.Subgraph", "internal/layers/layers_test.go", "TestForwardingMinimalWithinLayer"},
 	// Full rebuild on the surviving links: oracle of the incremental
-	// Forwarding.WithoutEdges repair.
+	// routing.Engine.WithoutEdges repair.
 	{"layers.LayerSet.WithoutEdges", "internal/netsim/failures_test.go", "TestLayerRecomputationAfterFailure"},
 	// The only reader of the format LayerSet.Save (cmd/fatpaths -save) writes.
 	{"layers.ReadLayerSet", "internal/layers/layers_test.go", "TestLayerSetSerializationRoundTrip"},

@@ -5,8 +5,8 @@ package analysis
 //
 //   - TestModuleClean: the full suite over the real module reports
 //     nothing — every violation is fixed or carries a det:allow, every
-//     det:allow suppresses something, and non-test internal/netsim
-//     imports no sync.
+//     det:allow suppresses something, non-test internal/netsim imports
+//     no sync, and neither it nor internal/mcf imports internal/layers.
 //   - TestScratchViolationFlagged: deliberately adding an unsorted
 //     map-range in an uncalled function to a scratch copy of
 //     internal/routing is flagged — by maprange and by the reachability
@@ -19,6 +19,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,14 +69,21 @@ func runSuite(pkgs []*Package) []string {
 		}
 		// One engine per cell, each single-threaded: a sync.Pool (PR 7's
 		// per-engine arenas replaced one) or any other sync primitive in
-		// the simulator would couple concurrently running cells.
-		if !pathMatches(pkg.Path, "internal/netsim") {
-			continue
+		// the simulator would couple concurrently running cells. And the
+		// consumers of routing tables read routing.Engine: neither the
+		// simulator nor the throughput LPs may depend on how layers are
+		// constructed.
+		var banned []string
+		switch {
+		case pathMatches(pkg.Path, "internal/netsim"):
+			banned = []string{`"sync"`, `"repro/internal/layers"`}
+		case pathMatches(pkg.Path, "internal/mcf"):
+			banned = []string{`"repro/internal/layers"`}
 		}
 		for _, f := range pkg.Files {
 			for _, imp := range f.Imports {
-				if imp.Path.Value == `"sync"` {
-					out = append(out, pkg.Fset.Position(imp.Pos()).String()+": non-test internal/netsim imports sync")
+				if slices.Contains(banned, imp.Path.Value) {
+					out = append(out, pkg.Fset.Position(imp.Pos()).String()+": non-test "+pkg.Path+" imports "+strings.Trim(imp.Path.Value, `"`))
 				}
 			}
 		}

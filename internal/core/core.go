@@ -23,6 +23,7 @@ import (
 	"repro/internal/mcf"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -67,10 +68,6 @@ type Config struct {
 	// NewSimulation default their metrics bundle from it. Purely
 	// observational — results are byte-identical with or without it.
 	Obs *obs.Registry
-	// Tracer, when non-nil, is offered to simulations created via
-	// NewSimulation; the first simulation to claim it records its event
-	// loop (see obs.Tracer). Observational only, like Obs.
-	Tracer *obs.Tracer
 }
 
 // DefaultConfig returns the layer configuration recommended for a topology
@@ -92,16 +89,18 @@ func DefaultConfig(t *topo.Topology) Config {
 	return cfg
 }
 
-// Fabric is a topology equipped with FatPaths layered routing. Fwd is a
-// view over the shared routing engine (internal/routing): tables
-// materialize lazily per destination and are reused by every simulation
-// and analysis of this fabric, including simulations running concurrently
-// on different worker goroutines.
+// Fabric is a topology equipped with FatPaths layered routing. Fwd is the
+// routing engine over the layer set's masks: tables materialize lazily per
+// destination (BuildAll precomputes them in parallel) and are reused by
+// every simulation and analysis of this fabric, including simulations
+// running concurrently on different worker goroutines. Cfg.Seed drives its
+// ECMP tie-breaking, so two fabrics over identical layer sets and seeds
+// answer byte-identically regardless of build order or worker count.
 type Fabric struct {
 	Topo   *topo.Topology
 	Cfg    Config
 	Layers *layers.LayerSet
-	Fwd    *layers.Forwarding
+	Fwd    *routing.Engine
 
 	// obsSim is the simulation metrics bundle derived from Cfg.Obs (nil
 	// when the fabric is uninstrumented); NewSimulation installs it as the
@@ -145,7 +144,7 @@ func Build(t *topo.Topology, cfg Config) (*Fabric, error) {
 		Topo:   t,
 		Cfg:    cfg,
 		Layers: ls,
-		Fwd:    layers.NewForwarding(ls, cfg.Seed),
+		Fwd:    routing.NewEngine(ls.Base, ls.Masks(), cfg.Seed),
 	}
 	if cfg.Obs != nil {
 		fab.Fwd.SetMetrics(obs.NewRoutingMetrics(cfg.Obs))
@@ -162,9 +161,6 @@ func Build(t *topo.Topology, cfg Config) (*Fabric, error) {
 func (f *Fabric) NewSimulation(cfg netsim.Config) *netsim.Sim {
 	if cfg.Metrics == nil {
 		cfg.Metrics = f.obsSim
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = f.Cfg.Tracer
 	}
 	return netsim.NewSim(f.Topo, f.Fwd, cfg)
 }
@@ -214,8 +210,6 @@ type Workload struct {
 	// each flow of the pattern starts after an exponential delay drawn at
 	// this rate. 0 starts everything at t=0.
 	Lambda float64
-	// Repeat replays the pattern this many times (default 1).
-	Repeat int
 }
 
 // Schedule adds the workload's flows to sim, drawing from rng per flow the
@@ -223,22 +217,16 @@ type Workload struct {
 // place that drawing order lives, so every caller at the same seed gets the
 // same flows.
 func (wl Workload) Schedule(sim *netsim.Sim, rng *rand.Rand) {
-	repeat := wl.Repeat
-	if repeat < 1 {
-		repeat = 1
-	}
-	for rep := 0; rep < repeat; rep++ {
-		for _, fl := range wl.Pattern.Flows {
-			var start netsim.Time
-			if wl.Lambda > 0 {
-				start = netsim.Time(traffic.ExpInterarrival(rng, wl.Lambda) * 1e9)
-			}
-			size := int64(1 << 20)
-			if wl.FlowSize != nil {
-				size = wl.FlowSize(rng)
-			}
-			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: size, Start: start})
+	for _, fl := range wl.Pattern.Flows {
+		var start netsim.Time
+		if wl.Lambda > 0 {
+			start = netsim.Time(traffic.ExpInterarrival(rng, wl.Lambda) * 1e9)
 		}
+		size := int64(1 << 20)
+		if wl.FlowSize != nil {
+			size = wl.FlowSize(rng)
+		}
+		sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: size, Start: start})
 	}
 }
 

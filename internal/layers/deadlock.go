@@ -1,5 +1,7 @@
 package layers
 
+import "repro/internal/routing"
+
 // Channel-dependency analysis for lossless deployments. FatPaths targets
 // lossy Ethernet, where deadlock is not a concern, but §VIII-A6 proposes
 // carrying the layered design to InfiniBand — a lossless, credit-based
@@ -30,7 +32,7 @@ type DeadlockReport struct {
 // routing core keeps the full within-layer ECMP candidate sets, the CDG
 // covers every minimal route the flowlet balancer may use — not just one
 // frozen representative per pair.
-func AnalyzeDeadlock(f *Forwarding, ls *LayerSet, layer int) DeadlockReport {
+func AnalyzeDeadlock(f *routing.Engine, ls *LayerSet, layer int) DeadlockReport {
 	g := ls.Base
 	nr := g.N()
 	// Channel IDs: 2*edge for U->V, 2*edge+1 for V->U.
@@ -122,7 +124,7 @@ func AnalyzeDeadlock(f *Forwarding, ls *LayerSet, layer int) DeadlockReport {
 }
 
 // AnalyzeAllLayers runs the CDG analysis on every layer.
-func AnalyzeAllLayers(f *Forwarding, ls *LayerSet) []DeadlockReport {
+func AnalyzeAllLayers(f *routing.Engine, ls *LayerSet) []DeadlockReport {
 	out := make([]DeadlockReport, 0, ls.N())
 	for l := 0; l < ls.N(); l++ {
 		out = append(out, AnalyzeDeadlock(f, ls, l))

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/routing"
 )
 
@@ -98,7 +97,8 @@ func Random(g *graph.Graph, n int, rho float64, rng *rand.Rand) (*LayerSet, erro
 // WithoutEdges returns a copy of the layer set with the given base edges
 // removed from every layer — the "recompute layers" repair path for major
 // topology updates of §V-G. The caller rebuilds forwarding tables on the
-// result. Layers that become disconnected are kept (forwarding marks the
+// result (routing.Engine.WithoutEdges is the incremental form of the same
+// repair). Layers that become disconnected are kept (forwarding marks the
 // unreachable pairs; the flowlet balancer avoids them).
 func (ls *LayerSet) WithoutEdges(failed []int) *LayerSet {
 	dead := make([]bool, ls.Base.M())
@@ -120,106 +120,17 @@ func (ls *LayerSet) WithoutEdges(failed []int) *LayerSet {
 	return out
 }
 
-// Forwarding is the deployed view of the routing core (internal/routing):
-// per-layer destination-based multi-next-hop tables, the σ_i functions of
-// §V-A deployed as forwarding tables (Listing 3). Where the paper's
-// listing freezes one random tie per (layer, src, dst), this view keeps
-// the full within-layer ECMP candidate set (§V-C) and exposes both a
-// deterministic representative hop (Next) and the whole set (Candidates).
-// A Next of -1 means the destination is unreachable within the layer
-// (possible for sparse SPAIN/min-interference layers); callers fall back
-// to layer 0.
-type Forwarding struct {
-	Nr  int
-	eng *routing.Engine
-}
-
-// NewForwarding equips a layer set with routing tables. Tables materialize
-// lazily per destination; call BuildAll to precompute everything in
-// parallel. seed drives the deterministic ECMP tie-breaking, so two
-// Forwardings over identical layer sets and seeds are byte-identical
-// regardless of build order or worker count.
-func NewForwarding(ls *LayerSet, seed int64) *Forwarding {
+// Masks returns the per-layer edge masks in the form routing.NewEngine
+// takes them: nil for a layer that keeps every link (the engine then skips
+// mask checks), the layer's own mask otherwise.
+func (ls *LayerSet) Masks() [][]bool {
 	masks := make([][]bool, ls.N())
 	for i, l := range ls.Layers {
-		if l.EdgeCount == ls.Base.M() {
-			masks[i] = nil // full layer: let the engine skip mask checks
-			continue
+		if l.EdgeCount < ls.Base.M() {
+			masks[i] = l.Mask
 		}
-		masks[i] = l.Mask
 	}
-	return &Forwarding{Nr: ls.Base.N(), eng: routing.NewEngine(ls.Base, masks, seed)}
-}
-
-// Engine exposes the underlying routing engine (candidate sets, route
-// counts, materialization stats).
-func (f *Forwarding) Engine() *routing.Engine { return f.eng }
-
-// SetMetrics attaches routing-core telemetry to the underlying engine
-// (nil disables). Repaired views from WithoutEdges inherit the bundle.
-func (f *Forwarding) SetMetrics(m *obs.RoutingMetrics) { f.eng.SetMetrics(m) }
-
-// NumLayers returns the number of layers with tables.
-func (f *Forwarding) NumLayers() int { return f.eng.NumLayers() }
-
-// BuildAll eagerly materializes every (layer, destination) table on up to
-// `workers` goroutines (0 = all cores).
-func (f *Forwarding) BuildAll(workers int) { f.eng.BuildAll(workers) }
-
-// Next returns the representative next-hop router from src toward dst
-// within the given layer, or -1 if unreachable in that layer. Ties among
-// ECMP candidates break deterministically by seed folding.
-func (f *Forwarding) Next(layer, src, dst int) int32 {
-	return f.eng.Next(layer, src, dst)
-}
-
-// Candidates returns every ECMP next hop from src toward dst within the
-// layer (the set the flowlet balancer hashes over). The slice aliases the
-// table and must not be modified.
-func (f *Forwarding) Candidates(layer, src, dst int) []int32 {
-	return f.eng.Candidates(layer, src, dst)
-}
-
-// Reachable reports whether dst is reachable from src within the layer.
-func (f *Forwarding) Reachable(layer, src, dst int) bool {
-	return f.eng.Reachable(layer, src, dst)
-}
-
-// PathLen returns the hop count of the layer's minimal route from src to
-// dst, or -1 on a routing hole. Minimal routing makes this the BFS
-// distance, read straight from the table in O(1) instead of walking the
-// forwarding function.
-func (f *Forwarding) PathLen(layer, src, dst int) int {
-	if src == dst {
-		return 0
-	}
-	return int(f.eng.Dist(layer, src, dst))
-}
-
-// Route follows the representative next hops (Next) from src to dst within
-// the layer and returns the router sequence, both ends included. It gives
-// up with nil on a routing hole (sparse or repaired layers) or after Nr
-// hops.
-func (f *Forwarding) Route(layer, src, dst int) []int32 {
-	path := []int32{int32(src)}
-	v := src
-	for v != dst {
-		nxt := f.Next(layer, v, dst)
-		if nxt < 0 || len(path) > f.Nr {
-			return nil
-		}
-		path = append(path, nxt)
-		v = int(nxt)
-	}
-	return path
-}
-
-// WithoutEdges returns a repaired view with the given base edges removed
-// from every layer — the §V-G "major topology update" path. Invalidation
-// is incremental and per destination: tables whose minimal-path DAG never
-// used a removed edge are shared with the parent, the rest rebuild lazily.
-func (f *Forwarding) WithoutEdges(failed []int) *Forwarding {
-	return &Forwarding{Nr: f.Nr, eng: f.eng.WithoutEdges(failed)}
+	return masks
 }
 
 // Stats summarizes a layer set: edges per layer and two deployed
@@ -238,7 +149,7 @@ type Stats struct {
 
 // Summarize computes layer statistics using sampled router pairs. All path
 // statistics come from the shared routing tables (no BFS re-walks).
-func Summarize(ls *LayerSet, f *Forwarding, samples int, rng *rand.Rand) Stats {
+func Summarize(ls *LayerSet, f *routing.Engine, samples int, rng *rand.Rand) Stats {
 	st := Stats{}
 	for _, l := range ls.Layers {
 		st.EdgesPerLayer = append(st.EdgesPerLayer, l.EdgeCount)
@@ -256,7 +167,7 @@ func Summarize(ls *LayerSet, f *Forwarding, samples int, rng *rand.Rand) Stats {
 		if c, ok := countMemo[key]; ok {
 			return c
 		}
-		c := f.eng.RouteCounts(l, t)
+		c := f.RouteCounts(l, t)
 		countMemo[key] = c
 		return c
 	}

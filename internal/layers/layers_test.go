@@ -7,8 +7,17 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
+
+// engine is how every consumer equips a layer set with routing tables: the
+// set hands routing.NewEngine its masks. The Forwarding* tests below are the
+// engine's contract as a deployed forwarding function, stated over layer
+// sets this package builds.
+func engine(ls *LayerSet, seed int64) *routing.Engine {
+	return routing.NewEngine(ls.Base, ls.Masks(), seed)
+}
 
 func TestRandomLayersBasic(t *testing.T) {
 	sf, _ := topo.SlimFly(5, 0)
@@ -67,7 +76,7 @@ func TestForwardingLoopFreeAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewForwarding(ls, 1)
+	f := engine(ls, 1)
 	if f.NumLayers() != 4 {
 		t.Fatal("forwarding must cover all layers")
 	}
@@ -94,7 +103,7 @@ func TestForwardingMinimalWithinLayer(t *testing.T) {
 	sf, _ := topo.SlimFly(5, 0)
 	rng := graph.NewRand(4)
 	ls, _ := Random(sf.G, 3, 0.6, rng)
-	f := NewForwarding(ls, 1)
+	f := engine(ls, 1)
 	// Within each layer, the forwarding path length equals the BFS
 	// distance in the layer subgraph (minimal routing per layer, §V-B).
 	for layer := 0; layer < ls.N(); layer++ {
@@ -119,7 +128,7 @@ func TestLayerLocalMinimalIsGloballyNonMinimal(t *testing.T) {
 	sf, _ := topo.SlimFly(7, 0)
 	rng := graph.NewRand(5)
 	ls, _ := Random(sf.G, 6, 0.5, rng)
-	f := NewForwarding(ls, 1)
+	f := engine(ls, 1)
 	longer := 0
 	pairs := 0
 	for i := 0; i < 300; i++ {
@@ -142,9 +151,9 @@ func TestLayerPathLengthsAndPaths(t *testing.T) {
 	sf, _ := topo.SlimFly(5, 0)
 	rng := graph.NewRand(6)
 	ls, _ := Random(sf.G, 4, 0.7, rng)
-	f := NewForwarding(ls, 1)
+	f := engine(ls, 1)
 	s, d := 0, 17
-	paths := LayerPaths(f, s, d)
+	paths := f.LayerPaths(s, d)
 	if len(paths) != f.NumLayers() {
 		t.Fatalf("%d paths vs %d layers", len(paths), f.NumLayers())
 	}
@@ -174,7 +183,7 @@ func TestRouteHoleAndSelf(t *testing.T) {
 		fullLayer(g),
 		{Mask: []bool{true, false}, EdgeCount: 1}, // 1-2 missing
 	}}
-	f := NewForwarding(ls, 1)
+	f := engine(ls, 1)
 	if p := f.Route(0, 0, 2); len(p) != 3 || p[0] != 0 || p[1] != 1 || p[2] != 2 {
 		t.Fatalf("full layer route 0->2 = %v, want [0 1 2]", p)
 	}
@@ -184,7 +193,7 @@ func TestRouteHoleAndSelf(t *testing.T) {
 	if p := f.Route(1, 2, 2); len(p) != 1 || p[0] != 2 {
 		t.Fatalf("self route = %v, want [2]", p)
 	}
-	if got := LayerPaths(f, 0, 2); len(got) != 1 {
+	if got := f.LayerPaths(0, 2); len(got) != 1 {
 		t.Fatalf("LayerPaths kept %d paths, want only the full layer's", len(got))
 	}
 }
@@ -212,7 +221,7 @@ func TestMinInterferenceLayers(t *testing.T) {
 	}
 	// Forwarding over these layers must produce some paths one hop above
 	// minimal (the +1 preference).
-	f := NewForwarding(ls, 1)
+	f := engine(ls, 1)
 	nonMinimal := 0
 	for i := 0; i < 200; i++ {
 		s, d := graph.SampleDistinctPair(rng, sf.Nr())
@@ -337,8 +346,8 @@ func TestSummarizeDiversityGrowsWithLayers(t *testing.T) {
 	rng := graph.NewRand(11)
 	ls2, _ := Random(sf.G, 2, 0.6, graph.NewRand(42))
 	ls8, _ := Random(sf.G, 8, 0.6, graph.NewRand(42))
-	f2 := NewForwarding(ls2, 1)
-	f8 := NewForwarding(ls8, 1)
+	f2 := engine(ls2, 1)
+	f8 := engine(ls8, 1)
 	s2 := Summarize(ls2, f2, 200, graph.NewRand(2))
 	s8 := Summarize(ls8, f8, 200, graph.NewRand(2))
 	if s8.MeanDistinctPaths <= s2.MeanDistinctPaths {
@@ -354,8 +363,8 @@ func TestForwardingDeterministicGivenSeed(t *testing.T) {
 	// pick is a member of the candidate set.
 	sf, _ := topo.SlimFly(5, 0)
 	ls, _ := Random(sf.G, 2, 0.8, graph.NewRand(12))
-	f1 := NewForwarding(ls, 0)
-	f2 := NewForwarding(ls, 0)
+	f1 := engine(ls, 0)
+	f2 := engine(ls, 0)
 	for l := 0; l < f1.NumLayers(); l++ {
 		for s := 0; s < sf.Nr(); s++ {
 			for d := 0; d < sf.Nr(); d++ {
@@ -430,7 +439,7 @@ func TestForwardingLoopFreeProperty(t *testing.T) {
 		if err != nil {
 			return true // sampler could not keep the graph connected; fine
 		}
-		fwd := NewForwarding(ls, 1)
+		fwd := engine(ls, 1)
 		for l := 0; l < ls.N(); l++ {
 			sub := g.Subgraph(ls.Layers[l].Mask)
 			for s := 0; s < n; s++ {
@@ -463,7 +472,7 @@ func TestDeadlockAnalysis(t *testing.T) {
 	}
 	rng := graph.NewRand(31)
 	ringLS, _ := Random(ringG, 1, 1.0, rng)
-	ringFwd := NewForwarding(ringLS, 1)
+	ringFwd := engine(ringLS, 1)
 	rep := AnalyzeDeadlock(ringFwd, ringLS, 0)
 	if rep.Acyclic {
 		t.Fatal("minimal routing on a ring must have a cyclic CDG")
@@ -474,7 +483,7 @@ func TestDeadlockAnalysis(t *testing.T) {
 	// PAST spanning-tree layers: acyclic CDG.
 	sf, _ := topo.SlimFly(5, 0)
 	past, _ := PAST(sf.G, 3, PASTNonMinimal, rng)
-	pastFwd := NewForwarding(past, 1)
+	pastFwd := engine(past, 1)
 	for l := 1; l < past.N(); l++ {
 		if rep := AnalyzeDeadlock(pastFwd, past, l); !rep.Acyclic {
 			t.Fatalf("spanning-tree layer %d must be deadlock-free", l)
@@ -517,8 +526,8 @@ func TestLayerSetSerializationRoundTrip(t *testing.T) {
 	}
 	// Forwarding built from the round-tripped set is identical given the
 	// same rng.
-	f1 := NewForwarding(ls, 5)
-	f2 := NewForwarding(got, 5)
+	f1 := engine(ls, 5)
+	f2 := engine(got, 5)
 	for l := 0; l < ls.N(); l++ {
 		for s := 0; s < sf.Nr(); s += 7 {
 			for d := 0; d < sf.Nr(); d += 3 {
@@ -570,8 +579,8 @@ func TestLayerSetSerializationRoundTripRepaired(t *testing.T) {
 			}
 		}
 	}
-	f1 := NewForwarding(repaired, 6)
-	f2 := NewForwarding(got, 6)
+	f1 := engine(repaired, 6)
+	f2 := engine(got, 6)
 	for l := 0; l < repaired.N(); l++ {
 		for s := 0; s < sf.Nr(); s += 7 {
 			for d := 0; d < sf.Nr(); d += 3 {

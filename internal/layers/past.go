@@ -73,16 +73,3 @@ func spanningTreeBFS(g *graph.Graph, root int, rng *rand.Rand) []bool {
 	}
 	return mask
 }
-
-// LayerPaths extracts, for a router pair, the concrete per-layer path
-// (vertex sequence) induced by a forwarding table — the path set a
-// FatPaths sender load-balances over.
-func LayerPaths(f *Forwarding, src, dst int) [][]int32 {
-	var out [][]int32
-	for l := 0; l < f.NumLayers(); l++ {
-		if path := f.Route(l, src, dst); path != nil {
-			out = append(out, path)
-		}
-	}
-	return out
-}

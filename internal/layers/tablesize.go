@@ -1,6 +1,9 @@
 package layers
 
-import "repro/internal/topo"
+import (
+	"repro/internal/routing"
+	"repro/internal/topo"
+)
 
 // Forwarding-state sizing analysis (§V-D/E of the paper): layers deploy as
 // VLAN tags or address-space partitions, and forwarding functions compile
@@ -53,7 +56,7 @@ func SizeTablesFor(t *topo.Topology, ls *LayerSet) TableSizing {
 	return SizeTables(t, ls.N())
 }
 
-// DeployedSizing reports the routing state a Forwarding has actually
+// DeployedSizing reports the routing state an engine has actually
 // materialized: the CSR-packed multi-next-hop tables of internal/routing,
 // measured against the dense single-next-hop array they replaced
 // (n · Nr² entries with ECMP ties discarded). Tables build lazily per
@@ -61,23 +64,14 @@ func SizeTablesFor(t *topo.Topology, ls *LayerSet) TableSizing {
 // only a slice of the destinations — the scaling win at paper-size router
 // counts.
 type DeployedSizing struct {
-	// TablesBuilt / TablesTotal count materialized vs possible
-	// (layer, destination) tables.
-	TablesBuilt, TablesTotal int
-	// CandEntries is the number of CSR candidate entries materialized —
-	// the full within-layer ECMP state, not one frozen hop per pair.
-	CandEntries int64
+	routing.Stats
 	// DenseEntries is what the dense n·Nr² builder would have allocated.
 	DenseEntries int64
 }
 
-// SizeDeployedFor measures the materialized routing state of a Forwarding.
-func SizeDeployedFor(f *Forwarding) DeployedSizing {
-	st := f.Engine().Stat()
-	return DeployedSizing{
-		TablesBuilt:  st.TablesBuilt,
-		TablesTotal:  st.TablesTotal,
-		CandEntries:  st.CandEntries,
-		DenseEntries: int64(f.NumLayers()) * int64(f.Nr) * int64(f.Nr),
-	}
+// SizeDeployedFor measures the materialized routing state of an engine.
+func SizeDeployedFor(f *routing.Engine) DeployedSizing {
+	st := f.Stat()
+	nr := st.TablesTotal / f.NumLayers() // TablesTotal is n·Nr
+	return DeployedSizing{Stats: st, DenseEntries: int64(st.TablesTotal) * int64(nr)}
 }

@@ -21,8 +21,8 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/layers"
 	"repro/internal/lp"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -92,11 +92,11 @@ type PathSets struct {
 
 // FromForwarding builds path sets from per-layer forwarding tables:
 // commodity i may use the (deduplicated) per-layer forwarding paths.
-func FromForwarding(g *graph.Graph, f *layers.Forwarding, comms []Commodity) PathSets {
+func FromForwarding(g *graph.Graph, f *routing.Engine, comms []Commodity) PathSets {
 	ps := PathSets{G: g, Comms: comms, Paths: make([][][]int32, len(comms))}
 	for i, c := range comms {
 		var uniq [][]int32
-		for _, p := range layers.LayerPaths(f, c.Src, c.Dst) {
+		for _, p := range f.LayerPaths(c.Src, c.Dst) {
 			if !slices.ContainsFunc(uniq, func(q []int32) bool { return slices.Equal(p, q) }) {
 				uniq = append(uniq, p)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layers"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -201,7 +202,7 @@ func TestPathMATApproxMatchesLP(t *testing.T) {
 			t.Fatal(err)
 		}
 		comms := CommoditiesFromPattern(tp, traffic.WorstCase(tp, 0.55, rng))
-		ps := FromForwarding(tp.G, layers.NewForwarding(ls, 1), comms)
+		ps := FromForwarding(tp.G, routing.NewEngine(ls.Base, ls.Masks(), 1), comms)
 		exact, err := PathMAT(ps, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", tp.Name, err)
@@ -223,7 +224,7 @@ func TestPathMATApproxOnLayeredSlimFly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := layers.NewForwarding(ls, 1)
+	f := routing.NewEngine(ls.Base, ls.Masks(), 1)
 	pat := traffic.WorstCase(sf, 0.3, rng)
 	comms := CommoditiesFromPattern(sf, pat)
 	if len(comms) == 0 {
@@ -239,7 +240,7 @@ func TestPathMATApproxOnLayeredSlimFly(t *testing.T) {
 	}
 	// More layers should never hurt (weakly more path choice).
 	ls1, _ := layers.Random(sf.G, 1, 0.6, graph.NewRand(1))
-	f1 := layers.NewForwarding(ls1, 1)
+	f1 := routing.NewEngine(ls1.Base, ls1.Masks(), 1)
 	ps1 := FromForwarding(sf.G, f1, comms)
 	got1, err := PathMATApprox(ps1, 1, 0.1)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layers"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -486,7 +487,7 @@ func TestLinkQueueBehaviour(t *testing.T) {
 // sfFabric builds a SlimFly fabric with random layers: one topology and one
 // set of forwarding tables serve every simulation of a test, exactly as
 // replicates share them in production.
-func sfFabric(t *testing.T, q, nLayers int, rho float64, seed int64) (*topo.Topology, *layers.Forwarding) {
+func sfFabric(t *testing.T, q, nLayers int, rho float64, seed int64) (*topo.Topology, *routing.Engine) {
 	t.Helper()
 	sf, err := topo.SlimFly(q, 0)
 	if err != nil {
@@ -496,7 +497,7 @@ func sfFabric(t *testing.T, q, nLayers int, rho float64, seed int64) (*topo.Topo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sf, layers.NewForwarding(ls, seed)
+	return sf, routing.NewEngine(ls.Base, ls.Masks(), seed)
 }
 
 // permSim loads a full permutation of long flows onto a 4-layer SF q=5

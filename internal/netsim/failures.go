@@ -8,7 +8,7 @@ import "math/rand"
 // transport's trims/timeouts (or TCP's RTO) force a flowlet boundary and
 // the sender re-randomizes onto a surviving layer. For major topology
 // updates routes are recomputed incrementally, per destination
-// (layers.Forwarding.WithoutEdges).
+// (routing.Engine.WithoutEdges).
 //
 // A failed link drops every packet handed to it (both directions), exactly
 // like a dead cable between two healthy routers.

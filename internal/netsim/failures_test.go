@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layers"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -89,8 +90,8 @@ func TestLayerRecomputationAfterFailure(t *testing.T) {
 	}
 	// Incremental per-destination repair of the routing tables, held
 	// against a full rebuild over the repaired layer set.
-	fwd := layers.NewForwarding(ls, 5).WithoutEdges(failed)
-	rebuilt := layers.NewForwarding(repaired, 5)
+	fwd := routing.NewEngine(ls.Base, ls.Masks(), 5).WithoutEdges(failed)
+	rebuilt := routing.NewEngine(repaired.Base, repaired.Masks(), 5)
 	// Layer 0 on the residual graph still routes everything (SF survives
 	// three link failures easily).
 	for s := 0; s < sf.Nr(); s += 5 {

@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 
-	"repro/internal/layers"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -178,7 +178,7 @@ func (l *link) kick(e *Engine) {
 // simulation.
 type Network struct {
 	topo *topo.Topology
-	fwd  *layers.Forwarding
+	fwd  *routing.Engine
 	cfg  Config
 
 	// links holds every link, indexed by id: router-router edges first
@@ -205,7 +205,7 @@ const maxHopBucket = 63
 
 // buildNetwork constructs links per the config. Link ids follow
 // construction order, which is a function of the topology alone.
-func buildNetwork(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Network {
+func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 	edges := t.G.Edges()
 	n := &Network{
 		topo:       t,

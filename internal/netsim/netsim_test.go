@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layers"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -51,7 +52,7 @@ func starSim(t *testing.T, n int, cfg Config) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := layers.NewForwarding(ls, 0)
+	fwd := routing.NewEngine(ls.Base, ls.Masks(), 0)
 	return NewSim(st, fwd, cfg)
 }
 
@@ -164,7 +165,7 @@ func sfSim(t *testing.T, q, nLayers int, rho float64, cfg Config, seed int64) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := layers.NewForwarding(ls, seed)
+	fwd := routing.NewEngine(ls.Base, ls.Masks(), seed)
 	return NewSim(sf, fwd, cfg), sf
 }
 

@@ -1,8 +1,7 @@
 package netsim
 
-// Route lookup lives in internal/routing (surfaced through
-// layers.Forwarding): per-(layer, destination) multi-next-hop tables in
-// CSR form, built lazily under striped locks and shared by every
+// Route lookup lives in internal/routing (routing.Engine):
+// per-(layer, destination) multi-next-hop tables in CSR form, built lazily under striped locks and shared by every
 // simulation of one fabric — including simulations running concurrently
 // on different worker goroutines. This file keeps only the simulator-side
 // selection: hashing a packet onto one of the ECMP candidates.

@@ -6,13 +6,14 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layers"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
 // TestSharedRoutingEngineConcurrent runs replicate simulations of one
-// fabric concurrently against a single shared Forwarding (whose routing
+// fabric concurrently against a single shared routing.Engine (whose routing
 // tables materialize lazily under the engine's striped locks) and checks
-// each replicate's results match a serial run with a private Forwarding
+// each replicate's results match a serial run with a private engine
 // built from the same layer set and seed — the property the parallel
 // experiment runtime depends on.
 func TestSharedRoutingEngineConcurrent(t *testing.T) {
@@ -25,7 +26,7 @@ func TestSharedRoutingEngineConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runOnce := func(fwd *layers.Forwarding, seed int64) []FlowResult {
+	runOnce := func(fwd *routing.Engine, seed int64) []FlowResult {
 		cfg := NDPDefaults()
 		cfg.LB = LBFatPaths // exercises the per-layer ECMP candidate sets
 		cfg.Seed = seed
@@ -41,10 +42,10 @@ func TestSharedRoutingEngineConcurrent(t *testing.T) {
 	const replicates = 6
 	want := make([][]FlowResult, replicates)
 	for r := 0; r < replicates; r++ {
-		want[r] = runOnce(layers.NewForwarding(ls, 7), int64(r))
+		want[r] = runOnce(routing.NewEngine(ls.Base, ls.Masks(), 7), int64(r))
 	}
 
-	shared := layers.NewForwarding(ls, 7)
+	shared := routing.NewEngine(ls.Base, ls.Masks(), 7)
 	got := make([][]FlowResult, replicates)
 	var wg sync.WaitGroup
 	for r := 0; r < replicates; r++ {

@@ -5,8 +5,8 @@ import (
 	"strconv"
 
 	"repro/internal/exec"
-	"repro/internal/layers"
 	"repro/internal/obs"
+	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -172,7 +172,7 @@ type Sim struct {
 	Net  *Network
 	Cfg  Config
 	Topo *topo.Topology
-	Fwd  *layers.Forwarding
+	Fwd  *routing.Engine
 
 	flows   []*flow
 	results []FlowResult
@@ -267,7 +267,7 @@ func (f *flow) randIntn(n int) int { return int(f.randU64() % uint64(n)) }
 // so replicate simulations of one fabric — including simulations running
 // concurrently on different worker goroutines — pay the route computation
 // once; the topology and tables are read-only during a run.
-func NewSim(t *topo.Topology, fwd *layers.Forwarding, cfg Config) *Sim {
+func NewSim(t *topo.Topology, fwd *routing.Engine, cfg Config) *Sim {
 	if cfg.LinkBps == 0 {
 		panic("netsim: zero link bandwidth")
 	}

@@ -46,7 +46,7 @@ func TestConcurrentWithoutEdgesDerivation(t *testing.T) {
 				for d := 0; d < nr; d++ {
 					i := (l*nr+s)*nr + d
 					a.next[i] = e.Next(l, s, d)
-					a.dist[i] = e.Dist(l, s, d)
+					a.dist[i] = int32(e.PathLen(l, s, d))
 				}
 			}
 		}
@@ -87,8 +87,8 @@ func TestConcurrentWithoutEdgesDerivation(t *testing.T) {
 								errc <- errf("derived set %d Next(%d,%d,%d)=%d, want %d", set, l, s, d, got, want.next[i])
 								return
 							}
-							if got := dv.Dist(l, s, d); got != want.dist[i] {
-								errc <- errf("derived set %d Dist(%d,%d,%d)=%d, want %d", set, l, s, d, got, want.dist[i])
+							if got := int32(dv.PathLen(l, s, d)); got != want.dist[i] {
+								errc <- errf("derived set %d PathLen(%d,%d,%d)=%d, want %d", set, l, s, d, got, want.dist[i])
 								return
 							}
 						}

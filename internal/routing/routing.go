@@ -1,8 +1,13 @@
 // Package routing is the single source of path truth for the repository:
 // per-(layer, destination) multi-next-hop tables in compact CSR form,
-// shared by the deployed forwarding view (internal/layers), the packet
-// simulator (internal/netsim), and the analytics/experiments that read
-// path statistics.
+// built from the masks of a layer set (internal/layers) and read by the
+// packet simulator (internal/netsim), the throughput LPs (internal/mcf), the
+// daemon (internal/serve) and the analytics/experiments that want path
+// statistics. An Engine is the deployed form of the σ_i functions of §V-A
+// (Listing 3): where the paper's listing freezes one random tie per (layer,
+// src, dst), it keeps the full within-layer ECMP candidate set (§V-C) and
+// exposes both a deterministic representative hop (Next) and the whole set
+// (Candidates).
 //
 // FatPaths routes minimally *within* each layer and load-balances across
 // layers (§V of the paper). Minimal routing almost always leaves ties —
@@ -137,6 +142,11 @@ func NewEngine(g *graph.Graph, masks [][]bool, seed int64) *Engine {
 
 // NumLayers returns the number of routing layers.
 func (e *Engine) NumLayers() int { return len(e.masks) }
+
+// Engine is the identity: nothing in this module calls it. It is still
+// declared only because the frozen bench/layers.go spells the engine
+// `Fwd.Engine().Stat()`; the [benchmark] PR of ROADMAP item 1(b) deletes it.
+func (e *Engine) Engine() *Engine { return e }
 
 // Table returns the (layer, dst) table, building it on first use.
 func (e *Engine) Table(layer, dst int) *Table {
@@ -282,15 +292,18 @@ func (e *Engine) Candidates(layer, src, dst int) []int32 {
 	return e.Table(layer, dst).Candidates(src)
 }
 
-// Dist returns the hop distance from src to dst within the layer, or -1
-// when unreachable.
-func (e *Engine) Dist(layer, src, dst int) int32 {
-	return e.Table(layer, dst).Dist[src]
+// PathLen returns the hop count of the layer's minimal route from src to
+// dst (0 when src == dst), or -1 on a routing hole, which sparse or repaired
+// layers can have. Minimal routing makes this the BFS distance, read from
+// the table in O(1) instead of walking the forwarding function.
+func (e *Engine) PathLen(layer, src, dst int) int {
+	return int(e.Table(layer, dst).Dist[src])
 }
 
-// Reachable reports whether dst is reachable from src within the layer.
+// Reachable reports whether dst is reachable from src within the layer. A
+// router reaches itself without its table being built.
 func (e *Engine) Reachable(layer, src, dst int) bool {
-	return src == dst || e.Dist(layer, src, dst) >= 0
+	return src == dst || e.PathLen(layer, src, dst) >= 0
 }
 
 // Next returns one deterministic next hop from src toward dst within the
@@ -308,6 +321,37 @@ func (e *Engine) Next(layer, src, dst int) int32 {
 	}
 	key := (uint64(layer)*uint64(e.nr)+uint64(src))*uint64(e.nr) + uint64(dst)
 	return c[uint64(exec.FoldSeed(e.seed, key))%uint64(len(c))]
+}
+
+// Route follows the representative next hops (Next) from src to dst within
+// the layer and returns the router sequence, both ends included. It gives
+// up with nil on a routing hole (sparse or repaired layers) or after Nr
+// hops.
+func (e *Engine) Route(layer, src, dst int) []int32 {
+	path := []int32{int32(src)}
+	v := src
+	for v != dst {
+		nxt := e.Next(layer, v, dst)
+		if nxt < 0 || len(path) > e.nr {
+			return nil
+		}
+		path = append(path, nxt)
+		v = int(nxt)
+	}
+	return path
+}
+
+// LayerPaths returns, for a router pair, the route of every layer that
+// connects it, in layer order — the path set a FatPaths sender
+// load-balances over.
+func (e *Engine) LayerPaths(src, dst int) [][]int32 {
+	var out [][]int32
+	for l := 0; l < e.NumLayers(); l++ {
+		if path := e.Route(l, src, dst); path != nil {
+			out = append(out, path)
+		}
+	}
+	return out
 }
 
 // BuildAll materializes every (layer, destination) table eagerly on up to

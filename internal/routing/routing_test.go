@@ -155,8 +155,8 @@ func TestDistMatchesBFS(t *testing.T) {
 	for d := 0; d < g.N(); d += 7 {
 		dist := g.BFS(d)
 		for s := 0; s < g.N(); s++ {
-			if e.Dist(0, s, d) != dist[s] {
-				t.Fatalf("Dist(0,%d,%d)=%d, BFS says %d", s, d, e.Dist(0, s, d), dist[s])
+			if e.PathLen(0, s, d) != int(dist[s]) {
+				t.Fatalf("PathLen(0,%d,%d)=%d, BFS says %d", s, d, e.PathLen(0, s, d), dist[s])
 			}
 		}
 	}

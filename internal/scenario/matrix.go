@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"strconv"
 )
@@ -171,10 +172,17 @@ func (m *Matrix) validate() error {
 	return nil
 }
 
+// MaxCells bounds a matrix's cross product, skipped cells included. A
+// matrix arrives from outside the program (a spec file, a /scenarios body)
+// and three 1 000-value axes in 15 KB of JSON would otherwise have Expand
+// build and validate 10⁹ specs. The largest committed matrix is 480 cells.
+const MaxCells = 1 << 16
+
 // Expand compiles the matrix into concrete, validated cells in the fixed
 // nesting order of axes and reports how many cross-product cells the skip
 // constraints filtered. Expansion is a pure function of the matrix: the
-// same matrix always yields the same cells in the same order.
+// same matrix always yields the same cells in the same order. A cross
+// product of more than MaxCells is an error, found before any cell is built.
 func (m *Matrix) Expand() (cells []Spec, filtered int, err error) {
 	if err := m.validate(); err != nil {
 		return nil, 0, err
@@ -182,8 +190,18 @@ func (m *Matrix) Expand() (cells []Spec, filtered int, err error) {
 	// idx is an odometer over the override lists, last axis fastest. An
 	// axis without overrides has one position: the Base spec's value.
 	idx, n := make([]int, len(axes)), make([]int, len(axes))
+	product, fits := uint64(1), true
 	for k, ax := range axes {
 		n[k] = ax.n(&m.Axes)
+		hi, lo := bits.Mul64(product, uint64(max(n[k], 1)))
+		product, fits = lo, fits && hi == 0
+	}
+	if !fits || product > MaxCells {
+		count := "more than 2^64"
+		if fits {
+			count = strconv.FormatUint(product, 10)
+		}
+		return nil, 0, fmt.Errorf("scenario: matrix %q: cross product of %s cells exceeds the limit of %d", m.Name, count, MaxCells)
 	}
 	for {
 		s := m.Base

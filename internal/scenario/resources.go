@@ -19,12 +19,12 @@ import (
 // FabricKey is the canonical resource key of the cell's fabric: the
 // effective seed plus the fabric-defining axes (topology, layers, rho,
 // construction). Cells with equal fabric keys share one built fabric —
-// inside a run via the once-cache, across requests via the daemon's LRU.
+// inside a run and across a daemon's requests alike, through a Store.
 func (s Spec) FabricKey(runSeed int64) string {
 	return fmt.Sprintf("%d|%s", s.effectiveSeed(runSeed), s.routingKey())
 }
 
-// topologyCacheKey keys the per-run topology once-cache. Like FabricKey
+// topologyCacheKey keys the per-run topology store. Like FabricKey
 // it carries the effective seed: cells overriding Spec.Seed must not
 // share artifacts with cells building the same topology from a different
 // seed.
@@ -50,10 +50,12 @@ func BuildFabricOn(s Spec, t *topo.Topology, runSeed int64, reg *obs.Registry) (
 }
 
 // BuildFabric builds the cell's topology and fabric in one step — the
-// daemon's miss path. Equal (FabricKey, fingerprint) always yields a
-// behaviorally identical fabric.
+// daemon's miss path and cmd/fatpaths. Only the fabric-defining axes of s
+// are read and validated, so a caller with no workload leaves the rest
+// zero. Equal (FabricKey, fingerprint) always yields a behaviorally
+// identical fabric.
 func BuildFabric(s Spec, runSeed int64, reg *obs.Registry) (*topo.Topology, *core.Fabric, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validateFabric(); err != nil {
 		return nil, nil, err
 	}
 	t, err := BuildTopology(s, runSeed)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -77,53 +76,12 @@ func seedFor(runSeed int64, tag string) int64 {
 	return exec.FoldSeed(runSeed, h.Sum64())
 }
 
-// caches dedupes topology and fabric construction across the cells of one
-// run. Entries build once under a per-key once; the routing engine inside a
-// fabric is safe for concurrent simulations, so cells share freely.
-type caches struct {
-	mu   sync.Mutex
-	topo map[string]*topoEntry
-	fab  map[string]*fabEntry
-}
-
-type topoEntry struct {
-	once sync.Once
-	t    *topo.Topology
-	err  error
-}
-
-type fabEntry struct {
-	once sync.Once
-	fab  *core.Fabric
-	err  error
-}
-
-func newCaches() *caches {
-	return &caches{topo: map[string]*topoEntry{}, fab: map[string]*fabEntry{}}
-}
-
-func (c *caches) topology(key string, build func() (*topo.Topology, error)) (*topo.Topology, error) {
-	c.mu.Lock()
-	e, ok := c.topo[key]
-	if !ok {
-		e = &topoEntry{}
-		c.topo[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.t, e.err = build() })
-	return e.t, e.err
-}
-
-func (c *caches) fabric(key string, build func() (*core.Fabric, error)) (*core.Fabric, error) {
-	c.mu.Lock()
-	e, ok := c.fab[key]
-	if !ok {
-		e = &fabEntry{}
-		c.fab[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.fab, e.err = build() })
-	return e.fab, e.err
+// resources dedupes topology and fabric construction across the cells of
+// one run. The routing engine inside a fabric is safe for concurrent
+// simulations, so cells share freely.
+type resources struct {
+	topos *Store[*topo.Topology]
+	fabs  *Store[*core.Fabric]
 }
 
 // SimConfig maps the spec's transport and routing names onto a netsim
@@ -176,7 +134,7 @@ func coreConfig(s Spec, t *topo.Topology, layerSeed int64) core.Config {
 // runCell executes one cell: build (or fetch) the fabric, compile and
 // validate the pattern, then simulate Replicas times and aggregate. traced
 // marks the one cell that is offered the run's tracer.
-func runCell(s Spec, cc *caches, o RunOptions, traced bool) (CellResult, error) {
+func runCell(s Spec, rs resources, o RunOptions, traced bool) (CellResult, error) {
 	runSeed := s.effectiveSeed(o.Seed)
 	if err := s.Validate(); err != nil {
 		return CellResult{}, err
@@ -187,13 +145,13 @@ func runCell(s Spec, cc *caches, o RunOptions, traced bool) (CellResult, error) 
 	// different seed. The builders are the exported resource constructors
 	// (resources.go) the fabric daemon shares, so a resident daemon fabric
 	// and a sweep fabric with equal keys are behaviorally identical.
-	t, err := cc.topology(s.topologyCacheKey(o.Seed), func() (*topo.Topology, error) {
+	t, err := rs.topos.Get(s.topologyCacheKey(o.Seed), func() (*topo.Topology, error) {
 		return BuildTopology(s, o.Seed)
 	})
 	if err != nil {
 		return CellResult{}, err
 	}
-	fab, err := cc.fabric(s.FabricKey(o.Seed), func() (*core.Fabric, error) {
+	fab, err := rs.fabs.Get(s.FabricKey(o.Seed), func() (*core.Fabric, error) {
 		return BuildFabricOn(s, t, o.Seed, o.Obs)
 	})
 	if err != nil {
@@ -279,7 +237,7 @@ func AxisValueMust(s Spec, axis string) string {
 // later resume can skip them. A cache write failure downgrades the run to
 // uncached (with a stderr warning) rather than aborting it; a journal
 // write failure aborts — the caller asked for durability.
-func acquireCell(s Spec, i int, cc *caches, o RunOptions, cache *Cache, sm *obs.ScenarioMetrics) (CellResult, string, error) {
+func acquireCell(s Spec, i int, rs resources, o RunOptions, cache *Cache, sm *obs.ScenarioMetrics) (CellResult, string, error) {
 	if r, ok := o.Resume[s.CacheIdentity(o.Seed)]; ok {
 		if sm != nil {
 			sm.CellsResumed.Inc()
@@ -297,7 +255,7 @@ func acquireCell(s Spec, i int, cc *caches, o RunOptions, cache *Cache, sm *obs.
 		}
 		return r, "cache", nil
 	}
-	r, err := runCell(s, cc, o, i == 0)
+	r, err := runCell(s, rs, o, i == 0)
 	if err != nil {
 		return CellResult{}, "", err
 	}
@@ -333,11 +291,11 @@ func RunSpecs(cells []Spec, o RunOptions) ([]CellResult, error) {
 		}
 	}
 	sm := obs.NewScenarioMetrics(o.Obs)
-	cc := newCaches()
+	rs := resources{NewStore[*topo.Topology](0), NewStore[*core.Fabric](0)}
 	return exec.Cells(o.Run, len(cells),
 		func(i int) string { return cells[i].Key() },
 		func(i int) (CellResult, string, error) {
-			return acquireCell(cells[i], i, cc, o, cache, sm)
+			return acquireCell(cells[i], i, rs, o, cache, sm)
 		})
 }
 

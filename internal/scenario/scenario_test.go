@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -294,4 +295,92 @@ func TestWorkloadKeySharing(t *testing.T) {
 	if d.workloadKey() == base.workloadKey() {
 		t.Fatal("pattern must change the workload key")
 	}
+}
+
+// capMatrix is a loads × failFracs matrix of rows × cols cells: the two
+// cheapest axes to list 2⁸ distinct values on.
+func capMatrix(rows, cols int) *Matrix {
+	m := &Matrix{
+		Name: "cap",
+		Base: Spec{Topology: Topology{Kind: "SF", Param: 5}, Pattern: Pattern{Kind: "uniform"}},
+	}
+	for i := 0; i < rows; i++ {
+		m.Axes.Loads = append(m.Axes.Loads, float64(i))
+	}
+	for i := 0; i < cols; i++ {
+		m.Axes.FailFracs = append(m.Axes.FailFracs, float64(i)/float64(cols))
+	}
+	return m
+}
+
+// TestExpandBoundsCrossProduct: a matrix is outside input, so Expand counts
+// the cross product before it builds one cell. Exactly MaxCells expands;
+// one cell more, or a product past 2⁶⁴, is the named error.
+func TestExpandBoundsCrossProduct(t *testing.T) {
+	cells, _, err := capMatrix(256, 256).Expand()
+	if err != nil || len(cells) != MaxCells {
+		t.Fatalf("a matrix of exactly MaxCells cells: %d cells, err %v", len(cells), err)
+	}
+	_, _, err = capMatrix(257, 255).Expand() // 65 535: under by one, still fine
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := capMatrix(MaxCells+1, 1)
+	if _, _, err = over.Expand(); err == nil ||
+		!strings.Contains(err.Error(), `matrix "cap"`) || !strings.Contains(err.Error(), "65537 cells") {
+		t.Fatalf("MaxCells+1 cells: err %v, want the matrix and the count named", err)
+	}
+	// Skip constraints do not buy room: the bound is on what the odometer
+	// would visit, not on what survives it.
+	over.Skip = []Constraint{{When: map[string]string{"load": "0"}}}
+	if _, _, err = over.Expand(); err == nil {
+		t.Fatal("a skip constraint must not lift the bound")
+	}
+	// Seven 1 000-value axes multiply past 2⁶⁴; the count must not wrap
+	// back under the limit.
+	huge := capMatrix(1000, 1000)
+	for i := 0; i < 1000; i++ {
+		huge.Axes.Rhos = append(huge.Axes.Rhos, float64(i)/1000)
+		huge.Axes.Layers = append(huge.Axes.Layers, i)
+		huge.Axes.Routings = append(huge.Axes.Routings, fmt.Sprint(i))
+		huge.Axes.Transports = append(huge.Axes.Transports, fmt.Sprint(i))
+		huge.Axes.Constructions = append(huge.Axes.Constructions, fmt.Sprint(i))
+	}
+	if _, _, err = huge.Expand(); err == nil || !strings.Contains(err.Error(), "more than 2^64") {
+		t.Fatalf("10^21 cells: err %v", err)
+	}
+}
+
+// FuzzMatrixExpand: a matrix is bytes from a spec file or a /scenarios
+// body. Through the strict decoding both front ends apply (unknown fields
+// rejected) and then Expand, any bytes give an error or at most MaxCells
+// cells, each of which validates and has a key and a cache identity; never
+// a panic, never an unbounded expansion. The committed corpus
+// (testdata/fuzz/FuzzMatrixExpand) holds the examples/scenarios/ files plus
+// a duplicate axis value, an unknown constraint axis and an over-cap
+// matrix.
+func FuzzMatrixExpand(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var m Matrix
+		if err := dec.Decode(&m); err != nil {
+			return
+		}
+		cells, filtered, err := m.Expand()
+		if err != nil {
+			return
+		}
+		if len(cells)+filtered > MaxCells {
+			t.Fatalf("expanded %d cells + %d skipped, over the limit of %d", len(cells), filtered, MaxCells)
+		}
+		for i, c := range cells {
+			if err := c.Validate(); err != nil {
+				t.Fatalf("cell %d does not validate: %v", i, err)
+			}
+			if c.Key() == "" || c.CacheIdentity(42) == "" {
+				t.Fatalf("cell %d has an empty key or cache identity", i)
+			}
+		}
+	})
 }

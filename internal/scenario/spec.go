@@ -372,9 +372,27 @@ func (s Spec) horizonMs() float64 {
 	return s.HorizonMs
 }
 
+// validateFabric checks the fabric-defining axes alone — topology, layers,
+// rho, construction: all that BuildFabric reads of a spec.
+func (s Spec) validateFabric() error {
+	if err := s.Topology.validate(); err != nil {
+		return err
+	}
+	if _, ok := constructions[s.Construction]; !ok {
+		return fmt.Errorf("scenario: unknown construction %q", s.Construction)
+	}
+	if s.Layers < 0 {
+		return fmt.Errorf("scenario: negative layer count %d", s.Layers)
+	}
+	if s.Rho < 0 || s.Rho > 1 {
+		return fmt.Errorf("scenario: rho %g outside [0,1]", s.Rho)
+	}
+	return nil
+}
+
 // Validate checks every enum and range of the spec.
 func (s Spec) Validate() error {
-	if err := s.Topology.validate(); err != nil {
+	if err := s.validateFabric(); err != nil {
 		return err
 	}
 	if err := s.Pattern.validate(); err != nil {
@@ -383,20 +401,11 @@ func (s Spec) Validate() error {
 	if err := s.FlowSize.validate(); err != nil {
 		return err
 	}
-	if _, ok := constructions[s.Construction]; !ok {
-		return fmt.Errorf("scenario: unknown construction %q", s.Construction)
-	}
 	if !contains(transports, s.Transport) {
 		return fmt.Errorf("scenario: unknown transport %q", s.Transport)
 	}
 	if !contains(routings, s.Routing) {
 		return fmt.Errorf("scenario: unknown routing %q", s.Routing)
-	}
-	if s.Layers < 0 {
-		return fmt.Errorf("scenario: negative layer count %d", s.Layers)
-	}
-	if s.Rho < 0 || s.Rho > 1 {
-		return fmt.Errorf("scenario: rho %g outside [0,1]", s.Rho)
 	}
 	if s.Load < 0 {
 		return fmt.Errorf("scenario: negative load %g", s.Load)

@@ -1,0 +1,82 @@
+package serve
+
+import (
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/scenario"
+	"repro/internal/topo"
+)
+
+// FabricCache keeps fabrics resident in a scenario.Store bounded to the
+// daemon's capacity and keyed by the scenario engine's canonical fabric
+// resource key (Spec.FabricKey: the effective seed plus the fabric-defining
+// axes). What the store does not know is here: the eager table build that
+// completes an admission, and the fatpathsd.fabric_cache_* ledger. Evicting
+// under concurrent queries is safe: requests in flight hold the evicted
+// fabric through their own pointers, and its routing engine is immutable
+// once published.
+type FabricCache struct {
+	store *scenario.Store[*resident]
+	reg   *obs.Registry // instruments built fabrics (routing-core metrics)
+	met   *obs.ServeMetrics
+
+	// mu orders the ledger updates of concurrent admissions, so the resident
+	// gauge ends at the store's latest census, not at a stale one.
+	mu        sync.Mutex
+	evictions int64 // of the store's, how many met.FabricEvictions has counted
+}
+
+// resident is a fabric in the store. Admission is two steps so that a full
+// cache never holds one fabric's tables more than its capacity: the store
+// builds topology and layers (small, and where every failure happens) and
+// makes room, and only then does tables materialize the tables, the bulk
+// of a fabric's memory.
+type resident struct {
+	fab    *core.Fabric
+	tables sync.Once
+}
+
+// NewFabricCache returns a cache holding at most capacity fabrics (0 means
+// unbounded, as for the store).
+func NewFabricCache(capacity int, reg *obs.Registry, met *obs.ServeMetrics) *FabricCache {
+	return &FabricCache{store: scenario.NewStore[*resident](capacity), reg: reg, met: met}
+}
+
+// Len returns the resident fabric count.
+func (c *FabricCache) Len() int { return c.store.Len() }
+
+// Get returns the resident fabric for the cell's fabric key, building and
+// admitting it on a miss. A request that finds the key being built by
+// another waits for that build and counts as a hit.
+func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core.Fabric, error) {
+	built := false
+	r, err := c.store.Get(s.FabricKey(runSeed), func() (*resident, error) {
+		built = true
+		_, fab, err := scenario.BuildFabric(s, runSeed, c.reg)
+		return &resident{fab: fab}, err
+	})
+	if c.met != nil {
+		if built {
+			c.met.FabricMisses.Inc()
+			c.mu.Lock()
+			ev := c.store.Evictions()
+			c.met.FabricEvictions.Add(ev - c.evictions)
+			c.evictions = ev
+			c.met.FabricsResident.Set(int64(c.store.Len()))
+			c.mu.Unlock()
+		} else {
+			c.met.FabricHits.Inc()
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// Admission materializes every (layer, destination) table on all cores,
+	// and every request waits for it: the daemon's "expensive to build,
+	// cheap to query" shape, and what makes /whatif shared/invalidated
+	// counts independent of which destinations earlier queries touched.
+	r.tables.Do(func() { r.fab.Fwd.BuildAll(0) })
+	return r.fab.Topo, r.fab, nil
+}

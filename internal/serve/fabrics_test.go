@@ -14,7 +14,6 @@ func lruSpec(layers int) scenario.Spec {
 		Topology: scenario.Topology{Kind: "SF", Param: 5},
 		Layers:   layers,
 		Rho:      0.7,
-		Pattern:  scenario.Pattern{Kind: "uniform"},
 	}
 }
 

@@ -29,7 +29,6 @@ func testSpec() scenario.Spec {
 		Topology: scenario.Topology{Kind: "SF", Param: 5},
 		Layers:   2,
 		Rho:      0.7,
-		Pattern:  scenario.Pattern{Kind: "uniform"},
 	}
 }
 
@@ -75,7 +74,7 @@ func TestServedAnswersMatchOfflineEngine(t *testing.T) {
 	for _, q := range []struct{ layer, src, dst int }{
 		{0, 0, 1}, {1, 3, 17}, {0, 49, 0}, {1, 7, 7}, {0, 12, nr - 1},
 	} {
-		want := answerHop(fab, fab.Fwd, q.layer, q.src, q.dst)
+		want := answerHop(fab.Fwd, q.layer, q.src, q.dst)
 		wb, _ := json.Marshal(want)
 		wb = append(wb, '\n')
 		code, got := get(t, s, "/nexthop?"+testFabricQ+
@@ -96,12 +95,12 @@ func TestServedAnswersMatchOfflineEngine(t *testing.T) {
 	derived := fab.Fwd.WithoutEdges(edges)
 	want := WhatifAnswer{
 		FailedEdges:       edges,
-		SharedTables:      derived.Engine().Stat().TablesBuilt,
-		InvalidatedTables: fab.Fwd.Engine().Stat().TablesBuilt - derived.Engine().Stat().TablesBuilt,
+		SharedTables:      derived.Stat().TablesBuilt,
+		InvalidatedTables: fab.Fwd.Stat().TablesBuilt - derived.Stat().TablesBuilt,
 	}
 	queries := []QueryTriple{{Layer: 0, Src: 3, Dst: 17}, {Layer: 1, Src: 44, Dst: 2}}
 	for _, q := range queries {
-		want.Answers = append(want.Answers, answerHop(fab, derived, q.Layer, q.Src, q.Dst))
+		want.Answers = append(want.Answers, answerHop(derived, q.Layer, q.Src, q.Dst))
 	}
 	wb, _ := json.Marshal(want)
 	wb = append(wb, '\n')
@@ -116,9 +115,9 @@ func TestServedAnswersMatchOfflineEngine(t *testing.T) {
 	if !bytes.Equal(got, wb) {
 		t.Fatalf("whatif diverged from offline engine:\n  daemon  %s  offline %s", got, wb)
 	}
-	if want.SharedTables+want.InvalidatedTables != fab.Fwd.Engine().Stat().TablesBuilt {
+	if want.SharedTables+want.InvalidatedTables != fab.Fwd.Stat().TablesBuilt {
 		t.Fatalf("shared %d + invalidated %d != parent built %d",
-			want.SharedTables, want.InvalidatedTables, fab.Fwd.Engine().Stat().TablesBuilt)
+			want.SharedTables, want.InvalidatedTables, fab.Fwd.Stat().TablesBuilt)
 	}
 }
 
@@ -181,6 +180,19 @@ func TestPathsEndpoint(t *testing.T) {
 // unknown-field bodies. Every rejection is {"error": ...}.
 func TestRequestValidation(t *testing.T) {
 	s := testServer(t, Config{MaxFabrics: 1})
+	// 257 loads x 256 failFracs: 256 cells over scenario.MaxCells, in 3 KB.
+	var overCap scenario.Matrix
+	overCap.Name = "over-cap"
+	overCap.Base = scenario.Spec{Topology: scenario.Topology{Kind: "SF", Param: 5}, Pattern: scenario.Pattern{Kind: "uniform"}}
+	for i := 0; i < 257; i++ {
+		overCap.Axes.Loads = append(overCap.Axes.Loads, float64(i))
+		overCap.Axes.FailFracs = append(overCap.Axes.FailFracs, float64(i)/257)
+	}
+	overCap.Axes.FailFracs = overCap.Axes.FailFracs[:256]
+	overCapBody, err := json.Marshal(ScenarioRequest{Matrix: overCap})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, method, target, body string
 		want                       string // substring the error must carry, if any
@@ -201,6 +213,7 @@ func TestRequestValidation(t *testing.T) {
 		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`, ""},
 		{"whatif query range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"queries":[{"layer":0,"src":0,"dst":400}]}`, ""},
 		{"scenarios bad matrix", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF"},"pattern":{"kind":"uniform"}},"axes":{"rhos":[0.5,0.5]}}}`, ""},
+		{"scenarios over-cap matrix", "POST", "/scenarios", string(overCapBody), `"over-cap": cross product of 65792 cells`},
 	}
 	for _, c := range cases {
 		code, body := do(t, s, c.method, c.target, c.body)

@@ -1,7 +1,7 @@
 // Package serve is the fabric-as-a-service layer behind cmd/fatpathsd: a
 // long-running HTTP/JSON daemon that keeps FatPaths fabrics resident in
-// an LRU-bounded cache keyed by the scenario engine's canonical fabric
-// resource keys, and serves concurrent clients.
+// an LRU-bounded scenario.Store keyed by the scenario engine's canonical
+// fabric resource keys, and serves concurrent clients.
 //
 // Endpoints:
 //
@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/routing"
 	"repro/internal/scenario"
 )
 
@@ -71,16 +72,13 @@ type Server struct {
 // scenario simulation (netsim.*).
 func New(cfg Config, reg *obs.Registry) *Server {
 	met := obs.NewServeMetrics(reg)
-	runs := cfg.MaxScenarioRuns
-	if runs < 1 {
-		runs = 1
-	}
+	cfg.MaxFabrics = max(cfg.MaxFabrics, 1)
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
 		met:     met,
 		fabrics: NewFabricCache(cfg.MaxFabrics, reg, met),
-		sem:     make(chan struct{}, runs),
+		sem:     make(chan struct{}, max(cfg.MaxScenarioRuns, 1)),
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /nexthop", s.instrument(s.handleNexthop))
@@ -145,9 +143,7 @@ type FabricSelector struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// spec converts the selector into the fabric-defining scenario Spec. The
-// pattern placeholder satisfies Spec.Validate; it is outside the fabric
-// key and never built by the daemon's fabric path.
+// spec converts the selector into the fabric-defining scenario Spec.
 func (fs FabricSelector) spec() (scenario.Spec, int64) {
 	seed := fs.Seed
 	if seed == 0 {
@@ -158,7 +154,6 @@ func (fs FabricSelector) spec() (scenario.Spec, int64) {
 		Layers:       fs.Layers,
 		Rho:          fs.Rho,
 		Construction: fs.Construction,
-		Pattern:      scenario.Pattern{Kind: "uniform"},
 	}, seed
 }
 
@@ -255,19 +250,15 @@ type HopAnswer struct {
 	Candidates []int32 `json:"candidates"`
 }
 
-// answerHop reads one (layer, src, dst) answer off a forwarding view.
-func answerHop(fab *core.Fabric, fwd interface {
-	Next(l, s, d int) int32
-	Candidates(l, s, d int) []int32
-	PathLen(l, s, d int) int
-}, layer, src, dst int) HopAnswer {
-	a := HopAnswer{
+// answerHop reads one (layer, src, dst) answer off an engine: a resident
+// fabric's, or a /whatif view derived from it.
+func answerHop(fwd *routing.Engine, layer, src, dst int) HopAnswer {
+	return HopAnswer{
 		Layer: layer, Src: src, Dst: dst,
-		Next: fwd.Next(layer, src, dst),
-		Dist: int32(fwd.PathLen(layer, src, dst)),
+		Next:       fwd.Next(layer, src, dst),
+		Dist:       int32(fwd.PathLen(layer, src, dst)),
+		Candidates: append([]int32{}, fwd.Candidates(layer, src, dst)...),
 	}
-	a.Candidates = append([]int32{}, fwd.Candidates(layer, src, dst)...)
-	return a
 }
 
 // validateTriple bounds-checks one (layer, src, dst) query.
@@ -314,7 +305,7 @@ func (s *Server) handleNexthop(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, answerHop(fab, fab.Fwd, layer, src, dst))
+	writeJSON(w, http.StatusOK, answerHop(fab.Fwd, layer, src, dst))
 }
 
 // LayerPath is one layer's representative route in a /paths answer.
@@ -450,7 +441,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	if s.met != nil {
 		s.met.WhatifViews.Inc()
 	}
-	shared, invalidated := derived.Engine().Repair()
+	shared, invalidated := derived.Repair()
 	ans := WhatifAnswer{
 		FailedEdges:       append([]int{}, req.FailedEdges...),
 		SharedTables:      shared,
@@ -458,7 +449,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		Answers:           make([]HopAnswer, 0, len(req.Queries)),
 	}
 	for _, qt := range req.Queries {
-		ans.Answers = append(ans.Answers, answerHop(fab, derived, qt.Layer, qt.Src, qt.Dst))
+		ans.Answers = append(ans.Answers, answerHop(derived, qt.Layer, qt.Src, qt.Dst))
 	}
 	writeJSON(w, http.StatusOK, ans)
 }
@@ -553,7 +544,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthAnswer{
 		Status:      "ok",
 		Fabrics:     s.fabrics.Len(),
-		MaxFabrics:  s.fabrics.cap,
+		MaxFabrics:  s.cfg.MaxFabrics,
 		Fingerprint: scenario.EngineFingerprint,
 	})
 }
