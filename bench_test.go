@@ -133,8 +133,8 @@ func BenchmarkLayerConstructionSPAIN(b *testing.B) {
 }
 
 // benchBuildAll times eager construction of ls's tables, serially and on
-// all cores, and reports the routing core's ledger line — µs/table and
-// allocs/table — beside ns/op.
+// all cores, and reports the routing core's ledger line — µs/table,
+// allocs/table and the bytes a built table holds — beside ns/op.
 func benchBuildAll(b *testing.B, ls *layers.LayerSet) {
 	tables := float64(ls.N() * ls.Base.N())
 	for _, bc := range []struct {
@@ -145,20 +145,23 @@ func benchBuildAll(b *testing.B, ls *layers.LayerSet) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			var e *routing.Engine
 			for i := 0; i < b.N; i++ {
-				routing.NewEngine(ls.Base, ls.Masks(), 1).BuildAll(bc.workers)
+				e = routing.NewEngine(ls.Base, ls.Masks(), 1)
+				e.BuildAll(bc.workers)
 			}
 			runtime.ReadMemStats(&after)
 			built := tables * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/built, "µs/table")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/built, "allocs/table")
+			b.ReportMetric(float64(e.Stat().Bytes)/tables, "B/table")
 		})
 	}
 }
 
-// BenchmarkRoutingBuild measures eager construction of the CSR multi-
-// next-hop tables (internal/routing) for a 9-layer Slim Fly — the
-// table-build path every fabric pays once.
+// BenchmarkRoutingBuild measures eager construction of the multi-next-hop
+// tables (internal/routing) for a 9-layer Slim Fly — the table-build path
+// every fabric pays once.
 func BenchmarkRoutingBuild(b *testing.B) {
 	sf, err := topo.SlimFly(11, 0)
 	if err != nil {
@@ -213,11 +216,13 @@ func BenchmarkForwardingHotPath(b *testing.B) {
 	b.Run("candidates", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink int
+		var buf []int32
 		for i := 0; i < b.N; i++ {
 			l := i % nl
 			s := (i * 31) % nr
 			d := (i*17 + 1) % nr
-			sink += len(f.Candidates(l, s, d))
+			buf = f.AppendCandidates(buf[:0], l, s, d)
+			sink += len(buf)
 		}
 		benchSink = sink
 	})

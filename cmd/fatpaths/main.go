@@ -72,8 +72,8 @@ func main() {
 	fmt.Printf("forwarding state/router: %d prefix entries (flat would need %d, %.1fx more)\n",
 		sz.PrefixEntries, sz.FlatEntries, sz.Compression)
 	dep := layers.SizeDeployedFor(fab.Fwd)
-	fmt.Printf("routing tables materialized: %d/%d (layer,dst) tables, %d CSR candidate entries (dense builder: %d)\n",
-		dep.TablesBuilt, dep.TablesTotal, dep.CandEntries, dep.DenseEntries)
+	fmt.Printf("routing tables materialized: %d/%d (layer,dst) tables, %d candidate entries in %d bytes (dense builder: %d entries)\n",
+		dep.TablesBuilt, dep.TablesTotal, dep.CandEntries, dep.Bytes, dep.DenseEntries)
 
 	if *deadlock {
 		fmt.Println("\nchannel-dependency analysis (lossless deployments, §VIII-A6):")

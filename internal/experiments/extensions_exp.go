@@ -159,7 +159,7 @@ func runExtTables(o Options) (*stats.Table, error) {
 		}
 		for _, d := range c.Rng.Perm(t.Nr())[:dsts] {
 			for l := 0; l < fab.Fwd.NumLayers(); l++ {
-				fab.Fwd.Candidates(l, 0, d)
+				fab.Fwd.Hops(l, 0, d)
 			}
 		}
 		dep := layers.SizeDeployedFor(fab.Fwd)

@@ -49,6 +49,7 @@ func AnalyzeDeadlock(f *routing.Engine, ls *LayerSet, layer int) DeadlockReport 
 	used := make(map[int]bool)
 	deps := make(map[int64]bool) // c1*2M + c2
 	m2 := int64(2 * g.M())
+	var hops, onward []int32
 	for dst := 0; dst < nr; dst++ {
 		// Walk the minimal-path DAG toward dst: every candidate edge is a
 		// used channel, and each consecutive candidate pair (u -> v -> w)
@@ -57,10 +58,12 @@ func AnalyzeDeadlock(f *routing.Engine, ls *LayerSet, layer int) DeadlockReport 
 			if src == dst {
 				continue
 			}
-			for _, v := range f.Candidates(layer, src, dst) {
+			hops = f.AppendCandidates(hops[:0], layer, src, dst)
+			for _, v := range hops {
 				c1 := chanOf(src, int(v))
 				used[c1] = true
-				for _, w := range f.Candidates(layer, int(v), dst) {
+				onward = f.AppendCandidates(onward[:0], layer, int(v), dst)
+				for _, w := range onward {
 					c2 := chanOf(int(v), int(w))
 					deps[int64(c1)*m2+int64(c2)] = true
 				}

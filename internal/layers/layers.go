@@ -171,6 +171,7 @@ func Summarize(ls *LayerSet, f *routing.Engine, samples int, rng *rand.Rand) Sta
 		countMemo[key] = c
 		return c
 	}
+	var cands []int32
 	for i := 0; i < samples; i++ {
 		s, t := graph.SampleDistinctPair(rng, ls.Base.N())
 		type route struct {
@@ -183,7 +184,8 @@ func Summarize(ls *LayerSet, f *routing.Engine, samples int, rng *rand.Rand) Sta
 			if pl < 0 {
 				continue
 			}
-			for _, nh := range f.Candidates(l, s, t) {
+			cands = f.AppendCandidates(cands[:0], l, s, t)
+			for _, nh := range cands {
 				distinct[route{nh, pl}] = true
 			}
 			totalRoutes += float64(routeCounts(l, t)[s])

@@ -57,7 +57,7 @@ func SizeTablesFor(t *topo.Topology, ls *LayerSet) TableSizing {
 }
 
 // DeployedSizing reports the routing state an engine has actually
-// materialized: the CSR-packed multi-next-hop tables of internal/routing,
+// materialized: the multi-next-hop tables of internal/routing,
 // measured against the dense single-next-hop array they replaced
 // (n · Nr² entries with ECMP ties discarded). Tables build lazily per
 // destination, so TablesBuilt < TablesTotal whenever a workload routed to

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -257,6 +258,10 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 			hi++
 		}
 		n.outOff[r+1] = hi
+		// forward indexes outLink by the routing tables' neighbour positions.
+		if !slices.Equal(n.outNbr[lo:hi], fwd.Neighbors(r)) {
+			panic(fmt.Sprintf("netsim: router %d: link order %v is not the routing engine's neighbour order %v", r, n.outNbr[lo:hi], fwd.Neighbors(r)))
+		}
 	}
 	for h := 0; h < t.N(); h++ {
 		r := int32(t.RouterOf(h))
@@ -268,7 +273,8 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 }
 
 // routerLink returns the link from router r to its neighbour to, or nil
-// when the two are not adjacent.
+// when the two are not adjacent. Link failures look links up by endpoint;
+// forward does not come here, it holds a position.
 func (n *Network) routerLink(r int, to int32) *link {
 	lo, hi := n.outOff[r], n.outOff[r+1]
 	for lo < hi {
@@ -337,24 +343,28 @@ func (n *Network) forward(e *Engine, r int, p *Packet) {
 	if layer < 0 {
 		layer = 0
 	}
-	cands := n.fwd.Candidates(layer, r, dstRouter)
-	if len(cands) == 0 && layer != 0 {
+	hops := n.fwd.Hops(layer, r, dstRouter)
+	count := hops.Len()
+	if count == 0 && layer != 0 {
 		// Routing hole in a sparse layer: fall back to the full layer.
 		layer = 0
-		cands = n.fwd.Candidates(0, r, dstRouter)
+		hops = n.fwd.Hops(0, r, dstRouter)
+		count = hops.Len()
 	}
-	if len(cands) == 0 {
+	if count == 0 {
 		panic(fmt.Sprintf("netsim: no route from router %d to router %d", r, dstRouter))
 	}
-	var next int32
+	var pos int
 	if n.cfg.LB == LBMinimalLayer {
 		// The single-shortest-path baseline must not spread flows over
 		// ties: every pair rides the frozen representative hop.
-		next = n.fwd.Next(layer, r, dstRouter)
+		pos = n.fwd.NextPos(layer, r, dstRouter)
 	} else {
-		next = hashNext(cands, r, p)
+		pos = hashNext(hops, count, r, p)
 	}
-	n.routerLink(r, next).enqueue(e, p)
+	// A candidate's position in r's ascending neighbour list is its slot in
+	// r's outLink segment (buildNetwork checked the two orders agree).
+	n.links[n.outLink[int(n.outOff[r])+pos]].enqueue(e, p)
 }
 
 // TotalDrops sums packet drops over all links.

@@ -1,20 +1,24 @@
 package netsim
 
+import "repro/internal/routing"
+
 // Route lookup lives in internal/routing (routing.Engine):
-// per-(layer, destination) multi-next-hop tables in CSR form, built lazily under striped locks and shared by every
+// per-(layer, destination) multi-next-hop tables of neighbour-position
+// masks, built lazily under striped locks and shared by every
 // simulation of one fabric — including simulations running concurrently
 // on different worker goroutines. This file keeps only the simulator-side
 // selection: hashing a packet onto one of the ECMP candidates.
 
-// hashNext picks one candidate next hop by flow hash (flow-based ECMP with
-// the Fowler–Noll–Vo hash, §VII-A6) at router r. The flowlet salt changes
+// hashNext picks one of the count > 0 candidate next hops by flow hash
+// (flow-based ECMP with the Fowler–Noll–Vo hash, §VII-A6) at router r and
+// returns its position in r's neighbour list. The flowlet salt changes
 // the hash when the sender opens a new flowlet, and the layer is folded in
 // so the same flow maps independently within each layer.
-func hashNext(cands []int32, r int, p *Packet) int32 {
-	if len(cands) == 1 {
-		return cands[0]
+func hashNext(hops routing.Hops, count, r int, p *Packet) int {
+	if count == 1 {
+		return hops.Pos(0)
 	}
-	return cands[flowHash(p.FlowID, p.Salt, r, p.Kind, p.Layer)%uint32(len(cands))]
+	return hops.Pos(int(flowHash(p.FlowID, p.Salt, r, p.Kind, p.Layer) % uint32(count)))
 }
 
 // flowHash is 32-bit FNV-1a over the 14-byte tuple (FlowID, Salt, r as

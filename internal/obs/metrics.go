@@ -43,6 +43,7 @@ const (
 	MetricServeFabricMisses    = "fatpathsd.fabric_cache_misses"
 	MetricServeFabricEvicts    = "fatpathsd.fabric_cache_evictions"
 	MetricServeFabricsResident = "fatpathsd.fabrics_resident"
+	MetricServeTableBytes      = "fatpathsd.table_bytes_resident"
 	MetricServeWhatifViews     = "fatpathsd.whatif_views_derived"
 	MetricServeScenarioRuns    = "fatpathsd.scenario_runs"
 )
@@ -162,11 +163,13 @@ type ServeMetrics struct {
 	Errors    *Counter
 	LatencyMs *Histogram
 	// FabricHits/FabricMisses/FabricEvictions count resident-fabric LRU
-	// lookups; FabricsResident gauges the current cache population.
+	// lookups; FabricsResident gauges the current cache population and
+	// TableBytes the routing-table bytes it holds.
 	FabricHits      *Counter
 	FabricMisses    *Counter
 	FabricEvictions *Counter
 	FabricsResident *Gauge
+	TableBytes      *Gauge
 	// WhatifViews counts copy-on-write WithoutEdges views derived for
 	// /whatif requests; ScenarioRuns counts /scenarios submissions.
 	WhatifViews  *Counter
@@ -187,6 +190,7 @@ func NewServeMetrics(r *Registry) *ServeMetrics {
 		FabricMisses:    r.Counter(MetricServeFabricMisses),
 		FabricEvictions: r.Counter(MetricServeFabricEvicts),
 		FabricsResident: r.Gauge(MetricServeFabricsResident),
+		TableBytes:      r.Gauge(MetricServeTableBytes),
 		WhatifViews:     r.Counter(MetricServeWhatifViews),
 		ScenarioRuns:    r.Counter(MetricServeScenarioRuns),
 	}

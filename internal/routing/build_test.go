@@ -11,12 +11,20 @@ import (
 	"repro/internal/topo"
 )
 
+// refTable is what the oracle produces: the int32 CSR the tables used to be
+// stored as. dist[src] is the hop count (-1 when unreachable) and
+// cand[off[src]:off[src+1]] lists src's candidate next hops.
+type refTable struct{ dist, off, cand []int32 }
+
+func (t *refTable) candidates(src int) []int32 { return t.cand[t.off[src]:t.off[src+1]] }
+
 // referenceTable is the scalar builder buildTable replaced, kept as its
 // oracle: a queue BFS over adjacency lists (graph.BFS / BFSEnabled), then a
 // counting and a filling walk over every Half of every router. It shares
-// no code with the bitset builder. Candidates come out in adjacency order,
-// which is ascending neighbor ID when the graph's adjacency is sorted.
-func referenceTable(g *graph.Graph, mask []bool, dst int) *Table {
+// no code with the bitset builder and knows nothing of masks or positions.
+// Candidates come out in adjacency order, which is ascending neighbor ID
+// when the graph's adjacency is sorted.
+func referenceTable(g *graph.Graph, mask []bool, dst int) *refTable {
 	var dist []int32
 	if mask == nil {
 		dist = g.BFS(dst)
@@ -55,32 +63,45 @@ func referenceTable(g *graph.Graph, mask []bool, dst int) *Table {
 		}
 	}
 	off[nr] = int32(len(cand))
-	return &Table{Dist: dist, Off: off, Cand: cand}
+	return &refTable{dist: dist, off: off, cand: cand}
 }
 
-// diffTables compares two tables slice for slice and names the first
+// diffTable decodes the engine's (layer, dst) table through its readers —
+// PathLen, the candidate masks mapped back to router IDs, the per-table
+// candidate count — compares it with the oracle's and names the first
 // difference ("" when identical).
-func diffTables(got, want *Table) string {
-	for _, f := range []struct {
-		name      string
-		got, want []int32
-	}{{"Dist", got.Dist, want.Dist}, {"Off", got.Off, want.Off}, {"Cand", got.Cand, want.Cand}} {
-		if !slices.Equal(f.got, f.want) {
-			return fmt.Sprintf("%s = %v, want %v", f.name, f.got, f.want)
+func diffTable(e *Engine, layer, dst int, want *refTable) string {
+	var cands []int32
+	for src := 0; src < e.nr; src++ {
+		if got := e.PathLen(layer, src, dst); got != int(want.dist[src]) {
+			return fmt.Sprintf("PathLen(%d) = %d, want %d", src, got, want.dist[src])
 		}
+		cands = e.AppendCandidates(cands[:0], layer, src, dst)
+		if !slices.Equal(cands, want.candidates(src)) {
+			return fmt.Sprintf("candidates(%d) = %v, want %v", src, cands, want.candidates(src))
+		}
+		if h := e.Hops(layer, src, dst); h.Len() != len(cands) {
+			return fmt.Sprintf("Hops(%d).Len() = %d, want %d", src, h.Len(), len(cands))
+		}
+	}
+	if got := e.table(layer, dst).cands; int(got) != len(want.cand) {
+		return fmt.Sprintf("table counts %d candidates, want %d", got, len(want.cand))
 	}
 	return ""
 }
 
 // requireMatchesReference builds every destination's table of (g, mask)
-// with the bitset builder — one scratch reused throughout, as a BuildAll
-// worker does — and compares each against the scalar oracle.
+// with the bitset builder — BuildAll(1): one scratch reused throughout —
+// and compares each against the scalar oracle. The engine indexes g as it
+// arrives; only then is g's adjacency sorted, which is what the oracle needs
+// to produce ascending candidates.
 func requireMatchesReference(t *testing.T, g *graph.Graph, mask []bool) {
 	t.Helper()
-	rows := adjacencyRows(g, mask)
-	var sc buildScratch
+	e := NewEngine(g, [][]bool{mask}, 1)
+	e.BuildAll(1)
+	g.SortAdjacency()
 	for dst := 0; dst < g.N(); dst++ {
-		if d := diffTables(buildTable(rows, g.N(), dst, &sc), referenceTable(g, mask, dst)); d != "" {
+		if d := diffTable(e, 0, dst, referenceTable(g, mask, dst)); d != "" {
 			t.Fatalf("dst %d: %s", dst, d)
 		}
 	}
@@ -108,11 +129,59 @@ func randomMask(m int, rho float64, rng *rand.Rand) []bool {
 	return mask
 }
 
+// formatEdgeCases are the graphs that stress the table format rather than
+// the BFS: masks wider than one unit, an engine neighbour order that is not
+// the insertion order, distance bytes past saturation, a router with no
+// links. Each call builds a fresh graph, adjacency unsorted.
+var formatEdgeCases = []struct {
+	name  string
+	build func() *graph.Graph
+}{
+	{"clique-70", func() *graph.Graph { // degree 70: five mask units
+		g := graph.New(71)
+		for u := 0; u < 71; u++ {
+			for v := u + 1; v < 71; v++ {
+				g.AddEdge(u, v)
+			}
+		}
+		return g
+	}},
+	{"descending-insertion", func() *graph.Graph { // every adjacency list in descending ID
+		rng := graph.NewRand(41)
+		g := graph.New(40)
+		for u := 39; u >= 0; u-- {
+			for v := 39; v > u; v-- {
+				if rng.Float64() < 0.2 {
+					g.AddEdge(v, u)
+				}
+			}
+		}
+		return g
+	}},
+	{"path-300", func() *graph.Graph { // distances to 299, past distCap
+		g := graph.New(300)
+		for v := 1; v < 300; v++ {
+			g.AddEdge(v-1, v)
+		}
+		return g
+	}},
+	{"isolated-router", func() *graph.Graph { // router 4 has no links at all
+		g := graph.New(5)
+		g.AddEdge(2, 0)
+		g.AddEdge(3, 2)
+		g.AddEdge(1, 0)
+		g.AddEdge(3, 1)
+		return g
+	}},
+}
+
 // TestBuildTableMatchesReference is the differential test of the routing
-// core: the bitset builder against the scalar oracle on Dist, Off and Cand,
-// over router counts on both sides of every word boundary, full and
-// sparsified layers, layers cut into components (unreachable sources:
-// Dist -1, no candidates), and every topology family at its smallest size.
+// core: the bitset builder, read back through the engine's accessors,
+// against the scalar oracle on distances and candidate lists, over router
+// counts on both sides of every word boundary, full and sparsified layers,
+// layers cut into components (unreachable sources: PathLen -1, no
+// candidates), every topology family at its smallest size, and the format's
+// edge cases.
 func TestBuildTableMatchesReference(t *testing.T) {
 	rng := graph.NewRand(20)
 	for _, nr := range []int{1, 2, 63, 64, 65, 128, 129, 300} {
@@ -133,9 +202,9 @@ func TestBuildTableMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprintf("random/nr=%d/disconnected", nr), func(t *testing.T) {
 			requireMatchesReference(t, g, cut)
 			if nr >= 2 {
-				tab := buildTable(adjacencyRows(g, cut), nr, 0, new(buildScratch))
-				if tab.Dist[nr-1] != -1 || len(tab.Candidates(nr-1)) != 0 {
-					t.Fatalf("isolated router: Dist %d, candidates %v", tab.Dist[nr-1], tab.Candidates(nr-1))
+				e := NewEngine(g, [][]bool{cut}, 1)
+				if e.PathLen(0, nr-1, 0) != -1 || e.Hops(0, nr-1, 0).Len() != 0 {
+					t.Fatalf("isolated router: PathLen %d, candidates %v", e.PathLen(0, nr-1, 0), e.Candidates(0, nr-1, 0))
 				}
 			}
 		})
@@ -148,6 +217,12 @@ func TestBuildTableMatchesReference(t *testing.T) {
 		t.Run(kind+"/full", func(t *testing.T) { requireMatchesReference(t, tp.G, nil) })
 		mask := randomMask(tp.G.M(), 0.6, rng)
 		t.Run(kind+"/rho=0.6", func(t *testing.T) { requireMatchesReference(t, tp.G, mask) })
+	}
+	for _, c := range formatEdgeCases {
+		t.Run(c.name+"/full", func(t *testing.T) { requireMatchesReference(t, c.build(), nil) })
+		g := c.build()
+		mask := randomMask(g.M(), 0.6, rng)
+		t.Run(c.name+"/rho=0.6", func(t *testing.T) { requireMatchesReference(t, g, mask) })
 	}
 }
 
@@ -162,29 +237,43 @@ func TestCandidatesAscendingWhateverInsertionOrder(t *testing.T) {
 		g.AddEdge(5, v)
 		g.AddEdge(v, 0)
 	}
-	tab := NewEngine(g, [][]bool{nil}, 1).Table(0, 0)
-	if got, want := tab.Candidates(5), []int32{1, 2, 3, 4}; !slices.Equal(got, want) {
+	e := NewEngine(g, [][]bool{nil}, 1)
+	if got, want := e.Candidates(0, 5, 0), []int32{1, 2, 3, 4}; !slices.Equal(got, want) {
 		t.Fatalf("candidates of 5 toward 0 = %v, want %v", got, want)
 	}
-	if ref := referenceTable(g, nil, 0).Candidates(5); !slices.Equal(ref, []int32{4, 3, 2, 1}) {
+	if ref := referenceTable(g, nil, 0).candidates(5); !slices.Equal(ref, []int32{4, 3, 2, 1}) {
 		t.Fatalf("oracle on unsorted adjacency = %v; the test no longer distinguishes the two orders", ref)
 	}
 	g.SortAdjacency()
-	if d := diffTables(tab, referenceTable(g, nil, 0)); d != "" {
+	if d := diffTable(e, 0, 0, referenceTable(g, nil, 0)); d != "" {
 		t.Fatalf("after SortAdjacency the oracle must agree: %s", d)
 	}
 }
 
-// fuzzCase decodes arbitrary bytes into a graph with sorted adjacency, a
-// layer mask (nil when the first byte is even) and a destination.
+// fuzzCase decodes arbitrary bytes into a graph (adjacency in insertion
+// order), a layer mask (nil when bit 0 of the first byte is clear) and a
+// destination. Bit 1 of the first byte asks for 256 more routers, chained
+// into a path 0–1–…–nr-1 first and enabled in the mask: edge endpoints are
+// single bytes, so nothing else reaches past router 255.
 func fuzzCase(data []byte) (g *graph.Graph, mask []bool, dst int) {
 	if len(data) < 3 {
 		return nil, nil, 0
 	}
 	useMask := data[0]&1 == 1
 	nr := int(data[1])%130 + 1
+	if data[0]&2 != 0 {
+		nr += 256
+	}
 	dst = int(data[2]) % nr
 	g = graph.New(nr)
+	if data[0]&2 != 0 {
+		for v := 1; v < nr; v++ {
+			g.AddEdge(v-1, v)
+			if useMask {
+				mask = append(mask, true)
+			}
+		}
+	}
 	for rest := data[3:]; len(rest) >= 3; rest = rest[3:] {
 		if g.TryAddEdge(int(rest[0])%nr, int(rest[1])%nr) && useMask {
 			mask = append(mask, rest[2]&3 != 0)
@@ -193,7 +282,6 @@ func fuzzCase(data []byte) (g *graph.Graph, mask []bool, dst int) {
 	if useMask && mask == nil {
 		mask = []bool{}
 	}
-	g.SortAdjacency()
 	return g, mask, dst
 }
 
@@ -205,8 +293,9 @@ func FuzzBuildTable(f *testing.F) {
 		if g == nil {
 			return
 		}
-		got := buildTable(adjacencyRows(g, mask), g.N(), dst, new(buildScratch))
-		if d := diffTables(got, referenceTable(g, mask, dst)); d != "" {
+		e := NewEngine(g, [][]bool{mask}, 1)
+		g.SortAdjacency() // for the oracle; the engine has its own neighbour order by now
+		if d := diffTable(e, 0, dst, referenceTable(g, mask, dst)); d != "" {
 			t.Fatalf("nr=%d m=%d dst=%d masked=%v: %s", g.N(), g.M(), dst, mask != nil, d)
 		}
 	})
@@ -235,9 +324,9 @@ func TestConcurrentIndexFirstTouch(t *testing.T) {
 				<-start
 				for l := 0; l < e.NumLayers(); l++ {
 					for d := w; d < e.nr; d += workers {
-						e.Table(l, d)
+						e.table(l, d)
 					}
-					seen[w] = append(seen[w], &e.layerRows(l)[0])
+					seen[w] = append(seen[w], &e.adj[l].get()[0])
 				}
 			}(w)
 		}
@@ -250,7 +339,7 @@ func TestConcurrentIndexFirstTouch(t *testing.T) {
 		}
 		for l := 0; l < e.NumLayers(); l++ {
 			for d := 0; d < e.nr; d++ {
-				if diff := diffTables(e.Table(l, d), referenceTable(sf.G, masks[l], d)); diff != "" {
+				if diff := diffTable(e, l, d, referenceTable(sf.G, masks[l], d)); diff != "" {
 					t.Fatalf("round %d table (%d,%d): %s", round, l, d, diff)
 				}
 			}
@@ -282,18 +371,18 @@ func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
 	}
 	// The derived view fills the shared holder first; the parent then reads
 	// the same rows.
-	derived.Table(2, 3)
-	if &parent.layerRows(2)[0] != &derived.layerRows(2)[0] {
+	derived.table(2, 3)
+	if &parent.adj[2].get()[0] != &derived.adj[2].get()[0] {
 		t.Fatal("shared holder filled twice")
 	}
 	derived.BuildAll(2)
 	parent.BuildAll(2)
 	for l, mask := range parent.masks {
 		for d := 0; d < g.N(); d++ {
-			if diff := diffTables(parent.Table(l, d), referenceTable(g, mask, d)); diff != "" {
+			if diff := diffTable(parent, l, d, referenceTable(g, mask, d)); diff != "" {
 				t.Fatalf("parent table (%d,%d) after derivation: %s", l, d, diff)
 			}
-			if diff := diffTables(derived.Table(l, d), referenceTable(g, derived.masks[l], d)); diff != "" {
+			if diff := diffTable(derived, l, d, referenceTable(g, derived.masks[l], d)); diff != "" {
 				t.Fatalf("derived table (%d,%d): %s", l, d, diff)
 			}
 		}

@@ -1,13 +1,14 @@
 // Package routing is the single source of path truth for the repository:
-// per-(layer, destination) multi-next-hop tables in compact CSR form,
-// built from the masks of a layer set (internal/layers) and read by the
+// per-(layer, destination) multi-next-hop tables, one distance byte and one
+// neighbour-position bitmask per source router, built from the masks of a
+// layer set (internal/layers) and read by the
 // packet simulator (internal/netsim), the throughput LPs (internal/mcf), the
 // daemon (internal/serve) and the analytics/experiments that want path
 // statistics. An Engine is the deployed form of the σ_i functions of §V-A
 // (Listing 3): where the paper's listing freezes one random tie per (layer,
 // src, dst), it keeps the full within-layer ECMP candidate set (§V-C) and
 // exposes both a deterministic representative hop (Next) and the whole set
-// (Candidates).
+// (Hops, AppendCandidates).
 //
 // FatPaths routes minimally *within* each layer and load-balances across
 // layers (§V of the paper). Minimal routing almost always leaves ties —
@@ -15,8 +16,25 @@
 // resolves them with ECMP inside the layer (§V-C). Earlier revisions of
 // this repository froze one arbitrary tie per (layer, src, dst) in a dense
 // n·Nr² array and re-derived the full ECMP sets separately for the
-// simulator; this package keeps the whole candidate set once, in CSR form,
-// and every consumer reads the same tables.
+// simulator; this package keeps the whole candidate set once and every
+// consumer reads the same tables.
+//
+// Table format. What a forwarding entry holds is an output port, never a
+// router ID, so a table stores, per source router, the hop distance in one
+// byte and the candidate set as a bitmask over the source's neighbour list
+// in ascending neighbour ID: bit p set ⇔ neighbour number p is one hop
+// closer to the destination within the layer. The engine keeps that sorted
+// neighbour list once (Neighbors), whatever order edges were inserted in,
+// and a position is the contract with readers that own per-port state: the
+// simulator indexes its outgoing-link array by it. A mask is ⌈maxdeg/16⌉
+// 16-bit units wide, one width per engine and one loop for any degree; a
+// table is Nr·(1 + 2·⌈maxdeg/16⌉) bytes. Against the int32 CSR this replaced
+// (distance, offset and candidate IDs: 12 bytes per source at one candidate,
+// 4 more per extra one) the mask is smaller up to degree 80 even at a single
+// candidate per source, and the families the paper targets (radix 16–64,
+// 2–6 candidates) come out 3.5–10× smaller. Distances saturate at 254 and
+// 0xFF marks an unreachable source; PathLen walks candidate hops down from
+// a saturated byte, so longer layers stay exact.
 //
 // Tables materialize lazily per destination (only destinations actually
 // routed to occupy memory — the big win at paper-scale router counts,
@@ -33,7 +51,8 @@
 // row per router, built once from (graph, mask) on the layer's first table
 // and shared with every WithoutEdges view that leaves the layer untouched);
 // buildTable runs a level-synchronous BFS over whole rows and reads each
-// candidate set off as adj[src] & level[dist(src)-1].
+// candidate set off as adj[src] & level[dist(src)-1], ranking every member
+// among src's neighbours in the full graph to get its position.
 package routing
 
 import (
@@ -48,29 +67,54 @@ import (
 	"repro/internal/obs"
 )
 
-// Table is the multi-next-hop table of one (layer, destination) pair: for
-// every source router, the hop distance to the destination and the set of
-// neighbors one hop closer (the within-layer ECMP candidates), packed in
-// CSR form. The three slices are carved from one allocation (Dist, then
-// Off, then Cand), each capped at its own length. Tables are immutable once
-// published and safe to share.
-type Table struct {
-	// Dist[src] is the hop count from src to the destination within the
-	// layer, or -1 when unreachable (possible in sparse layers).
-	Dist []int32
-	// Off/Cand is the CSR packing: Cand[Off[src]:Off[src+1]] lists src's
-	// candidate next hops in ascending neighbor ID — the order of the
-	// generators' sorted adjacency lists (graph.SortAdjacency), guaranteed
-	// here whatever order edges were inserted in. The destination itself
-	// and unreachable sources have empty candidate sets.
-	Off  []int32
-	Cand []int32
+// table is the multi-next-hop table of one (layer, destination) pair, in its
+// engine's (nr, units) geometry: slab[src*units:(src+1)*units] is src's
+// candidate mask (bit p ⇔ src's p-th neighbour, ascending, is one hop closer;
+// empty for the destination and for unreachable sources), and after the nr
+// masks come the distance bytes, two per unit, low byte first. One
+// allocation. Tables are immutable once published and safe to share.
+type table struct {
+	slab  []uint16
+	cands int32 // set mask bits: the table's candidate entries
 }
 
-// Candidates returns src's ECMP candidate set. The slice aliases the
-// table; callers must not modify it.
-func (t *Table) Candidates(src int) []int32 {
-	return t.Cand[t.Off[src]:t.Off[src+1]]
+const (
+	// unreachable is the distance byte of a source the layer cannot route
+	// from (possible in sparse layers).
+	unreachable = 0xFF
+	// distCap is where distance bytes saturate: a source that far or farther
+	// stores distCap, and pathLen walks candidate hops down to an exact byte.
+	distCap = 0xFE
+)
+
+// Hops is the ECMP candidate set of one (layer, src, dst), in ascending
+// neighbour ID, as positions in src's neighbour list (Engine.Neighbors): what
+// a reader holding per-port state indexes by. It aliases the table.
+type Hops struct{ mask []uint16 }
+
+// Len returns the number of candidates (0 when src == dst or dst is
+// unreachable within the layer).
+func (h Hops) Len() int {
+	n := 0
+	for _, u := range h.mask {
+		n += bits.OnesCount16(u)
+	}
+	return n
+}
+
+// Pos returns the neighbour position of candidate k, 0 <= k < Len().
+func (h Hops) Pos(k int) int {
+	for i, u := range h.mask {
+		if c := bits.OnesCount16(u); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			u &= u - 1
+		}
+		return i<<4 | bits.TrailingZeros16(u)
+	}
+	panic("routing: candidate index out of range")
 }
 
 // numStripes is the build-lock stripe count: first-touch builds of
@@ -91,6 +135,41 @@ const routeCountCap = int64(1) << 40
 type layerAdj struct {
 	once sync.Once
 	rows []uint64
+
+	// What the fill reads. An index scans (g, mask) in O(M), unless it is a
+	// WithoutEdges view's touched layer: that one copies the parent layer's
+	// rows and clears two bits per removed edge.
+	g       *graph.Graph
+	mask    []bool
+	parent  *layerAdj
+	removed []graph.Edge
+}
+
+// get returns the rows, filling the index on first use. The fill is a pure
+// function of (graph, mask), so which goroutine or which sharing engine
+// performs it is unobservable.
+func (a *layerAdj) get() []uint64 {
+	a.once.Do(func() {
+		words := (a.g.N() + 63) / 64
+		if a.parent == nil {
+			a.rows = make([]uint64, a.g.N()*words)
+			for id, ed := range a.g.Edges() {
+				if a.mask == nil || a.mask[id] {
+					u, v := int(ed.U), int(ed.V)
+					a.rows[u*words+v>>6] |= 1 << (v & 63)
+					a.rows[v*words+u>>6] |= 1 << (u & 63)
+				}
+			}
+			return
+		}
+		a.rows = slices.Clone(a.parent.get())
+		for _, ed := range a.removed {
+			u, v := int(ed.U), int(ed.V)
+			a.rows[u*words+v>>6] &^= 1 << (v & 63)
+			a.rows[v*words+u>>6] &^= 1 << (u & 63)
+		}
+	})
+	return a.rows
 }
 
 // Engine computes and caches the tables of one layered routing
@@ -99,21 +178,29 @@ type layerAdj struct {
 type Engine struct {
 	g     *graph.Graph
 	masks [][]bool    // masks[layer]; nil means the full edge set
-	adj   []*layerAdj // adj[layer], lazily filled from (g, masks[layer])
+	adj   []*layerAdj // adj[layer], lazily filled
+	base  *layerAdj   // the full graph's index: a member's rank in its row is its position
 	seed  int64
 	nr    int
 
-	tables  []atomic.Pointer[Table] // slot = layer*nr + dst
+	// Router r's neighbours in the full graph, ascending, are
+	// nbr[nbrOff[r]:nbrOff[r+1]]: the list table masks are positions in.
+	// Built once by NewEngine and shared with every WithoutEdges view.
+	nbrOff, nbr []int32
+	units       int // mask width in uint16 units, ⌈maxdeg/16⌉
+
+	tables  []atomic.Pointer[table] // slot = layer*nr + dst
 	stripes [numStripes]sync.Mutex
 
 	// shared/invalidated count the parent's built tables a WithoutEdges
 	// derivation kept and dropped; zero for an engine from NewEngine.
 	shared, invalidated int
 
-	// m, when non-nil, receives routing-core telemetry (tables built, CSR
-	// entries deployed, stripe-lock contention samples). All counters fire
-	// off the lock-free read fast path — only first-touch builds and
-	// WithoutEdges repairs touch them — so a nil m costs nothing per lookup.
+	// m, when non-nil, receives routing-core telemetry (tables built,
+	// candidate entries deployed, stripe-lock contention samples). All
+	// counters fire off the lock-free read fast path — only first-touch
+	// builds and WithoutEdges repairs touch them — so a nil m costs nothing
+	// per lookup.
 	m *obs.RoutingMetrics
 }
 
@@ -126,18 +213,35 @@ func (e *Engine) SetMetrics(m *obs.RoutingMetrics) { e.m = m }
 // layer). seed drives deterministic tie-breaking in Next. Masks are
 // treated as read-only and must not be mutated afterwards.
 func NewEngine(g *graph.Graph, masks [][]bool, seed int64) *Engine {
-	adj := make([]*layerAdj, len(masks))
-	for l := range adj {
-		adj[l] = new(layerAdj)
-	}
-	return &Engine{
+	nr := g.N()
+	e := &Engine{
 		g:      g,
 		masks:  masks,
-		adj:    adj,
+		adj:    make([]*layerAdj, len(masks)),
+		base:   &layerAdj{g: g},
 		seed:   seed,
-		nr:     g.N(),
-		tables: make([]atomic.Pointer[Table], len(masks)*g.N()),
+		nr:     nr,
+		nbrOff: make([]int32, nr+1),
+		nbr:    make([]int32, 0, 2*g.M()),
+		tables: make([]atomic.Pointer[table], len(masks)*nr),
 	}
+	for l, mask := range masks {
+		e.adj[l] = e.base // a full layer's index is the full graph's
+		if mask != nil {
+			e.adj[l] = &layerAdj{g: g, mask: mask}
+		}
+	}
+	maxdeg := 0
+	for r := 0; r < nr; r++ {
+		for _, h := range g.Neighbors(r) {
+			e.nbr = append(e.nbr, h.To)
+		}
+		slices.Sort(e.nbr[e.nbrOff[r]:])
+		e.nbrOff[r+1] = int32(len(e.nbr))
+		maxdeg = max(maxdeg, g.Degree(r))
+	}
+	e.units = (maxdeg + 15) / 16
+	return e
 }
 
 // NumLayers returns the number of routing layers.
@@ -148,8 +252,13 @@ func (e *Engine) NumLayers() int { return len(e.masks) }
 // `Fwd.Engine().Stat()`; the [benchmark] PR of ROADMAP item 1(b) deletes it.
 func (e *Engine) Engine() *Engine { return e }
 
-// Table returns the (layer, dst) table, building it on first use.
-func (e *Engine) Table(layer, dst int) *Table {
+// Neighbors returns router r's neighbours in the full graph in ascending
+// ID — the list a Hops position indexes. The slice aliases the engine;
+// callers must not modify it.
+func (e *Engine) Neighbors(r int) []int32 { return e.nbr[e.nbrOff[r]:e.nbrOff[r+1]] }
+
+// table returns the (layer, dst) table, building it on first use.
+func (e *Engine) table(layer, dst int) *table {
 	if t := e.tables[layer*e.nr+dst].Load(); t != nil {
 		return t
 	}
@@ -159,7 +268,7 @@ func (e *Engine) Table(layer, dst int) *Table {
 // firstTouch builds and publishes the (layer, dst) table unless another
 // goroutine got there first. The build is guarded by a striped lock so
 // concurrent first touches of different destinations do not serialize.
-func (e *Engine) firstTouch(layer, dst int, sc *buildScratch) *Table {
+func (e *Engine) firstTouch(layer, dst int, sc *buildScratch) *table {
 	slot := layer*e.nr + dst
 	mu := &e.stripes[slot%numStripes]
 	if e.m != nil {
@@ -178,69 +287,62 @@ func (e *Engine) firstTouch(layer, dst int, sc *buildScratch) *Table {
 	if t := e.tables[slot].Load(); t != nil {
 		return t
 	}
-	t := buildTable(e.layerRows(layer), e.nr, dst, sc)
+	t := buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst, sc)
 	e.tables[slot].Store(t)
 	if e.m != nil {
 		e.m.TablesBuilt.Inc()
-		e.m.CSREntries.Add(int64(len(t.Cand)))
+		e.m.CSREntries.Add(int64(t.cands))
 	}
 	return t
 }
 
-// layerRows returns the layer's adjacency bitset rows, filling the index
-// on first use. The fill is a pure function of (graph, mask), so which
-// goroutine or which sharing engine performs it is unobservable.
-func (e *Engine) layerRows(layer int) []uint64 {
-	a := e.adj[layer]
-	a.once.Do(func() { a.rows = adjacencyRows(e.g, e.masks[layer]) })
-	return a.rows
-}
-
-// adjacencyRows builds a layer's bitset index in O(M).
-func adjacencyRows(g *graph.Graph, mask []bool) []uint64 {
-	words := (g.N() + 63) / 64
-	rows := make([]uint64, g.N()*words)
-	for id, ed := range g.Edges() {
-		if mask != nil && !mask[id] {
-			continue
-		}
-		u, v := int(ed.U), int(ed.V)
-		rows[u*words+v>>6] |= 1 << (v & 63)
-		rows[v*words+u>>6] |= 1 << (u & 63)
-	}
-	return rows
-}
-
-// buildScratch is buildTable's reusable working set: the BFS level sets,
-// `words` words each, back to back. Block 0 is the empty set standing in
-// for "the level before the destination's"; block d+1 is level d.
+// buildScratch is buildTable's reusable working set: three BFS level sets
+// (previous, current, next), `words` words each, back to back.
 type buildScratch struct {
 	levels []uint64
 }
 
 // buildTable computes one (layer, destination) table from the layer's
-// adjacency rows. Pure function of (rows, dst); sc only lends memory.
+// adjacency rows and the full graph's. Pure function of (rows, base, dst);
+// sc only lends memory.
 //
 // The BFS is level-synchronous: the next level is the union of the current
 // level's rows minus the current and previous levels (in an undirected
 // graph a level's neighbors lie in no earlier one, so no visited set is
-// kept). A source at level d has candidate set adj[src] & level[d-1]:
-// popcounts during the BFS size the table, trailing-zero extraction fills
-// it, which yields each set in ascending neighbor ID.
-func buildTable(rows []uint64, nr, dst int, sc *buildScratch) *Table {
+// kept). A source at level d has candidate set adj[src] & level[d-1], read
+// off while its row is being unioned into the next level; each member h
+// becomes the position popcount(base[src] below h), its rank among src's
+// neighbours in ascending ID. The level before the destination's is empty,
+// so the destination gets no candidates.
+func buildTable(rows, base []uint64, nr, units, dst int, sc *buildScratch) *table {
 	words := (nr + 63) / 64
-	levels := append(sc.levels[:0], make([]uint64, 2*words)...)
-	levels[words+dst>>6] = 1 << (dst & 63)
-	total := 0
-	for b := 1; ; b++ { // b is the block of the level being expanded
-		levels = append(levels, make([]uint64, words)...)
-		prev, cur, next := levels[(b-1)*words:b*words], levels[b*words:(b+1)*words], levels[(b+1)*words:]
+	dists := nr * units // the distance bytes start where the masks end
+	slab := make([]uint16, dists+(nr+1)/2)
+	for i := dists; i < len(slab); i++ {
+		slab[i] = unreachable<<8 | unreachable
+	}
+	sc.levels = append(sc.levels[:0], make([]uint64, 3*words)...)
+	prev, cur, next := sc.levels[:words], sc.levels[words:2*words], sc.levels[2*words:]
+	cur[dst>>6] = 1 << (dst & 63)
+	cands := 0
+	for d := 0; ; d++ {
+		db := uint16(min(d, distCap))
 		for w, m := range cur {
 			for ; m != 0; m &= m - 1 {
-				v := w<<6 | bits.TrailingZeros64(m)
-				for i, r := range rows[v*words : (v+1)*words] {
+				src := w<<6 | bits.TrailingZeros64(m)
+				shift := uint(src&1) << 3
+				slab[dists+src>>1] = slab[dists+src>>1]&^(0xFF<<shift) | db<<shift
+				mask := slab[src*units : (src+1)*units]
+				rank := 0
+				for i, r := range rows[src*words : (src+1)*words] {
 					next[i] |= r
-					total += bits.OnesCount64(r & prev[i])
+					b := base[src*words+i]
+					for c := r & prev[i]; c != 0; c &= c - 1 {
+						pos := rank + bits.OnesCount64(b&((c&-c)-1))
+						mask[pos>>4] |= 1 << (pos & 15)
+						cands++
+					}
+					rank += bits.OnesCount64(b)
 				}
 			}
 		}
@@ -250,77 +352,110 @@ func buildTable(rows []uint64, nr, dst int, sc *buildScratch) *Table {
 			any |= next[i]
 		}
 		if any == 0 {
-			levels = levels[:(b+1)*words]
-			break
+			return &table{slab: slab, cands: int32(cands)}
 		}
+		prev, cur, next = cur, next, prev
+		clear(next)
 	}
-	sc.levels = levels
-
-	slab := make([]int32, 2*nr+1+total)
-	dist, off, cand := slab[:nr:nr], slab[nr:2*nr+1:2*nr+1], slab[2*nr+1:]
-	for i := range dist {
-		dist[i] = -1
-	}
-	for b := 1; b*words < len(levels); b++ {
-		for w, m := range levels[b*words : (b+1)*words] {
-			for ; m != 0; m &= m - 1 {
-				dist[w<<6|bits.TrailingZeros64(m)] = int32(b - 1)
-			}
-		}
-	}
-	n := 0
-	for src, d := range dist {
-		off[src] = int32(n)
-		if d <= 0 {
-			continue
-		}
-		prev := levels[int(d)*words : int(d+1)*words] // block d holds level d-1
-		for w, r := range rows[src*words : (src+1)*words] {
-			for m := r & prev[w]; m != 0; m &= m - 1 {
-				cand[n] = int32(w<<6 | bits.TrailingZeros64(m))
-				n++
-			}
-		}
-	}
-	off[nr] = int32(n)
-	return &Table{Dist: dist, Off: off, Cand: cand}
 }
 
-// Candidates returns the ECMP candidate next hops from src toward dst
-// within the layer (empty when src == dst or dst is unreachable).
+// dist returns src's distance byte in t.
+func (e *Engine) dist(t *table, src int) uint8 {
+	return uint8(t.slab[e.nr*e.units+src>>1] >> (uint(src&1) << 3))
+}
+
+// mask returns src's candidate mask in t. (Sliced in two steps, one
+// multiplication: that keeps Hops within the inliner's budget, so a reader
+// pays one call — table's — per lookup.)
+func (e *Engine) mask(t *table, src int) []uint16 {
+	return t.slab[src*e.units:][:e.units]
+}
+
+// Hops returns the ECMP candidate set from src toward dst within the layer.
+func (e *Engine) Hops(layer, src, dst int) Hops {
+	return Hops{e.mask(e.table(layer, dst), src)}
+}
+
+// AppendCandidates appends the router IDs of the ECMP candidate next hops
+// from src toward dst within the layer, ascending, to buf and returns it
+// (nothing appended when src == dst or dst is unreachable).
+func (e *Engine) AppendCandidates(buf []int32, layer, src, dst int) []int32 {
+	nbrs := e.Neighbors(src)
+	for i, u := range e.mask(e.table(layer, dst), src) {
+		for ; u != 0; u &= u - 1 {
+			buf = append(buf, nbrs[i<<4|bits.TrailingZeros16(u)])
+		}
+	}
+	return buf
+}
+
+// Candidates is AppendCandidates into a fresh slice. Nothing in this module
+// outside tests and examples/ calls it — readers take Hops or bring a buffer
+// — and it is still declared because the frozen bench/ (e2e.go, layers.go)
+// copies `Fwd.Candidates(...)`; the [benchmark] PR of ROADMAP item 1(b)
+// moves those to AppendCandidates and deletes it.
 func (e *Engine) Candidates(layer, src, dst int) []int32 {
-	return e.Table(layer, dst).Candidates(src)
+	return e.AppendCandidates(nil, layer, src, dst)
 }
 
 // PathLen returns the hop count of the layer's minimal route from src to
 // dst (0 when src == dst), or -1 on a routing hole, which sparse or repaired
 // layers can have. Minimal routing makes this the BFS distance, read from
-// the table in O(1) instead of walking the forwarding function.
+// the table in O(1) instead of walking the forwarding function (but for the
+// hops a saturated distance byte leaves to walk).
 func (e *Engine) PathLen(layer, src, dst int) int {
-	return int(e.Table(layer, dst).Dist[src])
+	return e.pathLen(e.table(layer, dst), src)
+}
+
+func (e *Engine) pathLen(t *table, src int) int {
+	for walked := 0; ; walked++ {
+		switch d := e.dist(t, src); {
+		case d == unreachable:
+			return -1
+		case d < distCap:
+			return walked + int(d)
+		}
+		src = int(e.Neighbors(src)[Hops{e.mask(t, src)}.Pos(0)])
+	}
 }
 
 // Reachable reports whether dst is reachable from src within the layer. A
 // router reaches itself without its table being built.
 func (e *Engine) Reachable(layer, src, dst int) bool {
-	return src == dst || e.PathLen(layer, src, dst) >= 0
+	return src == dst || e.dist(e.table(layer, dst), src) != unreachable
+}
+
+// next picks one deterministic next hop from src toward dst within the
+// layer and returns its position in src's neighbour list and its router ID,
+// or -1, -1 when unreachable. Ties are broken by folding the engine seed
+// with the (layer, src, dst) coordinates — a pure function, so the pick
+// never depends on build order or worker count (the dense builder it
+// replaces consumed a shared rng sequentially).
+func (e *Engine) next(layer, src, dst int) (pos int, to int32) {
+	h := Hops{e.mask(e.table(layer, dst), src)}
+	switch n := h.Len(); n {
+	case 0:
+		return -1, -1
+	case 1:
+		pos = h.Pos(0)
+	default:
+		key := (uint64(layer)*uint64(e.nr)+uint64(src))*uint64(e.nr) + uint64(dst)
+		pos = h.Pos(int(uint64(exec.FoldSeed(e.seed, key)) % uint64(n)))
+	}
+	return pos, e.nbr[int(e.nbrOff[src])+pos]
 }
 
 // Next returns one deterministic next hop from src toward dst within the
-// layer, or -1 when unreachable. Ties are broken by folding the engine
-// seed with the (layer, src, dst) coordinates — a pure function, so the
-// pick never depends on build order or worker count (the dense builder
-// it replaces consumed a shared rng sequentially).
+// layer, or -1 when unreachable.
 func (e *Engine) Next(layer, src, dst int) int32 {
-	c := e.Candidates(layer, src, dst)
-	switch len(c) {
-	case 0:
-		return -1
-	case 1:
-		return c[0]
-	}
-	key := (uint64(layer)*uint64(e.nr)+uint64(src))*uint64(e.nr) + uint64(dst)
-	return c[uint64(exec.FoldSeed(e.seed, key))%uint64(len(c))]
+	_, to := e.next(layer, src, dst)
+	return to
+}
+
+// NextPos returns the position of Next in src's neighbour list, or -1.
+func (e *Engine) NextPos(layer, src, dst int) int {
+	pos, _ := e.next(layer, src, dst)
+	return pos
 }
 
 // Route follows the representative next hops (Next) from src to dst within
@@ -385,32 +520,29 @@ func (e *Engine) BuildAll(workers int) {
 // destination itself), computed by dynamic programming over the table's
 // candidate DAG. Counts saturate at 2^40.
 func (e *Engine) RouteCounts(layer, dst int) []int64 {
-	t := e.Table(layer, dst)
+	t := e.table(layer, dst)
 	counts := make([]int64, e.nr)
 	counts[dst] = 1
-	maxd := int32(0)
-	for _, d := range t.Dist {
-		if d > maxd {
-			maxd = d
-		}
-	}
 	// Process sources by increasing distance: every candidate of a source
 	// at distance d sits at distance d-1 and is already final.
-	buckets := make([][]int32, maxd+1)
-	for src, d := range t.Dist {
-		if d > 0 {
-			buckets[d] = append(buckets[d], int32(src))
+	var buckets [][]int32
+	for src := range counts {
+		d := e.pathLen(t, src)
+		if d <= 0 {
+			continue
 		}
+		for len(buckets) <= d {
+			buckets = append(buckets, nil)
+		}
+		buckets[d] = append(buckets[d], int32(src))
 	}
-	for d := int32(1); d <= maxd; d++ {
-		for _, src := range buckets[d] {
+	var cands []int32
+	for _, bucket := range buckets {
+		for _, src := range bucket {
+			cands = e.AppendCandidates(cands[:0], layer, int(src), dst)
 			var sum int64
-			for _, c := range t.Candidates(int(src)) {
-				sum += counts[c]
-				if sum > routeCountCap {
-					sum = routeCountCap
-					break
-				}
+			for _, c := range cands {
+				sum = min(sum+counts[c], routeCountCap)
 			}
 			counts[src] = sum
 		}
@@ -423,9 +555,13 @@ type Stats struct {
 	// TablesBuilt / TablesTotal count materialized vs possible
 	// (layer, destination) tables.
 	TablesBuilt, TablesTotal int
-	// CandEntries is the total number of CSR candidate entries across
-	// built tables — the deployed multi-next-hop state.
+	// CandEntries is the total number of candidate entries (set mask bits)
+	// across built tables — the deployed multi-next-hop state.
 	CandEntries int64
+	// Bytes is what the built tables occupy: masks and distance bytes. The
+	// indices every table of an engine shares (neighbour lists, adjacency
+	// rows) are not counted.
+	Bytes int64
 }
 
 // Stat reports how much routing state has been materialized so far.
@@ -437,9 +573,23 @@ func (e *Engine) Stat() Stats {
 			continue
 		}
 		st.TablesBuilt++
-		st.CandEntries += int64(len(t.Cand))
+		st.CandEntries += int64(t.cands)
+		st.Bytes += 2 * int64(len(t.slab))
 	}
 	return st
+}
+
+// maskBit addresses one bit of a table: slab[unit] & bit.
+type maskBit struct {
+	unit int
+	bit  uint16
+}
+
+// bitFor returns the mask bit that stands for neighbour to in src's
+// candidate sets; the two must be adjacent.
+func (e *Engine) bitFor(src, to int32) maskBit {
+	pos, _ := slices.BinarySearch(e.Neighbors(int(src)), to)
+	return maskBit{int(src)*e.units + pos>>4, 1 << (pos & 15)}
 }
 
 // WithoutEdges returns a derived engine with the given base edges removed
@@ -457,14 +607,27 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 		g:      e.g,
 		masks:  make([][]bool, len(e.masks)),
 		adj:    make([]*layerAdj, len(e.masks)),
+		base:   e.base,
 		seed:   e.seed,
 		nr:     e.nr,
-		tables: make([]atomic.Pointer[Table], len(e.tables)),
+		nbrOff: e.nbrOff,
+		nbr:    e.nbr,
+		units:  e.units,
+		tables: make([]atomic.Pointer[table], len(e.tables)),
 		m:      e.m,
 	}
 	m := e.g.M()
 	live := func(mask []bool, id int) bool {
 		return id >= 0 && id < m && (mask == nil || mask[id])
+	}
+	// An edge is tight in a table iff either endpoint's mask has the other's
+	// bit: looked up once here, tested per (table, removed edge) below.
+	ends := make([][2]maskBit, len(failed))
+	for i, id := range failed {
+		if id >= 0 && id < m {
+			ed := e.g.Edge(id)
+			ends[i] = [2]maskBit{e.bitFor(ed.U, ed.V), e.bitFor(ed.V, ed.U)}
+		}
 	}
 	for l, old := range e.masks {
 		// A layer none of the failed edges is live in shares the parent's
@@ -472,9 +635,9 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 		// staying empty — every built table, at O(|failed|) to decide: the
 		// hot shape for a daemon deriving a what-if view per request.
 		mask, adj := old, e.adj[l]
-		var removed []graph.Edge
+		var removed []maskBit
 		if slices.ContainsFunc(failed, func(id int) bool { return live(old, id) }) {
-			mask, adj = make([]bool, m), new(layerAdj)
+			mask, adj = make([]bool, m), &layerAdj{g: e.g, parent: e.adj[l]}
 			if old == nil {
 				for id := range mask {
 					mask[id] = true
@@ -482,10 +645,11 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 			} else {
 				copy(mask, old)
 			}
-			for _, id := range failed {
+			for i, id := range failed {
 				if live(mask, id) { // false for a duplicate: already cleared
 					mask[id] = false
-					removed = append(removed, e.g.Edge(id))
+					adj.removed = append(adj.removed, e.g.Edge(id))
+					removed = append(removed, ends[i][0], ends[i][1])
 				}
 			}
 		}
@@ -516,19 +680,10 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 func (e *Engine) Repair() (shared, invalidated int) { return e.shared, e.invalidated }
 
 // tableUsesAny reports whether any of the removed edges is tight in the
-// table (a member of a candidate set in either direction).
-func tableUsesAny(t *Table, removed []graph.Edge) bool {
-	for _, e := range removed {
-		if candContains(t.Candidates(int(e.U)), e.V) || candContains(t.Candidates(int(e.V)), e.U) {
-			return true
-		}
-	}
-	return false
-}
-
-func candContains(cands []int32, v int32) bool {
-	for _, c := range cands {
-		if c == v {
+// table: removed holds, per edge, each endpoint's mask bit for the other.
+func tableUsesAny(t *table, removed []maskBit) bool {
+	for _, b := range removed {
+		if t.slab[b.unit]&b.bit != 0 {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func requireEqualEngines(t *testing.T, a, b *Engine) {
 	}
 	for l := 0; l < a.NumLayers(); l++ {
 		for d := 0; d < a.nr; d++ {
-			ta, tb := a.Table(l, d), b.Table(l, d)
+			ta, tb := a.table(l, d), b.table(l, d)
 			if !reflect.DeepEqual(ta, tb) {
 				t.Fatalf("table (%d,%d) differs", l, d)
 			}
@@ -58,7 +59,7 @@ func TestLazyVsEagerIdentical(t *testing.T) {
 	rng := graph.NewRand(1)
 	for _, d := range rng.Perm(lazy.nr) {
 		for l := lazy.NumLayers() - 1; l >= 0; l-- {
-			lazy.Table(l, d)
+			lazy.table(l, d)
 		}
 	}
 	requireEqualEngines(t, lazy, eager)
@@ -88,7 +89,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				l := rng.Intn(shared.NumLayers())
 				d := rng.Intn(shared.nr)
-				shared.Table(l, d)
+				shared.table(l, d)
 				shared.Next(l, rng.Intn(shared.nr), d)
 			}
 		}(w)
@@ -96,7 +97,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 	wg.Wait()
 	for l := 0; l < ref.NumLayers(); l++ {
 		for d := 0; d < ref.nr; d++ {
-			if !reflect.DeepEqual(ref.Table(l, d), shared.Table(l, d)) {
+			if !reflect.DeepEqual(ref.table(l, d), shared.table(l, d)) {
 				t.Fatalf("concurrent build of (%d,%d) differs from serial", l, d)
 			}
 		}
@@ -121,7 +122,7 @@ func TestNextIsDeterministicCandidate(t *testing.T) {
 					}
 					continue
 				}
-				if !candContains(cands, nh) {
+				if !slices.Contains(cands, nh) {
 					t.Fatalf("Next(%d,%d,%d)=%d not a candidate", l, s, d, nh)
 				}
 			}
@@ -202,7 +203,7 @@ func TestWithoutEdgesIncremental(t *testing.T) {
 	shared, rebuilt := 0, 0
 	for l := 0; l < parent.NumLayers(); l++ {
 		for d := 0; d < parent.nr; d++ {
-			if derived.Table(l, d) == parent.Table(l, d) {
+			if derived.table(l, d) == parent.table(l, d) {
 				shared++
 			} else {
 				rebuilt++
@@ -218,16 +219,15 @@ func TestWithoutEdgesIncremental(t *testing.T) {
 	// The failed edges are tight toward their own endpoints in the full
 	// layer, so those destinations must have been rebuilt.
 	e0 := g.Edge(0)
-	if derived.Table(0, int(e0.U)) == parent.Table(0, int(e0.U)) {
+	if derived.table(0, int(e0.U)) == parent.table(0, int(e0.U)) {
 		t.Fatal("table toward a failed edge's endpoint must be invalidated")
 	}
 	// And no repaired table offers a failed edge as a candidate.
 	for l := 0; l < derived.NumLayers(); l++ {
 		for d := 0; d < derived.nr; d++ {
-			tab := derived.Table(l, d)
 			for _, id := range failed {
 				e := g.Edge(id)
-				if candContains(tab.Candidates(int(e.U)), e.V) || candContains(tab.Candidates(int(e.V)), e.U) {
+				if slices.Contains(derived.Candidates(l, int(e.U), d), e.V) || slices.Contains(derived.Candidates(l, int(e.V), d), e.U) {
 					t.Fatalf("repaired table (%d,%d) still uses failed edge %d", l, d, id)
 				}
 			}
@@ -240,8 +240,8 @@ func TestStatCountsMaterialization(t *testing.T) {
 	if st := e.Stat(); st.TablesBuilt != 0 || st.TablesTotal != e.NumLayers()*e.nr {
 		t.Fatalf("fresh engine stat %+v", st)
 	}
-	e.Table(0, 5)
-	e.Table(2, 7)
+	e.table(0, 5)
+	e.table(2, 7)
 	st := e.Stat()
 	if st.TablesBuilt != 2 {
 		t.Fatalf("built %d tables, want 2", st.TablesBuilt)
@@ -286,7 +286,7 @@ func TestFullEquivalenceRouting(t *testing.T) {
 		lazy := NewEngine(g, masks, 77)
 		for _, d := range rng.Perm(g.N()) {
 			for l := 0; l < lazy.NumLayers(); l++ {
-				lazy.Table(l, d)
+				lazy.table(l, d)
 			}
 		}
 		t.Run(name+"/lazy", func(t *testing.T) { requireEqualEngines(t, ref, lazy) })
@@ -298,9 +298,9 @@ func TestRoutingMetrics(t *testing.T) {
 	e, _ := testEngine(t, 29)
 	e.SetMetrics(obs.NewRoutingMetrics(reg))
 
-	e.Table(0, 3)
-	e.Table(0, 3) // second lookup hits the cache, builds nothing
-	e.Table(1, 4)
+	e.table(0, 3)
+	e.table(0, 3) // second lookup hits the cache, builds nothing
+	e.table(1, 4)
 	snap := reg.Snapshot()
 	if got := snap[obs.MetricRoutingTablesBuilt]; got != 2 {
 		t.Fatalf("tables_built = %d, want 2", got)
@@ -330,8 +330,139 @@ func TestRoutingMetrics(t *testing.T) {
 	if total := int64(e.NumLayers() * e.nr); inval+shared != total {
 		t.Fatalf("invalidated(%d) + shared(%d) != built tables (%d)", inval, shared, total)
 	}
-	derived.Table(0, 0)
+	derived.table(0, 0)
 	if got := reg.Snapshot()[obs.MetricRoutingTablesBuilt]; got <= built {
 		t.Fatal("derived engine must inherit the parent's metrics bundle")
+	}
+}
+
+// freshEngineWithout builds, from nothing, an engine on g minus the failed
+// edges: a graph of its own (edge IDs renumbered, g's edge order kept) with
+// the masks carried over to the new IDs. Out-of-range IDs are ignored.
+func freshEngineWithout(g *graph.Graph, masks [][]bool, failed []int, seed int64) *Engine {
+	gone := make([]bool, g.M())
+	for _, id := range failed {
+		if id >= 0 && id < g.M() {
+			gone[id] = true
+		}
+	}
+	h := graph.New(g.N())
+	hmasks := make([][]bool, len(masks))
+	for l, m := range masks {
+		if m != nil {
+			hmasks[l] = []bool{}
+		}
+	}
+	for id, ed := range g.Edges() {
+		if gone[id] {
+			continue
+		}
+		h.AddEdge(int(ed.U), int(ed.V))
+		for l, m := range masks {
+			if m != nil {
+				hmasks[l] = append(hmasks[l], m[id])
+			}
+		}
+	}
+	return NewEngine(h, hmasks, seed)
+}
+
+// requireSameAnswers asserts two engines over the same routers answer
+// every (layer, src, dst) alike: Next, PathLen and the candidate set as
+// router IDs. The engines may sit on different graphs, so neighbour
+// positions need not agree — only what they decode to.
+func requireSameAnswers(t *testing.T, got, want *Engine) {
+	t.Helper()
+	var a, b []int32
+	for l := 0; l < want.NumLayers(); l++ {
+		for s := 0; s < want.nr; s++ {
+			for d := 0; d < want.nr; d++ {
+				if g, w := got.Next(l, s, d), want.Next(l, s, d); g != w {
+					t.Fatalf("Next(%d,%d,%d) = %d, want %d", l, s, d, g, w)
+				}
+				if g, w := got.PathLen(l, s, d), want.PathLen(l, s, d); g != w {
+					t.Fatalf("PathLen(%d,%d,%d) = %d, want %d", l, s, d, g, w)
+				}
+				a, b = got.AppendCandidates(a[:0], l, s, d), want.AppendCandidates(b[:0], l, s, d)
+				if !slices.Equal(a, b) {
+					t.Fatalf("candidates(%d,%d,%d) = %v, want %v", l, s, d, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestWithoutEdgesMatchesFreshEngine is the differential test of the repair
+// path: WithoutEdges(F) against an engine built from nothing on the graph
+// G∖F, for empty, single, noisy (duplicates, out-of-range IDs), random,
+// router-isolating, bisecting and total F, from fully and partly built
+// parents, and once more for a view of a view. The fresh engine's graph has
+// other edge IDs and other neighbour positions than the parent's, so the
+// comparison also covers the position ↔ router mapping.
+func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
+	rng := graph.NewRand(24)
+	sf, err := topo.SlimFly(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jf, err := topo.Jellyfish(50, 7, 1, graph.NewRand(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := topo.FatTree3(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"SF q=5", sf.G}, {"JF", jf.G}, {"FT3 m=4", ft.G},
+		{"random-40", randomSortedGraph(40, 0.15, rng)}, {"random-70", randomSortedGraph(70, 0.08, rng)},
+	} {
+		g, m, nr := tc.g, tc.g.M(), tc.g.N()
+		masks := testMasks(g, 4, 0.7, rng)
+		var isolate, bisect, all []int
+		for id, ed := range g.Edges() {
+			all = append(all, id)
+			if ed.U == 3 || ed.V == 3 {
+				isolate = append(isolate, id)
+			}
+			if (int(ed.U) < nr/2) != (int(ed.V) < nr/2) {
+				bisect = append(bisect, id)
+			}
+		}
+		a, b := rng.Intn(m), rng.Intn(m)
+		second := rng.Perm(m)[:m/20] // what the view of the view fails on top
+		for i, f := range []struct {
+			name   string
+			failed []int
+		}{
+			{"empty", []int{}}, {"single", []int{a}}, {"noisy", []int{b, -1, a, m, b, m + 5, a}},
+			{"random", rng.Perm(m)[:m/10]}, {"isolate", isolate}, {"bisect", bisect}, {"all", all},
+		} {
+			t.Run(tc.name+"/"+f.name, func(t *testing.T) {
+				parent := NewEngine(g, masks, 9)
+				if i%2 == 0 {
+					parent.BuildAll(2)
+				} else { // a third of the tables, scattered
+					for slot := range parent.tables {
+						if rng.Intn(3) == 0 {
+							parent.table(slot/nr, slot%nr)
+						}
+					}
+				}
+				built := parent.Stat().TablesBuilt
+				derived := parent.WithoutEdges(f.failed)
+				if shared, invalidated := derived.Repair(); shared+invalidated != built {
+					t.Fatalf("Repair() = %d shared + %d invalidated, parent had %d built", shared, invalidated, built)
+				}
+				requireSameAnswers(t, derived, freshEngineWithout(g, masks, f.failed, 9))
+				// A view of the view: its touched layers copy rows the first
+				// view derived from the parent's.
+				requireSameAnswers(t, derived.WithoutEdges(second),
+					freshEngineWithout(g, masks, slices.Concat(f.failed, second), 9))
+			})
+		}
 	}
 }

@@ -75,6 +75,17 @@ func (s *Store[V]) Len() int {
 	return s.order.Len()
 }
 
+// Values returns the resident values, most recently used first.
+func (s *Store[V]) Values() []V {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]V, 0, s.order.Len())
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		out = append(out, s.items[el.Value.(string)].v)
+	}
+	return out
+}
+
 // Evictions returns how many residents the capacity has pushed out so far.
 func (s *Store[V]) Evictions() int64 {
 	s.mu.Lock()

@@ -57,6 +57,14 @@ func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core
 		_, fab, err := scenario.BuildFabric(s, runSeed, c.reg)
 		return &resident{fab: fab}, err
 	})
+	if err == nil {
+		// Admission materializes every (layer, destination) table on all
+		// cores, and every request waits for it: the daemon's "expensive to
+		// build, cheap to query" shape, and what makes /whatif
+		// shared/invalidated counts independent of which destinations
+		// earlier queries touched.
+		r.tables.Do(func() { r.fab.Fwd.BuildAll(0) })
+	}
 	if c.met != nil {
 		if built {
 			c.met.FabricMisses.Inc()
@@ -64,7 +72,16 @@ func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core
 			ev := c.store.Evictions()
 			c.met.FabricEvictions.Add(ev - c.evictions)
 			c.evictions = ev
-			c.met.FabricsResident.Set(int64(c.store.Len()))
+			// The census is taken after this admission's tables are built:
+			// of concurrent admissions the last to finish writes the gauges,
+			// and by then every resident's tables are counted.
+			residents := c.store.Values()
+			var bytes int64
+			for _, res := range residents {
+				bytes += res.fab.Fwd.Stat().Bytes
+			}
+			c.met.FabricsResident.Set(int64(len(residents)))
+			c.met.TableBytes.Set(bytes)
 			c.mu.Unlock()
 		} else {
 			c.met.FabricHits.Inc()
@@ -73,10 +90,5 @@ func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core
 	if err != nil {
 		return nil, nil, err
 	}
-	// Admission materializes every (layer, destination) table on all cores,
-	// and every request waits for it: the daemon's "expensive to build,
-	// cheap to query" shape, and what makes /whatif shared/invalidated
-	// counts independent of which destinations earlier queries touched.
-	r.tables.Do(func() { r.fab.Fwd.BuildAll(0) })
 	return r.fab.Topo, r.fab, nil
 }

@@ -48,6 +48,9 @@ func TestFabricCacheLRU(t *testing.T) {
 			snap[obs.MetricServeFabricHits], snap[obs.MetricServeFabricMisses],
 			snap[obs.MetricServeFabricEvicts], snap[obs.MetricServeFabricsResident])
 	}
+	if want := fab1.Fwd.Stat().Bytes + fab3.Fwd.Stat().Bytes; snap[obs.MetricServeTableBytes] != want {
+		t.Fatalf("table_bytes_resident = %d, want %d (the two survivors' tables)", snap[obs.MetricServeTableBytes], want)
+	}
 	// The survivors are layers=1 and layers=3: both still answer with the
 	// fabric they were admitted with, layers=2 has to be rebuilt.
 	if _, again, _ := c.Get(lruSpec(1), 42); again != fab1 {
@@ -80,6 +83,42 @@ func TestFabricCacheLRU(t *testing.T) {
 	if snap = reg.Snapshot(); snap[obs.MetricServeFabricHits] != 4 || snap[obs.MetricServeFabricMisses] != 5 {
 		t.Fatalf("after FT then FT3: hits/misses = %d/%d, want 4/5 (one build for the two names)",
 			snap[obs.MetricServeFabricHits], snap[obs.MetricServeFabricMisses])
+	}
+}
+
+// TestResidentTableFootprint pins what a resident fabric's tables weigh, on
+// the two fabrics the benchmark's daemon-steady workload keeps resident at
+// the default 9 layers. The candidate totals are those of the int32 CSR
+// tables this format replaced (read at its last commit, seed 42): same
+// candidate sets, 3.6× and 10× fewer bytes (4 404 and 10 003 B per table
+// then). The cache holds one fabric, so the second admission evicts the
+// first and the byte gauge must follow.
+func TestResidentTableFootprint(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewFabricCache(1, reg, obs.NewServeMetrics(reg))
+	for _, f := range []struct {
+		topo    scenario.Topology
+		tables  int
+		cands   int64
+		ceiling int64 // bytes per table
+	}{
+		{scenario.Topology{Kind: "SF", Param: 11}, 9 * 242, 1341447, 1300}, // 242·(1+2·2) = 1 210 B
+		{scenario.Topology{Kind: "FT3", Param: 8}, 9 * 320, 5356160, 1000}, // 320·(1+2·1) = 960 B
+	} {
+		_, fab, err := c.Get(scenario.Spec{Topology: f.topo}, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := fab.Fwd.Stat()
+		if st.TablesBuilt != f.tables || st.CandEntries != f.cands {
+			t.Errorf("%s: %d tables holding %d candidates, want %d and %d", f.topo.Kind, st.TablesBuilt, st.CandEntries, f.tables, f.cands)
+		}
+		if per := st.Bytes / int64(st.TablesBuilt); per > f.ceiling {
+			t.Errorf("%s: %d bytes per table, ceiling %d", f.topo.Kind, per, f.ceiling)
+		}
+		if got := reg.Snapshot()[obs.MetricServeTableBytes]; got != st.Bytes {
+			t.Errorf("%s resident alone: table_bytes_resident = %d, want %d", f.topo.Kind, got, st.Bytes)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	GET  /nexthop    one (layer, src, dst) next-hop answer — a lock-free
-//	                 read off the resident engine's CSR tables
+//	                 read off the resident engine's tables
 //	GET  /paths      per-layer representative paths and the deployed
 //	                 path-diversity count for one router pair
 //	POST /whatif     copy-on-write failure analysis: a per-request
@@ -257,7 +257,7 @@ func answerHop(fwd *routing.Engine, layer, src, dst int) HopAnswer {
 		Layer: layer, Src: src, Dst: dst,
 		Next:       fwd.Next(layer, src, dst),
 		Dist:       int32(fwd.PathLen(layer, src, dst)),
-		Candidates: append([]int32{}, fwd.Candidates(layer, src, dst)...),
+		Candidates: fwd.AppendCandidates([]int32{}, layer, src, dst),
 	}
 }
 
@@ -369,12 +369,14 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		hops  int
 	}
 	distinct := map[route]bool{}
+	var cands []int32
 	for l := 0; l < fab.Fwd.NumLayers(); l++ {
 		lp := LayerPath{Layer: l, Len: fab.Fwd.PathLen(l, src, dst)}
 		if lp.Len >= 0 {
-			lp.Candidates = len(fab.Fwd.Candidates(l, src, dst))
+			cands = fab.Fwd.AppendCandidates(cands[:0], l, src, dst)
+			lp.Candidates = len(cands)
 			lp.Path = fab.Fwd.Route(l, src, dst)
-			for _, nh := range fab.Fwd.Candidates(l, src, dst) {
+			for _, nh := range cands {
 				distinct[route{nh, lp.Len}] = true
 			}
 		}
