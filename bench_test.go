@@ -396,26 +396,33 @@ func BenchmarkScenarioCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	openCache := func(b *testing.B) *scenario.Cache {
+		c, err := scenario.OpenCache(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			dir := b.TempDir() // a fresh, empty cache every iteration
+			cache := openCache(b) // a fresh, empty cache every iteration
 			b.StartTimer()
-			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, CacheDir: dir}); err != nil {
+			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, Cache: cache}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, CacheDir: dir}); err != nil {
+		cache := openCache(b)
+		if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, Cache: cache}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, CacheDir: dir}); err != nil {
+			if _, err := scenario.RunSpecs(cells, scenario.RunOptions{Run: exec.Run{Seed: 42}, Cache: cache}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // result is the machine-readable form of one experiment table (-json).
@@ -75,6 +76,13 @@ func main() {
 		todo = []experiments.Experiment{e}
 	}
 
+	var cache *scenario.Cache
+	if *cacheDir != "" {
+		var err error
+		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
+			fatal(err)
+		}
+	}
 	sinks, stopObs, err := startObs()
 	if err != nil {
 		fatal(err)
@@ -89,7 +97,7 @@ func main() {
 				Seed: *seed, Parallelism: *parallel, Name: e.ID, Progress: prog.Hook(),
 				Obs: sinks.Obs, Telemetry: sinks.Telemetry, Tracer: sinks.Tracer,
 			},
-			Quick: !*full, CacheDir: *cacheDir,
+			Quick: !*full, Cache: cache,
 		}
 		start := time.Now()
 		tab, err := e.Run(opts)

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
@@ -62,10 +63,20 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The result cache opens here, once: an unusable -cache-dir fails the
+	// daemon before it listens, not each /scenarios run after its 200.
+	var cache *scenario.Cache
+	if *cacheDir != "" {
+		var err error
+		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
+			fmt.Fprintln(os.Stderr, "fatpathsd:", err)
+			os.Exit(1)
+		}
+	}
 	reg := obs.NewRegistry()
 	s := serve.New(serve.Config{
 		MaxFabrics:      *maxFabrics,
-		CacheDir:        *cacheDir,
+		Cache:           cache,
 		Parallelism:     *parallel,
 		MaxScenarioRuns: *maxRuns,
 	}, reg)

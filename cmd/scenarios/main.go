@@ -74,9 +74,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: scenarios -spec <matrix.json> [more.json ...] (see examples/scenarios/)")
 		os.Exit(2)
 	}
-	if *noCache {
-		*cacheDir = ""
-	}
 	if err := validateJournalFlags(*journalPth, *resumePth); err != nil {
 		fail(err)
 	}
@@ -90,6 +87,13 @@ func main() {
 			fail(fmt.Errorf("scenarios: FATPATHS_FAIL_AFTER must be a positive integer, got %q", v))
 		}
 		failAfter = n
+	}
+	var cache *scenario.Cache
+	if *cacheDir != "" && !*noCache {
+		var err error
+		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
+			fail(err)
+		}
 	}
 
 	sinks, stopObs, err := startObs()
@@ -111,7 +115,7 @@ func main() {
 		fr := fileResult{File: file, Name: m.Name, Cells: len(cs), Skipped: skipped}
 		if *cells {
 			if !*jsonOut {
-				status, err := cellStatuses(cs, *seed, *cacheDir, *resumePth)
+				status, err := cellStatuses(cs, *seed, cache, *resumePth)
 				if err != nil {
 					fail(err)
 				}
@@ -128,27 +132,15 @@ func main() {
 			continue
 		}
 		prog.SetLabel(m.Name)
-		var (
-			journal *scenario.Journal
-			resume  map[string]scenario.CellResult
-		)
+		var journal *scenario.Journal
 		if *resumePth != "" {
-			var warnings []string
-			var torn bool
-			resume, warnings, torn, err = resumeState(*resumePth, cs, *seed)
-			if err != nil {
+			var notes []string
+			if journal, notes, err = scenario.ResumeJournal(*resumePth, cs, *seed); err != nil {
 				fail(err)
 			}
-			for _, w := range warnings {
-				fmt.Fprintln(os.Stderr, "scenarios: "+w)
+			for _, n := range notes {
+				fmt.Fprintln(os.Stderr, "scenarios: "+n)
 			}
-			if torn {
-				fmt.Fprintln(os.Stderr, "scenarios: journal has a torn final line (crash mid-append); ignoring and repairing it")
-			}
-			if journal, err = scenario.AppendJournal(*resumePth); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "scenarios: resuming %s — %d/%d cells already recorded\n", *resumePth, len(resume), len(cs))
 		} else if *journalPth != "" {
 			if err := guardJournalOverwrite(*journalPth, cs, *seed); err != nil {
 				fail(err)
@@ -168,7 +160,7 @@ func main() {
 				Seed: *seed, Parallelism: *parallel, Name: m.Name, Progress: hook,
 				Obs: sinks.Obs, Telemetry: sinks.Telemetry, Tracer: sinks.Tracer,
 			},
-			CacheDir: *cacheDir, Journal: journal, Resume: resume,
+			Cache: cache, Journal: journal,
 		}
 		start := time.Now()
 		results, err := scenario.RunSpecs(cs, opts)
@@ -252,50 +244,29 @@ func guardJournalOverwrite(path string, cs []scenario.Spec, seed int64) error {
 		path, len(resume), len(cs), path)
 }
 
-// resumeState reads a resume journal and validates it against the freshly
-// expanded cells: a journal recorded at a different seed, from a different
-// spec, or under a different engine fingerprint is an error (those journals
-// describe a different run). It returns the recorded results to skip, the
-// sorted warnings for records no expanded cell matches, and whether the
-// final line was torn by a crash mid-append. Read-only — repairing the torn
-// line is AppendJournal's job.
-func resumeState(path string, cs []scenario.Spec, seed int64) (map[string]scenario.CellResult, []string, bool, error) {
-	st, err := scenario.ReadJournal(path)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	resume, warnings, err := st.Match(cs, seed)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return resume, warnings, st.Torn, nil
-}
-
 // cellStatuses builds the -cells dry-run status column: "done" when the
 // resume journal records the cell, else "hit"/"miss" against the result
-// cache. Nil (no column) when neither -cache-dir nor -resume is set.
-func cellStatuses(cs []scenario.Spec, seed int64, cacheDir, resumePath string) ([]string, error) {
-	if cacheDir == "" && resumePath == "" {
+// cache. Nil (no column) when there is neither a cache nor a -resume
+// journal. Read-only: a dry run repairs no journal.
+func cellStatuses(cs []scenario.Spec, seed int64, cache *scenario.Cache, resumePath string) ([]string, error) {
+	if cache == nil && resumePath == "" {
 		return nil, nil
 	}
 	var resume map[string]scenario.CellResult
 	if resumePath != "" {
-		var err error
-		if resume, _, _, err = resumeState(resumePath, cs, seed); err != nil {
+		st, err := scenario.ReadJournal(resumePath)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var cache *scenario.Cache
-	if cacheDir != "" {
-		var err error
-		if cache, err = scenario.OpenCache(cacheDir); err != nil {
+		if resume, _, err = st.Match(cs, seed); err != nil {
 			return nil, err
 		}
 	}
 	status := make([]string, len(cs))
 	for i, c := range cs {
+		_, done := resume[c.CacheIdentity(seed)]
 		switch {
-		case resume != nil && hasIdentity(resume, c, seed):
+		case done:
 			status[i] = "done"
 		case cache.Has(c, seed):
 			status[i] = "hit"
@@ -304,11 +275,6 @@ func cellStatuses(cs []scenario.Spec, seed int64, cacheDir, resumePath string) (
 		}
 	}
 	return status, nil
-}
-
-func hasIdentity(resume map[string]scenario.CellResult, c scenario.Spec, seed int64) bool {
-	_, ok := resume[c.CacheIdentity(seed)]
-	return ok
 }
 
 // injectCrash wraps the progress hook with the CI fault injector: once n

@@ -107,9 +107,11 @@ func TestGuardJournalOverwrite(t *testing.T) {
 	}
 	// The blocked retry's escape hatch really works: -resume on the same
 	// file sees the recorded cell.
-	if resume, _, _, err := resumeState(path, cells, 7); err != nil || len(resume) != 1 {
-		t.Fatalf("resume after guard: %d cells, err %v", len(resume), err)
+	j, notes, err := scenario.ResumeJournal(path, cells, 7)
+	if err != nil || !strings.HasSuffix(notes[len(notes)-1], " 1/2 cells already recorded") {
+		t.Fatalf("resume after guard: notes %q, err %v", notes, err)
 	}
+	j.Close()
 
 	// A different run's journal (other seed) is not this run's progress.
 	if err := guardJournalOverwrite(path, cells, 8); err != nil {
@@ -138,59 +140,15 @@ func TestGuardJournalOverwrite(t *testing.T) {
 	}
 }
 
-// TestResumeStateSeedMismatch: -resume with a journal recorded at a
-// different seed is a clear error, not a silently mixed run. fail()
-// turns any resumeState error into a non-zero exit.
-func TestResumeStateSeedMismatch(t *testing.T) {
-	cells := testCells(t)
-	path := writeJournal(t, cells, 7, 1)
-	_, _, _, err := resumeState(path, cells, 8)
-	if err == nil {
-		t.Fatal("seed mismatch accepted")
-	}
-	if !strings.Contains(err.Error(), "seed 7") || !strings.Contains(err.Error(), "seed 8") {
-		t.Fatalf("error must name both seeds: %v", err)
-	}
-}
-
-// TestResumeStateSpecMismatch: -resume against an edited spec names the
-// hashes and points at the cache instead.
-func TestResumeStateSpecMismatch(t *testing.T) {
-	cells := testCells(t)
-	path := writeJournal(t, cells, 7, 1)
-	_, _, _, err := resumeState(path, cells[:1], 7)
-	if err == nil {
-		t.Fatal("spec mismatch accepted")
-	}
-	if !strings.Contains(err.Error(), "spec hash") || !strings.Contains(err.Error(), "-cache-dir") {
-		t.Fatalf("error must explain the spec mismatch and the cache alternative: %v", err)
-	}
-}
-
-// TestResumeStateHappyPath: a matching journal yields its recorded
-// cells with no warnings.
-func TestResumeStateHappyPath(t *testing.T) {
-	cells := testCells(t)
-	path := writeJournal(t, cells, 7, 1)
-	resume, warnings, torn, err := resumeState(path, cells, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resume) != 1 || len(warnings) != 0 || torn {
-		t.Fatalf("resume=%d warnings=%v torn=%v, want 1/none/false", len(resume), warnings, torn)
-	}
-}
-
 // TestCellStatuses: the -cells dry-run column reports done (journal),
 // hit (cache), and miss, and stays absent with neither flag.
 func TestCellStatuses(t *testing.T) {
 	cells := testCells(t)
-	if status, err := cellStatuses(cells, 7, "", ""); err != nil || status != nil {
+	if status, err := cellStatuses(cells, 7, nil, ""); err != nil || status != nil {
 		t.Fatalf("no cache/resume: status=%v err=%v, want nil column", status, err)
 	}
 
-	dir := t.TempDir()
-	cache, err := scenario.OpenCache(dir)
+	cache, err := scenario.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +156,14 @@ func TestCellStatuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal := writeJournal(t, cells, 7, 1)
-	status, err := cellStatuses(cells, 7, dir, journal)
+	status, err := cellStatuses(cells, 7, cache, journal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(status) != 2 || status[0] != "done" || status[1] != "hit" {
 		t.Fatalf("status = %v, want [done hit]", status)
 	}
-	status, err = cellStatuses(cells, 7, dir, "")
+	status, err = cellStatuses(cells, 7, cache, "")
 	if err != nil {
 		t.Fatal(err)
 	}

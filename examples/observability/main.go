@@ -45,12 +45,11 @@ func main() {
 		// simulation: the first replicate to start claims it.
 		tracer = obs.NewTracer(0, 20_000_000, 0)
 	}
-	cfg := core.DefaultConfig(sf)
-	cfg.Obs = reg
-	fab, err := core.Build(sf, cfg)
+	fab, err := core.Build(sf, core.DefaultConfig(sf))
 	if err != nil {
 		log.Fatal(err)
 	}
+	fab.Fwd.SetMetrics(obs.NewRoutingMetrics(reg))
 
 	// The telemetry journal records what each replicate cost in wall time.
 	tel := obs.NewTelemetry(os.Stdout)
@@ -60,6 +59,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "running %d replicates of a randomized-uniform workload on %s...\n", replicates, sf.Name)
 	rng := graph.NewRand(1)
 	simCfg := netsim.NDPDefaults()
+	simCfg.Metrics = obs.NewSimMetrics(reg)
 	simCfg.Tracer = tracer
 	for i := 0; i < replicates; i++ {
 		wl := core.Workload{

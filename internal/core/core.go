@@ -22,7 +22,6 @@ import (
 	"repro/internal/layers"
 	"repro/internal/mcf"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -63,11 +62,6 @@ type Config struct {
 	Rho       float64
 	Scheme    LayerScheme
 	Seed      int64
-	// Obs, when non-nil, instruments the fabric: the routing engine reports
-	// table builds and lock contention into it, and simulations created via
-	// NewSimulation default their metrics bundle from it. Purely
-	// observational — results are byte-identical with or without it.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns the layer configuration recommended for a topology
@@ -101,11 +95,6 @@ type Fabric struct {
 	Cfg    Config
 	Layers *layers.LayerSet
 	Fwd    *routing.Engine
-
-	// obsSim is the simulation metrics bundle derived from Cfg.Obs (nil
-	// when the fabric is uninstrumented); NewSimulation installs it as the
-	// default for simulations that do not bring their own.
-	obsSim *obs.SimMetrics
 }
 
 // Build constructs layers and forwarding tables for a topology.
@@ -140,17 +129,12 @@ func Build(t *topo.Topology, cfg Config) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab := &Fabric{
+	return &Fabric{
 		Topo:   t,
 		Cfg:    cfg,
 		Layers: ls,
 		Fwd:    routing.NewEngine(ls.Base, ls.Masks(), cfg.Seed),
-	}
-	if cfg.Obs != nil {
-		fab.Fwd.SetMetrics(obs.NewRoutingMetrics(cfg.Obs))
-		fab.obsSim = obs.NewSimMetrics(cfg.Obs)
-	}
-	return fab, nil
+	}, nil
 }
 
 // NewSimulation wires the fabric into a packet-level simulation. Replicate
@@ -159,9 +143,6 @@ func Build(t *topo.Topology, cfg Config) (*Fabric, error) {
 // than once per replicate. Simulations are independent and may run
 // concurrently.
 func (f *Fabric) NewSimulation(cfg netsim.Config) *netsim.Sim {
-	if cfg.Metrics == nil {
-		cfg.Metrics = f.obsSim
-	}
 	return netsim.NewSim(f.Topo, f.Fwd, cfg)
 }
 

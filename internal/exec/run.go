@@ -37,9 +37,20 @@ type Run struct {
 	// Telemetry, when non-nil, receives run_start / per-cell / run_end
 	// JSONL records (wall times, worker utilization).
 	Telemetry *obs.Telemetry
-	// Tracer, when non-nil, is offered to the run's simulations; the first
-	// to acquire it records its event loop (one bounded window per process).
+	// Tracer, when non-nil, records one simulation's event loop (one bounded
+	// window per process); CellTracer says which.
 	Tracer *obs.Tracer
+}
+
+// CellTracer is the run's one tracing rule: cell 0 gets the tracer, every
+// other cell nil, and the first simulation of cell 0 to start takes it
+// (obs.Tracer.TryAcquire). Which simulation a trace records therefore
+// depends on neither the worker count nor scheduling.
+func (r Run) CellTracer(cell int) *obs.Tracer {
+	if cell != 0 {
+		return nil
+	}
+	return r.Tracer
 }
 
 // workers resolves Parallelism to a worker count.

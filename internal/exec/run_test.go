@@ -121,3 +121,22 @@ func TestCellsErrorNamesTheCell(t *testing.T) {
 		t.Fatalf("zero Run: out = %v, err = %v", out, err)
 	}
 }
+
+// TestCellTracer: the tracer goes to cell 0 of a run and to no other cell,
+// so the simulation a trace records cannot depend on which worker starts
+// first.
+func TestCellTracer(t *testing.T) {
+	tr := obs.NewTracer(0, 1, 0)
+	r := Run{Tracer: tr}
+	if r.CellTracer(0) != tr {
+		t.Fatal("cell 0 did not get the tracer")
+	}
+	for _, cell := range []int{1, 2, 7} {
+		if r.CellTracer(cell) != nil {
+			t.Fatalf("cell %d got the tracer", cell)
+		}
+	}
+	if (Run{}).CellTracer(0) != nil {
+		t.Fatal("an untraced run handed out a tracer")
+	}
+}

@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // scenarioBacked lists the experiment IDs that run through the scenario
 // engine and therefore gain the durable runtime's content-addressed
-// cache via Options.CacheDir: every simulation ID but fig17 and ext-mptcp.
+// cache via Options.Cache: every simulation ID but fig17 and ext-mptcp.
 var scenarioBacked = []string{
 	"fig2", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig20", "fig21",
 	"abl-transport", "abl-construction", "abl-randomization", "ext-failures",
@@ -48,10 +49,13 @@ func TestCacheGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (regenerate with -update): %v", err)
 			}
-			dir := t.TempDir()
+			cache, err := scenario.OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, phase := range []string{"cold", "warm"} {
 				reg := obs.NewRegistry()
-				tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 8, Obs: reg}, CacheDir: dir})
+				tab, err := e.Run(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 8, Obs: reg}, Cache: cache})
 				if err != nil {
 					t.Fatalf("%s: %v", phase, err)
 				}

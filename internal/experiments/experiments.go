@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -29,12 +30,12 @@ type Options struct {
 	exec.Run
 	// Quick selects reduced scale (small topologies, fewer samples).
 	Quick bool
-	// CacheDir, when non-empty, backs scenario-driven experiments with the
+	// Cache, when non-nil, backs scenario-driven experiments with the
 	// content-addressed result cache (see internal/scenario.Cache): cells
 	// already computed under the same canonical identity, seed, and engine
 	// fingerprint are read back instead of re-simulated. Output is
 	// byte-identical with or without it, by the determinism contract.
-	CacheDir string
+	Cache *scenario.Cache
 }
 
 // Experiment is one reproducible unit: a figure or table of the paper.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layers"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -90,6 +91,7 @@ func runExtMPTCP(o Options) (*stats.Table, error) {
 			if c.Index == 1 {
 				name, cfg = "MPTCP transport (LIA)", lia
 			}
+			cfg.Tracer = o.CellTracer(c.Index)
 			res := fab.RunWorkload(cfg, wl, horizon, o.Seed)
 			fct := netsim.SummarizeFCT(res)
 			c.AddRowf(name, fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
@@ -149,10 +151,11 @@ func runExtTables(o Options) (*stats.Table, error) {
 		// destination, so a workload routing to a handful of destination
 		// routers occupies a sliver of the dense n·Nr² footprint even at
 		// the paper-example scale.
-		fab, err := core.Build(t, core.Config{NumLayers: sz.Layers, Rho: 0.6, Seed: o.Seed, Obs: o.Obs})
+		fab, err := core.Build(t, core.Config{NumLayers: sz.Layers, Rho: 0.6, Seed: o.Seed})
 		if err != nil {
 			return err
 		}
+		fab.Fwd.SetMetrics(obs.NewRoutingMetrics(o.Obs))
 		dsts := 8
 		if dsts > t.Nr() {
 			dsts = t.Nr()

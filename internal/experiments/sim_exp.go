@@ -5,6 +5,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -86,7 +87,7 @@ func runMatrices(o Options, ms ...*scenario.Matrix) ([]scenario.CellResult, erro
 		}
 		cells = append(cells, cs...)
 	}
-	return scenario.RunSpecs(cells, scenario.RunOptions{Run: o.Run, CacheDir: o.CacheDir})
+	return scenario.RunSpecs(cells, scenario.RunOptions{Run: o.Run, Cache: o.Cache})
 }
 
 func flowSizes(o Options) []int64 {
@@ -415,8 +416,9 @@ func runFig16(o Options) (*stats.Table, error) {
 // scenario layer for one spec: the fabric over t and the simulator
 // configuration, exactly as a matrix cell of that spec would get them. The
 // pattern is validated first: a malformed pattern aborts the experiment
-// with a useful error instead of simulating garbage. The run's tracer (if
-// any) is offered to every simulation; the first one wins it.
+// with a useful error instead of simulating garbage. The tracer is a
+// cell's, not a configuration's: a runner sets Tracer from CellTracer
+// inside its cells.
 func handSim(o Options, s scenario.Spec, t *topo.Topology, pat traffic.Pattern) (*core.Fabric, netsim.Config, error) {
 	if err := pat.ValidateFlows(); err != nil {
 		return nil, netsim.Config{}, err
@@ -425,7 +427,7 @@ func handSim(o Options, s scenario.Spec, t *topo.Topology, pat traffic.Pattern) 
 	if err != nil {
 		return nil, netsim.Config{}, err
 	}
-	cfg.Tracer = o.Tracer
+	cfg.Metrics = obs.NewSimMetrics(o.Obs)
 	fab, err := scenario.BuildFabricOn(s, t, o.Seed, o.Obs)
 	return fab, cfg, err
 }
@@ -473,7 +475,9 @@ func runFig17(o Options) (*stats.Table, error) {
 		size := sizes[c.Index%len(sizes)]
 		var base netsim.Time
 		for si, s := range ss {
-			total, _ := fabs[ti][si].RunStencilRounds(cfgs[si], pats[ti], size, rounds, 6*netsim.Second, c.Seed)
+			cfg := cfgs[si]
+			cfg.Tracer = o.CellTracer(c.Index)
+			total, _ := fabs[ti][si].RunStencilRounds(cfg, pats[ti], size, rounds, 6*netsim.Second, c.Seed)
 			if si == 0 {
 				base = total
 			}

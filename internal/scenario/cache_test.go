@@ -94,13 +94,20 @@ func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 	}
 }
 
-// TestCacheRoundTrip: Put then Get returns the stored result; misses on
-// unknown cells and foreign seeds; a nil cache is inert.
-func TestCacheRoundTrip(t *testing.T) {
+// openTestCache opens a result cache in a fresh temp dir.
+func openTestCache(t *testing.T) *Cache {
+	t.Helper()
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// TestCacheRoundTrip: Put then Get returns the stored result; misses on
+// unknown cells and foreign seeds; a nil cache is inert.
+func TestCacheRoundTrip(t *testing.T) {
+	c := openTestCache(t)
 	s := cacheSpec()
 	want := CellResult{Spec: s, Flows: 99, FailedLinks: 1}
 	n, err := c.Put(s, 42, want)
@@ -138,10 +145,7 @@ func TestCacheRoundTrip(t *testing.T) {
 // TestCacheDefectsDegradeToMiss: corrupt JSON and stale fingerprints are
 // misses, never wrong answers.
 func TestCacheDefectsDegradeToMiss(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openTestCache(t)
 	s := cacheSpec()
 	if _, err := c.Put(s, 42, CellResult{Spec: s, Flows: 5}); err != nil {
 		t.Fatal(err)
@@ -184,15 +188,15 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	cache := openTestCache(t)
 
 	coldReg := obs.NewRegistry()
-	cold, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: coldReg}, CacheDir: dir})
+	cold, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: coldReg}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmReg := obs.NewRegistry()
-	warm, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: warmReg}, CacheDir: dir})
+	warm, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: warmReg}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +231,12 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 // only the cells whose canonical identity changed — the durable runtime's
 // headline behavior.
 func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
-	dir := t.TempDir()
+	cache := openTestCache(t)
 	cells, _, err := tinyMatrix().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}, CacheDir: dir}); err != nil {
+	if _, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,7 +251,7 @@ func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cached, err := RunSpecs(editedCells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: reg}, CacheDir: dir})
+	cached, err := RunSpecs(editedCells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: reg}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package scenario
 // the CI resume-smoke step).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,11 +75,12 @@ const journalFlushEvery = 8
 // Journal appends cell_done records to an open journal file. Appends are
 // serialized under a mutex (workers record concurrently) and fsync'd in
 // batches of journalFlushEvery plus on Sync/Close. A nil *Journal
-// discards everything — the disabled path.
+// discards everything and records nothing — the disabled path.
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	pending int
+	done    map[string]CellResult // a resumed journal's records, by cell identity
 }
 
 // CreateJournal creates (truncating) a journal at path and writes —
@@ -108,33 +110,60 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// AppendJournal opens an existing journal for appending (the resume
-// path). A torn final line from a crashed writer is truncated away first,
-// so the resumed run's records never concatenate onto a fragment.
-func AppendJournal(path string) (*Journal, error) {
+// ResumeJournal reopens the journal of an interrupted run for appending
+// (the -resume path). It must match the freshly expanded cells at the run
+// seed (JournalState.Match). A torn final line is cut away first, so new
+// records never concatenate onto a fragment. The journal returned knows
+// the cells it records; RunSpecs merges those without re-running or
+// re-journaling them. The notes are for the user, in order: ignored
+// records, a repaired torn line, the recorded count.
+func ResumeJournal(path string, cells []Spec, runSeed int64) (*Journal, []string, error) {
+	st, err := ReadJournal(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	done, notes, err := st.Match(cells, runSeed)
+	if err != nil {
+		return nil, nil, err
+	}
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: opening journal: %w", err)
+		return nil, nil, fmt.Errorf("scenario: opening journal: %w", err)
 	}
-	if n := len(b); n > 0 && b[n-1] != '\n' {
-		keep := 0
-		if i := strings.LastIndexByte(string(b), '\n'); i >= 0 {
-			keep = i + 1
-		}
-		if err := os.Truncate(path, int64(keep)); err != nil {
-			return nil, fmt.Errorf("scenario: truncating torn journal line: %w", err)
+	if st.Torn {
+		notes = append(notes, "journal has a torn final line (crash mid-append); ignoring and repairing it")
+		b = b[:bytes.LastIndexByte(bytes.TrimSuffix(b, []byte{'\n'}), '\n')+1]
+		if err := os.Truncate(path, int64(len(b))); err != nil {
+			return nil, nil, fmt.Errorf("scenario: truncating torn journal line: %w", err)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: opening journal: %w", err)
+		return nil, nil, fmt.Errorf("scenario: opening journal: %w", err)
 	}
-	return &Journal{f: f}, nil
+	if b[len(b)-1] != '\n' { // a whole final record that lost only its newline
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("scenario: journal append: %w", err)
+		}
+	}
+	notes = append(notes, fmt.Sprintf("resuming %s — %d/%d cells already recorded", path, len(done), len(cells)))
+	return &Journal{f: f, done: done}, notes, nil
+}
+
+// recorded returns the cell's result if the journal already records it.
+func (j *Journal) recorded(s Spec, runSeed int64) (CellResult, bool) {
+	if j == nil || len(j.done) == 0 {
+		return CellResult{}, false
+	}
+	r, ok := j.done[s.CacheIdentity(runSeed)]
+	r.Spec = s
+	return r, ok
 }
 
 // Record appends one cell_done record. Each record is one Write call, so
 // a crash tears at most the final line (which readers tolerate and
-// AppendJournal repairs).
+// ResumeJournal repairs).
 func (j *Journal) Record(s Spec, runSeed int64, r CellResult) error {
 	if j == nil {
 		return nil

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -72,30 +74,14 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 // TestJournalTornFinalLine: an interrupted final write is tolerated on
-// read and truncated away by AppendJournal, after which appends continue
-// cleanly.
+// read — the records before it are intact. (ResumeJournal's repair of the
+// torn line is pinned by TestResumeJournal.)
 func TestJournalTornFinalLine(t *testing.T) {
 	cells, _, err := tinyMatrix().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, path := newTestJournal(t, cells, 7)
-	if err := j.Record(cells[0], 7, CellResult{Spec: cells[0], Flows: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a record fragment with no newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"type":"cell_done","identity":"v1|torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
+	path := writeTestJournal(t, cells, 7, 1, tearFinalLine)
 	st, err := ReadJournal(path)
 	if err != nil {
 		t.Fatalf("torn journal must still read: %v", err)
@@ -103,23 +89,117 @@ func TestJournalTornFinalLine(t *testing.T) {
 	if !st.Torn || len(st.Done) != 1 {
 		t.Fatalf("torn=%v done=%d, want torn with 1 intact record", st.Torn, len(st.Done))
 	}
+}
 
-	j2, err := AppendJournal(path)
+// writeTestJournal writes a closed journal for cells at seed recording the
+// first done cells, passes its bytes through edit (a simulated crash; nil
+// keeps them), and returns its path.
+func writeTestJournal(t *testing.T, cells []Spec, seed int64, done int, edit func([]byte) []byte) string {
+	t.Helper()
+	j, path := newTestJournal(t, cells, seed)
+	for i := 0; i < done; i++ {
+		if err := j.Record(cells[i], seed, CellResult{Spec: cells[i], Flows: 1 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return path
+}
+
+// tearFinalLine appends a record fragment with no newline: a crash
+// mid-append.
+func tearFinalLine(b []byte) []byte {
+	return append(b, `{"type":"cell_done","identity":"v1|torn`...)
+}
+
+// TestResumeJournal: ResumeJournal continues only the run a journal
+// recorded — another seed or an edited spec is an error naming what
+// differs and pointing at the way out, and leaves the file alone — and
+// otherwise returns a journal that knows its recorded cells. A torn final
+// line costs one note and is cut away, and a final record that lost only
+// its newline gets it back; either way appends continue cleanly.
+func TestResumeJournal(t *testing.T) {
+	cells, _, err := tinyMatrix().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Record(cells[1], 7, CellResult{Spec: cells[1], Flows: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Torn || len(st.Done) != 2 {
-		t.Fatalf("after repair+append: torn=%v done=%d, want clean with 2 records", st.Torn, len(st.Done))
+	for _, tc := range []struct {
+		name     string
+		cells    []Spec
+		seed     int64
+		edit     func([]byte) []byte
+		errHas   []string // non-nil: ResumeJournal must fail naming each
+		tornNote bool
+	}{
+		{name: "seed mismatch", cells: cells, seed: 8, errHas: []string{"seed 7", "seed 8"}},
+		{name: "spec mismatch", cells: cells[:1], seed: 7, errHas: []string{"spec hash", "-cache-dir"}},
+		{name: "happy path", cells: cells, seed: 7},
+		{name: "torn line", cells: cells, seed: 7, edit: tearFinalLine, tornNote: true},
+		{name: "unterminated record", cells: cells, seed: 7, edit: func(b []byte) []byte { return b[:len(b)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeTestJournal(t, cells, 7, 1, tc.edit)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, notes, err := ResumeJournal(path, tc.cells, tc.seed)
+			if tc.errHas != nil {
+				if err == nil {
+					j.Close()
+					t.Fatal("mismatched journal accepted")
+				}
+				for _, want := range tc.errHas {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("error must name %q: %v", want, err)
+					}
+				}
+				if after, _ := os.ReadFile(path); string(after) != string(before) {
+					t.Fatal("a refused resume modified the journal")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantNotes := []string{fmt.Sprintf("resuming %s — 1/%d cells already recorded", path, len(cells))}
+			if tc.tornNote {
+				wantNotes = append([]string{"journal has a torn final line (crash mid-append); ignoring and repairing it"}, wantNotes...)
+			}
+			if !slices.Equal(notes, wantNotes) {
+				t.Fatalf("notes = %q, want %q", notes, wantNotes)
+			}
+			if r, ok := j.recorded(cells[0], 7); !ok || r.Flows != 1 || r.Spec.Key() != cells[0].Key() {
+				t.Fatalf("recorded cell 0: %+v, ok=%v", r, ok)
+			}
+			if _, ok := j.recorded(cells[1], 7); ok {
+				t.Fatal("cell 1 reported recorded")
+			}
+			if err := j.Record(cells[1], 7, CellResult{Spec: cells[1], Flows: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := ReadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Torn || len(st.Done) != 2 || st.Duplicates != 0 {
+				t.Fatalf("after resume+append: torn=%v done=%d dup=%d, want clean with 2 records", st.Torn, len(st.Done), st.Duplicates)
+			}
+		})
 	}
 }
 
@@ -302,36 +382,22 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 		if err := os.WriteFile(jpath, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := ReadJournal(jpath)
+		j2, notes, err := ResumeJournal(jpath, cells, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if torn != st.Torn {
-			t.Fatalf("torn=%v, want %v", st.Torn, torn)
-		}
-		resume, warnings, err := st.Match(cells, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(warnings) != 0 {
-			t.Fatalf("unexpected warnings: %v", warnings)
-		}
-		wantDone := k
+		// No warnings: the recorded count, after a torn-line note iff torn.
+		wantDone, wantNotes := k, 1
 		if torn {
-			wantDone = k - 1
+			wantDone, wantNotes = k-1, 2
 		}
-		if len(resume) != wantDone {
-			t.Fatalf("resume set has %d cells, want %d", len(resume), wantDone)
-		}
-
-		j2, err := AppendJournal(jpath)
-		if err != nil {
-			t.Fatal(err)
+		if n := len(notes); n != wantNotes || !strings.HasSuffix(notes[n-1], fmt.Sprintf(" %d/%d cells already recorded", wantDone, len(cells))) {
+			t.Fatalf("torn=%v: notes %q", torn, notes)
 		}
 		reg := obs.NewRegistry()
 		resumed, err := RunSpecs(cells, RunOptions{
 			Run:     exec.Run{Seed: 7, Parallelism: 2, Obs: reg},
-			Journal: j2, Resume: resume,
+			Journal: j2,
 		})
 		if err != nil {
 			t.Fatal(err)

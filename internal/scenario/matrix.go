@@ -8,12 +8,6 @@ import (
 	"strconv"
 )
 
-// sortedKeys returns a map's keys in sorted order, for deterministic
-// iteration over constraint axes.
-func sortedKeys(m map[string]string) []string {
-	return slices.Sorted(maps.Keys(m))
-}
-
 // Axes lists the swept values per axis. An empty axis keeps the Base
 // spec's value; a non-empty axis overrides it per cell. Axis values must
 // be pairwise distinct (duplicates would silently duplicate cells).
@@ -129,7 +123,7 @@ func (m *Matrix) skipped(s Spec) (bool, error) {
 		match := true
 		// Sorted axis order keeps the error (when several axes are bad)
 		// deterministic; the conjunction itself is order-independent.
-		for _, axis := range sortedKeys(c.When) {
+		for _, axis := range slices.Sorted(maps.Keys(c.When)) {
 			got, err := AxisValue(s, axis)
 			if err != nil {
 				return false, err
@@ -163,7 +157,7 @@ func (m *Matrix) validate() error {
 		if len(c.When) == 0 {
 			return fmt.Errorf("scenario: matrix %q: empty skip constraint", m.Name)
 		}
-		for _, axis := range sortedKeys(c.When) {
+		for _, axis := range slices.Sorted(maps.Keys(c.When)) {
 			if _, err := AxisValue(m.Base, axis); err != nil {
 				return fmt.Errorf("scenario: matrix %q: %w", m.Name, err)
 			}

@@ -41,12 +41,15 @@ func BuildTopology(s Spec, runSeed int64) (*topo.Topology, error) {
 
 // BuildFabricOn equips a built topology with the cell's layer set and
 // routing engine at the canonical folded layer seed. reg, when non-nil,
-// instruments the fabric (routing-core and simulator telemetry).
+// instruments the routing engine (routing.* metrics); simulations bring
+// their own bundle in netsim.Config.Metrics.
 func BuildFabricOn(s Spec, t *topo.Topology, runSeed int64, reg *obs.Registry) (*core.Fabric, error) {
 	seed := s.effectiveSeed(runSeed)
-	conf := coreConfig(s, t, seedFor(seed, "layers|"+s.routingKey()))
-	conf.Obs = reg
-	return core.Build(t, conf)
+	fab, err := core.Build(t, coreConfig(s, t, seedFor(seed, "layers|"+s.routingKey())))
+	if err == nil {
+		fab.Fwd.SetMetrics(obs.NewRoutingMetrics(reg))
+	}
+	return fab, err
 }
 
 // BuildFabric builds the cell's topology and fabric in one step — the

@@ -15,28 +15,21 @@ import (
 )
 
 // RunOptions control scenario execution: the run context (exec.Run — seed,
-// worker count, observers) plus the durable runtime's stores. The zero
-// value runs on all cores at seed 0, uncached and unjournaled. A cell's
-// non-zero Spec.Seed overrides Run.Seed for that cell only, and Run.Tracer
-// is offered to cell 0 only (a deterministic choice).
+// worker count, observers) plus the durable runtime's two stores, each
+// opened once by whoever owns its flag; nil means off. The zero value runs
+// on all cores at seed 0, uncached and unjournaled. A cell's non-zero
+// Spec.Seed overrides Run.Seed for that cell only.
 type RunOptions struct {
 	exec.Run
-	// CacheDir, when non-empty, holds the content-addressed result cache:
-	// cells whose CacheKey has an entry return it without simulating, and
-	// freshly simulated cells are persisted for future runs. The
-	// determinism contract makes hits exact, so tables are byte-identical
-	// with the cache hot, cold, or absent.
-	CacheDir string
+	// Cache, when non-nil, serves the cells it holds without simulating and
+	// persists freshly simulated ones. The determinism contract makes hits
+	// exact: tables are byte-identical with the cache hot, cold, or absent.
+	Cache *Cache
 	// Journal, when non-nil, receives an append-only cell_done record for
 	// every completed cell (simulated or cache-hit), enabling crash-resume.
-	// The caller owns the header and lifecycle (CreateJournal /
-	// AppendJournal / Close).
+	// The cells a journal from ResumeJournal already records merge into
+	// the output without re-execution and without re-journaling.
 	Journal *Journal
-	// Resume maps cell identities (Spec.CacheIdentity at the run seed) to
-	// results recorded by a previous run's journal (JournalState.Match);
-	// matching cells merge into the output without re-execution and
-	// without re-journaling.
-	Resume map[string]CellResult
 }
 
 // CellResult is the measured outcome of one scenario cell.
@@ -85,35 +78,22 @@ type resources struct {
 }
 
 // SimConfig maps the spec's transport and routing names onto a netsim
-// configuration.
+// configuration. It rejects an unknown name itself: hand-rolled runners
+// pass specs that were never validated.
 func SimConfig(s Spec) (netsim.Config, error) {
-	var cfg netsim.Config
-	switch s.transport() {
-	case "ndp":
-		cfg = netsim.NDPDefaults()
-	case "tcp":
-		cfg = netsim.TCPDefaults(netsim.TransportTCP)
-	case "dctcp":
-		cfg = netsim.TCPDefaults(netsim.TransportDCTCP)
-	case "mptcp":
-		cfg = netsim.TCPDefaults(netsim.TransportMPTCP)
-	default:
-		return cfg, fmt.Errorf("scenario: unknown transport %q", s.Transport)
+	tr, ok := transports[s.transport()]
+	if !ok {
+		return netsim.Config{}, fmt.Errorf("scenario: unknown transport %q", s.Transport)
 	}
-	switch s.routing() {
-	case "fatpaths":
-		cfg.LB = netsim.LBFatPaths
-	case "ecmp":
-		cfg.LB = netsim.LBECMP
-	case "letflow":
-		cfg.LB = netsim.LBLetFlow
-	case "minimal":
-		cfg.LB = netsim.LBMinimalLayer
-	case "spray":
-		cfg.LB = netsim.LBPacketSpray
-	default:
-		return cfg, fmt.Errorf("scenario: unknown routing %q", s.Routing)
+	lb, ok := routings[s.routing()]
+	if !ok {
+		return netsim.Config{}, fmt.Errorf("scenario: unknown routing %q", s.Routing)
 	}
+	cfg := netsim.NDPDefaults()
+	if tr != netsim.TransportNDP {
+		cfg = netsim.TCPDefaults(tr)
+	}
+	cfg.LB = lb
 	return cfg, nil
 }
 
@@ -126,15 +106,14 @@ func coreConfig(s Spec, t *topo.Topology, layerSeed int64) core.Config {
 	if s.Rho > 0 {
 		cc.Rho = s.Rho
 	}
-	cc.Scheme = constructions[s.Construction]
+	cc.Scheme = constructions[s.construction()]
 	cc.Seed = layerSeed
 	return cc
 }
 
-// runCell executes one cell: build (or fetch) the fabric, compile and
-// validate the pattern, then simulate Replicas times and aggregate. traced
-// marks the one cell that is offered the run's tracer.
-func runCell(s Spec, rs resources, o RunOptions, traced bool) (CellResult, error) {
+// runCell executes cell i: build (or fetch) the fabric, compile and
+// validate the pattern, then simulate Replicas times and aggregate.
+func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
 	runSeed := s.effectiveSeed(o.Seed)
 	if err := s.Validate(); err != nil {
 		return CellResult{}, err
@@ -169,9 +148,8 @@ func runCell(s Spec, rs resources, o RunOptions, traced bool) (CellResult, error
 	if err != nil {
 		return CellResult{}, err
 	}
-	if traced {
-		cfg.Tracer = o.Tracer
-	}
+	cfg.Metrics = obs.NewSimMetrics(o.Obs)
+	cfg.Tracer = o.CellTracer(i)
 	horizon := netsim.Time(s.horizonMs() * 1e6)
 	workloadSeed := seedFor(runSeed, "workload|"+s.workloadKey())
 	failSeed := seedFor(runSeed, "fail|"+s.Topology.key()+"|"+AxisValueMust(s, "failFrac"))
@@ -229,23 +207,22 @@ func AxisValueMust(s Spec, axis string) string {
 }
 
 // acquireCell produces one cell's result from, in order of preference,
-// the resume set (recorded by a previous run's journal), the
-// content-addressed cache, or a fresh simulation. It returns the
-// telemetry source tag: "resume", "cache", or "" for a simulated cell.
-// Resumed cells are not re-journaled (their record is already in the
-// journal being appended to); cache hits and fresh results are, so a
-// later resume can skip them. A cache write failure downgrades the run to
-// uncached (with a stderr warning) rather than aborting it; a journal
-// write failure aborts — the caller asked for durability.
-func acquireCell(s Spec, i int, rs resources, o RunOptions, cache *Cache, sm *obs.ScenarioMetrics) (CellResult, string, error) {
-	if r, ok := o.Resume[s.CacheIdentity(o.Seed)]; ok {
+// the journal (the records of the run it resumes), the content-addressed
+// cache, or a fresh simulation. It returns the telemetry source tag:
+// "resume", "cache", or "" for a simulated cell. Resumed cells are not
+// re-journaled (their record is already in the journal being appended
+// to); cache hits and fresh results are, so a later resume can skip them.
+// A cache write failure downgrades the run to uncached (with a stderr
+// warning) rather than aborting it; a journal write failure aborts — the
+// caller asked for durability.
+func acquireCell(s Spec, i int, rs resources, o RunOptions, sm *obs.ScenarioMetrics) (CellResult, string, error) {
+	if r, ok := o.Journal.recorded(s, o.Seed); ok {
 		if sm != nil {
 			sm.CellsResumed.Inc()
 		}
-		r.Spec = s
 		return r, "resume", nil
 	}
-	if r, n, ok := cache.Get(s, o.Seed); ok {
+	if r, n, ok := o.Cache.Get(s, o.Seed); ok {
 		if sm != nil {
 			sm.CacheHits.Inc()
 			sm.CacheBytesRead.Add(int64(n))
@@ -255,15 +232,15 @@ func acquireCell(s Spec, i int, rs resources, o RunOptions, cache *Cache, sm *ob
 		}
 		return r, "cache", nil
 	}
-	r, err := runCell(s, rs, o, i == 0)
+	r, err := runCell(s, i, rs, o)
 	if err != nil {
 		return CellResult{}, "", err
 	}
-	if cache != nil {
+	if o.Cache != nil {
 		if sm != nil {
 			sm.CacheMisses.Inc()
 		}
-		if n, err := cache.Put(s, o.Seed, r); err != nil {
+		if n, err := o.Cache.Put(s, o.Seed, r); err != nil {
 			fmt.Fprintf(os.Stderr, "scenario: cache write failed (continuing uncached): %v\n", err)
 		} else if sm != nil {
 			sm.CacheBytesWritten.Add(int64(n))
@@ -280,22 +257,15 @@ func acquireCell(s Spec, i int, rs resources, o RunOptions, cache *Cache, sm *ob
 // every Parallelism value: each cell's randomness derives from (seed,
 // canonical resource keys) alone, and shared fabrics are pure functions of
 // their keys. The same guarantee extends to the durable runtime — a cell
-// satisfied from the resume set or the result cache is byte-identical to
-// a freshly simulated one (replay equals rerun).
+// satisfied from a resumed journal or the result cache is byte-identical
+// to a freshly simulated one (replay equals rerun).
 func RunSpecs(cells []Spec, o RunOptions) ([]CellResult, error) {
-	var cache *Cache
-	if o.CacheDir != "" {
-		var err error
-		if cache, err = OpenCache(o.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	sm := obs.NewScenarioMetrics(o.Obs)
 	rs := resources{NewStore[*topo.Topology](0), NewStore[*core.Fabric](0)}
 	return exec.Cells(o.Run, len(cells),
 		func(i int) string { return cells[i].Key() },
 		func(i int) (CellResult, string, error) {
-			return acquireCell(cells[i], i, rs, o, cache, sm)
+			return acquireCell(cells[i], i, rs, o, sm)
 		})
 }
 

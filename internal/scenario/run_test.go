@@ -259,3 +259,92 @@ func TestRunTelemetryAndDeterminism(t *testing.T) {
 		t.Fatal("tracer attached, but no events recorded (cell 0 should trace)")
 	}
 }
+
+// TestRunStores runs one matrix under every nil and non-nil case of the
+// two stores — {no journal, fresh journal, resumed journal recording k of
+// n cells} × {no cache, cold cache, warm cache} — and requires the plain
+// run's table, exact cache_hits / cache_misses / cells_resumed counts,
+// and a journal that ends recording each of the n cells once. A resumed
+// cell reads no cache entry and is not re-journaled.
+func TestRunStores(t *testing.T) {
+	cells, _, err := tinyMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Table("t", plain).String()
+	n, k := len(cells), 2
+	for _, journal := range []string{"none", "fresh", "resume"} {
+		for _, cache := range []string{"none", "cold", "warm"} {
+			t.Run(journal+"/"+cache, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				o := RunOptions{Run: exec.Run{Seed: 7, Parallelism: 2, Obs: reg}}
+				if cache != "none" {
+					o.Cache = openTestCache(t)
+				}
+				if cache == "warm" {
+					for i, c := range cells {
+						if _, err := o.Cache.Put(c, 7, plain[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				var path string
+				resumed := 0
+				switch journal {
+				case "fresh":
+					o.Journal, path = newTestJournal(t, cells, 7)
+				case "resume":
+					var j *Journal
+					j, path = newTestJournal(t, cells, 7)
+					for i := 0; i < k; i++ {
+						if err := j.Record(cells[i], 7, plain[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := j.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if o.Journal, _, err = ResumeJournal(path, cells, 7); err != nil {
+						t.Fatal(err)
+					}
+					resumed = k
+				}
+				got, err := RunSpecs(cells, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Journal.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if g := Table("t", got).String(); g != want {
+					t.Fatalf("table differs from the plain run:\n--- got ---\n%s\n--- plain ---\n%s", g, want)
+				}
+				wantHits, wantMisses := 0, 0
+				switch cache {
+				case "cold":
+					wantMisses = n - resumed
+				case "warm":
+					wantHits = n - resumed
+				}
+				snap := reg.Snapshot()
+				if h, m, r := snap[obs.MetricScenarioCacheHits], snap[obs.MetricScenarioCacheMisses], snap[obs.MetricScenarioCellsResumed]; h != int64(wantHits) || m != int64(wantMisses) || r != int64(resumed) {
+					t.Fatalf("hits/misses/resumed = %d/%d/%d, want %d/%d/%d", h, m, r, wantHits, wantMisses, resumed)
+				}
+				if path == "" {
+					return
+				}
+				st, err := ReadJournal(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(st.Done) != n || st.Duplicates != 0 {
+					t.Fatalf("journal records %d cells (%d duplicates), want %d once each", len(st.Done), st.Duplicates, n)
+				}
+			})
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -324,17 +325,29 @@ type Spec struct {
 	MAT bool `json:"mat,omitempty"`
 }
 
-// Scheme name tables. The zero value of each field is the first entry.
+// Scheme name tables: each enum field's names, stated once, and what they
+// select. The zero value of a field selects its default name (see the
+// accessors below).
 var (
 	constructions = map[string]core.LayerScheme{
-		"":                 core.RandomSampling,
 		"random":           core.RandomSampling,
 		"min-interference": core.MinInterference,
 		"spain":            core.SPAINScheme,
 		"past":             core.PASTScheme,
 	}
-	transports = []string{"", "ndp", "tcp", "dctcp", "mptcp"}
-	routings   = []string{"", "fatpaths", "ecmp", "letflow", "minimal", "spray"}
+	transports = map[string]netsim.Transport{
+		"ndp":   netsim.TransportNDP,
+		"tcp":   netsim.TransportTCP,
+		"dctcp": netsim.TransportDCTCP,
+		"mptcp": netsim.TransportMPTCP,
+	}
+	routings = map[string]netsim.LoadBalance{
+		"fatpaths": netsim.LBFatPaths,
+		"ecmp":     netsim.LBECMP,
+		"letflow":  netsim.LBLetFlow,
+		"minimal":  netsim.LBMinimalLayer,
+		"spray":    netsim.LBPacketSpray,
+	}
 )
 
 func (s Spec) construction() string {
@@ -378,7 +391,7 @@ func (s Spec) validateFabric() error {
 	if err := s.Topology.validate(); err != nil {
 		return err
 	}
-	if _, ok := constructions[s.Construction]; !ok {
+	if _, ok := constructions[s.construction()]; !ok {
 		return fmt.Errorf("scenario: unknown construction %q", s.Construction)
 	}
 	if s.Layers < 0 {
@@ -401,11 +414,8 @@ func (s Spec) Validate() error {
 	if err := s.FlowSize.validate(); err != nil {
 		return err
 	}
-	if !contains(transports, s.Transport) {
-		return fmt.Errorf("scenario: unknown transport %q", s.Transport)
-	}
-	if !contains(routings, s.Routing) {
-		return fmt.Errorf("scenario: unknown routing %q", s.Routing)
+	if _, err := SimConfig(s); err != nil {
+		return err
 	}
 	if s.Load < 0 {
 		return fmt.Errorf("scenario: negative load %g", s.Load)
@@ -420,15 +430,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: negative replica count %d", s.Replicas)
 	}
 	return nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Key renders the cell's canonical identity — every axis as axis=value in

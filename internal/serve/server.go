@@ -45,9 +45,9 @@ type Config struct {
 	// MaxFabrics bounds the resident-fabric LRU (minimum and default 1;
 	// cmd/fatpathsd defaults to 8).
 	MaxFabrics int
-	// CacheDir, when non-empty, is the content-addressed scenario result
-	// cache shared with cmd/scenarios (README "Durable sweeps").
-	CacheDir string
+	// Cache, when non-nil, is the content-addressed scenario result cache
+	// shared with cmd/scenarios (README "Durable sweeps").
+	Cache *scenario.Cache
 	// Parallelism is the scenario worker pool width (0 = all cores).
 	Parallelism int
 	// MaxScenarioRuns caps concurrently executing /scenarios submissions;
@@ -505,7 +505,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			Obs:         s.reg,
 			Telemetry:   tel,
 		},
-		CacheDir: s.cfg.CacheDir,
+		Cache: s.cfg.Cache,
 	})
 	if err != nil {
 		tel.Emit(map[string]string{"type": "error", "error": err.Error()})
