@@ -76,8 +76,6 @@ func TestGoldenWithInstrumentation(t *testing.T) {
 // instrumented run of each ID; every name not listed is 0. They pin where
 // instrumentation attaches (the engine by whoever builds a fabric, the
 // simulator by whoever configures one): moving it must change no count.
-// Left out: routing.stripe_lock_*, which count how often concurrent first
-// touches of one table met (timing, not work).
 var instrumentedCounts = map[string]map[string]int64{
 	"fig2": {
 		"netsim.event_queue_highwater":      1019,
@@ -117,7 +115,7 @@ func checkCounts(t *testing.T, snap, want map[string]int64) {
 	}
 	slices.Sort(names)
 	for _, name := range slices.Compact(names) {
-		if !strings.HasPrefix(name, "routing.stripe_lock_") && snap[name] != want[name] {
+		if snap[name] != want[name] {
 			t.Errorf("%s = %d, want %d", name, snap[name], want[name])
 		}
 	}

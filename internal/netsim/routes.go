@@ -4,7 +4,7 @@ import "repro/internal/routing"
 
 // Route lookup lives in internal/routing (routing.Engine):
 // per-(layer, destination) multi-next-hop tables of neighbour-position
-// masks, built lazily under striped locks and shared by every
+// masks, built lazily without locks and shared by every
 // simulation of one fabric — including simulations running concurrently
 // on different worker goroutines. This file keeps only the simulator-side
 // selection: hashing a packet onto one of the ECMP candidates.

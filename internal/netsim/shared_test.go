@@ -12,7 +12,7 @@ import (
 
 // TestSharedRoutingEngineConcurrent runs replicate simulations of one
 // fabric concurrently against a single shared routing.Engine (whose routing
-// tables materialize lazily under the engine's striped locks) and checks
+// tables materialize lazily, published by compare-and-swap) and checks
 // each replicate's results match a serial run with a private engine
 // built from the same layer set and seed — the property the parallel
 // experiment runtime depends on.

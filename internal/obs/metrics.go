@@ -50,11 +50,14 @@ const (
 
 // Routing-core metric names.
 const (
-	MetricRoutingTablesBuilt   = "routing.tables_built"
-	MetricRoutingCSREntries    = "routing.csr_entries_deployed"
-	MetricRoutingInvalidated   = "routing.tables_invalidated"
-	MetricRoutingShared        = "routing.tables_shared"
-	MetricRoutingStripeLocks   = "routing.stripe_lock_acquisitions"
+	MetricRoutingTablesBuilt = "routing.tables_built"
+	MetricRoutingCSREntries  = "routing.csr_entries_deployed"
+	MetricRoutingInvalidated = "routing.tables_invalidated"
+	MetricRoutingShared      = "routing.tables_shared"
+	// Inert: nothing registers a metric under this name any more (tables
+	// are published without locks). The constant stays only because the
+	// frozen bench/layers.go looks it up; the [benchmark] PR of ROADMAP
+	// item 1(b) deletes it.
 	MetricRoutingStripeContend = "routing.stripe_lock_contention"
 )
 
@@ -196,8 +199,8 @@ func NewServeMetrics(r *Registry) *ServeMetrics {
 	}
 }
 
-// RoutingMetrics is the routing-core bundle: table materialization volume,
-// incremental-invalidation effectiveness, and build-lock contention.
+// RoutingMetrics is the routing-core bundle: table materialization volume
+// and incremental-invalidation effectiveness.
 type RoutingMetrics struct {
 	// TablesBuilt counts lazily or eagerly materialized (layer, dst)
 	// tables; CSREntries counts their deployed candidate entries.
@@ -207,10 +210,6 @@ type RoutingMetrics struct {
 	// built tables that had to be discarded vs reused from the parent.
 	TablesInvalidated *Counter
 	TablesShared      *Counter
-	// StripeAcquisitions counts first-touch build-lock acquisitions;
-	// StripeContention counts acquisitions that found the stripe held.
-	StripeAcquisitions *Counter
-	StripeContention   *Counter
 }
 
 // NewRoutingMetrics returns the routing bundle backed by r, or nil when r
@@ -220,11 +219,9 @@ func NewRoutingMetrics(r *Registry) *RoutingMetrics {
 		return nil
 	}
 	return &RoutingMetrics{
-		TablesBuilt:        r.Counter(MetricRoutingTablesBuilt),
-		CSREntries:         r.Counter(MetricRoutingCSREntries),
-		TablesInvalidated:  r.Counter(MetricRoutingInvalidated),
-		TablesShared:       r.Counter(MetricRoutingShared),
-		StripeAcquisitions: r.Counter(MetricRoutingStripeLocks),
-		StripeContention:   r.Counter(MetricRoutingStripeContend),
+		TablesBuilt:       r.Counter(MetricRoutingTablesBuilt),
+		CSREntries:        r.Counter(MetricRoutingCSREntries),
+		TablesInvalidated: r.Counter(MetricRoutingInvalidated),
+		TablesShared:      r.Counter(MetricRoutingShared),
 	}
 }

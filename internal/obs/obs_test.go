@@ -136,8 +136,9 @@ func TestRegistryDumpAndSnapshot(t *testing.T) {
 // TestMetricCatalogMatchesRegistry: the README "Metric catalog" table and
 // the names the four bundles register are the same set, so the catalog
 // can neither advertise a metric nothing feeds nor miss one a dump
-// prints. obs.MetricSimBarrierStalls — declared for the frozen bench/,
-// registered by nothing — must be in neither.
+// prints. obs.MetricSimBarrierStalls and obs.MetricRoutingStripeContend —
+// declared for the frozen bench/, registered by nothing — must be in
+// neither.
 func TestMetricCatalogMatchesRegistry(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
@@ -185,8 +186,10 @@ func TestMetricCatalogMatchesRegistry(t *testing.T) {
 			t.Errorf("%s is in the README metric catalog but no bundle registers it", name)
 		}
 	}
-	if catalog[MetricSimBarrierStalls] || registered[MetricSimBarrierStalls] {
-		t.Errorf("%s is inert (kept for the frozen bench/ only) and must be neither registered nor catalogued", MetricSimBarrierStalls)
+	for _, inert := range []string{MetricSimBarrierStalls, MetricRoutingStripeContend} {
+		if catalog[inert] || registered[inert] {
+			t.Errorf("%s is inert (kept for the frozen bench/ only) and must be neither registered nor catalogued", inert)
+		}
 	}
 }
 

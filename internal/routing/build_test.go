@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -286,17 +287,32 @@ func fuzzCase(data []byte) (g *graph.Graph, mask []bool, dst int) {
 }
 
 // FuzzBuildTable feeds arbitrary (edge list, mask, destination) triples to
-// both builders. Seed corpus: testdata/fuzz/FuzzBuildTable.
+// both kernels — a lazy engine's first touch (buildTable) and a BuildAll'd
+// engine's block (buildBlock) — and checks each against the scalar oracle
+// and the two tables against each other. Seed corpus:
+// testdata/fuzz/FuzzBuildTable, with router counts at the 64-destination
+// block boundaries (block-64, block-65, block-129).
 func FuzzBuildTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, mask, dst := fuzzCase(data)
 		if g == nil {
 			return
 		}
-		e := NewEngine(g, [][]bool{mask}, 1)
-		g.SortAdjacency() // for the oracle; the engine has its own neighbour order by now
-		if d := diffTable(e, 0, dst, referenceTable(g, mask, dst)); d != "" {
-			t.Fatalf("nr=%d m=%d dst=%d masked=%v: %s", g.N(), g.M(), dst, mask != nil, d)
+		lazy := NewEngine(g, [][]bool{mask}, 1)
+		eager := NewEngine(g, [][]bool{mask}, 1)
+		eager.BuildAll(2)
+		g.SortAdjacency() // for the oracle; the engines have their own neighbour order by now
+		want := referenceTable(g, mask, dst)
+		for _, k := range []struct {
+			name string
+			e    *Engine
+		}{{"lazy", lazy}, {"BuildAll", eager}} {
+			if d := diffTable(k.e, 0, dst, want); d != "" {
+				t.Fatalf("%s: nr=%d m=%d dst=%d masked=%v: %s", k.name, g.N(), g.M(), dst, mask != nil, d)
+			}
+		}
+		if !reflect.DeepEqual(lazy.table(0, dst), eager.table(0, dst)) {
+			t.Fatalf("nr=%d dst=%d: lazy and BuildAll tables differ", g.N(), dst)
 		}
 	})
 }

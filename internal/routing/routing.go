@@ -42,17 +42,23 @@
 // eagerly in parallel via BuildAll. Construction is a pure function of
 // (graph, layer mask, destination) and tie-breaking folds the engine seed
 // with the (layer, src, dst) coordinates, so tables and next-hop picks are
-// byte-identical for any worker count and any build order.
+// byte-identical for any worker count and any build order. A table is
+// published with a compare-and-swap into an empty slot; no lock is taken.
 //
-// Construction is bit-parallel. The networks FatPaths targets have diameter
-// 2–3, so a reverse BFS has two or three levels and a candidate set is "the
-// neighbors of src one level closer" — a set intersection, not a graph
-// walk. Each layer therefore keeps an adjacency bitset index (one Nr-bit
-// row per router, built once from (graph, mask) on the layer's first table
-// and shared with every WithoutEdges view that leaves the layer untouched);
-// buildTable runs a level-synchronous BFS over whole rows and reads each
-// candidate set off as adj[src] & level[dist(src)-1], ranking every member
-// among src's neighbours in the full graph to get its position.
+// Construction is bit-parallel, with two kernels over the one format; the
+// call decides which runs. A first touch wants one destination: buildTable
+// runs one BFS over the layer's adjacency bitset index (one Nr-bit row per
+// router, built once from (graph, mask) on the layer's first lazy table and
+// shared with every WithoutEdges view that leaves the layer untouched) and
+// reads each candidate set off as adj[src] & level[dist(src)-1], ranking
+// every member among src's neighbours to get its position — about
+// 3·Nr·⌈Nr/64⌉ word operations. BuildAll wants every destination:
+// buildBlock runs 64 BFSes at once, one bit per destination in each
+// router's word, so a pass over the layer's 2M edge ends advances all 64 by
+// one level and the positions come from the neighbour lists — about
+// ⌈Nr/64⌉·levels·2M word operations per layer against buildTable's
+// Nr²·⌈Nr/64⌉, and no index is built. A block costs about twenty single
+// tables at the daemon's sizes, so a first touch stays per destination.
 package routing
 
 import (
@@ -117,11 +123,6 @@ func (h Hops) Pos(k int) int {
 	panic("routing: candidate index out of range")
 }
 
-// numStripes is the build-lock stripe count: first-touch builds of
-// different (layer, destination) slots proceed concurrently unless they
-// hash to the same stripe, instead of serializing on one global mutex.
-const numStripes = 64
-
 // routeCountCap saturates minimal-route counts (RouteCounts) so dense
 // graphs cannot overflow int64.
 const routeCountCap = int64(1) << 40
@@ -129,9 +130,10 @@ const routeCountCap = int64(1) << 40
 // layerAdj is one layer's adjacency bitset index: bit h of row v is set iff
 // the edge (v,h) is enabled in the layer. Row v occupies
 // rows[v*words:(v+1)*words] with words = ⌈Nr/64⌉, so a materialized layer
-// costs Nr·⌈Nr/64⌉·8 bytes. It is filled on the layer's first table build;
-// engines whose (graph, mask) for the layer coincide share the holder, so
-// whichever of them builds first serves both.
+// costs Nr·⌈Nr/64⌉·8 bytes. It is filled on the layer's first lazily built
+// table (BuildAll does not read it); engines whose (graph, mask) for the
+// layer coincide share the holder, so whichever of them builds first serves
+// both.
 type layerAdj struct {
 	once sync.Once
 	rows []uint64
@@ -173,8 +175,9 @@ func (a *layerAdj) get() []uint64 {
 }
 
 // Engine computes and caches the tables of one layered routing
-// configuration. It is safe for concurrent use: reads are lock-free once a
-// table is published, and first-touch builds take a per-slot striped lock.
+// configuration. It is safe for concurrent use and takes no lock: a table is
+// built by whoever first asks for it and published with a compare-and-swap,
+// so concurrent builders of one slot agree on the table that stays.
 type Engine struct {
 	g     *graph.Graph
 	masks [][]bool    // masks[layer]; nil means the full edge set
@@ -189,18 +192,16 @@ type Engine struct {
 	nbrOff, nbr []int32
 	units       int // mask width in uint16 units, ⌈maxdeg/16⌉
 
-	tables  []atomic.Pointer[table] // slot = layer*nr + dst
-	stripes [numStripes]sync.Mutex
+	tables []atomic.Pointer[table] // slot = layer*nr + dst
 
 	// shared/invalidated count the parent's built tables a WithoutEdges
 	// derivation kept and dropped; zero for an engine from NewEngine.
 	shared, invalidated int
 
 	// m, when non-nil, receives routing-core telemetry (tables built,
-	// candidate entries deployed, stripe-lock contention samples). All
-	// counters fire off the lock-free read fast path — only first-touch
-	// builds and WithoutEdges repairs touch them — so a nil m costs nothing
-	// per lookup.
+	// candidate entries deployed, repairs). All counters fire off the read
+	// fast path — only publications and WithoutEdges repairs touch them —
+	// so a nil m costs nothing per lookup.
 	m *obs.RoutingMetrics
 }
 
@@ -259,36 +260,21 @@ func (e *Engine) Neighbors(r int) []int32 { return e.nbr[e.nbrOff[r]:e.nbrOff[r+
 
 // table returns the (layer, dst) table, building it on first use.
 func (e *Engine) table(layer, dst int) *table {
-	if t := e.tables[layer*e.nr+dst].Load(); t != nil {
-		return t
-	}
-	return e.firstTouch(layer, dst, new(buildScratch))
-}
-
-// firstTouch builds and publishes the (layer, dst) table unless another
-// goroutine got there first. The build is guarded by a striped lock so
-// concurrent first touches of different destinations do not serialize.
-func (e *Engine) firstTouch(layer, dst int, sc *buildScratch) *table {
 	slot := layer*e.nr + dst
-	mu := &e.stripes[slot%numStripes]
-	if e.m != nil {
-		// Contention sampling: TryLock first so a blocked acquisition is
-		// observable. Only attempted when telemetry is on — the disabled
-		// path is the plain Lock below.
-		e.m.StripeAcquisitions.Inc()
-		if !mu.TryLock() {
-			e.m.StripeContention.Inc()
-			mu.Lock()
-		}
-	} else {
-		mu.Lock()
-	}
-	defer mu.Unlock()
 	if t := e.tables[slot].Load(); t != nil {
 		return t
 	}
-	t := buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst, sc)
-	e.tables[slot].Store(t)
+	return e.publish(slot, buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst))
+}
+
+// publish stores t in its empty slot and returns it, or, when another
+// builder published first, drops t and returns the table already there.
+// Tables are pure functions of their slot, so the two are identical; only
+// the winner is counted, which keeps the counters independent of timing.
+func (e *Engine) publish(slot int, t *table) *table {
+	if !e.tables[slot].CompareAndSwap(nil, t) {
+		return e.tables[slot].Load()
+	}
 	if e.m != nil {
 		e.m.TablesBuilt.Inc()
 		e.m.CSREntries.Add(int64(t.cands))
@@ -296,15 +282,26 @@ func (e *Engine) firstTouch(layer, dst int, sc *buildScratch) *table {
 	return t
 }
 
-// buildScratch is buildTable's reusable working set: three BFS level sets
-// (previous, current, next), `words` words each, back to back.
-type buildScratch struct {
-	levels []uint64
+// newTable allocates a table in the (nr, units) geometry with empty masks
+// and every source unreachable.
+func newTable(nr, units int) *table {
+	dists := nr * units // the distance bytes start where the masks end
+	slab := make([]uint16, dists+(nr+1)/2)
+	for i := dists; i < len(slab); i++ {
+		slab[i] = unreachable<<8 | unreachable
+	}
+	return &table{slab: slab}
+}
+
+// setDist writes src's distance byte, saturating at distCap.
+func (t *table) setDist(nr, units, src, d int) {
+	i, shift := nr*units+src>>1, uint(src&1)<<3
+	t.slab[i] = t.slab[i]&^(0xFF<<shift) | uint16(min(d, distCap))<<shift
 }
 
 // buildTable computes one (layer, destination) table from the layer's
-// adjacency rows and the full graph's. Pure function of (rows, base, dst);
-// sc only lends memory.
+// adjacency rows and the full graph's: the lazy kernel, for a caller that
+// wants one destination. Pure function of (rows, base, dst).
 //
 // The BFS is level-synchronous: the next level is the union of the current
 // level's rows minus the current and previous levels (in an undirected
@@ -314,25 +311,18 @@ type buildScratch struct {
 // becomes the position popcount(base[src] below h), its rank among src's
 // neighbours in ascending ID. The level before the destination's is empty,
 // so the destination gets no candidates.
-func buildTable(rows, base []uint64, nr, units, dst int, sc *buildScratch) *table {
+func buildTable(rows, base []uint64, nr, units, dst int) *table {
 	words := (nr + 63) / 64
-	dists := nr * units // the distance bytes start where the masks end
-	slab := make([]uint16, dists+(nr+1)/2)
-	for i := dists; i < len(slab); i++ {
-		slab[i] = unreachable<<8 | unreachable
-	}
-	sc.levels = append(sc.levels[:0], make([]uint64, 3*words)...)
-	prev, cur, next := sc.levels[:words], sc.levels[words:2*words], sc.levels[2*words:]
+	t := newTable(nr, units)
+	levels := make([]uint64, 3*words)
+	prev, cur, next := levels[:words], levels[words:2*words], levels[2*words:]
 	cur[dst>>6] = 1 << (dst & 63)
-	cands := 0
 	for d := 0; ; d++ {
-		db := uint16(min(d, distCap))
 		for w, m := range cur {
 			for ; m != 0; m &= m - 1 {
 				src := w<<6 | bits.TrailingZeros64(m)
-				shift := uint(src&1) << 3
-				slab[dists+src>>1] = slab[dists+src>>1]&^(0xFF<<shift) | db<<shift
-				mask := slab[src*units : (src+1)*units]
+				t.setDist(nr, units, src, d)
+				mask := t.slab[src*units : (src+1)*units]
 				rank := 0
 				for i, r := range rows[src*words : (src+1)*words] {
 					next[i] |= r
@@ -340,7 +330,7 @@ func buildTable(rows, base []uint64, nr, units, dst int, sc *buildScratch) *tabl
 					for c := r & prev[i]; c != 0; c &= c - 1 {
 						pos := rank + bits.OnesCount64(b&((c&-c)-1))
 						mask[pos>>4] |= 1 << (pos & 15)
-						cands++
+						t.cands++
 					}
 					rank += bits.OnesCount64(b)
 				}
@@ -352,10 +342,140 @@ func buildTable(rows, base []uint64, nr, units, dst int, sc *buildScratch) *tabl
 			any |= next[i]
 		}
 		if any == 0 {
-			return &table{slab: slab, cands: int32(cands)}
+			return t
 		}
 		prev, cur, next = cur, next, prev
 		clear(next)
+	}
+}
+
+// layerEdge is one edge of a layer seen from router v: the neighbour u and
+// its position p in v's full neighbour list (Neighbors).
+type layerEdge struct{ u, p int32 }
+
+// blockScratch is one BuildAll worker's reusable working set, sized once:
+// the edge lists of the layer it last built a block of, and three words per
+// router for the multi-source BFS.
+type blockScratch struct {
+	layer int // the layer whose edges are loaded; -1 before the first block
+	// Router v's layer edges are edges[off[v]:off[v+1]].
+	off   []int32
+	edges []layerEdge
+	// Bit j of a router's word stands for destination b0+j: prev and cur
+	// are the last two BFS levels, seen every level so far.
+	prev, cur, seen []uint64
+}
+
+// newBlockScratch sizes a worker's scratch for the engine's routers and
+// edges; no block grows it.
+func (e *Engine) newBlockScratch() blockScratch {
+	words := make([]uint64, 3*e.nr)
+	return blockScratch{
+		layer: -1,
+		off:   make([]int32, e.nr+1),
+		edges: make([]layerEdge, 0, 2*e.g.M()), // any layer's edge ends fit
+		prev:  words[:e.nr],
+		cur:   words[e.nr : 2*e.nr],
+		seen:  words[2*e.nr:],
+	}
+}
+
+// useLayer points sc at the layer's edge lists, rebuilding them only when
+// the layer changes. A position is found in the full neighbour list, so
+// the graph's own adjacency order does not matter.
+func (e *Engine) useLayer(layer int, sc *blockScratch) {
+	if sc.layer == layer {
+		return
+	}
+	sc.layer = layer
+	mask := e.masks[layer]
+	sc.edges = sc.edges[:0]
+	for v := 0; v < e.nr; v++ {
+		nbrs := e.Neighbors(v)
+		for _, h := range e.g.Neighbors(v) {
+			if mask == nil || mask[h.Edge] {
+				p, _ := slices.BinarySearch(nbrs, h.To)
+				sc.edges = append(sc.edges, layerEdge{h.To, int32(p)})
+			}
+		}
+		sc.off[v+1] = int32(len(sc.edges))
+	}
+}
+
+// buildBlock builds and publishes the still-unbuilt tables of destinations
+// b0..b0+63 in the layer: the eager kernel, a bit-parallel multi-source BFS
+// (MS-BFS, Then et al., VLDB 2015). Bit j of a router's word stands for
+// destination b0+j, so one pass over the layer's edges advances up to 64
+// BFSes by one level:
+//
+//	cur[v] = (⋁_{u∈N_l(v)} prev[u]) &^ seen[v]
+//
+// Set bits of cur[v] give v's distance byte in their tables, and for each
+// layer edge (v, u at position p), cur[v] & prev[u] are the destinations for
+// which u is one hop closer: bit p of v's mask in each of those tables. The
+// tables equal buildTable's bit for bit.
+func (e *Engine) buildBlock(layer, b0 int, sc *blockScratch) {
+	k := min(64, e.nr-b0)
+	var want uint64 // the destinations whose slots are still empty
+	for j := 0; j < k; j++ {
+		if e.tables[layer*e.nr+b0+j].Load() == nil {
+			want |= 1 << j
+		}
+	}
+	if want == 0 {
+		return
+	}
+	e.useLayer(layer, sc)
+	prev, cur, seen := sc.prev, sc.cur, sc.seen
+	clear(prev)
+	clear(seen)
+	var tabs [64]*table
+	for m := want; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		tabs[j] = newTable(e.nr, e.units)
+		tabs[j].setDist(e.nr, e.units, b0+j, 0)
+		prev[b0+j], seen[b0+j] = 1<<j, 1<<j
+	}
+	for d := 1; ; d++ {
+		var any uint64
+		for v := 0; v < e.nr; v++ {
+			cur[v] = 0
+			if seen[v] == want {
+				continue
+			}
+			edges := sc.edges[sc.off[v]:sc.off[v+1]]
+			var acc uint64
+			for _, ed := range edges {
+				acc |= prev[ed.u]
+			}
+			c := acc &^ seen[v]
+			if c == 0 {
+				continue
+			}
+			cur[v] = c
+			seen[v] |= c
+			any |= c
+			for m := c; m != 0; m &= m - 1 {
+				tabs[bits.TrailingZeros64(m)].setDist(e.nr, e.units, v, d)
+			}
+			base := v * e.units
+			for _, ed := range edges {
+				unit, bit := base+int(ed.p>>4), uint16(1)<<(ed.p&15)
+				for m := c & prev[ed.u]; m != 0; m &= m - 1 {
+					t := tabs[bits.TrailingZeros64(m)]
+					t.slab[unit] |= bit
+					t.cands++
+				}
+			}
+		}
+		if any == 0 {
+			break
+		}
+		prev, cur = cur, prev
+	}
+	for m := want; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		e.publish(layer*e.nr+b0+j, tabs[j])
 	}
 }
 
@@ -490,27 +610,30 @@ func (e *Engine) LayerPaths(src, dst int) [][]int32 {
 }
 
 // BuildAll materializes every (layer, destination) table eagerly on up to
-// `workers` goroutines (0 or negative selects all cores). Because each
-// table is a pure function of its slot, the resulting engine state is
-// identical for every worker count. Each worker claims slots off a shared
-// counter and reuses one scratch, so the build allocates only the tables.
+// `workers` goroutines (0 or negative selects all cores). Workers claim
+// (layer, 64-destination block) units layer-major off a shared counter and
+// run buildBlock on each, reusing one scratch, so the build allocates only
+// the tables. Slots already published — first touches, or a WithoutEdges
+// view's tables shared with its parent — are left as they are. Each table is
+// a pure function of its slot, so the engine state is identical for every
+// worker count and whichever kernel built a table.
 func (e *Engine) BuildAll(workers int) {
-	n := len(e.tables)
+	blocks := (e.nr + 63) / 64
+	n := len(e.masks) * blocks
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
 	var next atomic.Int64
 	// fn never fails; the error return exists to satisfy ParallelMap.
 	_, _ = exec.ParallelMap(workers, workers, func(int) (struct{}, error) {
-		var sc buildScratch
+		sc := e.newBlockScratch()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return struct{}{}, nil
 			}
-			if e.tables[i].Load() == nil {
-				e.firstTouch(i/e.nr, i%e.nr, &sc)
-			}
+			e.buildBlock(i/blocks, i%blocks*64, &sc)
 		}
 	})
 }

@@ -74,8 +74,8 @@ func TestBuildAllWorkerCountsIdentical(t *testing.T) {
 }
 
 // TestConcurrentFirstTouch hammers lazy first-touch builds from many
-// goroutines (the striped-lock path) and checks the result matches a
-// serial build. Run under -race in CI.
+// goroutines (built outside any lock, published by compare-and-swap) and
+// checks the result matches a serial build. Run under -race in CI.
 func TestConcurrentFirstTouch(t *testing.T) {
 	ref, _ := testEngine(t, 7)
 	ref.BuildAll(1)
@@ -308,16 +308,34 @@ func TestRoutingMetrics(t *testing.T) {
 	if snap[obs.MetricRoutingCSREntries] <= 0 {
 		t.Fatal("csr_entries_deployed must grow with built tables")
 	}
-	if snap[obs.MetricRoutingStripeLocks] < 2 {
-		t.Fatalf("stripe_lock_acquisitions = %d, want >= 2 (one per first-touch build)",
-			snap[obs.MetricRoutingStripeLocks])
+
+	// Only the builder whose table is published counts: goroutines racing
+	// to first-touch one slot add one table between them, and after
+	// BuildAll the counters equal the engine's own census.
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.table(2, 5)
+		}()
+	}
+	wg.Wait()
+	if got := reg.Snapshot()[obs.MetricRoutingTablesBuilt]; got != 3 {
+		t.Fatalf("tables_built = %d after racing first touches of one slot, want 3", got)
+	}
+	e.BuildAll(2)
+	st := e.Stat()
+	snap = reg.Snapshot()
+	if snap[obs.MetricRoutingTablesBuilt] != int64(st.TablesBuilt) || snap[obs.MetricRoutingCSREntries] != st.CandEntries {
+		t.Fatalf("tables_built %d, csr_entries_deployed %d; the engine holds %d tables, %d entries",
+			snap[obs.MetricRoutingTablesBuilt], snap[obs.MetricRoutingCSREntries], st.TablesBuilt, st.CandEntries)
 	}
 
 	// WithoutEdges repairs report, against the parent's BUILT tables, how
 	// many were shared untouched vs dropped for rebuild — and the derived
 	// engine keeps accumulating into the same registry.
-	e.BuildAll(2)
-	built := reg.Snapshot()[obs.MetricRoutingTablesBuilt]
+	built := snap[obs.MetricRoutingTablesBuilt]
 	derived := e.WithoutEdges([]int{0, 1})
 	snap = reg.Snapshot()
 	inval, shared := snap[obs.MetricRoutingInvalidated], snap[obs.MetricRoutingShared]
@@ -396,9 +414,10 @@ func requireSameAnswers(t *testing.T, got, want *Engine) {
 // path: WithoutEdges(F) against an engine built from nothing on the graph
 // G∖F, for empty, single, noisy (duplicates, out-of-range IDs), random,
 // router-isolating, bisecting and total F, from fully and partly built
-// parents, and once more for a view of a view. The fresh engine's graph has
-// other edge IDs and other neighbour positions than the parent's, so the
-// comparison also covers the position ↔ router mapping.
+// parents, with the view's tables rebuilt lazily or by BuildAll, and once
+// more for a view of a view. The fresh engine's graph has other edge IDs
+// and other neighbour positions than the parent's, so the comparison also
+// covers the position ↔ router mapping.
 func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
 	rng := graph.NewRand(24)
 	sf, err := topo.SlimFly(5, 0)
@@ -457,6 +476,9 @@ func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
 				if shared, invalidated := derived.Repair(); shared+invalidated != built {
 					t.Fatalf("Repair() = %d shared + %d invalidated, parent had %d built", shared, invalidated, built)
 				}
+				if i%4 < 2 { // and the others rebuild lazily
+					requireBuildAllKeepsShared(t, parent, derived)
+				}
 				requireSameAnswers(t, derived, freshEngineWithout(g, masks, f.failed, 9))
 				// A view of the view: its touched layers copy rows the first
 				// view derived from the parent's.
@@ -464,5 +486,39 @@ func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
 					freshEngineWithout(g, masks, slices.Concat(f.failed, second), 9))
 			})
 		}
+	}
+}
+
+// requireBuildAllKeepsShared runs BuildAll on a WithoutEdges view and
+// checks it builds only what the view does not share: every shared table
+// stays the parent's very pointer, and neither the view's repair census nor
+// the parent's tables move.
+func requireBuildAllKeepsShared(t *testing.T, parent, view *Engine) {
+	t.Helper()
+	shared, invalidated := view.Repair()
+	parentBuilt := parent.Stat().TablesBuilt
+	var kept []int
+	for slot := range view.tables {
+		if view.tables[slot].Load() != nil {
+			kept = append(kept, slot)
+		}
+	}
+	if len(kept) != shared {
+		t.Fatalf("view holds %d tables, Repair() says it shares %d", len(kept), shared)
+	}
+	view.BuildAll(2)
+	for _, slot := range kept {
+		if view.tables[slot].Load() != parent.tables[slot].Load() {
+			t.Fatalf("BuildAll replaced shared table %d of the view", slot)
+		}
+	}
+	if s, i := view.Repair(); s != shared || i != invalidated {
+		t.Fatalf("BuildAll moved Repair() from %d/%d to %d/%d", shared, invalidated, s, i)
+	}
+	if got := parent.Stat().TablesBuilt; got != parentBuilt {
+		t.Fatalf("BuildAll on the view built %d tables of the parent", got-parentBuilt)
+	}
+	if st := view.Stat(); st.TablesBuilt != st.TablesTotal {
+		t.Fatalf("BuildAll left %d of the view's tables unbuilt", st.TablesTotal-st.TablesBuilt)
 	}
 }
