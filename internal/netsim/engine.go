@@ -25,14 +25,14 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // eventKind discriminates the event payload. Everything the steady state
 // schedules carries its operands inline instead of in a closure — every
-// packet transmission schedules two events per hop, every ACK re-arms a
-// timer, every NDP arrival paces a pull — so the event loop allocates
-// nothing once queues and arenas have reached their size.
+// packet transmission schedules a delivery, every ACK re-arms a timer,
+// every NDP arrival paces a pull — so the event loop allocates nothing once
+// queues and arenas have reached their size.
 type eventKind uint8
 
 const (
 	evTimer   eventKind = iota // an entry of timer tm popped
-	evTxDone                   // link finished serializing pkt; start next, then deliver
+	evTxDone                   // link's reserved end of serialization, queued because a packet waits: start it
 	evDeliver                  // pkt arrives at the far end of link
 	evInject                   // pkt enters the network at link, its source host's uplink
 )
@@ -45,7 +45,9 @@ const (
 //   - Partition-local events (timers, tx-done, paced pulls) fold the owning
 //     partition id and that partition's private push counter. Within one
 //     partition, scheduling order is execution order; across partitions,
-//     the lower id goes first whichever was pushed first.
+//     the lower id goes first whichever was pushed first. A timer arm and a
+//     transmission draw their key when they are made, whether or not an
+//     entry is ever queued under it (timer, link.transmit).
 //   - Link deliveries fold the link's construction-order id and a per-link
 //     transmit sequence, and sort after the local class at equal times.
 //
@@ -72,6 +74,7 @@ func deliverKey(linkID int32, seq uint32) uint64 {
 // the executing *Engine.
 type Engine struct {
 	now   Time
+	key   uint64 // canonical key of the executing event
 	queue eventHeap
 
 	// seq[p] is partition p's push counter (see localKey).
@@ -98,8 +101,8 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over parts partitions. nearSpan is how far
-// ahead the bulk of events is scheduled (a packet's serialization or link
-// delay); it sizes the event queue's calendar tick and affects cost only,
+// ahead the bulk of events is scheduled (a packet's serialization plus its
+// link delay: a delivery is queued when its transmission starts); it sizes the event queue's calendar tick and affects cost only,
 // never order.
 func NewEngine(parts int, nearSpan Time) *Engine {
 	e := &Engine{seq: make([]uint32, parts)}
@@ -119,6 +122,11 @@ func (e *Engine) QueueHighWater() int { return e.queueHW }
 // SetTracer attaches an acquired tracer to the engine's event loop.
 func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 
+// before reports whether the executing event precedes (at, key) in queue
+// order, i.e. whether an event queued under (at, key) would still be
+// waiting to run.
+func (e *Engine) before(at Time, key uint64) bool { return earlier(e.now, e.key, at, key) }
+
 // push queues an event with an explicit canonical key.
 func (e *Engine) push(t Time, key uint64, pay eventPayload) {
 	if t < e.now {
@@ -130,10 +138,15 @@ func (e *Engine) push(t Time, key uint64, pay eventPayload) {
 	}
 }
 
+// nextKey draws partition part's next canonical key.
+func (e *Engine) nextKey(part int32) uint64 {
+	e.seq[part]++
+	return localKey(part, e.seq[part])
+}
+
 // pushLocal queues a partition-local event under the partition's next key.
 func (e *Engine) pushLocal(t Time, part int32, pay eventPayload) {
-	e.seq[part]++
-	e.push(t, localKey(part, e.seq[part]), pay)
+	e.push(t, e.nextKey(part), pay)
 }
 
 // timer is a re-armable deadline with at most one live firing: a subflow's
@@ -166,8 +179,7 @@ func (e *Engine) arm(tm *timer, part int32, t Time) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq[part]++
-	tm.at, tm.key = t, localKey(part, e.seq[part])
+	tm.at, tm.key = t, e.nextKey(part)
 	if !tm.queued || t < tm.queuedAt {
 		e.queueTimer(tm)
 	}
@@ -199,19 +211,6 @@ func (e *Engine) popTimer(tm *timer, at Time, key uint64) {
 	}
 }
 
-// afterTxDone schedules the end of a packet's serialization on link l (the
-// transmit side of l lives on partition l.txPart).
-func (e *Engine) afterTxDone(d Time, l *link, p *Packet) {
-	e.pushLocal(e.now+d, l.txPart, eventPayload{kind: evTxDone, link: l, pkt: p})
-}
-
-// afterDeliver schedules a packet's arrival at the far end of a link, under
-// the link's next delivery key.
-func (e *Engine) afterDeliver(l *link, p *Packet) {
-	l.deliverSeq++
-	e.push(e.now+l.delay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, link: l, pkt: p})
-}
-
 // Run executes events in (at, key) order until the queue empties or the
 // horizon passes — events at the horizon still run — and returns how many
 // it executed. A drained queue leaves the clock at the horizon.
@@ -222,7 +221,7 @@ func (e *Engine) Run(until Time) int {
 		if !ok {
 			break
 		}
-		e.now = at
+		e.now, e.key = at, key
 		e.executed++
 		if e.tracer != nil {
 			e.traceEvent(pay)
@@ -231,10 +230,7 @@ func (e *Engine) Run(until Time) int {
 		case evTimer:
 			e.popTimer(pay.tm, at, key)
 		case evTxDone:
-			l := pay.link
-			l.busy = false
-			l.kick(e)
-			e.afterDeliver(l, pay.pkt)
+			pay.link.txDone(e)
 		case evDeliver:
 			pay.link.net.deliver(e, pay.link, pay.pkt)
 		case evInject:
@@ -279,7 +275,9 @@ var eventTraceName = [...]string{evTimer: "timer", evTxDone: "tx-done", evDelive
 // traceEvent records one executed event in the engine's trace window, plus
 // a periodic event-queue-depth counter track. Packet events land on a tid
 // derived from the packet's destination so per-flow activity separates
-// into rows in the viewer.
+// into rows in the viewer. A tx-done event carries no packet, so it lands on
+// tid 0 as a bare "tx-done", and it is queued, hence traced, only when a
+// packet waits behind the transmission.
 func (e *Engine) traceEvent(pay eventPayload) {
 	ts := int64(e.now)
 	tr := e.tracer

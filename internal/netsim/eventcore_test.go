@@ -370,9 +370,10 @@ func TestTimerModel(t *testing.T) {
 }
 
 // TestPktRingFIFO covers the ring alone: order across wrap-around, growth
-// while the contents are wrapped, and popped slots released.
+// while the contents are wrapped, growth bounded by the queue's capacity,
+// and popped slots released.
 func TestPktRingFIFO(t *testing.T) {
-	var r pktRing
+	r := pktRing{limit: 100}
 	next, want := int32(0), int32(0)
 	push := func(n int) {
 		for i := 0; i < n; i++ {
@@ -389,22 +390,26 @@ func TestPktRingFIFO(t *testing.T) {
 			want++
 		}
 	}
-	push(3)
-	pop(2)
-	push(3) // wraps: 4 slots, head at 2
-	if len(r.buf) != 4 || r.head != 2 || r.len() != 4 {
+	push(6)
+	pop(4)
+	push(6) // wraps: 8 slots, head at 4
+	if len(r.buf) != 8 || r.head != 4 || r.len() != 8 {
 		t.Fatalf("ring not wrapped as intended: cap=%d head=%d len=%d", len(r.buf), r.head, r.len())
 	}
-	push(1) // grows while wrapped
-	if len(r.buf) != 8 || r.len() != 5 {
-		t.Fatalf("after growth cap=%d len=%d, want 8 and 5", len(r.buf), r.len())
+	push(1) // doubles while wrapped
+	if len(r.buf) != 16 || r.len() != 9 {
+		t.Fatalf("after growth cap=%d len=%d, want 16 and 9", len(r.buf), r.len())
 	}
 	for round := 0; round < 50; round++ { // many laps around a fixed-size ring
 		push(3)
 		pop(3)
 	}
-	if len(r.buf) != 8 {
+	if len(r.buf) != 16 {
 		t.Fatalf("steady-state traffic grew the ring to %d", len(r.buf))
+	}
+	push(r.limit - r.len()) // full: 128 slots hold 100
+	if len(r.buf) != 128 || !r.full() {
+		t.Fatalf("at capacity %d: cap=%d len=%d", r.limit, len(r.buf), r.len())
 	}
 	pop(r.len())
 	for i, p := range r.buf {
@@ -412,10 +417,19 @@ func TestPktRingFIFO(t *testing.T) {
 			t.Fatalf("slot %d still references a popped packet", i)
 		}
 	}
+	for _, c := range []struct{ limit, size int }{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {64, 16}} {
+		r := pktRing{limit: c.limit}
+		for !r.full() && r.len() < 9 {
+			r.push(&Packet{})
+		}
+		if len(r.buf) != c.size {
+			t.Errorf("limit %d: %d pushes grew the ring to %d slots, want %d", c.limit, r.len(), len(r.buf), c.size)
+		}
+	}
 }
 
-// TestLinkQueueBehaviour pins what enqueue/kick did before the queues
-// became rings: capacity limits (not the ring's power-of-two size) bound
+// TestLinkQueueBehaviour pins what a link's queues did before they became
+// rings: capacity limits (not the ring's power-of-two size) bound
 // occupancy, the ECN threshold marks on the same arrival, a full queue
 // trims into the priority queue or tail-drops, and the priority queue is
 // served first, each queue in FIFO order.
@@ -425,7 +439,7 @@ func TestLinkQueueBehaviour(t *testing.T) {
 		cfg.QueueCap, cfg.PrioQueueCap, cfg.ECNThreshold, cfg.TrimMode = 5, 4, 4, trim
 		s := starSim(t, 2, cfg)
 		e, l := s.Eng, s.Net.hostUp[0]
-		l.busy = true // hold the transmitter so arrivals accumulate
+		l.txEnd = maxTime // hold the transmitter so arrivals accumulate
 		data := func(seq int32) *Packet {
 			p := e.newPacket()
 			*p = Packet{Seq: seq, Bytes: 1500, Kind: KindData}
@@ -460,26 +474,42 @@ func TestLinkQueueBehaviour(t *testing.T) {
 			t.Fatalf("trim=%v: pq=%d trims=%d drops=%d, want %d/%d/%d",
 				trim, l.pq.len(), l.Trims, l.Drops, wantPQ, wantTrims, wantDrops)
 		}
+		// Arrivals behind the held transmission queued its tx-done once.
+		if _, _, pay, _ := e.queue.popUntil(maxTime); pay.kind != evTxDone || pay.link != l || e.queue.len() != 0 {
+			t.Fatalf("trim=%v: waiting packets queued %d events, want the link's one tx-done", trim, e.queue.len()+1)
+		}
 		// Serve everything: priority queue first, FIFO within each queue.
+		// Each transmission queues its delivery, and its tx-done only while
+		// another packet waits.
 		wantOrder := []int32{100, 0, 1, 2, 3, 4}
 		if trim {
 			wantOrder = []int32{100, 5, 6, 7, 0, 1, 2, 3, 4}
 		}
 		for i, want := range wantOrder {
-			l.busy = false
-			l.kick(e)
-			_, _, pay, _ := e.queue.popUntil(maxTime)
-			if pay.kind != evTxDone || pay.pkt.Seq != want {
-				t.Fatalf("trim=%v: transmission %d sent seq %d, want %d", trim, i, pay.pkt.Seq, want)
+			l.txDone(e)
+			var sent *Packet
+			txDones := 0
+			for e.queue.len() > 0 {
+				_, _, pay, _ := e.queue.popUntil(maxTime)
+				if pay.kind == evTxDone {
+					txDones++
+				} else {
+					sent = pay.pkt
+				}
 			}
-			if trim && want >= 5 && want < 100 && (!pay.pkt.Trimmed || pay.pkt.Bytes != HeaderBytes) {
+			if sent == nil || sent.Seq != want {
+				t.Fatalf("trim=%v: transmission %d sent %+v, want seq %d", trim, i, sent, want)
+			}
+			if trim && want >= 5 && want < 100 && (!sent.Trimmed || sent.Bytes != HeaderBytes) {
 				t.Fatalf("trim=%v: seq %d left untrimmed", trim, want)
 			}
-		}
-		l.busy = false
-		l.kick(e)
-		if l.busy || e.queue.len() != 0 {
-			t.Fatalf("trim=%v: empty link started a transmission", trim)
+			wantTxDones := 1 // another packet waits
+			if i == len(wantOrder)-1 {
+				wantTxDones = 0
+			}
+			if txDones != wantTxDones {
+				t.Fatalf("trim=%v: transmission %d queued %d tx-done events, want %d", trim, i, txDones, wantTxDones)
+			}
 		}
 	}
 }
@@ -568,37 +598,52 @@ var eventCoreCases = []struct {
 	allocCeiling   float64 // 0: the run is too short to measure
 	digest         uint64  // flowDigest after the same run (TestFlowResultsPinned)
 }{
-	{"tcp", TCPDefaults(TransportTCP), perm, 621736, 1169, 200, 453, 0.01, 0x4d8a58bb1bb33892},
-	{"dctcp", TCPDefaults(TransportDCTCP), perm, 674665, 1302, 200, 5879, 0.01, 0xc011ea92e1c32ee1},
-	{"mptcp", TCPDefaults(TransportMPTCP), perm, 638205, 3373, 200, 2294, 0.01, 0x8bb9134d2e067785},
-	{"ndp", NDPDefaults(), perm, 158906, 765, 200, 2932, 0.02, 0xa6a87bbb54c1086e},
-	{"mixed-ndp-fatpaths", NDPDefaults(), mixed, 29484, 336, 106, 462, 0, 0xb1b5406a3832d331},
-	{"mixed-tcp-fatpaths", TCPDefaults(TransportTCP), mixed, 120720, 553, 106, 152, 0, 0x748ac3a178dba81f},
-	{"mixed-dctcp-letflow", withLB(TCPDefaults(TransportDCTCP), LBLetFlow), mixed, 110406, 494, 106, 798, 0, 0x60d4bc5722051684},
-	{"mixed-mptcp", TCPDefaults(TransportMPTCP), mixed, 122254, 1262, 106, 209, 0, 0xe390d9a9a29581c3},
-	{"mixed-ndp-failed-links", NDPDefaults(), mixedFailed, 35306, 297, 98, 1778, 0, 0x8a11da6e8547c835},
+	{"tcp", TCPDefaults(TransportTCP), perm, 443076, 1316, 200, 453, 0.01, 0x4d8a58bb1bb33892},
+	{"dctcp", TCPDefaults(TransportDCTCP), perm, 493167, 1433, 200, 5879, 0.01, 0xc011ea92e1c32ee1},
+	{"mptcp", TCPDefaults(TransportMPTCP), perm, 473959, 3496, 200, 2294, 0.01, 0x8bb9134d2e067785},
+	{"ndp", NDPDefaults(), perm, 123421, 990, 200, 2932, 0.02, 0xa6a87bbb54c1086e},
+	{"mixed-ndp-fatpaths", NDPDefaults(), mixed, 20034, 398, 106, 462, 0, 0xb1b5406a3832d331},
+	{"mixed-tcp-fatpaths", TCPDefaults(TransportTCP), mixed, 76378, 613, 106, 152, 0, 0x748ac3a178dba81f},
+	{"mixed-dctcp-letflow", withLB(TCPDefaults(TransportDCTCP), LBLetFlow), mixed, 66755, 526, 106, 798, 0, 0x60d4bc5722051684},
+	{"mixed-mptcp", TCPDefaults(TransportMPTCP), mixed, 82966, 1308, 106, 209, 0, 0xe390d9a9a29581c3},
+	{"mixed-ndp-failed-links", NDPDefaults(), mixedFailed, 23514, 351, 98, 1778, 0, 0x8a11da6e8547c835},
+}
+
+// pinnedSim builds case i of eventCoreCases and returns it with its
+// horizon.
+func pinnedSim(t *testing.T, i int) (*Sim, Time) {
+	t.Helper()
+	c := eventCoreCases[i]
+	if c.load != perm {
+		return mixedSim(t, c.cfg, c.load == mixedFailed), 80 * Millisecond
+	}
+	return permSim(t, c.cfg), 50 * Millisecond
 }
 
 // runPinned runs case i of eventCoreCases to its horizon.
 func runPinned(t *testing.T, i int) (*Sim, []FlowResult) {
 	t.Helper()
-	c := eventCoreCases[i]
-	if c.load != perm {
-		s := mixedSim(t, c.cfg, c.load == mixedFailed)
-		return s, s.Run(80 * Millisecond)
-	}
-	s := permSim(t, c.cfg)
-	return s, s.Run(50 * Millisecond)
+	s, horizon := pinnedSim(t, i)
+	return s, s.Run(horizon)
 }
 
 // TestEventCountPinned holds the simulated model fixed while its cost
 // changes: a fixed-seed run of each transport must execute exactly the
-// events, and reach exactly the queue depth, it did when the live timers
-// went in. The TCP-family literals were re-pinned once, then: a superseded
-// RTO no longer costs an entry and a pop (tcp 684374 -> 621736 events,
-// dctcp 727144 -> 674665, mptcp 692516 -> 638205; high-water 17182 / 16735
-// / 19996 before), with ndp, every retransmission sum and every
-// TestFlowResultsPinned digest unchanged.
+// events, and reach exactly the queue depth, it did when tx-done became a
+// reserved deadline. The literals were re-pinned twice, each time with
+// every retransmission sum and every TestFlowResultsPinned digest
+// unchanged:
+//   - when the live timers went in, on the TCP family only: a superseded
+//     RTO no longer costs an entry and a pop (tcp 684374 -> 621736 events,
+//     dctcp 727144 -> 674665, mptcp 692516 -> 638205; high-water 17182 /
+//     16735 / 19996 before);
+//   - when a link stopped queueing a tx-done for a transmission that no
+//     packet waits behind: 29–40 % fewer events in every row (tcp 621736,
+//     dctcp 674665, mptcp 638205, ndp 158906, then the mixed rows 29484,
+//     120720, 110406, 122254, 35306 before), and a high-water 4–29 % higher
+//     (1169, 1302, 3373, 765, 336, 553, 494, 1262, 297 before), since a
+//     delivery is now queued when its transmission starts, not when it
+//     ends.
 func TestEventCountPinned(t *testing.T) {
 	for i, c := range eventCoreCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -664,6 +709,114 @@ func TestFlowResultsPinned(t *testing.T) {
 		if got := flowDigest(s, res); got != c.digest {
 			t.Errorf("%s: flow-result digest %#x, pinned %#x", c.name, got, c.digest)
 		}
+	}
+}
+
+// TestInFlightInvariants steps each pinned workload through its horizon
+// and, between steps, checks what the reserved tx-done deadline must keep
+// true:
+//   - a link's tx-done entry is queued exactly while a packet waits in its
+//     queues: no waiting packet is stranded, no entry is queued for nothing;
+//   - no queue holds more packets than its capacity;
+//   - the deliveries queued on one link are a serialization apart at least
+//     (the wire never carries two packets at once), and the last is due one
+//     link delay after the reserved end of serialization while the
+//     transmitter is busy, never later;
+//   - every packet is free in the arena, waiting for injection, or in
+//     flight, and every packet in flight sits in a link queue or a queued
+//     delivery.
+//
+// Stepping must not perturb the run: the flow digest stays the pinned one.
+func TestInFlightInvariants(t *testing.T) {
+	for i, c := range eventCoreCases {
+		t.Run(c.name, func(t *testing.T) {
+			s, horizon := pinnedSim(t, i)
+			loaded := 0
+			for until := Time(0); until < horizon; {
+				// Finely through the first 2 ms, where every workload is
+				// busiest, then coarsely to the horizon.
+				if until < 2*Millisecond {
+					until += 5 * Microsecond
+				} else {
+					until += 500 * Microsecond
+				}
+				s.Eng.Run(until)
+				checkInFlight(t, s)
+				if s.Eng.inflight > 0 {
+					loaded++
+				}
+			}
+			if loaded < 50 {
+				t.Fatalf("only %d pauses found packets in flight", loaded)
+			}
+			if got := flowDigest(s, s.Run(horizon)); got != c.digest {
+				t.Errorf("stepped run: flow-result digest %#x, pinned %#x", got, c.digest)
+			}
+		})
+	}
+}
+
+// checkInFlight asserts TestInFlightInvariants' invariants on a paused
+// simulation.
+func checkInFlight(t *testing.T, s *Sim) {
+	t.Helper()
+	e := s.Eng
+	type delivery struct {
+		at  Time
+		pkt *Packet
+	}
+	deliveries := make([][]delivery, len(s.Net.links))
+	injecting := 0
+	visit := func(at Time, pay eventPayload) {
+		switch pay.kind {
+		case evDeliver:
+			deliveries[pay.link.id] = append(deliveries[pay.link.id], delivery{at, pay.pkt})
+		case evInject:
+			injecting++
+		}
+	}
+	w := &e.queue.near
+	for b := range w.head {
+		if w.occ[b>>6]>>(b&63)&1 != 0 {
+			for c := w.head[b]; c >= 0; c = w.node[c].next {
+				visit(w.node[c].at, w.slots.pay[c])
+			}
+		}
+	}
+	for _, en := range e.queue.far.ent {
+		visit(en.at, e.queue.far.slots.pay[en.slot])
+	}
+	var held int64
+	for id := range s.Net.links {
+		l := &s.Net.links[id]
+		waiting := l.q.len() + l.pq.len()
+		if l.q.len() > l.q.limit || l.pq.len() > l.pq.limit {
+			t.Fatalf("t=%d link %d: queues hold %d / %d packets, capacities %d / %d", e.now, id, l.q.len(), l.pq.len(), l.q.limit, l.pq.limit)
+		}
+		if l.txQueued != (waiting > 0) {
+			t.Fatalf("t=%d link %d: tx-done queued=%v with %d packets waiting", e.now, id, l.txQueued, waiting)
+		}
+		d := deliveries[id]
+		sort.Slice(d, func(a, b int) bool { return d[a].at < d[b].at })
+		for k := 1; k < len(d); k++ {
+			if gap := d[k].at - d[k-1].at; gap < serialization(d[k].pkt.Bytes, l.bps) {
+				t.Fatalf("t=%d link %d: deliveries at %d and %d overlap on the wire (%d B)", e.now, id, d[k-1].at, d[k].at, d[k].pkt.Bytes)
+			}
+		}
+		last := Time(-1)
+		if len(d) > 0 {
+			last = d[len(d)-1].at
+		}
+		if busy := e.before(l.txEnd, l.txKey); last > l.txEnd+l.delay || busy && last != l.txEnd+l.delay {
+			t.Fatalf("t=%d link %d: last delivery due at %d, serialization reserved until %d (busy %v), delay %d", e.now, id, last, l.txEnd, busy, l.delay)
+		}
+		held += int64(waiting + len(d))
+	}
+	if held != e.inflight {
+		t.Fatalf("t=%d: %d packets in flight, but %d in link queues and queued deliveries", e.now, e.inflight, held)
+	}
+	if n := len(e.pfree) + injecting + int(e.inflight); n%packetChunk != 0 {
+		t.Fatalf("t=%d: %d free + %d injecting + %d in flight packets is not a whole number of %d-packet chunks", e.now, len(e.pfree), injecting, e.inflight, packetChunk)
 	}
 }
 

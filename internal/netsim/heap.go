@@ -6,7 +6,7 @@ import "math/bits"
 // its layout is built around three decisions:
 //
 //   - Near and far events queue apart. A packet event (evTxDone, evDeliver,
-//     evInject) is scheduled at most one MTU serialization or one link
+//     evInject) is scheduled at most one MTU serialization plus one link
 //     delay ahead; a timer about an RTO, a thousand times further. The near
 //     future lives in a calendar queue (wheel): a fixed ring of buckets,
 //     one per tick, where push is a list prepend and pop is a bitmap scan
@@ -40,7 +40,7 @@ type eventPayload struct {
 	kind eventKind
 	tm   *timer  // evTimer only
 	link *link   // evTxDone, evDeliver, evInject
-	pkt  *Packet // evTxDone, evDeliver, evInject
+	pkt  *Packet // evDeliver, evInject
 }
 
 // slotTable holds the payloads of one structure's queued events; what the

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/routing"
@@ -44,24 +45,39 @@ func (p *Packet) prio() bool { return p.Kind != KindData || p.Trimmed || p.Retx 
 // link is one direction of a full-duplex cable with an output queue at its
 // transmitter. id is a construction-order identifier; with deliverSeq it
 // keys the canonical delivery order (engine.go).
+//
+// The end of a serialization is a reserved deadline, like a timer's: a
+// transmission draws its tx-done key from the transmitter's partition when
+// it starts, exactly as queueing a tx-done event then would, and queues the
+// packet's delivery at once, since nothing can change it. An evTxDone entry
+// under the reservation is queued only while a packet waits behind the
+// transmission, and whether the transmitter is still busy is a comparison
+// of the executing event with the reservation in queue order. So every
+// packet starts at exactly the instant, and draws exactly the keys, that a
+// tx-done queued with every transmission would have given it, and a link
+// whose queues are empty at the end of a serialization costs one event per
+// packet, not two.
 type link struct {
 	net      *Network
 	id       int32
 	toRouter int32 // receiving router, or -1
 	toHost   int32 // receiving host, or -1
-	txPart   int32 // partition of the transmitter: its tx-done events draw their keys there
+	txPart   int32 // partition of the transmitter: its transmissions draw their tx-done keys there
 
 	bps       float64
 	delay     Time
-	qcap      int // data queue capacity (packets)
-	pqcap     int // priority queue capacity
 	ecnThresh int // mark CE when data queue length reaches this (0 = off)
 	trimMode  bool
 
-	q          pktRing
-	pq         pktRing
-	busy       bool
-	failed     bool // dead cable: every packet handed to it is lost (§V-G)
+	q      pktRing // data queue
+	pq     pktRing // priority queue
+	failed bool    // dead cable: every packet handed to it is lost (§V-G)
+	// (txEnd, txKey): the reserved end of the last serialization; the
+	// transmitter is busy while the executing event precedes it. txQueued:
+	// an evTxDone entry is queued under it.
+	txEnd      Time
+	txKey      uint64
+	txQueued   bool
 	deliverSeq uint32
 
 	// Stats.
@@ -69,21 +85,27 @@ type link struct {
 	failDrops                        int64
 }
 
-// pktRing is a growable power-of-two FIFO of packets. Steady-state push and
-// pop allocate nothing, and a popped slot is nil-ed so the ring never pins
-// a recycled packet.
+// pktRing is a growable power-of-two FIFO of packets, bounded by its
+// queue's capacity. Steady-state push and pop allocate nothing, and a popped
+// slot is nil-ed so the ring never pins a recycled packet.
 type pktRing struct {
-	buf  []*Packet // len is zero or a power of two
-	head int
-	n    int
+	buf   []*Packet // len is zero or a power of two
+	head  int
+	n     int
+	limit int // queue capacity in packets: callers push only below it
 }
 
 func (r *pktRing) len() int { return r.n }
 
+// full reports whether the queue is at its capacity.
+func (r *pktRing) full() bool { return r.n >= r.limit }
+
 func (r *pktRing) push(p *Packet) {
 	if r.n == len(r.buf) {
-		// Full (or never used): double, unwrapping the contents to the front.
-		nb := make([]*Packet, max(4, 2*len(r.buf)))
+		// Full (or never used): double from 4 slots, to no more than the
+		// power of two that holds limit, unwrapping the contents to the
+		// front.
+		nb := make([]*Packet, min(max(4, 2*len(r.buf)), 1<<bits.Len(uint(r.limit-1))))
 		k := copy(nb, r.buf[r.head:])
 		copy(nb[k:], r.buf[:r.head])
 		r.buf, r.head = nb, 0
@@ -101,9 +123,9 @@ func (r *pktRing) pop() *Packet {
 	return p
 }
 
-// txTime returns the serialization time of b bytes.
-func (l *link) txTime(b int32) Time {
-	return Time(float64(b*8) / l.bps * 1e9)
+// serialization returns the time b bytes take on the wire at bps.
+func serialization(b int32, bps float64) Time {
+	return Time(float64(b*8) / bps * 1e9)
 }
 
 // enqueue places a packet into the transmitter queue, applying the
@@ -117,21 +139,19 @@ func (l *link) enqueue(e *Engine, p *Packet) {
 		return
 	}
 	if p.prio() {
-		if l.pq.len() < l.pqcap {
-			l.pq.push(p)
-			l.kick(e)
+		if !l.pq.full() {
+			l.offer(e, &l.pq, p)
 		} else {
 			l.Drops++
 			l.net.free(e, p)
 		}
 		return
 	}
-	if l.q.len() < l.qcap {
+	if !l.q.full() {
 		if l.ecnThresh > 0 && l.q.len()+1 >= l.ecnThresh {
 			p.ECN = true
 		}
-		l.q.push(p)
-		l.kick(e)
+		l.offer(e, &l.q, p)
 		return
 	}
 	if l.trimMode {
@@ -139,10 +159,9 @@ func (l *link) enqueue(e *Engine, p *Packet) {
 		// and prioritized so the receiver learns about the congestion.
 		p.Trimmed = true
 		p.Bytes = HeaderBytes
-		if l.pq.len() < l.pqcap {
+		if !l.pq.full() {
 			l.Trims++
-			l.pq.push(p)
-			l.kick(e)
+			l.offer(e, &l.pq, p)
 		} else {
 			l.Drops++
 			l.net.free(e, p)
@@ -153,26 +172,49 @@ func (l *link) enqueue(e *Engine, p *Packet) {
 	l.net.free(e, p)
 }
 
-// kick starts transmitting if idle. Priority traffic (control packets,
-// trimmed headers, retransmissions) is served first (§III-C).
-func (l *link) kick(e *Engine) {
-	if l.busy {
+// offer hands p to the transmitter: onto the wire at once if it is free —
+// its queues are then empty — or else into r, behind the transmission.
+func (l *link) offer(e *Engine, r *pktRing, p *Packet) {
+	if !e.before(l.txEnd, l.txKey) {
+		l.transmit(e, p)
 		return
 	}
-	var p *Packet
+	r.push(p)
+	l.awaitTxDone(e)
+}
+
+// txDone runs at the reserved end of a serialization that packets wait
+// behind: the next one goes on the wire, priority traffic (control packets,
+// trimmed headers, retransmissions) first (§III-C).
+func (l *link) txDone(e *Engine) {
+	l.txQueued = false
 	if l.pq.len() > 0 {
-		p = l.pq.pop()
-	} else if l.q.len() > 0 {
-		p = l.q.pop()
+		l.transmit(e, l.pq.pop())
 	} else {
-		return
+		l.transmit(e, l.q.pop())
 	}
-	l.busy = true
+	if l.pq.len()+l.q.len() > 0 {
+		l.awaitTxDone(e)
+	}
+}
+
+// transmit starts serializing p: it reserves the end of serialization and
+// queues the delivery.
+func (l *link) transmit(e *Engine, p *Packet) {
 	l.TxPackets++
 	l.TxBytes += int64(p.Bytes)
-	// Typed event: the engine frees the link, restarts it, and schedules
-	// the delivery — without allocating per-packet closures.
-	e.afterTxDone(l.txTime(p.Bytes), l, p)
+	l.txEnd, l.txKey = e.now+serialization(p.Bytes, l.bps), e.nextKey(l.txPart)
+	l.deliverSeq++
+	e.push(l.txEnd+l.delay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, link: l, pkt: p})
+}
+
+// awaitTxDone queues the tx-done entry under the reservation, unless one is
+// queued already.
+func (l *link) awaitTxDone(e *Engine) {
+	if !l.txQueued {
+		l.txQueued = true
+		e.push(l.txEnd, l.txKey, eventPayload{kind: evTxDone, link: l})
+	}
 }
 
 // Network wires a topology, forwarding tables and hosts into a running
@@ -229,8 +271,8 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 			txPart:    txPart,
 			bps:       cfg.LinkBps,
 			delay:     cfg.LinkDelay,
-			qcap:      cfg.QueueCap,
-			pqcap:     cfg.PrioQueueCap,
+			q:         pktRing{limit: cfg.QueueCap},
+			pq:        pktRing{limit: cfg.PrioQueueCap},
 			ecnThresh: cfg.ECNThreshold,
 			trimMode:  cfg.TrimMode,
 		})

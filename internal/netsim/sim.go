@@ -272,9 +272,10 @@ func NewSim(t *topo.Topology, fwd *routing.Engine, cfg Config) *Sim {
 		panic("netsim: zero link bandwidth")
 	}
 	// No packet event is scheduled further ahead than one full-MTU
-	// serialization or one link delay.
-	mtuTime := Time(float64(cfg.MTU*8) / cfg.LinkBps * 1e9)
-	eng := NewEngine(t.Nr(), max(mtuTime, cfg.LinkDelay))
+	// serialization plus one link delay (a delivery, queued when its
+	// transmission starts).
+	mtuTime := serialization(cfg.MTU, cfg.LinkBps)
+	eng := NewEngine(t.Nr(), mtuTime+cfg.LinkDelay)
 	net := buildNetwork(t, fwd, cfg)
 	s := &Sim{
 		Eng:          eng,
