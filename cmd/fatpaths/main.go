@@ -68,12 +68,14 @@ func main() {
 	fmt.Printf("\nmean distinct (first-hop, length) routes per router pair: %.2f\n", st.MeanDistinctPaths)
 	fmt.Printf("mean within-layer minimal routes per router pair (all layers): %.2f\n", st.MeanMinimalRoutes)
 
-	sz := layers.SizeTablesFor(t, fab.Layers)
+	sz := layers.SizeTables(t, fab.Layers.N())
 	fmt.Printf("forwarding state/router: %d prefix entries (flat would need %d, %.1fx more)\n",
 		sz.PrefixEntries, sz.FlatEntries, sz.Compression)
-	dep := layers.SizeDeployedFor(fab.Fwd)
+	// The dense single-next-hop builder the tables replaced held one entry
+	// per (layer, dst, src): TablesTotal · Nr.
+	dep := fab.Fwd.Stat()
 	fmt.Printf("routing tables materialized: %d/%d (layer,dst) tables, %d candidate entries in %d bytes (dense builder: %d entries)\n",
-		dep.TablesBuilt, dep.TablesTotal, dep.CandEntries, dep.Bytes, dep.DenseEntries)
+		dep.TablesBuilt, dep.TablesTotal, dep.CandEntries, dep.Bytes, int64(dep.TablesTotal)*int64(t.Nr()))
 
 	if *deadlock {
 		fmt.Println("\nchannel-dependency analysis (lossless deployments, §VIII-A6):")

@@ -177,9 +177,9 @@ func (f *Fabric) MAT(p traffic.Pattern, eps float64) (float64, error) {
 	}
 	ps := mcf.FromForwarding(f.Topo.G, f.Fwd, comms)
 	if eps <= 0 {
-		return mcf.PathMAT(ps, 1)
+		return mcf.PathMAT(ps)
 	}
-	return mcf.PathMATApprox(ps, 1, eps)
+	return mcf.PathMATApprox(ps, eps)
 }
 
 // Workload describes a simulated workload: a traffic pattern, a flow-size

@@ -102,23 +102,18 @@ func EdgeConnectivityBounded(g *graph.Graph, s, t, maxLen int, rng *rand.Rand) i
 	if maxLen < 1 {
 		return 0
 	}
-	m2 := 2 * g.M() // directed arcs: arc 2e = U->V, 2e+1 = V->U
+	m2 := 2 * g.M() // directed arcs, numbered as graph.EdgeArc numbers them
 	k := g.Degree(s)
 	// Unit index per arc leaving s.
 	unit := make(map[int32]int, k)
 	for i, h := range g.Neighbors(s) {
-		a := int32(2 * h.Edge)
-		if g.Edge(int(h.Edge)).U != int32(s) {
-			a++
-		}
-		unit[a] = i
+		unit[int32(g.EdgeArc(int(h.Edge), s))] = i
 	}
 	// Incoming-arc lists per vertex (arcs whose head is v).
 	inArcs := make([][]int32, g.N())
-	for e := 0; e < g.M(); e++ {
-		ed := g.Edge(e)
-		inArcs[ed.V] = append(inArcs[ed.V], int32(2*e))
-		inArcs[ed.U] = append(inArcs[ed.U], int32(2*e+1))
+	for e, ed := range g.Edges() {
+		inArcs[ed.V] = append(inArcs[ed.V], int32(g.EdgeArc(e, int(ed.U))))
+		inArcs[ed.U] = append(inArcs[ed.U], int32(g.EdgeArc(e, int(ed.V))))
 	}
 	// K′ has one random coefficient per consecutive arc PAIR (i,k),(k,j)
 	// (Eq. 12) — a per-arc coefficient would make every vertex broadcast a
@@ -127,14 +122,9 @@ func EdgeConnectivityBounded(g *graph.Graph, s, t, maxLen int, rng *rand.Rand) i
 	coeff := make(map[int64]uint64)
 	pairKey := func(in, out int32) int64 { return int64(in)*int64(m2) + int64(out) }
 	for out := int32(0); out < int32(m2); out++ {
-		e := g.Edge(int(out / 2))
-		tail := e.U
-		if out%2 != 0 {
-			tail = e.V
-		}
-		for _, in := range inArcs[tail] {
-			if in/2 == out/2 {
-				continue
+		for _, in := range inArcs[g.ArcTail(int(out))] {
+			if in == out^1 {
+				continue // U-turn on the same undirected edge
 			}
 			coeff[pairKey(in, out)] = randNonzero(rng)
 		}
@@ -153,18 +143,10 @@ func EdgeConnectivityBounded(g *graph.Graph, s, t, maxLen int, rng *rand.Rand) i
 			for i := range col {
 				col[i] = 0
 			}
-			// Tail vertex of arc a.
-			var tail int32
-			e := g.Edge(int(a / 2))
-			if a%2 == 0 {
-				tail = e.U
-			} else {
-				tail = e.V
-			}
 			// Do not extend paths out of t: they have arrived.
-			if int(tail) != t && int(tail) != s {
+			if tail := g.ArcTail(int(a)); tail != t && tail != s {
 				for _, in := range inArcs[tail] {
-					if in/2 == a/2 {
+					if in == a^1 {
 						continue // U-turn on the same undirected edge
 					}
 					c := coeff[pairKey(in, a)]

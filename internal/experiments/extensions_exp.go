@@ -165,7 +165,7 @@ func runExtTables(o Options) (*stats.Table, error) {
 				fab.Fwd.Hops(l, 0, d)
 			}
 		}
-		dep := layers.SizeDeployedFor(fab.Fwd)
+		dep := fab.Fwd.Stat()
 		c.AddRowf(name, t.N(), t.Nr(), sz.Layers, sz.FlatEntries, sz.PrefixEntries,
 			sz.Compression, sz.FitsVLANs, dep.CandEntries,
 			fmt.Sprintf("%d/%d", dep.TablesBuilt, dep.TablesTotal))

@@ -19,22 +19,16 @@ func init() {
 	register("fig10", "Cost per endpoint breakdown (100GbE model)", runFig10)
 }
 
-// matFor computes the path-restricted MAT for one scheme on one topology.
-func matFor(t *topo.Topology, scheme core.LayerScheme, nLayers int, comms []mcf.Commodity, seed int64, quick bool) (float64, error) {
-	rho := 0.6
-	fab, err := core.Build(t, core.Config{NumLayers: nLayers, Rho: rho, Scheme: scheme, Seed: seed})
+// matFor computes the path-restricted MAT for one scheme on one topology
+// (Fabric.MAT: eps <= 0 solves exactly). Commodities unreachable in sparse
+// baseline layers fall back to the full layer's single shortest path, which
+// the fabric's layer 0 always provides.
+func matFor(t *topo.Topology, scheme core.LayerScheme, nLayers int, pat traffic.Pattern, seed int64, eps float64) (float64, error) {
+	fab, err := core.Build(t, core.Config{NumLayers: nLayers, Rho: 0.6, Scheme: scheme, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
-	ps := mcf.FromForwarding(t.G, fab.Fwd, comms)
-	// Commodities unreachable in sparse baseline layers fall back to the
-	// full layer's single shortest path, which FromForwarding already
-	// includes (layer 0 is always present).
-	if quick {
-		// Small instances: exact simplex.
-		return mcf.PathMAT(ps, 1)
-	}
-	return mcf.PathMATApprox(ps, 1, 0.10)
+	return fab.MAT(pat, eps)
 }
 
 func runFig9(o Options) (*stats.Table, error) {
@@ -75,40 +69,35 @@ func runFig9(o Options) (*stats.Table, error) {
 	for i, t := range tops {
 		pats[i] = traffic.WorstCase(t, 0.55, rng)
 	}
+	eps := 0.10
+	if o.Quick {
+		eps = 0 // small instances: exact simplex
+	}
 	if err := runCells(o, tab, len(tops), func(c *Cell) error {
 		t := tops[c.Index]
 		comms := mcf.CommoditiesFromPattern(t, pats[c.Index])
 		if len(comms) == 0 {
 			return nil
 		}
-		minPI, err := matFor(t, core.MinInterference, nLayers, comms, o.Seed, o.Quick)
-		if err != nil {
-			return err
-		}
-		random, err := matFor(t, core.RandomSampling, nLayers, comms, o.Seed, o.Quick)
-		if err != nil {
-			return err
-		}
-		spain, err := matFor(t, core.SPAINScheme, nLayers, comms, o.Seed, o.Quick)
-		if err != nil {
-			return err
-		}
-		past, err := matFor(t, core.PASTScheme, nLayers, comms, o.Seed, o.Quick)
-		if err != nil {
-			return err
+		var mat [4]float64
+		var err error
+		for i, scheme := range []core.LayerScheme{core.MinInterference, core.RandomSampling, core.SPAINScheme, core.PASTScheme} {
+			if mat[i], err = matFor(t, scheme, nLayers, pats[c.Index], o.Seed, eps); err != nil {
+				return err
+			}
 		}
 		// k-shortest paths: k = number of layers for resource parity.
 		kspPS := mcf.FromKShortest(t.G, comms, nLayers)
 		var ksp float64
 		if o.Quick {
-			ksp, err = mcf.PathMAT(kspPS, 1)
+			ksp, err = mcf.PathMAT(kspPS)
 		} else {
-			ksp, err = mcf.PathMATApprox(kspPS, 1, 0.10)
+			ksp, err = mcf.PathMATApprox(kspPS, eps)
 		}
 		if err != nil {
 			return err
 		}
-		c.AddRowf(t.Name, t.N(), minPI, random, spain, past, ksp)
+		c.AddRowf(t.Name, t.N(), mat[0], mat[1], mat[2], mat[3], ksp)
 		return nil
 	}); err != nil {
 		return nil, err

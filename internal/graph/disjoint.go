@@ -121,18 +121,12 @@ func (g *Graph) EdgeConnectivityPair(s, t int) int {
 	if s == t {
 		return 0
 	}
-	// Residual capacities per directed arc: arc 2*id = U->V, 2*id+1 = V->U.
+	// Residual capacity per directed arc.
 	capn := make([]int8, 2*g.M())
 	for i := range capn {
 		capn[i] = 1
 	}
-	arcOf := func(e Edge, from int32, id int32) int32 {
-		if e.U == from {
-			return 2 * id
-		}
-		return 2*id + 1
-	}
-	parentArc := make([]int32, g.n)
+	parentArc := make([]int, g.n)
 	parentVert := make([]int32, g.n)
 	visited := make([]bool, g.n)
 	queue := make([]int32, 0, g.n)
@@ -149,7 +143,7 @@ func (g *Graph) EdgeConnectivityPair(s, t int) int {
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			for _, h := range g.adj[v] {
-				arc := arcOf(g.edges[h.Edge], v, h.Edge)
+				arc := g.EdgeArc(int(h.Edge), int(v))
 				if capn[arc] == 0 || visited[h.To] {
 					continue
 				}

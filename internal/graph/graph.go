@@ -58,6 +58,37 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 
+// Every edge id is two directed arcs: 2·id leaves U for V and 2·id+1 leaves
+// V for U, so an arc's reverse is arc^1. These three methods are the only
+// place that rule is written; residual capacities, MCF arc variables,
+// channel ids and simulator link ids are all arc ids.
+
+// EdgeArc returns the arc of edge id that leaves tail, one of its endpoints.
+func (g *Graph) EdgeArc(id, tail int) int {
+	if int(g.edges[id].U) == tail {
+		return 2 * id
+	}
+	return 2*id + 1
+}
+
+// Arc returns the arc from -> to, or -1 when the two are not adjacent.
+func (g *Graph) Arc(from, to int) int {
+	id := g.EdgeBetween(from, to)
+	if id < 0 {
+		return -1
+	}
+	return g.EdgeArc(id, from)
+}
+
+// ArcTail returns the vertex arc a leaves.
+func (g *Graph) ArcTail(a int) int {
+	e := g.edges[a>>1]
+	if a&1 == 0 {
+		return int(e.U)
+	}
+	return int(e.V)
+}
+
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 

@@ -225,6 +225,49 @@ func TestDisjointPathsSets(t *testing.T) {
 	}
 }
 
+// TestArcs pins the directed-arc numbering: edge id is arc 2·id from U to
+// V and arc 2·id+1 back, whichever way round the edge was inserted.
+func TestArcs(t *testing.T) {
+	g := New(5) // vertex 4 stays isolated
+	g.AddEdge(0, 1)
+	g.AddEdge(2, 1)
+	g.AddEdge(3, 0)
+	g.AddEdge(2, 3)
+	for _, c := range []struct{ from, to, arc int }{
+		{0, 1, 0}, {1, 0, 1},
+		{2, 1, 2}, {1, 2, 3},
+		{3, 0, 4}, {0, 3, 5},
+		{2, 3, 6}, {3, 2, 7},
+	} {
+		if got := g.Arc(c.from, c.to); got != c.arc {
+			t.Errorf("Arc(%d,%d) = %d, want %d", c.from, c.to, got, c.arc)
+		}
+		if got := g.EdgeArc(g.EdgeBetween(c.from, c.to), c.from); got != c.arc {
+			t.Errorf("EdgeArc(edge %d, tail %d) = %d, want %d", g.EdgeBetween(c.from, c.to), c.from, got, c.arc)
+		}
+		if got := g.ArcTail(c.arc); got != c.from {
+			t.Errorf("ArcTail(%d) = %d, want %d", c.arc, got, c.from)
+		}
+		if g.Arc(c.from, c.to)^1 != g.Arc(c.to, c.from) {
+			t.Errorf("arcs %d->%d and %d->%d are not each other's ^1", c.from, c.to, c.to, c.from)
+		}
+	}
+	for _, p := range [][2]int{{0, 2}, {1, 3}, {4, 0}, {0, 4}, {1, 1}} {
+		if got := g.Arc(p[0], p[1]); got != -1 {
+			t.Errorf("Arc(%d,%d) = %d for a non-adjacent pair, want -1", p[0], p[1], got)
+		}
+	}
+	// On a larger graph: every arc is reached from its own endpoints, and
+	// ArcTail inverts Arc.
+	g = grid(4, 5)
+	for a := 0; a < 2*g.M(); a++ {
+		from, to := g.ArcTail(a), g.ArcTail(a^1)
+		if g.Arc(from, to) != a || g.Arc(to, from) != a^1 {
+			t.Fatalf("arc %d: tail %d, head %d, but Arc gives %d and %d", a, from, to, g.Arc(from, to), g.Arc(to, from))
+		}
+	}
+}
+
 func TestEdgeConnectivityPair(t *testing.T) {
 	if got := clique(6).EdgeConnectivityPair(0, 3); got != 5 {
 		t.Fatalf("K6 edge connectivity = %d, want 5", got)

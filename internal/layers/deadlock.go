@@ -35,17 +35,7 @@ type DeadlockReport struct {
 func AnalyzeDeadlock(f *routing.Engine, ls *LayerSet, layer int) DeadlockReport {
 	g := ls.Base
 	nr := g.N()
-	// Channel IDs: 2*edge for U->V, 2*edge+1 for V->U.
-	chanOf := func(from, to int) int {
-		id := g.EdgeBetween(from, to)
-		if id < 0 {
-			return -1
-		}
-		if int(g.Edge(id).U) == from {
-			return 2 * id
-		}
-		return 2*id + 1
-	}
+	// A channel is a directed link: its id is the graph arc id.
 	used := make(map[int]bool)
 	deps := make(map[int64]bool) // c1*2M + c2
 	m2 := int64(2 * g.M())
@@ -60,11 +50,11 @@ func AnalyzeDeadlock(f *routing.Engine, ls *LayerSet, layer int) DeadlockReport 
 			}
 			hops = f.AppendCandidates(hops[:0], layer, src, dst)
 			for _, v := range hops {
-				c1 := chanOf(src, int(v))
+				c1 := g.Arc(src, int(v))
 				used[c1] = true
 				onward = f.AppendCandidates(onward[:0], layer, int(v), dst)
 				for _, w := range onward {
-					c2 := chanOf(int(v), int(w))
+					c2 := g.Arc(int(v), int(w))
 					deps[int64(c1)*m2+int64(c2)] = true
 				}
 			}

@@ -171,26 +171,12 @@ func Summarize(ls *LayerSet, f *routing.Engine, samples int, rng *rand.Rand) Sta
 		countMemo[key] = c
 		return c
 	}
-	var cands []int32
 	for i := 0; i < samples; i++ {
 		s, t := graph.SampleDistinctPair(rng, ls.Base.N())
-		type route struct {
-			first int32
-			len   int
-		}
-		distinct := map[route]bool{}
+		totalDistinct += float64(f.DistinctRoutes(s, t))
 		for l := 0; l < f.NumLayers(); l++ {
-			pl := f.PathLen(l, s, t)
-			if pl < 0 {
-				continue
-			}
-			cands = f.AppendCandidates(cands[:0], l, s, t)
-			for _, nh := range cands {
-				distinct[route{nh, pl}] = true
-			}
-			totalRoutes += float64(routeCounts(l, t)[s])
+			totalRoutes += float64(routeCounts(l, t)[s]) // 0 when unreachable
 		}
-		totalDistinct += float64(len(distinct))
 	}
 	st.MeanDistinctPaths = totalDistinct / float64(samples)
 	st.MeanMinimalRoutes = totalRoutes / float64(samples)

@@ -413,15 +413,6 @@ func TestSizeTables(t *testing.T) {
 	}
 }
 
-func TestSizeTablesFor(t *testing.T) {
-	sf, _ := topo.SlimFly(5, 0)
-	ls, _ := Random(sf.G, 3, 0.8, graph.NewRand(1))
-	sz := SizeTablesFor(sf, ls)
-	if sz.Layers != 3 || sz.PrefixEntries != sf.Nr()*3 {
-		t.Fatalf("sizing %+v", sz)
-	}
-}
-
 // Property: every BFS-built forwarding table is loop-free and minimal on
 // random connected graphs with random layers.
 func TestForwardingLoopFreeProperty(t *testing.T) {

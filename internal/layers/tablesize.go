@@ -1,9 +1,6 @@
 package layers
 
-import (
-	"repro/internal/routing"
-	"repro/internal/topo"
-)
+import "repro/internal/topo"
 
 // Forwarding-state sizing analysis (§V-D/E of the paper): layers deploy as
 // VLAN tags or address-space partitions, and forwarding functions compile
@@ -49,29 +46,4 @@ func SizeTables(t *topo.Topology, numLayers int) TableSizing {
 		Compression:   comp,
 		FitsVLANs:     numLayers <= VLANLimit,
 	}
-}
-
-// SizeTablesFor sizes the tables of a concrete layer set.
-func SizeTablesFor(t *topo.Topology, ls *LayerSet) TableSizing {
-	return SizeTables(t, ls.N())
-}
-
-// DeployedSizing reports the routing state an engine has actually
-// materialized: the multi-next-hop tables of internal/routing,
-// measured against the dense single-next-hop array they replaced
-// (n · Nr² entries with ECMP ties discarded). Tables build lazily per
-// destination, so TablesBuilt < TablesTotal whenever a workload routed to
-// only a slice of the destinations — the scaling win at paper-size router
-// counts.
-type DeployedSizing struct {
-	routing.Stats
-	// DenseEntries is what the dense n·Nr² builder would have allocated.
-	DenseEntries int64
-}
-
-// SizeDeployedFor measures the materialized routing state of an engine.
-func SizeDeployedFor(f *routing.Engine) DeployedSizing {
-	st := f.Stat()
-	nr := st.TablesTotal / f.NumLayers() // TablesTotal is n·Nr
-	return DeployedSizing{Stats: st, DenseEntries: int64(st.TablesTotal) * int64(nr)}
 }

@@ -37,7 +37,7 @@ func fig9XPSPAIN(b *testing.B) *lp.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := mcf.PathLP(mcf.FromForwarding(xp.G, fab.Fwd, comms), 1)
+	p, err := mcf.PathLP(mcf.FromForwarding(xp.G, fab.Fwd, comms))
 	if err != nil {
 		b.Fatal(err)
 	}

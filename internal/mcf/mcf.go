@@ -60,24 +60,15 @@ func CommoditiesFromPattern(t *topo.Topology, p traffic.Pattern) []Commodity {
 	return out
 }
 
-// arcID maps a directed traversal of undirected edge e to an arc index:
-// 2e for U->V, 2e+1 for V->U.
-func arcID(g *graph.Graph, from, to int) int {
-	id := g.EdgeBetween(from, to)
-	if id < 0 {
-		panic(fmt.Sprintf("mcf: path uses non-edge (%d,%d)", from, to))
-	}
-	if int(g.Edge(id).U) == from {
-		return 2 * id
-	}
-	return 2*id + 1
-}
-
 // pathArcs converts a vertex path to its directed arc list.
 func pathArcs(g *graph.Graph, p []int32) []int {
 	arcs := make([]int, 0, len(p)-1)
 	for i := 0; i+1 < len(p); i++ {
-		arcs = append(arcs, arcID(g, int(p[i]), int(p[i+1])))
+		a := g.Arc(int(p[i]), int(p[i+1]))
+		if a < 0 {
+			panic(fmt.Sprintf("mcf: path uses non-edge (%d,%d)", p[i], p[i+1]))
+		}
+		arcs = append(arcs, a)
 	}
 	return arcs
 }
@@ -128,12 +119,12 @@ func FromKShortest(g *graph.Graph, comms []Commodity, k int) PathSets {
 
 // PathMAT solves the path-restricted max-concurrent-flow LP exactly:
 // maximize T subject to Σ_p x_{i,p} = d_i·T (Eq. 5/8 as an equality) and
-// per-arc capacity Σ x ≤ capacity (Eq. 6). Arc capacity is 1 (normalized
-// link rate); Eq. 7 (no inter-layer leaking) and Eq. 9 (no backflow into
-// the source) hold by construction because every variable is a whole
-// fixed path within one layer.
-func PathMAT(ps PathSets, capacity float64) (float64, error) {
-	p, err := PathLP(ps, capacity)
+// per-arc capacity Σ x ≤ 1 (Eq. 6). Every arc has capacity 1, the
+// normalized link rate; T is linear in it. Eq. 7 (no inter-layer leaking)
+// and Eq. 9 (no backflow into the source) hold by construction because
+// every variable is a whole fixed path within one layer.
+func PathMAT(ps PathSets) (float64, error) {
+	p, err := PathLP(ps)
 	if err != nil {
 		return 0, err
 	}
@@ -144,7 +135,7 @@ func PathMAT(ps PathSets, capacity float64) (float64, error) {
 // PathLP builds PathMAT's linear program: one variable per candidate path,
 // then T; one equality row per commodity, then one capacity row per used arc
 // in arc order.
-func PathLP(ps PathSets, capacity float64) (*lp.Problem, error) {
+func PathLP(ps PathSets) (*lp.Problem, error) {
 	nPathVars := 0
 	for i := range ps.Paths {
 		if len(ps.Paths[i]) == 0 {
@@ -189,7 +180,7 @@ func PathLP(ps PathSets, capacity float64) (*lp.Problem, error) {
 		for i := range coeffs {
 			coeffs[i] = 1
 		}
-		p.AddConstraint(users, coeffs, lp.LE, capacity)
+		p.AddConstraint(users, coeffs, lp.LE, 1)
 	}
 	return p, nil
 }
@@ -197,8 +188,8 @@ func PathLP(ps PathSets, capacity float64) (*lp.Problem, error) {
 // PathMATApprox approximates the same program with the Garg–Könemann /
 // Fleischer multiplicative-weights scheme at accuracy eps (throughput is
 // within a (1−eps)³ factor of optimal). It never builds a tableau, so it
-// scales to thousands of commodities.
-func PathMATApprox(ps PathSets, capacity, eps float64) (float64, error) {
+// scales to thousands of commodities. Arc capacities are 1, as in PathMAT.
+func PathMATApprox(ps PathSets, eps float64) (float64, error) {
 	if eps <= 0 || eps >= 1 {
 		return 0, fmt.Errorf("mcf: eps=%f out of (0,1)", eps)
 	}
@@ -220,16 +211,16 @@ func PathMATApprox(ps PathSets, capacity, eps float64) (float64, error) {
 	delta := math.Pow(m/(1-eps), -1/eps)
 	length := make([]float64, numArcs)
 	for a := range length {
-		length[a] = delta / capacity
+		length[a] = delta
 	}
-	sumCL := func() float64 {
+	sumL := func() float64 {
 		var s float64
 		for _, l := range length {
-			s += l * capacity
+			s += l
 		}
 		return s
 	}
-	D := sumCL()
+	D := sumL()
 	phases := 0
 	const maxPhases = 200000 // runaway guard only; D >= 1 terminates normally
 	for D < 1 && phases < maxPhases {
@@ -248,15 +239,12 @@ func PathMATApprox(ps PathSets, capacity, eps float64) (float64, error) {
 						best = pi
 					}
 				}
-				f := remaining
-				if f > capacity {
-					f = capacity
-				}
+				f := min(remaining, 1)
 				remaining -= f
 				for _, a := range prepped[i][best].arcs {
 					old := length[a]
-					length[a] = old * (1 + eps*f/capacity)
-					D += (length[a] - old) * capacity
+					length[a] = old * (1 + eps*f)
+					D += length[a] - old
 				}
 			}
 			if D >= 1 {
@@ -265,22 +253,22 @@ func PathMATApprox(ps PathSets, capacity, eps float64) (float64, error) {
 			}
 		}
 		phases++
-		D = sumCL()
+		D = sumL()
 	}
 	return float64(phases) / (math.Log(1/delta) / math.Log(1+eps)), nil
 }
 
 // GeneralMAT solves the unrestricted MCF LP of Eq. (1)–(4) exactly. Every
 // commodity may use any arc. Only suitable for tiny instances: the LP has
-// k·2M + 1 variables.
-func GeneralMAT(g *graph.Graph, comms []Commodity, capacity float64) (float64, error) {
+// k·2M + 1 variables. Arc capacities are 1, as in PathMAT.
+func GeneralMAT(g *graph.Graph, comms []Commodity) (float64, error) {
 	k := len(comms)
 	numArcs := 2 * g.M()
 	// Variables: f[i*numArcs + a] plus T at the end.
 	p := lp.New(k*numArcs + 1)
 	tVar := k * numArcs
 	p.SetObjective(tVar, 1)
-	// Capacity per arc: Σ_i f_{i,a} <= capacity (Eq. 1, directed).
+	// Capacity per arc: Σ_i f_{i,a} <= 1 (Eq. 1, directed).
 	for a := 0; a < numArcs; a++ {
 		idxs := make([]int, k)
 		coeffs := make([]float64, k)
@@ -288,7 +276,7 @@ func GeneralMAT(g *graph.Graph, comms []Commodity, capacity float64) (float64, e
 			idxs[i] = i*numArcs + a
 			coeffs[i] = 1
 		}
-		p.AddConstraint(idxs, coeffs, lp.LE, capacity)
+		p.AddConstraint(idxs, coeffs, lp.LE, 1)
 	}
 	// Flow conservation (Eq. 2) and source balance (Eq. 3).
 	for i, c := range comms {
@@ -299,8 +287,8 @@ func GeneralMAT(g *graph.Graph, comms []Commodity, capacity float64) (float64, e
 			var idxs []int
 			var coeffs []float64
 			for _, h := range g.Neighbors(u) {
-				out := arcID(g, u, int(h.To))
-				in := arcID(g, int(h.To), u)
+				out := g.EdgeArc(int(h.Edge), u)
+				in := out ^ 1
 				idxs = append(idxs, i*numArcs+out, i*numArcs+in)
 				coeffs = append(coeffs, 1, -1)
 			}

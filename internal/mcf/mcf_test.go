@@ -53,7 +53,7 @@ func TestGeneralMATRing(t *testing.T) {
 	// C4, one commodity 0->2, demand 1: two arc-disjoint 2-hop paths,
 	// capacity 1 each -> T = 2.
 	g := ring(4)
-	got, err := GeneralMAT(g, []Commodity{{Src: 0, Dst: 2, Demand: 1}}, 1)
+	got, err := GeneralMAT(g, []Commodity{{Src: 0, Dst: 2, Demand: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestGeneralMATContention(t *testing.T) {
 	got, err := GeneralMAT(g, []Commodity{
 		{Src: 0, Dst: 2, Demand: 1},
 		{Src: 1, Dst: 2, Demand: 1},
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestPathMATMatchesGeneralWhenAllPathsGiven(t *testing.T) {
 			{0, 5, 4, 3},
 		}},
 	}
-	pathT, err := PathMAT(ps, 1)
+	pathT, err := PathMAT(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	genT, err := GeneralMAT(g, ps.Comms, 1)
+	genT, err := GeneralMAT(g, ps.Comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPathMATRestrictedIsLower(t *testing.T) {
 		Comms: []Commodity{{Src: 0, Dst: 3, Demand: 1}},
 		Paths: [][][]int32{{{0, 1, 2, 3}}},
 	}
-	got, err := PathMAT(ps, 1)
+	got, err := PathMAT(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPathMATSharedBottleneck(t *testing.T) {
 			{{3, 1, 2}},
 		},
 	}
-	got, err := PathMAT(ps, 1)
+	got, err := PathMAT(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPathMATErrorsOnEmptyPathSet(t *testing.T) {
 		Comms: []Commodity{{Src: 0, Dst: 2, Demand: 1}},
 		Paths: [][][]int32{nil},
 	}
-	if _, err := PathMAT(ps, 1); err == nil {
+	if _, err := PathMAT(ps); err == nil {
 		t.Fatal("empty path set must error")
 	}
 }
@@ -170,8 +170,8 @@ func TestPathMATApproxMatchesLP(t *testing.T) {
 			{0, 5, 4, 3},
 		}},
 	}
-	exact, _ := PathMAT(ps, 1)
-	approx, err := PathMATApprox(ps, 1, 0.05)
+	exact, _ := PathMAT(ps)
+	approx, err := PathMATApprox(ps, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestPathMATApproxMatchesLP(t *testing.T) {
 		}
 		comms := CommoditiesFromPattern(tp, traffic.WorstCase(tp, 0.55, rng))
 		ps := FromForwarding(tp.G, routing.NewEngine(ls.Base, ls.Masks(), 1), comms)
-		exact, err := PathMAT(ps, 1)
+		exact, err := PathMAT(ps)
 		if err != nil {
 			t.Fatalf("%s: %v", tp.Name, err)
 		}
-		approx, err := PathMATApprox(ps, 1, eps)
+		approx, err := PathMATApprox(ps, eps)
 		if err != nil {
 			t.Fatalf("%s: %v", tp.Name, err)
 		}
@@ -231,7 +231,7 @@ func TestPathMATApproxOnLayeredSlimFly(t *testing.T) {
 		t.Fatal("no commodities")
 	}
 	ps := FromForwarding(sf.G, f, comms)
-	got, err := PathMATApprox(ps, 1, 0.1)
+	got, err := PathMATApprox(ps, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPathMATApproxOnLayeredSlimFly(t *testing.T) {
 	ls1, _ := layers.Random(sf.G, 1, 0.6, graph.NewRand(1))
 	f1 := routing.NewEngine(ls1.Base, ls1.Masks(), 1)
 	ps1 := FromForwarding(sf.G, f1, comms)
-	got1, err := PathMATApprox(ps1, 1, 0.1)
+	got1, err := PathMATApprox(ps1, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestFromKShortest(t *testing.T) {
 	if len(ps.Paths[0]) == 0 {
 		t.Fatal("no k-shortest paths")
 	}
-	got, err := PathMAT(ps, 1)
+	got, err := PathMAT(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +288,10 @@ func TestCommoditiesFromPattern(t *testing.T) {
 func TestPathMATApproxBadEps(t *testing.T) {
 	g := ring(4)
 	ps := PathSets{G: g, Comms: []Commodity{{0, 2, 1}}, Paths: [][][]int32{{{0, 1, 2}}}}
-	if _, err := PathMATApprox(ps, 1, 0); err == nil {
+	if _, err := PathMATApprox(ps, 0); err == nil {
 		t.Fatal("eps=0 must error")
 	}
-	if _, err := PathMATApprox(ps, 1, 1); err == nil {
+	if _, err := PathMATApprox(ps, 1); err == nil {
 		t.Fatal("eps=1 must error")
 	}
 }
@@ -311,11 +311,11 @@ func TestPathMATMonotoneInPathsProperty(t *testing.T) {
 			continue
 		}
 		comms := []Commodity{{Src: s, Dst: d, Demand: 1}}
-		t1, err := PathMAT(PathSets{G: g, Comms: comms, Paths: [][][]int32{all[:1]}}, 1)
+		t1, err := PathMAT(PathSets{G: g, Comms: comms, Paths: [][][]int32{all[:1]}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := PathMAT(PathSets{G: g, Comms: comms, Paths: [][][]int32{all}}, 1)
+		t2, err := PathMAT(PathSets{G: g, Comms: comms, Paths: [][][]int32{all}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,11 +334,11 @@ func TestPathMATBoundedByGeneralProperty(t *testing.T) {
 		s, d := graph.SampleDistinctPair(rng, n)
 		comms := []Commodity{{Src: s, Dst: d, Demand: 1}}
 		paths := g.YenKShortest(s, d, 2, graph.Unit)
-		restricted, err := PathMAT(PathSets{G: g, Comms: comms, Paths: [][][]int32{paths}}, 1)
+		restricted, err := PathMAT(PathSets{G: g, Comms: comms, Paths: [][][]int32{paths}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		general, err := GeneralMAT(g, comms, 1)
+		general, err := GeneralMAT(g, comms)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -17,7 +16,6 @@ const (
 	KindData PktKind = iota
 	KindAck
 	KindPull // NDP receiver-driven credit
-	KindNack // NDP trimmed-header notification is delivered as the trimmed data packet itself; Nack is unused on the wire but kept for clarity in tests
 )
 
 // HeaderBytes is the wire size of a packet header / control packet.
@@ -43,8 +41,9 @@ type Packet struct {
 func (p *Packet) prio() bool { return p.Kind != KindData || p.Trimmed || p.Retx }
 
 // link is one direction of a full-duplex cable with an output queue at its
-// transmitter. id is a construction-order identifier; with deliverSeq it
-// keys the canonical delivery order (engine.go).
+// transmitter. id is its index in Network.links, which for a router-router
+// link is the graph arc id it carries; with deliverSeq it keys the canonical
+// delivery order (engine.go).
 //
 // The end of a serialization is a reserved deadline, like a timer's: a
 // transmission draws its tx-done key from the transmitter's partition when
@@ -224,17 +223,17 @@ type Network struct {
 	fwd  *routing.Engine
 	cfg  Config
 
-	// links holds every link, indexed by id: router-router edges first
-	// (both directions per edge, in the topology's edge order), then host
+	// links holds every link, indexed by id: router-router links first,
+	// where a link's id is its graph arc id (graph.EdgeArc), then host
 	// up/down pairs. One slab instead of an object per link; pointers into
 	// it are stable because it never grows.
 	links []link
-	// Router r's outgoing router-router links in CSR form: its neighbours,
-	// ascending, are outNbr[outOff[r]:outOff[r+1]], and outLink holds the
-	// matching link ids.
-	outOff, outNbr, outLink []int32
-	hostUp                  []*link // host -> its router
-	hostDown                []*link // router -> host
+	// outLink[outOff[r]+p] is the link id from router r to
+	// fwd.Neighbors(r)[p]: forward holds a neighbour position, and this is
+	// where it leads.
+	outOff, outLink []int32
+	hostUp          []*link // host -> its router
+	hostDown        []*link // router -> host
 	// hostRouter[h] is the router host h attaches to: forward resolves the
 	// destination router once per hop, so it indexes this table instead of
 	// binary-searching the topology's offset table.
@@ -249,15 +248,14 @@ const maxHopBucket = 63
 // buildNetwork constructs links per the config. Link ids follow
 // construction order, which is a function of the topology alone.
 func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
-	edges := t.G.Edges()
+	arcs := 2 * t.G.M()
 	n := &Network{
 		topo:       t,
 		fwd:        fwd,
 		cfg:        cfg,
-		links:      make([]link, 0, 2*len(edges)+2*t.N()),
+		links:      make([]link, 0, arcs+2*t.N()),
 		outOff:     make([]int32, t.Nr()+1),
-		outNbr:     make([]int32, 2*len(edges)),
-		outLink:    make([]int32, 2*len(edges)),
+		outLink:    make([]int32, 0, arcs),
 		hostUp:     make([]*link, t.N()),
 		hostDown:   make([]*link, t.N()),
 		hostRouter: make([]int32, t.N()),
@@ -278,32 +276,14 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 		})
 		return &n.links[len(n.links)-1]
 	}
-	for _, e := range edges {
-		mk(e.U, e.V, -1)
-		mk(e.V, e.U, -1)
+	for a := range arcs {
+		mk(int32(t.G.ArcTail(a)), int32(t.G.ArcTail(a^1)), -1)
 	}
 	for r := 0; r < t.Nr(); r++ {
-		lo := n.outOff[r]
-		hi := lo
-		for _, h := range t.G.Neighbors(r) {
-			id := 2 * h.Edge // the U->V direction; V->U is the next id
-			if edges[h.Edge].U != int32(r) {
-				id++
-			}
-			// Insertion sort by neighbour: generated topologies arrive
-			// sorted, so this is one comparison per entry.
-			i := hi
-			for ; i > lo && n.outNbr[i-1] > h.To; i-- {
-				n.outNbr[i], n.outLink[i] = n.outNbr[i-1], n.outLink[i-1]
-			}
-			n.outNbr[i], n.outLink[i] = h.To, id
-			hi++
+		for _, to := range fwd.Neighbors(r) {
+			n.outLink = append(n.outLink, int32(t.G.Arc(r, int(to))))
 		}
-		n.outOff[r+1] = hi
-		// forward indexes outLink by the routing tables' neighbour positions.
-		if !slices.Equal(n.outNbr[lo:hi], fwd.Neighbors(r)) {
-			panic(fmt.Sprintf("netsim: router %d: link order %v is not the routing engine's neighbour order %v", r, n.outNbr[lo:hi], fwd.Neighbors(r)))
-		}
+		n.outOff[r+1] = int32(len(n.outLink))
 	}
 	for h := 0; h < t.N(); h++ {
 		r := int32(t.RouterOf(h))
@@ -314,23 +294,16 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 	return n
 }
 
-// routerLink returns the link from router r to its neighbour to, or nil
-// when the two are not adjacent. Link failures look links up by endpoint;
+// routerLink returns the link from router r to its neighbour to: the link
+// whose id is the arc r -> to. It returns nil when the two are not adjacent,
+// or when the arc is not among the router links built (an edge added to the
+// graph after the network). Link failures look links up by endpoint;
 // forward does not come here, it holds a position.
 func (n *Network) routerLink(r int, to int32) *link {
-	lo, hi := n.outOff[r], n.outOff[r+1]
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if n.outNbr[mid] < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if a := n.topo.G.Arc(r, int(to)); a >= 0 && a < len(n.outLink) {
+		return &n.links[a]
 	}
-	if lo == n.outOff[r+1] || n.outNbr[lo] != to {
-		return nil
-	}
-	return &n.links[n.outLink[lo]]
+	return nil
 }
 
 // sendFromHost injects a packet at its source host's uplink.
@@ -404,8 +377,6 @@ func (n *Network) forward(e *Engine, r int, p *Packet) {
 	} else {
 		pos = hashNext(hops, count, r, p)
 	}
-	// A candidate's position in r's ascending neighbour list is its slot in
-	// r's outLink segment (buildNetwork checked the two orders agree).
 	n.links[n.outLink[int(n.outOff[r])+pos]].enqueue(e, p)
 }
 

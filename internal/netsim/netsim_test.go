@@ -375,15 +375,58 @@ func TestLinkStatsSanity(t *testing.T) {
 		}
 		check(&s.Net.links[i])
 	}
-	// The CSR index finds, for every edge, the link of each direction.
+	// routerLink finds, for every edge, the link of each direction.
 	for id, e := range sf.G.Edges() {
 		uv, vu := s.Net.routerLink(int(e.U), e.V), s.Net.routerLink(int(e.V), e.U)
-		if uv != &s.Net.links[2*id] || vu != &s.Net.links[2*id+1] || uv.toRouter != e.V || vu.toRouter != e.U {
+		if uv != &s.Net.links[sf.G.EdgeArc(id, int(e.U))] || vu != &s.Net.links[sf.G.EdgeArc(id, int(e.V))] || uv.toRouter != e.V || vu.toRouter != e.U {
 			t.Fatalf("edge %d (%d,%d): index resolves to the wrong links", id, e.U, e.V)
 		}
 	}
 	if s.Net.routerLink(0, 0) != nil || s.Net.routerLink(0, int32(sf.Nr())) != nil {
 		t.Fatal("routerLink found a link between non-adjacent routers")
+	}
+}
+
+// TestLinkPositionsFollowRoutingNeighbours builds a network over a topology
+// whose adjacency lists run in descending neighbour ID, the reverse of the
+// routing engine's ascending order. forward's (router, position) slot must
+// still reach the link to fwd.Neighbors(r)[position], routerLink must return
+// the arc-numbered link, and a flow must cross the fabric.
+func TestLinkPositionsFollowRoutingNeighbours(t *testing.T) {
+	sf, err := topo.SlimFly(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New(sf.Nr())
+	for u := sf.Nr() - 1; u >= 0; u-- {
+		for v := sf.Nr() - 1; v > u; v-- {
+			if sf.G.HasEdge(u, v) {
+				g.AddEdge(v, u)
+			}
+		}
+	}
+	if nb := g.Neighbors(0); nb[0].To < nb[1].To {
+		t.Fatal("adjacency is ascending; the test no longer separates the two orders")
+	}
+	tp := *sf
+	tp.G = g
+	fwd := routing.NewEngine(g, [][]bool{nil}, 1)
+	s := NewSim(&tp, fwd, NDPDefaults())
+	n := s.Net
+	for r := 0; r < tp.Nr(); r++ {
+		for p, to := range fwd.Neighbors(r) {
+			l := &n.links[n.outLink[int(n.outOff[r])+p]]
+			if l.txPart != int32(r) || l.toRouter != to {
+				t.Fatalf("router %d position %d: link %d runs %d->%d, want %d->%d", r, p, l.id, l.txPart, l.toRouter, r, to)
+			}
+			if got := n.routerLink(r, to); got != &n.links[g.Arc(r, int(to))] || got != l {
+				t.Fatalf("routerLink(%d,%d) is link %d, want arc %d", r, to, got.id, g.Arc(r, int(to)))
+			}
+		}
+	}
+	s.AddFlow(FlowSpec{Src: 0, Dst: int32(tp.N() - 1), Bytes: 64 << 10})
+	if res := s.Run(Second); !res[0].Done {
+		t.Fatal("flow did not complete over the unsorted topology")
 	}
 }
 

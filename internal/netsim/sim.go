@@ -51,7 +51,9 @@ const (
 	LBPacketSpray
 )
 
-// Config parametrizes a simulation. Zero values are filled by Defaults.
+// Config parametrizes a simulation. Nothing fills zero fields: start from
+// NDPDefaults or TCPDefaults and override what differs. NewSim panics on a
+// zero LinkBps.
 type Config struct {
 	Transport     Transport
 	LB            LoadBalance

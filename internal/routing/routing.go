@@ -609,6 +609,36 @@ func (e *Engine) LayerPaths(src, dst int) [][]int32 {
 	return out
 }
 
+// DistinctRoutes returns the number of distinct (first hop, length) routes
+// from src to dst across all layers: every layer's ECMP candidates, each
+// taken at that layer's path length. It is the cross-layer path diversity
+// the flowlet balancer chooses over.
+func (e *Engine) DistinctRoutes(src, dst int) int {
+	var lens []int
+	var union []uint16 // union[i*units:][:units] is the candidate mask at length lens[i]
+	for l := range e.masks {
+		t := e.table(l, dst)
+		d := e.pathLen(t, src)
+		if d < 0 {
+			continue
+		}
+		i := slices.Index(lens, d)
+		if i < 0 {
+			i = len(lens)
+			lens = append(lens, d)
+			union = append(union, make([]uint16, e.units)...)
+		}
+		for k, u := range e.mask(t, src) {
+			union[i*e.units+k] |= u
+		}
+	}
+	n := 0
+	for _, u := range union {
+		n += bits.OnesCount16(u)
+	}
+	return n
+}
+
 // BuildAll materializes every (layer, destination) table eagerly on up to
 // `workers` goroutines (0 or negative selects all cores). Workers claim
 // (layer, 64-destination block) units layer-major off a shared counter and

@@ -176,6 +176,61 @@ func TestRouteCountsMatchShortestPathDAG(t *testing.T) {
 	}
 }
 
+// TestDistinctRoutesMatchesBruteForce holds DistinctRoutes against the
+// map of (first hop, length) pairs read off PathLen and AppendCandidates,
+// on every router pair of engines whose sparse layers leave routing holes
+// and give one pair routes of several lengths: SF(5), and a 71-clique whose
+// candidate masks span five units.
+func TestDistinctRoutesMatchesBruteForce(t *testing.T) {
+	sf, err := topo.SlimFly(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		rho  float64
+	}{{"SF5", sf.G, 0.3}, {"clique-70", formatEdgeCases[0].build(), 0.05}} {
+		g := c.g
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(g, testMasks(g, 6, c.rho, graph.NewRand(7)), 1)
+			type route struct {
+				first int32
+				hops  int
+			}
+			holes, multiLength := 0, 0
+			var cands []int32
+			for src := 0; src < g.N(); src++ {
+				for dst := 0; dst < g.N(); dst++ {
+					want := map[route]bool{}
+					lens := map[int]bool{}
+					for l := 0; l < e.NumLayers(); l++ {
+						d := e.PathLen(l, src, dst)
+						if d < 0 {
+							holes++
+							continue
+						}
+						cands = e.AppendCandidates(cands[:0], l, src, dst)
+						for _, c := range cands {
+							want[route{c, d}] = true
+							lens[d] = true
+						}
+					}
+					if len(lens) > 1 {
+						multiLength++
+					}
+					if got := e.DistinctRoutes(src, dst); got != len(want) {
+						t.Fatalf("DistinctRoutes(%d,%d) = %d, brute force %d", src, dst, got, len(want))
+					}
+				}
+			}
+			if holes == 0 || multiLength == 0 {
+				t.Fatalf("layers too dense to test: %d holes, %d pairs with several lengths", holes, multiLength)
+			}
+		})
+	}
+}
+
 func TestWithoutEdgesIncremental(t *testing.T) {
 	parent, g := testEngine(t, 19)
 	parent.BuildAll(4)

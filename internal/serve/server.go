@@ -139,15 +139,19 @@ type FabricSelector struct {
 	Layers       int               `json:"layers,omitempty"`
 	Rho          float64           `json:"rho,omitempty"`
 	Construction string            `json:"construction,omitempty"`
-	// Seed is the run seed (default 42, matching the CLIs).
+	// Seed is the run seed; 0 means defaultSeed.
 	Seed int64 `json:"seed,omitempty"`
 }
+
+// defaultSeed is the run seed of a request that names none (or 0): the
+// -seed default of cmd/experiments and cmd/scenarios.
+const defaultSeed = 42
 
 // spec converts the selector into the fabric-defining scenario Spec.
 func (fs FabricSelector) spec() (scenario.Spec, int64) {
 	seed := fs.Seed
 	if seed == 0 {
-		seed = 42
+		seed = defaultSeed
 	}
 	return scenario.Spec{
 		Topology:     fs.Topology,
@@ -196,7 +200,7 @@ func selectorFromQuery(q url.Values, extra ...string) (FabricSelector, error) {
 		return FabricSelector{}, err
 	}
 	fs.Construction = q.Get("construction")
-	seed, err := intQuery(q, "seed", 42)
+	seed, err := intQuery(q, "seed", 0) // spec() maps 0 to defaultSeed
 	if err != nil {
 		return FabricSelector{}, err
 	}
@@ -363,28 +367,18 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("layer %d outside [0,%d)", onlyLayer, fab.Fwd.NumLayers()))
 		return
 	}
-	ans := PathsAnswer{Src: src, Dst: dst}
-	type route struct {
-		first int32
-		hops  int
-	}
-	distinct := map[route]bool{}
-	var cands []int32
+	ans := PathsAnswer{Src: src, Dst: dst, DistinctPaths: fab.Fwd.DistinctRoutes(src, dst)}
 	for l := 0; l < fab.Fwd.NumLayers(); l++ {
+		if onlyLayer >= 0 && onlyLayer != l {
+			continue
+		}
 		lp := LayerPath{Layer: l, Len: fab.Fwd.PathLen(l, src, dst)}
 		if lp.Len >= 0 {
-			cands = fab.Fwd.AppendCandidates(cands[:0], l, src, dst)
-			lp.Candidates = len(cands)
+			lp.Candidates = fab.Fwd.Hops(l, src, dst).Len()
 			lp.Path = fab.Fwd.Route(l, src, dst)
-			for _, nh := range cands {
-				distinct[route{nh, lp.Len}] = true
-			}
 		}
-		if onlyLayer < 0 || onlyLayer == l {
-			ans.Layers = append(ans.Layers, lp)
-		}
+		ans.Layers = append(ans.Layers, lp)
 	}
-	ans.DistinctPaths = len(distinct)
 	writeJSON(w, http.StatusOK, ans)
 }
 
@@ -457,7 +451,8 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 }
 
 // ScenarioRequest is the POST /scenarios body: a scenario matrix (the
-// same JSON cmd/scenarios reads from disk) plus the run seed.
+// same JSON cmd/scenarios reads from disk) plus the run seed (0 means
+// defaultSeed).
 type ScenarioRequest struct {
 	Matrix scenario.Matrix `json:"matrix"`
 	Seed   int64           `json:"seed,omitempty"`
@@ -481,7 +476,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	}
 	seed := req.Seed
 	if seed == 0 {
-		seed = 42
+		seed = defaultSeed
 	}
 	select {
 	case s.sem <- struct{}{}:
