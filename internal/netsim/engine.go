@@ -68,10 +68,10 @@ func deliverKey(linkID int32, seq uint32) uint64 {
 
 // Engine is the deterministic discrete-event scheduler of one simulation:
 // the clock, the event queue, the per-partition sequence counters behind
-// the canonical keys, the packet arena and the run's plain-field tallies.
-// It is single-threaded — a sweep runs many engines side by side, one per
-// cell, and nothing here is shared between them. Event callbacks receive
-// the executing *Engine.
+// the canonical keys, the timers and packets that queued events name by id,
+// and the run's plain-field tallies. It is single-threaded — a sweep runs
+// many engines side by side, one per cell, and nothing here is shared
+// between them. Event callbacks receive the executing *Engine.
 type Engine struct {
 	now   Time
 	key   uint64 // canonical key of the executing event
@@ -80,12 +80,23 @@ type Engine struct {
 	// seq[p] is partition p's push counter (see localKey).
 	seq []uint32
 
-	// Packet arena: a free list fed by chunked allocations. It belongs to
-	// the engine, not the process, because cells of a sweep simulate
+	// net is the simulated network: an event's link id indexes net.links.
+	net *Network
+	// timers[id] is the timer of id; an id is given on a timer's first arm,
+	// and id 0 is reserved for a timer that was never armed.
+	timers []*timer
+
+	// Packet arena: fixed chunks of packetChunk packets, a packet's handle
+	// being chunk<<packetChunkBits | index, and a LIFO free list of
+	// handles. Chunks never move, so a *Packet stays valid across
+	// newPacket while its handle is live, and nothing the event loop
+	// writes per packet holds a pointer. The arena belongs to the engine,
+	// not the process, because cells of a sweep simulate
 	// concurrently: a shared pool would serialize them on its locks and
 	// trade packet structs between cores (internal/analysis's
 	// TestModuleClean holds this package to importing no sync at all).
-	pfree []*Packet
+	pkts  []*[packetChunk]Packet
+	pfree []int32
 
 	executed int64
 	queueHW  int
@@ -105,7 +116,7 @@ type Engine struct {
 // link delay: a delivery is queued when its transmission starts); it sizes the event queue's calendar tick and affects cost only,
 // never order.
 func NewEngine(parts int, nearSpan Time) *Engine {
-	e := &Engine{seq: make([]uint32, parts)}
+	e := &Engine{seq: make([]uint32, parts), timers: []*timer{nil}}
 	e.queue.near.shift = wheelShift(nearSpan)
 	return e
 }
@@ -167,6 +178,7 @@ type timer struct {
 	queuedAt  Time
 	queuedKey uint64
 	queued    bool
+	id        int32 // index in Engine.timers, 0 until the first arm
 	fire      func(*Engine)
 }
 
@@ -180,6 +192,10 @@ func (e *Engine) arm(tm *timer, part int32, t Time) {
 		t = e.now
 	}
 	tm.at, tm.key = t, e.nextKey(part)
+	if tm.id == 0 {
+		tm.id = int32(len(e.timers))
+		e.timers = append(e.timers, tm)
+	}
 	if !tm.queued || t < tm.queuedAt {
 		e.queueTimer(tm)
 	}
@@ -195,7 +211,7 @@ func (e *Engine) AtPart(t Time, part int32, fn func(*Engine)) {
 // that counts.
 func (e *Engine) queueTimer(tm *timer) {
 	tm.queued, tm.queuedAt, tm.queuedKey = true, tm.at, tm.key
-	e.push(tm.at, tm.key, eventPayload{kind: evTimer, tm: tm})
+	e.push(tm.at, tm.key, eventPayload{kind: evTimer, ref: tm.id})
 }
 
 // popTimer handles a timer entry popped at (at, key).
@@ -228,13 +244,13 @@ func (e *Engine) Run(until Time) int {
 		}
 		switch pay.kind {
 		case evTimer:
-			e.popTimer(pay.tm, at, key)
+			e.popTimer(e.timers[pay.ref], at, key)
 		case evTxDone:
-			pay.link.txDone(e)
+			e.net.links[pay.ref].txDone(e)
 		case evDeliver:
-			pay.link.net.deliver(e, pay.link, pay.pkt)
+			e.net.deliver(e, &e.net.links[pay.ref], pay.pkt, e.pkt(pay.pkt))
 		case evInject:
-			pay.link.net.sendFromHost(e, pay.pkt)
+			e.net.sendFromHost(e, pay.pkt)
 		}
 	}
 	if e.now < until && e.queue.len() == 0 {
@@ -243,31 +259,51 @@ func (e *Engine) Run(until Time) int {
 	return int(e.executed - n0)
 }
 
-// newPacket takes a Packet from the arena. Callers overwrite every field
-// (allocation sites assign a full composite literal), so no zeroing happens
-// here.
-func (e *Engine) newPacket() *Packet {
-	if n := len(e.pfree); n > 0 {
-		p := e.pfree[n-1]
-		e.pfree = e.pfree[:n-1]
-		return p
+// The arena grows by chunks of packetChunk packets; a handle's low
+// packetChunkBits bits index its chunk.
+const (
+	packetChunkBits = 8
+	packetChunk     = 1 << packetChunkBits
+)
+
+// pkt returns the packet of handle h.
+func (e *Engine) pkt(h int32) *Packet {
+	return &e.pkts[h>>packetChunkBits][h&(packetChunk-1)]
+}
+
+// newPacket stores p in the arena and returns its handle.
+func (e *Engine) newPacket(p Packet) int32 {
+	if len(e.pfree) == 0 {
+		e.growArena()
 	}
-	chunk := make([]Packet, packetChunk)
-	for i := 1; i < len(chunk); i++ {
-		e.pfree = append(e.pfree, &chunk[i])
+	n := len(e.pfree) - 1
+	h := e.pfree[n]
+	e.pfree = e.pfree[:n]
+	*e.pkt(h) = p
+	return h
+}
+
+// growArena adds a chunk, its handles freed so they are taken in order.
+func (e *Engine) growArena() {
+	c := int32(len(e.pkts)) << packetChunkBits
+	e.pkts = append(e.pkts, new([packetChunk]Packet))
+	for i := int32(packetChunk - 1); i >= 0; i-- {
+		e.pfree = append(e.pfree, c|i)
 	}
-	return &chunk[0]
 }
 
 // freePacket recycles a dead packet into the arena. The struct is zeroed
 // so a stale field read after free fails loudly rather than plausibly.
-func (e *Engine) freePacket(p *Packet) {
-	*p = Packet{}
-	e.pfree = append(e.pfree, p)
+func (e *Engine) freePacket(h int32) {
+	*e.pkt(h) = Packet{}
+	e.pfree = append(e.pfree, h)
 }
 
-// packetChunk is the arena growth quantum.
-const packetChunk = 256
+// retire frees a packet that was in flight.
+func (e *Engine) retire(h int32) {
+	e.inflight--
+	e.freePacket(h)
+}
 
 // eventTraceName maps event kinds onto trace slice names.
 var eventTraceName = [...]string{evTimer: "timer", evTxDone: "tx-done", evDeliver: "deliver", evInject: "inject"}
@@ -286,9 +322,10 @@ func (e *Engine) traceEvent(pay eventPayload) {
 	}
 	tid := 0
 	name := eventTraceName[pay.kind]
-	if pay.pkt != nil {
-		tid = 1 + int(pay.pkt.DstHost)%62
-		name = pktTraceName(name, pay.pkt)
+	if pay.kind == evDeliver || pay.kind == evInject {
+		p := e.pkt(pay.pkt)
+		tid = 1 + int(p.DstHost)%62
+		name = pktTraceName(name, p)
 	}
 	tr.Instant("event", name, ts, tid)
 	if e.executed%64 == 0 {

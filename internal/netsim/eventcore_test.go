@@ -42,9 +42,10 @@ func TestFlowHashMatchesFNV(t *testing.T) {
 
 // queueCheck drives one script of pushes and pops through the event queue
 // (wheel + far heap), a lone quadHeap fed everything, and a sorted-slice
-// model: all three must pop in (at, key) order. Along the way the slot
-// tables may never outgrow their structure's live high-water mark, free
-// and live slots must add up, and vacated slots must hold nothing.
+// model: all three must pop in (at, key) order, each event with its own
+// payload. Along the way the wheel's node array may never outgrow its live
+// high-water mark, free and live nodes must add up, and the buckets must
+// list exactly the events the wheel counts.
 type queueCheck struct {
 	t      testing.TB
 	h      eventHeap
@@ -52,7 +53,6 @@ type queueCheck struct {
 	model  []queuedEv
 	now    Time // time of the last pop: pushes never go below it, as in the engine
 	next   int32
-	fired  int32
 	nearHW int
 	farHW  int
 }
@@ -70,14 +70,15 @@ func newQueueCheck(t testing.TB, shift uint8) *queueCheck {
 }
 
 // push queues a fresh event delta after the last popped time, as a packet
-// event or as a callback.
+// event (its packet handle is the event's id) or as a timer event (the
+// timer id is).
 func (q *queueCheck) push(delta Time, keyHi uint32, callback bool) {
 	id := q.next
 	q.next++
 	e := queuedEv{at: q.now + delta, key: uint64(keyHi)<<32 | uint64(id), id: id}
-	pay := eventPayload{kind: evDeliver, link: &link{}, pkt: &Packet{Seq: id}}
+	pay := eventPayload{kind: evDeliver, ref: -1, pkt: id}
 	if callback {
-		pay = eventPayload{kind: evTimer, tm: &timer{fire: func(*Engine) { q.fired = id }}}
+		pay = eventPayload{kind: evTimer, ref: id, pkt: -1}
 	}
 	q.h.push(e.at, e.key, pay)
 	q.single.push(e.at, e.key, pay)
@@ -86,12 +87,16 @@ func (q *queueCheck) push(delta Time, keyHi uint32, callback bool) {
 	q.checkLen()
 }
 
+// ident returns the id push gave the event of payload p, or -2 when p is
+// not one push can have made.
 func (q *queueCheck) ident(p eventPayload) int32 {
-	if p.kind == evTimer {
-		p.tm.fire(nil)
-		return q.fired
+	switch {
+	case p.kind == evTimer && p.pkt == -1:
+		return p.ref
+	case p.kind == evDeliver && p.ref == -1:
+		return p.pkt
 	}
-	return p.pkt.Seq
+	return -2
 }
 
 // pop removes the minimum from all three and compares; on an empty queue
@@ -135,25 +140,12 @@ func (q *queueCheck) checkLen() {
 
 func (q *queueCheck) checkSlots() {
 	q.t.Helper()
-	check := func(name string, pay []eventPayload, free []int32, live, hw int) {
-		q.t.Helper()
-		if len(pay) > hw {
-			q.t.Fatalf("%s slot table has %d slots, live high-water is %d", name, len(pay), hw)
-		}
-		if len(free)+live != len(pay) {
-			q.t.Fatalf("%s: %d free + %d live slots != table size %d", name, len(free), live, len(pay))
-		}
-		for _, s := range free {
-			if p := pay[s]; p.tm != nil || p.link != nil || p.pkt != nil {
-				q.t.Fatalf("%s: vacated slot %d still holds a payload", name, s)
-			}
-		}
-	}
 	w := &q.h.near
-	check("wheel", w.slots.pay, w.slots.free, w.n, q.nearHW)
-	check("far heap", q.h.far.slots.pay, q.h.far.slots.free, q.h.far.len(), q.farHW)
-	if len(w.node) != len(w.slots.pay) {
-		q.t.Fatalf("wheel: %d nodes beside %d payload slots", len(w.node), len(w.slots.pay))
+	if len(w.node) > q.nearHW {
+		q.t.Fatalf("wheel has %d nodes, live high-water is %d", len(w.node), q.nearHW)
+	}
+	if len(w.free)+w.n != len(w.node) {
+		q.t.Fatalf("wheel: %d free + %d live nodes != %d nodes", len(w.free), w.n, len(w.node))
 	}
 	held := 0
 	for b := range w.head {
@@ -370,22 +362,23 @@ func TestTimerModel(t *testing.T) {
 }
 
 // TestPktRingFIFO covers the ring alone: order across wrap-around, growth
-// while the contents are wrapped, growth bounded by the queue's capacity,
-// and popped slots released.
+// while the contents are wrapped, and growth bounded by the queue's
+// capacity. (A popped slot keeps its stale handle: it pins nothing, which
+// TestHotLayoutPointerFree holds.)
 func TestPktRingFIFO(t *testing.T) {
 	r := pktRing{limit: 100}
 	next, want := int32(0), int32(0)
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			r.push(&Packet{Seq: next})
+			r.push(next)
 			next++
 		}
 	}
 	pop := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if p := r.pop(); p.Seq != want {
-				t.Fatalf("popped seq %d, want %d", p.Seq, want)
+			if h := r.pop(); h != want {
+				t.Fatalf("popped handle %d, want %d", h, want)
 			}
 			want++
 		}
@@ -407,24 +400,74 @@ func TestPktRingFIFO(t *testing.T) {
 	if len(r.buf) != 16 {
 		t.Fatalf("steady-state traffic grew the ring to %d", len(r.buf))
 	}
-	push(r.limit - r.len()) // full: 128 slots hold 100
+	push(int(r.limit) - r.len()) // full: 128 slots hold 100
 	if len(r.buf) != 128 || !r.full() {
 		t.Fatalf("at capacity %d: cap=%d len=%d", r.limit, len(r.buf), r.len())
 	}
 	pop(r.len())
-	for i, p := range r.buf {
-		if p != nil {
-			t.Fatalf("slot %d still references a popped packet", i)
-		}
+	if r.len() != 0 || next != want {
+		t.Fatalf("drained ring holds %d, %d pushed and %d popped", r.len(), next, want)
 	}
-	for _, c := range []struct{ limit, size int }{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {64, 16}} {
+	for _, c := range []struct {
+		limit int32
+		size  int
+	}{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {64, 16}} {
 		r := pktRing{limit: c.limit}
 		for !r.full() && r.len() < 9 {
-			r.push(&Packet{})
+			r.push(0)
 		}
 		if len(r.buf) != c.size {
 			t.Errorf("limit %d: %d pushes grew the ring to %d slots, want %d", c.limit, r.len(), len(r.buf), c.size)
 		}
+	}
+}
+
+// TestHotLayoutPointerFree pins the layout of what the event loop writes
+// per event and per packet: queued events, ring slots and arena packets
+// hold no Go pointer, so pushes, pops and ring traffic pay no GC write
+// barrier, and a queue node and a link keep their sizes. A field that
+// brings a pointer back fails here, not as a slowdown.
+func TestHotLayoutPointerFree(t *testing.T) {
+	var holdsPointer func(reflect.Type) bool
+	holdsPointer = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Func, reflect.Interface, reflect.String, reflect.Chan:
+			return true
+		case reflect.Array:
+			return holdsPointer(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if holdsPointer(ty.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, ty := range []reflect.Type{
+		reflect.TypeFor[eventPayload](),
+		reflect.TypeFor[wheelNode](),
+		reflect.TypeFor[heapEntry](),
+		reflect.TypeFor[Packet](),
+		reflect.TypeOf(pktRing{}.buf).Elem(),        // a ring slot
+		reflect.TypeOf(Engine{}.pkts).Elem().Elem(), // an arena chunk
+		reflect.TypeOf(Engine{}.pfree).Elem(),       // a free handle
+	} {
+		if holdsPointer(ty) {
+			t.Errorf("%v holds a pointer", ty)
+		}
+	}
+	for _, c := range []struct {
+		ty   reflect.Type
+		want uintptr
+	}{{reflect.TypeFor[wheelNode](), 32}, {reflect.TypeFor[heapEntry](), 32}} {
+		if got := c.ty.Size(); got != c.want {
+			t.Errorf("%v is %d B, want %d", c.ty, got, c.want)
+		}
+	}
+	if got := reflect.TypeFor[link]().Size(); got > 144 {
+		t.Errorf("link is %d B, want at most 144", got)
 	}
 }
 
@@ -440,21 +483,18 @@ func TestLinkQueueBehaviour(t *testing.T) {
 		s := starSim(t, 2, cfg)
 		e, l := s.Eng, s.Net.hostUp[0]
 		l.txEnd = maxTime // hold the transmitter so arrivals accumulate
-		data := func(seq int32) *Packet {
-			p := e.newPacket()
-			*p = Packet{Seq: seq, Bytes: 1500, Kind: KindData}
+		data := func(seq int32) int32 {
 			e.inflight++
-			return p
+			return e.newPacket(Packet{Seq: seq, Bytes: 1500, Kind: KindData})
 		}
-		ack := e.newPacket()
-		*ack = Packet{Seq: 100, Bytes: HeaderBytes, Kind: KindAck}
+		ack := e.newPacket(Packet{Seq: 100, Bytes: HeaderBytes, Kind: KindAck})
 		e.inflight++
-		l.enqueue(e, ack) // control traffic goes straight to the priority queue
+		l.enqueue(e, ack, e.pkt(ack)) // control traffic goes straight to the priority queue
 		var pkts []*Packet
 		for seq := int32(0); seq < 10; seq++ {
-			p := data(seq)
-			pkts = append(pkts, p)
-			l.enqueue(e, p)
+			h := data(seq)
+			pkts = append(pkts, e.pkt(h))
+			l.enqueue(e, h, e.pkt(h))
 		}
 		if l.q.len() != 5 {
 			t.Fatalf("trim=%v: data queue holds %d, capacity is 5", trim, l.q.len())
@@ -475,7 +515,7 @@ func TestLinkQueueBehaviour(t *testing.T) {
 				trim, l.pq.len(), l.Trims, l.Drops, wantPQ, wantTrims, wantDrops)
 		}
 		// Arrivals behind the held transmission queued its tx-done once.
-		if _, _, pay, _ := e.queue.popUntil(maxTime); pay.kind != evTxDone || pay.link != l || e.queue.len() != 0 {
+		if _, _, pay, _ := e.queue.popUntil(maxTime); pay.kind != evTxDone || pay.ref != l.id || e.queue.len() != 0 {
 			t.Fatalf("trim=%v: waiting packets queued %d events, want the link's one tx-done", trim, e.queue.len()+1)
 		}
 		// Serve everything: priority queue first, FIFO within each queue.
@@ -494,7 +534,7 @@ func TestLinkQueueBehaviour(t *testing.T) {
 				if pay.kind == evTxDone {
 					txDones++
 				} else {
-					sent = pay.pkt
+					sent = e.pkt(pay.pkt)
 				}
 			}
 			if sent == nil || sent.Seq != want {
@@ -770,7 +810,7 @@ func checkInFlight(t *testing.T, s *Sim) {
 	visit := func(at Time, pay eventPayload) {
 		switch pay.kind {
 		case evDeliver:
-			deliveries[pay.link.id] = append(deliveries[pay.link.id], delivery{at, pay.pkt})
+			deliveries[pay.ref] = append(deliveries[pay.ref], delivery{at, e.pkt(pay.pkt)})
 		case evInject:
 			injecting++
 		}
@@ -779,18 +819,19 @@ func checkInFlight(t *testing.T, s *Sim) {
 	for b := range w.head {
 		if w.occ[b>>6]>>(b&63)&1 != 0 {
 			for c := w.head[b]; c >= 0; c = w.node[c].next {
-				visit(w.node[c].at, w.slots.pay[c])
+				visit(w.node[c].at, w.node[c].pay)
 			}
 		}
 	}
 	for _, en := range e.queue.far.ent {
-		visit(en.at, e.queue.far.slots.pay[en.slot])
+		visit(en.at, en.pay)
 	}
 	var held int64
+	bps, delay := s.Cfg.LinkBps, s.Cfg.LinkDelay
 	for id := range s.Net.links {
 		l := &s.Net.links[id]
 		waiting := l.q.len() + l.pq.len()
-		if l.q.len() > l.q.limit || l.pq.len() > l.pq.limit {
+		if l.q.n > l.q.limit || l.pq.n > l.pq.limit {
 			t.Fatalf("t=%d link %d: queues hold %d / %d packets, capacities %d / %d", e.now, id, l.q.len(), l.pq.len(), l.q.limit, l.pq.limit)
 		}
 		if l.txQueued != (waiting > 0) {
@@ -799,7 +840,7 @@ func checkInFlight(t *testing.T, s *Sim) {
 		d := deliveries[id]
 		sort.Slice(d, func(a, b int) bool { return d[a].at < d[b].at })
 		for k := 1; k < len(d); k++ {
-			if gap := d[k].at - d[k-1].at; gap < serialization(d[k].pkt.Bytes, l.bps) {
+			if gap := d[k].at - d[k-1].at; gap < serialization(d[k].pkt.Bytes, bps) {
 				t.Fatalf("t=%d link %d: deliveries at %d and %d overlap on the wire (%d B)", e.now, id, d[k-1].at, d[k].at, d[k].pkt.Bytes)
 			}
 		}
@@ -807,24 +848,24 @@ func checkInFlight(t *testing.T, s *Sim) {
 		if len(d) > 0 {
 			last = d[len(d)-1].at
 		}
-		if busy := e.before(l.txEnd, l.txKey); last > l.txEnd+l.delay || busy && last != l.txEnd+l.delay {
-			t.Fatalf("t=%d link %d: last delivery due at %d, serialization reserved until %d (busy %v), delay %d", e.now, id, last, l.txEnd, busy, l.delay)
+		if busy := e.before(l.txEnd, l.txKey); last > l.txEnd+delay || busy && last != l.txEnd+delay {
+			t.Fatalf("t=%d link %d: last delivery due at %d, serialization reserved until %d (busy %v), delay %d", e.now, id, last, l.txEnd, busy, delay)
 		}
 		held += int64(waiting + len(d))
 	}
 	if held != e.inflight {
 		t.Fatalf("t=%d: %d packets in flight, but %d in link queues and queued deliveries", e.now, e.inflight, held)
 	}
-	if n := len(e.pfree) + injecting + int(e.inflight); n%packetChunk != 0 {
-		t.Fatalf("t=%d: %d free + %d injecting + %d in flight packets is not a whole number of %d-packet chunks", e.now, len(e.pfree), injecting, e.inflight, packetChunk)
+	if n := len(e.pfree) + injecting + int(e.inflight); n != len(e.pkts)*packetChunk {
+		t.Fatalf("t=%d: %d free + %d injecting + %d in flight packets, but the arena holds %d chunks of %d", e.now, len(e.pfree), injecting, e.inflight, len(e.pkts), packetChunk)
 	}
 }
 
 // TestAllocsPerEventCeiling bounds the event loop's steady-state heap
 // allocations: after a warm-up that sizes queues, rings and the packet
 // arena nothing on the event path allocates — timers re-arm in place and
-// pulls are typed events — so what remains is late growth: a ring or slot
-// table doubling, NDP's retransmit queues (it was ≈0.08 with a closure per
+// pulls are typed events — so what remains is late growth: a ring, the
+// wheel's node array or the arena growing, NDP's retransmit queues (it was ≈0.08 with a closure per
 // RTO re-arm and paced pull). Not parallel, so no other test's allocations
 // land in the delta.
 func TestAllocsPerEventCeiling(t *testing.T) {
@@ -858,7 +899,7 @@ func TestAllocsPerEventCeiling(t *testing.T) {
 // queue overtakes the heap is a committed number.
 func BenchmarkEventQueue(b *testing.B) {
 	const span = 2048
-	pay := eventPayload{kind: evDeliver, link: &link{}, pkt: &Packet{}}
+	pay := eventPayload{kind: evDeliver}
 	for _, n := range []int{64, 512, 4096} {
 		b.Run("wheel/n="+strconv.Itoa(n), func(b *testing.B) {
 			rng := randNew(1)

@@ -18,12 +18,12 @@ import "math/bits"
 //     popUntil takes the smaller (at, key) head of the two, so execution
 //     order is the total (at, key) order a single heap would give and never
 //     depends on which structure held an event.
-//   - Pointer-free ordering arrays: a wheel node and a heap entry hold the
-//     ordering key (at, key) and an int32 reference. The payload (timer or
-//     link and packet operands) sits out of line in a slot table with a
-//     free list; it is written once on push and cleared once on pop, so
-//     neither list surgery nor sifting moves a pointer, and the GC neither
-//     scans nor write-barriers the arrays the hot loops walk.
+//   - Pointer-free arrays: a wheel node and a heap entry hold the ordering
+//     key (at, key) and the payload inline, and the payload names its
+//     operands by int32 id — a link or timer id and a packet handle
+//     (engine.go) — so a node is 32 bytes, one read brings in all of an
+//     event, and the GC neither scans nor write-barriers the arrays that
+//     pushes, pops, list surgery and sifting write.
 //   - The far heap is 4-ary instead of binary: sift paths are half as deep
 //     and the four children of a node sit in adjacent cache lines.
 //
@@ -32,40 +32,11 @@ import "math/bits"
 // total and never depends on which structure held an event or on the order
 // of pushes.
 
-// eventPayload is the non-key part of an event. It is four words on
-// purpose: up to that size the compiler copies a pointer-bearing struct
-// with inline stores, beyond it through runtime.typedmemmove, and a fifth
-// word measured 20 % on both simulation sweeps (PERF.md).
+// eventPayload is the non-key part of an event: 12 bytes, no pointer.
 type eventPayload struct {
 	kind eventKind
-	tm   *timer  // evTimer only
-	link *link   // evTxDone, evDeliver, evInject
-	pkt  *Packet // evDeliver, evInject
-}
-
-// slotTable holds the payloads of one structure's queued events; what the
-// structure orders is the slot index put returns.
-type slotTable struct {
-	pay  []eventPayload // never longer than the live high-water mark
-	free []int32        // vacated slots, reused LIFO
-}
-
-func (t *slotTable) put(pay eventPayload) int32 {
-	if n := len(t.free); n > 0 {
-		s := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.pay[s] = pay
-		return s
-	}
-	t.pay = append(t.pay, pay)
-	return int32(len(t.pay) - 1)
-}
-
-func (t *slotTable) take(s int32) eventPayload {
-	pay := t.pay[s]
-	t.pay[s] = eventPayload{} // clear tm/link/pkt for the GC
-	t.free = append(t.free, s)
-	return pay
+	ref  int32 // evTimer: timer id; evTxDone, evDeliver, evInject: link id
+	pkt  int32 // evDeliver, evInject: packet handle
 }
 
 // earlier is the queue order: (at, key) before (bAt, bKey).
@@ -75,23 +46,22 @@ func earlier(at Time, key uint64, bAt Time, bKey uint64) bool {
 
 // heapEntry is what the sift loops compare and move.
 type heapEntry struct {
-	at   Time
-	key  uint64
-	slot int32
+	at  Time
+	key uint64
+	pay eventPayload
 }
 
 func (a *heapEntry) less(b *heapEntry) bool { return earlier(a.at, a.key, b.at, b.key) }
 
-// quadHeap is one 4-ary min-heap over (at, key) with out-of-line payloads.
+// quadHeap is one 4-ary min-heap over (at, key).
 type quadHeap struct {
-	ent   []heapEntry
-	slots slotTable
+	ent []heapEntry
 }
 
 func (h *quadHeap) len() int { return len(h.ent) }
 
 func (h *quadHeap) push(at Time, key uint64, pay eventPayload) {
-	e := heapEntry{at, key, h.slots.put(pay)}
+	e := heapEntry{at, key, pay}
 	h.ent = append(h.ent, e)
 	// Sift up with a hole: the new entry is held in registers and written
 	// once at its final position.
@@ -110,7 +80,7 @@ func (h *quadHeap) push(at Time, key uint64, pay eventPayload) {
 
 // pop removes and returns the minimum event.
 func (h *quadHeap) pop() (Time, uint64, eventPayload) {
-	at0, key0, pay0 := h.ent[0].at, h.ent[0].key, h.slots.take(h.ent[0].slot)
+	at0, key0, pay0 := h.ent[0].at, h.ent[0].key, h.ent[0].pay
 	last := len(h.ent) - 1
 	e := h.ent[last]
 	ent := h.ent[:last]
@@ -172,10 +142,11 @@ func wheelShift(span Time) uint8 {
 }
 
 // wheelNode is one queued event in a bucket's list. Like heapEntry it is
-// pointer-free; its index in wheel.node is also its payload's slot.
+// pointer-free and 32 bytes.
 type wheelNode struct {
 	at   Time
 	key  uint64
+	pay  eventPayload
 	next int32 // next node of the same bucket, -1 at the end
 }
 
@@ -191,8 +162,8 @@ type wheel struct {
 	n     int
 	occ   [wheelWords]uint64
 	head  [wheelBuckets]int32
-	node  []wheelNode // parallel to slots.pay
-	slots slotTable
+	node  []wheelNode // never longer than the live high-water mark
+	free  []int32     // vacated nodes, reused LIFO
 }
 
 // push queues the event if its tick lies in the window and reports whether
@@ -202,8 +173,12 @@ func (w *wheel) push(at Time, key uint64, pay eventPayload) bool {
 	if uint64(tick-w.cur) >= wheelBuckets {
 		return false
 	}
-	s := w.slots.put(pay)
-	if int(s) == len(w.node) {
+	var s int32
+	if n := len(w.free); n > 0 {
+		s = w.free[n-1]
+		w.free = w.free[:n-1]
+	} else {
+		s = int32(len(w.node))
 		w.node = append(w.node, wheelNode{})
 	}
 	b := tick & (wheelBuckets - 1)
@@ -213,7 +188,7 @@ func (w *wheel) push(at Time, key uint64, pay eventPayload) bool {
 	} else {
 		w.occ[b>>6] |= bit
 	}
-	w.node[s] = wheelNode{at, key, next}
+	w.node[s] = wheelNode{at, key, pay, next}
 	w.head[b] = s
 	w.n++
 	return true
@@ -260,7 +235,8 @@ func (w *wheel) take(b int, s, prev int32) eventPayload {
 		w.occ[b>>6] &^= 1 << (b & 63)
 	}
 	w.n--
-	return w.slots.take(s)
+	w.free = append(w.free, s)
+	return w.node[s].pay
 }
 
 // eventHeap is the engine's event queue: the wheel for the near future and

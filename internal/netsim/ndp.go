@@ -119,8 +119,7 @@ func (s *Sim) ndpSendPull(e *Engine, f *flow, seq int32, wasTrimmed, layerChange
 		at = next
 	}
 	s.lastPull[host] = at
-	pull := e.newPacket()
-	*pull = Packet{
+	pull := e.newPacket(Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Dst,
 		DstHost: f.spec.Src,
@@ -131,8 +130,8 @@ func (s *Sim) ndpSendPull(e *Engine, f *flow, seq int32, wasTrimmed, layerChange
 		Trimmed: wasTrimmed,
 		ECN:     layerChange, // repurposed bit: "change layer" hint
 		Fin:     fin,
-	}
-	e.pushLocal(at, f.dstPart, eventPayload{kind: evInject, link: s.Net.hostUp[host], pkt: pull})
+	})
+	e.pushLocal(at, f.dstPart, eventPayload{kind: evInject, ref: s.Net.hostUp[host].id, pkt: pull})
 }
 
 func (s *Sim) ndpPullAtSender(e *Engine, f *flow, pull *Packet) {

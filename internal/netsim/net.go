@@ -56,70 +56,64 @@ func (p *Packet) prio() bool { return p.Kind != KindData || p.Trimmed || p.Retx 
 // tx-done queued with every transmission would have given it, and a link
 // whose queues are empty at the end of a serialization costs one event per
 // packet, not two.
+//
+// The link parameters (bandwidth, delay, ECN threshold, trimming) are the
+// same for every link and are read from Network.cfg; the fields the event
+// loop touches on every packet come first, so they share a cache line.
 type link struct {
-	net      *Network
-	id       int32
-	toRouter int32 // receiving router, or -1
-	toHost   int32 // receiving host, or -1
-	txPart   int32 // partition of the transmitter: its transmissions draw their tx-done keys there
-
-	bps       float64
-	delay     Time
-	ecnThresh int // mark CE when data queue length reaches this (0 = off)
-	trimMode  bool
-
-	q      pktRing // data queue
-	pq     pktRing // priority queue
-	failed bool    // dead cable: every packet handed to it is lost (§V-G)
 	// (txEnd, txKey): the reserved end of the last serialization; the
-	// transmitter is busy while the executing event precedes it. txQueued:
-	// an evTxDone entry is queued under it.
+	// transmitter is busy while the executing event precedes it.
 	txEnd      Time
 	txKey      uint64
-	txQueued   bool
+	id         int32
+	toRouter   int32 // receiving router, or -1
+	toHost     int32 // receiving host, or -1
+	txPart     int32 // partition of the transmitter: its transmissions draw their tx-done keys there
 	deliverSeq uint32
+	failed     bool // dead cable: every packet handed to it is lost (§V-G)
+	txQueued   bool // an evTxDone entry is queued under (txEnd, txKey)
+
+	q  pktRing // data queue
+	pq pktRing // priority queue
 
 	// Stats.
-	Drops, Trims, TxPackets, TxBytes int64
-	failDrops                        int64
+	Drops, Trims, failDrops int64
 }
 
-// pktRing is a growable power-of-two FIFO of packets, bounded by its
-// queue's capacity. Steady-state push and pop allocate nothing, and a popped
-// slot is nil-ed so the ring never pins a recycled packet.
+// pktRing is a growable power-of-two FIFO of packet handles, bounded by its
+// queue's capacity. Steady-state push and pop allocate nothing.
 type pktRing struct {
-	buf   []*Packet // len is zero or a power of two
-	head  int
-	n     int
-	limit int // queue capacity in packets: callers push only below it
+	buf   []int32 // len is zero or a power of two
+	head  int32
+	n     int32
+	limit int32 // queue capacity in packets: callers push only below it
 }
 
-func (r *pktRing) len() int { return r.n }
+func (r *pktRing) len() int { return int(r.n) }
 
 // full reports whether the queue is at its capacity.
 func (r *pktRing) full() bool { return r.n >= r.limit }
 
-func (r *pktRing) push(p *Packet) {
-	if r.n == len(r.buf) {
+func (r *pktRing) push(h int32) {
+	if int(r.n) == len(r.buf) {
 		// Full (or never used): double from 4 slots, to no more than the
 		// power of two that holds limit, unwrapping the contents to the
 		// front.
-		nb := make([]*Packet, min(max(4, 2*len(r.buf)), 1<<bits.Len(uint(r.limit-1))))
+		nb := make([]int32, min(max(4, 2*len(r.buf)), 1<<bits.Len(uint(r.limit-1))))
 		k := copy(nb, r.buf[r.head:])
 		copy(nb[k:], r.buf[:r.head])
 		r.buf, r.head = nb, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.buf[int(r.head+r.n)&(len(r.buf)-1)] = h
 	r.n++
 }
 
 // pop removes the oldest packet; the ring must not be empty.
-func (r *pktRing) pop() *Packet {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+func (r *pktRing) pop() int32 {
+	h := r.buf[r.head]
+	r.head = int32(int(r.head+1) & (len(r.buf) - 1))
 	r.n--
-	return p
+	return h
 }
 
 // serialization returns the time b bytes take on the wire at bps.
@@ -130,55 +124,58 @@ func serialization(b int32, bps float64) Time {
 // enqueue places a packet into the transmitter queue, applying the
 // configured congestion behaviour: ECN marking, NDP payload trimming into
 // the priority queue (§III-C), or tail drop. Dropped packets return to the
-// arena — nothing references them once they leave the queues.
-func (l *link) enqueue(e *Engine, p *Packet) {
+// arena — nothing references them once they leave the queues. p is the
+// packet of handle h.
+func (l *link) enqueue(e *Engine, h int32, p *Packet) {
 	if l.failed {
 		l.failDrops++
-		l.net.free(e, p)
+		e.retire(h)
 		return
 	}
 	if p.prio() {
 		if !l.pq.full() {
-			l.offer(e, &l.pq, p)
+			l.offer(e, &l.pq, h, p)
 		} else {
 			l.Drops++
-			l.net.free(e, p)
+			e.retire(h)
 		}
 		return
 	}
+	cfg := &e.net.cfg
 	if !l.q.full() {
-		if l.ecnThresh > 0 && l.q.len()+1 >= l.ecnThresh {
+		if cfg.ECNThreshold > 0 && l.q.len()+1 >= cfg.ECNThreshold {
 			p.ECN = true
 		}
-		l.offer(e, &l.q, p)
+		l.offer(e, &l.q, h, p)
 		return
 	}
-	if l.trimMode {
+	if cfg.TrimMode {
 		// Drop only the payload; the header with all metadata is preserved
 		// and prioritized so the receiver learns about the congestion.
 		p.Trimmed = true
 		p.Bytes = HeaderBytes
 		if !l.pq.full() {
 			l.Trims++
-			l.offer(e, &l.pq, p)
+			l.offer(e, &l.pq, h, p)
 		} else {
 			l.Drops++
-			l.net.free(e, p)
+			e.retire(h)
 		}
 		return
 	}
 	l.Drops++
-	l.net.free(e, p)
+	e.retire(h)
 }
 
-// offer hands p to the transmitter: onto the wire at once if it is free —
-// its queues are then empty — or else into r, behind the transmission.
-func (l *link) offer(e *Engine, r *pktRing, p *Packet) {
+// offer hands packet h (p) to the transmitter: onto the wire at once if it
+// is free — its queues are then empty — or else into r, behind the
+// transmission.
+func (l *link) offer(e *Engine, r *pktRing, h int32, p *Packet) {
 	if !e.before(l.txEnd, l.txKey) {
-		l.transmit(e, p)
+		l.transmit(e, h, p)
 		return
 	}
-	r.push(p)
+	r.push(h)
 	l.awaitTxDone(e)
 }
 
@@ -187,24 +184,25 @@ func (l *link) offer(e *Engine, r *pktRing, p *Packet) {
 // trimmed headers, retransmissions) first (§III-C).
 func (l *link) txDone(e *Engine) {
 	l.txQueued = false
+	var h int32
 	if l.pq.len() > 0 {
-		l.transmit(e, l.pq.pop())
+		h = l.pq.pop()
 	} else {
-		l.transmit(e, l.q.pop())
+		h = l.q.pop()
 	}
+	l.transmit(e, h, e.pkt(h))
 	if l.pq.len()+l.q.len() > 0 {
 		l.awaitTxDone(e)
 	}
 }
 
-// transmit starts serializing p: it reserves the end of serialization and
-// queues the delivery.
-func (l *link) transmit(e *Engine, p *Packet) {
-	l.TxPackets++
-	l.TxBytes += int64(p.Bytes)
-	l.txEnd, l.txKey = e.now+serialization(p.Bytes, l.bps), e.nextKey(l.txPart)
+// transmit starts serializing packet h (p): it reserves the end of
+// serialization and queues the delivery.
+func (l *link) transmit(e *Engine, h int32, p *Packet) {
+	cfg := &e.net.cfg
+	l.txEnd, l.txKey = e.now+serialization(p.Bytes, cfg.LinkBps), e.nextKey(l.txPart)
 	l.deliverSeq++
-	e.push(l.txEnd+l.delay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, link: l, pkt: p})
+	e.push(l.txEnd+cfg.LinkDelay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, ref: l.id, pkt: h})
 }
 
 // awaitTxDone queues the tx-done entry under the reservation, unless one is
@@ -212,7 +210,7 @@ func (l *link) transmit(e *Engine, p *Packet) {
 func (l *link) awaitTxDone(e *Engine) {
 	if !l.txQueued {
 		l.txQueued = true
-		e.push(l.txEnd, l.txKey, eventPayload{kind: evTxDone, link: l})
+		e.push(l.txEnd, l.txKey, eventPayload{kind: evTxDone, ref: l.id})
 	}
 }
 
@@ -262,17 +260,12 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 	}
 	mk := func(txPart, toRouter, toHost int32) *link {
 		n.links = append(n.links, link{
-			net:       n,
-			id:        int32(len(n.links)),
-			toRouter:  toRouter,
-			toHost:    toHost,
-			txPart:    txPart,
-			bps:       cfg.LinkBps,
-			delay:     cfg.LinkDelay,
-			q:         pktRing{limit: cfg.QueueCap},
-			pq:        pktRing{limit: cfg.PrioQueueCap},
-			ecnThresh: cfg.ECNThreshold,
-			trimMode:  cfg.TrimMode,
+			id:       int32(len(n.links)),
+			toRouter: toRouter,
+			toHost:   toHost,
+			txPart:   txPart,
+			q:        pktRing{limit: int32(cfg.QueueCap)},
+			pq:       pktRing{limit: int32(cfg.PrioQueueCap)},
 		})
 		return &n.links[len(n.links)-1]
 	}
@@ -306,26 +299,20 @@ func (n *Network) routerLink(r int, to int32) *link {
 	return nil
 }
 
-// sendFromHost injects a packet at its source host's uplink.
-func (n *Network) sendFromHost(e *Engine, p *Packet) {
+// sendFromHost injects packet h at its source host's uplink.
+func (n *Network) sendFromHost(e *Engine, h int32) {
 	e.inflight++
 	if e.inflight > e.inflightHW {
 		e.inflightHW = e.inflight
 	}
-	n.hostUp[p.SrcHost].enqueue(e, p)
+	p := e.pkt(h)
+	n.hostUp[p.SrcHost].enqueue(e, h, p)
 }
 
-// free retires a dead packet: the in-flight tally drops and the struct
-// returns to the arena.
-func (n *Network) free(e *Engine, p *Packet) {
-	e.inflight--
-	e.freePacket(p)
-}
-
-// deliver handles a packet arriving at the receiving end of a link. A
+// deliver handles packet h (p) arriving at the receiving end of a link. A
 // packet handed to its destination host is dead once the transport handler
 // returns (no handler retains it) and goes back to the arena.
-func (n *Network) deliver(e *Engine, l *link, p *Packet) {
+func (n *Network) deliver(e *Engine, l *link, h int32, p *Packet) {
 	if l.toHost >= 0 {
 		if p.Kind == KindData {
 			h := p.Hops
@@ -335,10 +322,10 @@ func (n *Network) deliver(e *Engine, l *link, p *Packet) {
 			e.hopHist[h]++
 		}
 		n.hostRecv(e, l.toHost, p)
-		n.free(e, p)
+		e.retire(h)
 		return
 	}
-	n.forward(e, int(l.toRouter), p)
+	n.forward(e, int(l.toRouter), h, p)
 }
 
 // forward routes a packet at a router: it hashes the packet onto the
@@ -347,10 +334,10 @@ func (n *Network) deliver(e *Engine, l *link, p *Packet) {
 // routing over the full topology, which is exactly layer 0. Packets of
 // one flowlet keep a consistent hop at every router; a new flowlet's
 // fresh salt re-hashes the whole path.
-func (n *Network) forward(e *Engine, r int, p *Packet) {
+func (n *Network) forward(e *Engine, r int, h int32, p *Packet) {
 	dstRouter := int(n.hostRouter[p.DstHost])
 	if r == dstRouter {
-		n.hostDown[p.DstHost].enqueue(e, p)
+		n.hostDown[p.DstHost].enqueue(e, h, p)
 		return
 	}
 	p.Hops++
@@ -377,7 +364,7 @@ func (n *Network) forward(e *Engine, r int, p *Packet) {
 	} else {
 		pos = hashNext(hops, count, r, p)
 	}
-	n.links[n.outLink[int(n.outOff[r])+pos]].enqueue(e, p)
+	n.links[n.outLink[int(n.outOff[r])+pos]].enqueue(e, h, p)
 }
 
 // TotalDrops sums packet drops over all links.

@@ -350,20 +350,16 @@ func TestByteConservation(t *testing.T) {
 	}
 }
 
-// Invariant: per-link transmit counters are consistent: transmitted packets
-// equal deliveries plus in-flight (zero after quiescence) for every flow,
-// and no link reports negative stats.
+// Invariant: no link reports negative stats, every link sits at its id in
+// Network.links, and routerLink resolves each edge to its two arc links.
 func TestLinkStatsSanity(t *testing.T) {
 	cfg := NDPDefaults()
 	s, sf := sfSim(t, 5, 2, 0.8, cfg, 22)
 	s.AddFlow(FlowSpec{Src: 0, Dst: int32(sf.N() - 1), Bytes: 256 << 10})
 	s.Run(2 * Second)
 	check := func(l *link) {
-		if l.Drops < 0 || l.Trims < 0 || l.TxPackets < 0 || l.TxBytes < 0 {
+		if l.Drops < 0 || l.Trims < 0 {
 			t.Fatal("negative link stats")
-		}
-		if l.TxPackets > 0 && l.TxBytes < l.TxPackets*HeaderBytes {
-			t.Fatal("transmitted bytes below header floor")
 		}
 	}
 	if want := 2*sf.G.M() + 2*sf.N(); len(s.Net.links) != want {

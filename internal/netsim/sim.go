@@ -279,6 +279,7 @@ func NewSim(t *topo.Topology, fwd *routing.Engine, cfg Config) *Sim {
 	mtuTime := serialization(cfg.MTU, cfg.LinkBps)
 	eng := NewEngine(t.Nr(), mtuTime+cfg.LinkDelay)
 	net := buildNetwork(t, fwd, cfg)
+	eng.net = net
 	s := &Sim{
 		Eng:          eng,
 		Net:          net,
@@ -388,8 +389,9 @@ func (s *Sim) pickRoute(e *Engine, f *flow) {
 // dataPacket builds data packet seq of f for the given layer — the one
 // place a KindData packet is made, for every transport — and counts it
 // against the flow when it is a retransmission. The last packet of a
-// message carries only the bytes that remain (at least one).
-func (s *Sim) dataPacket(e *Engine, f *flow, seq int32, layer int8, retx bool) *Packet {
+// message carries only the bytes that remain (at least one). It returns the
+// packet's handle.
+func (s *Sim) dataPacket(e *Engine, f *flow, seq int32, layer int8, retx bool) int32 {
 	size := f.mss + HeaderBytes
 	if int64(seq+1)*int64(f.mss) > f.spec.Bytes {
 		rem := f.spec.Bytes - int64(seq)*int64(f.mss)
@@ -398,8 +400,7 @@ func (s *Sim) dataPacket(e *Engine, f *flow, seq int32, layer int8, retx bool) *
 		}
 		size = int32(rem) + HeaderBytes
 	}
-	p := e.newPacket()
-	*p = Packet{
+	h := e.newPacket(Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Src,
 		DstHost: f.spec.Dst,
@@ -409,11 +410,11 @@ func (s *Sim) dataPacket(e *Engine, f *flow, seq int32, layer int8, retx bool) *
 		Layer:   layer,
 		Salt:    f.salt,
 		Retx:    retx,
-	}
+	})
 	if retx {
 		f.retxCount++
 	}
-	return p
+	return h
 }
 
 // reselectLayer picks a layer uniformly at random among layers that reach

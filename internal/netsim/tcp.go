@@ -128,11 +128,11 @@ func (s *Sim) tcpSendData(e *Engine, sub *renoSub, seq int32, retx bool) {
 		s.pickRoute(e, f)
 		layer = f.layer
 	}
-	p := s.dataPacket(e, f, seq, layer, retx)
+	h := s.dataPacket(e, f, seq, layer, retx)
 	if !retx {
 		f.sendTime[seq] = e.Now()
 	}
-	s.Net.sendFromHost(e, p)
+	s.Net.sendFromHost(e, h)
 }
 
 // tcpRecv dispatches data at the receiver and ACKs at the sender.
@@ -171,8 +171,7 @@ func (s *Sim) tcpDataAtReceiver(e *Engine, f *flow, p *Packet) {
 		cum++
 	}
 	f.rcvInOrder[i] = cum - lo
-	ack := e.newPacket()
-	*ack = Packet{
+	ack := e.newPacket(Packet{
 		FlowID:  f.id,
 		SrcHost: f.spec.Dst,
 		DstHost: f.spec.Src,
@@ -182,7 +181,7 @@ func (s *Sim) tcpDataAtReceiver(e *Engine, f *flow, p *Packet) {
 		Layer:   controlLayer,
 		ECN:     p.ECN,
 		Salt:    uint32(lo),
-	}
+	})
 	s.Net.sendFromHost(e, ack)
 }
 
