@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -184,15 +185,21 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := writeJSON(os.Stdout, out); err != nil {
 			fail(err)
 		}
 	}
 	if err := stopObs(); err != nil {
 		fail(err)
 	}
+}
+
+// writeJSON renders the -json output: the file results as one indented
+// JSON array and a newline.
+func writeJSON(w io.Writer, out []fileResult) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }
 
 // loadMatrix reads one Matrix spec file. Unknown fields are rejected so

@@ -1,0 +1,141 @@
+package scenario
+
+import "testing"
+
+// TestCacheIdentityPinned pins the literal renderings of the identity
+// strings. They name files on disk (cache entries), key journal records
+// and fold every resource seed, so a rendering change — even one that
+// keeps identities distinct — orphans every existing cache and journal
+// and moves every simulated table. Together the specs reach every branch
+// of the renderings: the FT alias, the default and an explicit class,
+// Param2, pfabric and fixed flow sizes, fractional and exponent-form
+// floats, randomize, mat, a Seed override (positive, negative and
+// maximal), and default and explicit replicas and horizon.
+func TestCacheIdentityPinned(t *testing.T) {
+	cases := []struct {
+		spec                                           Spec
+		identity, cacheKey, fabric, topology, workload string
+	}{
+		{
+			spec: Spec{
+				Topology: Topology{Kind: "FT", Param: 4},
+				Pattern:  Pattern{Kind: "uniform"},
+			},
+			identity: "v1|topo=FT3/small/4/0|pattern=uniform/0/0/0/false|routing=fatpaths|transport=ndp|layers=0|rho=0|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=false|seed=42",
+			cacheKey: "ba07301b939532fa22e9a244c84abb100130beb983b0304577a537d955d0ff31",
+			fabric:   "42|FT3/small/4/0|0|0|random",
+			topology: "42|FT3/small/4/0",
+			workload: "FT3/small/4/0|uniform/0/0/0/false|1048576|0",
+		},
+		{
+			spec: Spec{
+				Name:     "labels are not identity",
+				Topology: Topology{Kind: "SF"},
+				Pattern:  Pattern{Kind: "permutation", Randomize: true, Intensity: 0.3},
+				FlowSize: FlowSize{Kind: "pfabric"},
+				Rho:      0.65, Load: 300.5, FailFrac: 0.05,
+			},
+			identity: "v1|topo=SF/small/0/0|pattern=permutation/0/0/0.3/true|routing=fatpaths|transport=ndp|layers=0|rho=0.65|construction=random|flowSize=pfabric|load=300.5|failFrac=0.05|replicas=1|horizonMs=8000|mat=false|seed=42",
+			cacheKey: "dbbc0efb03a17fdb35f5cbceeca73d504a9378b63ca4c24d56b3639dedabdef8",
+			fabric:   "42|SF/small/0/0|0|0.65|random",
+			topology: "42|SF/small/0/0",
+			workload: "SF/small/0/0|permutation/0/0/0.3/true|pfabric|300.5",
+		},
+		{
+			spec: Spec{
+				Topology:  Topology{Kind: "HX", Param: 3, Param2: 2},
+				Pattern:   Pattern{Kind: "off-diagonal", Offset: -7},
+				FlowSize:  FlowSize{Bytes: 32 << 10},
+				Layers:    4,
+				Routing:   "ecmp",
+				Transport: "dctcp",
+				Replicas:  3, HorizonMs: 1500.25,
+			},
+			identity: "v1|topo=HX/small/3/2|pattern=off-diagonal/-7/0/0/false|routing=ecmp|transport=dctcp|layers=4|rho=0|construction=random|flowSize=32768|load=0|failFrac=0|replicas=3|horizonMs=1500.25|mat=false|seed=42",
+			cacheKey: "c96f3f2cbfdecf88f65bc150a5c0b5e9e650d8a0688fd468ca2451db5ced59fa",
+			fabric:   "42|HX/small/3/2|4|0|random",
+			topology: "42|HX/small/3/2",
+			workload: "HX/small/3/2|off-diagonal/-7/0/0/false|32768|0",
+		},
+		{
+			spec: Spec{
+				Topology:     Topology{Kind: "DF", Class: "medium"},
+				Pattern:      Pattern{Kind: "k-permutations", K: 2},
+				Construction: "min-interference",
+				MAT:          true, Seed: 1234,
+			},
+			identity: "v1|topo=DF/medium/0/0|pattern=k-permutations/0/2/0/false|routing=fatpaths|transport=ndp|layers=0|rho=0|construction=min-interference|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=true|seed=1234",
+			cacheKey: "3b56c30ba4a1d223943ae586da88b7ef320b715a9295e9a7465a4892813c611b",
+			fabric:   "1234|DF/medium/0/0|0|0|min-interference",
+			topology: "1234|DF/medium/0/0",
+			workload: "DF/medium/0/0|k-permutations/0/2/0/false|1048576|0",
+		},
+		{
+			spec: Spec{
+				Topology: Topology{Kind: "XP", Param: 5, Param2: 3},
+				Pattern:  Pattern{Kind: "worst-case", Intensity: 1},
+				FlowSize: FlowSize{Kind: "fixed", Bytes: 1},
+				Rho:      1e-7, Load: 1e21, FailFrac: 0.999,
+				Transport: "mptcp", Routing: "spray", Construction: "past",
+				Seed: -5, HorizonMs: 0.5,
+			},
+			identity: "v1|topo=XP/small/5/3|pattern=worst-case/0/0/1/false|routing=spray|transport=mptcp|layers=0|rho=1e-07|construction=past|flowSize=1|load=1e+21|failFrac=0.999|replicas=1|horizonMs=0.5|mat=false|seed=-5",
+			cacheKey: "337dfa0c2b43103e5cf47e2401cf5095b9c313685668be1f96431b3c4b7a6282",
+			fabric:   "-5|XP/small/5/3|0|1e-07|past",
+			topology: "-5|XP/small/5/3",
+			workload: "XP/small/5/3|worst-case/0/0/1/false|1|1e+21",
+		},
+		{
+			spec: Spec{
+				Topology: Topology{Kind: "Star", Param: 16},
+				Pattern:  Pattern{Kind: "shuffle"},
+				Layers:   1, Rho: 1, Replicas: 1, HorizonMs: 8000,
+			},
+			identity: "v1|topo=Star/small/16/0|pattern=shuffle/0/0/0/false|routing=fatpaths|transport=ndp|layers=1|rho=1|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=false|seed=42",
+			cacheKey: "b5703dc2900cb6d49792550662ac3783a38feae391c1f2ca558c5cfbe7d4ec91",
+			fabric:   "42|Star/small/16/0|1|1|random",
+			topology: "42|Star/small/16/0",
+			workload: "Star/small/16/0|shuffle/0/0/0/false|1048576|0",
+		},
+		{
+			spec: Spec{
+				Topology: Topology{Kind: "JF", Param: 5, Param2: 4},
+				Pattern:  Pattern{Kind: "stencil", Intensity: 0.125, Randomize: true},
+				Routing:  "letflow", Construction: "spain",
+				Load: 2500, FailFrac: 0.1, MAT: true,
+			},
+			identity: "v1|topo=JF/small/5/4|pattern=stencil/0/0/0.125/true|routing=letflow|transport=ndp|layers=0|rho=0|construction=spain|flowSize=1048576|load=2500|failFrac=0.1|replicas=1|horizonMs=8000|mat=true|seed=42",
+			cacheKey: "a3d5eee249109d39926eb00de522ab85a8172f829f4b30e6ee50e23c64263d6e",
+			fabric:   "42|JF/small/5/4|0|0|spain",
+			topology: "42|JF/small/5/4",
+			workload: "JF/small/5/4|stencil/0/0/0.125/true|1048576|2500",
+		},
+		{
+			spec: Spec{
+				Topology:  Topology{Kind: "Clique", Class: "small", Param: 8},
+				Pattern:   Pattern{Kind: "adversarial"},
+				Transport: "tcp", Routing: "minimal",
+				Layers: 12, Rho: 0.5, Replicas: 2, Seed: 9223372036854775807,
+			},
+			identity: "v1|topo=Clique/small/8/0|pattern=adversarial/0/0/0/false|routing=minimal|transport=tcp|layers=12|rho=0.5|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=2|horizonMs=8000|mat=false|seed=9223372036854775807",
+			cacheKey: "64f08344bd2498a670838496ac2fa3fb044dc7d956d1c9dcd929a35f41ecc207",
+			fabric:   "9223372036854775807|Clique/small/8/0|12|0.5|random",
+			topology: "9223372036854775807|Clique/small/8/0",
+			workload: "Clique/small/8/0|adversarial/0/0/0/false|1048576|0",
+		},
+	}
+	for i, c := range cases {
+		s := c.spec
+		for _, k := range []struct{ what, got, want string }{
+			{"CacheIdentity", s.CacheIdentity(42), c.identity},
+			{"CacheKey", CacheKey(s, 42), c.cacheKey},
+			{"FabricKey", s.FabricKey(42), c.fabric},
+			{"topologyCacheKey", s.topologyCacheKey(42), c.topology},
+			{"workloadKey", s.workloadKey(), c.workload},
+		} {
+			if k.got != k.want {
+				t.Errorf("spec %d: %s =\n  %s\nwant\n  %s", i, k.what, k.got, k.want)
+			}
+		}
+	}
+}
