@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite the -json golden under testdata/")
@@ -49,5 +52,55 @@ func TestJSONGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("-json output differs from %s:\n%s", golden, got.Bytes())
+	}
+}
+
+// BenchmarkRenderJSON is the -json render of a warm or resumed run of a
+// matrix shaped like the benchmark's sweep-durable workload: 480 cells on
+// SF q=3 with synthetic results (54 flows, full-precision summaries), no
+// simulation. One op is one render.
+//
+//	go test ./cmd/scenarios -run '^$' -bench RenderJSON -benchmem
+func BenchmarkRenderJSON(b *testing.B) {
+	m := &scenario.Matrix{
+		Name: "sweep-durable",
+		Base: scenario.Spec{
+			Topology:  scenario.Topology{Kind: "SF", Param: 3},
+			Pattern:   scenario.Pattern{Kind: "uniform"},
+			FlowSize:  scenario.FlowSize{Bytes: 32 << 10},
+			HorizonMs: 100,
+		},
+		Axes: scenario.Axes{
+			Patterns:   []scenario.Pattern{{Kind: "uniform"}, {Kind: "permutation"}, {Kind: "shuffle"}, {Kind: "adversarial"}},
+			Routings:   []string{"fatpaths", "ecmp", "letflow", "minimal", "spray"},
+			Transports: []string{"ndp", "tcp", "dctcp"},
+			Layers:     []int{2, 4},
+			Rhos:       []float64{0.5, 0.9},
+			FailFracs:  []float64{0, 0.05},
+		},
+	}
+	cs, _, err := m.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	results := make([]scenario.CellResult, len(cs))
+	for i, s := range cs {
+		var thr, fct stats.Sample
+		for range 54 {
+			thr.Add(700 * rng.Float64())
+			fct.Add(40 * rng.Float64() * rng.Float64())
+		}
+		results[i] = scenario.CellResult{
+			Spec: s, TopoName: "SF(q=3,p=3)", TopoN: 54, Layers: s.Layers, Rho: s.Rho,
+			Flows: 54, Completed: 1, Throughput: thr.Summarize(), FCT: fct.Summarize(),
+		}
+	}
+	out := []fileResult{{File: "sweep-durable.json", Name: m.Name, Cells: len(cs), Results: results, Seconds: 0.04}}
+	b.ReportAllocs()
+	for range b.N {
+		if err := writeJSON(io.Discard, out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

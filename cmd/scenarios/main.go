@@ -195,11 +195,17 @@ func main() {
 }
 
 // writeJSON renders the -json output: the file results as one indented
-// JSON array and a newline.
+// JSON array and a newline, in one write. json.MarshalIndent sizes its
+// indented copy from the compact rendering up front; an Encoder with
+// SetIndent grows its buffer by doubling, several megabytes for a
+// 480-cell matrix, for the same bytes.
 func writeJSON(w io.Writer, out []fileResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	b, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // loadMatrix reads one Matrix spec file. Unknown fields are rejected so

@@ -34,8 +34,12 @@ const EngineFingerprint = "fatpaths-engine-v1"
 // seed. It deliberately involves no cell index, no matrix name, and no
 // wall-clock input, so the same cell addresses the same entry from any
 // matrix, any enumeration order, and any day.
-func CacheKey(s Spec, runSeed int64) string {
-	h := sha256.Sum256([]byte(EngineFingerprint + "\n" + s.CacheIdentity(runSeed)))
+func CacheKey(s Spec, runSeed int64) string { return identityKey(s.CacheIdentity(runSeed)) }
+
+// identityKey is CacheKey from an already rendered identity, for the
+// paths that also compare or store the identity itself.
+func identityKey(identity string) string {
+	h := sha256.Sum256([]byte(EngineFingerprint + "\n" + identity))
 	return hex.EncodeToString(h[:])
 }
 
@@ -92,14 +96,15 @@ func (c *Cache) Get(s Spec, runSeed int64) (CellResult, int, bool) {
 	if c == nil {
 		return CellResult{}, 0, false
 	}
-	b, err := os.ReadFile(c.path(CacheKey(s, runSeed)))
+	id := s.CacheIdentity(runSeed)
+	b, err := os.ReadFile(c.path(identityKey(id)))
 	if err != nil {
 		return CellResult{}, 0, false
 	}
 	var e cacheEntry
 	if err := json.Unmarshal(b, &e); err != nil ||
 		e.Fingerprint != EngineFingerprint ||
-		e.Identity != s.CacheIdentity(runSeed) {
+		e.Identity != id {
 		return CellResult{}, 0, false
 	}
 	r := e.Result
@@ -115,15 +120,16 @@ func (c *Cache) Put(s Spec, runSeed int64, r CellResult) (int, error) {
 	if c == nil {
 		return 0, nil
 	}
+	id := s.CacheIdentity(runSeed)
 	b, err := json.Marshal(cacheEntry{
 		Fingerprint: EngineFingerprint,
-		Identity:    s.CacheIdentity(runSeed),
+		Identity:    id,
 		Result:      r,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("scenario: encoding cache entry: %w", err)
 	}
-	p := c.path(CacheKey(s, runSeed))
+	p := c.path(identityKey(id))
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return 0, fmt.Errorf("scenario: cache: %w", err)
 	}

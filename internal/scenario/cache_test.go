@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -263,4 +266,65 @@ func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
 		t.Fatalf("edited matrix: hits=%d misses=%d, want 2/2",
 			snap[obs.MetricScenarioCacheHits], snap[obs.MetricScenarioCacheMisses])
 	}
+}
+
+// FuzzCacheEntry: a cache entry is bytes from disk that a crash, an
+// editor or another build may have left in any state. Written as the
+// entry file of one cell, whatever they are, Get never panics and hits
+// only on an entry that states this engine fingerprint and this cell's
+// identity. What a hit writes back through Put is canonical: it reads
+// back as a hit with the same result, and writing that result again
+// reproduces it byte for byte. The committed corpus
+// (testdata/fuzz/FuzzCacheEntry) holds canonical entries (one with an
+// empty-sample digest), one with reordered, spaced keys, a stale
+// fingerprint, a foreign identity and a torn write.
+func FuzzCacheEntry(f *testing.F) {
+	const seed = 42
+	s := cacheSpec()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := openTestCache(t)
+		p := c.path(CacheKey(s, seed))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, n, ok := c.Get(s, seed)
+		if !ok {
+			return
+		}
+		var head struct {
+			Fingerprint string `json:"fingerprint"`
+			Identity    string `json:"identity"`
+		}
+		if err := json.Unmarshal(data, &head); err != nil ||
+			head.Fingerprint != EngineFingerprint || head.Identity != s.CacheIdentity(seed) {
+			t.Fatalf("hit on an entry stating fingerprint %q identity %q (decode error %v)", head.Fingerprint, head.Identity, err)
+		}
+		if n != len(data) {
+			t.Fatalf("hit reports %d bytes read of %d", n, len(data))
+		}
+		canonical := putAndRead(t, c, s, seed, r)
+		again, _, ok := c.Get(s, seed)
+		if !ok {
+			t.Fatalf("the entry Put wrote back misses:\n%s", canonical)
+		}
+		if b := putAndRead(t, c, s, seed, again); !bytes.Equal(b, canonical) {
+			t.Fatalf("writing back a canonical entry changed it:\n%s\n%s", canonical, b)
+		}
+	})
+}
+
+// putAndRead stores r as the cell's entry and returns the entry's bytes.
+func putAndRead(t *testing.T, c *Cache, s Spec, seed int64, r CellResult) []byte {
+	t.Helper()
+	if _, err := c.Put(s, seed, r); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(c.path(CacheKey(s, seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

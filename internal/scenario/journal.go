@@ -20,7 +20,6 @@ import (
 	"maps"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -239,21 +238,21 @@ func ReadJournal(path string) (*JournalState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: reading journal: %w", err)
 	}
-	lines := strings.Split(string(b), "\n")
+	lines := bytes.Split(b, []byte{'\n'})
 	// A trailing newline yields one empty final element; drop it.
-	if n := len(lines); n > 0 && lines[n-1] == "" {
+	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
 		lines = lines[:n-1]
 	}
 	if len(lines) == 0 {
 		return nil, fmt.Errorf("scenario: journal %s is empty", path)
 	}
 	st := &JournalState{Done: map[string]CellDone{}}
-	if err := json.Unmarshal([]byte(lines[0]), &st.Header); err != nil || st.Header.Type != "run_header" {
+	if err := json.Unmarshal(lines[0], &st.Header); err != nil || st.Header.Type != "run_header" {
 		return nil, fmt.Errorf("scenario: journal %s: first line is not a run_header record", path)
 	}
 	for i, line := range lines[1:] {
 		var cd CellDone
-		if err := json.Unmarshal([]byte(line), &cd); err != nil || cd.Type != "cell_done" || cd.Identity == "" {
+		if err := json.Unmarshal(line, &cd); err != nil || cd.Type != "cell_done" || cd.Identity == "" {
 			if i == len(lines)-2 { // final line: tolerate the torn write
 				st.Torn = true
 				break

@@ -88,7 +88,7 @@ var axes = []axis{
 	axisOf("construction", func(a *Axes) []string { return a.Constructions }, func(s *Spec) *string { return &s.Construction },
 		asIs, Spec.construction),
 	axisOf("flowSize", func(a *Axes) []FlowSize { return a.FlowSizes }, func(s *Spec) *FlowSize { return &s.FlowSize },
-		FlowSize.key, func(s Spec) string { return s.FlowSize.label() }),
+		FlowSize.label, func(s Spec) string { return s.FlowSize.label() }),
 	axisOf("load", func(a *Axes) []float64 { return a.Loads }, func(s *Spec) *float64 { return &s.Load },
 		fmtG, func(s Spec) string { return fmtG(s.Load) }),
 	axisOf("failFrac", func(a *Axes) []float64 { return a.FailFracs }, func(s *Spec) *float64 { return &s.FailFrac },

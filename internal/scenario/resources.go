@@ -9,7 +9,7 @@ package scenario
 // serving side of the determinism contract.
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -21,7 +21,8 @@ import (
 // construction). Cells with equal fabric keys share one built fabric —
 // inside a run and across a daemon's requests alike, through a Store.
 func (s Spec) FabricKey(runSeed int64) string {
-	return fmt.Sprintf("%d|%s", s.effectiveSeed(runSeed), s.routingKey())
+	b := strconv.AppendInt(make([]byte, 0, 64), s.effectiveSeed(runSeed), 10)
+	return string(s.appendRoutingKey(append(b, '|')))
 }
 
 // topologyCacheKey keys the per-run topology store. Like FabricKey
@@ -29,7 +30,8 @@ func (s Spec) FabricKey(runSeed int64) string {
 // share artifacts with cells building the same topology from a different
 // seed.
 func (s Spec) topologyCacheKey(runSeed int64) string {
-	return fmt.Sprintf("%d|%s", s.effectiveSeed(runSeed), s.Topology.key())
+	b := strconv.AppendInt(make([]byte, 0, 48), s.effectiveSeed(runSeed), 10)
+	return string(s.Topology.appendKey(append(b, '|')))
 }
 
 // BuildTopology builds the cell's topology at its canonical folded seed —
@@ -45,7 +47,7 @@ func BuildTopology(s Spec, runSeed int64) (*topo.Topology, error) {
 // their own bundle in netsim.Config.Metrics.
 func BuildFabricOn(s Spec, t *topo.Topology, runSeed int64, reg *obs.Registry) (*core.Fabric, error) {
 	seed := s.effectiveSeed(runSeed)
-	fab, err := core.Build(t, coreConfig(s, t, seedFor(seed, "layers|"+s.routingKey())))
+	fab, err := core.Build(t, coreConfig(s, t, seedFor(seed, string(s.appendRoutingKey([]byte("layers|"))))))
 	if err == nil {
 		fab.Fwd.SetMetrics(obs.NewRoutingMetrics(reg))
 	}

@@ -49,8 +49,16 @@ type Topology struct {
 
 // key is the canonical identity of the topology spec; equal keys mean
 // identical built topologies at a fixed run seed.
-func (ts Topology) key() string {
-	return fmt.Sprintf("%s/%s/%d/%d", ts.kind(), ts.class(), ts.Param, ts.Param2)
+func (ts Topology) key() string { return string(ts.appendKey(nil)) }
+
+// appendKey appends key to b. The identity strings of this package are
+// appended into one buffer with strconv, never assembled by fmt: a warm
+// or resumed cell renders its identity several times.
+func (ts Topology) appendKey(b []byte) []byte {
+	b = append(append(b, ts.kind()...), '/')
+	b = append(append(b, ts.class()...), '/')
+	b = append(strconv.AppendInt(b, int64(ts.Param), 10), '/')
+	return strconv.AppendInt(b, int64(ts.Param2), 10)
 }
 
 // kind resolves the FT alias, so that FT and FT3 specs are one topology
@@ -161,9 +169,14 @@ type Pattern struct {
 	Randomize bool `json:"randomize,omitempty"`
 }
 
-func (ps Pattern) key() string {
-	return fmt.Sprintf("%s/%d/%d/%s/%t", ps.Kind, ps.Offset, ps.K,
-		strconv.FormatFloat(ps.Intensity, 'g', -1, 64), ps.Randomize)
+func (ps Pattern) key() string { return string(ps.appendKey(nil)) }
+
+func (ps Pattern) appendKey(b []byte) []byte {
+	b = append(append(b, ps.Kind...), '/')
+	b = append(strconv.AppendInt(b, int64(ps.Offset), 10), '/')
+	b = append(strconv.AppendInt(b, int64(ps.K), 10), '/')
+	b = append(appendFloat(b, ps.Intensity), '/')
+	return strconv.AppendBool(b, ps.Randomize)
 }
 
 // label is the short human form used in tables and constraint matching.
@@ -250,13 +263,14 @@ type FlowSize struct {
 	Bytes int64 `json:"bytes,omitempty"`
 }
 
-func (fs FlowSize) key() string { return fs.label() }
+func (fs FlowSize) label() string { return string(fs.appendKey(nil)) }
 
-func (fs FlowSize) label() string {
+// appendKey appends the flow size's key, which is also its label.
+func (fs FlowSize) appendKey(b []byte) []byte {
 	if fs.Kind == "pfabric" {
-		return "pfabric"
+		return append(b, "pfabric"...)
 	}
-	return strconv.FormatInt(fs.bytes(), 10)
+	return strconv.AppendInt(b, fs.bytes(), 10)
 }
 
 func (fs FlowSize) bytes() int64 {
@@ -465,39 +479,45 @@ func (s Spec) effectiveSeed(runSeed int64) int64 {
 // by CacheKey, not here, so journals can detect fingerprint drift
 // separately from spec edits.
 func (s Spec) CacheIdentity(runSeed int64) string {
-	return strings.Join([]string{
-		"v1",
-		"topo=" + s.Topology.key(),
-		"pattern=" + s.Pattern.key(),
-		"routing=" + s.routing(),
-		"transport=" + s.transport(),
-		"layers=" + strconv.Itoa(s.Layers),
-		"rho=" + strconv.FormatFloat(s.Rho, 'g', -1, 64),
-		"construction=" + s.construction(),
-		"flowSize=" + s.FlowSize.key(),
-		"load=" + strconv.FormatFloat(s.Load, 'g', -1, 64),
-		"failFrac=" + strconv.FormatFloat(s.FailFrac, 'g', -1, 64),
-		"replicas=" + strconv.Itoa(s.replicas()),
-		"horizonMs=" + strconv.FormatFloat(s.horizonMs(), 'g', -1, 64),
-		"mat=" + strconv.FormatBool(s.MAT),
-		"seed=" + strconv.FormatInt(s.effectiveSeed(runSeed), 10),
-	}, "|")
+	b := make([]byte, 0, 256)
+	b = s.Topology.appendKey(append(b, "v1|topo="...))
+	b = s.Pattern.appendKey(append(b, "|pattern="...))
+	b = append(append(b, "|routing="...), s.routing()...)
+	b = append(append(b, "|transport="...), s.transport()...)
+	b = strconv.AppendInt(append(b, "|layers="...), int64(s.Layers), 10)
+	b = appendFloat(append(b, "|rho="...), s.Rho)
+	b = append(append(b, "|construction="...), s.construction()...)
+	b = s.FlowSize.appendKey(append(b, "|flowSize="...))
+	b = appendFloat(append(b, "|load="...), s.Load)
+	b = appendFloat(append(b, "|failFrac="...), s.FailFrac)
+	b = strconv.AppendInt(append(b, "|replicas="...), int64(s.replicas()), 10)
+	b = appendFloat(append(b, "|horizonMs="...), s.horizonMs())
+	b = strconv.AppendBool(append(b, "|mat="...), s.MAT)
+	b = strconv.AppendInt(append(b, "|seed="...), s.effectiveSeed(runSeed), 10)
+	return string(b)
+}
+
+// appendFloat appends the canonical rendering of a float axis: the
+// shortest form that round-trips.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // workloadKey identifies the workload-defining axes: cells with equal
 // workload keys face the identical flows, sizes, and arrival times.
 func (s Spec) workloadKey() string {
-	return strings.Join([]string{
-		s.Topology.key(), s.Pattern.key(), s.FlowSize.key(),
-		strconv.FormatFloat(s.Load, 'g', -1, 64),
-	}, "|")
+	b := s.Topology.appendKey(make([]byte, 0, 96))
+	b = s.Pattern.appendKey(append(b, '|'))
+	b = s.FlowSize.appendKey(append(b, '|'))
+	return string(appendFloat(append(b, '|'), s.Load))
 }
 
-// routingKey identifies the fabric-defining axes: cells with equal routing
-// keys share one built fabric (and its lazily materialized tables).
-func (s Spec) routingKey() string {
-	return strings.Join([]string{
-		s.Topology.key(), strconv.Itoa(s.Layers),
-		strconv.FormatFloat(s.Rho, 'g', -1, 64), s.construction(),
-	}, "|")
+// appendRoutingKey appends the fabric-defining axes: cells with equal
+// routing keys share one built fabric (and its lazily materialized
+// tables).
+func (s Spec) appendRoutingKey(b []byte) []byte {
+	b = s.Topology.appendKey(b)
+	b = strconv.AppendInt(append(b, '|'), int64(s.Layers), 10)
+	b = appendFloat(append(b, '|'), s.Rho)
+	return append(append(b, '|'), s.construction()...)
 }

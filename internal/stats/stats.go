@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -74,12 +75,151 @@ type Summary struct {
 	Mean, P01, P10, P50, P90, P99, P999 float64
 }
 
-// summaryJSON is Summary's JSON shape. The float fields use jsonFloat so
-// empty-sample digests (NaN percentiles, ±Inf extremes) survive the trip:
-// encoding/json rejects non-finite numbers outright, which would make any
-// zero-completion cell unserializable (CLI -json output, the scenario
-// result cache, run journals). The wire type keeps the exported struct
-// free of JSON-only field types.
+// Summary's wire form is one canonical JSON object,
+//
+//	{"N":3,"Mean":1.5,"P01":"NaN","P10":0.25,"P50":1.75,"P90":"+Inf","P99":2.75,"P999":2.875}
+//
+// with the fields in this order, no whitespace, finite values as
+// shortest-round-trip JSON numbers and non-finite ones as the quoted
+// strings "NaN", "+Inf" and "-Inf". encoding/json rejects non-finite
+// numbers outright, which would make any zero-completion cell (NaN
+// percentiles) unserializable: CLI -json output, the scenario result
+// cache, run journals. Both directions are bit-exact. MarshalJSON writes
+// only the canonical form and UnmarshalJSON reads it directly; any other
+// valid JSON spelling (reordered or case-folded keys, whitespace, numbers
+// in strings) takes the generic decode through summaryJSON.
+
+// summaryFloatKeys are the float fields' keys in wire order, each with the
+// separator before it; summaryFloats lists the fields in the same order.
+var summaryFloatKeys = [...]string{`,"Mean":`, `,"P01":`, `,"P10":`, `,"P50":`, `,"P90":`, `,"P99":`, `,"P999":`}
+
+func (s *Summary) summaryFloats() [len(summaryFloatKeys)]*float64 {
+	return [...]*float64{&s.Mean, &s.P01, &s.P10, &s.P50, &s.P90, &s.P99, &s.P999}
+}
+
+// MarshalJSON renders the canonical wire form.
+func (s Summary) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 192)
+	b = strconv.AppendInt(append(b, `{"N":`...), int64(s.N), 10)
+	for i, f := range s.summaryFloats() {
+		b = append(b, summaryFloatKeys[i]...)
+		if v := *f; math.IsNaN(v) || math.IsInf(v, 0) {
+			b = append(strconv.AppendFloat(append(b, '"'), v, 'g', -1, 64), '"')
+		} else {
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON, and reads any other JSON
+// spelling of the same object as well.
+func (s *Summary) UnmarshalJSON(b []byte) error {
+	if v, ok := parseCanonicalSummary(b); ok {
+		*s = v
+		return nil
+	}
+	var w summaryJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*s = Summary{
+		N: w.N, Mean: float64(w.Mean), P01: float64(w.P01),
+		P10: float64(w.P10), P50: float64(w.P50), P90: float64(w.P90),
+		P99: float64(w.P99), P999: float64(w.P999),
+	}
+	return nil
+}
+
+// parseCanonicalSummary reads exactly the form MarshalJSON writes. It
+// reports false on anything else — including a number out of range — so
+// that the generic decode's answer, value or error, stays the contract
+// for every input.
+func parseCanonicalSummary(b []byte) (Summary, bool) {
+	var s Summary
+	b, ok := bytes.CutPrefix(b, []byte(`{"N":`))
+	if !ok {
+		return s, false
+	}
+	n := jsonNumberLen(b)
+	if n == 0 || bytes.ContainsAny(b[:n], ".eE") {
+		return s, false
+	}
+	v, err := strconv.ParseInt(string(b[:n]), 10, 0)
+	if err != nil {
+		return s, false
+	}
+	s.N, b = int(v), b[n:]
+	for i, f := range s.summaryFloats() {
+		if b, ok = bytes.CutPrefix(b, []byte(summaryFloatKeys[i])); !ok {
+			return s, false
+		}
+		if *f, b, ok = cutCanonicalFloat(b); !ok {
+			return s, false
+		}
+	}
+	return s, len(b) == 1 && b[0] == '}'
+}
+
+// cutCanonicalFloat parses one float value of the canonical form off the
+// front of b.
+func cutCanonicalFloat(b []byte) (float64, []byte, bool) {
+	for _, q := range [...]struct {
+		lit string
+		v   float64
+	}{{`"NaN"`, math.NaN()}, {`"+Inf"`, math.Inf(1)}, {`"-Inf"`, math.Inf(-1)}} {
+		if rest, ok := bytes.CutPrefix(b, []byte(q.lit)); ok {
+			return q.v, rest, true
+		}
+	}
+	n := jsonNumberLen(b)
+	if n == 0 {
+		return 0, b, false
+	}
+	v, err := strconv.ParseFloat(string(b[:n]), 64)
+	return v, b[n:], err == nil
+}
+
+// jsonNumberLen returns the length of the JSON number at the front of b
+// (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), or 0 if there is none.
+func jsonNumberLen(b []byte) int {
+	i := 0
+	digits := func() bool {
+		start := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if !digits() {
+			return 0
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return 0
+		}
+	}
+	return i
+}
+
+// summaryJSON is the generic decode of Summary's wire form: encoding/json
+// matches the keys (in any order, case-insensitively) and jsonFloat reads
+// each float, quoted or not.
 type summaryJSON struct {
 	N    int       `json:"N"`
 	Mean jsonFloat `json:"Mean"`
@@ -91,19 +231,9 @@ type summaryJSON struct {
 	P999 jsonFloat `json:"P999"`
 }
 
-// jsonFloat marshals finite values as plain JSON numbers and non-finite
-// values ("NaN", "+Inf", "-Inf") as quoted strings, round-tripping
-// bit-exactly either way (shortest-round-trip formatting for finite
-// values is exact by construction).
+// jsonFloat reads a plain JSON number or a quoted string such as "NaN",
+// "+Inf" or "-Inf", bit-exactly.
 type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte(`"` + strconv.FormatFloat(v, 'g', -1, 64) + `"`), nil
-	}
-	return []byte(strconv.FormatFloat(v, 'g', -1, 64)), nil
-}
 
 func (f *jsonFloat) UnmarshalJSON(b []byte) error {
 	s := string(b)
@@ -118,29 +248,6 @@ func (f *jsonFloat) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("stats: parsing summary float %q: %w", s, err)
 	}
 	*f = jsonFloat(v)
-	return nil
-}
-
-// MarshalJSON implements NaN/Inf-safe encoding (see jsonFloat).
-func (s Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryJSON{
-		N: s.N, Mean: jsonFloat(s.Mean), P01: jsonFloat(s.P01),
-		P10: jsonFloat(s.P10), P50: jsonFloat(s.P50), P90: jsonFloat(s.P90),
-		P99: jsonFloat(s.P99), P999: jsonFloat(s.P999),
-	})
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (s *Summary) UnmarshalJSON(b []byte) error {
-	var w summaryJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*s = Summary{
-		N: w.N, Mean: float64(w.Mean), P01: float64(w.P01),
-		P10: float64(w.P10), P50: float64(w.P50), P90: float64(w.P90),
-		P99: float64(w.P99), P999: float64(w.P999),
-	}
 	return nil
 }
 

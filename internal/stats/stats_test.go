@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,4 +177,124 @@ func TestSummaryJSONFiniteValuesExact(t *testing.T) {
 	if out.Mean != in.Mean || out.P50 != in.P50 {
 		t.Fatalf("finite round trip inexact: %v -> %v", in, out)
 	}
+}
+
+// refSummary and refFloat are Summary's codec as it was before the
+// direct one: a nested encoding/json pass over seven per-field
+// marshalers. FuzzSummaryJSON holds the direct codec to them.
+type refSummary struct {
+	N    int      `json:"N"`
+	Mean refFloat `json:"Mean"`
+	P01  refFloat `json:"P01"`
+	P10  refFloat `json:"P10"`
+	P50  refFloat `json:"P50"`
+	P90  refFloat `json:"P90"`
+	P99  refFloat `json:"P99"`
+	P999 refFloat `json:"P999"`
+}
+
+type refFloat float64
+
+func (f refFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return []byte(`"` + strconv.FormatFloat(v, 'g', -1, 64) + `"`), nil
+	}
+	return []byte(strconv.FormatFloat(v, 'g', -1, 64)), nil
+}
+
+func (f *refFloat) UnmarshalJSON(b []byte) error {
+	s := string(b)
+	if len(s) >= 2 && s[0] == '"' {
+		var err error
+		if s, err = strconv.Unquote(s); err != nil {
+			return err
+		}
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return fmt.Errorf("stats: parsing summary float %q: %w", s, err)
+	}
+	*f = refFloat(v)
+	return nil
+}
+
+func refMarshal(s Summary) ([]byte, error) {
+	return json.Marshal(refSummary{
+		N: s.N, Mean: refFloat(s.Mean), P01: refFloat(s.P01),
+		P10: refFloat(s.P10), P50: refFloat(s.P50), P90: refFloat(s.P90),
+		P99: refFloat(s.P99), P999: refFloat(s.P999),
+	})
+}
+
+func refUnmarshal(b []byte) (Summary, error) {
+	var w refSummary
+	if err := json.Unmarshal(b, &w); err != nil {
+		return Summary{}, err
+	}
+	return Summary{
+		N: w.N, Mean: float64(w.Mean), P01: float64(w.P01),
+		P10: float64(w.P10), P50: float64(w.P50), P90: float64(w.P90),
+		P99: float64(w.P99), P999: float64(w.P999),
+	}, nil
+}
+
+// sameSummary compares two digests bit for bit, every NaN equal to every
+// NaN.
+func sameSummary(a, b Summary) bool {
+	if a.N != b.N {
+		return false
+	}
+	af, bf := a.summaryFloats(), b.summaryFloats()
+	for i := range af {
+		x, y := *af[i], *bf[i]
+		if math.IsNaN(x) != math.IsNaN(y) || !math.IsNaN(x) && math.Float64bits(x) != math.Float64bits(y) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSummaryJSON holds Summary's direct codec to the reference above.
+// Decoding any bytes, UnmarshalJSON and the reference agree on error or
+// no error and, without error, on every value bit for bit. Encoding a
+// digest built from raw bits (NaN, ±Inf, -0, subnormals included),
+// MarshalJSON writes the reference's bytes, and they decode back to the
+// same bits through the direct path. The committed corpus (testdata/fuzz/FuzzSummaryJSON) holds
+// the canonical form and the spellings only the generic decode reads:
+// reordered, spaced and lower-case keys, an unquoted Inf, a leading + or
+// zeros.
+func FuzzSummaryJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, n int64, mean, p01, p10, p50, p90, p99, p999 uint64) {
+		var got Summary
+		gotErr := got.UnmarshalJSON(data)
+		want, wantErr := refUnmarshal(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decoding %q: error %v, reference error %v", data, gotErr, wantErr)
+		}
+		if gotErr == nil && !sameSummary(got, want) {
+			t.Fatalf("decoding %q:\n got %+v\nwant %+v", data, got, want)
+		}
+
+		in := Summary{N: int(n)}
+		for i, bits := range []uint64{mean, p01, p10, p50, p90, p99, p999} {
+			*in.summaryFloats()[i] = math.Float64frombits(bits)
+		}
+		b, err := in.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refMarshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("encoding %+v:\n got %s\nwant %s", in, b, ref)
+		}
+		// Everything the program writes takes the direct path back.
+		back, ok := parseCanonicalSummary(b)
+		if !ok || !sameSummary(back, in) {
+			t.Fatalf("round trip of %s: %+v, direct decode %t", b, back, ok)
+		}
+	})
 }
