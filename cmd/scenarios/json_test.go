@@ -98,7 +98,7 @@ func BenchmarkRenderJSON(b *testing.B) {
 	}
 	out := []fileResult{{File: "sweep-durable.json", Name: m.Name, Cells: len(cs), Results: results, Seconds: 0.04}}
 	b.ReportAllocs()
-	for range b.N {
+	for b.Loop() {
 		if err := writeJSON(io.Discard, out); err != nil {
 			b.Fatal(err)
 		}

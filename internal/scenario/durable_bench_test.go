@@ -91,8 +91,7 @@ func BenchmarkCacheGetHit(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
+	for b.Loop() {
 		for _, r := range rs {
 			if _, _, ok := c.Get(r.Spec, seed); !ok {
 				b.Fatal("miss on a cell just put")
@@ -126,11 +125,13 @@ func BenchmarkReadJournal(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
+	for b.Loop() {
 		st, err := ReadJournal(path)
-		if err != nil || len(st.Done) != len(rs) {
-			b.Fatalf("read %d records, err %v", len(st.Done), err)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(st.Done) != len(rs) {
+			b.Fatalf("read %d records of %d", len(st.Done), len(rs))
 		}
 	}
 }
