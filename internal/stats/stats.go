@@ -99,10 +99,7 @@ func (s *Summary) summaryFloats() [len(summaryFloatKeys)]*float64 {
 
 // MarshalJSON renders the canonical wire form.
 func (s Summary) MarshalJSON() ([]byte, error) {
-	return s.appendJSON(make([]byte, 0, 192)), nil
-}
-
-func (s Summary) appendJSON(b []byte) []byte {
+	b := make([]byte, 0, 192)
 	b = strconv.AppendInt(append(b, `{"N":`...), int64(s.N), 10)
 	for i, f := range s.summaryFloats() {
 		b = append(b, summaryFloatKeys[i]...)
@@ -112,7 +109,7 @@ func (s Summary) appendJSON(b []byte) []byte {
 			b = strconv.AppendFloat(b, v, 'g', -1, 64)
 		}
 	}
-	return append(b, '}')
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON is the inverse of MarshalJSON, and reads any other JSON
@@ -134,44 +131,90 @@ func (s *Summary) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// parseCanonicalSummary reads the eight values in wire order, each up to
-// the next ',' or '}', and accepts them only if rendering them back
-// yields b exactly: it takes the canonical form and nothing else. Every
-// other input — another spelling, a number out of range, invalid JSON —
-// goes to the generic decode, whose answer, value or error, is the
-// contract.
+// parseCanonicalSummary reads exactly the form MarshalJSON writes. It
+// reports false on anything else — including a number out of range — so
+// that the generic decode's answer, value or error, stays the contract
+// for every input.
 func parseCanonicalSummary(b []byte) (Summary, bool) {
 	var s Summary
-	rest, ok := bytes.CutPrefix(b, []byte(`{"N":`))
+	b, ok := bytes.CutPrefix(b, []byte(`{"N":`))
 	if !ok {
 		return s, false
 	}
-	lit, rest := cutValue(rest)
-	n, err := strconv.ParseInt(string(lit), 10, 0)
+	n := jsonNumberLen(b)
+	if n == 0 || bytes.ContainsAny(b[:n], ".eE") {
+		return s, false
+	}
+	v, err := strconv.ParseInt(string(b[:n]), 10, 0)
 	if err != nil {
 		return s, false
 	}
-	s.N = int(n)
+	s.N, b = int(v), b[n:]
 	for i, f := range s.summaryFloats() {
-		if rest, ok = bytes.CutPrefix(rest, []byte(summaryFloatKeys[i])); !ok {
+		if b, ok = bytes.CutPrefix(b, []byte(summaryFloatKeys[i])); !ok {
 			return s, false
 		}
-		lit, rest = cutValue(rest)
-		if *f, err = strconv.ParseFloat(string(bytes.Trim(lit, `"`)), 64); err != nil {
+		if *f, b, ok = cutCanonicalFloat(b); !ok {
 			return s, false
 		}
 	}
-	var buf [256]byte
-	return s, bytes.Equal(s.appendJSON(buf[:0]), b)
+	return s, len(b) == 1 && b[0] == '}'
 }
 
-// cutValue splits b before its first ',' or '}'.
-func cutValue(b []byte) (lit, rest []byte) {
-	i := bytes.IndexAny(b, ",}")
-	if i < 0 {
-		return b, nil
+// cutCanonicalFloat parses one float value of the canonical form off the
+// front of b.
+func cutCanonicalFloat(b []byte) (float64, []byte, bool) {
+	for _, q := range [...]struct {
+		lit string
+		v   float64
+	}{{`"NaN"`, math.NaN()}, {`"+Inf"`, math.Inf(1)}, {`"-Inf"`, math.Inf(-1)}} {
+		if rest, ok := bytes.CutPrefix(b, []byte(q.lit)); ok {
+			return q.v, rest, true
+		}
 	}
-	return b[:i], b[i:]
+	n := jsonNumberLen(b)
+	if n == 0 {
+		return 0, b, false
+	}
+	v, err := strconv.ParseFloat(string(b[:n]), 64)
+	return v, b[n:], err == nil
+}
+
+// jsonNumberLen returns the length of the JSON number at the front of b
+// (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), or 0 if there is none.
+func jsonNumberLen(b []byte) int {
+	i := 0
+	digits := func() bool {
+		start := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if !digits() {
+			return 0
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return 0
+		}
+	}
+	return i
 }
 
 // summaryJSON is the generic decode of Summary's wire form: encoding/json
