@@ -398,11 +398,27 @@ func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
 			if diff := diffTable(parent, l, d, referenceTable(g, mask, d)); diff != "" {
 				t.Fatalf("parent table (%d,%d) after derivation: %s", l, d, diff)
 			}
-			if diff := diffTable(derived, l, d, referenceTable(g, derived.masks[l], d)); diff != "" {
+			if diff := diffTable(derived, l, d, referenceTable(g, layerMask(derived, l), d)); diff != "" {
 				t.Fatalf("derived table (%d,%d): %s", l, d, diff)
 			}
 		}
 	}
+}
+
+// layerMask returns e's layer l as an edge mask: on a view, the root's
+// layer without the layer's cut edges.
+func layerMask(e *Engine, l int) []bool {
+	if e.root == nil {
+		return e.masks[l]
+	}
+	mask := make([]bool, e.g.M())
+	for id := range mask {
+		mask[id] = e.masks[l] == nil || e.masks[l][id]
+	}
+	for _, id := range e.adj[l].removed {
+		mask[id] = false
+	}
+	return mask
 }
 
 // TestWithoutEdgesIgnoresBadIDs: out-of-range IDs are ignored, duplicates
@@ -450,6 +466,7 @@ func TestAllocsPerTable(t *testing.T) {
 		})
 		// perEngine bounds what does not scale with the table count: the
 		// engine, its slot array and index holders, one index per layer,
+		// the repair index's built and parity slices,
 		// and per worker a goroutine and a scratch that grows a few times.
 		const perEngine = 40
 		if allocs > 2*tables+perEngine {

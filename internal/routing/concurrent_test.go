@@ -2,8 +2,11 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // TestConcurrentWithoutEdgesDerivation exercises the fabric daemon's
@@ -32,26 +35,9 @@ func TestConcurrentWithoutEdgesDerivation(t *testing.T) {
 
 	// Serial references: per edge set, the shared-table count at
 	// derivation and every (layer, src, dst) answer after full rebuild.
-	type answer struct{ next, dist []int32 }
 	refShared := make([]int, len(edgeSets))
-	refAnswers := make([]answer, len(edgeSets))
+	refAnswers := make([]answers, len(edgeSets))
 	nl, nr := eng.NumLayers(), eng.nr
-	flatten := func(e *Engine) answer {
-		a := answer{
-			next: make([]int32, nl*nr*nr),
-			dist: make([]int32, nl*nr*nr),
-		}
-		for l := 0; l < nl; l++ {
-			for s := 0; s < nr; s++ {
-				for d := 0; d < nr; d++ {
-					i := (l*nr+s)*nr + d
-					a.next[i] = e.Next(l, s, d)
-					a.dist[i] = int32(e.PathLen(l, s, d))
-				}
-			}
-		}
-		return a
-	}
 	parentRef := flatten(eng)
 	for i, fe := range edgeSets {
 		dv := eng.WithoutEdges(fe)
@@ -124,6 +110,120 @@ func TestConcurrentWithoutEdgesDerivation(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// answers is every (layer, src, dst) answer of an engine, as flatten reads
+// them: Next and PathLen at index (layer·Nr + src)·Nr + dst.
+type answers struct{ next, dist []int32 }
+
+func flatten(e *Engine) answers {
+	nl, nr := e.NumLayers(), e.nr
+	a := answers{
+		next: make([]int32, nl*nr*nr),
+		dist: make([]int32, nl*nr*nr),
+	}
+	for l := 0; l < nl; l++ {
+		for s := 0; s < nr; s++ {
+			for d := 0; d < nr; d++ {
+				i := (l*nr+s)*nr + d
+				a.next[i] = e.Next(l, s, d)
+				a.dist[i] = int32(e.PathLen(l, s, d))
+			}
+		}
+	}
+	return a
+}
+
+// TestConcurrentDeriveDuringFirstTouch derives what-if views from a parent
+// whose tables are still being first-touched: touchers publish the parent's
+// tables lazily, each followed by its built bit, while derivers index the
+// new tables' parity bits, take the census off that index, and query their
+// views and views of their views. Every view answer must equal a fresh
+// engine on G∖F, and every census must add up to a built count the parent
+// passed through: no less than before the run, no more than after. Run
+// under -race in CI.
+func TestConcurrentDeriveDuringFirstTouch(t *testing.T) {
+	eng, g := testEngine(t, 7)
+	nl, nr := eng.NumLayers(), eng.nr
+	for d := 0; d < nr; d += 5 { // a few tables before the run
+		eng.table(d%nl, d)
+	}
+	edgeSets := [][]int{{0}, {1, 2}, {3, 4, 5}, {0, 7, 11}, {2, 9, g.M() - 1}, {12}}
+	want := make([]answers, len(edgeSets))
+	for i, fe := range edgeSets {
+		want[i] = flatten(freshEngineWithout(g, eng.masks, fe, 7))
+	}
+	// The view of a view of set i fails set i+1 on top.
+	wantNested := make([]answers, len(edgeSets))
+	for i, fe := range edgeSets {
+		wantNested[i] = flatten(freshEngineWithout(g, eng.masks, slices.Concat(fe, edgeSets[(i+1)%len(edgeSets)]), 7))
+	}
+	before := eng.Stat().TablesBuilt
+
+	const touchers, derivers, rounds = 4, 4, 6
+	censuses := make([][]int, derivers) // shared + invalidated, per deriver
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, derivers)
+	for w := 0; w < touchers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := graph.NewRand(int64(w))
+			<-start
+			for _, slot := range rng.Perm(nl * nr) {
+				eng.Next(slot/nr, rng.Intn(nr), slot%nr)
+			}
+		}(w)
+	}
+	for w := 0; w < derivers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				set := (w + r) % len(edgeSets)
+				dv := eng.WithoutEdges(edgeSets[set])
+				s, i := dv.Repair()
+				censuses[w] = append(censuses[w], s+i)
+				nested := dv.WithoutEdges(edgeSets[(set+1)%len(edgeSets)])
+				for _, v := range []struct {
+					e    *Engine
+					want answers
+				}{{dv, want[set]}, {nested, wantNested[set]}} {
+					for l := 0; l < nl; l++ {
+						for s := (w + r) % derivers; s < nr; s += derivers {
+							for d := 0; d < nr; d++ {
+								i := (l*nr+s)*nr + d
+								if got := v.e.Next(l, s, d); got != v.want.next[i] {
+									errc <- errf("set %d Next(%d,%d,%d)=%d, want %d", set, l, s, d, got, v.want.next[i])
+									return
+								}
+								if got := int32(v.e.PathLen(l, s, d)); got != v.want.dist[i] {
+									errc <- errf("set %d PathLen(%d,%d,%d)=%d, want %d", set, l, s, d, got, v.want.dist[i])
+									return
+								}
+							}
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	after := eng.Stat().TablesBuilt
+	for w, sums := range censuses {
+		for _, n := range sums {
+			if n < before || n > after {
+				t.Errorf("deriver %d: shared + invalidated = %d, outside the parent's built count %d..%d", w, n, before, after)
+			}
+		}
 	}
 }
 

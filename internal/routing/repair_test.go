@@ -1,0 +1,164 @@
+package routing
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/topo"
+)
+
+// scanCensus is the repair census WithoutEdges took before the parity
+// index, kept as its oracle: read every built table of the root and test
+// each removed edge live in the table's layer for tightness, one mask bit
+// per endpoint. Out-of-range IDs are ignored.
+func scanCensus(root *Engine, failed []int) (shared, invalidated int) {
+	m := root.g.M()
+	for l, mask := range root.masks {
+		var removed []maskBit
+		for _, id := range failed {
+			if id >= 0 && id < m && (mask == nil || mask[id]) {
+				ed := root.g.Edge(id)
+				removed = append(removed, root.bitFor(ed.U, ed.V), root.bitFor(ed.V, ed.U))
+			}
+		}
+		for d := 0; d < root.nr; d++ {
+			switch t := root.tables[l*root.nr+d].Load(); {
+			case t == nil:
+			case tableUsesAny(t, removed):
+				invalidated++
+			default:
+				shared++
+			}
+		}
+	}
+	return shared, invalidated
+}
+
+// requireCensus derives a view of root without failed, and a view of that
+// view without second as well, and holds each one's Repair() to the scan
+// of root's tables (a view of a view counts against the root), and its
+// Stat().TablesBuilt to the shared count. It returns the first view's
+// census.
+func requireCensus(t *testing.T, root *Engine, failed, second []int) (shared, invalidated int) {
+	t.Helper()
+	view := root.WithoutEdges(failed)
+	for _, c := range []struct {
+		name   string
+		view   *Engine
+		failed []int
+	}{{"view", view, failed}, {"view of the view", view.WithoutEdges(second), slices.Concat(failed, second)}} {
+		s, i := c.view.Repair()
+		ws, wi := scanCensus(root, c.failed)
+		if s != ws || i != wi {
+			t.Fatalf("%s: Repair() = %d shared / %d invalidated, the table scan says %d / %d", c.name, s, i, ws, wi)
+		}
+		if got := c.view.Stat().TablesBuilt; got != s {
+			t.Fatalf("%s: Stat().TablesBuilt = %d after derivation, Repair() shares %d", c.name, got, s)
+		}
+	}
+	return view.Repair()
+}
+
+// requireIndex indexes every built table of a root and holds its repair
+// index to its definition: bit dst of a layer's built word is set iff the
+// table is published, and bit dst of router u's parity word iff, besides,
+// u lies at an odd distance from dst. The census alone cannot see every
+// fault here: parity words holding the even levels instead give the same
+// XORs.
+func requireIndex(t *testing.T, e *Engine) {
+	t.Helper()
+	words := (e.nr + 63) / 64
+	for l := range e.masks {
+		for w := 0; w < words; w++ {
+			if built := e.built[l*words+w].Load(); built != 0 {
+				e.index(l, w, built)
+			}
+		}
+		for d := 0; d < e.nr; d++ {
+			tb := e.tables[l*e.nr+d].Load()
+			bit := uint64(1) << (d & 63)
+			if built := e.built[l*words+d>>6].Load()&bit != 0; built != (tb != nil) {
+				t.Fatalf("table (%d,%d): built bit %v, published %v", l, d, built, tb != nil)
+			}
+			if tb == nil {
+				continue
+			}
+			rows := e.parity[l*words+d>>6].rows
+			for u := 0; u < e.nr; u++ {
+				dist := e.pathLen(tb, u)
+				if got, want := rows[u].Load()&bit != 0, dist > 0 && dist%2 == 1; got != want {
+					t.Fatalf("table (%d,%d): router %d at distance %d has parity bit %v", l, d, u, dist, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRepairCensusMatchesScan holds the parity-index census against the
+// per-table scan on every forEachRepairCase, first on a parent with a third
+// of its tables built by first touches (the lazy kernel), then on the same
+// parent after BuildAll has built the rest (the block kernel), and the
+// index itself to its definition.
+func TestRepairCensusMatchesScan(t *testing.T) {
+	var shared, invalidated int
+	forEachRepairCase(t, graph.NewRand(24), func(t *testing.T, c repairCase) {
+		nr := c.g.N()
+		parent := NewEngine(c.g, c.masks, 9)
+		pick := graph.NewRand(int64(c.i))
+		for slot := range parent.tables {
+			if pick.Intn(3) == 0 {
+				parent.table(slot/nr, slot%nr)
+			}
+		}
+		requireCensus(t, parent, c.failed, c.second)
+		requireIndex(t, parent)
+		parent.BuildAll(2)
+		s, i := requireCensus(t, parent, c.failed, c.second)
+		requireIndex(t, parent)
+		shared += s
+		invalidated += i
+	})
+	if shared == 0 || invalidated == 0 {
+		t.Fatalf("the cases shared %d and invalidated %d tables; both must occur", shared, invalidated)
+	}
+}
+
+// BenchmarkWithoutEdges times one /whatif derivation on the daemon's two
+// resident fabric shapes, fully built: nine layers (the first full, the
+// rest random at the default density of the topology family) and 1–4
+// failed edges per view, drawn as the daemon benchmark's whatif requests
+// draw them.
+func BenchmarkWithoutEdges(b *testing.B) {
+	sf, err := topo.SlimFly(11, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ft, err := topo.FatTree3(8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		rho  float64
+	}{{"SF q=11", sf.G, 0.6}, {"FT3 m=8", ft.G, 0.9}} {
+		e := NewEngine(c.g, testMasks(c.g, 9, c.rho, graph.NewRand(1)), 1)
+		e.BuildAll(0)
+		rng := graph.NewRand(42)
+		sets := make([][]int, 1024)
+		for i := range sets {
+			for n := 1 + rng.Intn(4); len(sets[i]) < n; {
+				sets[i] = append(sets[i], rng.Intn(c.g.M()))
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				e.WithoutEdges(sets[i%len(sets)])
+				i++
+			}
+		})
+	}
+}

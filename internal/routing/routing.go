@@ -59,6 +59,11 @@
 // ⌈Nr/64⌉·levels·2M word operations per layer against buildTable's
 // Nr²·⌈Nr/64⌉, and no index is built. A block costs about twenty single
 // tables at the daemon's sizes, so a first touch stays per destination.
+//
+// Repair. WithoutEdges counts the tables a failure set invalidates off a
+// parity index (parityCol) of which routers sit at an odd BFS level from
+// each destination, filled from each built table once, by the first census
+// that needs it; a derived view copies none of its root's masks or slots.
 package routing
 
 import (
@@ -139,12 +144,12 @@ type layerAdj struct {
 	rows []uint64
 
 	// What the fill reads. An index scans (g, mask) in O(M), unless it is a
-	// WithoutEdges view's touched layer: that one copies the parent layer's
-	// rows and clears two bits per removed edge.
+	// WithoutEdges view's touched layer: that one copies the root layer's
+	// rows and clears two bits per removed edge (IDs into g).
 	g       *graph.Graph
 	mask    []bool
 	parent  *layerAdj
-	removed []graph.Edge
+	removed []int
 }
 
 // get returns the rows, filling the index on first use. The fill is a pure
@@ -165,13 +170,31 @@ func (a *layerAdj) get() []uint64 {
 			return
 		}
 		a.rows = slices.Clone(a.parent.get())
-		for _, ed := range a.removed {
+		for _, id := range a.removed {
+			ed := a.g.Edge(id)
 			u, v := int(ed.U), int(ed.V)
 			a.rows[u*words+v>>6] &^= 1 << (v & 63)
 			a.rows[v*words+u>>6] &^= 1 << (u & 63)
 		}
 	})
 	return a.rows
+}
+
+// parityCol is one 64-destination block of one layer's repair index on an
+// engine from NewEngine: bit j of rows[u] is set iff table (layer, b0+j) is
+// in indexed and router u lies at an odd BFS level from b0+j. A live layer
+// edge joins levels at most one apart, and both of its ends are reachable
+// or neither, so it is tight toward a destination — on a minimal path, in a
+// candidate set — iff its two ends' rows differ at the destination's bit: a
+// WithoutEdges census reads that off in one word per removed edge instead
+// of reading the block's tables. The kernels do not write the index; the
+// first census that needs a built table's bits reads its distance bytes
+// once (index), so engines nobody derives from pay nothing. rows (Nr words)
+// is allocated by the first index and written only under mu.
+type parityCol struct {
+	mu      sync.Mutex
+	indexed atomic.Uint64
+	rows    []atomic.Uint64
 }
 
 // Engine computes and caches the tables of one layered routing
@@ -192,9 +215,28 @@ type Engine struct {
 	nbrOff, nbr []int32
 	units       int // mask width in uint16 units, ⌈maxdeg/16⌉
 
-	tables []atomic.Pointer[table] // slot = layer*nr + dst
+	tables []atomic.Pointer[table] // slot = layer*nr + dst; nil on a view
 
-	// shared/invalidated count the parent's built tables a WithoutEdges
+	// The repair index of an engine from NewEngine (both nil on a view):
+	// built and parity are indexed by layer*words + dst>>6, and bit dst&63
+	// of a built word is set once table (layer, dst) is published.
+	built  []atomic.Uint64
+	parity []parityCol
+
+	// A WithoutEdges view's derivation: root is the engine from NewEngine it
+	// derives from (nil on that engine), failed the valid failed IDs,
+	// ascending and distinct. Layer l is masks[l] (the root's) without
+	// adj[l].removed, the failed edges live in it, and cuts[l] holds each
+	// of those edges' two mask bits (tableUsesAny's argument). own[l] holds
+	// the Nr slots of the tables the view built in layer l, allocated on
+	// its first. A lookup takes the view's own table, else the root's when
+	// no cut edge is tight in it, else builds one.
+	root   *Engine
+	failed []int
+	cuts   [][]maskBit
+	own    []atomic.Pointer[[]atomic.Pointer[table]]
+
+	// shared/invalidated count the root's built tables a WithoutEdges
 	// derivation kept and dropped; zero for an engine from NewEngine.
 	shared, invalidated int
 
@@ -225,6 +267,8 @@ func NewEngine(g *graph.Graph, masks [][]bool, seed int64) *Engine {
 		nbrOff: make([]int32, nr+1),
 		nbr:    make([]int32, 0, 2*g.M()),
 		tables: make([]atomic.Pointer[table], len(masks)*nr),
+		built:  make([]atomic.Uint64, len(masks)*((nr+63)/64)),
+		parity: make([]parityCol, len(masks)*((nr+63)/64)),
 	}
 	for l, mask := range masks {
 		e.adj[l] = e.base // a full layer's index is the full graph's
@@ -260,20 +304,67 @@ func (e *Engine) Neighbors(r int) []int32 { return e.nbr[e.nbrOff[r]:e.nbrOff[r+
 
 // table returns the (layer, dst) table, building it on first use.
 func (e *Engine) table(layer, dst int) *table {
-	slot := layer*e.nr + dst
-	if t := e.tables[slot].Load(); t != nil {
+	// A view has no flat slots, so the test that bounds the index also
+	// sends it down the slow path.
+	if slot := layer*e.nr + dst; uint(slot) < uint(len(e.tables)) {
+		if t := e.tables[slot].Load(); t != nil {
+			return t
+		}
+	}
+	if t := e.lookup(layer, dst); t != nil {
 		return t
 	}
-	return e.publish(slot, buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst))
+	return e.publish(layer, dst, buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst))
+}
+
+// lookup returns the (layer, dst) table without building it, nil when the
+// engine has none yet. A view has the table it built, else the root's when
+// the root has built it and none of the layer's cut edges is tight in it:
+// removing edges on no minimal path moves no distance and no candidate set,
+// so that table is the view's bit for bit.
+func (e *Engine) lookup(layer, dst int) *table {
+	if e.root == nil {
+		return e.tables[layer*e.nr+dst].Load()
+	}
+	if own := e.own[layer].Load(); own != nil {
+		if t := (*own)[dst].Load(); t != nil {
+			return t
+		}
+	}
+	t := e.root.tables[layer*e.nr+dst].Load()
+	if t == nil || tableUsesAny(t, e.cuts[layer]) {
+		return nil
+	}
+	return t
+}
+
+// slot returns the engine's own slot for (layer, dst), allocating a view's
+// slots for the layer on first use.
+func (e *Engine) slot(layer, dst int) *atomic.Pointer[table] {
+	if e.root == nil {
+		return &e.tables[layer*e.nr+dst]
+	}
+	own := e.own[layer].Load()
+	if own == nil {
+		fresh := make([]atomic.Pointer[table], e.nr)
+		if own = &fresh; !e.own[layer].CompareAndSwap(nil, own) {
+			own = e.own[layer].Load()
+		}
+	}
+	return &(*own)[dst]
 }
 
 // publish stores t in its empty slot and returns it, or, when another
 // builder published first, drops t and returns the table already there.
 // Tables are pure functions of their slot, so the two are identical; only
 // the winner is counted, which keeps the counters independent of timing.
-func (e *Engine) publish(slot int, t *table) *table {
-	if !e.tables[slot].CompareAndSwap(nil, t) {
-		return e.tables[slot].Load()
+func (e *Engine) publish(layer, dst int, t *table) *table {
+	slot := e.slot(layer, dst)
+	if !slot.CompareAndSwap(nil, t) {
+		return slot.Load()
+	}
+	if e.built != nil {
+		e.built[layer*((e.nr+63)/64)+dst>>6].Or(1 << (dst & 63))
 	}
 	if e.m != nil {
 		e.m.TablesBuilt.Inc()
@@ -388,12 +479,15 @@ func (e *Engine) useLayer(layer int, sc *blockScratch) {
 		return
 	}
 	sc.layer = layer
-	mask := e.masks[layer]
+	mask, cut := e.masks[layer], e.adj[layer].removed // cut: a view's, ascending
 	sc.edges = sc.edges[:0]
 	for v := 0; v < e.nr; v++ {
 		nbrs := e.Neighbors(v)
 		for _, h := range e.g.Neighbors(v) {
-			if mask == nil || mask[h.Edge] {
+			if mask != nil && !mask[h.Edge] {
+				continue
+			}
+			if _, gone := slices.BinarySearch(cut, int(h.Edge)); !gone {
 				p, _ := slices.BinarySearch(nbrs, h.To)
 				sc.edges = append(sc.edges, layerEdge{h.To, int32(p)})
 			}
@@ -416,9 +510,9 @@ func (e *Engine) useLayer(layer int, sc *blockScratch) {
 // tables equal buildTable's bit for bit.
 func (e *Engine) buildBlock(layer, b0 int, sc *blockScratch) {
 	k := min(64, e.nr-b0)
-	var want uint64 // the destinations whose slots are still empty
+	var want uint64 // the destinations the engine has no table for yet
 	for j := 0; j < k; j++ {
-		if e.tables[layer*e.nr+b0+j].Load() == nil {
+		if e.lookup(layer, b0+j) == nil {
 			want |= 1 << j
 		}
 	}
@@ -475,7 +569,7 @@ func (e *Engine) buildBlock(layer, b0 int, sc *blockScratch) {
 	}
 	for m := want; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
-		e.publish(layer*e.nr+b0+j, tabs[j])
+		e.publish(layer, b0+j, tabs[j])
 	}
 }
 
@@ -643,8 +737,8 @@ func (e *Engine) DistinctRoutes(src, dst int) int {
 // `workers` goroutines (0 or negative selects all cores). Workers claim
 // (layer, 64-destination block) units layer-major off a shared counter and
 // run buildBlock on each, reusing one scratch, so the build allocates only
-// the tables. Slots already published — first touches, or a WithoutEdges
-// view's tables shared with its parent — are left as they are. Each table is
+// the tables. Tables the engine already has — first touches, or the root's
+// tables a WithoutEdges view can use — are left as they are. Each table is
 // a pure function of its slot, so the engine state is identical for every
 // worker count and whichever kernel built a table.
 func (e *Engine) BuildAll(workers int) {
@@ -717,11 +811,12 @@ type Stats struct {
 	Bytes int64
 }
 
-// Stat reports how much routing state has been materialized so far.
+// Stat reports how much routing state has been materialized so far. A
+// view counts its own tables and the root's tables it can use.
 func (e *Engine) Stat() Stats {
-	st := Stats{TablesTotal: len(e.tables)}
-	for i := range e.tables {
-		t := e.tables[i].Load()
+	st := Stats{TablesTotal: len(e.masks) * e.nr}
+	for i := range st.TablesTotal {
+		t := e.lookup(i/e.nr, i%e.nr)
 		if t == nil {
 			continue
 		}
@@ -734,7 +829,7 @@ func (e *Engine) Stat() Stats {
 
 // maskBit addresses one bit of a table: slab[unit] & bit.
 type maskBit struct {
-	unit int
+	unit int32
 	bit  uint16
 }
 
@@ -742,7 +837,7 @@ type maskBit struct {
 // candidate sets; the two must be adjacent.
 func (e *Engine) bitFor(src, to int32) maskBit {
 	pos, _ := slices.BinarySearch(e.Neighbors(int(src)), to)
-	return maskBit{int(src)*e.units + pos>>4, 1 << (pos & 15)}
+	return maskBit{int32(int(src)*e.units + pos>>4), 1 << (pos & 15)}
 }
 
 // WithoutEdges returns a derived engine with the given base edges removed
@@ -752,84 +847,153 @@ func (e *Engine) bitFor(src, to int32) maskBit {
 // both present in its layer and *tight* toward its destination (i.e. on
 // some minimal path, which is exactly when the edge appears in a candidate
 // set). Non-tight edges cannot change any distance or candidate set, so
-// those tables are shared with the parent engine; affected or unbuilt
-// tables rebuild lazily against the repaired masks. Out-of-range IDs are
-// ignored and duplicates count once.
+// the view reads those tables from the root engine; affected or unbuilt
+// tables rebuild lazily into the view against the repaired layers. A view
+// of a view derives from the root with both failure sets. Out-of-range IDs
+// are ignored and duplicates count once.
+//
+// The census (Repair) comes off the root's parity index in
+// O(L·|F|·⌈Nr/64⌉) word operations, reading a table only the first time a
+// census needs its bits, and a view copies no mask and no slot — it keeps
+// its root, the cut edges of each layer and the slots of the tables it
+// builds itself.
 func (e *Engine) WithoutEdges(failed []int) *Engine {
-	out := &Engine{
-		g:      e.g,
-		masks:  make([][]bool, len(e.masks)),
-		adj:    make([]*layerAdj, len(e.masks)),
-		base:   e.base,
-		seed:   e.seed,
-		nr:     e.nr,
-		nbrOff: e.nbrOff,
-		nbr:    e.nbr,
-		units:  e.units,
-		tables: make([]atomic.Pointer[table], len(e.tables)),
-		m:      e.m,
+	r := e
+	if e.root != nil {
+		r, failed = e.root, slices.Concat(e.failed, failed)
 	}
-	m := e.g.M()
-	live := func(mask []bool, id int) bool {
-		return id >= 0 && id < m && (mask == nil || mask[id])
-	}
-	// An edge is tight in a table iff either endpoint's mask has the other's
-	// bit: looked up once here, tested per (table, removed edge) below.
-	ends := make([][2]maskBit, len(failed))
-	for i, id := range failed {
+	m := r.g.M()
+	gone := make([]int, 0, len(failed))
+	for _, id := range failed {
 		if id >= 0 && id < m {
-			ed := e.g.Edge(id)
-			ends[i] = [2]maskBit{e.bitFor(ed.U, ed.V), e.bitFor(ed.V, ed.U)}
+			gone = append(gone, id)
 		}
 	}
-	for l, old := range e.masks {
-		// A layer none of the failed edges is live in shares the parent's
-		// mask (immutable by contract) and adjacency index, and — removed
-		// staying empty — every built table, at O(|failed|) to decide: the
-		// hot shape for a daemon deriving a what-if view per request.
-		mask, adj := old, e.adj[l]
-		var removed []maskBit
-		if slices.ContainsFunc(failed, func(id int) bool { return live(old, id) }) {
-			mask, adj = make([]bool, m), &layerAdj{g: e.g, parent: e.adj[l]}
-			if old == nil {
-				for id := range mask {
-					mask[id] = true
-				}
-			} else {
-				copy(mask, old)
-			}
-			for i, id := range failed {
-				if live(mask, id) { // false for a duplicate: already cleared
-					mask[id] = false
-					adj.removed = append(adj.removed, e.g.Edge(id))
-					removed = append(removed, ends[i][0], ends[i][1])
-				}
-			}
-		}
-		out.masks[l], out.adj[l] = mask, adj
-		for d := l * e.nr; d < (l+1)*e.nr; d++ {
-			t := e.tables[d].Load()
-			if t == nil {
-				continue
-			}
-			if tableUsesAny(t, removed) {
-				out.invalidated++
-				continue
-			}
-			out.shared++
-			out.tables[d].Store(t)
-		}
+	slices.Sort(gone)
+	gone = slices.Compact(gone)
+	nl := len(r.masks)
+	out := &Engine{
+		g:      r.g,
+		masks:  r.masks,
+		adj:    slices.Clone(r.adj),
+		base:   r.base,
+		seed:   r.seed,
+		nr:     r.nr,
+		nbrOff: r.nbrOff,
+		nbr:    r.nbr,
+		units:  r.units,
+		root:   r,
+		failed: gone,
+		cuts:   make([][]maskBit, nl),
+		own:    make([]atomic.Pointer[[]atomic.Pointer[table]], nl),
+		m:      r.m,
 	}
-	if e.m != nil {
-		e.m.TablesInvalidated.Add(int64(out.invalidated))
-		e.m.TablesShared.Add(int64(out.shared))
+	// Each failed edge's two mask bits, looked up once; every layer's cut
+	// slices one backing array per kind.
+	pairs := make([]maskBit, 2*len(gone))
+	for k, id := range gone {
+		ed := r.g.Edge(id)
+		pairs[2*k], pairs[2*k+1] = r.bitFor(ed.U, ed.V), r.bitFor(ed.V, ed.U)
+	}
+	ids := make([]int, 0, nl*len(gone))
+	ends := make([]maskBit, 0, 2*nl*len(gone))
+	for l, mask := range r.masks {
+		for k, id := range gone {
+			if mask == nil || mask[id] {
+				ids = append(ids, id)
+				ends = append(ends, pairs[2*k:2*k+2]...)
+			}
+		}
+		cut := ids[:len(ids):len(ids)]
+		out.cuts[l] = ends[:len(ends):len(ends)]
+		ids, ends = ids[len(ids):], ends[len(ends):]
+		if len(cut) > 0 {
+			out.adj[l] = &layerAdj{g: r.g, parent: r.adj[l], removed: cut}
+		}
+		shared, invalidated := r.census(l, cut)
+		out.shared += shared
+		out.invalidated += invalidated
+	}
+	if r.m != nil {
+		r.m.TablesInvalidated.Add(int64(out.invalidated))
+		r.m.TablesShared.Add(int64(out.shared))
 	}
 	return out
 }
 
-// Repair reports how WithoutEdges populated this engine from its parent's
-// built tables: how many it shares and how many it dropped for lazy
-// rebuild. Both are zero for an engine made by NewEngine.
+// census counts the layer's built tables on an engine from NewEngine that
+// removing the cut edges (live in the layer) leaves usable, and those in
+// which one of them is tight: invalidated is the popcount over built tables
+// of ⋁ rows[u] ⊕ rows[v]. Each word of built is read once and indexed
+// before its rows are, so the two add up to the tables built when the word
+// was read, whatever is being built meanwhile.
+func (e *Engine) census(layer int, cut []int) (shared, invalidated int) {
+	words := (e.nr + 63) / 64
+	for w := 0; w < words; w++ {
+		built := e.built[layer*words+w].Load()
+		if built == 0 || len(cut) == 0 {
+			shared += bits.OnesCount64(built)
+			continue
+		}
+		col := &e.parity[layer*words+w]
+		if built&^col.indexed.Load() != 0 {
+			e.index(layer, w, built)
+		}
+		var tight uint64
+		for _, id := range cut {
+			ed := e.g.Edge(id)
+			tight |= col.rows[ed.U].Load() ^ col.rows[ed.V].Load()
+		}
+		invalidated += bits.OnesCount64(tight & built)
+		shared += bits.OnesCount64(built &^ tight)
+	}
+	return shared, invalidated
+}
+
+// index adds to the parity column of destinations w·64.. in the layer the
+// bits of the built tables it does not hold yet, reading each one's
+// distance bytes: bit j of router u's word is set iff u lies at an odd
+// distance from w·64+j. Concurrent censuses index a column one at a time.
+func (e *Engine) index(layer, w int, built uint64) {
+	col := &e.parity[layer*((e.nr+63)/64)+w]
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	pending := built &^ col.indexed.Load()
+	if pending == 0 {
+		return
+	}
+	if col.rows == nil {
+		col.rows = make([]atomic.Uint64, e.nr)
+	}
+	acc := make([]uint64, e.nr)
+	for m := pending; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		t := e.tables[layer*e.nr+(w<<6|j)].Load()
+		for u := range acc {
+			odd := false
+			switch d := e.dist(t, u); d {
+			case unreachable:
+			case distCap: // saturated: walk down to the exact distance
+				odd = e.pathLen(t, u)&1 == 1
+			default:
+				odd = d&1 == 1
+			}
+			if odd {
+				acc[u] |= 1 << j
+			}
+		}
+	}
+	for u, a := range acc {
+		if a != 0 {
+			col.rows[u].Or(a)
+		}
+	}
+	col.indexed.Or(pending)
+}
+
+// Repair reports how WithoutEdges found the root's built tables when it
+// derived this view: how many the view can use and how many it dropped for
+// lazy rebuild. Both are zero for an engine made by NewEngine.
 func (e *Engine) Repair() (shared, invalidated int) { return e.shared, e.invalidated }
 
 // tableUsesAny reports whether any of the removed edges is tight in the

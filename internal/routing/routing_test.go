@@ -465,16 +465,21 @@ func requireSameAnswers(t *testing.T, got, want *Engine) {
 	}
 }
 
-// TestWithoutEdgesMatchesFreshEngine is the differential test of the repair
-// path: WithoutEdges(F) against an engine built from nothing on the graph
-// G∖F, for empty, single, noisy (duplicates, out-of-range IDs), random,
-// router-isolating, bisecting and total F, from fully and partly built
-// parents, with the view's tables rebuilt lazily or by BuildAll, and once
-// more for a view of a view. The fresh engine's graph has other edge IDs
-// and other neighbour positions than the parent's, so the comparison also
-// covers the position ↔ router mapping.
-func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
-	rng := graph.NewRand(24)
+// repairCase is one (graph, failure set) of the WithoutEdges tests.
+type repairCase struct {
+	g      *graph.Graph
+	masks  [][]bool // four layers, the first full
+	failed []int    // what the view fails
+	second []int    // what a view of the view fails on top
+	i      int      // the failure set's index within its graph
+}
+
+// forEachRepairCase runs fn as one subtest per (graph, failure set): SF
+// q=5, a Jellyfish, FT3 m=4 and two random graphs, each against empty,
+// single, noisy (duplicates, out-of-range IDs), random, router-isolating,
+// bisecting and total F. The graphs, masks and sets come from rng, which fn
+// may draw from as well.
+func forEachRepairCase(t *testing.T, rng *rand.Rand, fn func(t *testing.T, c repairCase)) {
 	sf, err := topo.SlimFly(5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +512,7 @@ func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
 			}
 		}
 		a, b := rng.Intn(m), rng.Intn(m)
-		second := rng.Perm(m)[:m/20] // what the view of the view fails on top
+		second := rng.Perm(m)[:m/20]
 		for i, f := range []struct {
 			name   string
 			failed []int
@@ -516,62 +521,81 @@ func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
 			{"random", rng.Perm(m)[:m/10]}, {"isolate", isolate}, {"bisect", bisect}, {"all", all},
 		} {
 			t.Run(tc.name+"/"+f.name, func(t *testing.T) {
-				parent := NewEngine(g, masks, 9)
-				if i%2 == 0 {
-					parent.BuildAll(2)
-				} else { // a third of the tables, scattered
-					for slot := range parent.tables {
-						if rng.Intn(3) == 0 {
-							parent.table(slot/nr, slot%nr)
-						}
-					}
-				}
-				built := parent.Stat().TablesBuilt
-				derived := parent.WithoutEdges(f.failed)
-				if shared, invalidated := derived.Repair(); shared+invalidated != built {
-					t.Fatalf("Repair() = %d shared + %d invalidated, parent had %d built", shared, invalidated, built)
-				}
-				if i%4 < 2 { // and the others rebuild lazily
-					requireBuildAllKeepsShared(t, parent, derived)
-				}
-				requireSameAnswers(t, derived, freshEngineWithout(g, masks, f.failed, 9))
-				// A view of the view: its touched layers copy rows the first
-				// view derived from the parent's.
-				requireSameAnswers(t, derived.WithoutEdges(second),
-					freshEngineWithout(g, masks, slices.Concat(f.failed, second), 9))
+				fn(t, repairCase{g: g, masks: masks, failed: f.failed, second: second, i: i})
 			})
 		}
 	}
 }
 
+// TestWithoutEdgesMatchesFreshEngine is the differential test of the repair
+// path: WithoutEdges(F) against an engine built from nothing on the graph
+// G∖F, for every forEachRepairCase, from fully and partly built parents,
+// with the view's tables rebuilt lazily or by BuildAll, and once more for a
+// view of a view. The fresh engine's graph has other edge IDs and other
+// neighbour positions than the parent's, so the comparison also covers the
+// position ↔ router mapping.
+func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
+	rng := graph.NewRand(24)
+	forEachRepairCase(t, rng, func(t *testing.T, c repairCase) {
+		nr := c.g.N()
+		parent := NewEngine(c.g, c.masks, 9)
+		if c.i%2 == 0 {
+			parent.BuildAll(2)
+		} else { // a third of the tables, scattered
+			for slot := range parent.tables {
+				if rng.Intn(3) == 0 {
+					parent.table(slot/nr, slot%nr)
+				}
+			}
+		}
+		built := parent.Stat().TablesBuilt
+		derived := parent.WithoutEdges(c.failed)
+		if shared, invalidated := derived.Repair(); shared+invalidated != built {
+			t.Fatalf("Repair() = %d shared + %d invalidated, parent had %d built", shared, invalidated, built)
+		}
+		if c.i%4 < 2 { // and the others rebuild lazily
+			requireBuildAllKeepsShared(t, parent, derived)
+		}
+		requireSameAnswers(t, derived, freshEngineWithout(c.g, c.masks, c.failed, 9))
+		// A view of the view: it derives from the root with both failure
+		// sets.
+		requireSameAnswers(t, derived.WithoutEdges(c.second),
+			freshEngineWithout(c.g, c.masks, slices.Concat(c.failed, c.second), 9))
+	})
+}
+
 // requireBuildAllKeepsShared runs BuildAll on a WithoutEdges view and
-// checks it builds only what the view does not share: every shared table
-// stays the parent's very pointer, and neither the view's repair census nor
-// the parent's tables move.
-func requireBuildAllKeepsShared(t *testing.T, parent, view *Engine) {
+// checks it builds only what the view cannot take from its root: before and
+// after, every table the view shares is the root's very pointer; neither
+// the view's repair census nor the root's built count moves; and the view
+// ends fully built.
+func requireBuildAllKeepsShared(t *testing.T, root, view *Engine) {
 	t.Helper()
 	shared, invalidated := view.Repair()
-	parentBuilt := parent.Stat().TablesBuilt
+	rootBuilt := root.Stat().TablesBuilt
 	var kept []int
-	for slot := range view.tables {
-		if view.tables[slot].Load() != nil {
+	for slot := range view.NumLayers() * view.nr {
+		if tb := view.lookup(slot/view.nr, slot%view.nr); tb != nil {
+			if tb != root.tables[slot].Load() {
+				t.Fatalf("view holds table %d of its own before building any", slot)
+			}
 			kept = append(kept, slot)
 		}
 	}
 	if len(kept) != shared {
-		t.Fatalf("view holds %d tables, Repair() says it shares %d", len(kept), shared)
+		t.Fatalf("view can use %d of the root's tables, Repair() says it shares %d", len(kept), shared)
 	}
 	view.BuildAll(2)
 	for _, slot := range kept {
-		if view.tables[slot].Load() != parent.tables[slot].Load() {
+		if view.lookup(slot/view.nr, slot%view.nr) != root.tables[slot].Load() {
 			t.Fatalf("BuildAll replaced shared table %d of the view", slot)
 		}
 	}
 	if s, i := view.Repair(); s != shared || i != invalidated {
 		t.Fatalf("BuildAll moved Repair() from %d/%d to %d/%d", shared, invalidated, s, i)
 	}
-	if got := parent.Stat().TablesBuilt; got != parentBuilt {
-		t.Fatalf("BuildAll on the view built %d tables of the parent", got-parentBuilt)
+	if got := root.Stat().TablesBuilt; got != rootBuilt {
+		t.Fatalf("BuildAll on the view built %d tables of the root", got-rootBuilt)
 	}
 	if st := view.Stat(); st.TablesBuilt != st.TablesTotal {
 		t.Fatalf("BuildAll left %d of the view's tables unbuilt", st.TablesTotal-st.TablesBuilt)
