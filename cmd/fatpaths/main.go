@@ -30,7 +30,6 @@ func main() {
 		rho      = flag.Float64("rho", 0.6, "fraction of edges per sparsified layer (0: the topology's default)")
 		scheme   = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
 		seed     = flag.Int64("seed", 1, "random seed")
-		save     = flag.String("save", "", "write the layer configuration as JSON to this file (§V-B artifact)")
 		deadlock = flag.Bool("deadlock", false, "run the channel-dependency (lossless deployment) analysis per layer")
 		startObs = obs.BindFlags(flag.CommandLine)
 	)
@@ -83,17 +82,6 @@ func main() {
 			fmt.Printf("  layer %2d: %4d channels, %5d dependencies, acyclic=%v\n",
 				rep.Layer, rep.Channels, rep.Dependencies, rep.Acyclic)
 		}
-	}
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := fab.Layers.Save(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nlayer configuration written to %s\n", *save)
 	}
 	if err := stopObs(); err != nil {
 		fatal(err)

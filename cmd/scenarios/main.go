@@ -208,18 +208,15 @@ func writeJSON(w io.Writer, out []fileResult) error {
 	return err
 }
 
-// loadMatrix reads one Matrix spec file. Unknown fields are rejected so
-// typos in spec files fail loudly instead of silently selecting defaults.
+// loadMatrix reads one Matrix spec file with scenario.DecodeStrict.
 func loadMatrix(file string) (*scenario.Matrix, error) {
 	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
 	var m scenario.Matrix
-	if err := dec.Decode(&m); err != nil {
+	if err := scenario.DecodeStrict(f, &m); err != nil {
 		return nil, fmt.Errorf("%s: %w", file, err)
 	}
 	return &m, nil

@@ -186,3 +186,27 @@ func TestLoadMatrixRejectsRetiredKnob(t *testing.T) {
 		t.Fatalf("loadMatrix error = %v, want an unknown-field error naming \"shards\"", err)
 	}
 }
+
+// TestLoadMatrixRejectsTrailingData: a spec file holds one matrix. A second
+// value, or junk, after it is an error rather than silently dropped;
+// trailing whitespace is fine.
+func TestLoadMatrixRejectsTrailingData(t *testing.T) {
+	const m = `{"name":"one","base":{"topology":{"kind":"SF","param":3},"pattern":{"kind":"uniform"}}}`
+	for _, c := range []struct {
+		spec, want string // want is "" when the file must load
+	}{
+		{m + "\n\t \n", ""},
+		{m + "\n" + m + "\n", "more than one JSON value"},
+		{m + " junk", "after the JSON value"},
+		{m + "}", "after the JSON value"},
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(c.spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadMatrix(path)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("loadMatrix(%q) error = %v, want %q", c.spec, err, c.want)
+		}
+	}
+}

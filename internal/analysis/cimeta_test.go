@@ -1,12 +1,13 @@
 package analysis
 
-// cimeta_test keeps the CI workflow honest about the tests it names:
-// every Test/Benchmark identifier appearing in ci.yml — in step
-// comments ("... (TestSharedRoutingEngineConcurrent)") or -run/-bench
-// patterns — must match a function actually declared in the module, as
-// an exact name or a prefix (the `go test -run` matching convention).
-// Renaming a test without updating the workflow fails here, not months
-// later as a silently-skipped CI step.
+// cimeta_test keeps the CI workflow and README.md honest about the tests
+// they name: every Test/Benchmark/Example/Fuzz identifier appearing in
+// ci.yml — in step comments ("... (TestSharedRoutingEngineConcurrent)") or
+// -run/-bench/-fuzz patterns — or in README.md must match a function
+// actually declared in the module, as an exact name or a prefix (the
+// `go test -run` matching convention). Renaming a test without updating
+// the workflow or the docs fails here, not months later as a
+// silently-skipped CI step or a README pointing at nothing.
 
 import (
 	"go/ast"
@@ -20,10 +21,10 @@ import (
 	"testing"
 )
 
-var ciTestIdent = regexp.MustCompile(`\b(Test|Benchmark)[A-Z][A-Za-z0-9_]*`)
+var ciTestIdent = regexp.MustCompile(`\b(Test|Benchmark|Example|Fuzz)[A-Z_][A-Za-z0-9_]*`)
 
 // declaredTestFuncs parses every _test.go file in the module and
-// returns the declared Test*/Benchmark* function names.
+// returns the declared Test/Benchmark/Example/Fuzz function names.
 func declaredTestFuncs(t *testing.T, root string) map[string]bool {
 	t.Helper()
 	names := map[string]bool{}
@@ -51,7 +52,7 @@ func declaredTestFuncs(t *testing.T, root string) map[string]bool {
 			if !ok || fd.Recv != nil {
 				continue
 			}
-			if name := fd.Name.Name; strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Benchmark") {
+			if name := fd.Name.Name; ciTestIdent.MatchString(name) {
 				names[name] = true
 			}
 		}
@@ -65,32 +66,33 @@ func declaredTestFuncs(t *testing.T, root string) map[string]bool {
 
 func TestCIReferencedTestsExist(t *testing.T) {
 	root := moduleRoot(t)
-	data, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatalf("reading ci.yml: %v", err)
-	}
-	referenced := map[string]bool{}
-	for _, m := range ciTestIdent.FindAllString(string(data), -1) {
-		referenced[m] = true
-	}
-	if len(referenced) == 0 {
-		t.Fatal("ci.yml references no Test/Benchmark identifiers; the meta-test is miswired")
-	}
-
 	declared := declaredTestFuncs(t, root)
 	if len(declared) == 0 {
 		t.Fatal("no test functions found in the module; the meta-test is miswired")
 	}
-	for name := range referenced {
-		found := false
-		for d := range declared {
-			if strings.HasPrefix(d, name) {
-				found = true
-				break
-			}
+	for _, doc := range []string{filepath.Join(".github", "workflows", "ci.yml"), "README.md"} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatalf("reading %s: %v", doc, err)
 		}
-		if !found {
-			t.Errorf("ci.yml references %s, but no test function with that prefix is declared", name)
+		referenced := map[string]bool{}
+		for _, m := range ciTestIdent.FindAllString(string(data), -1) {
+			referenced[m] = true
+		}
+		if len(referenced) == 0 {
+			t.Fatalf("%s references no test identifiers; the meta-test is miswired", doc)
+		}
+		for name := range referenced {
+			found := false
+			for d := range declared {
+				if strings.HasPrefix(d, name) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s references %s, but no test function with that prefix is declared", doc, name)
+			}
 		}
 	}
 }

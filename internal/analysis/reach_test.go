@@ -1,23 +1,26 @@
 package analysis
 
 // reach_test holds the tree to one rule: a package-level function or
-// method in a non-test internal/ file stays only if some binary reaches
-// it, or a test of a reachable function uses it as its reference.
+// method in a non-test internal/ file stays only if a command reaches it,
+// or a test of a reachable function uses it as its reference.
 //
 // "Reaches" is a use-graph walk over the type-checked module: the roots
-// are every function of every main package (cmd/*, examples/*, and
-// bench/, which the module loader type-checks as repro/bench), every
-// init function and every package-level initializer; an edge is any
-// identifier in a reached body that resolves to a function or method —
-// a call, a method value, a function passed as an argument. A method
-// also counts as reached when it is how its receiver satisfies an
-// interface (Stringer, sort.Interface, http.Handler, flag.Value, the
-// module's own interfaces), because those calls are dispatched where no
-// identifier names the method. The walk is conservative: it may keep a
-// function nothing runs, it never condemns one a binary can call.
+// are every function and package-level initializer of the cmd/* main
+// packages, and the init functions and package-level initializers of
+// every non-main package; an edge is any identifier in a reached body
+// that resolves to a function or method — a call, a method value, a
+// function passed as an argument. A method also counts as reached when it
+// is how its receiver satisfies an interface (Stringer, sort.Interface,
+// http.Handler, flag.Value, the module's own interfaces), because those
+// calls are dispatched where no identifier names the method. The walk is
+// conservative: it may keep a function nothing runs, it never condemns
+// one a command can call.
 //
-// References that only tests call are listed in referenceKeepList, each
-// with the test that compares a reachable function against it.
+// Tests, examples and the benchmark module (bench/, which the module
+// loader type-checks as repro/bench) are not roots. References that only
+// tests call are listed in referenceKeepList, each with the test that
+// compares a reachable function against it; names that only bench/ calls
+// are listed in benchOnlyList, each with the ROADMAP item that retires it.
 
 import (
 	"go/ast"
@@ -50,12 +53,30 @@ var referenceKeepList = []keptReference{
 	// Full rebuild on the surviving links: oracle of the incremental
 	// routing.Engine.WithoutEdges repair.
 	{"layers.LayerSet.WithoutEdges", "internal/netsim/failures_test.go", "TestLayerRecomputationAfterFailure"},
-	// The only reader of the format LayerSet.Save (cmd/fatpaths -save) writes.
-	{"layers.ReadLayerSet", "internal/layers/layers_test.go", "TestLayerSetSerializationRoundTrip"},
 	// Unrestricted multicommodity-flow optimum: upper bracket of mcf.PathMAT.
 	{"mcf.GeneralMAT", "internal/mcf/mcf_test.go", "TestPathMATBoundedByGeneralProperty"},
 	// Structural invariants every topology builder's output is held to.
 	{"topo.Topology.Validate", "internal/topo/fuzz_test.go", "FuzzBuilders"},
+	// Exact mean of the discretized pFabric distribution: what the
+	// PFabricFlowSize sampler's mean must converge to.
+	{"traffic.PFabricMean", "internal/traffic/traffic_test.go", "TestPFabricSamplerMatchesCDF"},
+}
+
+// A benchOnly function is reached by no command, only by the frozen
+// benchmark module, whose files no code change may edit. Why names what
+// bench/ uses it for and the ROADMAP item that retires it. Functions the
+// entry reaches need no entry of their own.
+type benchOnly struct {
+	Func string // as unreachedFunctions names it
+	Why  string
+}
+
+var benchOnlyList = []benchOnly{
+	{"routing.Engine.Candidates", "bench/e2e.go and bench/layers.go decode candidates with it; ROADMAP 1(b) moves them to AppendCandidates"},
+	{"routing.Engine.Engine", "bench/layers.go spells the engine Fwd.Engine(); ROADMAP 1(b) spells it Fwd"},
+	{"serve.Server.Fabrics", "bench/layers.go times the resident-fabric lookup through it; ROADMAP 1(b) replaces that call"},
+	{"obs.Registry.Snapshot", "bench/ reads its counters through it"},
+	{"diversity.EdgeConnectivityBounded", "bench/layers.go times it for diversity.edge_connectivity_us; ROADMAP 1(a) and 15(b) delete both"},
 }
 
 // funcName renders fn as "pkg.Func" or "pkg.Type.Method".
@@ -108,27 +129,39 @@ func dispatchInterfaces(pkgs []*Package) []*types.Interface {
 	return out
 }
 
-// unreachedFunctions returns, sorted, the name of every function and
-// method declared in a non-test internal/ file of pkgs that the walk
-// described at the top of this file does not reach.
-func unreachedFunctions(pkgs []*Package) []string {
-	// A body is a syntax tree to scan for uses, with the type information
-	// of the package it came from.
-	type body struct {
-		node ast.Node
-		info *types.Info
-	}
-	decls := map[*types.Func]body{}
-	inInternal := map[*types.Func]bool{}
-	reached := map[*types.Func]bool{}
-	var work []body
-	reach := func(fn *types.Func) {
-		if d, ok := decls[fn]; ok && !reached[fn] {
-			reached[fn] = true
-			work = append(work, d)
-		}
-	}
+// A useGraph is the module's function bodies, ready to walk from any set
+// of roots.
+type useGraph struct {
+	decls    map[*types.Func]body
+	internal map[string]*types.Func // the non-init functions of non-test internal/ files, by funcName
+	// dispatched are the methods that satisfy some interface; shared are
+	// the init functions and package-level initializers of non-main
+	// packages; cmd and bench are every function and package-level
+	// initializer of the cmd/* main packages and of bench/.
+	dispatched         []*types.Func
+	shared, cmd, bench []body
+}
+
+// A body is a syntax tree to scan for uses, with the type information of
+// the package it came from.
+type body struct {
+	node ast.Node
+	info *types.Info
+}
+
+func newUseGraph(pkgs []*Package) *useGraph {
+	g := &useGraph{decls: map[*types.Func]body{}, internal: map[string]*types.Func{}}
 	for _, pkg := range pkgs {
+		isMain := pkg.Types.Name() == "main"
+		var roots *[]body // nil: a main package that is neither a command nor bench/
+		switch {
+		case !isMain:
+			roots = &g.shared
+		case strings.Contains(pkg.Path, "/cmd/"):
+			roots = &g.cmd
+		case strings.HasSuffix(pkg.Path, "/bench"):
+			roots = &g.bench
+		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -137,14 +170,17 @@ func unreachedFunctions(pkgs []*Package) []string {
 						continue // implemented outside Go: nothing to scan
 					}
 					fn := pkg.Info.Defs[d.Name].(*types.Func)
-					decls[fn] = body{d.Body, pkg.Info}
-					inInternal[fn] = strings.Contains(pkg.Path, "/internal/")
-					if pkg.Types.Name() == "main" || (d.Recv == nil && d.Name.Name == "init") {
-						reach(fn)
+					b := body{d.Body, pkg.Info}
+					g.decls[fn] = b
+					isInit := d.Recv == nil && d.Name.Name == "init"
+					if roots != nil && (isMain || isInit) {
+						*roots = append(*roots, b)
+					} else if strings.Contains(pkg.Path, "/internal/") {
+						g.internal[funcName(fn)] = fn
 					}
 				case *ast.GenDecl:
-					if d.Tok == token.VAR {
-						work = append(work, body{d, pkg.Info})
+					if d.Tok == token.VAR && roots != nil {
+						*roots = append(*roots, body{d, pkg.Info})
 					}
 				}
 			}
@@ -153,7 +189,7 @@ func unreachedFunctions(pkgs []*Package) []string {
 
 	// Methods that satisfy an interface are dispatched dynamically.
 	ifaces := dispatchInterfaces(pkgs)
-	for fn := range decls {
+	for fn := range g.decls {
 		recv := fn.Type().(*types.Signature).Recv()
 		if recv == nil {
 			continue
@@ -164,12 +200,28 @@ func unreachedFunctions(pkgs []*Package) []string {
 		}
 		for _, iface := range ifaces {
 			if m, _, _ := types.LookupFieldOrMethod(iface, false, fn.Pkg(), fn.Name()); m != nil && types.Implements(ptr, iface) {
-				reach(fn)
+				g.dispatched = append(g.dispatched, fn)
 				break
 			}
 		}
 	}
+	return g
+}
 
+// walk returns every function reached from the roots, the functions in
+// from, the shared roots and the dispatched methods.
+func (g *useGraph) walk(roots []body, from ...*types.Func) map[*types.Func]bool {
+	reached := map[*types.Func]bool{}
+	work := append(append([]body(nil), roots...), g.shared...)
+	reach := func(fn *types.Func) {
+		if d, ok := g.decls[fn]; ok && !reached[fn] {
+			reached[fn] = true
+			work = append(work, d)
+		}
+	}
+	for _, fn := range append(from, g.dispatched...) {
+		reach(fn)
+	}
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -182,11 +234,24 @@ func unreachedFunctions(pkgs []*Package) []string {
 			return true
 		})
 	}
+	return reached
+}
 
+// unreachedFunctions returns, sorted, the name of every function and
+// method declared in a non-test internal/ file that neither a command nor
+// a benchOnlyList entry reaches.
+func (g *useGraph) unreachedFunctions() []string {
+	var listed []*types.Func
+	for _, b := range benchOnlyList {
+		if fn := g.internal[b.Func]; fn != nil {
+			listed = append(listed, fn)
+		}
+	}
+	reached := g.walk(g.cmd, listed...)
 	var out []string
-	for fn := range decls {
-		if !reached[fn] && inInternal[fn] {
-			out = append(out, funcName(fn))
+	for name, fn := range g.internal {
+		if !reached[fn] {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
@@ -238,14 +303,27 @@ func TestEveryFunctionReached(t *testing.T) {
 		t.Skip("type-checks the whole module")
 	}
 	root := moduleRoot(t)
-	all := unreachedFunctions(loadModule(t, root))
+	g := newUseGraph(loadModule(t, root))
+	byCmd, byBench := g.walk(g.cmd), g.walk(g.bench)
+	for _, b := range benchOnlyList {
+		fn := g.internal[b.Func]
+		switch {
+		case fn == nil:
+			t.Errorf("bench-only entry %s: no internal/ function by that name; drop the entry", b.Func)
+		case byCmd[fn]:
+			t.Errorf("bench-only entry %s is reached by a command; drop the entry", b.Func)
+		case !byBench[fn]:
+			t.Errorf("bench-only entry %s: bench/ does not reach it; drop the entry", b.Func)
+		}
+	}
+	all := g.unreachedFunctions()
 	unreached := map[string]bool{}
 	for _, name := range all {
 		unreached[name] = true
 	}
 	for _, k := range referenceKeepList {
 		if !unreached[k.Func] {
-			t.Errorf("keep-list entry %s is reached by a binary (or gone); drop the entry", k.Func)
+			t.Errorf("keep-list entry %s is reached by a command or a bench-only entry (or gone); drop the entry", k.Func)
 		}
 		if !strings.HasSuffix(k.File, "_test.go") {
 			t.Errorf("keep-list entry %s: %s is not a test file", k.Func, k.File)
@@ -260,6 +338,6 @@ func TestEveryFunctionReached(t *testing.T) {
 		}
 	}
 	for _, name := range outsideKeepList(all) {
-		t.Errorf("%s: no cmd/, examples/ or bench/ binary reaches it and referenceKeepList names no test that needs it as its reference", name)
+		t.Errorf("%s: no cmd/ command reaches it, benchOnlyList does not name it, and referenceKeepList names no test that needs it as its reference", name)
 	}
 }

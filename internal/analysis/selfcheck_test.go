@@ -196,7 +196,7 @@ func init() { scratchPool.Put(scratchPool.Get()) }
 	}
 	// Nothing calls the planted function either: the reachability walk
 	// (reach_test.go) must name it, and nothing else.
-	if got := outsideKeepList(unreachedFunctions(pkgs)); len(got) != 1 || got[0] != "routing.scratchFirstKey" {
+	if got := outsideKeepList(newUseGraph(pkgs).unreachedFunctions()); len(got) != 1 || got[0] != "routing.scratchFirstKey" {
 		t.Errorf("unreached functions in scratch copy = %v, want exactly [routing.scratchFirstKey]", got)
 	}
 }

@@ -146,21 +146,6 @@ func (f *Fabric) NewSimulation(cfg netsim.Config) *netsim.Sim {
 	return netsim.NewSim(f.Topo, f.Fwd, cfg)
 }
 
-// RouterRoute returns the router-level path from the router of endpoint
-// srcEp to the router of endpoint dstEp within the given layer, or nil if
-// the layer does not connect them.
-func (f *Fabric) RouterRoute(srcEp, dstEp, layer int) []int32 {
-	rs := f.Topo.RouterOf(srcEp)
-	rt := f.Topo.RouterOf(dstEp)
-	if rs == rt {
-		return []int32{int32(rs)}
-	}
-	if layer < 0 || layer >= f.Fwd.NumLayers() {
-		return nil
-	}
-	return f.Fwd.Route(layer, rs, rt)
-}
-
 // Diversity summarizes the deployed path diversity of the layer set.
 func (f *Fabric) Diversity(samples int, seed int64) layers.Stats {
 	return layers.Summarize(f.Layers, f.Fwd, samples, graph.NewRand(seed))

@@ -70,30 +70,6 @@ func TestBuildAllSchemes(t *testing.T) {
 	}
 }
 
-func TestRouterRoute(t *testing.T) {
-	fab := buildSF(t, 5, Config{NumLayers: 4, Rho: 0.7, Scheme: RandomSampling, Seed: 2})
-	src, dst := 0, fab.Topo.N()-1
-	p0 := fab.RouterRoute(src, dst, 0)
-	if p0 == nil {
-		t.Fatal("layer 0 must route everything")
-	}
-	if int(p0[0]) != fab.Topo.RouterOf(src) || int(p0[len(p0)-1]) != fab.Topo.RouterOf(dst) {
-		t.Fatal("route endpoints wrong")
-	}
-	// Layer 0 route is minimal: on a diameter-2 SF at most 2 hops.
-	if len(p0)-1 > 2 {
-		t.Fatalf("minimal route has %d hops on a diameter-2 network", len(p0)-1)
-	}
-	// Same-router endpoints route trivially.
-	if p := fab.RouterRoute(0, 1, 0); len(p) != 1 {
-		t.Fatal("same-router route should be a single router")
-	}
-	// Out-of-range layer.
-	if p := fab.RouterRoute(src, dst, 99); p != nil {
-		t.Fatal("invalid layer should return nil")
-	}
-}
-
 func TestDiversityGrowsWithLayers(t *testing.T) {
 	fab2 := buildSF(t, 7, Config{NumLayers: 2, Rho: 0.6, Scheme: RandomSampling, Seed: 3})
 	fab9 := buildSF(t, 7, Config{NumLayers: 9, Rho: 0.6, Scheme: RandomSampling, Seed: 3})

@@ -29,12 +29,6 @@ type Layer struct {
 type LayerSet struct {
 	Base   *graph.Graph
 	Layers []Layer
-	// Scheme records how the set was constructed ("random", "min-interference",
-	// "spain", "past").
-	Scheme string
-	// Rho is the fraction of edges kept per sparsified layer (0 when the
-	// scheme does not use ρ).
-	Rho float64
 }
 
 // N returns the number of layers n.
@@ -62,7 +56,7 @@ func Random(g *graph.Graph, n int, rho float64, rng *rand.Rand) (*LayerSet, erro
 	if rho <= 0 || rho > 1 {
 		return nil, fmt.Errorf("layers: rho=%f must be in (0,1]", rho)
 	}
-	ls := &LayerSet{Base: g, Scheme: "random", Rho: rho}
+	ls := &LayerSet{Base: g}
 	ls.Layers = append(ls.Layers, fullLayer(g))
 	const maxAttempts = 200
 	for li := 1; li < n; li++ {
@@ -105,7 +99,7 @@ func (ls *LayerSet) WithoutEdges(failed []int) *LayerSet {
 	for _, id := range failed {
 		dead[id] = true
 	}
-	out := &LayerSet{Base: ls.Base, Scheme: ls.Scheme + "+repaired", Rho: ls.Rho}
+	out := &LayerSet{Base: ls.Base}
 	for _, l := range ls.Layers {
 		mask := make([]bool, len(l.Mask))
 		count := 0

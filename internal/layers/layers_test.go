@@ -1,8 +1,6 @@
 package layers
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -484,134 +482,5 @@ func TestDeadlockAnalysis(t *testing.T) {
 	all := AnalyzeAllLayers(pastFwd, past)
 	if len(all) != past.N() {
 		t.Fatalf("got %d reports, want %d", len(all), past.N())
-	}
-}
-
-func TestLayerSetSerializationRoundTrip(t *testing.T) {
-	sf, _ := topo.SlimFly(5, 0)
-	rng := graph.NewRand(32)
-	ls, err := Random(sf.G, 4, 0.6, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ls.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLayerSet(&buf, sf.G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != ls.N() || got.Scheme != ls.Scheme || got.Rho != ls.Rho {
-		t.Fatalf("metadata mismatch: %+v", got)
-	}
-	for i := range ls.Layers {
-		if got.Layers[i].EdgeCount != ls.Layers[i].EdgeCount {
-			t.Fatalf("layer %d edge count %d != %d", i, got.Layers[i].EdgeCount, ls.Layers[i].EdgeCount)
-		}
-		for id := range ls.Layers[i].Mask {
-			if got.Layers[i].Mask[id] != ls.Layers[i].Mask[id] {
-				t.Fatalf("layer %d mask differs at edge %d", i, id)
-			}
-		}
-	}
-	// Forwarding built from the round-tripped set is identical given the
-	// same rng.
-	f1 := engine(ls, 5)
-	f2 := engine(got, 5)
-	for l := 0; l < ls.N(); l++ {
-		for s := 0; s < sf.Nr(); s += 7 {
-			for d := 0; d < sf.Nr(); d += 3 {
-				if f1.Next(l, s, d) != f2.Next(l, s, d) {
-					t.Fatal("forwarding differs after round trip")
-				}
-			}
-		}
-	}
-}
-
-func TestLayerSetSerializationRoundTripRepaired(t *testing.T) {
-	// The §V-G major-update artifact: a repaired (post-WithoutEdges) layer
-	// set survives the JSON round trip with its "+repaired" scheme tag and
-	// exact masks, and routing built from the round-tripped set matches.
-	sf, _ := topo.SlimFly(5, 0)
-	ls, err := Random(sf.G, 3, 0.7, graph.NewRand(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := []int{0, 3, 9}
-	repaired := ls.WithoutEdges(failed)
-	if repaired.Scheme != "random+repaired" {
-		t.Fatalf("scheme %q, want random+repaired", repaired.Scheme)
-	}
-	var buf bytes.Buffer
-	if err := repaired.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLayerSet(bytes.NewReader(buf.Bytes()), sf.G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scheme != "random+repaired" || got.N() != repaired.N() {
-		t.Fatalf("round trip lost metadata: %q, %d layers", got.Scheme, got.N())
-	}
-	for i := range repaired.Layers {
-		if got.Layers[i].EdgeCount != repaired.Layers[i].EdgeCount {
-			t.Fatalf("layer %d edge count %d != %d", i, got.Layers[i].EdgeCount, repaired.Layers[i].EdgeCount)
-		}
-		for id := range repaired.Layers[i].Mask {
-			if got.Layers[i].Mask[id] != repaired.Layers[i].Mask[id] {
-				t.Fatalf("layer %d mask differs at edge %d", i, id)
-			}
-		}
-		for _, id := range failed {
-			if got.Layers[i].Mask[id] {
-				t.Fatalf("layer %d still contains failed edge %d after round trip", i, id)
-			}
-		}
-	}
-	f1 := engine(repaired, 6)
-	f2 := engine(got, 6)
-	for l := 0; l < repaired.N(); l++ {
-		for s := 0; s < sf.Nr(); s += 7 {
-			for d := 0; d < sf.Nr(); d += 3 {
-				if f1.Next(l, s, d) != f2.Next(l, s, d) {
-					t.Fatal("routing differs after repaired round trip")
-				}
-			}
-		}
-	}
-	// The vertex/edge-count mismatch error path: a repaired configuration
-	// is still for the ORIGINAL base graph (masks shrink, the graph does
-	// not), so loading it against a different graph must fail with the
-	// count mismatch error.
-	other, _ := topo.SlimFly(7, 0)
-	if _, err := ReadLayerSet(bytes.NewReader(buf.Bytes()), other.G); err == nil {
-		t.Fatal("repaired set must be rejected against a mismatched base graph")
-	} else if !strings.Contains(err.Error(), "graph") {
-		t.Fatalf("unexpected error %v", err)
-	}
-}
-
-func TestReadLayerSetRejectsMismatch(t *testing.T) {
-	sf, _ := topo.SlimFly(5, 0)
-	other, _ := topo.SlimFly(7, 0)
-	rng := graph.NewRand(33)
-	ls, _ := Random(sf.G, 2, 0.8, rng)
-	var buf bytes.Buffer
-	if err := ls.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadLayerSet(&buf, other.G); err == nil {
-		t.Fatal("mismatched base graph must be rejected")
-	}
-	if _, err := ReadLayerSet(strings.NewReader("not json"), sf.G); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-	if _, err := ReadLayerSet(strings.NewReader(`{"vertices":50,"edges":175,"layers":[[9999]]}`), sf.G); err == nil {
-		t.Fatal("out-of-range edge IDs must be rejected")
-	}
-	if _, err := ReadLayerSet(strings.NewReader(`{"vertices":50,"edges":175,"layers":[]}`), sf.G); err == nil {
-		t.Fatal("empty layer list must be rejected")
 	}
 }

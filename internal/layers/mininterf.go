@@ -89,7 +89,7 @@ func MinInterference(g *graph.Graph, cfg MinInterferenceConfig, rng *rand.Rand) 
 	if cfg.Rho > 0 && cfg.Rho < 1 {
 		edgeBudget = int(cfg.Rho * float64(g.M()))
 	}
-	ls := &LayerSet{Base: g, Scheme: "min-interference"}
+	ls := &LayerSet{Base: g}
 	ls.Layers = append(ls.Layers, fullLayer(g))
 
 	nr := g.N()

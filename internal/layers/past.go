@@ -27,7 +27,7 @@ const (
 
 // PAST builds n−1 spanning-tree layers plus the full layer 0.
 func PAST(g *graph.Graph, n int, variant PASTVariant, rng *rand.Rand) (*LayerSet, error) {
-	ls := &LayerSet{Base: g, Scheme: "past"}
+	ls := &LayerSet{Base: g}
 	ls.Layers = append(ls.Layers, fullLayer(g))
 	for li := 1; li < n; li++ {
 		var root int

@@ -145,7 +145,7 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 	if cfg.MaxLayers > 0 && len(merged) > cfg.MaxLayers {
 		merged = merged[:cfg.MaxLayers]
 	}
-	ls := &LayerSet{Base: g, Scheme: "spain"}
+	ls := &LayerSet{Base: g}
 	ls.Layers = append(ls.Layers, fullLayer(g))
 	for _, m := range merged {
 		ls.Layers = append(ls.Layers, Layer{Mask: m.mask, EdgeCount: m.count})

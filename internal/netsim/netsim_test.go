@@ -271,9 +271,11 @@ func TestSummaries(t *testing.T) {
 	if fct.N != 1 || fct.Mean != 1.0 {
 		t.Fatalf("FCT summary %+v", fct)
 	}
-	tp := SummarizeThroughput(res)
-	if tp.N != 1 || tp.Mean < 999 || tp.Mean > 1001 {
-		t.Fatalf("throughput summary %+v (want 1000 MiB/s)", tp)
+	if tp := res[0].ThroughputMiBs(); tp < 999 || tp > 1001 {
+		t.Fatalf("throughput %v MiB/s, want 1000", tp)
+	}
+	if tp := res[1].ThroughputMiBs(); tp != 0 {
+		t.Fatalf("unfinished flow's throughput %v, want 0", tp)
 	}
 }
 

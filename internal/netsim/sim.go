@@ -544,17 +544,6 @@ func (s *Sim) flushMetrics() {
 	m.Retransmits.Add(retx)
 }
 
-// SummarizeThroughput digests completed-flow throughputs (MiB/s).
-func SummarizeThroughput(res []FlowResult) stats.Summary {
-	var sm stats.Sample
-	for _, r := range res {
-		if r.Done {
-			sm.Add(r.ThroughputMiBs())
-		}
-	}
-	return sm.Summarize()
-}
-
 // SummarizeFCT digests completed-flow completion times in milliseconds.
 func SummarizeFCT(res []FlowResult) stats.Summary {
 	var sm stats.Sample

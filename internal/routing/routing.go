@@ -603,11 +603,11 @@ func (e *Engine) AppendCandidates(buf []int32, layer, src, dst int) []int32 {
 	return buf
 }
 
-// Candidates is AppendCandidates into a fresh slice. Nothing in this module
-// outside tests and examples/ calls it — readers take Hops or bring a buffer
-// — and it is still declared because the frozen bench/ (e2e.go, layers.go)
-// copies `Fwd.Candidates(...)`; the [benchmark] PR of ROADMAP item 1(b)
-// moves those to AppendCandidates and deletes it.
+// Candidates is AppendCandidates into a fresh slice. No command calls it —
+// readers take Hops or bring a buffer — and it is still declared because
+// the frozen bench/ (e2e.go, layers.go) copies `Fwd.Candidates(...)`; the
+// [benchmark] PR of ROADMAP item 1(b) moves those to AppendCandidates and
+// deletes it.
 func (e *Engine) Candidates(layer, src, dst int) []int32 {
 	return e.AppendCandidates(nil, layer, src, dst)
 }

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/bits"
 	"slices"
@@ -226,5 +229,26 @@ func (m *Matrix) Expand() (cells []Spec, filtered int, err error) {
 		if k < 0 {
 			return cells, filtered, nil
 		}
+	}
+}
+
+// DecodeStrict decodes the one JSON value r holds into v, the way spec
+// files and daemon request bodies are read. An unknown field is an error,
+// so a typo fails loudly instead of selecting a default; so is anything
+// but whitespace after the value, which would otherwise be ignored: a file
+// holding two matrices would run only the first.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch err := dec.Decode(&json.RawMessage{}); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("more than one JSON value")
+	default:
+		return fmt.Errorf("after the JSON value: %w", err)
 	}
 }

@@ -361,10 +361,8 @@ func TestExpandBoundsCrossProduct(t *testing.T) {
 // matrix.
 func FuzzMatrixExpand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
 		var m Matrix
-		if err := dec.Decode(&m); err != nil {
+		if err := DecodeStrict(bytes.NewReader(data), &m); err != nil {
 			return
 		}
 		cells, filtered, err := m.Expand()

@@ -210,8 +210,10 @@ func TestRequestValidation(t *testing.T) {
 		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", ""},
 		{"whatif bad json", "POST", "/whatif", "{", ""},
 		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`, ""},
+		{"whatif two values", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7}} {"failedEdges":[1]}`, "more than one JSON value"},
 		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`, ""},
 		{"whatif query range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"queries":[{"layer":0,"src":0,"dst":400}]}`, ""},
+		{"scenarios trailing junk", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF","param":5},"pattern":{"kind":"uniform"}}}} junk`, "after the JSON value"},
 		{"scenarios bad matrix", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF"},"pattern":{"kind":"uniform"}},"axes":{"rhos":[0.5,0.5]}}}`, ""},
 		{"scenarios over-cap matrix", "POST", "/scenarios", string(overCapBody), `"over-cap": cross product of 65792 cells`},
 	}

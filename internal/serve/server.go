@@ -577,15 +577,12 @@ func firstErr(errs ...error) error {
 // query lists are KiB-sized.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON strictly decodes a request body of at most maxBodyBytes
-// (unknown fields rejected, so typos fail loudly instead of silently
-// selecting defaults — the same discipline as cmd/scenarios spec files).
-// On failure it writes the error response — 413 for an oversized body, 400
+// decodeJSON decodes a request body of at most maxBodyBytes with
+// scenario.DecodeStrict, the same rules as cmd/scenarios spec files. On
+// failure it writes the error response — 413 for an oversized body, 400
 // otherwise — and returns false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := scenario.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
