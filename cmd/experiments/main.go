@@ -71,7 +71,7 @@ func main() {
 	} else {
 		e, err := experiments.ByID(*run)
 		if err != nil {
-			fatal(err)
+			exit(err)
 		}
 		todo = []experiments.Experiment{e}
 	}
@@ -80,13 +80,14 @@ func main() {
 	if *cacheDir != "" {
 		var err error
 		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
-			fatal(err)
+			exit(err)
 		}
 	}
-	sinks, stopObs, err := startObs()
+	sinks, stop, err := startObs()
 	if err != nil {
-		fatal(err)
+		exit(err)
 	}
+	stopObs = stop
 	prog := sinks.Progress
 
 	var results []result
@@ -104,8 +105,7 @@ func main() {
 		elapsed := time.Since(start).Seconds()
 		prog.Clear()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			exit(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		if *jsonOut {
 			results = append(results, result{
@@ -121,15 +121,25 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fatal(err)
+			exit(err)
 		}
 	}
-	if err := stopObs(); err != nil {
-		fatal(err)
-	}
+	exit(nil)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+// stopObs tears down the observability sinks once main has started them.
+var stopObs = func() error { return nil }
+
+// exit stops the observability sinks and ends the process: status 0, or 1
+// with err on stderr. A failing run stops them too, because its profile,
+// trace and metrics are what someone debugging it needs.
+func exit(err error) {
+	if serr := stopObs(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }

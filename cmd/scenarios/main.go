@@ -76,16 +76,16 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateJournalFlags(*journalPth, *resumePth); err != nil {
-		fail(err)
+		exit(err)
 	}
 	if (*resumePth != "" || *journalPth != "") && len(files) != 1 {
-		fail(fmt.Errorf("scenarios: -journal/-resume record exactly one run; got %d spec files", len(files)))
+		exit(fmt.Errorf("scenarios: -journal/-resume record exactly one run; got %d spec files", len(files)))
 	}
 	failAfter := 0
 	if v := os.Getenv("FATPATHS_FAIL_AFTER"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			fail(fmt.Errorf("scenarios: FATPATHS_FAIL_AFTER must be a positive integer, got %q", v))
+			exit(fmt.Errorf("scenarios: FATPATHS_FAIL_AFTER must be a positive integer, got %q", v))
 		}
 		failAfter = n
 	}
@@ -93,32 +93,33 @@ func main() {
 	if *cacheDir != "" && !*noCache {
 		var err error
 		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
-			fail(err)
+			exit(err)
 		}
 	}
 
-	sinks, stopObs, err := startObs()
+	sinks, stop, err := startObs()
 	if err != nil {
-		fail(err)
+		exit(err)
 	}
+	stopObs = stop
 	prog := sinks.Progress
 
 	var out []fileResult
 	for _, file := range files {
 		m, err := loadMatrix(file)
 		if err != nil {
-			fail(err)
+			exit(err)
 		}
 		cs, skipped, err := m.Expand()
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", file, err))
+			exit(fmt.Errorf("%s: %w", file, err))
 		}
 		fr := fileResult{File: file, Name: m.Name, Cells: len(cs), Skipped: skipped}
 		if *cells {
 			if !*jsonOut {
 				status, err := cellStatuses(cs, *seed, cache, *resumePth)
 				if err != nil {
-					fail(err)
+					exit(err)
 				}
 				fmt.Printf("# %s — %s: %d cells (%d skipped by constraints)\n", file, m.Name, len(cs), skipped)
 				for i, c := range cs {
@@ -137,19 +138,19 @@ func main() {
 		if *resumePth != "" {
 			var notes []string
 			if journal, notes, err = scenario.ResumeJournal(*resumePth, cs, *seed); err != nil {
-				fail(err)
+				exit(err)
 			}
 			for _, n := range notes {
 				fmt.Fprintln(os.Stderr, "scenarios: "+n)
 			}
 		} else if *journalPth != "" {
 			if err := guardJournalOverwrite(*journalPth, cs, *seed); err != nil {
-				fail(err)
+				exit(err)
 			}
 			if journal, err = scenario.CreateJournal(*journalPth, scenario.JournalHeader{
 				Name: m.Name, Seed: *seed, SpecHash: scenario.SpecHash(cs, *seed), Cells: len(cs),
 			}); err != nil {
-				fail(err)
+				exit(err)
 			}
 		}
 		hook := prog.Hook()
@@ -170,7 +171,7 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", file, err))
+			exit(fmt.Errorf("%s: %w", file, err))
 		}
 		fr.Seconds = time.Since(start).Seconds()
 		fr.Results = results
@@ -186,12 +187,10 @@ func main() {
 	}
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, out); err != nil {
-			fail(err)
+			exit(err)
 		}
 	}
-	if err := stopObs(); err != nil {
-		fail(err)
-	}
+	exit(nil)
 }
 
 // writeJSON renders the -json output: the file results as one indented
@@ -304,7 +303,19 @@ func injectCrash(inner func(done, total int), j *scenario.Journal, n int) func(d
 	}
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+// stopObs tears down the observability sinks once main has started them.
+var stopObs = func() error { return nil }
+
+// exit stops the observability sinks and ends the process: status 0, or 1
+// with err on stderr. A failing run stops them too, because its profile,
+// trace and metrics are what someone debugging it needs.
+func exit(err error) {
+	if serr := stopObs(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }

@@ -3,12 +3,55 @@ package main
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
+
+// runAsCommand, when set in the environment, makes the test binary run
+// main instead of the tests, so a test can execute the command end to end,
+// including its exit path.
+const runAsCommand = "SCENARIOS_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsCommand) != "" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// TestFailingRunKeepsObsOutput: a run that fails after the observability
+// sinks started still writes its CPU profile, trace and metrics, since
+// those are what someone debugging the failure needs.
+func TestFailingRunKeepsObsOutput(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "bad.json")
+	// A MAT cell on a one-router star has no inter-router flows: the run
+	// fails inside the cell loop.
+	bad := `{"base":{"topology":{"kind":"Star","param":4},"pattern":{"kind":"permutation"},"flowSize":{"bytes":1024},"horizonMs":10,"mat":true}}`
+	if err := os.WriteFile(spec, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof, trace := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "trace.json")
+	cmd := exec.Command(os.Args[0], "-spec", spec, "-cpuprofile", prof, "-trace", trace, "-metrics", "-quiet")
+	cmd.Env = append(os.Environ(), runAsCommand+"=1")
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("want exit status 1, got %v\n%s", err, out)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Errorf("CPU profile missing or empty (%v)\n%s", err, out)
+	}
+	if _, err := os.Stat(trace); err != nil {
+		t.Errorf("trace file missing: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "# metrics") {
+		t.Errorf("no metrics dump on stderr:\n%s", out)
+	}
+}
 
 // testCells expands a tiny matrix for CLI-level resume tests.
 func testCells(t *testing.T) []scenario.Spec {

@@ -77,6 +77,7 @@ var benchOnlyList = []benchOnly{
 	{"serve.Server.Fabrics", "bench/layers.go times the resident-fabric lookup through it; ROADMAP 1(b) replaces that call"},
 	{"obs.Registry.Snapshot", "bench/ reads its counters through it"},
 	{"diversity.EdgeConnectivityBounded", "bench/layers.go times it for diversity.edge_connectivity_us; ROADMAP 1(a) and 15(b) delete both"},
+	{"netsim.CompletedFraction", "bench/layers.go reports a traced cell's completion share through it; ROADMAP 1(b) counts it in the bench"},
 }
 
 // funcName renders fn as "pkg.Func" or "pkg.Type.Method".

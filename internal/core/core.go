@@ -196,13 +196,6 @@ func (wl Workload) Schedule(sim *netsim.Sim, rng *rand.Rand) {
 	}
 }
 
-// RunWorkload simulates the workload and returns per-flow results.
-func (f *Fabric) RunWorkload(simCfg netsim.Config, wl Workload, horizon netsim.Time, seed int64) []netsim.FlowResult {
-	sim := f.NewSimulation(simCfg)
-	wl.Schedule(sim, graph.NewRand(seed))
-	return sim.Run(horizon)
-}
-
 // RunStencilRounds simulates a bulk-synchronous stencil: each round all
 // pattern flows execute and a barrier waits for the slowest (Fig 17's
 // "stencil + barrier" workload). Rounds run in separate simulations (the

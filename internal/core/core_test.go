@@ -117,7 +117,9 @@ func TestRunWorkload(t *testing.T) {
 		FlowSize: traffic.FixedSize(64 << 10),
 		Lambda:   0,
 	}
-	res := fab.RunWorkload(netsim.NDPDefaults(), wl, 2*netsim.Second, 10)
+	sim := fab.NewSimulation(netsim.NDPDefaults())
+	wl.Schedule(sim, graph.NewRand(10))
+	res := sim.Run(2 * netsim.Second)
 	if len(res) != len(wl.Pattern.Flows) {
 		t.Fatalf("results=%d, want %d", len(res), len(wl.Pattern.Flows))
 	}
@@ -134,7 +136,9 @@ func TestRunWorkloadPoisson(t *testing.T) {
 		FlowSize: traffic.PFabricFlowSize,
 		Lambda:   200,
 	}
-	res := fab.RunWorkload(netsim.NDPDefaults(), wl, 5*netsim.Second, 13)
+	sim := fab.NewSimulation(netsim.NDPDefaults())
+	wl.Schedule(sim, graph.NewRand(13))
+	res := sim.Run(5 * netsim.Second)
 	if netsim.CompletedFraction(res) < 0.95 {
 		t.Fatalf("only %.2f of Poisson flows completed", netsim.CompletedFraction(res))
 	}
@@ -175,44 +179,5 @@ func TestRunStencilRounds(t *testing.T) {
 	}
 	if one := run(1, 15); total == 3*one {
 		t.Fatalf("3 rounds = 3 x the one-round total (%d ns): every round is the same simulation", one)
-	}
-}
-
-func TestRunWorkloadMPTCP(t *testing.T) {
-	fab := buildSF(t, 5, Config{NumLayers: 4, Rho: 0.7, Scheme: RandomSampling, Seed: 21})
-	pat := traffic.RandomPermutation(graph.NewRand(22), fab.Topo.N())
-	cfg := netsim.TCPDefaults(netsim.TransportTCP)
-	res, err := fab.RunWorkloadMPTCP(cfg, pat, 256<<10, 3, 5*netsim.Second, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(pat.Flows) {
-		t.Fatalf("%d results, want %d", len(res), len(pat.Flows))
-	}
-	done := 0
-	for _, r := range res {
-		if r.Done {
-			done++
-			if r.FCT <= 0 {
-				t.Fatal("done message with non-positive FCT")
-			}
-		}
-		if r.Subflows < 1 || r.Subflows > 3 {
-			t.Fatalf("subflows=%d, want 1..3", r.Subflows)
-		}
-	}
-	if float64(done)/float64(len(res)) < 0.95 {
-		t.Fatalf("only %d/%d striped messages completed", done, len(res))
-	}
-}
-
-func TestRunWorkloadMPTCPRejectsNDP(t *testing.T) {
-	fab := buildSF(t, 5, Config{NumLayers: 2, Rho: 0.8, Scheme: RandomSampling, Seed: 24})
-	pat := traffic.RandomPermutation(graph.NewRand(25), fab.Topo.N())
-	if _, err := fab.RunWorkloadMPTCP(netsim.NDPDefaults(), pat, 1<<20, 2, netsim.Second, 26); err == nil {
-		t.Fatal("NDP transport must be rejected")
-	}
-	if _, err := fab.RunWorkloadMPTCP(netsim.TCPDefaults(netsim.TransportTCP), pat, 1<<20, 0, netsim.Second, 26); err == nil {
-		t.Fatal("k=0 must be rejected")
 	}
 }

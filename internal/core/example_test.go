@@ -67,14 +67,17 @@ func Example_quickstart() {
 		FlowSize: traffic.PFabricFlowSize,
 		Lambda:   300,
 	}
-	res := fab.RunWorkload(netsim.NDPDefaults(), wl, 10*netsim.Second, 2)
-	var tp stats.Sample
+	sim := fab.NewSimulation(netsim.NDPDefaults())
+	wl.Schedule(sim, graph.NewRand(2))
+	res := sim.Run(10 * netsim.Second)
+	var tp, fctMs stats.Sample
 	for _, r := range res {
 		if r.Done {
 			tp.Add(r.ThroughputMiBs())
+			fctMs.Add(r.FCT().Seconds() * 1e3)
 		}
 	}
-	tps, fct := tp.Summarize(), netsim.SummarizeFCT(res)
+	tps, fct := tp.Summarize(), fctMs.Summarize()
 	fmt.Printf("%d flows, %.1f%% completed\n", len(res), 100*netsim.CompletedFraction(res))
 	fmt.Printf("throughput/flow: mean %.0f MiB/s, 1%% tail %.0f MiB/s\n", tps.Mean, tps.P01)
 	fmt.Printf("FCT: mean %.3f ms, p99 %.3f ms\n", fct.Mean, fct.P99)
@@ -144,8 +147,10 @@ func Example_adversarial() {
 		simCfg := netsim.NDPDefaults()
 		simCfg.LB = lb
 		wl := core.Workload{Pattern: pat, FlowSize: traffic.FixedSize(512 << 10)}
-		res := fab.RunWorkload(simCfg, wl, 10*netsim.Second, 3)
-		fct := netsim.SummarizeFCT(res)
+		sim := fab.NewSimulation(simCfg)
+		wl.Schedule(sim, graph.NewRand(3))
+		res := sim.Run(10 * netsim.Second)
+		fct := summarizeFCT(res)
 		fmt.Printf("%-22s mean FCT %7.3f ms   p99 %7.3f ms   completed %.0f%%\n",
 			label, fct.Mean, fct.P99, 100*netsim.CompletedFraction(res))
 	}
@@ -193,8 +198,10 @@ func Example_cloudTCP() {
 			FlowSize: traffic.PFabricFlowSize,
 			Lambda:   200,
 		}
-		res := fab.RunWorkload(simCfg, wl, 15*netsim.Second, 4)
-		fct := netsim.SummarizeFCT(res)
+		sim := fab.NewSimulation(simCfg)
+		wl.Schedule(sim, graph.NewRand(4))
+		res := sim.Run(15 * netsim.Second)
+		fct := summarizeFCT(res)
 		fmt.Printf("%-18s FCT mean %7.3f ms  p50 %7.3f  p99 %8.3f  completed %.0f%%\n",
 			s.label, fct.Mean, fct.P50, fct.P99, 100*netsim.CompletedFraction(res))
 	}
@@ -287,7 +294,7 @@ func Example_majorUpdate() {
 		}
 		res := sim.Run(3 * netsim.Second)
 		fmt.Printf("%-22s %-13d %-10s %.3f\n", label, nFail,
-			fmt.Sprintf("%.0f%%", 100*netsim.CompletedFraction(res)), netsim.SummarizeFCT(res).Mean)
+			fmt.Sprintf("%.0f%%", 100*netsim.CompletedFraction(res)), summarizeFCT(res).Mean)
 	}
 	for _, frac := range []float64{0, 0.05, 0.10} {
 		run("FatPaths (9 layers)", netsim.LBFatPaths, core.DefaultConfig(sf), frac)
@@ -322,4 +329,16 @@ func Example_majorUpdate() {
 	// FatPaths (9 layers)    53            100%       7.704
 	// single shortest path   53            84%        0.107
 	// after removing 5 links: 159 of 882 tables shared unchanged, 0 routing holes in layer 0
+}
+
+// summarizeFCT digests the completion times of the flows that finished, in
+// milliseconds.
+func summarizeFCT(res []netsim.FlowResult) stats.Summary {
+	var sm stats.Sample
+	for _, r := range res {
+		if r.Done {
+			sm.Add(r.FCT().Seconds() * 1e3)
+		}
+	}
+	return sm.Summarize()
 }

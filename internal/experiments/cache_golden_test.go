@@ -12,10 +12,10 @@ import (
 
 // scenarioBacked lists the experiment IDs that run through the scenario
 // engine and therefore gain the durable runtime's content-addressed
-// cache via Options.Cache: every simulation ID but fig17 and ext-mptcp.
+// cache via Options.Cache: every simulation ID but fig17.
 var scenarioBacked = []string{
 	"fig2", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig20", "fig21",
-	"abl-transport", "abl-construction", "abl-randomization", "ext-failures",
+	"abl-transport", "abl-construction", "abl-randomization", "ext-failures", "ext-mptcp",
 }
 
 // shortCacheGolden is the subset exercised under -short.

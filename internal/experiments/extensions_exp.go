@@ -2,26 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/layers"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // Extension experiments beyond the paper's numbered figures: the §V-G
-// fault-tolerance behaviour, the §VIII-A2 MPTCP subflow striping, and the
-// §V-D/E forwarding-state sizing analysis.
+// fault-tolerance behaviour, the §VIII-A2 MPTCP transport, and the §V-D/E
+// forwarding-state sizing analysis.
 
 func init() {
 	register("ext-failures", "Resilience: completion and FCT vs failed links (FatPaths vs single-path)", runExtFailures)
-	register("ext-mptcp", "MPTCP-style subflow striping over layers vs flowlet FatPaths (TCP)", runExtMPTCP)
+	register("ext-mptcp", "MPTCP transport (LIA-coupled subflows over layers) vs flowlet FatPaths (TCP)", runExtMPTCP)
 	register("ext-tables", "Forwarding table sizing: flat vs prefix matching (SS V-D/E)", runExtTables)
 }
 
@@ -57,64 +54,32 @@ func runExtFailures(o Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// runExtMPTCP is no scenario matrix: its k=2 and k=4 series stripe every
-// message over k subflows pinned to distinct layers and report per-message
-// completion (the slowest subflow), and Spec has no axis for k nor
-// CellResult a per-message digest. It takes topology, fabric and simulator
-// configuration from the scenario layer and keeps its own cell loop.
+// runExtMPTCP runs one workload under two transports: plain TCP with
+// flowlet FatPaths, and native MPTCP, whose LIA-coupled subflows each own
+// one layer (§VIII-A2).
 func runExtMPTCP(o Options) (*stats.Table, error) {
-	spec := scenario.Spec{Topology: scenTopo(o, "SF"), Layers: 4, Rho: 0.6, Transport: "tcp"}
-	sf, err := scenario.BuildTopology(spec, o.Seed)
+	results, err := runMatrices(o, &scenario.Matrix{
+		Name: "ext-mptcp",
+		Base: scenario.Spec{
+			Topology:  scenTopo(o, "SF"),
+			Layers:    4,
+			Rho:       0.6,
+			Pattern:   scenario.Pattern{Kind: "adversarial"},
+			FlowSize:  scenario.FlowSize{Bytes: 512 << 10},
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{Transports: []string{"tcp", "mptcp"}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	pat := traffic.AdversarialOffDiagonal(sf)
-	fab, tcp, err := handSim(o, spec, sf, pat)
-	if err != nil {
-		return nil, err
-	}
-	// Native MPTCP transport: LIA-coupled subflows over pinned layers.
-	lia := tcp
-	lia.Transport = netsim.TransportMPTCP
-	size := int64(512 << 10)
-	horizon := 10 * netsim.Second
 	tab := &stats.Table{
 		Title:   "MPTCP subflow striping vs flowlet FatPaths (512KiB messages, TCP)",
 		Headers: []string{"series", "mean FCT ms", "p99 ms", "completed"},
 	}
-	wl := core.Workload{Pattern: pat, FlowSize: traffic.FixedSize(size)}
-	stripeKs := []int{2, 4}
-	// All four series run the identical workload at the run's seed.
-	if err := runCells(o, tab, 2+len(stripeKs), func(c *Cell) error {
-		if c.Index < 2 {
-			name, cfg := "flowlet FatPaths", tcp
-			if c.Index == 1 {
-				name, cfg = "MPTCP transport (LIA)", lia
-			}
-			cfg.Tracer = o.CellTracer(c.Index)
-			res := fab.RunWorkload(cfg, wl, horizon, o.Seed)
-			fct := netsim.SummarizeFCT(res)
-			c.AddRowf(name, fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-			return nil
-		}
-		k := stripeKs[c.Index-2]
-		mres, err := fab.RunWorkloadMPTCP(tcp, pat, size, k, horizon, o.Seed)
-		if err != nil {
-			return err
-		}
-		var sm stats.Sample
-		done := 0
-		for _, r := range mres {
-			if r.Done {
-				done++
-				sm.Add(r.FCT.Seconds() * 1e3)
-			}
-		}
-		s := sm.Summarize()
-		c.AddRowf("MPTCP k="+strconv.Itoa(k), s.Mean, s.P99, fmtPct(float64(done)/float64(len(mres))))
-		return nil
-	}); err != nil {
-		return nil, err
+	for i, name := range []string{"flowlet FatPaths", "MPTCP transport (LIA)"} {
+		r := results[i]
+		tab.AddRowf(name, r.FCT.Mean, r.FCT.P99, fmtPct(r.Completed))
 	}
 	return tab, nil
 }

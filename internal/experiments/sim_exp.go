@@ -25,11 +25,11 @@ import (
 // (internal/scenario): the runner states the swept axes and skip
 // constraints, the engine expands, seeds, caches and executes the cells over
 // the parallel runtime, and the runner only reformats CellResults into the
-// figure's table shape. Two simulation IDs are not matrices, because Spec
-// cannot state their workload: fig17 (barrier-separated stencil rounds,
-// below) and ext-mptcp (k pinned subflows per message, extensions_exp.go).
-// Both take topology, fabric and simulator configuration from the scenario
-// layer (scenTopo + handSim) and fan their own cells out via runCells.
+// figure's table shape. One simulation ID is not a matrix, because Spec
+// cannot state its workload: fig17 (barrier-separated stencil rounds,
+// below). It takes topology, fabric and simulator configuration from the
+// scenario layer (scenTopo + handSim) and fans its own cells out via
+// runCells.
 
 func init() {
 	register("fig2", "Throughput/flow vs flow size: low-diameter+FatPaths vs FT+NDP (randomized workload)", runFig2)
@@ -412,13 +412,12 @@ func runFig16(o Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// handSim is what the two hand-rolled simulation runners take from the
-// scenario layer for one spec: the fabric over t and the simulator
-// configuration, exactly as a matrix cell of that spec would get them. The
-// pattern is validated first: a malformed pattern aborts the experiment
-// with a useful error instead of simulating garbage. The tracer is a
-// cell's, not a configuration's: a runner sets Tracer from CellTracer
-// inside its cells.
+// handSim is what the hand-rolled fig17 runner takes from the scenario
+// layer for one spec: the fabric over t and the simulator configuration,
+// exactly as a matrix cell of that spec would get them. The pattern is
+// validated first: a malformed pattern aborts the experiment with a useful
+// error instead of simulating garbage. The tracer is a cell's, not a
+// configuration's: the runner sets Tracer from CellTracer inside its cells.
 func handSim(o Options, s scenario.Spec, t *topo.Topology, pat traffic.Pattern) (*core.Fabric, netsim.Config, error) {
 	if err := pat.ValidateFlows(); err != nil {
 		return nil, netsim.Config{}, err

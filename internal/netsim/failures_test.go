@@ -178,20 +178,3 @@ func TestFailRandomLinksExactCount(t *testing.T) {
 		t.Fatalf("graph-exhausting request failed %d links, want all %d failable", got, wantAll)
 	}
 }
-
-func TestPinnedLayerFlows(t *testing.T) {
-	cfg := TCPDefaults(TransportTCP)
-	s, sf := sfSim(t, 5, 4, 0.7, cfg, 8)
-	s.AddFlow(FlowSpec{Src: 0, Dst: int32(sf.N() - 1), Bytes: 64 << 10, Pinned: true, PinLayer: 2})
-	res := s.Run(2 * Second)
-	if !res[0].Done {
-		t.Fatal("pinned flow did not complete")
-	}
-	// Out-of-range pin panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range pin")
-		}
-	}()
-	s.AddFlow(FlowSpec{Src: 0, Dst: 1, Bytes: 100, Pinned: true, PinLayer: 99})
-}

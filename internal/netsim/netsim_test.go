@@ -267,10 +267,6 @@ func TestSummaries(t *testing.T) {
 	if CompletedFraction(res) != 0.5 {
 		t.Fatal("completed fraction wrong")
 	}
-	fct := SummarizeFCT(res)
-	if fct.N != 1 || fct.Mean != 1.0 {
-		t.Fatalf("FCT summary %+v", fct)
-	}
 	if tp := res[0].ThroughputMiBs(); tp < 999 || tp > 1001 {
 		t.Fatalf("throughput %v MiB/s, want 1000", tp)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/routing"
-	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -133,11 +132,6 @@ type FlowSpec struct {
 	Src, Dst int32
 	Bytes    int64
 	Start    Time
-	// Pinned fixes the flow to PinLayer for its whole lifetime (no flowlet
-	// re-selection) — used by the MPTCP-style subflow striping of §VIII-A2,
-	// where each subflow owns one layer.
-	Pinned   bool
-	PinLayer int8
 }
 
 // FlowResult reports a finished (or unfinished) flow.
@@ -322,12 +316,6 @@ func (s *Sim) AddFlow(spec FlowSpec) {
 		received: make([]bool, total),
 	}
 	f.salt = f.randUint32()
-	if spec.Pinned {
-		if int(spec.PinLayer) >= s.Fwd.NumLayers() || spec.PinLayer < 0 {
-			panic(fmt.Sprintf("netsim: pinned layer %d out of range", spec.PinLayer))
-		}
-		f.layer = spec.PinLayer
-	}
 	if s.Cfg.Transport == TransportNDP {
 		f.ndp.delivered = make([]bool, total)
 	} else {
@@ -357,10 +345,6 @@ func (s *Sim) initialLayer() int8 {
 // pickRoute applies the flowlet policy before transmitting a data packet.
 func (s *Sim) pickRoute(e *Engine, f *flow) {
 	now := e.Now()
-	if f.spec.Pinned {
-		f.lastSend = now
-		return
-	}
 	newFlowlet := now-f.lastSend > s.Cfg.FlowletGap
 	switch s.Cfg.LB {
 	case LBECMP:
@@ -419,11 +403,8 @@ func (s *Sim) dataPacket(e *Engine, f *flow, seq int32, layer int8, retx bool) i
 
 // reselectLayer picks a layer uniformly at random among layers that reach
 // the destination (§III-B: a random path per flowlet, no probing; flowlet
-// elasticity does the adaptation). Pinned flows never move.
+// elasticity does the adaptation).
 func (s *Sim) reselectLayer(f *flow) {
-	if f.spec.Pinned {
-		return
-	}
 	f.reroutes++
 	n := s.Fwd.NumLayers()
 	if n <= 1 {
@@ -542,17 +523,6 @@ func (s *Sim) flushMetrics() {
 	}
 	m.FlowsCompleted.Add(completed)
 	m.Retransmits.Add(retx)
-}
-
-// SummarizeFCT digests completed-flow completion times in milliseconds.
-func SummarizeFCT(res []FlowResult) stats.Summary {
-	var sm stats.Sample
-	for _, r := range res {
-		if r.Done {
-			sm.Add(r.FCT().Seconds() * 1e3)
-		}
-	}
-	return sm.Summarize()
 }
 
 // CompletedFraction reports the share of flows that finished.

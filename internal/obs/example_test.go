@@ -59,7 +59,9 @@ func Example() {
 			FlowSize: traffic.FixedSize(128 << 10),
 			Lambda:   300,
 		}
-		fab.RunWorkload(simCfg, wl, 2*netsim.Second, int64(10+i))
+		sim := fab.NewSimulation(simCfg)
+		wl.Schedule(sim, graph.NewRand(int64(10+i)))
+		sim.Run(2 * netsim.Second)
 		tel.Emit(obs.CellRecord{Type: "cell", Name: "obs-demo", Index: i,
 			Key: fmt.Sprintf("replicate %d", i), WallMs: msSince(cellStart)})
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -94,6 +95,13 @@ func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 	if ft.CacheIdentity(42) != ft3.CacheIdentity(42) || ft.FabricKey(42) != ft3.FabricKey(42) ||
 		ft.workloadKey() != ft3.workloadKey() {
 		t.Fatalf("FT and FT3 specs differ in identity:\n%s\n%s", ft.CacheIdentity(42), ft3.CacheIdentity(42))
+	}
+	// -0 is 0: a negative zero rho seeds the same fabric and addresses
+	// the same cache entry.
+	zero, negZero := base, base
+	zero.Rho, negZero.Rho = 0, math.Copysign(0, -1)
+	if zero.CacheIdentity(42) != negZero.CacheIdentity(42) || zero.FabricKey(42) != negZero.FabricKey(42) {
+		t.Fatalf("rho 0 and -0 differ in identity:\n%s\n%s", zero.CacheIdentity(42), negZero.CacheIdentity(42))
 	}
 }
 

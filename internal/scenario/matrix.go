@@ -69,7 +69,7 @@ func axisOf[T any](name string, vals func(*Axes) []T, field func(*Spec) *T, key 
 }
 
 func asIs(v string) string  { return v }
-func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func fmtG(v float64) string { return string(appendFloat(nil, v)) }
 
 // axes is every matrix axis in the fixed nesting order of expansion,
 // outermost first. Cell order is the row order of every scenario table.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -199,12 +200,15 @@ func TestMatrixJSONRoundTrip(t *testing.T) {
 }
 
 func TestExpandRejectsDuplicateAxisValues(t *testing.T) {
-	m := &Matrix{
-		Base: Spec{Topology: Topology{Kind: "SF", Param: 5}, Pattern: Pattern{Kind: "uniform"}},
-		Axes: Axes{Rhos: []float64{0.6, 0.6}},
-	}
-	if _, _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate axis values must be rejected, got %v", err)
+	// -0 equals 0, so it duplicates it.
+	for _, rhos := range [][]float64{{0.6, 0.6}, {0, math.Copysign(0, -1)}} {
+		m := &Matrix{
+			Base: Spec{Topology: Topology{Kind: "SF", Param: 5}, Pattern: Pattern{Kind: "uniform"}},
+			Axes: Axes{Rhos: rhos},
+		}
+		if _, _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("rhos %v: duplicate axis values must be rejected, got %v", rhos, err)
+		}
 	}
 }
 

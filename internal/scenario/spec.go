@@ -411,7 +411,7 @@ func (s Spec) validateFabric() error {
 	if s.Layers < 0 {
 		return fmt.Errorf("scenario: negative layer count %d", s.Layers)
 	}
-	if s.Rho < 0 || s.Rho > 1 {
+	if !(s.Rho >= 0 && s.Rho <= 1) { // also rejects NaN
 		return fmt.Errorf("scenario: rho %g outside [0,1]", s.Rho)
 	}
 	return nil
@@ -498,8 +498,12 @@ func (s Spec) CacheIdentity(runSeed int64) string {
 }
 
 // appendFloat appends the canonical rendering of a float axis: the
-// shortest form that round-trips.
+// shortest form that round-trips, with -0 rendered as 0 because every
+// consumer treats the two alike.
 func appendFloat(b []byte, v float64) []byte {
+	if v == 0 {
+		v = 0 // -0 == 0: drop the sign
+	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 

@@ -205,6 +205,7 @@ func TestRequestValidation(t *testing.T) {
 		{"dst range", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=-1", "", ""},
 		{"layer range", "GET", "/nexthop?" + testFabricQ + "&layer=2&src=0&dst=1", "", ""},
 		{"bad topo kind", "GET", "/nexthop?topo=NOPE&src=0&dst=1", "", ""},
+		{"rho NaN", "GET", "/nexthop?topo=SF&param=5&layers=2&rho=NaN&src=0&dst=1", "", "rho"},
 		{"star without param", "GET", "/nexthop?topo=Star&src=0&dst=1", "", "param"},
 		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", "", ""},
 		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", ""},
