@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -160,3 +161,17 @@ func TestMalformedPatternRejected(t *testing.T) {
 
 // newTestRand returns a deterministic rng for model tests.
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(7)) }
+
+// TestFig17IncompleteRoundFails: a stencil round that leaves flows
+// unfinished at its horizon fails fig17 with an error naming the topology,
+// the series and the flow size, instead of entering the horizon into the
+// table as the round's time. A 1 µs horizon leaves every round unfinished.
+func TestFig17IncompleteRoundFails(t *testing.T) {
+	tab, err := fig17(Options{Quick: true, Run: exec.Run{Seed: goldenSeed, Parallelism: 1}}, netsim.Microsecond)
+	if err == nil {
+		t.Fatalf("fig17 with unfinished rounds rendered a table:\n%s", tab)
+	}
+	if want := "fig17: DF 20 KB ECMP:"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+}

@@ -78,30 +78,31 @@ func TestGoldenWithInstrumentation(t *testing.T) {
 // instrumented run of each ID; every name not listed is 0. They pin where
 // instrumentation attaches (the engine by whoever builds a fabric, the
 // simulator by whoever configures one): moving it must change no count.
-// The fig2 event tallies last moved when tx-done became a reserved deadline
+// The fig2 event tallies moved when tx-done became a reserved deadline
 // (6975777 events / high-water 1019 before), with every table
-// byte-identical.
+// byte-identical, and both IDs' tallies last moved when scenario cells
+// began folding the simulation seed from the run seed and the replicate.
 var instrumentedCounts = map[string]map[string]int64{
 	"fig2": {
-		"netsim.event_queue_highwater":      1164,
-		"netsim.events_processed":           4593365,
-		"netsim.flowlet_reroutes":           10271,
+		"netsim.event_queue_highwater":      1170,
+		"netsim.events_processed":           4575770,
+		"netsim.flowlet_reroutes":           10258,
 		"netsim.flows_completed":            3834,
-		"netsim.ndp_trims":                  5725,
-		"netsim.packets_inflight_highwater": 989,
-		"netsim.retransmits":                5725,
-		"routing.csr_entries_deployed":      285923,
-		"routing.tables_built":              2078,
+		"netsim.ndp_trims":                  5681,
+		"netsim.packets_inflight_highwater": 1036,
+		"netsim.retransmits":                5681,
+		"routing.csr_entries_deployed":      323408,
+		"routing.tables_built":              2320,
 	},
 	"ext-mptcp": {
-		"netsim.drops":                      2448,
-		"netsim.event_queue_highwater":      4222,
-		"netsim.events_processed":           1771610,
-		"netsim.flowlet_reroutes":           1997,
+		"netsim.drops":                      2525,
+		"netsim.event_queue_highwater":      4138,
+		"netsim.events_processed":           1769367,
+		"netsim.flowlet_reroutes":           2103,
 		"netsim.flows_completed":            400,
-		"netsim.packets_inflight_highwater": 9184,
-		"netsim.retransmits":                3819,
-		"netsim.tcp_timeouts":               149,
+		"netsim.packets_inflight_highwater": 9129,
+		"netsim.retransmits":                3932,
+		"netsim.tcp_timeouts":               138,
 		"routing.csr_entries_deployed":      13588,
 		"routing.tables_built":              200,
 	},

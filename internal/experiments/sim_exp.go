@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -437,7 +439,12 @@ func handSim(o Options, s scenario.Spec, t *topo.Topology, pat traffic.Pattern) 
 // nor CellResult a field for a barrier total. It takes topologies, fabrics
 // and simulator configurations from the scenario layer and keeps its own
 // cell loop.
-func runFig17(o Options) (*stats.Table, error) {
+func runFig17(o Options) (*stats.Table, error) { return fig17(o, 6*netsim.Second) }
+
+// fig17 runs Fig 17 with each stencil round bounded by horizon. A round
+// that leaves a flow unfinished fails the ID: its total would be the
+// horizon, not a completion time.
+func fig17(o Options, horizon netsim.Time) (*stats.Table, error) {
 	sizes := []int64{20e3, 200e3}
 	if !o.Quick {
 		sizes = append(sizes, 2e6)
@@ -476,7 +483,11 @@ func runFig17(o Options) (*stats.Table, error) {
 		for si, s := range ss {
 			cfg := cfgs[si]
 			cfg.Tracer = o.CellTracer(c.Index)
-			total, _ := fabs[ti][si].RunStencilRounds(cfg, pats[ti], size, rounds, 6*netsim.Second, c.Seed)
+			total, ok := fabs[ti][si].RunStencilRounds(cfg, pats[ti], size, rounds, horizon, c.Seed)
+			if !ok {
+				return fmt.Errorf("fig17: %s %d KB %s: a stencil round left flows unfinished at the %g s horizon",
+					names[ti], size/1000, s.name, horizon.Seconds())
+			}
 			if si == 0 {
 				base = total
 			}

@@ -6,9 +6,11 @@ import "math/rand"
 // paths within different layers, so when a link fails the flowlet load
 // balancer simply stops using layers whose paths die — the purified
 // transport's trims/timeouts (or TCP's RTO) force a flowlet boundary and
-// the sender re-randomizes onto a surviving layer. For major topology
-// updates routes are recomputed incrementally, per destination
-// (routing.Engine.WithoutEdges).
+// the sender re-randomizes onto a surviving layer. That is the only half of
+// §V-G the simulator runs: links fail at t = 0 and routing never hears of
+// it, so the routes keep offering the dead links. The other half, routes
+// recomputed incrementally per destination after a major topology update,
+// is routing.Engine.WithoutEdges, which only the daemon's /whatif calls.
 //
 // A failed link drops every packet handed to it (both directions), exactly
 // like a dead cable between two healthy routers.

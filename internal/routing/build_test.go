@@ -286,12 +286,27 @@ func fuzzCase(data []byte) (g *graph.Graph, mask []bool, dst int) {
 	return g, mask, dst
 }
 
+// fuzzCut decodes the failure set of FuzzBuildTable's repair mode from the
+// first byte: 1 + bits 2–3 edges, at consecutive IDs (mod m) from bits 4–7.
+func fuzzCut(data []byte, m int) []int {
+	cut := make([]int, 0, 4)
+	for k := 0; k <= int(data[0]>>2&3); k++ {
+		cut = append(cut, (int(data[0]>>4)+k)%m)
+	}
+	return cut
+}
+
 // FuzzBuildTable feeds arbitrary (edge list, mask, destination) triples to
 // both kernels — a lazy engine's first touch (buildTable) and a BuildAll'd
 // engine's block (buildBlock) — and checks each against the scalar oracle
-// and the two tables against each other. Seed corpus:
-// testdata/fuzz/FuzzBuildTable, with router counts at the 64-destination
-// block boundaries (block-64, block-65, block-129).
+// and the two tables against each other. Then, repair vs fresh build: it
+// cuts 1–4 edges (fuzzCut) and holds the destination's table on a
+// WithoutEdges view of each engine, and of an engine with no table, to
+// buildTable on G∖F bit for bit. Seed corpus: testdata/fuzz/FuzzBuildTable,
+// with router counts at the 64-destination block boundaries (block-64,
+// block-65, block-129) and repairs that leave routers affected
+// (repair-affected), unreachable (repair-unreachable) and past distCap
+// (repair-saturated).
 func FuzzBuildTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, mask, dst := fuzzCase(data)
@@ -313,6 +328,27 @@ func FuzzBuildTable(f *testing.F) {
 		}
 		if !reflect.DeepEqual(lazy.table(0, dst), eager.table(0, dst)) {
 			t.Fatalf("nr=%d dst=%d: lazy and BuildAll tables differ", g.N(), dst)
+		}
+		if g.M() == 0 {
+			return
+		}
+		cut := fuzzCut(data, g.M())
+		keep := make([]bool, g.M())
+		for id := range keep {
+			keep[id] = mask == nil || mask[id]
+		}
+		for _, id := range cut {
+			keep[id] = false
+		}
+		fresh := buildTable((&layerAdj{g: g, mask: keep}).get(), lazy.base.get(), g.N(), lazy.units, dst)
+		for _, k := range []struct {
+			name string
+			e    *Engine
+		}{{"lazy", lazy}, {"BuildAll", eager}, {"unbuilt", NewEngine(g, [][]bool{mask}, 1)}} {
+			if got := k.e.WithoutEdges(cut).table(0, dst); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("%s root: nr=%d m=%d dst=%d cut=%v masked=%v: repaired table differs from a fresh build on G∖F",
+					k.name, g.N(), g.M(), dst, cut, mask != nil)
+			}
 		}
 	})
 }
@@ -363,10 +399,12 @@ func TestConcurrentIndexFirstTouch(t *testing.T) {
 	}
 }
 
-// TestWithoutEdgesSharesUntouchedIndex pins the index-sharing rule: a layer
-// the failed edges do not touch shares the parent's index holder (built or
-// not — whichever engine builds first serves both), a touched layer gets
-// its own, and a derived view never writes through to the parent's rows.
+// TestWithoutEdgesSharesUntouchedIndex pins the index-sharing rule: a view
+// allocates no adjacency index of its own — every layer, touched by the
+// failed edges or not, shares the root's holder. It repairs its tables off
+// the root's without filling any index, fills the root's holders only when
+// the root has no table to repair (and publishes none of those root tables),
+// and never writes through to the root's rows.
 func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
 	g := randomSortedGraph(40, 0.2, graph.NewRand(5))
 	with0 := make([]bool, g.M()) // a proper subset that still contains edge 0
@@ -377,36 +415,56 @@ func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
 	for id := range without0 {
 		without0[id] = id != 0
 	}
-	parent := NewEngine(g, [][]bool{nil, with0, without0}, 1)
-	derived := parent.WithoutEdges([]int{0})
-	if derived.adj[0] == parent.adj[0] || derived.adj[1] == parent.adj[1] {
-		t.Fatal("layers containing the failed edge must get their own index")
-	}
-	if derived.adj[2] != parent.adj[2] {
-		t.Fatal("a layer without the failed edge must share the parent's index")
-	}
-	// The derived view fills the shared holder first; the parent then reads
-	// the same rows.
-	derived.table(2, 3)
-	if &parent.adj[2].get()[0] != &derived.adj[2].get()[0] {
-		t.Fatal("shared holder filled twice")
-	}
-	derived.BuildAll(2)
-	parent.BuildAll(2)
-	for l, mask := range parent.masks {
-		for d := 0; d < g.N(); d++ {
-			if diff := diffTable(parent, l, d, referenceTable(g, mask, d)); diff != "" {
-				t.Fatalf("parent table (%d,%d) after derivation: %s", l, d, diff)
+	masks := [][]bool{nil, with0, without0}
+	for _, built := range []bool{true, false} {
+		parent := NewEngine(g, masks, 1)
+		if built {
+			parent.BuildAll(2)
+		}
+		derived := parent.WithoutEdges([]int{0})
+		for l := range masks {
+			if derived.adj[l] != parent.adj[l] {
+				t.Fatalf("layer %d: the view holds an index of its own", l)
 			}
-			if diff := diffTable(derived, l, d, referenceTable(g, layerMask(derived, l), d)); diff != "" {
-				t.Fatalf("derived table (%d,%d): %s", l, d, diff)
+		}
+		if derived.base != parent.base {
+			t.Fatal("the view holds a full-graph index of its own")
+		}
+		for l := range masks { // every table the view cannot share, repaired
+			for d := 0; d < g.N(); d++ {
+				derived.table(l, d)
+			}
+		}
+		for l := range masks {
+			// Off built root tables a repair reads no index; otherwise the
+			// view filled the root's holders, once, for the root's tables.
+			if filled := parent.adj[l].rows != nil; filled == built {
+				t.Fatalf("built=%v: layer %d's index filled: %v", built, l, filled)
+			}
+		}
+		if !built && parent.Stat().TablesBuilt != 0 {
+			t.Fatal("the view published the root tables it built")
+		}
+		eager := parent.WithoutEdges([]int{0}) // the block kernel, with the cuts filtered out
+		eager.BuildAll(2)
+		parent.BuildAll(2)
+		for l, mask := range parent.masks {
+			for d := 0; d < g.N(); d++ {
+				if diff := diffTable(parent, l, d, referenceTable(g, mask, d)); diff != "" {
+					t.Fatalf("built=%v: parent table (%d,%d) after derivation: %s", built, l, d, diff)
+				}
+				for _, v := range []*Engine{derived, eager} {
+					if diff := diffTable(v, l, d, referenceTable(g, layerMask(v, l), d)); diff != "" {
+						t.Fatalf("built=%v: derived table (%d,%d): %s", built, l, d, diff)
+					}
+				}
 			}
 		}
 	}
 }
 
 // layerMask returns e's layer l as an edge mask: on a view, the root's
-// layer without the layer's cut edges.
+// layer without the failed edges.
 func layerMask(e *Engine, l int) []bool {
 	if e.root == nil {
 		return e.masks[l]
@@ -415,7 +473,7 @@ func layerMask(e *Engine, l int) []bool {
 	for id := range mask {
 		mask[id] = e.masks[l] == nil || e.masks[l][id]
 	}
-	for _, id := range e.adj[l].removed {
+	for _, id := range e.failed {
 		mask[id] = false
 	}
 	return mask

@@ -232,3 +232,65 @@ func TestConcurrentDeriveDuringFirstTouch(t *testing.T) {
 func errf(format string, args ...interface{}) error {
 	return fmt.Errorf(format, args...)
 }
+
+// TestConcurrentViewRepair has many goroutines look up the same invalidated
+// tables of one view, all released at once: off a fully built root, where
+// each repairs a copy of the root's table, and off a root with no tables,
+// where each first builds the root's table for itself. Every goroutine must
+// observe the one published table, equal to the oracle's on G∖F, and the
+// root must gain no table. Run under -race in CI.
+func TestConcurrentViewRepair(t *testing.T) {
+	eng, g := testEngine(t, 7)
+	masks := eng.masks
+	failed := []int{0, 7, 11}
+	for _, built := range []bool{true, false} {
+		for round := 0; round < 10; round++ {
+			root := NewEngine(g, masks, 7)
+			if built {
+				root.BuildAll(2)
+			}
+			rootBuilt := root.Stat().TablesBuilt
+			view := root.WithoutEdges(failed)
+			nr := view.nr
+			var slots []int // the tables the view cannot take from its root
+			for slot := range view.NumLayers() * nr {
+				if view.lookup(slot/nr, slot%nr) == nil {
+					slots = append(slots, slot)
+				}
+			}
+			if len(slots) == 0 {
+				t.Fatal("the failed edges invalidate nothing; pick edges on minimal paths")
+			}
+			const workers = 8
+			seen := make([][]*table, workers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					for _, slot := range slots {
+						seen[w] = append(seen[w], view.table(slot/nr, slot%nr))
+					}
+				}(w)
+			}
+			close(start)
+			wg.Wait()
+			for w := 1; w < workers; w++ {
+				if !slices.Equal(seen[w], seen[0]) {
+					t.Fatalf("built=%v round %d: goroutine %d observed other tables than goroutine 0", built, round, w)
+				}
+			}
+			for _, slot := range slots {
+				l, d := slot/nr, slot%nr
+				if diff := diffTable(view, l, d, referenceTable(g, layerMask(view, l), d)); diff != "" {
+					t.Fatalf("built=%v round %d table (%d,%d): %s", built, round, l, d, diff)
+				}
+			}
+			if got := root.Stat().TablesBuilt; got != rootBuilt {
+				t.Fatalf("built=%v round %d: the view's lookups published %d tables in the root", built, round, got-rootBuilt)
+			}
+		}
+	}
+}

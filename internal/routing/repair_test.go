@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -124,11 +125,46 @@ func TestRepairCensusMatchesScan(t *testing.T) {
 	}
 }
 
+// TestRepairPastDistCap holds repaired tables to fresh builds where
+// distances saturate: on a 512-router ring a cut sends the routers behind
+// it the long way round, past distCap, and their new distances come from
+// neighbours near the antipode whose bytes are saturated too, so a repair
+// that read bytes instead of walking them would mis-settle. A sample of
+// destinations' tables on a view, repaired off a built root and off an
+// unbuilt one, must equal buildTable on the ring without the cut edges.
+func TestRepairPastDistCap(t *testing.T) {
+	const n = 512
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, (v+1)%n)
+	}
+	for _, cut := range [][]int{{0}, {0, 300}, {100, 101}} {
+		keep := make([]bool, g.M())
+		for id := range keep {
+			keep[id] = !slices.Contains(cut, id)
+		}
+		rows := (&layerAdj{g: g, mask: keep}).get()
+		built := NewEngine(g, [][]bool{nil}, 1)
+		built.BuildAll(2)
+		for _, root := range []*Engine{built, NewEngine(g, [][]bool{nil}, 1)} {
+			view := root.WithoutEdges(cut)
+			for d := 0; d < n; d += 17 {
+				if got, want := view.table(0, d), buildTable(rows, root.base.get(), n, root.units, d); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cut %v, dst %d: repaired table differs from a fresh build", cut, d)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkWithoutEdges times one /whatif derivation on the daemon's two
 // resident fabric shapes, fully built: nine layers (the first full, the
 // rest random at the default density of the topology family) and 1–4
 // failed edges per view, drawn as the daemon benchmark's whatif requests
-// draw them.
+// draw them. The "+4 lookups" runs then answer four random (layer, src,
+// dst) triples on the view as /whatif does — Next, PathLen and the
+// candidates — so they include the repair of every invalidated table those
+// triples hit.
 func BenchmarkWithoutEdges(b *testing.B) {
 	sf, err := topo.SlimFly(11, 0)
 	if err != nil {
@@ -147,9 +183,13 @@ func BenchmarkWithoutEdges(b *testing.B) {
 		e.BuildAll(0)
 		rng := graph.NewRand(42)
 		sets := make([][]int, 1024)
+		triples := make([][4][3]int, len(sets))
 		for i := range sets {
 			for n := 1 + rng.Intn(4); len(sets[i]) < n; {
 				sets[i] = append(sets[i], rng.Intn(c.g.M()))
+			}
+			for k := range triples[i] {
+				triples[i][k] = [3]int{rng.Intn(e.NumLayers()), rng.Intn(e.nr), rng.Intn(e.nr)}
 			}
 		}
 		b.Run(c.name, func(b *testing.B) {
@@ -157,6 +197,20 @@ func BenchmarkWithoutEdges(b *testing.B) {
 			i := 0
 			for b.Loop() {
 				e.WithoutEdges(sets[i%len(sets)])
+				i++
+			}
+		})
+		b.Run(c.name+" +4 lookups", func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []int32
+			i := 0
+			for b.Loop() {
+				v := e.WithoutEdges(sets[i%len(sets)])
+				for _, q := range triples[i%len(sets)] {
+					v.Next(q[0], q[1], q[2])
+					v.PathLen(q[0], q[1], q[2])
+					buf = v.AppendCandidates(buf[:0], q[0], q[1], q[2])
+				}
 				i++
 			}
 		})

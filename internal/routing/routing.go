@@ -49,7 +49,7 @@
 // call decides which runs. A first touch wants one destination: buildTable
 // runs one BFS over the layer's adjacency bitset index (one Nr-bit row per
 // router, built once from (graph, mask) on the layer's first lazy table and
-// shared with every WithoutEdges view that leaves the layer untouched) and
+// shared with every WithoutEdges view) and
 // reads each candidate set off as adj[src] & level[dist(src)-1], ranking
 // every member among src's neighbours to get its position — about
 // 3·Nr·⌈Nr/64⌉ word operations. BuildAll wants every destination:
@@ -63,7 +63,15 @@
 // Repair. WithoutEdges counts the tables a failure set invalidates off a
 // parity index (parityCol) of which routers sit at an odd BFS level from
 // each destination, filled from each built table once, by the first census
-// that needs it; a derived view copies none of its root's masks or slots.
+// that needs it; a derived view copies none of its root's masks, slots or
+// adjacency rows. A view's lookup of an invalidated table repairs a copy of
+// the root's (repair, a decremental BFS): deleting edges only lengthens
+// distances, so only the routers whose every candidate hop was cut or grew
+// farther get new distances and masks, and the rest keep theirs minus the
+// lost bits — on the daemon's two fabric shapes, 0 routers at the median
+// repair, 1 at p90 and 32 at most. Where the root has no table yet, the
+// view builds one from the root's layer without publishing it, and repairs
+// that.
 package routing
 
 import (
@@ -136,20 +144,15 @@ const routeCountCap = int64(1) << 40
 // the edge (v,h) is enabled in the layer. Row v occupies
 // rows[v*words:(v+1)*words] with words = ⌈Nr/64⌉, so a materialized layer
 // costs Nr·⌈Nr/64⌉·8 bytes. It is filled on the layer's first lazily built
-// table (BuildAll does not read it); engines whose (graph, mask) for the
-// layer coincide share the holder, so whichever of them builds first serves
-// both.
+// table (BuildAll does not read it); a WithoutEdges view shares its root's
+// holders, so whichever of them builds first serves both.
 type layerAdj struct {
 	once sync.Once
 	rows []uint64
 
-	// What the fill reads. An index scans (g, mask) in O(M), unless it is a
-	// WithoutEdges view's touched layer: that one copies the root layer's
-	// rows and clears two bits per removed edge (IDs into g).
-	g       *graph.Graph
-	mask    []bool
-	parent  *layerAdj
-	removed []int
+	// What the fill scans, in O(M).
+	g    *graph.Graph
+	mask []bool
 }
 
 // get returns the rows, filling the index on first use. The fill is a pure
@@ -158,23 +161,13 @@ type layerAdj struct {
 func (a *layerAdj) get() []uint64 {
 	a.once.Do(func() {
 		words := (a.g.N() + 63) / 64
-		if a.parent == nil {
-			a.rows = make([]uint64, a.g.N()*words)
-			for id, ed := range a.g.Edges() {
-				if a.mask == nil || a.mask[id] {
-					u, v := int(ed.U), int(ed.V)
-					a.rows[u*words+v>>6] |= 1 << (v & 63)
-					a.rows[v*words+u>>6] |= 1 << (u & 63)
-				}
+		a.rows = make([]uint64, a.g.N()*words)
+		for id, ed := range a.g.Edges() {
+			if a.mask == nil || a.mask[id] {
+				u, v := int(ed.U), int(ed.V)
+				a.rows[u*words+v>>6] |= 1 << (v & 63)
+				a.rows[v*words+u>>6] |= 1 << (u & 63)
 			}
-			return
-		}
-		a.rows = slices.Clone(a.parent.get())
-		for _, id := range a.removed {
-			ed := a.g.Edge(id)
-			u, v := int(ed.U), int(ed.V)
-			a.rows[u*words+v>>6] &^= 1 << (v & 63)
-			a.rows[v*words+u>>6] &^= 1 << (u & 63)
 		}
 	})
 	return a.rows
@@ -226,11 +219,11 @@ type Engine struct {
 	// A WithoutEdges view's derivation: root is the engine from NewEngine it
 	// derives from (nil on that engine), failed the valid failed IDs,
 	// ascending and distinct. Layer l is masks[l] (the root's) without
-	// adj[l].removed, the failed edges live in it, and cuts[l] holds each
-	// of those edges' two mask bits (tableUsesAny's argument). own[l] holds
-	// the Nr slots of the tables the view built in layer l, allocated on
-	// its first. A lookup takes the view's own table, else the root's when
-	// no cut edge is tight in it, else builds one.
+	// failed, and cuts[l] holds the two mask bits of each failed edge live
+	// in it (tableUsesAny's argument). own[l] holds the Nr slots of the
+	// tables the view built in layer l, allocated on its first. A lookup
+	// takes the view's own table, else the root's when no cut edge is tight
+	// in it, else repairs the root's.
 	root   *Engine
 	failed []int
 	cuts   [][]maskBit
@@ -302,7 +295,9 @@ func (e *Engine) Engine() *Engine { return e }
 // callers must not modify it.
 func (e *Engine) Neighbors(r int) []int32 { return e.nbr[e.nbrOff[r]:e.nbrOff[r+1]] }
 
-// table returns the (layer, dst) table, building it on first use.
+// table returns the (layer, dst) table, building it on first use. A view
+// repairs its root's table; when the root has none, the view builds the
+// root's here without publishing it, so a view never adds to its root.
 func (e *Engine) table(layer, dst int) *table {
 	// A view has no flat slots, so the test that bounds the index also
 	// sends it down the slow path.
@@ -314,7 +309,19 @@ func (e *Engine) table(layer, dst int) *table {
 	if t := e.lookup(layer, dst); t != nil {
 		return t
 	}
-	return e.publish(layer, dst, buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst))
+	if e.root == nil {
+		return e.publish(layer, dst, e.build(layer, dst))
+	}
+	if rt := e.root.tables[layer*e.nr+dst].Load(); rt != nil {
+		return e.publish(layer, dst, e.repair(layer, &table{slices.Clone(rt.slab), rt.cands}))
+	}
+	return e.publish(layer, dst, e.repair(layer, e.build(layer, dst)))
+}
+
+// build runs the lazy kernel on the layer's full edge set: on a view, the
+// root's layer.
+func (e *Engine) build(layer, dst int) *table {
+	return buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst)
 }
 
 // lookup returns the (layer, dst) table without building it, nil when the
@@ -385,9 +392,12 @@ func newTable(nr, units int) *table {
 }
 
 // setDist writes src's distance byte, saturating at distCap.
-func (t *table) setDist(nr, units, src, d int) {
+func (t *table) setDist(nr, units, src, d int) { t.setByte(nr, units, src, uint8(min(d, distCap))) }
+
+// setByte writes src's distance byte as given.
+func (t *table) setByte(nr, units, src int, b uint8) {
 	i, shift := nr*units+src>>1, uint(src&1)<<3
-	t.slab[i] = t.slab[i]&^(0xFF<<shift) | uint16(min(d, distCap))<<shift
+	t.slab[i] = t.slab[i]&^(0xFF<<shift) | uint16(b)<<shift
 }
 
 // buildTable computes one (layer, destination) table from the layer's
@@ -440,6 +450,105 @@ func buildTable(rows, base []uint64, nr, units, dst int) *table {
 	}
 }
 
+// repair turns t, a (layer, dst) table of the view's root, into the view's
+// in place: the table buildTable gives on the layer without the view's
+// failed edges, bit for bit. Deleting edges only lengthens distances, so it
+// patches the routers whose distance grows (decremental BFS: Even and
+// Shiloach, JACM 28(1), 1981; Ramalingam and Reps, J. Algorithms 21(2),
+// 1996):
+//   - Each cut edge loses its bit at its upper end. A router whose mask
+//     empties is affected: no live neighbour is one hop closer any more, so
+//     its distance grows, its bit leaves the mask of each neighbour one
+//     level up, and those masks may empty in turn. Affected routers read as
+//     unreachable meanwhile. Every other router keeps its distance and the
+//     bits it has left: no neighbour can have come closer.
+//   - Affected routers then settle in increasing distance, a bucketed BFS
+//     seeded at their unaffected live neighbours, each taking a fresh mask
+//     as it settles. One that never settles stays unreachable.
+//
+// Distances are read through pathLen, so saturated bytes come out exact.
+func (e *Engine) repair(layer int, t *table) *table {
+	var hit []int32 // the affected routers, in the order their masks emptied
+	drop := func(b maskBit) {
+		if t.slab[b.unit]&b.bit == 0 {
+			return
+		}
+		t.slab[b.unit] &^= b.bit
+		t.cands--
+		src := int(b.unit) / e.units
+		for _, u := range e.mask(t, src) {
+			if u != 0 {
+				return
+			}
+		}
+		t.setByte(e.nr, e.units, src, unreachable)
+		hit = append(hit, int32(src))
+	}
+	for _, b := range e.cuts[layer] {
+		drop(b)
+	}
+	for i := 0; i < len(hit); i++ {
+		for _, y := range e.Neighbors(int(hit[i])) {
+			drop(e.bitFor(y, hit[i]))
+		}
+	}
+	if len(hit) == 0 {
+		return t
+	}
+
+	mask := e.masks[layer]
+	live := func(id int32) bool {
+		if mask != nil && !mask[id] {
+			return false
+		}
+		_, gone := slices.BinarySearch(e.failed, int(id))
+		return !gone
+	}
+	type hop struct{ d, v int32 }
+	seeds := make([]hop, 0, len(hit))
+	for _, x := range hit {
+		best := -1
+		for _, h := range e.g.Neighbors(int(x)) {
+			if d := e.pathLen(t, int(h.To)); d >= 0 && (best < 0 || d < best) && live(h.Edge) {
+				best = d
+			}
+		}
+		if best >= 0 {
+			seeds = append(seeds, hop{int32(best) + 1, x})
+		}
+	}
+	slices.SortFunc(seeds, func(a, b hop) int { return int(a.d - b.d) })
+	var fifo []hop // settled routers' affected neighbours, distances ascending
+	for len(seeds)+len(fifo) > 0 {
+		var h hop
+		if len(fifo) == 0 || len(seeds) > 0 && seeds[0].d <= fifo[0].d {
+			h, seeds = seeds[0], seeds[1:]
+		} else {
+			h, fifo = fifo[0], fifo[1:]
+		}
+		v := int(h.v)
+		if e.dist(t, v) != unreachable {
+			continue // settled already, no farther
+		}
+		t.setDist(e.nr, e.units, v, int(h.d))
+		m, nbrs := e.mask(t, v), e.Neighbors(v)
+		for _, nb := range e.g.Neighbors(v) {
+			if !live(nb.Edge) {
+				continue
+			}
+			switch d := e.pathLen(t, int(nb.To)); d {
+			case -1: // affected, not settled yet
+				fifo = append(fifo, hop{h.d + 1, nb.To})
+			case int(h.d) - 1:
+				p, _ := slices.BinarySearch(nbrs, nb.To)
+				m[p>>4] |= 1 << (p & 15)
+				t.cands++
+			}
+		}
+	}
+	return t
+}
+
 // layerEdge is one edge of a layer seen from router v: the neighbour u and
 // its position p in v's full neighbour list (Neighbors).
 type layerEdge struct{ u, p int32 }
@@ -479,7 +588,7 @@ func (e *Engine) useLayer(layer int, sc *blockScratch) {
 		return
 	}
 	sc.layer = layer
-	mask, cut := e.masks[layer], e.adj[layer].removed // cut: a view's, ascending
+	mask := e.masks[layer]
 	sc.edges = sc.edges[:0]
 	for v := 0; v < e.nr; v++ {
 		nbrs := e.Neighbors(v)
@@ -487,7 +596,7 @@ func (e *Engine) useLayer(layer int, sc *blockScratch) {
 			if mask != nil && !mask[h.Edge] {
 				continue
 			}
-			if _, gone := slices.BinarySearch(cut, int(h.Edge)); !gone {
+			if _, gone := slices.BinarySearch(e.failed, int(h.Edge)); !gone {
 				p, _ := slices.BinarySearch(nbrs, h.To)
 				sc.edges = append(sc.edges, layerEdge{h.To, int32(p)})
 			}
@@ -841,22 +950,23 @@ func (e *Engine) bitFor(src, to int32) maskBit {
 }
 
 // WithoutEdges returns a derived engine with the given base edges removed
-// from every layer — the §V-G "major topology update" repair path. Instead
-// of rebuilding every table, invalidation is incremental and per
-// destination: a built table survives unless one of the removed edges was
-// both present in its layer and *tight* toward its destination (i.e. on
-// some minimal path, which is exactly when the edge appears in a candidate
-// set). Non-tight edges cannot change any distance or candidate set, so
-// the view reads those tables from the root engine; affected or unbuilt
-// tables rebuild lazily into the view against the repaired layers. A view
-// of a view derives from the root with both failure sets. Out-of-range IDs
-// are ignored and duplicates count once.
+// from every layer — the §V-G "major topology update" path, where routes are
+// recomputed incrementally, per destination. A built table survives unless
+// one of the removed edges was both present in its layer and *tight* toward
+// its destination (on some minimal path, which is exactly when the edge
+// appears in a candidate set): a non-tight edge changes no distance and no
+// candidate set, so the view reads that table from the root engine. A table
+// a removed edge is tight in is repaired from the root's on the view's first
+// lookup (repair): only the routers whose distance grows are recomputed,
+// and the result is the table a fresh build on the repaired layer gives,
+// bit for bit. A view of a view derives from the root with both failure
+// sets. Out-of-range IDs are ignored and duplicates count once.
 //
 // The census (Repair) comes off the root's parity index in
 // O(L·|F|·⌈Nr/64⌉) word operations, reading a table only the first time a
-// census needs its bits, and a view copies no mask and no slot — it keeps
-// its root, the cut edges of each layer and the slots of the tables it
-// builds itself.
+// census needs its bits. A view copies no mask, no slot and no adjacency
+// row: it keeps its root, the failed edges, the cut edges' mask bits per
+// layer and the slots of the tables it repairs or builds itself.
 func (e *Engine) WithoutEdges(failed []int) *Engine {
 	r := e
 	if e.root != nil {
@@ -875,7 +985,7 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 	out := &Engine{
 		g:      r.g,
 		masks:  r.masks,
-		adj:    slices.Clone(r.adj),
+		adj:    r.adj,
 		base:   r.base,
 		seed:   r.seed,
 		nr:     r.nr,
@@ -907,9 +1017,6 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 		cut := ids[:len(ids):len(ids)]
 		out.cuts[l] = ends[:len(ends):len(ends)]
 		ids, ends = ids[len(ids):], ends[len(ends):]
-		if len(cut) > 0 {
-			out.adj[l] = &layerAdj{g: r.g, parent: r.adj[l], removed: cut}
-		}
 		shared, invalidated := r.census(l, cut)
 		out.shared += shared
 		out.invalidated += invalidated
@@ -993,7 +1100,7 @@ func (e *Engine) index(layer, w int, built uint64) {
 
 // Repair reports how WithoutEdges found the root's built tables when it
 // derived this view: how many the view can use and how many it dropped for
-// lazy rebuild. Both are zero for an engine made by NewEngine.
+// lazy repair. Both are zero for an engine made by NewEngine.
 func (e *Engine) Repair() (shared, invalidated int) { return e.shared, e.invalidated }
 
 // tableUsesAny reports whether any of the removed edges is tight in the

@@ -152,6 +152,7 @@ func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
 	cfg.Tracer = o.CellTracer(i)
 	horizon := netsim.Time(s.horizonMs() * 1e6)
 	workloadSeed := seedFor(runSeed, "workload|"+s.workloadKey())
+	simSeed := seedFor(runSeed, "sim|"+s.workloadKey())
 	failSeed := seedFor(runSeed, "fail|"+s.Topology.key()+"|"+AxisValueMust(s, "failFrac"))
 	nFail := int(s.FailFrac * float64(t.G.M()))
 	wl := core.Workload{Pattern: pat, FlowSize: s.FlowSize.sampler(), Lambda: s.Load}
@@ -163,6 +164,10 @@ func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
 	var thr, fct stats.Sample
 	done := 0
 	for rep := 0; rep < s.replicas(); rep++ {
+		// The simulation's own draws (flowlet salts, layer picks) follow the
+		// run seed and the replicate, as the workload's do.
+		//det:allow seedfold -- rep is the replicate number, a stable coordinate of the resource key (folded over simSeed), not an enumeration index
+		cfg.Seed = exec.FoldSeed(simSeed, uint64(rep))
 		sim := fab.NewSimulation(cfg)
 		if nFail > 0 {
 			//det:allow seedfold -- rep is the replicate number, a stable coordinate of the resource key (folded over failSeed), not an enumeration index

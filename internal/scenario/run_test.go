@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -86,6 +87,30 @@ func TestReplicasAggregate(t *testing.T) {
 	}
 	if rs[1].Flows != 3*rs[0].Flows {
 		t.Fatalf("3 replicas simulated %d flows, want 3×%d", rs[1].Flows, rs[0].Flows)
+	}
+}
+
+// TestReplicasDiffer: replicas of a cell whose workload draws nothing (load
+// 0, one fixed size) still differ, because each replicate folds its own
+// simulation seed: flowlet salts and layer draws. Were they to repeat one
+// simulation, the two-replica sample would be the one-replica sample twice
+// over and its mean FCT the same.
+func TestReplicasDiffer(t *testing.T) {
+	one := Spec{
+		Topology:  Topology{Kind: "SF", Param: 3},
+		Pattern:   Pattern{Kind: "permutation"},
+		FlowSize:  FlowSize{Bytes: 256 << 10},
+		HorizonMs: 1000,
+	}
+	two := one
+	two.Replicas = 2
+	rs, err := RunSpecs([]Spec{one, two}, RunOptions{Run: exec.Run{Seed: 5, Parallelism: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rs[0].FCT.Mean, rs[1].FCT.Mean
+	if math.Abs(a-b) <= 1e-9*a {
+		t.Fatalf("mean FCT %v ms over two replicas, %v over one: the replicas repeat one simulation", b, a)
 	}
 }
 
