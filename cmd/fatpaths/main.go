@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("routers    %d, endpoints %d, links %d\n", t.Nr(), t.N(), t.G.M())
 	fmt.Printf("radix k'   %d, diameter %d, mean distance %.3f\n", t.NominalRadix, d, mean)
 	fmt.Printf("TNL bound  %.0f concurrent flows\n", diversity.TNL(t.NominalRadix, t.Nr(), mean))
-	cost := topo.Default100GbE().Cost(t)
+	cost := topo.Cost(t)
 	fmt.Printf("cost       %s\n\n", cost)
 
 	fmt.Printf("layers (%s, n=%d, rho=%.2f):\n", fab.Cfg.Scheme, fab.Cfg.NumLayers, fab.Cfg.Rho)

@@ -126,7 +126,7 @@ func TestCellsErrorNamesTheCell(t *testing.T) {
 // so the simulation a trace records cannot depend on which worker starts
 // first.
 func TestCellTracer(t *testing.T) {
-	tr := obs.NewTracer(0, 1, 0)
+	tr := obs.NewTracer(1)
 	r := Run{Tracer: tr}
 	if r.CellTracer(0) != tr {
 		t.Fatal("cell 0 did not get the tracer")

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/diversity"
 	"repro/internal/graph"
@@ -184,16 +183,17 @@ func runTable4(o Options) (*stats.Table, error) {
 		Title:   "Table IV: CDP (fraction of k') and PI at distance d'",
 		Headers: []string{"topology", "d'", "k'", "Nr", "N", "CDP mean", "CDP 1%", "PI mean", "PI 99.9%"},
 	}
-	configs := topo.TableIVSet()
-	if o.Quick {
-		// Small-class stand-ins with the same d' structure.
-		configs = quickTable4()
-	}
+	// Table IV's rows at the run's size class: quick mode stands in the
+	// small class with the same d' per family.
+	configs := []struct {
+		name, kind string
+		dPrim      int // the distance d' at which CDP and PI are evaluated
+	}{{"clique", "Clique", 2}, {"SF", "SF", 3}, {"XP", "XP", 3}, {"HX", "HX", 3}, {"DF", "DF", 4}, {"FT3", "FT3", 4}}
 	samples := pick(o, 120, 400)
 	piSamples := pick(o, 80, 300)
 	if err := runCells(o, tab, len(configs), func(cc *Cell) error {
 		c := configs[cc.Index]
-		t, err := c.Build(cc.Rng)
+		t, err := topo.Family(c.kind, sizeClass(o), cc.Rng)
 		if err != nil {
 			return err
 		}
@@ -204,27 +204,15 @@ func runTable4(o Options) (*stats.Table, error) {
 		if len(pool) == t.Nr() {
 			pool = nil
 		}
-		cdp := diversity.CDPAmong(t.G, pool, t.NominalRadix, c.DPrim, samples, cc.Rng)
-		pi := diversity.PathInterferenceAmong(t.G, pool, t.NominalRadix, c.DPrim, piSamples, cc.Rng)
-		cc.AddRowf(c.Name, c.DPrim, t.NominalRadix, t.Nr(), t.N(),
+		cdp := diversity.CDPAmong(t.G, pool, t.NominalRadix, c.dPrim, samples, cc.Rng)
+		pi := diversity.PathInterferenceAmong(t.G, pool, t.NominalRadix, c.dPrim, piSamples, cc.Rng)
+		cc.AddRowf(c.name, c.dPrim, t.NominalRadix, t.Nr(), t.N(),
 			fmtPct(cdp.Mean), fmtPct(cdp.Tail1Pct), fmtPct(pi.Mean), fmtPct(pi.Tail999Pct))
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return tab, nil
-}
-
-// quickTable4 lists small-class stand-ins with the same d' per family.
-func quickTable4() []topo.TableIVConfig {
-	return []topo.TableIVConfig{
-		{Name: "clique", DPrim: 2, Build: func(*rand.Rand) (*topo.Topology, error) { return topo.Complete(31, 31) }},
-		{Name: "SF", DPrim: 3, Build: func(*rand.Rand) (*topo.Topology, error) { return topo.SlimFly(7, 0) }},
-		{Name: "XP", DPrim: 3, Build: func(r *rand.Rand) (*topo.Topology, error) { return topo.Xpander(8, 8, 0, r) }},
-		{Name: "HX", DPrim: 3, Build: func(*rand.Rand) (*topo.Topology, error) { return topo.HyperX(3, 5, 0) }},
-		{Name: "DF", DPrim: 4, Build: func(*rand.Rand) (*topo.Topology, error) { return topo.Dragonfly(3) }},
-		{Name: "FT3", DPrim: 4, Build: func(*rand.Rand) (*topo.Topology, error) { return topo.FatTree3(5, 2) }},
-	}
 }
 
 func runTable5(o Options) (*stats.Table, error) {

@@ -111,7 +111,7 @@ func TestFig10Cost(t *testing.T) {
 }
 
 func TestQueueModel(t *testing.T) {
-	sum := QueueModelSample(newTestRand(), 2000, 1<<20, 10e9, 200, 20_000)
+	sum := QueueModelSample(newTestRand(), 2000, 1<<20, 200, 20_000)
 	if sum.Mean <= 0 {
 		t.Fatal("model mean must be positive")
 	}

@@ -115,7 +115,6 @@ func runFig10(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := topo.Default100GbE()
 	tab := &stats.Table{
 		Title:   "Fig 10: cost per endpoint (k$), 100GbE model",
 		Headers: []string{"topology", "N", "switches", "endpoint links", "interconnect links", "total"},
@@ -123,7 +122,7 @@ func runFig10(o Options) (*stats.Table, error) {
 	all := append(suite.All(), jf)
 	if err := runCells(o, tab, len(all), func(c *Cell) error {
 		t := all[c.Index]
-		cost := model.Cost(t)
+		cost := topo.Cost(t)
 		c.AddRowf(t.Name, t.N(), cost.Switches, cost.EndpointLinks, cost.InterconnLinks, cost.Total())
 		return nil
 	}); err != nil {

@@ -47,7 +47,7 @@ func TestGoldenWithInstrumentation(t *testing.T) {
 			for rep := range traces {
 				reg := obs.NewRegistry()
 				var telBuf bytes.Buffer
-				tracer := obs.NewTracer(0, 50_000_000, 0) // 50 simulated ms
+				tracer := obs.NewTracer(50_000_000) // 50 simulated ms
 				tab, err := e.Run(Options{Quick: true, Run: exec.Run{
 					Seed: goldenSeed, Parallelism: 4, Name: id,
 					Obs: reg, Telemetry: obs.NewTelemetry(&telBuf), Tracer: tracer,

@@ -372,7 +372,7 @@ func runFig15(o Options) (*stats.Table, error) {
 	}
 	// The first row is the M/M/1-PS queueing-model prediction at the access
 	// link; it simulates nothing, so it is no cell.
-	model := QueueModelSample(graph.NewRand(exec.FoldSeed(o.Seed, 0)), 4000, 1<<20, 10e9, lambda, 20*netsim.Microsecond)
+	model := QueueModelSample(graph.NewRand(exec.FoldSeed(o.Seed, 0)), 4000, 1<<20, lambda, 20*netsim.Microsecond)
 	tab.AddRowf("queueing model", model.P10, model.P50, model.P90, model.P99, model.Mean)
 	for i, r := range results {
 		tab.AddRowf(ss[i].name, r.FCT.P10, r.FCT.P50, r.FCT.P90, r.FCT.P99, r.FCT.Mean)

@@ -21,8 +21,6 @@ type DisjointPathsOpts struct {
 	// MaxCount stops counting once this many disjoint paths were found
 	// (0 = unlimited). Useful when only "at least 3" matters.
 	MaxCount int
-	// Forbidden optionally disables edges before the search (by edge ID).
-	Forbidden []bool
 }
 
 // DisjointPathsBounded returns the greedy count of pairwise edge-disjoint
@@ -37,13 +35,6 @@ func (g *Graph) DisjointPathsBounded(A, B []int, opts DisjointPathsOpts) int {
 	enabled := make([]bool, g.M())
 	for i := range enabled {
 		enabled[i] = true
-	}
-	if opts.Forbidden != nil {
-		for i, f := range opts.Forbidden {
-			if f {
-				enabled[i] = false
-			}
-		}
 	}
 	inB := make([]bool, g.n)
 	for _, b := range B {

@@ -478,10 +478,10 @@ func TestHotLayoutPointerFree(t *testing.T) {
 // served first, each queue in FIFO order.
 func TestLinkQueueBehaviour(t *testing.T) {
 	for _, trim := range []bool{false, true} {
-		cfg := TCPDefaults(TransportTCP)
-		cfg.QueueCap, cfg.PrioQueueCap, cfg.ECNThreshold, cfg.TrimMode = 5, 4, 4, trim
-		s := starSim(t, 2, cfg)
+		s := starSim(t, 2, TCPDefaults(TransportTCP))
+		s.Net.model.ecnThreshold, s.Net.model.trim = 4, trim
 		e, l := s.Eng, s.Net.hostUp[0]
+		l.q.limit, l.pq.limit = 5, 4
 		l.txEnd = maxTime // hold the transmitter so arrivals accumulate
 		data := func(seq int32) int32 {
 			e.inflight++
@@ -827,7 +827,6 @@ func checkInFlight(t *testing.T, s *Sim) {
 		visit(en.at, en.pay)
 	}
 	var held int64
-	bps, delay := s.Cfg.LinkBps, s.Cfg.LinkDelay
 	for id := range s.Net.links {
 		l := &s.Net.links[id]
 		waiting := l.q.len() + l.pq.len()
@@ -840,7 +839,7 @@ func checkInFlight(t *testing.T, s *Sim) {
 		d := deliveries[id]
 		sort.Slice(d, func(a, b int) bool { return d[a].at < d[b].at })
 		for k := 1; k < len(d); k++ {
-			if gap := d[k].at - d[k-1].at; gap < serialization(d[k].pkt.Bytes, bps) {
+			if gap := d[k].at - d[k-1].at; gap < serialization(d[k].pkt.Bytes) {
 				t.Fatalf("t=%d link %d: deliveries at %d and %d overlap on the wire (%d B)", e.now, id, d[k-1].at, d[k].at, d[k].pkt.Bytes)
 			}
 		}
@@ -848,8 +847,8 @@ func checkInFlight(t *testing.T, s *Sim) {
 		if len(d) > 0 {
 			last = d[len(d)-1].at
 		}
-		if busy := e.before(l.txEnd, l.txKey); last > l.txEnd+delay || busy && last != l.txEnd+delay {
-			t.Fatalf("t=%d link %d: last delivery due at %d, serialization reserved until %d (busy %v), delay %d", e.now, id, last, l.txEnd, busy, delay)
+		if busy := e.before(l.txEnd, l.txKey); last > l.txEnd+linkDelay || busy && last != l.txEnd+linkDelay {
+			t.Fatalf("t=%d link %d: last delivery due at %d, serialization reserved until %d (busy %v), delay %d", e.now, id, last, l.txEnd, busy, linkDelay)
 		}
 		held += int64(waiting + len(d))
 	}

@@ -12,9 +12,8 @@ import "math/bits"
 //     one per tick, where push is a list prepend and pop is a bitmap scan
 //     plus a walk over the one or two events that share the tick — no sift,
 //     whatever the queue depth. Whatever does not fit the wheel's window
-//     (timers, flow starts, pulls paced far ahead, a configuration whose
-//     delays dwarf the window) goes to a 4-ary heap, and so does a bucket
-//     that a lock-step workload grew too long to walk.
+//     (timers, flow starts, pulls paced far ahead) goes to a 4-ary heap,
+//     and so does a bucket that a lock-step workload grew too long to walk.
 //     popUntil takes the smaller (at, key) head of the two, so execution
 //     order is the total (at, key) order a single heap would give and never
 //     depends on which structure held an event.
@@ -117,7 +116,7 @@ func (h *quadHeap) pop() (Time, uint64, eventPayload) {
 // The wheel's geometry. The bucket count is a constant — 256 and 4096 both
 // measured within 3 % of it on the two simulation sweeps (PERF.md) — and
 // the tick width, the one quantity that has to fit the simulated network,
-// is derived from the configuration (wheelShift), not set.
+// is derived from the transport mode's MTU (wheelShift), not set.
 const (
 	wheelBuckets = 1024
 	wheelWords   = wheelBuckets / 64

@@ -3,7 +3,7 @@ package netsim
 // NDP-style purified transport (§III-C), following Handley et al.'s design
 // as adapted by FatPaths:
 //
-//   - The sender transmits the first window (InitialWindow packets) at line
+//   - The sender transmits the first window (the mode's initial window) at line
 //     rate without probing.
 //   - Congested routers trim payloads instead of dropping packets; trimmed
 //     headers travel in priority queues, so the receiver always learns what
@@ -40,7 +40,7 @@ type ndpSender struct {
 
 // ndpStart launches a flow: the first RTT worth of packets at line rate.
 func (s *Sim) ndpStart(e *Engine, f *flow) {
-	iw := int32(s.Cfg.InitialWindow)
+	iw := int32(s.Net.model.initialWindow)
 	if iw > f.total {
 		iw = f.total
 	}
@@ -170,11 +170,11 @@ func (s *Sim) ndpPullAtSender(e *Engine, f *flow, pull *Packet) {
 	}
 }
 
-// ndpIdlePeriods is the keepalive period in units of RTOMin.
+// ndpIdlePeriods is the keepalive period in units of rtoMin.
 const ndpIdlePeriods = 4
 
 func (s *Sim) ndpArmKeepalive(e *Engine, f *flow) {
-	e.arm(&f.ndp.kaTimer, f.srcPart, e.now+ndpIdlePeriods*s.Cfg.RTOMin)
+	e.arm(&f.ndp.kaTimer, f.srcPart, e.now+ndpIdlePeriods*rtoMin)
 }
 
 // ndpKeepalive recovers from lost control packets: if nothing happened for
@@ -184,7 +184,7 @@ func (s *Sim) ndpKeepalive(e *Engine, f *flow) {
 	if f.ndp.finished {
 		return
 	}
-	if e.Now()-f.ndp.lastAct >= ndpIdlePeriods*s.Cfg.RTOMin {
+	if e.Now()-f.ndp.lastAct >= ndpIdlePeriods*rtoMin {
 		// Rotate through undelivered sequences rather than hammering
 		// the lowest one: with lossy control paths the lowest may have
 		// arrived long ago while a later one is genuinely missing.

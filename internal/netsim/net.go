@@ -58,7 +58,7 @@ func (p *Packet) prio() bool { return p.Kind != KindData || p.Trimmed || p.Retx 
 // packet, not two.
 //
 // The link parameters (bandwidth, delay, ECN threshold, trimming) are the
-// same for every link and are read from Network.cfg; the fields the event
+// same for every link: constants and Network.model; the fields the event
 // loop touches on every packet come first, so they share a cache line.
 type link struct {
 	// (txEnd, txKey): the reserved end of the last serialization; the
@@ -116,9 +116,9 @@ func (r *pktRing) pop() int32 {
 	return h
 }
 
-// serialization returns the time b bytes take on the wire at bps.
-func serialization(b int32, bps float64) Time {
-	return Time(float64(b*8) / bps * 1e9)
+// serialization returns the time b bytes take on the wire at LinkBps.
+func serialization(b int32) Time {
+	return Time(float64(b*8) / LinkBps * 1e9)
 }
 
 // enqueue places a packet into the transmitter queue, applying the
@@ -141,15 +141,15 @@ func (l *link) enqueue(e *Engine, h int32, p *Packet) {
 		}
 		return
 	}
-	cfg := &e.net.cfg
+	m := &e.net.model
 	if !l.q.full() {
-		if cfg.ECNThreshold > 0 && l.q.len()+1 >= cfg.ECNThreshold {
+		if m.ecnThreshold > 0 && l.q.len()+1 >= m.ecnThreshold {
 			p.ECN = true
 		}
 		l.offer(e, &l.q, h, p)
 		return
 	}
-	if cfg.TrimMode {
+	if m.trim {
 		// Drop only the payload; the header with all metadata is preserved
 		// and prioritized so the receiver learns about the congestion.
 		p.Trimmed = true
@@ -199,10 +199,9 @@ func (l *link) txDone(e *Engine) {
 // transmit starts serializing packet h (p): it reserves the end of
 // serialization and queues the delivery.
 func (l *link) transmit(e *Engine, h int32, p *Packet) {
-	cfg := &e.net.cfg
-	l.txEnd, l.txKey = e.now+serialization(p.Bytes, cfg.LinkBps), e.nextKey(l.txPart)
+	l.txEnd, l.txKey = e.now+serialization(p.Bytes), e.nextKey(l.txPart)
 	l.deliverSeq++
-	e.push(l.txEnd+cfg.LinkDelay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, ref: l.id, pkt: h})
+	e.push(l.txEnd+linkDelay, deliverKey(l.id, l.deliverSeq), eventPayload{kind: evDeliver, ref: l.id, pkt: h})
 }
 
 // awaitTxDone queues the tx-done entry under the reservation, unless one is
@@ -217,9 +216,10 @@ func (l *link) awaitTxDone(e *Engine) {
 // Network wires a topology, forwarding tables and hosts into a running
 // simulation.
 type Network struct {
-	topo *topo.Topology
-	fwd  *routing.Engine
-	cfg  Config
+	topo  *topo.Topology
+	fwd   *routing.Engine
+	model model
+	lb    LoadBalance
 
 	// links holds every link, indexed by id: router-router links first,
 	// where a link's id is its graph arc id (graph.EdgeArc), then host
@@ -243,14 +243,15 @@ type Network struct {
 // maxHopBucket saturates the hop histogram's index.
 const maxHopBucket = 63
 
-// buildNetwork constructs links per the config. Link ids follow
+// buildNetwork constructs links per the model. Link ids follow
 // construction order, which is a function of the topology alone.
-func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
+func buildNetwork(t *topo.Topology, fwd *routing.Engine, m model, lb LoadBalance) *Network {
 	arcs := 2 * t.G.M()
 	n := &Network{
 		topo:       t,
 		fwd:        fwd,
-		cfg:        cfg,
+		model:      m,
+		lb:         lb,
 		links:      make([]link, 0, arcs+2*t.N()),
 		outOff:     make([]int32, t.Nr()+1),
 		outLink:    make([]int32, 0, arcs),
@@ -264,8 +265,8 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, cfg Config) *Network {
 			toRouter: toRouter,
 			toHost:   toHost,
 			txPart:   txPart,
-			q:        pktRing{limit: int32(cfg.QueueCap)},
-			pq:       pktRing{limit: int32(cfg.PrioQueueCap)},
+			q:        pktRing{limit: m.queueCap},
+			pq:       pktRing{limit: m.prioQueueCap},
 		})
 		return &n.links[len(n.links)-1]
 	}
@@ -357,7 +358,7 @@ func (n *Network) forward(e *Engine, r int, h int32, p *Packet) {
 		panic(fmt.Sprintf("netsim: no route from router %d to router %d", r, dstRouter))
 	}
 	var pos int
-	if n.cfg.LB == LBMinimalLayer {
+	if n.lb == LBMinimalLayer {
 		// The single-shortest-path baseline must not spread flows over
 		// ties: every pair rides the frozen representative hop.
 		pos = n.fwd.NextPos(layer, r, dstRouter)

@@ -58,7 +58,7 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 		cfg := NDPDefaults()
 		if instrument {
 			cfg.Metrics = obs.NewSimMetrics(obs.NewRegistry())
-			cfg.Tracer = obs.NewTracer(0, int64(50*Millisecond), 0)
+			cfg.Tracer = obs.NewTracer(int64(50 * Millisecond))
 		}
 		s, sf := sfSim(t, 5, 4, 0.6, cfg, 7)
 		for i := 0; i < 8; i++ {
@@ -84,9 +84,11 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 func TestMPTCPTimeoutsCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := TCPDefaults(TransportMPTCP)
-	cfg.QueueCap = 4
 	cfg.Metrics = obs.NewSimMetrics(reg)
 	s, sf := sfSim(t, 5, 4, 0.6, cfg, 7)
+	for i := range s.Net.links {
+		s.Net.links[i].q.limit = 4
+	}
 	for i := 1; i <= 12; i++ {
 		s.AddFlow(FlowSpec{Src: int32(sf.N() - i), Dst: 0, Bytes: 256 << 10, Start: 0})
 	}

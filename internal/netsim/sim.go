@@ -50,25 +50,44 @@ const (
 	LBPacketSpray
 )
 
-// Config parametrizes a simulation. Nothing fills zero fields: start from
-// NDPDefaults or TCPDefaults and override what differs. NewSim panics on a
-// zero LinkBps.
+// The link and host model of §VII-A6, the same in both transport modes.
+const (
+	// LinkBps is every link's rate in bits per second, per direction.
+	LinkBps = 10e9
+	// linkDelay is the fixed delay of every hop (§VII-A6 adds 1µs).
+	linkDelay = 1 * Microsecond
+	// flowletGap is the idle gap that starts a new flowlet (50µs, §VII-A6).
+	flowletGap = 50 * Microsecond
+	rtoMin     = 200 * Microsecond
+	// softwareLatency models endpoint interrupt throttling (100 kHz).
+	softwareLatency = 10 * Microsecond
+)
+
+// model is the part of §VII-A6 that differs between the two transport
+// modes: queue depths, ECN marking, trimming, frame size and first window.
+type model struct {
+	queueCap, prioQueueCap int32 // queue capacities in packets
+	ecnThreshold           int   // mark CE at this data-queue depth (0 = off)
+	trim                   bool  // NDP payload trimming
+	mtu                    int32
+	initialWindow          int // first window in packets
+}
+
+// modelOf returns the mode a transport runs in: htsim mode for NDP (9KB
+// jumbo frames, 8-packet queues and first window, trimming), OMNeT mode for
+// the TCP family (100-packet queues, ECN mark at 33, 1500B frames).
+func modelOf(tr Transport) model {
+	if tr == TransportNDP {
+		return model{queueCap: 8, prioQueueCap: 64, trim: true, mtu: 9000, initialWindow: 8}
+	}
+	return model{queueCap: 100, prioQueueCap: 256, ecnThreshold: 33, mtu: 1500, initialWindow: 10}
+}
+
+// Config holds a run's choices; the physical model follows from Transport.
 type Config struct {
-	Transport     Transport
-	LB            LoadBalance
-	LinkBps       float64 // bits per second per link direction
-	LinkDelay     Time    // per-hop fixed delay (§VII-A6 adds 1µs)
-	QueueCap      int     // data queue capacity in packets
-	PrioQueueCap  int
-	ECNThreshold  int  // mark CE at this data-queue depth (0 = off)
-	TrimMode      bool // NDP payload trimming
-	MTU           int32
-	FlowletGap    Time // LetFlow gap (50µs, §VII-A6)
-	InitialWindow int  // NDP initial/line-rate window (8 packets, §VII-A6)
-	RTOMin        Time
-	Seed          int64
-	// SoftwareLatency models endpoint interrupt throttling (100 kHz).
-	SoftwareLatency Time
+	Transport Transport
+	LB        LoadBalance
+	Seed      int64
 
 	// Shards is inert: NewSim does not read it. It is still declared only
 	// because the frozen bench/layers.go assigns it; the [benchmark] PR of
@@ -88,43 +107,16 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// NDPDefaults returns the htsim-mode configuration of §VII-A6: 9KB jumbo
-// frames, 8-packet queues and congestion window, trimming, priorities.
+// NDPDefaults returns the configuration of an NDP run with FatPaths load
+// balancing.
 func NDPDefaults() Config {
-	return Config{
-		Transport:       TransportNDP,
-		LB:              LBFatPaths,
-		LinkBps:         10e9,
-		LinkDelay:       1 * Microsecond,
-		QueueCap:        8,
-		PrioQueueCap:    64,
-		TrimMode:        true,
-		MTU:             9000,
-		FlowletGap:      50 * Microsecond,
-		InitialWindow:   8,
-		RTOMin:          200 * Microsecond,
-		SoftwareLatency: 10 * Microsecond,
-	}
+	return Config{Transport: TransportNDP, LB: LBFatPaths}
 }
 
-// TCPDefaults returns the OMNeT-mode configuration of §VII-A6: 100-packet
-// queues, ECN mark at 33, 1500B frames, no trimming.
+// TCPDefaults returns the configuration of a TCP-family run with FatPaths
+// load balancing.
 func TCPDefaults(tr Transport) Config {
-	return Config{
-		Transport:       tr,
-		LB:              LBFatPaths,
-		LinkBps:         10e9,
-		LinkDelay:       1 * Microsecond,
-		QueueCap:        100,
-		PrioQueueCap:    256,
-		ECNThreshold:    33,
-		TrimMode:        false,
-		MTU:             1500,
-		FlowletGap:      50 * Microsecond,
-		InitialWindow:   10,
-		RTOMin:          200 * Microsecond,
-		SoftwareLatency: 10 * Microsecond,
-	}
+	return Config{Transport: tr, LB: LBFatPaths}
 }
 
 // FlowSpec describes one flow (message) to simulate.
@@ -264,15 +256,12 @@ func (f *flow) randIntn(n int) int { return int(f.randU64() % uint64(n)) }
 // concurrently on different worker goroutines — pay the route computation
 // once; the topology and tables are read-only during a run.
 func NewSim(t *topo.Topology, fwd *routing.Engine, cfg Config) *Sim {
-	if cfg.LinkBps == 0 {
-		panic("netsim: zero link bandwidth")
-	}
 	// No packet event is scheduled further ahead than one full-MTU
 	// serialization plus one link delay (a delivery, queued when its
 	// transmission starts).
-	mtuTime := serialization(cfg.MTU, cfg.LinkBps)
-	eng := NewEngine(t.Nr(), mtuTime+cfg.LinkDelay)
-	net := buildNetwork(t, fwd, cfg)
+	net := buildNetwork(t, fwd, modelOf(cfg.Transport), cfg.LB)
+	mtuTime := serialization(net.model.mtu)
+	eng := NewEngine(t.Nr(), mtuTime+linkDelay)
 	eng.net = net
 	s := &Sim{
 		Eng:          eng,
@@ -299,7 +288,7 @@ func (s *Sim) AddFlow(spec FlowSpec) {
 	if int(spec.Src) >= s.Topo.N() || int(spec.Dst) >= s.Topo.N() || spec.Src < 0 || spec.Dst < 0 {
 		panic(fmt.Sprintf("netsim: flow endpoints (%d,%d) out of range", spec.Src, spec.Dst))
 	}
-	mss := s.Cfg.MTU - HeaderBytes
+	mss := s.Net.model.mtu - HeaderBytes
 	total := int32((spec.Bytes + int64(mss) - 1) / int64(mss))
 	if total == 0 {
 		total = 1
@@ -345,7 +334,7 @@ func (s *Sim) initialLayer() int8 {
 // pickRoute applies the flowlet policy before transmitting a data packet.
 func (s *Sim) pickRoute(e *Engine, f *flow) {
 	now := e.Now()
-	newFlowlet := now-f.lastSend > s.Cfg.FlowletGap
+	newFlowlet := now-f.lastSend > flowletGap
 	switch s.Cfg.LB {
 	case LBECMP:
 		// Static per-flow hash: nothing to do.
@@ -456,7 +445,7 @@ func (s *Sim) markDone(e *Engine, f *flow) {
 	}
 	f.done = true
 	// Software/interrupt latency before the application sees the message.
-	f.finish = e.Now() + s.Cfg.SoftwareLatency
+	f.finish = e.Now() + softwareLatency
 	if s.traced {
 		ts := int64(e.Now())
 		if s.Cfg.Tracer.Active(ts) {

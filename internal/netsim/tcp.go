@@ -15,9 +15,8 @@ package netsim
 // never by peeking across.
 
 const (
-	dctcpG       = 1.0 / 16 // DCTCP EWMA gain
-	maxRTO       = 100 * Millisecond
-	initialCwndF = 10.0
+	dctcpG = 1.0 / 16 // DCTCP EWMA gain
+	maxRTO = 100 * Millisecond
 )
 
 // renoSub is one Reno sender over the sequence range [lo, hi) of flow f.
@@ -86,10 +85,7 @@ func (s *Sim) tcpStart(e *Engine, f *flow) {
 		f.one[0] = renoSub{hi: f.total}
 		f.subs = f.one[:]
 	}
-	cwnd := initialCwndF
-	if s.Cfg.InitialWindow > 0 {
-		cwnd = float64(s.Cfg.InitialWindow)
-	}
+	cwnd := float64(s.Net.model.initialWindow)
 	for i := range f.subs {
 		sub := &f.subs[i]
 		sub.f = f
@@ -322,8 +318,8 @@ func (s *Sim) tcpUpdateRTT(sub *renoSub, sample Time) {
 		sub.srtt = (7*sub.srtt + sample) / 8
 	}
 	sub.rto = sub.srtt + 4*sub.rttvar
-	if sub.rto < s.Cfg.RTOMin {
-		sub.rto = s.Cfg.RTOMin
+	if sub.rto < rtoMin {
+		sub.rto = rtoMin
 	}
 	if sub.rto > maxRTO {
 		sub.rto = maxRTO

@@ -41,7 +41,7 @@ func Example() {
 	fab.Fwd.SetMetrics(obs.NewRoutingMetrics(reg))
 	// Trace the first 20 simulated milliseconds. One tracer records one
 	// simulation: the first replicate to start claims it.
-	tracer := obs.NewTracer(0, 20_000_000, 0)
+	tracer := obs.NewTracer(20_000_000)
 
 	var journal bytes.Buffer
 	tel := obs.NewTelemetry(&journal)

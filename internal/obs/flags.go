@@ -49,10 +49,10 @@ func BindFlags(fs *flag.FlagSet) (start func() (Sinks, func() error, error)) {
 			}
 		}
 		if *trace != "" {
-			s.Tracer = NewTracer(0, int64(*traceMs*1e6), 0)
+			s.Tracer = NewTracer(int64(*traceMs * 1e6))
 		}
 		if !*quiet {
-			s.Progress = NewProgress(os.Stderr, "")
+			s.Progress = NewProgress(os.Stderr)
 		}
 		return s, func() error {
 			if s.Obs != nil {

@@ -244,14 +244,13 @@ func TestTelemetryJSONL(t *testing.T) {
 }
 
 func TestTracerWindowAndJSON(t *testing.T) {
-	tr := NewTracer(100, 50, 0)
+	tr := NewTracer(150)
 	if !tr.TryAcquire() {
 		t.Fatal("first acquire must win")
 	}
 	if tr.TryAcquire() {
 		t.Fatal("second acquire must lose")
 	}
-	tr.Instant("ev", "before", 50, 1) // outside window
 	tr.Instant("ev", "inside", 120, 1)
 	tr.SpanBegin("ev", "span", "1", 130)
 	tr.CounterEvent("depth", 140, 3)
@@ -285,7 +284,8 @@ func TestTracerWindowAndJSON(t *testing.T) {
 }
 
 func TestTracerBudget(t *testing.T) {
-	tr := NewTracer(0, 1000, 2)
+	tr := NewTracer(1000)
+	tr.maxEvents = 2
 	tr.TryAcquire()
 	for i := 0; i < 5; i++ {
 		tr.Instant("ev", "x", int64(i), 0)
@@ -297,7 +297,8 @@ func TestTracerBudget(t *testing.T) {
 
 func TestProgress(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProgress(&buf, "fig2")
+	p := NewProgress(&buf)
+	p.SetLabel("fig2")
 	hook := p.Hook()
 	if hook == nil {
 		t.Fatal("nil hook from live progress")
@@ -310,7 +311,7 @@ func TestProgress(t *testing.T) {
 	if !strings.HasSuffix(buf.String(), "\r") {
 		t.Fatalf("clear must end on a bare carriage return: %q", buf.String())
 	}
-	if NewProgress(nil, "x") != nil {
+	if NewProgress(nil) != nil {
 		t.Fatal("progress over a nil writer must be nil")
 	}
 }

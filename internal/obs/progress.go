@@ -18,13 +18,13 @@ type Progress struct {
 	lastLen int
 }
 
-// NewProgress returns a progress sink labeled label, or nil (silent) when
-// w is nil.
-func NewProgress(w io.Writer, label string) *Progress {
+// NewProgress returns a progress sink, or nil (silent) when w is nil. It
+// starts unlabeled; SetLabel names it.
+func NewProgress(w io.Writer) *Progress {
 	if w == nil {
 		return nil
 	}
-	return &Progress{w: w, label: label}
+	return &Progress{w: w}
 }
 
 // SetLabel switches the line label (between experiments of one run).

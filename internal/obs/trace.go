@@ -16,11 +16,11 @@ import (
 // One tracer traces one simulation: the first simulation to TryAcquire it
 // wins, so a CLI can hand a tracer to a whole sweep and get exactly one
 // replicate's timeline. Recording stops silently once the window closes or
-// MaxEvents is reached — tracing a paper-scale replicate stays bounded.
+// maxTraceEvents is reached — tracing a paper-scale replicate stays bounded.
 // A nil *Tracer no-ops everywhere.
 type Tracer struct {
-	startNs, endNs int64
-	maxEvents      int
+	durNs     int64
+	maxEvents int
 
 	acquired atomic.Bool
 
@@ -42,13 +42,13 @@ type traceEvent struct {
 	Args map[string]interface{} `json:"args,omitempty"`
 }
 
-// NewTracer traces the sim-time window [startNs, startNs+durNs), keeping
-// at most maxEvents records (<= 0 selects the 250k default).
-func NewTracer(startNs, durNs int64, maxEvents int) *Tracer {
-	if maxEvents <= 0 {
-		maxEvents = 250_000
-	}
-	return &Tracer{startNs: startNs, endNs: startNs + durNs, maxEvents: maxEvents}
+// maxTraceEvents caps the records one tracer keeps.
+const maxTraceEvents = 250_000
+
+// NewTracer traces the sim-time window [0, durNs), keeping at most
+// maxTraceEvents records.
+func NewTracer(durNs int64) *Tracer {
+	return &Tracer{durNs: durNs, maxEvents: maxTraceEvents}
 }
 
 // TryAcquire claims the tracer for one simulation; only the first caller
@@ -62,7 +62,7 @@ func (t *Tracer) TryAcquire() bool {
 
 // Active reports whether an event at sim time tsNs should be recorded.
 func (t *Tracer) Active(tsNs int64) bool {
-	if t == nil || tsNs < t.startNs || tsNs >= t.endNs {
+	if t == nil || !t.inWindow(tsNs) {
 		return false
 	}
 	t.mu.Lock()
@@ -78,7 +78,7 @@ func (t *Tracer) Active(tsNs int64) bool {
 // record method filters on it, so callers may emit unconditionally (the
 // engine still pre-checks Active to skip building event records at all).
 func (t *Tracer) inWindow(tsNs int64) bool {
-	return t != nil && tsNs >= t.startNs && tsNs < t.endNs
+	return t != nil && tsNs >= 0 && tsNs < t.durNs
 }
 
 func (t *Tracer) push(ev traceEvent) {

@@ -176,6 +176,61 @@ func TestRouteCountsMatchShortestPathDAG(t *testing.T) {
 	}
 }
 
+// TestClosedFormOracles holds route and disjoint-path counts to what the
+// topology's structure proves. Each dimension of HyperX(L=3, S=4) is a
+// clique, so a pair at Hamming distance d has d! minimal routes, one per
+// order of fixing the differing coordinates, and d edge-disjoint paths of
+// at most d hops, one per dimension fixed first. A pair of the 16-router
+// clique (k' = 15) has c1 = 1, its link, and c2 = k' = 15: the link and one
+// two-hop path through each other router.
+func TestClosedFormOracles(t *testing.T) {
+	hx, err := topo.HyperX(3, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(hx.G, make([][]bool, 1), 1)
+	factorial := []int64{1, 1, 2, 6}
+	for dst := 0; dst < hx.Nr(); dst++ {
+		counts := e.RouteCounts(0, dst)
+		for src := 0; src < hx.Nr(); src++ {
+			if src == dst {
+				continue
+			}
+			d := 0
+			for a, b := src, dst; a > 0 || b > 0; a, b = a/4, b/4 {
+				if a%4 != b%4 {
+					d++
+				}
+			}
+			if counts[src] != factorial[d] {
+				t.Errorf("HX %d->%d at Hamming distance %d: %d minimal routes, want %d", src, dst, d, counts[src], factorial[d])
+			}
+			if c := hx.G.DisjointPathsBounded([]int{src}, []int{dst}, graph.DisjointPathsOpts{MaxLen: d}); c != d {
+				t.Errorf("HX %d->%d at Hamming distance %d: c_%d = %d, want %d", src, dst, d, d, c, d)
+			}
+		}
+	}
+	cl, err := topo.Complete(15, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.NominalRadix != 15 {
+		t.Fatalf("Complete(15, 0) has k' = %d", cl.NominalRadix)
+	}
+	for src := 0; src < cl.Nr(); src++ {
+		for dst := 0; dst < cl.Nr(); dst++ {
+			if src == dst {
+				continue
+			}
+			c1 := cl.G.DisjointPathsBounded([]int{src}, []int{dst}, graph.DisjointPathsOpts{MaxLen: 1})
+			c2 := cl.G.DisjointPathsBounded([]int{src}, []int{dst}, graph.DisjointPathsOpts{MaxLen: 2})
+			if c1 != 1 || c2 != 15 {
+				t.Errorf("clique %d->%d: c1 = %d, c2 = %d, want 1 and 15", src, dst, c1, c2)
+			}
+		}
+	}
+}
+
 // TestDistinctRoutesMatchesBruteForce holds DistinctRoutes against the
 // map of (first hop, length) pairs read off PathLen and AppendCandidates,
 // on every router pair of engines whose sparse layers leave routing holes

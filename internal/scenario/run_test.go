@@ -234,7 +234,7 @@ func TestRunTelemetryAndDeterminism(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var telBuf bytes.Buffer
-	tracer := obs.NewTracer(0, 50_000_000, 0)
+	tracer := obs.NewTracer(50_000_000)
 	instrumented, err := RunSpecs(cells, RunOptions{Run: exec.Run{
 		Seed: 7, Parallelism: 2, Name: "tiny",
 		Obs: reg, Telemetry: obs.NewTelemetry(&telBuf), Tracer: tracer,

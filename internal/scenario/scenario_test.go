@@ -262,6 +262,24 @@ func TestSpecValidate(t *testing.T) {
 	if err := star.Validate(); err != nil {
 		t.Fatalf("Star with param rejected: %v", err)
 	}
+	// A size value the build ignores would give one topology a second key:
+	// each is rejected, by name.
+	for _, c := range []struct {
+		ts   Topology
+		want string
+	}{
+		{Topology{Kind: "SF", Class: "medium", Param: 7}, "class"},
+		{Topology{Kind: "DF", Class: "small", Param: 3}, "class"},
+		{Topology{Kind: "HX", Param2: 3}, "param2"},
+		{Topology{Kind: "SF", Class: "medium", Param2: 14}, "param2"},
+		{Topology{Kind: "DF", Param: 3, Param2: 7}, "param2"},
+		{Topology{Kind: "Star", Param: 4, Param2: 2}, "param2"},
+	} {
+		s := Spec{Topology: c.ts, Pattern: Pattern{Kind: "uniform"}}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err %v, want one naming %s", c.ts, err, c.want)
+		}
+	}
 }
 
 // TestSeedForPartitioning: equal tags share seeds, distinct tags get

@@ -36,14 +36,14 @@ type Topology struct {
 	// Star.
 	Kind string `json:"kind"`
 	// Class selects a topo.SizeClass when Param is 0: "small" (default) or
-	// "medium".
+	// "medium". It must be empty when Param is set.
 	Class string `json:"class,omitempty"`
 	// Param, when positive, sizes the family directly instead of Class:
 	// SF/JF q, DF p, HX S, XP k', FT3 m, Clique k', Star n.
 	Param int `json:"param,omitempty"`
-	// Param2 is the secondary parameter used with Param: SF p (0 = paper
+	// Param2 is the secondary parameter used with Param: SF/JF p (0 = paper
 	// default), HX L (0 = 3), XP lift (0 = Param), FT3 o (0 = 2),
-	// Clique p (0 = k').
+	// Clique p (0 = k'). DF and Star take none.
 	Param2 int `json:"param2,omitempty"`
 }
 
@@ -100,6 +100,16 @@ func (ts Topology) validate() error {
 	if ts.Kind == "Star" && ts.Param == 0 {
 		// topo.ByName has no class-sized Star to fall back on.
 		return fmt.Errorf("scenario: topology Star has no size class: set param (the host count)")
+	}
+	// A value the build ignores would name the same topology under a second
+	// key: a second fabric, cache identity and set of folded seeds.
+	switch {
+	case ts.Param > 0 && ts.Class != "":
+		return fmt.Errorf("scenario: topology %s: class %q is ignored when param sizes the family", ts.Kind, ts.Class)
+	case ts.Param == 0 && ts.Param2 != 0:
+		return fmt.Errorf("scenario: topology %s: param2 is ignored without param", ts.Kind)
+	case ts.Param2 != 0 && (ts.Kind == "DF" || ts.Kind == "Star"):
+		return fmt.Errorf("scenario: topology %s takes no param2", ts.Kind)
 	}
 	return nil
 }

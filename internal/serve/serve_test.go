@@ -207,6 +207,10 @@ func TestRequestValidation(t *testing.T) {
 		{"bad topo kind", "GET", "/nexthop?topo=NOPE&src=0&dst=1", "", ""},
 		{"rho NaN", "GET", "/nexthop?topo=SF&param=5&layers=2&rho=NaN&src=0&dst=1", "", "rho"},
 		{"star without param", "GET", "/nexthop?topo=Star&src=0&dst=1", "", "param"},
+		{"class with param", "GET", "/nexthop?topo=SF&param=5&class=medium&src=0&dst=1", "", "class"},
+		{"param2 without param", "GET", "/nexthop?topo=HX&param2=3&src=0&dst=1", "", "param2"},
+		{"DF param2", "GET", "/nexthop?topo=DF&param=3&param2=7&src=0&dst=1", "", "param2"},
+		{"Star param2", "GET", "/nexthop?topo=Star&param=4&param2=2&src=0&dst=1", "", "param2"},
 		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", "", ""},
 		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", ""},
 		{"whatif bad json", "POST", "/whatif", "{", ""},

@@ -6,8 +6,8 @@ import (
 )
 
 // SizeClass selects one of the paper's network size categories (§II-B).
-// Packet-level experiments default to Small; analytic experiments use the
-// paper's exact Table IV configurations via TableIVSet.
+// Packet-level experiments default to Small; analytic experiments at full
+// scale use Medium, the paper's exact Table IV configurations.
 type SizeClass int
 
 const (
@@ -45,95 +45,81 @@ func (s *Suite) All() []*Topology {
 // constructions are deterministic given rng.
 func BuildSuite(class SizeClass, rng *rand.Rand) (*Suite, error) {
 	var s Suite
-	var err error
-	switch class {
-	case Small:
-		// N: SF 588, DF 342, HX 500, XP 288, FT 500.
-		if s.SF, err = SlimFly(7, 0); err != nil {
+	for _, m := range []struct {
+		kind string
+		t    **Topology
+	}{{"SF", &s.SF}, {"DF", &s.DF}, {"HX", &s.HX}, {"XP", &s.XP}, {"FT3", &s.FT}} {
+		var err error
+		if *m.t, err = Family(m.kind, class, rng); err != nil {
 			return nil, err
 		}
-		if s.DF, err = Dragonfly(3); err != nil {
-			return nil, err
-		}
-		if s.HX, err = HyperX(3, 5, 0); err != nil {
-			return nil, err
-		}
-		if s.XP, err = Xpander(8, 8, 0, rng); err != nil {
-			return nil, err
-		}
-		if s.FT, err = FatTree3(5, 2); err != nil {
-			return nil, err
-		}
-	case Medium:
-		// The paper's N≈10k class (Table IV parameters).
-		if s.SF, err = SlimFly(19, 14); err != nil {
-			return nil, err
-		}
-		if s.DF, err = Dragonfly(8); err != nil {
-			return nil, err
-		}
-		if s.HX, err = HyperX(3, 11, 10); err != nil {
-			return nil, err
-		}
-		if s.XP, err = Xpander(32, 32, 16, rng); err != nil {
-			return nil, err
-		}
-		if s.FT, err = FatTree3(18, 1); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown size class %d", class)
 	}
 	return &s, nil
 }
 
-// TableIVConfig describes one row of the paper's Table IV with the exact
-// published parameters.
-type TableIVConfig struct {
-	Name  string
-	DPrim int // the distance d' at which CDP and PI are evaluated
-	Build func(rng *rand.Rand) (*Topology, error)
-}
-
-// TableIVSet returns the six default-variant rows of Table IV (clique, SF,
-// XP, HX, DF, FT3) with the paper's exact k′, N_r, N.
-func TableIVSet() []TableIVConfig {
-	return []TableIVConfig{
-		{"clique", 2, func(*rand.Rand) (*Topology, error) { return Complete(100, 100) }},
-		{"SF", 3, func(*rand.Rand) (*Topology, error) { return SlimFly(19, 14) }},
-		{"XP", 3, func(r *rand.Rand) (*Topology, error) { return Xpander(32, 32, 16, r) }},
-		{"HX", 3, func(*rand.Rand) (*Topology, error) { return HyperX(3, 11, 10) }},
-		{"DF", 4, func(*rand.Rand) (*Topology, error) { return Dragonfly(8) }},
-		{"FT3", 4, func(*rand.Rand) (*Topology, error) { return FatTree3(18, 1) }},
+// Family builds one family at a size class: SF, DF, HX, XP, FT3 (alias FT)
+// or Clique. It is the one statement of the classes. Small is N: SF 588,
+// DF 342, HX 500, XP 288, FT 500, clique 992; Medium is the paper's N≈10k
+// class with Table IV's parameters. Only XP draws from rng (its lift).
+func Family(kind string, class SizeClass, rng *rand.Rand) (*Topology, error) {
+	if class != Small && class != Medium {
+		return nil, fmt.Errorf("unknown size class %d", class)
 	}
+	medium := class == Medium
+	switch kind {
+	case "SF":
+		if medium {
+			return SlimFly(19, 14)
+		}
+		return SlimFly(7, 0)
+	case "DF":
+		if medium {
+			return Dragonfly(8)
+		}
+		return Dragonfly(3)
+	case "HX":
+		if medium {
+			return HyperX(3, 11, 10)
+		}
+		return HyperX(3, 5, 0)
+	case "XP":
+		if medium {
+			return Xpander(32, 32, 16, rng)
+		}
+		return Xpander(8, 8, 0, rng)
+	case "FT3", "FT":
+		if medium {
+			return FatTree3(18, 1)
+		}
+		return FatTree3(5, 2)
+	case "Clique":
+		if medium {
+			return Complete(100, 100)
+		}
+		return Complete(31, 31)
+	}
+	return nil, fmt.Errorf("unknown topology kind %q", kind)
 }
 
 // ByName builds a topology family at a size class by its paper abbreviation
-// (SF, DF, HX, XP, FT3, JF, Clique). JF is the SF-equivalent Jellyfish.
+// (SF, DF, HX, XP, FT3, JF, Clique). JF is the SF-equivalent Jellyfish. It
+// draws XP's lift from rng whatever the kind, as building the whole suite
+// did, so JF's wiring and a caller's later draws see the stream they always
+// saw.
 func ByName(kind string, class SizeClass, rng *rand.Rand) (*Topology, error) {
-	suite, err := BuildSuite(class, rng)
+	xp, err := Family("XP", class, rng)
 	if err != nil {
 		return nil, err
 	}
 	switch kind {
-	case "SF":
-		return suite.SF, nil
-	case "DF":
-		return suite.DF, nil
-	case "HX":
-		return suite.HX, nil
 	case "XP":
-		return suite.XP, nil
-	case "FT3", "FT":
-		return suite.FT, nil
+		return xp, nil
 	case "JF":
-		return EquivalentJellyfish(suite.SF, rng)
-	case "Clique":
-		if class == Medium {
-			return Complete(100, 100)
+		sf, err := Family("SF", class, rng)
+		if err != nil {
+			return nil, err
 		}
-		return Complete(31, 31)
-	default:
-		return nil, fmt.Errorf("unknown topology kind %q", kind)
+		return EquivalentJellyfish(sf, rng)
 	}
+	return Family(kind, class, rng)
 }

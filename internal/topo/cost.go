@@ -2,36 +2,19 @@ package topo
 
 import "fmt"
 
-// CostModel is the linear equipment cost model of §VII-A2, following the
-// Slim Fly / Dragonfly / Flattened Butterfly cost methodology: router cost
-// is linear in total radix, cables are priced per link with fiber (long,
-// inter-group) more expensive than copper (short, intra-group and endpoint)
-// cables. Prices are k$ per unit and parametrize 100GbE-class equipment;
-// the defaults follow the published per-port figures used by the Slim Fly
-// paper's model.
-type CostModel struct {
-	// SwitchBase is the fixed cost of a router chassis (k$).
-	SwitchBase float64
-	// SwitchPerPort is the marginal cost per router port (k$/port).
-	SwitchPerPort float64
-	// CopperPerLink is the cost of a short electric cable (k$).
-	CopperPerLink float64
-	// FiberPerLink is the cost of a long optic cable (k$).
-	FiberPerLink float64
-	// EndpointNIC is the per-endpoint adapter cost (k$).
-	EndpointNIC float64
-}
-
-// Default100GbE is the 100GbE-class price point used for Figure 10.
-func Default100GbE() CostModel {
-	return CostModel{
-		SwitchBase:    1.0,
-		SwitchPerPort: 0.350,
-		CopperPerLink: 0.110,
-		FiberPerLink:  0.400,
-		EndpointNIC:   0.550,
-	}
-}
+// The linear equipment cost model of §VII-A2, following the Slim Fly /
+// Dragonfly / Flattened Butterfly cost methodology: router cost is linear in
+// total radix, cables are priced per link with fiber (long, inter-group) more
+// expensive than copper (short, intra-group and endpoint) cables. Prices are
+// k$ per unit at the 100GbE-class price point of Figure 10, following the
+// published per-port figures used by the Slim Fly paper's model.
+const (
+	switchBase    = 1.0   // fixed cost of a router chassis
+	switchPerPort = 0.350 // marginal cost per router port
+	copperPerLink = 0.110 // a short electric cable
+	fiberPerLink  = 0.400 // a long optic cable
+	endpointNIC   = 0.550 // per-endpoint adapter
+)
 
 // CostBreakdown is the per-endpoint cost split plotted in Figure 10.
 type CostBreakdown struct {
@@ -50,24 +33,24 @@ func (c CostBreakdown) String() string {
 		c.Total(), c.Switches, c.EndpointLinks, c.InterconnLinks)
 }
 
-// Cost evaluates the model on a topology, returning per-endpoint costs.
-func (m CostModel) Cost(t *Topology) CostBreakdown {
+// Cost evaluates the cost model on a topology, returning per-endpoint costs.
+func Cost(t *Topology) CostBreakdown {
 	n := float64(t.N())
 	var switches float64
 	for r := 0; r < t.Nr(); r++ {
 		ports := t.Conc[r] + t.G.Degree(r)
-		switches += m.SwitchBase + m.SwitchPerPort*float64(ports)
+		switches += switchBase + switchPerPort*float64(ports)
 	}
 	var interconnect float64
 	for id := range t.G.Edges() {
 		switch t.LinkOf[id] {
 		case Copper:
-			interconnect += m.CopperPerLink
+			interconnect += copperPerLink
 		case Fiber:
-			interconnect += m.FiberPerLink
+			interconnect += fiberPerLink
 		}
 	}
-	endpoints := n * (m.CopperPerLink + m.EndpointNIC)
+	endpoints := n * (copperPerLink + endpointNIC)
 	return CostBreakdown{
 		Switches:       switches / n,
 		EndpointLinks:  endpoints / n,

@@ -361,10 +361,9 @@ func TestEquivalentJellyfish(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	model := Default100GbE()
 	sf, _ := SlimFly(7, 0)
 	df, _ := Dragonfly(3)
-	cSF, cDF := model.Cost(sf), model.Cost(df)
+	cSF, cDF := Cost(sf), Cost(df)
 	if cSF.Total() <= 0 || cDF.Total() <= 0 {
 		t.Fatal("costs must be positive")
 	}
