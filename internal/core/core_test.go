@@ -48,15 +48,20 @@ func TestDefaultConfigPerKind(t *testing.T) {
 	}
 }
 
+// TestBuildAllSchemes: every scheme deploys exactly the NumLayers it is
+// asked for, one included (SPAIN caps its merged forests at NumLayers-1,
+// which is then zero).
 func TestBuildAllSchemes(t *testing.T) {
 	sf, _ := topo.SlimFly(5, 0)
 	for _, scheme := range []LayerScheme{RandomSampling, MinInterference, SPAINScheme, PASTScheme} {
-		fab, err := Build(sf, Config{NumLayers: 3, Rho: 0.7, Scheme: scheme, Seed: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		if fab.Layers.N() < 2 {
-			t.Fatalf("%v: expected at least 2 layers", scheme)
+		for _, n := range []int{1, 3} {
+			fab, err := Build(sf, Config{NumLayers: n, Rho: 0.7, Scheme: scheme, Seed: 1})
+			if err != nil {
+				t.Fatalf("%v: %v", scheme, err)
+			}
+			if got := fab.Layers.N(); got != n {
+				t.Errorf("%v with NumLayers %d: %d layers", scheme, n, got)
+			}
 		}
 		if scheme.String() == "unknown" {
 			t.Fatalf("scheme %d has no name", scheme)

@@ -20,6 +20,9 @@ import (
 var fingerprintHistory = []struct{ fingerprint, digest string }{
 	{"fatpaths-engine-v1", "a18274c381683eb46aa8e3961ac46343cbad9ea8c7c4108d050357b07a6291ff"},
 	{"fatpaths-engine-v2", "40238c71b72d2a07057070891d7209f86b7f8ecc405c100a020aaa428ef0d433"},
+	// v3: SPAIN's layer cap became plain, so a one-layer spain cell keeps
+	// layer 0 alone; no golden or flow digest moved.
+	{"fatpaths-engine-v3", "40238c71b72d2a07057070891d7209f86b7f8ecc405c100a020aaa428ef0d433"},
 }
 
 // flowDigestRow matches one row of netsim's eventCoreCases: its name and,

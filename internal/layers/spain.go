@@ -22,9 +22,9 @@ import (
 type SPAINConfig struct {
 	// K is the number of paths computed per (source, destination) pair.
 	K int
-	// MaxLayers optionally truncates the merged layer list to the n
-	// heaviest layers (plus the implicit full layer 0) so that comparisons
-	// against FatPaths use equally many layers (§VI-C). 0 keeps all.
+	// MaxLayers caps the merged layer list at the n heaviest layers (plus
+	// the implicit full layer 0) so that comparisons against FatPaths use
+	// equally many layers (§VI-C). 0 keeps layer 0 alone.
 	MaxLayers int
 }
 
@@ -142,7 +142,7 @@ func SPAIN(g *graph.Graph, cfg SPAINConfig, rng *rand.Rand) (*LayerSet, error) {
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].count > merged[j].count })
-	if cfg.MaxLayers > 0 && len(merged) > cfg.MaxLayers {
+	if len(merged) > cfg.MaxLayers {
 		merged = merged[:cfg.MaxLayers]
 	}
 	ls := &LayerSet{Base: g}

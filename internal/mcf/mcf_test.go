@@ -347,3 +347,46 @@ func TestPathMATBoundedByGeneralProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestPathMATCutBound holds the exact path-restricted MAT to the cut bound
+// every router proves (ROADMAP 19): router r sends T·out(r), its total
+// out-demand scaled by T, through deg(r) unit-capacity out-arcs, so
+// T·out(r) ≤ deg(r) for every r. Checked on an SF q=5 worst-case pattern
+// at intensity 0.55, over five random layers and over k=5 shortest paths.
+func TestPathMATCutBound(t *testing.T) {
+	sf, err := topo.SlimFly(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := graph.NewRand(11)
+	comms := CommoditiesFromPattern(sf, traffic.WorstCase(sf, 0.55, rng))
+	ls, err := layers.Random(sf.G, 5, 0.6, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, sf.Nr())
+	for _, c := range comms {
+		out[c.Src] += c.Demand
+	}
+	for _, c := range []struct {
+		name string
+		ps   PathSets
+	}{
+		{"5 random layers", FromForwarding(sf.G, routing.NewEngine(ls.Base, ls.Masks(), 1), comms)},
+		{"5 shortest paths", FromKShortest(sf.G, comms, 5)},
+	} {
+		mat, err := PathMAT(c.ps)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if mat <= 0 {
+			t.Fatalf("%s: MAT %f, want positive", c.name, mat)
+		}
+		for r, d := range out {
+			if bound := float64(sf.G.Degree(r)); mat*d > bound+1e-9 {
+				t.Errorf("%s: router %d sends T·out = %f·%g = %f over %g links", c.name, r, mat, d, mat*d, bound)
+			}
+		}
+		t.Logf("%s: T = %f", c.name, mat)
+	}
+}

@@ -27,8 +27,6 @@ type ndpSender struct {
 	nextNew   int32
 	retxQ     []int32
 	delivered []bool
-	nDeliv    int32
-	inflight  int32
 	lastAct   Time
 	kaNext    int32 // keepalive retransmission rotor
 	kaTimer   timer
@@ -56,7 +54,6 @@ func (s *Sim) ndpStart(e *Engine, f *flow) {
 // ndpSendData transmits one data packet (possibly a retransmission).
 func (s *Sim) ndpSendData(e *Engine, f *flow, seq int32, retx bool) {
 	s.pickRoute(e, f)
-	f.ndp.inflight++
 	s.Net.sendFromHost(e, s.dataPacket(e, f, seq, f.layer, retx))
 }
 
@@ -142,15 +139,11 @@ func (s *Sim) ndpPullAtSender(e *Engine, f *flow, pull *Packet) {
 		f.ndp.finished = true
 		return
 	}
-	if f.ndp.inflight > 0 {
-		f.ndp.inflight--
-	}
 	if pull.Trimmed {
 		// The referenced sequence lost its payload: queue a priority retx.
 		f.ndp.retxQ = append(f.ndp.retxQ, pull.Seq)
-	} else if !f.ndp.delivered[pull.Seq] {
+	} else {
 		f.ndp.delivered[pull.Seq] = true
-		f.ndp.nDeliv++
 	}
 	if pull.ECN && s.Cfg.LB == LBFatPaths {
 		// Receiver observed congestion on the current layer: re-randomize

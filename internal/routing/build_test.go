@@ -399,13 +399,13 @@ func TestConcurrentIndexFirstTouch(t *testing.T) {
 	}
 }
 
-// TestWithoutEdgesSharesUntouchedIndex pins the index-sharing rule: a view
-// allocates no adjacency index of its own — every layer, touched by the
-// failed edges or not, shares the root's holder. It repairs its tables off
-// the root's without filling any index, fills the root's holders only when
-// the root has no table to repair (and publishes none of those root tables),
-// and never writes through to the root's rows.
-func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
+// TestWithoutEdgesOfUnbuiltRoot derives a view of a root that was never
+// built. The derivation completes the root with BuildAll, so the census
+// covers all L·Nr tables; and neither the block kernel nor the view's
+// repairs fill an adjacency index: the view holds none, and the root's
+// stay empty. Every table of the root, and of the view whether repaired on
+// lookup or built by its own BuildAll, must equal the oracle's.
+func TestWithoutEdgesOfUnbuiltRoot(t *testing.T) {
 	g := randomSortedGraph(40, 0.2, graph.NewRand(5))
 	with0 := make([]bool, g.M()) // a proper subset that still contains edge 0
 	for id := range with0 {
@@ -416,47 +416,34 @@ func TestWithoutEdgesSharesUntouchedIndex(t *testing.T) {
 		without0[id] = id != 0
 	}
 	masks := [][]bool{nil, with0, without0}
-	for _, built := range []bool{true, false} {
-		parent := NewEngine(g, masks, 1)
-		if built {
-			parent.BuildAll(2)
+	parent := NewEngine(g, masks, 1)
+	derived := parent.WithoutEdges([]int{0})
+	if s, i := derived.Repair(); s+i != len(masks)*g.N() || i == 0 {
+		t.Fatalf("Repair() = %d shared + %d invalidated, want L·Nr = %d with some invalidated", s, i, len(masks)*g.N())
+	}
+	if derived.adj != nil || derived.base != nil {
+		t.Fatal("the view holds an adjacency index")
+	}
+	for l := range masks { // every table the view cannot share, repaired
+		for d := 0; d < g.N(); d++ {
+			derived.table(l, d)
 		}
-		derived := parent.WithoutEdges([]int{0})
-		for l := range masks {
-			if derived.adj[l] != parent.adj[l] {
-				t.Fatalf("layer %d: the view holds an index of its own", l)
+	}
+	for l := range masks {
+		if parent.adj[l].rows != nil {
+			t.Fatalf("layer %d's adjacency index filled", l)
+		}
+	}
+	eager := parent.WithoutEdges([]int{0}) // the block kernel, with the cuts filtered out
+	eager.BuildAll(2)
+	for l, mask := range parent.masks {
+		for d := 0; d < g.N(); d++ {
+			if diff := diffTable(parent, l, d, referenceTable(g, mask, d)); diff != "" {
+				t.Fatalf("parent table (%d,%d): %s", l, d, diff)
 			}
-		}
-		if derived.base != parent.base {
-			t.Fatal("the view holds a full-graph index of its own")
-		}
-		for l := range masks { // every table the view cannot share, repaired
-			for d := 0; d < g.N(); d++ {
-				derived.table(l, d)
-			}
-		}
-		for l := range masks {
-			// Off built root tables a repair reads no index; otherwise the
-			// view filled the root's holders, once, for the root's tables.
-			if filled := parent.adj[l].rows != nil; filled == built {
-				t.Fatalf("built=%v: layer %d's index filled: %v", built, l, filled)
-			}
-		}
-		if !built && parent.Stat().TablesBuilt != 0 {
-			t.Fatal("the view published the root tables it built")
-		}
-		eager := parent.WithoutEdges([]int{0}) // the block kernel, with the cuts filtered out
-		eager.BuildAll(2)
-		parent.BuildAll(2)
-		for l, mask := range parent.masks {
-			for d := 0; d < g.N(); d++ {
-				if diff := diffTable(parent, l, d, referenceTable(g, mask, d)); diff != "" {
-					t.Fatalf("built=%v: parent table (%d,%d) after derivation: %s", built, l, d, diff)
-				}
-				for _, v := range []*Engine{derived, eager} {
-					if diff := diffTable(v, l, d, referenceTable(g, layerMask(v, l), d)); diff != "" {
-						t.Fatalf("built=%v: derived table (%d,%d): %s", built, l, d, diff)
-					}
+			for _, v := range []*Engine{derived, eager} {
+				if diff := diffTable(v, l, d, referenceTable(g, layerMask(v, l), d)); diff != "" {
+					t.Fatalf("derived table (%d,%d): %s", l, d, diff)
 				}
 			}
 		}
@@ -524,7 +511,7 @@ func TestAllocsPerTable(t *testing.T) {
 		})
 		// perEngine bounds what does not scale with the table count: the
 		// engine, its slot array and index holders, one index per layer,
-		// the repair index's built and parity slices,
+		// the repair index's parity slice,
 		// and per worker a goroutine and a scratch that grows a few times.
 		const perEngine = 40
 		if allocs > 2*tables+perEngine {

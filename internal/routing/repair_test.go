@@ -10,7 +10,7 @@ import (
 )
 
 // scanCensus is the repair census WithoutEdges took before the parity
-// index, kept as its oracle: read every built table of the root and test
+// index, kept as its oracle: read every table of the complete root and test
 // each removed edge live in the table's layer for tightness, one mask bit
 // per endpoint. Out-of-range IDs are ignored.
 func scanCensus(root *Engine, failed []int) (shared, invalidated int) {
@@ -24,11 +24,9 @@ func scanCensus(root *Engine, failed []int) (shared, invalidated int) {
 			}
 		}
 		for d := 0; d < root.nr; d++ {
-			switch t := root.tables[l*root.nr+d].Load(); {
-			case t == nil:
-			case tableUsesAny(t, removed):
+			if tableUsesAny(root.tables[l*root.nr+d].Load(), removed) {
 				invalidated++
-			default:
+			} else {
 				shared++
 			}
 		}
@@ -61,34 +59,20 @@ func requireCensus(t *testing.T, root *Engine, failed, second []int) (shared, in
 	return view.Repair()
 }
 
-// requireIndex indexes every built table of a root and holds its repair
-// index to its definition: bit dst of a layer's built word is set iff the
-// table is published, and bit dst of router u's parity word iff, besides,
-// u lies at an odd distance from dst. The census alone cannot see every
-// fault here: parity words holding the even levels instead give the same
-// XORs.
+// requireIndex indexes every block of a complete root and holds its parity
+// index to its definition: bit dst of router u's word is set iff u lies at
+// an odd distance from dst. The census alone cannot see every fault here:
+// parity words holding the even levels instead give the same XORs.
 func requireIndex(t *testing.T, e *Engine) {
 	t.Helper()
-	words := (e.nr + 63) / 64
 	for l := range e.masks {
-		for w := 0; w < words; w++ {
-			if built := e.built[l*words+w].Load(); built != 0 {
-				e.index(l, w, built)
-			}
-		}
 		for d := 0; d < e.nr; d++ {
 			tb := e.tables[l*e.nr+d].Load()
+			rows := e.index(l, d>>6).rows
 			bit := uint64(1) << (d & 63)
-			if built := e.built[l*words+d>>6].Load()&bit != 0; built != (tb != nil) {
-				t.Fatalf("table (%d,%d): built bit %v, published %v", l, d, built, tb != nil)
-			}
-			if tb == nil {
-				continue
-			}
-			rows := e.parity[l*words+d>>6].rows
 			for u := 0; u < e.nr; u++ {
 				dist := e.pathLen(tb, u)
-				if got, want := rows[u].Load()&bit != 0, dist > 0 && dist%2 == 1; got != want {
+				if got, want := rows[u]&bit != 0, dist > 0 && dist%2 == 1; got != want {
 					t.Fatalf("table (%d,%d): router %d at distance %d has parity bit %v", l, d, u, dist, got)
 				}
 			}
@@ -97,10 +81,10 @@ func requireIndex(t *testing.T, e *Engine) {
 }
 
 // TestRepairCensusMatchesScan holds the parity-index census against the
-// per-table scan on every forEachRepairCase, first on a parent with a third
-// of its tables built by first touches (the lazy kernel), then on the same
-// parent after BuildAll has built the rest (the block kernel), and the
-// index itself to its definition.
+// per-table scan on every forEachRepairCase, on a parent with a third of
+// its tables built by first touches (the lazy kernel) and the rest by the
+// derivation's BuildAll (the block kernel), and the index itself to its
+// definition.
 func TestRepairCensusMatchesScan(t *testing.T) {
 	var shared, invalidated int
 	forEachRepairCase(t, graph.NewRand(24), func(t *testing.T, c repairCase) {
@@ -112,9 +96,6 @@ func TestRepairCensusMatchesScan(t *testing.T) {
 				parent.table(slot/nr, slot%nr)
 			}
 		}
-		requireCensus(t, parent, c.failed, c.second)
-		requireIndex(t, parent)
-		parent.BuildAll(2)
 		s, i := requireCensus(t, parent, c.failed, c.second)
 		requireIndex(t, parent)
 		shared += s
@@ -130,8 +111,9 @@ func TestRepairCensusMatchesScan(t *testing.T) {
 // it the long way round, past distCap, and their new distances come from
 // neighbours near the antipode whose bytes are saturated too, so a repair
 // that read bytes instead of walking them would mis-settle. A sample of
-// destinations' tables on a view, repaired off a built root and off an
-// unbuilt one, must equal buildTable on the ring without the cut edges.
+// destinations' tables on a view, repaired off a built root and off one the
+// derivation builds, must equal buildTable on the ring without the cut
+// edges.
 func TestRepairPastDistCap(t *testing.T) {
 	const n = 512
 	g := graph.New(n)

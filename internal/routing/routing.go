@@ -48,9 +48,8 @@
 // Construction is bit-parallel, with two kernels over the one format; the
 // call decides which runs. A first touch wants one destination: buildTable
 // runs one BFS over the layer's adjacency bitset index (one Nr-bit row per
-// router, built once from (graph, mask) on the layer's first lazy table and
-// shared with every WithoutEdges view) and
-// reads each candidate set off as adj[src] & level[dist(src)-1], ranking
+// router, built once from (graph, mask) on the layer's first lazy table)
+// and reads each candidate set off as adj[src] & level[dist(src)-1], ranking
 // every member among src's neighbours to get its position — about
 // 3·Nr·⌈Nr/64⌉ word operations. BuildAll wants every destination:
 // buildBlock runs 64 BFSes at once, one bit per destination in each
@@ -60,18 +59,18 @@
 // Nr²·⌈Nr/64⌉, and no index is built. A block costs about twenty single
 // tables at the daemon's sizes, so a first touch stays per destination.
 //
-// Repair. WithoutEdges counts the tables a failure set invalidates off a
-// parity index (parityCol) of which routers sit at an odd BFS level from
-// each destination, filled from each built table once, by the first census
-// that needs it; a derived view copies none of its root's masks, slots or
-// adjacency rows. A view's lookup of an invalidated table repairs a copy of
-// the root's (repair, a decremental BFS): deleting edges only lengthens
-// distances, so only the routers whose every candidate hop was cut or grew
-// farther get new distances and masks, and the rest keep theirs minus the
-// lost bits — on the daemon's two fabric shapes, 0 routers at the median
-// repair, 1 at p90 and 32 at most. Where the root has no table yet, the
-// view builds one from the root's layer without publishing it, and repairs
-// that.
+// Repair. WithoutEdges derives a view from a complete root: it runs the
+// root's BuildAll first (a no-op once one has finished), so every table a
+// view reads off or repairs exists. It counts the tables a failure set
+// invalidates off a parity index (parityCol) of which routers sit at an odd
+// BFS level from each destination, filled one 64-destination block at a
+// time by the first census that needs it; a derived view copies none of its
+// root's masks, slots or adjacency rows. A view's lookup of an invalidated
+// table repairs a copy of the root's (repair, a decremental BFS): deleting
+// edges only lengthens distances, so only the routers whose every candidate
+// hop was cut or grew farther get new distances and masks, and the rest
+// keep theirs minus the lost bits — on the daemon's two fabric shapes, 0
+// routers at the median repair, 1 at p90 and 32 at most.
 package routing
 
 import (
@@ -144,8 +143,7 @@ const routeCountCap = int64(1) << 40
 // the edge (v,h) is enabled in the layer. Row v occupies
 // rows[v*words:(v+1)*words] with words = ⌈Nr/64⌉, so a materialized layer
 // costs Nr·⌈Nr/64⌉·8 bytes. It is filled on the layer's first lazily built
-// table (BuildAll does not read it); a WithoutEdges view shares its root's
-// holders, so whichever of them builds first serves both.
+// table; BuildAll and WithoutEdges views do not read it.
 type layerAdj struct {
 	once sync.Once
 	rows []uint64
@@ -156,8 +154,8 @@ type layerAdj struct {
 }
 
 // get returns the rows, filling the index on first use. The fill is a pure
-// function of (graph, mask), so which goroutine or which sharing engine
-// performs it is unobservable.
+// function of (graph, mask), so which goroutine performs it is
+// unobservable.
 func (a *layerAdj) get() []uint64 {
 	a.once.Do(func() {
 		words := (a.g.N() + 63) / 64
@@ -174,20 +172,18 @@ func (a *layerAdj) get() []uint64 {
 }
 
 // parityCol is one 64-destination block of one layer's repair index on an
-// engine from NewEngine: bit j of rows[u] is set iff table (layer, b0+j) is
-// in indexed and router u lies at an odd BFS level from b0+j. A live layer
-// edge joins levels at most one apart, and both of its ends are reachable
-// or neither, so it is tight toward a destination — on a minimal path, in a
-// candidate set — iff its two ends' rows differ at the destination's bit: a
-// WithoutEdges census reads that off in one word per removed edge instead
-// of reading the block's tables. The kernels do not write the index; the
-// first census that needs a built table's bits reads its distance bytes
-// once (index), so engines nobody derives from pay nothing. rows (Nr words)
-// is allocated by the first index and written only under mu.
+// engine from NewEngine: bit j of rows[u] is set iff router u lies at an
+// odd BFS level from destination b0+j. A live layer edge joins levels at
+// most one apart, and both of its ends are reachable or neither, so it is
+// tight toward a destination — on a minimal path, in a candidate set — iff
+// its two ends' rows differ at the destination's bit: a WithoutEdges census
+// reads that off in one word per removed edge instead of reading the
+// block's tables. The kernels do not write the index; the first census that
+// needs the block reads its 64 tables' distance bytes once (index), so
+// engines nobody derives from pay nothing.
 type parityCol struct {
-	mu      sync.Mutex
-	indexed atomic.Uint64
-	rows    []atomic.Uint64
+	once sync.Once
+	rows []uint64 // Nr words
 }
 
 // Engine computes and caches the tables of one layered routing
@@ -197,8 +193,8 @@ type parityCol struct {
 type Engine struct {
 	g     *graph.Graph
 	masks [][]bool    // masks[layer]; nil means the full edge set
-	adj   []*layerAdj // adj[layer], lazily filled
-	base  *layerAdj   // the full graph's index: a member's rank in its row is its position
+	adj   []*layerAdj // adj[layer], lazily filled; nil on a view
+	base  *layerAdj   // the full graph's index: a member's rank in its row is its position; nil on a view
 	seed  int64
 	nr    int
 
@@ -209,11 +205,11 @@ type Engine struct {
 	units       int // mask width in uint16 units, ⌈maxdeg/16⌉
 
 	tables []atomic.Pointer[table] // slot = layer*nr + dst; nil on a view
+	// complete is set once a BuildAll has returned: every slot is filled.
+	complete atomic.Bool
 
-	// The repair index of an engine from NewEngine (both nil on a view):
-	// built and parity are indexed by layer*words + dst>>6, and bit dst&63
-	// of a built word is set once table (layer, dst) is published.
-	built  []atomic.Uint64
+	// The repair index of an engine from NewEngine (nil on a view), indexed
+	// by layer*words + dst>>6.
 	parity []parityCol
 
 	// A WithoutEdges view's derivation: root is the engine from NewEngine it
@@ -229,8 +225,8 @@ type Engine struct {
 	cuts   [][]maskBit
 	own    []atomic.Pointer[[]atomic.Pointer[table]]
 
-	// shared/invalidated count the root's built tables a WithoutEdges
-	// derivation kept and dropped; zero for an engine from NewEngine.
+	// shared/invalidated count the root's tables a WithoutEdges derivation
+	// kept and dropped; zero for an engine from NewEngine.
 	shared, invalidated int
 
 	// m, when non-nil, receives routing-core telemetry (tables built,
@@ -260,7 +256,6 @@ func NewEngine(g *graph.Graph, masks [][]bool, seed int64) *Engine {
 		nbrOff: make([]int32, nr+1),
 		nbr:    make([]int32, 0, 2*g.M()),
 		tables: make([]atomic.Pointer[table], len(masks)*nr),
-		built:  make([]atomic.Uint64, len(masks)*((nr+63)/64)),
 		parity: make([]parityCol, len(masks)*((nr+63)/64)),
 	}
 	for l, mask := range masks {
@@ -296,8 +291,7 @@ func (e *Engine) Engine() *Engine { return e }
 func (e *Engine) Neighbors(r int) []int32 { return e.nbr[e.nbrOff[r]:e.nbrOff[r+1]] }
 
 // table returns the (layer, dst) table, building it on first use. A view
-// repairs its root's table; when the root has none, the view builds the
-// root's here without publishing it, so a view never adds to its root.
+// repairs a copy of its root's table; a view never adds to its root.
 func (e *Engine) table(layer, dst int) *table {
 	// A view has no flat slots, so the test that bounds the index also
 	// sends it down the slow path.
@@ -310,25 +304,17 @@ func (e *Engine) table(layer, dst int) *table {
 		return t
 	}
 	if e.root == nil {
-		return e.publish(layer, dst, e.build(layer, dst))
+		return e.publish(layer, dst, buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst))
 	}
-	if rt := e.root.tables[layer*e.nr+dst].Load(); rt != nil {
-		return e.publish(layer, dst, e.repair(layer, &table{slices.Clone(rt.slab), rt.cands}))
-	}
-	return e.publish(layer, dst, e.repair(layer, e.build(layer, dst)))
-}
-
-// build runs the lazy kernel on the layer's full edge set: on a view, the
-// root's layer.
-func (e *Engine) build(layer, dst int) *table {
-	return buildTable(e.adj[layer].get(), e.base.get(), e.nr, e.units, dst)
+	rt := e.root.tables[layer*e.nr+dst].Load()
+	return e.publish(layer, dst, e.repair(layer, &table{slices.Clone(rt.slab), rt.cands}))
 }
 
 // lookup returns the (layer, dst) table without building it, nil when the
 // engine has none yet. A view has the table it built, else the root's when
-// the root has built it and none of the layer's cut edges is tight in it:
-// removing edges on no minimal path moves no distance and no candidate set,
-// so that table is the view's bit for bit.
+// none of the layer's cut edges is tight in it: removing edges on no
+// minimal path moves no distance and no candidate set, so that table is
+// the view's bit for bit.
 func (e *Engine) lookup(layer, dst int) *table {
 	if e.root == nil {
 		return e.tables[layer*e.nr+dst].Load()
@@ -338,11 +324,10 @@ func (e *Engine) lookup(layer, dst int) *table {
 			return t
 		}
 	}
-	t := e.root.tables[layer*e.nr+dst].Load()
-	if t == nil || tableUsesAny(t, e.cuts[layer]) {
-		return nil
+	if t := e.root.tables[layer*e.nr+dst].Load(); !tableUsesAny(t, e.cuts[layer]) {
+		return t
 	}
-	return t
+	return nil
 }
 
 // slot returns the engine's own slot for (layer, dst), allocating a view's
@@ -369,9 +354,6 @@ func (e *Engine) publish(layer, dst int, t *table) *table {
 	slot := e.slot(layer, dst)
 	if !slot.CompareAndSwap(nil, t) {
 		return slot.Load()
-	}
-	if e.built != nil {
-		e.built[layer*((e.nr+63)/64)+dst>>6].Or(1 << (dst & 63))
 	}
 	if e.m != nil {
 		e.m.TablesBuilt.Inc()
@@ -849,8 +831,12 @@ func (e *Engine) DistinctRoutes(src, dst int) int {
 // the tables. Tables the engine already has — first touches, or the root's
 // tables a WithoutEdges view can use — are left as they are. Each table is
 // a pure function of its slot, so the engine state is identical for every
-// worker count and whichever kernel built a table.
+// worker count and whichever kernel built a table. Once a BuildAll has
+// returned, later calls return at once.
 func (e *Engine) BuildAll(workers int) {
+	if e.complete.Load() {
+		return
+	}
 	blocks := (e.nr + 63) / 64
 	n := len(e.masks) * blocks
 	if workers <= 0 {
@@ -869,6 +855,7 @@ func (e *Engine) BuildAll(workers int) {
 			e.buildBlock(i/blocks, i%blocks*64, &sc)
 		}
 	})
+	e.complete.Store(true)
 }
 
 // RouteCounts returns, for every source router, the number of distinct
@@ -951,10 +938,10 @@ func (e *Engine) bitFor(src, to int32) maskBit {
 
 // WithoutEdges returns a derived engine with the given base edges removed
 // from every layer — the §V-G "major topology update" path, where routes are
-// recomputed incrementally, per destination. A built table survives unless
-// one of the removed edges was both present in its layer and *tight* toward
-// its destination (on some minimal path, which is exactly when the edge
-// appears in a candidate set): a non-tight edge changes no distance and no
+// recomputed incrementally, per destination. A table survives unless one of
+// the removed edges was both present in its layer and *tight* toward its
+// destination (on some minimal path, which is exactly when the edge appears
+// in a candidate set): a non-tight edge changes no distance and no
 // candidate set, so the view reads that table from the root engine. A table
 // a removed edge is tight in is repaired from the root's on the view's first
 // lookup (repair): only the routers whose distance grows are recomputed,
@@ -962,16 +949,21 @@ func (e *Engine) bitFor(src, to int32) maskBit {
 // bit for bit. A view of a view derives from the root with both failure
 // sets. Out-of-range IDs are ignored and duplicates count once.
 //
-// The census (Repair) comes off the root's parity index in
-// O(L·|F|·⌈Nr/64⌉) word operations, reading a table only the first time a
-// census needs its bits. A view copies no mask, no slot and no adjacency
-// row: it keeps its root, the failed edges, the cut edges' mask bits per
-// layer and the slots of the tables it repairs or builds itself.
+// A view derives only from a complete root: WithoutEdges first runs the
+// root's BuildAll(0). On a root whose BuildAll has returned that is free;
+// on a lazily built one it is one eager build, tens of milliseconds at
+// Nr ≈ 10⁴, paid by the first derivation only. The census (Repair) then
+// comes off the root's parity index in O(L·|F|·⌈Nr/64⌉) word operations,
+// reading a block's tables only the first time a census needs its bits. A
+// view copies no mask, no slot and no adjacency row: it keeps its root, the
+// failed edges, the cut edges' mask bits per layer and the slots of the
+// tables it repairs or builds itself.
 func (e *Engine) WithoutEdges(failed []int) *Engine {
 	r := e
 	if e.root != nil {
 		r, failed = e.root, slices.Concat(e.failed, failed)
 	}
+	r.BuildAll(0)
 	m := r.g.M()
 	gone := make([]int, 0, len(failed))
 	for _, id := range failed {
@@ -985,8 +977,6 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 	out := &Engine{
 		g:      r.g,
 		masks:  r.masks,
-		adj:    r.adj,
-		base:   r.base,
 		seed:   r.seed,
 		nr:     r.nr,
 		nbrOff: r.nbrOff,
@@ -1017,10 +1007,9 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 		cut := ids[:len(ids):len(ids)]
 		out.cuts[l] = ends[:len(ends):len(ends)]
 		ids, ends = ids[len(ids):], ends[len(ends):]
-		shared, invalidated := r.census(l, cut)
-		out.shared += shared
-		out.invalidated += invalidated
+		out.invalidated += r.census(l, cut)
 	}
+	out.shared = nl*r.nr - out.invalidated
 	if r.m != nil {
 		r.m.TablesInvalidated.Add(int64(out.invalidated))
 		r.m.TablesShared.Add(int64(out.shared))
@@ -1028,79 +1017,57 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 	return out
 }
 
-// census counts the layer's built tables on an engine from NewEngine that
-// removing the cut edges (live in the layer) leaves usable, and those in
-// which one of them is tight: invalidated is the popcount over built tables
-// of ⋁ rows[u] ⊕ rows[v]. Each word of built is read once and indexed
-// before its rows are, so the two add up to the tables built when the word
-// was read, whatever is being built meanwhile.
-func (e *Engine) census(layer int, cut []int) (shared, invalidated int) {
+// census counts the layer's tables on a complete engine from NewEngine in
+// which one of the cut edges (live in the layer) is tight: the popcount of
+// ⋁ rows[u] ⊕ rows[v] over the layer's parity columns.
+func (e *Engine) census(layer int, cut []int) (invalidated int) {
+	if len(cut) == 0 {
+		return 0
+	}
 	words := (e.nr + 63) / 64
 	for w := 0; w < words; w++ {
-		built := e.built[layer*words+w].Load()
-		if built == 0 || len(cut) == 0 {
-			shared += bits.OnesCount64(built)
-			continue
-		}
-		col := &e.parity[layer*words+w]
-		if built&^col.indexed.Load() != 0 {
-			e.index(layer, w, built)
-		}
+		col := e.index(layer, w)
 		var tight uint64
 		for _, id := range cut {
 			ed := e.g.Edge(id)
-			tight |= col.rows[ed.U].Load() ^ col.rows[ed.V].Load()
+			tight |= col.rows[ed.U] ^ col.rows[ed.V]
 		}
-		invalidated += bits.OnesCount64(tight & built)
-		shared += bits.OnesCount64(built &^ tight)
+		invalidated += bits.OnesCount64(tight)
 	}
-	return shared, invalidated
+	return invalidated
 }
 
-// index adds to the parity column of destinations w·64.. in the layer the
-// bits of the built tables it does not hold yet, reading each one's
-// distance bytes: bit j of router u's word is set iff u lies at an odd
-// distance from w·64+j. Concurrent censuses index a column one at a time.
-func (e *Engine) index(layer, w int, built uint64) {
+// index returns the parity column of destinations w·64.. in the layer,
+// filling it on first use from the block's tables' distance bytes: bit j of
+// router u's word is set iff u lies at an odd distance from w·64+j.
+func (e *Engine) index(layer, w int) *parityCol {
 	col := &e.parity[layer*((e.nr+63)/64)+w]
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	pending := built &^ col.indexed.Load()
-	if pending == 0 {
-		return
-	}
-	if col.rows == nil {
-		col.rows = make([]atomic.Uint64, e.nr)
-	}
-	acc := make([]uint64, e.nr)
-	for m := pending; m != 0; m &= m - 1 {
-		j := bits.TrailingZeros64(m)
-		t := e.tables[layer*e.nr+(w<<6|j)].Load()
-		for u := range acc {
-			odd := false
-			switch d := e.dist(t, u); d {
-			case unreachable:
-			case distCap: // saturated: walk down to the exact distance
-				odd = e.pathLen(t, u)&1 == 1
-			default:
-				odd = d&1 == 1
-			}
-			if odd {
-				acc[u] |= 1 << j
+	col.once.Do(func() {
+		col.rows = make([]uint64, e.nr)
+		for j := 0; j < min(64, e.nr-w<<6); j++ {
+			t := e.tables[layer*e.nr+(w<<6|j)].Load()
+			for u := range col.rows {
+				odd := false
+				switch d := e.dist(t, u); d {
+				case unreachable:
+				case distCap: // saturated: walk down to the exact distance
+					odd = e.pathLen(t, u)&1 == 1
+				default:
+					odd = d&1 == 1
+				}
+				if odd {
+					col.rows[u] |= 1 << j
+				}
 			}
 		}
-	}
-	for u, a := range acc {
-		if a != 0 {
-			col.rows[u].Or(a)
-		}
-	}
-	col.indexed.Or(pending)
+	})
+	return col
 }
 
-// Repair reports how WithoutEdges found the root's built tables when it
-// derived this view: how many the view can use and how many it dropped for
-// lazy repair. Both are zero for an engine made by NewEngine.
+// Repair reports how WithoutEdges found the root's tables when it derived
+// this view: how many the view can use and how many it dropped for lazy
+// repair. The two add up to L·Nr on a view and are zero for an engine made
+// by NewEngine.
 func (e *Engine) Repair() (shared, invalidated int) { return e.shared, e.invalidated }
 
 // tableUsesAny reports whether any of the removed edges is tight in the

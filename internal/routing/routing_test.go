@@ -180,9 +180,14 @@ func TestRouteCountsMatchShortestPathDAG(t *testing.T) {
 // topology's structure proves. Each dimension of HyperX(L=3, S=4) is a
 // clique, so a pair at Hamming distance d has d! minimal routes, one per
 // order of fixing the differing coordinates, and d edge-disjoint paths of
-// at most d hops, one per dimension fixed first. A pair of the 16-router
-// clique (k' = 15) has c1 = 1, its link, and c2 = k' = 15: the link and one
-// two-hop path through each other router.
+// at most d hops, one per dimension fixed first; every pair has edge
+// connectivity L·(S−1) = 9, the degree. A pair of the 16-router clique
+// (k' = 15) has c1 = 1, its link, and c2 = k' = 15: the link and one
+// two-hop path through each other router. In FatTree3(m=4, o=1) two edge
+// routers in different pods have m² minimal routes (any aggregation router
+// of the source pod, then any core of its group) and m edge-disjoint
+// four-hop paths, one per uplink; two in one pod have m of each, one per
+// aggregation router.
 func TestClosedFormOracles(t *testing.T) {
 	hx, err := topo.HyperX(3, 4, 0)
 	if err != nil {
@@ -207,6 +212,41 @@ func TestClosedFormOracles(t *testing.T) {
 			}
 			if c := hx.G.DisjointPathsBounded([]int{src}, []int{dst}, graph.DisjointPathsOpts{MaxLen: d}); c != d {
 				t.Errorf("HX %d->%d at Hamming distance %d: c_%d = %d, want %d", src, dst, d, d, c, d)
+			}
+			if src < dst {
+				if c := hx.G.EdgeConnectivityPair(src, dst); c != 9 {
+					t.Errorf("HX %d-%d: edge connectivity %d, want L·(S-1) = 9", src, dst, c)
+				}
+			}
+		}
+	}
+	const m = 4
+	ft, err := topo.FatTree3(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := NewEngine(ft.G, make([][]bool, 1), 1)
+	var edges []int // the edge routers: the first m of each pod's 2m
+	for r := 0; r < 2*m*2*m; r++ {
+		if r%(2*m) < m {
+			edges = append(edges, r)
+		}
+	}
+	for _, dst := range edges {
+		counts := fe.RouteCounts(0, dst)
+		for _, src := range edges {
+			if src == dst {
+				continue
+			}
+			routes, hops := int64(m*m), 4
+			if src/(2*m) == dst/(2*m) {
+				routes, hops = m, 2
+			}
+			if counts[src] != routes {
+				t.Errorf("FT3 edge %d->%d: %d minimal routes, want %d", src, dst, counts[src], routes)
+			}
+			if c := ft.G.DisjointPathsBounded([]int{src}, []int{dst}, graph.DisjointPathsOpts{MaxLen: hops}); c != m {
+				t.Errorf("FT3 edge %d->%d: c_%d = %d, want %d", src, dst, hops, c, m)
 			}
 		}
 	}
@@ -584,8 +624,9 @@ func forEachRepairCase(t *testing.T, rng *rand.Rand, fn func(t *testing.T, c rep
 
 // TestWithoutEdgesMatchesFreshEngine is the differential test of the repair
 // path: WithoutEdges(F) against an engine built from nothing on the graph
-// G∖F, for every forEachRepairCase, from fully and partly built parents,
-// with the view's tables rebuilt lazily or by BuildAll, and once more for a
+// G∖F, for every forEachRepairCase, from fully built parents and from
+// partly built ones the derivation completes, with the view's tables
+// rebuilt lazily or by BuildAll, and once more for a
 // view of a view. The fresh engine's graph has other edge IDs and other
 // neighbour positions than the parent's, so the comparison also covers the
 // position ↔ router mapping.
@@ -603,10 +644,9 @@ func TestWithoutEdgesMatchesFreshEngine(t *testing.T) {
 				}
 			}
 		}
-		built := parent.Stat().TablesBuilt
-		derived := parent.WithoutEdges(c.failed)
-		if shared, invalidated := derived.Repair(); shared+invalidated != built {
-			t.Fatalf("Repair() = %d shared + %d invalidated, parent had %d built", shared, invalidated, built)
+		derived := parent.WithoutEdges(c.failed) // completes a partly built parent
+		if shared, invalidated := derived.Repair(); shared+invalidated != len(parent.tables) {
+			t.Fatalf("Repair() = %d shared + %d invalidated, want L·Nr = %d", shared, invalidated, len(parent.tables))
 		}
 		if c.i%4 < 2 { // and the others rebuild lazily
 			requireBuildAllKeepsShared(t, parent, derived)

@@ -22,7 +22,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Pattern:  Pattern{Kind: "uniform"},
 			},
 			identity: "v1|topo=FT3/small/4/0|pattern=uniform/0/0/0/false|routing=fatpaths|transport=ndp|layers=0|rho=0|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=false|seed=42",
-			cacheKey: "b9d63f329a743732456c4875206caaf34c69108d1da97bd5cd0ac4a648258975",
+			cacheKey: "ab91aa0ebb2781e8722ff7b895d6486004359ace427017324730ffb179b569f9",
 			fabric:   "42|FT3/small/4/0|0|0|random",
 			topology: "42|FT3/small/4/0",
 			workload: "FT3/small/4/0|uniform/0/0/0/false|1048576|0",
@@ -36,7 +36,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Rho:      0.65, Load: 300.5, FailFrac: 0.05,
 			},
 			identity: "v1|topo=SF/small/0/0|pattern=permutation/0/0/0.3/true|routing=fatpaths|transport=ndp|layers=0|rho=0.65|construction=random|flowSize=pfabric|load=300.5|failFrac=0.05|replicas=1|horizonMs=8000|mat=false|seed=42",
-			cacheKey: "8c538c8141a656e37ada7f00945d548610b9619d658ddfebed219df2d490a565",
+			cacheKey: "ab6e51a588772e319de380b0749c2df4a4c6fabdf31a49cbf37c22321daaaaaa",
 			fabric:   "42|SF/small/0/0|0|0.65|random",
 			topology: "42|SF/small/0/0",
 			workload: "SF/small/0/0|permutation/0/0/0.3/true|pfabric|300.5",
@@ -52,7 +52,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Replicas:  3, HorizonMs: 1500.25,
 			},
 			identity: "v1|topo=HX/small/3/2|pattern=off-diagonal/-7/0/0/false|routing=ecmp|transport=dctcp|layers=4|rho=0|construction=random|flowSize=32768|load=0|failFrac=0|replicas=3|horizonMs=1500.25|mat=false|seed=42",
-			cacheKey: "1a2ee258e1a7e2eb1c463b831c853f3efd63fc88bde7fd2ab5ebd8eccf833b7f",
+			cacheKey: "d6a330f210de2980815217b5e8d32dff7794246c50a2f2e6942ab658dfaa274b",
 			fabric:   "42|HX/small/3/2|4|0|random",
 			topology: "42|HX/small/3/2",
 			workload: "HX/small/3/2|off-diagonal/-7/0/0/false|32768|0",
@@ -65,7 +65,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				MAT:          true, Seed: 1234,
 			},
 			identity: "v1|topo=DF/medium/0/0|pattern=k-permutations/0/2/0/false|routing=fatpaths|transport=ndp|layers=0|rho=0|construction=min-interference|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=true|seed=1234",
-			cacheKey: "261fc2df4274f74f8ee8a7f1cd3e93a02dc8f01fa46cf096862ca2210d0f9c14",
+			cacheKey: "e88f92eedbdfe0f885d731bbe831c96b055b0a04f12d66596b5280ab0a8c3882",
 			fabric:   "1234|DF/medium/0/0|0|0|min-interference",
 			topology: "1234|DF/medium/0/0",
 			workload: "DF/medium/0/0|k-permutations/0/2/0/false|1048576|0",
@@ -80,7 +80,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Seed: -5, HorizonMs: 0.5,
 			},
 			identity: "v1|topo=XP/small/5/3|pattern=worst-case/0/0/1/false|routing=spray|transport=mptcp|layers=0|rho=1e-07|construction=past|flowSize=1|load=1e+21|failFrac=0.999|replicas=1|horizonMs=0.5|mat=false|seed=-5",
-			cacheKey: "c6ae1dbe3b110b2f9e4989c75b124ee874d99fb7c44f199e1c629a9fe7b8d667",
+			cacheKey: "a6801b53ac00b108566bb40fafb5aed7e349e75124d4eb13faead048660f184a",
 			fabric:   "-5|XP/small/5/3|0|1e-07|past",
 			topology: "-5|XP/small/5/3",
 			workload: "XP/small/5/3|worst-case/0/0/1/false|1|1e+21",
@@ -92,7 +92,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Layers:   1, Rho: 1, Replicas: 1, HorizonMs: 8000,
 			},
 			identity: "v1|topo=Star/small/16/0|pattern=shuffle/0/0/0/false|routing=fatpaths|transport=ndp|layers=1|rho=1|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=false|seed=42",
-			cacheKey: "617b86ba923c9f658be9b14e239afe7c65b6fb41fc8748b83b1dfa93f16cb77e",
+			cacheKey: "0c83c36c9a2ec82e99f4cadb725b794afb54608e442c95c608385895bc4dd078",
 			fabric:   "42|Star/small/16/0|1|1|random",
 			topology: "42|Star/small/16/0",
 			workload: "Star/small/16/0|shuffle/0/0/0/false|1048576|0",
@@ -105,7 +105,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Load: 2500, FailFrac: 0.1, MAT: true,
 			},
 			identity: "v1|topo=JF/small/5/4|pattern=stencil/0/0/0.125/true|routing=letflow|transport=ndp|layers=0|rho=0|construction=spain|flowSize=1048576|load=2500|failFrac=0.1|replicas=1|horizonMs=8000|mat=true|seed=42",
-			cacheKey: "39c637fa4b6045024d514496676ae031250b32ed4afcee02fd56512d4aa2bced",
+			cacheKey: "7fe0696a321596ddcf7bc5eb85446cbf3a6efc61779cddada12b70810c16f527",
 			fabric:   "42|JF/small/5/4|0|0|spain",
 			topology: "42|JF/small/5/4",
 			workload: "JF/small/5/4|stencil/0/0/0.125/true|1048576|2500",
@@ -118,7 +118,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Layers: 12, Rho: 0.5, Replicas: 2, Seed: 9223372036854775807,
 			},
 			identity: "v1|topo=Clique/small/8/0|pattern=adversarial/0/0/0/false|routing=minimal|transport=tcp|layers=12|rho=0.5|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=2|horizonMs=8000|mat=false|seed=9223372036854775807",
-			cacheKey: "fc9b3c2d73809d5f0ed9413c770ba2e4674e5acd415a080147c95340f321ec17",
+			cacheKey: "40910ea499f3ca120e7266e8c10f592741505dd7df109f2e7155ed8002f92f3a",
 			fabric:   "9223372036854775807|Clique/small/8/0|12|0.5|random",
 			topology: "9223372036854775807|Clique/small/8/0",
 			workload: "Clique/small/8/0|adversarial/0/0/0/false|1048576|0",

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/topo"
 )
 
 // randomMatrix draws a matrix with random (distinct) axis values and random
@@ -278,6 +280,27 @@ func TestSpecValidate(t *testing.T) {
 		s := Spec{Topology: c.ts, Pattern: Pattern{Kind: "uniform"}}
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: err %v, want one naming %s", c.ts, err, c.want)
+		}
+	}
+}
+
+// TestClassSizedBuildMatchesByName: a class-sized topology builds, for
+// every kind, the graph and concentration topo.ByName gives from the same
+// seed, though only JF still draws ByName's XP lift first.
+func TestClassSizedBuildMatchesByName(t *testing.T) {
+	for _, kind := range []string{"SF", "DF", "HX", "XP", "FT3", "FT", "JF", "Clique"} {
+		for _, seed := range []int64{1, 42} {
+			got, err := Topology{Kind: kind}.build(seed)
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			want, err := topo.ByName(Topology{Kind: kind}.kind(), topo.Small, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if !reflect.DeepEqual(got.G.Edges(), want.G.Edges()) || !reflect.DeepEqual(got.Conc, want.Conc) {
+				t.Errorf("%s at seed %d: the scenario build differs from topo.ByName", kind, seed)
+			}
 		}
 	}
 }

@@ -115,7 +115,10 @@ func (ts Topology) validate() error {
 }
 
 // build constructs the topology. All randomness (XP lifts, JF wiring)
-// derives from seed, so equal specs build identical topologies.
+// derives from seed, so equal specs build identical topologies. A
+// class-sized JF goes through topo.ByName, whose XP lift its wiring draws
+// after; every other class-sized kind is the one family topo.Family builds,
+// which is what ByName returns for it without the lift.
 func (ts Topology) build(seed int64) (*topo.Topology, error) {
 	rng := rand.New(rand.NewSource(seed))
 	if ts.Param == 0 {
@@ -123,7 +126,10 @@ func (ts Topology) build(seed int64) (*topo.Topology, error) {
 		if err != nil {
 			return nil, err
 		}
-		return topo.ByName(ts.kind(), class, rng)
+		if ts.kind() == "JF" {
+			return topo.ByName("JF", class, rng)
+		}
+		return topo.Family(ts.kind(), class, rng)
 	}
 	switch ts.kind() {
 	case "SF":
