@@ -752,9 +752,30 @@ func TestFlowResultsPinned(t *testing.T) {
 	}
 }
 
+// stepPinned steps pinned workload i through its horizon, finely through
+// the first 2 ms, where every workload is busiest, then coarsely, calling
+// pause (when non-nil) at every stop. It returns the paused simulation and
+// its horizon.
+func stepPinned(t *testing.T, i int, pause func(s *Sim)) (*Sim, Time) {
+	t.Helper()
+	s, horizon := pinnedSim(t, i)
+	for until := Time(0); until < horizon; {
+		if until < 2*Millisecond {
+			until += 5 * Microsecond
+		} else {
+			until += 500 * Microsecond
+		}
+		s.Eng.Run(until)
+		if pause != nil {
+			pause(s)
+		}
+	}
+	return s, horizon
+}
+
 // TestInFlightInvariants steps each pinned workload through its horizon
-// and, between steps, checks what the reserved tx-done deadline must keep
-// true:
+// (stepPinned) and, between steps, checks what the reserved tx-done
+// deadline must keep true:
 //   - a link's tx-done entry is queued exactly while a packet waits in its
 //     queues: no waiting packet is stranded, no entry is queued for nothing;
 //   - no queue holds more packets than its capacity;
@@ -766,33 +787,34 @@ func TestFlowResultsPinned(t *testing.T) {
 //     flight, and every packet in flight sits in a link queue or a queued
 //     delivery.
 //
-// Stepping must not perturb the run: the flow digest stays the pinned one.
+// It pins no result, so it runs on its own under a changed model;
+// TestSteppedFlowResultsPinned holds the stepped runs to their digests.
 func TestInFlightInvariants(t *testing.T) {
 	for i, c := range eventCoreCases {
 		t.Run(c.name, func(t *testing.T) {
-			s, horizon := pinnedSim(t, i)
 			loaded := 0
-			for until := Time(0); until < horizon; {
-				// Finely through the first 2 ms, where every workload is
-				// busiest, then coarsely to the horizon.
-				if until < 2*Millisecond {
-					until += 5 * Microsecond
-				} else {
-					until += 500 * Microsecond
-				}
-				s.Eng.Run(until)
+			stepPinned(t, i, func(s *Sim) {
 				checkInFlight(t, s)
 				if s.Eng.inflight > 0 {
 					loaded++
 				}
-			}
+			})
 			if loaded < 50 {
 				t.Fatalf("only %d pauses found packets in flight", loaded)
 			}
-			if got := flowDigest(s, s.Run(horizon)); got != c.digest {
-				t.Errorf("stepped run: flow-result digest %#x, pinned %#x", got, c.digest)
-			}
 		})
+	}
+}
+
+// TestSteppedFlowResultsPinned holds that pausing does not perturb a run:
+// each pinned workload, stepped as TestInFlightInvariants steps it, ends
+// with the flow digest TestFlowResultsPinned pins.
+func TestSteppedFlowResultsPinned(t *testing.T) {
+	for i, c := range eventCoreCases {
+		s, horizon := stepPinned(t, i, nil)
+		if got := flowDigest(s, s.Run(horizon)); got != c.digest {
+			t.Errorf("%s: stepped run: flow-result digest %#x, pinned %#x", c.name, got, c.digest)
+		}
 	}
 }
 

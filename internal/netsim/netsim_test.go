@@ -84,6 +84,30 @@ func TestSingleFlowWireBound(t *testing.T) {
 	}
 }
 
+// TestShortFlowLatency holds a one-packet flow to its closed form, with the
+// §VII-A6 model written out rather than read from the package: across
+// Star(2)'s one switch the frame (payload plus a 64-byte header) is
+// serialized at 10 Gb/s on each of the 2 hops, each hop adds 1 µs of link
+// delay, and the receiver adds 10 µs of software latency, exactly. NDP
+// frames are at most 9 000 bytes, the TCP family's 1 500.
+func TestShortFlowLatency(t *testing.T) {
+	for _, c := range []struct {
+		tr  Transport
+		mtu int64
+	}{{TransportNDP, 9000}, {TransportTCP, 1500}, {TransportDCTCP, 1500}, {TransportMPTCP, 1500}} {
+		for _, payload := range []int64{1, c.mtu - 64} {
+			s := starSim(t, 2, Config{Transport: c.tr, LB: LBFatPaths})
+			s.AddFlow(FlowSpec{Src: 0, Dst: 1, Bytes: payload})
+			res := s.Run(Second)
+			frameNs := (payload + 64) * 8 / 10 // 10 bits per ns
+			if want := Time(2*(frameNs+1000) + 10000); res[0].FCT() != want {
+				t.Errorf("transport %d, %d-byte flow: FCT %d ns (done %v), want 2·(%d + 1000) + 10000 = %d ns",
+					c.tr, payload, res[0].FCT(), res[0].Done, frameNs, want)
+			}
+		}
+	}
+}
+
 func TestNDPSingleFlowLineRate(t *testing.T) {
 	cfg := NDPDefaults()
 	cfg.LB = LBMinimalLayer

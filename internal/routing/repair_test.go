@@ -9,12 +9,14 @@ import (
 	"repro/internal/topo"
 )
 
-// scanCensus is the repair census WithoutEdges took before the parity
+// scanStale is the repair census WithoutEdges took before the parity
 // index, kept as its oracle: read every table of the complete root and test
 // each removed edge live in the table's layer for tightness, one mask bit
-// per endpoint. Out-of-range IDs are ignored.
-func scanCensus(root *Engine, failed []int) (shared, invalidated int) {
+// per endpoint. It returns, per slot layer·Nr+dst, whether the view must
+// repair the table. Out-of-range IDs are ignored.
+func scanStale(root *Engine, failed []int) []bool {
 	m := root.g.M()
+	stale := make([]bool, len(root.tables))
 	for l, mask := range root.masks {
 		var removed []maskBit
 		for _, id := range failed {
@@ -24,32 +26,49 @@ func scanCensus(root *Engine, failed []int) (shared, invalidated int) {
 			}
 		}
 		for d := 0; d < root.nr; d++ {
-			if tableUsesAny(root.tables[l*root.nr+d].Load(), removed) {
-				invalidated++
-			} else {
-				shared++
-			}
+			stale[l*root.nr+d] = tableUsesAny(root.tables[l*root.nr+d].Load(), removed)
 		}
 	}
-	return shared, invalidated
+	return stale
+}
+
+// tableUsesAny reports whether any of the removed edges is tight in the
+// table: removed holds, per edge, each endpoint's mask bit for the other.
+func tableUsesAny(t *table, removed []maskBit) bool {
+	for _, b := range removed {
+		if t.slab[b.unit]&b.bit != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // requireCensus derives a view of root without failed, and a view of that
-// view without second as well, and holds each one's Repair() to the scan
-// of root's tables (a view of a view counts against the root), and its
-// Stat().TablesBuilt to the shared count. It returns the first view's
-// census.
+// view without second as well, and holds each one's stale bit of every
+// (layer, dst) and its Repair() to the scan of root's tables (a view of a
+// view counts against the root), and its Stat().TablesBuilt to the shared
+// count. It returns the first view's census.
 func requireCensus(t *testing.T, root *Engine, failed, second []int) (shared, invalidated int) {
 	t.Helper()
 	view := root.WithoutEdges(failed)
+	words := (root.nr + 63) / 64
 	for _, c := range []struct {
 		name   string
 		view   *Engine
 		failed []int
 	}{{"view", view, failed}, {"view of the view", view.WithoutEdges(second), slices.Concat(failed, second)}} {
+		wi := 0
+		for slot, want := range scanStale(root, c.failed) {
+			l, d := slot/root.nr, slot%root.nr
+			if got := c.view.stale[l*words+d>>6]>>(d&63)&1 == 1; got != want {
+				t.Fatalf("%s: table (%d,%d) has stale bit %v, the table scan says %v", c.name, l, d, got, want)
+			}
+			if want {
+				wi++
+			}
+		}
 		s, i := c.view.Repair()
-		ws, wi := scanCensus(root, c.failed)
-		if s != ws || i != wi {
+		if ws := len(root.tables) - wi; s != ws || i != wi {
 			t.Fatalf("%s: Repair() = %d shared / %d invalidated, the table scan says %d / %d", c.name, s, i, ws, wi)
 		}
 		if got := c.view.Stat().TablesBuilt; got != s {
@@ -80,11 +99,11 @@ func requireIndex(t *testing.T, e *Engine) {
 	}
 }
 
-// TestRepairCensusMatchesScan holds the parity-index census against the
-// per-table scan on every forEachRepairCase, on a parent with a third of
-// its tables built by first touches (the lazy kernel) and the rest by the
-// derivation's BuildAll (the block kernel), and the index itself to its
-// definition.
+// TestRepairCensusMatchesScan holds the parity-index census (every stale
+// bit and both counts) against the per-table scan on every
+// forEachRepairCase, on a parent with a third of its tables built by first
+// touches (the lazy kernel) and the rest by the derivation's BuildAll (the
+// block kernel), and the index itself to its definition.
 func TestRepairCensusMatchesScan(t *testing.T) {
 	var shared, invalidated int
 	forEachRepairCase(t, graph.NewRand(24), func(t *testing.T, c repairCase) {
@@ -136,6 +155,73 @@ func TestRepairPastDistCap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestViewStaleBitsMatchScan holds a view's stale bit for every (layer,
+// dst) to tableUsesAny over the root's table (requireCensus) on the cases
+// the census treats apart:
+//   - failed edges live in some layers and absent from others, whose
+//     parity rows may differ where the edge is absent: on the ring's second
+//     layer, a path, edge 100's ends differ toward every destination;
+//   - distances past distCap, whose parity the index walks down to;
+//   - a view of a view, which the census sees as one failure set;
+//   - WithoutEdges(nil), which invalidates nothing and reads no parity
+//     column.
+//
+// Each case derives twice at once from one unbuilt root.
+func TestViewStaleBitsMatchScan(t *testing.T) {
+	sf, err := topo.SlimFly(5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := testMasks(sf.G, 4, 0.7, graph.NewRand(99))
+	var partial []int // live in the full layer 0, absent from some other
+	for id := 0; id < sf.G.M() && len(partial) < 3; id++ {
+		if slices.ContainsFunc(masks[1:], func(m []bool) bool { return !m[id] }) {
+			partial = append(partial, id)
+		}
+	}
+	const n = 300
+	ring := graph.New(n)
+	for v := 0; v < n; v++ {
+		ring.AddEdge(v, (v+1)%n)
+	}
+	path := make([]bool, n)
+	for id := range path {
+		path[id] = id != 100
+	}
+	for _, c := range []struct {
+		name           string
+		root           *Engine
+		failed, second []int
+		invalidates    bool
+	}{
+		{"SF partly live", NewEngine(sf.G, masks, 9), partial, []int{partial[0], 7}, true},
+		{"ring past distCap", NewEngine(ring, [][]bool{nil, path}, 1), []int{0, 150}, []int{100}, true},
+		{"ring absent edge", NewEngine(ring, [][]bool{nil, path}, 1), []int{100}, []int{100, 299}, true},
+		{"nil", NewEngine(sf.G, masks, 9), nil, nil, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Two derivations race the root's single-flight BuildAll and
+			// the census's first fill of each parity column.
+			for _, side := range []string{"a", "b"} {
+				t.Run(side, func(t *testing.T) {
+					t.Parallel()
+					if _, i := requireCensus(t, c.root, c.failed, c.second); (i > 0) != c.invalidates {
+						t.Fatalf("WithoutEdges(%v) invalidated %d tables", c.failed, i)
+					}
+				})
+			}
+		})
+		for i := range c.root.parity {
+			if !c.invalidates && c.root.parity[i].rows != nil {
+				t.Fatalf("%s: a census with no failed edge filled a parity column", c.name)
+			}
+		}
+	}
+	if e := NewEngine(ring, [][]bool{path}, 1); e.dist(e.table(0, 101), 100) != distCap {
+		t.Fatalf("the path's ends are at byte %d; the cases need saturated distances", e.dist(e.table(0, 101), 100))
 	}
 }
 

@@ -60,17 +60,17 @@
 // tables at the daemon's sizes, so a first touch stays per destination.
 //
 // Repair. WithoutEdges derives a view from a complete root: it runs the
-// root's BuildAll first (a no-op once one has finished), so every table a
-// view reads off or repairs exists. It counts the tables a failure set
-// invalidates off a parity index (parityCol) of which routers sit at an odd
-// BFS level from each destination, filled one 64-destination block at a
-// time by the first census that needs it; a derived view copies none of its
-// root's masks, slots or adjacency rows. A view's lookup of an invalidated
-// table repairs a copy of the root's (repair, a decremental BFS): deleting
-// edges only lengthens distances, so only the routers whose every candidate
-// hop was cut or grew farther get new distances and masks, and the rest
-// keep theirs minus the lost bits — on the daemon's two fabric shapes, 0
-// routers at the median repair, 1 at p90 and 32 at most.
+// root's single-flight BuildAll first, so every table a view reads off or
+// repairs exists. Its census sets one stale bit per (layer, destination)
+// table a failure set invalidates, off a parity index (parityCol) of which
+// routers sit at an odd BFS level from each destination, filled one
+// 64-destination block at a time by the first census that needs it; a view
+// copies none of its root's masks, slots or adjacency rows. A view's lookup
+// of a stale table repairs a copy of the root's (repair, a decremental BFS):
+// deleting edges only lengthens distances, so only the routers whose every
+// candidate hop was cut or grew farther get new distances and masks, and
+// the rest keep theirs minus the lost bits — on the daemon's two fabric
+// shapes, 0 routers at the median repair, 1 at p90 and 32 at most.
 package routing
 
 import (
@@ -205,8 +205,8 @@ type Engine struct {
 	units       int // mask width in uint16 units, ⌈maxdeg/16⌉
 
 	tables []atomic.Pointer[table] // slot = layer*nr + dst; nil on a view
-	// complete is set once a BuildAll has returned: every slot is filled.
-	complete atomic.Bool
+	// buildAll runs the engine's one eager build; BuildAll waits on it.
+	buildAll sync.Once
 
 	// The repair index of an engine from NewEngine (nil on a view), indexed
 	// by layer*words + dst>>6.
@@ -215,14 +215,17 @@ type Engine struct {
 	// A WithoutEdges view's derivation: root is the engine from NewEngine it
 	// derives from (nil on that engine), failed the valid failed IDs,
 	// ascending and distinct. Layer l is masks[l] (the root's) without
-	// failed, and cuts[l] holds the two mask bits of each failed edge live
-	// in it (tableUsesAny's argument). own[l] holds the Nr slots of the
-	// tables the view built in layer l, allocated on its first. A lookup
-	// takes the view's own table, else the root's when no cut edge is tight
-	// in it, else repairs the root's.
+	// failed. cut holds the two mask bits of each failed edge, which repair
+	// clears; a layer without the edge never sets them. Bit dst&63 of
+	// stale[l*⌈Nr/64⌉+dst>>6] is set iff a failed edge live in layer l is
+	// tight in the root's (l, dst) table (census). own[l] holds the Nr slots
+	// of the tables the view built in layer l, allocated on its first. A
+	// lookup takes the view's own table, else the root's when its stale bit
+	// is clear, else repairs the root's.
 	root   *Engine
 	failed []int
-	cuts   [][]maskBit
+	cut    []maskBit
+	stale  []uint64
 	own    []atomic.Pointer[[]atomic.Pointer[table]]
 
 	// shared/invalidated count the root's tables a WithoutEdges derivation
@@ -312,9 +315,9 @@ func (e *Engine) table(layer, dst int) *table {
 
 // lookup returns the (layer, dst) table without building it, nil when the
 // engine has none yet. A view has the table it built, else the root's when
-// none of the layer's cut edges is tight in it: removing edges on no
-// minimal path moves no distance and no candidate set, so that table is
-// the view's bit for bit.
+// the census left its stale bit clear: removing edges on no minimal path
+// moves no distance and no candidate set, so that table is the view's bit
+// for bit.
 func (e *Engine) lookup(layer, dst int) *table {
 	if e.root == nil {
 		return e.tables[layer*e.nr+dst].Load()
@@ -324,10 +327,10 @@ func (e *Engine) lookup(layer, dst int) *table {
 			return t
 		}
 	}
-	if t := e.root.tables[layer*e.nr+dst].Load(); !tableUsesAny(t, e.cuts[layer]) {
-		return t
+	if e.stale[layer*((e.nr+63)/64)+dst>>6]&(1<<(dst&63)) != 0 {
+		return nil
 	}
-	return nil
+	return e.root.tables[layer*e.nr+dst].Load()
 }
 
 // slot returns the engine's own slot for (layer, dst), allocating a view's
@@ -466,7 +469,7 @@ func (e *Engine) repair(layer int, t *table) *table {
 		t.setByte(e.nr, e.units, src, unreachable)
 		hit = append(hit, int32(src))
 	}
-	for _, b := range e.cuts[layer] {
+	for _, b := range e.cut {
 		drop(b)
 	}
 	for i := 0; i < len(hit); i++ {
@@ -831,31 +834,30 @@ func (e *Engine) DistinctRoutes(src, dst int) int {
 // the tables. Tables the engine already has — first touches, or the root's
 // tables a WithoutEdges view can use — are left as they are. Each table is
 // a pure function of its slot, so the engine state is identical for every
-// worker count and whichever kernel built a table. Once a BuildAll has
-// returned, later calls return at once.
+// worker count and whichever kernel built a table. BuildAll is single-flight:
+// the first call builds, concurrent calls wait for it, and later calls
+// return at once.
 func (e *Engine) BuildAll(workers int) {
-	if e.complete.Load() {
-		return
-	}
-	blocks := (e.nr + 63) / 64
-	n := len(e.masks) * blocks
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
-	var next atomic.Int64
-	// fn never fails; the error return exists to satisfy ParallelMap.
-	_, _ = exec.ParallelMap(workers, workers, func(int) (struct{}, error) {
-		sc := e.newBlockScratch()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return struct{}{}, nil
-			}
-			e.buildBlock(i/blocks, i%blocks*64, &sc)
+	e.buildAll.Do(func() {
+		blocks := (e.nr + 63) / 64
+		n := len(e.masks) * blocks
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		workers = min(workers, n)
+		var next atomic.Int64
+		// fn never fails; the error return exists to satisfy ParallelMap.
+		_, _ = exec.ParallelMap(workers, workers, func(int) (struct{}, error) {
+			sc := e.newBlockScratch()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return struct{}{}, nil
+				}
+				e.buildBlock(i/blocks, i%blocks*64, &sc)
+			}
+		})
 	})
-	e.complete.Store(true)
 }
 
 // RouteCounts returns, for every source router, the number of distinct
@@ -952,12 +954,12 @@ func (e *Engine) bitFor(src, to int32) maskBit {
 // A view derives only from a complete root: WithoutEdges first runs the
 // root's BuildAll(0). On a root whose BuildAll has returned that is free;
 // on a lazily built one it is one eager build, tens of milliseconds at
-// Nr ≈ 10⁴, paid by the first derivation only. The census (Repair) then
-// comes off the root's parity index in O(L·|F|·⌈Nr/64⌉) word operations,
-// reading a block's tables only the first time a census needs its bits. A
-// view copies no mask, no slot and no adjacency row: it keeps its root, the
-// failed edges, the cut edges' mask bits per layer and the slots of the
-// tables it repairs or builds itself.
+// Nr ≈ 10⁴, paid by the first derivation only. The census then marks the
+// view's stale tables off the root's parity index in O(L·|F|·⌈Nr/64⌉) word
+// operations, reading a block's tables only the first time a census needs
+// its bits. A view copies no mask, no slot and no adjacency row: it keeps
+// its root, the failed edges, their mask bits, one stale bit per table and
+// the slots of the tables it repairs or builds itself.
 func (e *Engine) WithoutEdges(failed []int) *Engine {
 	r := e
 	if e.root != nil {
@@ -973,7 +975,7 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 	}
 	slices.Sort(gone)
 	gone = slices.Compact(gone)
-	nl := len(r.masks)
+	nl, words := len(r.masks), (r.nr+63)/64
 	out := &Engine{
 		g:      r.g,
 		masks:  r.masks,
@@ -984,30 +986,17 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 		units:  r.units,
 		root:   r,
 		failed: gone,
-		cuts:   make([][]maskBit, nl),
+		cut:    make([]maskBit, 0, 2*len(gone)),
+		stale:  make([]uint64, nl*words),
 		own:    make([]atomic.Pointer[[]atomic.Pointer[table]], nl),
 		m:      r.m,
 	}
-	// Each failed edge's two mask bits, looked up once; every layer's cut
-	// slices one backing array per kind.
-	pairs := make([]maskBit, 2*len(gone))
-	for k, id := range gone {
+	for _, id := range gone {
 		ed := r.g.Edge(id)
-		pairs[2*k], pairs[2*k+1] = r.bitFor(ed.U, ed.V), r.bitFor(ed.V, ed.U)
+		out.cut = append(out.cut, r.bitFor(ed.U, ed.V), r.bitFor(ed.V, ed.U))
 	}
-	ids := make([]int, 0, nl*len(gone))
-	ends := make([]maskBit, 0, 2*nl*len(gone))
-	for l, mask := range r.masks {
-		for k, id := range gone {
-			if mask == nil || mask[id] {
-				ids = append(ids, id)
-				ends = append(ends, pairs[2*k:2*k+2]...)
-			}
-		}
-		cut := ids[:len(ids):len(ids)]
-		out.cuts[l] = ends[:len(ends):len(ends)]
-		ids, ends = ids[len(ids):], ends[len(ends):]
-		out.invalidated += r.census(l, cut)
+	for l := range nl {
+		out.invalidated += r.census(l, gone, out.stale[l*words:(l+1)*words])
 	}
 	out.shared = nl*r.nr - out.invalidated
 	if r.m != nil {
@@ -1017,22 +1006,21 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 	return out
 }
 
-// census counts the layer's tables on a complete engine from NewEngine in
-// which one of the cut edges (live in the layer) is tight: the popcount of
-// ⋁ rows[u] ⊕ rows[v] over the layer's parity columns.
-func (e *Engine) census(layer int, cut []int) (invalidated int) {
-	if len(cut) == 0 {
-		return 0
-	}
-	words := (e.nr + 63) / 64
-	for w := 0; w < words; w++ {
-		col := e.index(layer, w)
-		var tight uint64
-		for _, id := range cut {
-			ed := e.g.Edge(id)
-			tight |= col.rows[ed.U] ^ col.rows[ed.V]
+// census sets in stale, one word per 64-destination block, the bits of the
+// layer's destinations in whose tables a failed edge live in the layer is
+// tight — ⋁ rows[u] ⊕ rows[v] over the layer's parity columns on a complete
+// engine from NewEngine — and returns their count. A layer holding none of
+// the failed edges reads no column.
+func (e *Engine) census(layer int, failed []int, stale []uint64) (invalidated int) {
+	mask := e.masks[layer]
+	for w := range stale {
+		for _, id := range failed {
+			if mask == nil || mask[id] {
+				ed, rows := e.g.Edge(id), e.index(layer, w).rows
+				stale[w] |= rows[ed.U] ^ rows[ed.V]
+			}
 		}
-		invalidated += bits.OnesCount64(tight)
+		invalidated += bits.OnesCount64(stale[w])
 	}
 	return invalidated
 }
@@ -1069,14 +1057,3 @@ func (e *Engine) index(layer, w int) *parityCol {
 // repair. The two add up to L·Nr on a view and are zero for an engine made
 // by NewEngine.
 func (e *Engine) Repair() (shared, invalidated int) { return e.shared, e.invalidated }
-
-// tableUsesAny reports whether any of the removed edges is tight in the
-// table: removed holds, per edge, each endpoint's mask bit for the other.
-func tableUsesAny(t *table, removed []maskBit) bool {
-	for _, b := range removed {
-		if t.slab[b.unit]&b.bit != 0 {
-			return true
-		}
-	}
-	return false
-}

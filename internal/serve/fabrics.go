@@ -18,7 +18,7 @@ import (
 // fabric through their own pointers, and its routing engine is immutable
 // once published.
 type FabricCache struct {
-	store *scenario.Store[*resident]
+	store *scenario.Store[*core.Fabric]
 	reg   *obs.Registry // instruments built fabrics (routing-core metrics)
 	met   *obs.ServeMetrics
 
@@ -28,20 +28,10 @@ type FabricCache struct {
 	evictions int64 // of the store's, how many met.FabricEvictions has counted
 }
 
-// resident is a fabric in the store. Admission is two steps so that a full
-// cache never holds one fabric's tables more than its capacity: the store
-// builds topology and layers (small, and where every failure happens) and
-// makes room, and only then does tables materialize the tables, the bulk
-// of a fabric's memory.
-type resident struct {
-	fab    *core.Fabric
-	tables sync.Once
-}
-
 // NewFabricCache returns a cache holding at most capacity fabrics (0 means
 // unbounded, as for the store).
 func NewFabricCache(capacity int, reg *obs.Registry, met *obs.ServeMetrics) *FabricCache {
-	return &FabricCache{store: scenario.NewStore[*resident](capacity), reg: reg, met: met}
+	return &FabricCache{store: scenario.NewStore[*core.Fabric](capacity), reg: reg, met: met}
 }
 
 // Len returns the resident fabric count.
@@ -50,20 +40,24 @@ func (c *FabricCache) Len() int { return c.store.Len() }
 // Get returns the resident fabric for the cell's fabric key, building and
 // admitting it on a miss. A request that finds the key being built by
 // another waits for that build and counts as a hit.
+//
+// Admission is two steps, so that a full cache never holds one fabric's
+// tables more than its capacity: the store builds topology and layers
+// (small, and where every failure happens) and makes room, and only then
+// does BuildAll materialize every (layer, destination) table on all cores,
+// the bulk of a fabric's memory. BuildAll is single-flight, so every
+// request waits for it: the daemon's "expensive to build, cheap to query"
+// shape, and what makes /whatif shared/invalidated counts independent of
+// which destinations earlier queries touched.
 func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core.Fabric, error) {
 	built := false
-	r, err := c.store.Get(s.FabricKey(runSeed), func() (*resident, error) {
+	fab, err := c.store.Get(s.FabricKey(runSeed), func() (*core.Fabric, error) {
 		built = true
 		_, fab, err := scenario.BuildFabric(s, runSeed, c.reg)
-		return &resident{fab: fab}, err
+		return fab, err
 	})
 	if err == nil {
-		// Admission materializes every (layer, destination) table on all
-		// cores, and every request waits for it: the daemon's "expensive to
-		// build, cheap to query" shape, and what makes /whatif
-		// shared/invalidated counts independent of which destinations
-		// earlier queries touched.
-		r.tables.Do(func() { r.fab.Fwd.BuildAll(0) })
+		fab.Fwd.BuildAll(0)
 	}
 	if c.met != nil {
 		if built {
@@ -78,7 +72,7 @@ func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core
 			residents := c.store.Values()
 			var bytes int64
 			for _, res := range residents {
-				bytes += res.fab.Fwd.Stat().Bytes
+				bytes += res.Fwd.Stat().Bytes
 			}
 			c.met.FabricsResident.Set(int64(len(residents)))
 			c.met.TableBytes.Set(bytes)
@@ -90,5 +84,5 @@ func (c *FabricCache) Get(s scenario.Spec, runSeed int64) (*topo.Topology, *core
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.fab.Topo, r.fab, nil
+	return fab.Topo, fab, nil
 }

@@ -360,6 +360,54 @@ func TestEquivalentJellyfish(t *testing.T) {
 	}
 }
 
+// TestEquivalentJellyfishEdgeConnectivity is the Jellyfish case of the
+// closed-form oracles. A random graph of minimum degree δ is asymptotically
+// almost surely δ-edge-connected (Bollobás, "Random Graphs", 2nd ed.,
+// ch. 7), so on the repo's own X-JF instances every sampled router pair's
+// exact edge connectivity must equal the smaller of its two degrees, which
+// is the JF network radix r wherever the wiring filled every port. It logs,
+// per instance, the routers left below r and the share of pairs whose
+// connectivity falls short of r.
+func TestEquivalentJellyfishEdgeConnectivity(t *testing.T) {
+	for _, q := range []int{5, 7} {
+		sf, err := SlimFly(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 16; seed++ {
+			jf, err := EquivalentJellyfish(sf, graph.NewRand(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, nr := jf.NominalRadix, jf.Nr()
+			var under []int
+			for v := range nr {
+				if jf.G.Degree(v) < r {
+					under = append(under, v)
+				}
+			}
+			pick := graph.NewRand(seed)
+			const pairs = 64
+			short := 0
+			for range pairs {
+				a, b := pick.Intn(nr), pick.Intn(nr-1)
+				if b >= a {
+					b++
+				}
+				c, want := jf.G.EdgeConnectivityPair(a, b), min(jf.G.Degree(a), jf.G.Degree(b))
+				if c != want {
+					t.Errorf("%s seed %d: routers %d-%d have edge connectivity %d, want min degree %d", jf.Name, seed, a, b, c, want)
+				}
+				if c < r {
+					short++
+					t.Logf("%s seed %d: routers %d-%d have edge connectivity %d < r = %d", jf.Name, seed, a, b, c, r)
+				}
+			}
+			t.Logf("%s seed %d: routers %v below r = %d; %d of %d sampled pairs fall short of r", jf.Name, seed, under, r, short, pairs)
+		}
+	}
+}
+
 func TestCostModel(t *testing.T) {
 	sf, _ := SlimFly(7, 0)
 	df, _ := Dragonfly(3)
