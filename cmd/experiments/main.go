@@ -43,14 +43,14 @@ type result struct {
 
 func main() {
 	var (
-		run      = flag.String("run", "", "experiment ID to run (or 'all')")
-		list     = flag.Bool("list", false, "list available experiments")
-		full     = flag.Bool("full", false, "paper-scale runs instead of quick mode")
-		seed     = flag.Int64("seed", 42, "random seed")
-		parallel = flag.Int("parallel", 0, "worker goroutines per experiment (0 = all cores)")
-		jsonOut  = flag.Bool("json", false, "emit a JSON array of tables instead of text")
-		cacheDir = flag.String("cache-dir", "", "content-addressed result cache for scenario-backed experiments (see README \"Durable sweeps\")")
-		startObs = obs.BindFlags(flag.CommandLine)
+		run               = flag.String("run", "", "experiment ID to run (or 'all')")
+		list              = flag.Bool("list", false, "list available experiments")
+		full              = flag.Bool("full", false, "paper-scale runs instead of quick mode")
+		seed              = flag.Int64("seed", 42, "random seed")
+		parallel          = flag.Int("parallel", 0, "worker goroutines per experiment (0 = all cores)")
+		jsonOut           = flag.Bool("json", false, "emit a JSON array of tables instead of text")
+		cacheDir          = flag.String("cache-dir", "", "content-addressed result cache for scenario-backed experiments (see README \"Durable sweeps\")")
+		startObs, stopObs = obs.BindFlags(flag.CommandLine, "experiments")
 	)
 	flag.Parse()
 
@@ -71,7 +71,7 @@ func main() {
 	} else {
 		e, err := experiments.ByID(*run)
 		if err != nil {
-			exit(err)
+			os.Exit(stopObs(err))
 		}
 		todo = []experiments.Experiment{e}
 	}
@@ -80,14 +80,13 @@ func main() {
 	if *cacheDir != "" {
 		var err error
 		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
-			exit(err)
+			os.Exit(stopObs(err))
 		}
 	}
-	sinks, stop, err := startObs()
+	sinks, err := startObs()
 	if err != nil {
-		exit(err)
+		os.Exit(stopObs(err))
 	}
-	stopObs = stop
 	prog := sinks.Progress
 
 	var results []result
@@ -105,7 +104,7 @@ func main() {
 		elapsed := time.Since(start).Seconds()
 		prog.Clear()
 		if err != nil {
-			exit(fmt.Errorf("%s: %w", e.ID, err))
+			os.Exit(stopObs(fmt.Errorf("%s: %w", e.ID, err)))
 		}
 		if *jsonOut {
 			results = append(results, result{
@@ -121,25 +120,8 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			exit(err)
+			os.Exit(stopObs(err))
 		}
 	}
-	exit(nil)
-}
-
-// stopObs tears down the observability sinks once main has started them.
-var stopObs = func() error { return nil }
-
-// exit stops the observability sinks and ends the process: status 0, or 1
-// with err on stderr. A failing run stops them too, because its profile,
-// trace and metrics are what someone debugging it needs.
-func exit(err error) {
-	if serr := stopObs(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
+	os.Exit(stopObs(nil))
 }

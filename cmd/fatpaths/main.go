@@ -24,20 +24,20 @@ import (
 
 func main() {
 	var (
-		kind     = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
-		size     = flag.String("size", "small", "size class: small (N≈200-1000) or medium (N≈10k)")
-		n        = flag.Int("layers", 9, "number of layers (0: the topology's default)")
-		rho      = flag.Float64("rho", 0.6, "fraction of edges per sparsified layer (0: the topology's default)")
-		scheme   = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
-		seed     = flag.Int64("seed", 1, "random seed")
-		deadlock = flag.Bool("deadlock", false, "run the channel-dependency (lossless deployment) analysis per layer")
-		startObs = obs.BindFlags(flag.CommandLine)
+		kind              = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
+		size              = flag.String("size", "small", "size class: small (N≈200-1000) or medium (N≈10k)")
+		n                 = flag.Int("layers", 0, "number of layers (0: the topology's default)")
+		rho               = flag.Float64("rho", 0, "fraction of edges per sparsified layer (0: the topology's default)")
+		scheme            = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
+		seed              = flag.Int64("seed", 42, "random seed")
+		deadlock          = flag.Bool("deadlock", false, "run the channel-dependency (lossless deployment) analysis per layer")
+		startObs, stopObs = obs.BindFlags(flag.CommandLine, "fatpaths")
 	)
 	flag.Parse()
 
-	sinks, stopObs, err := startObs()
+	sinks, err := startObs()
 	if err != nil {
-		fatal(err)
+		os.Exit(stopObs(err))
 	}
 
 	t, fab, err := scenario.BuildFabric(scenario.Spec{
@@ -47,7 +47,7 @@ func main() {
 		Construction: *scheme,
 	}, *seed, sinks.Obs)
 	if err != nil {
-		fatal(err)
+		os.Exit(stopObs(err))
 	}
 
 	d, mean := t.G.DiameterAndMean()
@@ -83,12 +83,5 @@ func main() {
 				rep.Layer, rep.Channels, rep.Dependencies, rep.Acyclic)
 		}
 	}
-	if err := stopObs(); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fatpaths:", err)
-	os.Exit(1)
+	os.Exit(stopObs(nil))
 }

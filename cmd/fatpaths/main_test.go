@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +48,21 @@ func TestStdoutGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("stdout differs from %s:\n%s", golden, got)
+	}
+}
+
+// TestFailingRunKeepsObsOutput: a run that fails after the observability
+// sinks started still tears them down, so -metrics dumps the registry.
+func TestFailingRunKeepsObsOutput(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-topo", "bogus", "-metrics", "-quiet")
+	cmd.Env = append(os.Environ(), runAsCommand+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("want exit status 1, got %v\n%s", err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "# metrics") {
+		t.Errorf("no metrics dump on stderr:\n%s", stderr.Bytes())
 	}
 }

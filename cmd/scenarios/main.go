@@ -54,16 +54,16 @@ type fileResult struct {
 
 func main() {
 	var (
-		spec       = flag.String("spec", "", "scenario matrix spec file (further files may follow as positional arguments)")
-		seed       = flag.Int64("seed", 42, "random seed")
-		parallel   = flag.Int("parallel", 0, "worker goroutines (0 = all cores)")
-		jsonOut    = flag.Bool("json", false, "emit JSON instead of text tables")
-		cells      = flag.Bool("cells", false, "only expand and list the matrix cells, don't simulate")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (reused across runs; see README \"Durable sweeps\")")
-		noCache    = flag.Bool("no-cache", false, "ignore -cache-dir: simulate every cell and write nothing to the cache")
-		journalPth = flag.String("journal", "", "record completed cells to this run-journal file (crash-safe JSONL)")
-		resumePth  = flag.String("resume", "", "resume an interrupted run from this journal: skip recorded cells, append new ones")
-		startObs   = obs.BindFlags(flag.CommandLine)
+		spec              = flag.String("spec", "", "scenario matrix spec file (further files may follow as positional arguments)")
+		seed              = flag.Int64("seed", 42, "random seed")
+		parallel          = flag.Int("parallel", 0, "worker goroutines (0 = all cores)")
+		jsonOut           = flag.Bool("json", false, "emit JSON instead of text tables")
+		cells             = flag.Bool("cells", false, "only expand and list the matrix cells, don't simulate")
+		cacheDir          = flag.String("cache-dir", "", "content-addressed result cache directory (reused across runs; see README \"Durable sweeps\")")
+		noCache           = flag.Bool("no-cache", false, "ignore -cache-dir: simulate every cell and write nothing to the cache")
+		journalPth        = flag.String("journal", "", "record completed cells to this run-journal file (crash-safe JSONL)")
+		resumePth         = flag.String("resume", "", "resume an interrupted run from this journal: skip recorded cells, append new ones")
+		startObs, stopObs = obs.BindFlags(flag.CommandLine, "scenarios")
 	)
 	flag.Parse()
 
@@ -76,16 +76,16 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateJournalFlags(*journalPth, *resumePth); err != nil {
-		exit(err)
+		os.Exit(stopObs(err))
 	}
 	if (*resumePth != "" || *journalPth != "") && len(files) != 1 {
-		exit(fmt.Errorf("scenarios: -journal/-resume record exactly one run; got %d spec files", len(files)))
+		os.Exit(stopObs(fmt.Errorf("-journal/-resume record exactly one run; got %d spec files", len(files))))
 	}
 	failAfter := 0
 	if v := os.Getenv("FATPATHS_FAIL_AFTER"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			exit(fmt.Errorf("scenarios: FATPATHS_FAIL_AFTER must be a positive integer, got %q", v))
+			os.Exit(stopObs(fmt.Errorf("FATPATHS_FAIL_AFTER must be a positive integer, got %q", v)))
 		}
 		failAfter = n
 	}
@@ -93,33 +93,32 @@ func main() {
 	if *cacheDir != "" && !*noCache {
 		var err error
 		if cache, err = scenario.OpenCache(*cacheDir); err != nil {
-			exit(err)
+			os.Exit(stopObs(err))
 		}
 	}
 
-	sinks, stop, err := startObs()
+	sinks, err := startObs()
 	if err != nil {
-		exit(err)
+		os.Exit(stopObs(err))
 	}
-	stopObs = stop
 	prog := sinks.Progress
 
 	var out []fileResult
 	for _, file := range files {
 		m, err := loadMatrix(file)
 		if err != nil {
-			exit(err)
+			os.Exit(stopObs(err))
 		}
 		cs, skipped, err := m.Expand()
 		if err != nil {
-			exit(fmt.Errorf("%s: %w", file, err))
+			os.Exit(stopObs(fmt.Errorf("%s: %w", file, err)))
 		}
 		fr := fileResult{File: file, Name: m.Name, Cells: len(cs), Skipped: skipped}
 		if *cells {
 			if !*jsonOut {
 				status, err := cellStatuses(cs, *seed, cache, *resumePth)
 				if err != nil {
-					exit(err)
+					os.Exit(stopObs(err))
 				}
 				fmt.Printf("# %s — %s: %d cells (%d skipped by constraints)\n", file, m.Name, len(cs), skipped)
 				for i, c := range cs {
@@ -138,19 +137,19 @@ func main() {
 		if *resumePth != "" {
 			var notes []string
 			if journal, notes, err = scenario.ResumeJournal(*resumePth, cs, *seed); err != nil {
-				exit(err)
+				os.Exit(stopObs(err))
 			}
 			for _, n := range notes {
 				fmt.Fprintln(os.Stderr, "scenarios: "+n)
 			}
 		} else if *journalPth != "" {
 			if err := guardJournalOverwrite(*journalPth, cs, *seed); err != nil {
-				exit(err)
+				os.Exit(stopObs(err))
 			}
 			if journal, err = scenario.CreateJournal(*journalPth, scenario.JournalHeader{
 				Name: m.Name, Seed: *seed, SpecHash: scenario.SpecHash(cs, *seed), Cells: len(cs),
 			}); err != nil {
-				exit(err)
+				os.Exit(stopObs(err))
 			}
 		}
 		hook := prog.Hook()
@@ -171,7 +170,7 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			exit(fmt.Errorf("%s: %w", file, err))
+			os.Exit(stopObs(fmt.Errorf("%s: %w", file, err)))
 		}
 		fr.Seconds = time.Since(start).Seconds()
 		fr.Results = results
@@ -187,10 +186,10 @@ func main() {
 	}
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, out); err != nil {
-			exit(err)
+			os.Exit(stopObs(err))
 		}
 	}
-	exit(nil)
+	os.Exit(stopObs(nil))
 }
 
 // writeJSON renders the -json output: the file results as one indented
@@ -227,7 +226,7 @@ func loadMatrix(file string) (*scenario.Matrix, error) {
 // truncation guardJournalOverwrite exists to prevent.
 func validateJournalFlags(journalPth, resumePth string) error {
 	if resumePth != "" && journalPth != "" {
-		return fmt.Errorf("scenarios: pass -resume or -journal, not both (-resume keeps appending to the resumed journal)")
+		return fmt.Errorf("pass -resume or -journal, not both (-resume keeps appending to the resumed journal)")
 	}
 	return nil
 }
@@ -249,7 +248,7 @@ func guardJournalOverwrite(path string, cs []scenario.Spec, seed int64) error {
 	if err != nil || len(resume) == 0 {
 		return nil // a different run's journal, or no progress recorded yet
 	}
-	return fmt.Errorf("scenarios: %s already records %d/%d cells of this run; -journal would truncate that progress — use -resume %s to continue, or delete the file to restart",
+	return fmt.Errorf("%s already records %d/%d cells of this run; -journal would truncate that progress — use -resume %s to continue, or delete the file to restart",
 		path, len(resume), len(cs), path)
 }
 
@@ -301,21 +300,4 @@ func injectCrash(inner func(done, total int), j *scenario.Journal, n int) func(d
 			os.Exit(3)
 		}
 	}
-}
-
-// stopObs tears down the observability sinks once main has started them.
-var stopObs = func() error { return nil }
-
-// exit stops the observability sinks and ends the process: status 0, or 1
-// with err on stderr. A failing run stops them too, because its profile,
-// trace and metrics are what someone debugging it needs.
-func exit(err error) {
-	if serr := stopObs(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	os.Exit(0)
 }

@@ -16,36 +16,27 @@ import (
 	"repro/internal/diversity"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/topo"
+	"repro/internal/scenario"
 )
 
 func main() {
 	var (
-		kind     = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
-		size     = flag.String("size", "small", "size class: small or medium")
-		samples  = flag.Int("samples", 300, "sampled router pairs for CDP/PI")
-		seed     = flag.Int64("seed", 1, "random seed")
-		startObs = obs.BindFlags(flag.CommandLine)
+		kind              = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
+		size              = flag.String("size", "small", "size class: small or medium")
+		samples           = flag.Int("samples", 300, "sampled router pairs for CDP/PI")
+		seed              = flag.Int64("seed", 42, "random seed")
+		startObs, stopObs = obs.BindFlags(flag.CommandLine, "topoinfo")
 	)
 	flag.Parse()
 
-	_, stopObs, err := startObs()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "topoinfo:", err)
-		os.Exit(1)
+	if _, err := startObs(); err != nil {
+		os.Exit(stopObs(err))
 	}
-
-	class, err := topo.ParseSizeClass(*size)
+	t, err := scenario.BuildTopology(scenario.Spec{Topology: scenario.Topology{Kind: *kind, Class: *size}}, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "topoinfo:", err)
-		os.Exit(1)
+		os.Exit(stopObs(err))
 	}
 	rng := graph.NewRand(*seed)
-	t, err := topo.ByName(*kind, class, rng)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "topoinfo:", err)
-		os.Exit(1)
-	}
 	d, mean := t.G.DiameterAndMean()
 	fmt.Printf("%s: Nr=%d N=%d k'=%d M=%d D=%d d=%.3f density=%.2f\n\n",
 		t.Name, t.Nr(), t.N(), t.NominalRadix, t.G.M(), d, mean, t.EdgeDensity())
@@ -68,8 +59,5 @@ func main() {
 	fmt.Printf("  CDP mean %.0f%%, 1%% tail %.0f%%\n", 100*cdp.Mean, 100*cdp.Tail1Pct)
 	fmt.Printf("  PI  mean %.0f%%, 99.9%% tail %.0f%%\n", 100*pi.Mean, 100*pi.Tail999Pct)
 
-	if err := stopObs(); err != nil {
-		fmt.Fprintln(os.Stderr, "topoinfo:", err)
-		os.Exit(1)
-	}
+	os.Exit(stopObs(nil))
 }

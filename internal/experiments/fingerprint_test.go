@@ -23,6 +23,10 @@ var fingerprintHistory = []struct{ fingerprint, digest string }{
 	// v3: SPAIN's layer cap became plain, so a one-layer spain cell keeps
 	// layer 0 alone; no golden or flow digest moved.
 	{"fatpaths-engine-v3", "40238c71b72d2a07057070891d7209f86b7f8ecc405c100a020aaa428ef0d433"},
+	// v4: a class-sized JF is wired from the topology seed's stream without
+	// first drawing an XP lift, so its cells change; no golden or flow
+	// digest moved.
+	{"fatpaths-engine-v4", "40238c71b72d2a07057070891d7209f86b7f8ecc405c100a020aaa428ef0d433"},
 }
 
 // flowDigestRow matches one row of netsim's eventCoreCases: its name and,

@@ -96,22 +96,26 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []Half { return g.adj[v] }
 
-// HasEdge reports whether an edge between u and v exists.
-func (g *Graph) HasEdge(u, v int) bool {
+// EdgeBetween returns the ID of the edge joining u and v, or -1 if there is
+// none (also for a vertex out of range). It scans the shorter of the two
+// adjacency lists; HasEdge and Arc are this lookup.
+func (g *Graph) EdgeBetween(u, v int) int {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n {
-		return false
+		return -1
 	}
-	a, b := u, v
-	if len(g.adj[a]) > len(g.adj[b]) {
-		a, b = b, a
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
 	}
-	for _, h := range g.adj[a] {
-		if int(h.To) == b {
-			return true
+	for _, h := range g.adj[u] {
+		if int(h.To) == v {
+			return int(h.Edge)
 		}
 	}
-	return false
+	return -1
 }
+
+// HasEdge reports whether an edge between u and v exists.
+func (g *Graph) HasEdge(u, v int) bool { return g.EdgeBetween(u, v) >= 0 }
 
 // AddEdge inserts an undirected edge between u and v and returns its ID.
 // It panics on self loops, out-of-range vertices, or duplicate edges:
@@ -124,14 +128,10 @@ func (g *Graph) AddEdge(u, v int) int {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
 	}
-	if g.HasEdge(u, v) {
+	if !g.TryAddEdge(u, v) {
 		panic(fmt.Sprintf("graph: duplicate edge (%d,%d)", u, v))
 	}
-	id := len(g.edges)
-	g.edges = append(g.edges, Edge{U: int32(u), V: int32(v)})
-	g.adj[u] = append(g.adj[u], Half{To: int32(v), Edge: int32(id)})
-	g.adj[v] = append(g.adj[v], Half{To: int32(u), Edge: int32(id)})
-	return id
+	return len(g.edges) - 1
 }
 
 // TryAddEdge inserts the edge unless it already exists or is a self loop,

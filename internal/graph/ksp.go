@@ -128,16 +128,6 @@ func (g *Graph) DijkstraWith(sc *DijkstraScratch, s, t int, w WeightFunc, edgeOf
 	return path, dist[t]
 }
 
-// EdgeBetween returns the ID of the edge between u and v, or -1.
-func (g *Graph) EdgeBetween(u, v int) int {
-	for _, h := range g.adj[u] {
-		if int(h.To) == v {
-			return int(h.Edge)
-		}
-	}
-	return -1
-}
-
 // PathWeight sums w over the consecutive edges of a vertex path. It returns
 // +Inf if the path uses a non-existent edge.
 func (g *Graph) PathWeight(path []int32, w WeightFunc) float64 {

@@ -15,41 +15,18 @@ import "math/rand"
 // A failed link drops every packet handed to it (both directions), exactly
 // like a dead cable between two healthy routers.
 
-// FailRouterLink marks the router-router link between routers u and v as
-// failed in both directions. It reports whether such a link existed.
-func (n *Network) FailRouterLink(u, v int) bool {
-	lu, lv := n.routerLink(u, int32(v)), n.routerLink(v, int32(u))
-	if lu == nil || lv == nil {
-		return false
-	}
-	lu.failed = true
-	lv.failed = true
-	return true
-}
-
 // FailRandomLinks fails count distinct router-router links chosen u.a.r.
-// and returns the affected edge IDs. Edge IDs without a router-router
-// entry (no failable link) do not count against the quota: the walk keeps
-// drawing replacements from the rest of the permutation until count links
-// actually failed or the graph is exhausted, so callers asking for k
-// failures get exactly k whenever the topology has that many failable
-// links. (An earlier revision walked only the first count samples and
-// silently failed fewer links when some draws were unfailable.)
+// and returns their edge IDs. Edge e's two directions are links 2e and
+// 2e+1, the ids of its arcs.
 func (n *Network) FailRandomLinks(count int, rng *rand.Rand) []int {
 	m := n.topo.G.M()
 	if count > m {
 		count = m
 	}
-	perm := rng.Perm(m)
-	var failed []int
-	for _, id := range perm {
-		if len(failed) == count {
-			break
-		}
-		e := n.topo.G.Edge(id)
-		if n.FailRouterLink(int(e.U), int(e.V)) {
-			failed = append(failed, id)
-		}
+	failed := rng.Perm(m)[:count]
+	for _, id := range failed {
+		n.links[2*id].failed = true
+		n.links[2*id+1].failed = true
 	}
 	return failed
 }

@@ -10,15 +10,23 @@ import (
 	"repro/internal/topo"
 )
 
+// TestFailRouterLink: failing one link marks its edge's two arc links, one
+// per direction, and no other link.
 func TestFailRouterLink(t *testing.T) {
 	cfg := NDPDefaults()
 	s, sf := sfSim(t, 5, 4, 0.7, cfg, 1)
-	e := sf.G.Edge(0)
-	if !s.Net.FailRouterLink(int(e.U), int(e.V)) {
-		t.Fatal("failing an existing link must succeed")
+	failed := s.Net.FailRandomLinks(1, graph.NewRand(1))
+	if len(failed) != 1 {
+		t.Fatalf("failed %d links, want 1", len(failed))
 	}
-	if s.Net.FailRouterLink(0, 0) {
-		t.Fatal("failing a non-link must report false")
+	e := sf.G.Edge(failed[0])
+	for i := range s.Net.links {
+		l := &s.Net.links[i]
+		uv := l.txPart == e.U && l.toRouter == e.V
+		vu := l.txPart == e.V && l.toRouter == e.U
+		if l.failed != (uv || vu) {
+			t.Fatalf("link %d (%d->%d) failed=%v after failing edge %d (%d,%d)", i, l.txPart, l.toRouter, l.failed, failed[0], e.U, e.V)
+		}
 	}
 }
 
@@ -57,9 +65,9 @@ func TestPinnedMinimalFlowStallsOnFailure(t *testing.T) {
 	dstRouter := int(h.To)
 	// Find the exact next hop layer 0 uses and break that link.
 	next := int(s.Fwd.Next(0, srcRouter, dstRouter))
-	if !s.Net.FailRouterLink(srcRouter, next) {
-		t.Fatal("could not fail the next-hop link")
-	}
+	a := sf.G.Arc(srcRouter, next)
+	s.Net.links[a].failed = true
+	s.Net.links[a^1].failed = true
 	srcLo, _ := sf.Endpoints(srcRouter)
 	dstLo, _ := sf.Endpoints(dstRouter)
 	s.AddFlow(FlowSpec{Src: int32(srcLo), Dst: int32(dstLo), Bytes: 64 << 10})
@@ -67,7 +75,7 @@ func TestPinnedMinimalFlowStallsOnFailure(t *testing.T) {
 	if res[0].Done {
 		t.Fatal("pinned minimal-path flow should stall on a dead link")
 	}
-	if s.Net.routerLink(srcRouter, int32(next)).failDrops == 0 {
+	if s.Net.links[a].failDrops == 0 {
 		t.Fatal("packets should have died on the failed link")
 	}
 }
@@ -128,37 +136,16 @@ func TestLayerRecomputationAfterFailure(t *testing.T) {
 	}
 }
 
-// TestFailRandomLinksExactCount: FailRandomLinks must fail exactly count
-// links even when some edge IDs have no failable router-router entry —
-// the fixed undercount bug drew only the first count permutation samples
-// and silently dropped the unfailable ones instead of drawing
-// replacements from the rest of the permutation.
+// TestFailRandomLinksExactCount: FailRandomLinks fails exactly count
+// distinct edges, both directions of each, and a request beyond the edge
+// count fails every edge once.
 func TestFailRandomLinksExactCount(t *testing.T) {
 	cfg := NDPDefaults()
 	s, sf := sfSim(t, 5, 2, 0.8, cfg, 11)
-	// Let the network draw from an edge list half again as wide as its link
-	// set: the extra edge IDs exist in the graph but join routers no link
-	// connects, so FailRouterLink reports false for them.
-	wide := graph.New(sf.Nr())
-	for _, e := range sf.G.Edges() {
-		wide.AddEdge(int(e.U), int(e.V))
-	}
-	unfailable := 0
-	for u := 0; u < sf.Nr() && unfailable < sf.G.M()/2; u++ {
-		for v := u + 1; v < sf.Nr() && unfailable < sf.G.M()/2; v++ {
-			if wide.TryAddEdge(u, v) {
-				unfailable++
-			}
-		}
-	}
-	s.Net.topo = &topo.Topology{G: wide}
-	want := wide.M() / 4
-	if want <= unfailable/2 {
-		t.Fatalf("test wants a count (%d) large enough to overlap unfailable draws (%d)", want, unfailable)
-	}
+	want := sf.G.M() / 4
 	failed := s.Net.FailRandomLinks(want, graph.NewRand(13))
 	if len(failed) != want {
-		t.Fatalf("failed %d links, want exactly %d (undercount regression)", len(failed), want)
+		t.Fatalf("failed %d links, want exactly %d", len(failed), want)
 	}
 	seen := map[int]bool{}
 	for _, id := range failed {
@@ -166,15 +153,21 @@ func TestFailRandomLinksExactCount(t *testing.T) {
 			t.Fatalf("edge %d failed twice", id)
 		}
 		seen[id] = true
-		if e := wide.Edge(id); s.Net.routerLink(int(e.U), e.V) == nil {
-			t.Fatalf("reported edge %d has no router-router link", id)
+		if !s.Net.links[2*id].failed || !s.Net.links[2*id+1].failed {
+			t.Fatalf("edge %d: a direction is still up", id)
 		}
 	}
-	// Asking for more than the failable supply fails everything failable
-	// (an already-failed link fails again) and stops, instead of looping
-	// or overcounting.
-	all := s.Net.FailRandomLinks(wide.M(), graph.NewRand(17))
-	if got, wantAll := len(all), sf.G.M(); got != wantAll {
-		t.Fatalf("graph-exhausting request failed %d links, want all %d failable", got, wantAll)
+	down := 0
+	for i := range s.Net.links {
+		if s.Net.links[i].failed {
+			down++
+		}
+	}
+	if down != 2*want {
+		t.Fatalf("%d links down, want %d", down, 2*want)
+	}
+	all := s.Net.FailRandomLinks(sf.G.M()+5, graph.NewRand(17))
+	if got := len(all); got != sf.G.M() {
+		t.Fatalf("graph-exhausting request failed %d links, want all %d", got, sf.G.M())
 	}
 }

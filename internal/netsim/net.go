@@ -288,18 +288,6 @@ func buildNetwork(t *topo.Topology, fwd *routing.Engine, m model, lb LoadBalance
 	return n
 }
 
-// routerLink returns the link from router r to its neighbour to: the link
-// whose id is the arc r -> to. It returns nil when the two are not adjacent,
-// or when the arc is not among the router links built (an edge added to the
-// graph after the network). Link failures look links up by endpoint;
-// forward does not come here, it holds a position.
-func (n *Network) routerLink(r int, to int32) *link {
-	if a := n.topo.G.Arc(r, int(to)); a >= 0 && a < len(n.outLink) {
-		return &n.links[a]
-	}
-	return nil
-}
-
 // sendFromHost injects packet h at its source host's uplink.
 func (n *Network) sendFromHost(e *Engine, h int32) {
 	e.inflight++

@@ -401,7 +401,7 @@ func TestByteConservation(t *testing.T) {
 }
 
 // Invariant: no link reports negative stats, every link sits at its id in
-// Network.links, and routerLink resolves each edge to its two arc links.
+// Network.links, and edge e's two directions are links 2e and 2e+1.
 func TestLinkStatsSanity(t *testing.T) {
 	cfg := NDPDefaults()
 	s, sf := sfSim(t, 5, 2, 0.8, cfg, 22)
@@ -421,23 +421,20 @@ func TestLinkStatsSanity(t *testing.T) {
 		}
 		check(&s.Net.links[i])
 	}
-	// routerLink finds, for every edge, the link of each direction.
+	// Every edge's arcs are the links of its two directions.
 	for id, e := range sf.G.Edges() {
-		uv, vu := s.Net.routerLink(int(e.U), e.V), s.Net.routerLink(int(e.V), e.U)
-		if uv != &s.Net.links[sf.G.EdgeArc(id, int(e.U))] || vu != &s.Net.links[sf.G.EdgeArc(id, int(e.V))] || uv.toRouter != e.V || vu.toRouter != e.U {
-			t.Fatalf("edge %d (%d,%d): index resolves to the wrong links", id, e.U, e.V)
+		uv, vu := &s.Net.links[2*id], &s.Net.links[2*id+1]
+		if uv.txPart != e.U || uv.toRouter != e.V || vu.txPart != e.V || vu.toRouter != e.U {
+			t.Fatalf("edge %d (%d,%d): links %d->%d and %d->%d", id, e.U, e.V, uv.txPart, uv.toRouter, vu.txPart, vu.toRouter)
 		}
-	}
-	if s.Net.routerLink(0, 0) != nil || s.Net.routerLink(0, int32(sf.Nr())) != nil {
-		t.Fatal("routerLink found a link between non-adjacent routers")
 	}
 }
 
 // TestLinkPositionsFollowRoutingNeighbours builds a network over a topology
 // whose adjacency lists run in descending neighbour ID, the reverse of the
 // routing engine's ascending order. forward's (router, position) slot must
-// still reach the link to fwd.Neighbors(r)[position], routerLink must return
-// the arc-numbered link, and a flow must cross the fabric.
+// still reach the link to fwd.Neighbors(r)[position], that link must be
+// the arc-numbered one, and a flow must cross the fabric.
 func TestLinkPositionsFollowRoutingNeighbours(t *testing.T) {
 	sf, err := topo.SlimFly(5, 0)
 	if err != nil {
@@ -465,8 +462,8 @@ func TestLinkPositionsFollowRoutingNeighbours(t *testing.T) {
 			if l.txPart != int32(r) || l.toRouter != to {
 				t.Fatalf("router %d position %d: link %d runs %d->%d, want %d->%d", r, p, l.id, l.txPart, l.toRouter, r, to)
 			}
-			if got := n.routerLink(r, to); got != &n.links[g.Arc(r, int(to))] || got != l {
-				t.Fatalf("routerLink(%d,%d) is link %d, want arc %d", r, to, got.id, g.Arc(r, int(to)))
+			if a := g.Arc(r, int(to)); l.id != int32(a) {
+				t.Fatalf("router %d position %d is link %d, want arc %d", r, p, l.id, a)
 			}
 		}
 	}

@@ -19,12 +19,17 @@ type Sinks struct {
 // BindFlags declares the observability flag block every CLI shares —
 // -metrics, -telemetry, -trace, -trace-ms, -cpuprofile, -memprofile and
 // -quiet — on fs, once. Call the returned start after fs is parsed: it
-// starts the CPU profile, creates the registry and tracer, opens the
-// telemetry file and attaches the stderr progress line. The stop it returns
-// tears all of that down when the work is done — metrics dump, trace file,
-// telemetry close, profiles, in that order — and returns the first error;
-// with no flag set it does nothing.
-func BindFlags(fs *flag.FlagSet) (start func() (Sinks, func() error, error)) {
+// starts the CPU profile, creates the registry and tracer, attaches the
+// stderr progress line and opens the telemetry file.
+//
+// stop is the command's one exit path, before start or after it, on
+// success or failure: it tears down what start made — metrics dump, trace
+// file, telemetry close, profiles, in that order — prints err, or else the
+// teardown's first error, on stderr as "name: err", and returns the exit
+// status, 0 or 1. A failing run is torn down too, because its profile,
+// trace and metrics are what someone debugging it needs; so a command ends
+// with os.Exit(stop(err)).
+func BindFlags(fs *flag.FlagSet, name string) (start func() (Sinks, error), stop func(err error) int) {
 	var (
 		metrics    = fs.Bool("metrics", false, "dump the metrics registry to stderr when done")
 		telemetry  = fs.String("telemetry", "", "append run/cell telemetry as JSONL to this file")
@@ -34,19 +39,15 @@ func BindFlags(fs *flag.FlagSet) (start func() (Sinks, func() error, error)) {
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		quiet      = fs.Bool("quiet", false, "suppress the per-cell progress line on stderr")
 	)
-	return func() (Sinks, func() error, error) {
+	teardown := func() error { return nil }
+	start = func() (Sinks, error) {
 		var s Sinks
 		stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 		if err != nil {
-			return s, nil, err
+			return s, err
 		}
 		if *metrics {
 			s.Obs = NewRegistry()
-		}
-		if *telemetry != "" {
-			if s.Telemetry, err = OpenTelemetry(*telemetry); err != nil {
-				return s, nil, err
-			}
 		}
 		if *trace != "" {
 			s.Tracer = NewTracer(int64(*traceMs * 1e6))
@@ -54,7 +55,7 @@ func BindFlags(fs *flag.FlagSet) (start func() (Sinks, func() error, error)) {
 		if !*quiet {
 			s.Progress = NewProgress(os.Stderr)
 		}
-		return s, func() error {
+		teardown = func() error {
 			if s.Obs != nil {
 				fmt.Fprintln(os.Stderr, "# metrics")
 				s.Obs.Dump(os.Stderr)
@@ -69,6 +70,21 @@ func BindFlags(fs *flag.FlagSet) (start func() (Sinks, func() error, error)) {
 				return err
 			}
 			return stopProfiles()
-		}, nil
+		}
+		if *telemetry != "" {
+			s.Telemetry, err = OpenTelemetry(*telemetry)
+		}
+		return s, err
 	}
+	stop = func(err error) int {
+		if terr := teardown(); err == nil {
+			err = terr
+		}
+		if err == nil {
+			return 0
+		}
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		return 1
+	}
+	return start, stop
 }

@@ -317,16 +317,16 @@ func TestProgress(t *testing.T) {
 }
 
 // TestBindFlags: the shared CLI flag block. With nothing set every
-// collaborator but the progress line is nil and stop does nothing; with
-// everything set the trace, telemetry and profile files are written and the
-// telemetry file is closed by stop, once.
+// collaborator but the progress line is nil and stop does nothing but
+// report the status; with everything set the trace, telemetry and profile
+// files are written and the telemetry file is closed by stop, once.
 func TestBindFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	start := BindFlags(fs)
+	start, stop := BindFlags(fs, "t")
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	s, stop, err := start()
+	s, err := start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +336,8 @@ func TestBindFlags(t *testing.T) {
 	if s.Progress == nil {
 		t.Fatal("progress must default on (only -quiet silences it)")
 	}
-	if err := stop(); err != nil {
-		t.Fatalf("stop with nothing started: %v", err)
+	if code := stop(nil); code != 0 {
+		t.Fatalf("stop with nothing started: status %d", code)
 	}
 
 	dir := t.TempDir()
@@ -346,7 +346,7 @@ func TestBindFlags(t *testing.T) {
 		paths[name] = filepath.Join(dir, name)
 	}
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	start = BindFlags(fs)
+	start, stop = BindFlags(fs, "t")
 	if err := fs.Parse([]string{
 		"-quiet", "-metrics", "-trace-ms", "5",
 		"-telemetry", paths["telemetry"], "-trace", paths["trace"],
@@ -354,7 +354,7 @@ func TestBindFlags(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s, stop, err = start()
+	s, err = start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +362,8 @@ func TestBindFlags(t *testing.T) {
 		t.Fatalf("every flag set (incl. -quiet), got %+v", s)
 	}
 	s.Telemetry.Emit(RunEnd{Type: "run_end"})
-	if err := stop(); err != nil {
-		t.Fatal(err)
+	if code := stop(errors.New("the run failed")); code != 1 {
+		t.Fatalf("stop after a failed run: status %d, want 1", code)
 	}
 	for name, p := range paths {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

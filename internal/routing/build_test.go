@@ -122,6 +122,19 @@ func randomSortedGraph(n int, p float64, rng *rand.Rand) *graph.Graph {
 	return g
 }
 
+// smallTopology builds kind at the small size class; JF is the Jellyfish
+// equivalent of the small SF.
+func smallTopology(kind string, rng *rand.Rand) (*topo.Topology, error) {
+	if kind != "JF" {
+		return topo.Family(kind, topo.Small, rng)
+	}
+	sf, err := topo.Family("SF", topo.Small, rng)
+	if err != nil {
+		return nil, err
+	}
+	return topo.EquivalentJellyfish(sf, rng)
+}
+
 func randomMask(m int, rho float64, rng *rand.Rand) []bool {
 	mask := make([]bool, m)
 	for id := range mask {
@@ -211,7 +224,7 @@ func TestBuildTableMatchesReference(t *testing.T) {
 		})
 	}
 	for _, kind := range []string{"SF", "DF", "HX", "XP", "FT3", "JF", "Clique"} {
-		tp, err := topo.ByName(kind, topo.Small, graph.NewRand(3))
+		tp, err := smallTopology(kind, graph.NewRand(3))
 		if err != nil {
 			t.Fatal(err)
 		}

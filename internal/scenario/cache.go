@@ -27,7 +27,7 @@ import (
 // cached result and every resumable journal, and the bump is what makes
 // stale entries misses instead of silent wrong answers. Purely
 // observational changes (obs, tracing, progress) do not bump it.
-const EngineFingerprint = "fatpaths-engine-v3"
+const EngineFingerprint = "fatpaths-engine-v4"
 
 // CacheKey is the content address of a cell: a hex SHA-256 over the
 // engine fingerprint and the cell's canonical identity at the given run

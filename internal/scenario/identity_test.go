@@ -22,7 +22,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Pattern:  Pattern{Kind: "uniform"},
 			},
 			identity: "v1|topo=FT3/small/4/0|pattern=uniform/0/0/0/false|routing=fatpaths|transport=ndp|layers=0|rho=0|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=false|seed=42",
-			cacheKey: "ab91aa0ebb2781e8722ff7b895d6486004359ace427017324730ffb179b569f9",
+			cacheKey: "7fb54c57612ef939f925777c552cb9e10e6674a7b3a529ee2f52f1bbbc28ee0e",
 			fabric:   "42|FT3/small/4/0|0|0|random",
 			topology: "42|FT3/small/4/0",
 			workload: "FT3/small/4/0|uniform/0/0/0/false|1048576|0",
@@ -36,7 +36,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Rho:      0.65, Load: 300.5, FailFrac: 0.05,
 			},
 			identity: "v1|topo=SF/small/0/0|pattern=permutation/0/0/0.3/true|routing=fatpaths|transport=ndp|layers=0|rho=0.65|construction=random|flowSize=pfabric|load=300.5|failFrac=0.05|replicas=1|horizonMs=8000|mat=false|seed=42",
-			cacheKey: "ab6e51a588772e319de380b0749c2df4a4c6fabdf31a49cbf37c22321daaaaaa",
+			cacheKey: "72dbd8195558fe55e1a02a06803818e3b8acdb26c5a416e0ce187ec637980214",
 			fabric:   "42|SF/small/0/0|0|0.65|random",
 			topology: "42|SF/small/0/0",
 			workload: "SF/small/0/0|permutation/0/0/0.3/true|pfabric|300.5",
@@ -52,7 +52,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Replicas:  3, HorizonMs: 1500.25,
 			},
 			identity: "v1|topo=HX/small/3/2|pattern=off-diagonal/-7/0/0/false|routing=ecmp|transport=dctcp|layers=4|rho=0|construction=random|flowSize=32768|load=0|failFrac=0|replicas=3|horizonMs=1500.25|mat=false|seed=42",
-			cacheKey: "d6a330f210de2980815217b5e8d32dff7794246c50a2f2e6942ab658dfaa274b",
+			cacheKey: "20f8e07967627e220805ec01bca98e6b412c398edd7781edfcfdc5926e5cbd32",
 			fabric:   "42|HX/small/3/2|4|0|random",
 			topology: "42|HX/small/3/2",
 			workload: "HX/small/3/2|off-diagonal/-7/0/0/false|32768|0",
@@ -65,7 +65,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				MAT:          true, Seed: 1234,
 			},
 			identity: "v1|topo=DF/medium/0/0|pattern=k-permutations/0/2/0/false|routing=fatpaths|transport=ndp|layers=0|rho=0|construction=min-interference|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=true|seed=1234",
-			cacheKey: "e88f92eedbdfe0f885d731bbe831c96b055b0a04f12d66596b5280ab0a8c3882",
+			cacheKey: "a0a31a5fde1a589fd385f114c09ea8fa6b3df5e3801a5e477caf9792c9c8132d",
 			fabric:   "1234|DF/medium/0/0|0|0|min-interference",
 			topology: "1234|DF/medium/0/0",
 			workload: "DF/medium/0/0|k-permutations/0/2/0/false|1048576|0",
@@ -80,7 +80,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Seed: -5, HorizonMs: 0.5,
 			},
 			identity: "v1|topo=XP/small/5/3|pattern=worst-case/0/0/1/false|routing=spray|transport=mptcp|layers=0|rho=1e-07|construction=past|flowSize=1|load=1e+21|failFrac=0.999|replicas=1|horizonMs=0.5|mat=false|seed=-5",
-			cacheKey: "a6801b53ac00b108566bb40fafb5aed7e349e75124d4eb13faead048660f184a",
+			cacheKey: "09bc9205384aa6c214e628466e2593c697c3bd7255d5ec8e017824cb22345c72",
 			fabric:   "-5|XP/small/5/3|0|1e-07|past",
 			topology: "-5|XP/small/5/3",
 			workload: "XP/small/5/3|worst-case/0/0/1/false|1|1e+21",
@@ -92,7 +92,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Layers:   1, Rho: 1, Replicas: 1, HorizonMs: 8000,
 			},
 			identity: "v1|topo=Star/small/16/0|pattern=shuffle/0/0/0/false|routing=fatpaths|transport=ndp|layers=1|rho=1|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=1|horizonMs=8000|mat=false|seed=42",
-			cacheKey: "0c83c36c9a2ec82e99f4cadb725b794afb54608e442c95c608385895bc4dd078",
+			cacheKey: "5d670eac61c147a0ad1874570c36d758571dc99194ccb625fa70105717f6da38",
 			fabric:   "42|Star/small/16/0|1|1|random",
 			topology: "42|Star/small/16/0",
 			workload: "Star/small/16/0|shuffle/0/0/0/false|1048576|0",
@@ -105,7 +105,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Load: 2500, FailFrac: 0.1, MAT: true,
 			},
 			identity: "v1|topo=JF/small/5/4|pattern=stencil/0/0/0.125/true|routing=letflow|transport=ndp|layers=0|rho=0|construction=spain|flowSize=1048576|load=2500|failFrac=0.1|replicas=1|horizonMs=8000|mat=true|seed=42",
-			cacheKey: "7fe0696a321596ddcf7bc5eb85446cbf3a6efc61779cddada12b70810c16f527",
+			cacheKey: "d02d44d048c0099c7fe01488d8d201b70f74d9a62a640913f84bc37c1c0c6324",
 			fabric:   "42|JF/small/5/4|0|0|spain",
 			topology: "42|JF/small/5/4",
 			workload: "JF/small/5/4|stencil/0/0/0.125/true|1048576|2500",
@@ -118,7 +118,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 				Layers: 12, Rho: 0.5, Replicas: 2, Seed: 9223372036854775807,
 			},
 			identity: "v1|topo=Clique/small/8/0|pattern=adversarial/0/0/0/false|routing=minimal|transport=tcp|layers=12|rho=0.5|construction=random|flowSize=1048576|load=0|failFrac=0|replicas=2|horizonMs=8000|mat=false|seed=9223372036854775807",
-			cacheKey: "40910ea499f3ca120e7266e8c10f592741505dd7df109f2e7155ed8002f92f3a",
+			cacheKey: "49a7a1a2443de792b6efc13e294cede479556d2e79a2022622ff8d3427cba7de",
 			fabric:   "9223372036854775807|Clique/small/8/0|12|0.5|random",
 			topology: "9223372036854775807|Clique/small/8/0",
 			workload: "Clique/small/8/0|adversarial/0/0/0/false|1048576|0",

@@ -34,9 +34,13 @@ func (s Spec) topologyCacheKey(runSeed int64) string {
 	return string(s.Topology.appendKey(append(b, '|')))
 }
 
-// BuildTopology builds the cell's topology at its canonical folded seed —
-// exactly the topology RunSpecs would build for this cell.
+// BuildTopology validates the cell's topology and builds it at its
+// canonical folded seed — exactly the topology RunSpecs would build for
+// this cell.
 func BuildTopology(s Spec, runSeed int64) (*topo.Topology, error) {
+	if err := s.Topology.validate(); err != nil {
+		return nil, err
+	}
 	seed := s.effectiveSeed(runSeed)
 	return s.Topology.build(seedFor(seed, "topo|"+s.Topology.key()))
 }

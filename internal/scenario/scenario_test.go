@@ -284,23 +284,53 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestClassSizedBuildMatchesByName: a class-sized topology builds, for
-// every kind, the graph and concentration topo.ByName gives from the same
-// seed, though only JF still draws ByName's XP lift first.
-func TestClassSizedBuildMatchesByName(t *testing.T) {
+// TestClassSizedBuildMatchesFamily: a class-sized topology builds, for
+// every kind, the graph and concentration topo.Family gives from the same
+// seed, and JF the EquivalentJellyfish of the class's SF, wired from that
+// same stream.
+func TestClassSizedBuildMatchesFamily(t *testing.T) {
 	for _, kind := range []string{"SF", "DF", "HX", "XP", "FT3", "FT", "JF", "Clique"} {
 		for _, seed := range []int64{1, 42} {
 			got, err := Topology{Kind: kind}.build(seed)
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
-			want, err := topo.ByName(Topology{Kind: kind}.kind(), topo.Small, rand.New(rand.NewSource(seed)))
+			rng := rand.New(rand.NewSource(seed))
+			var want *topo.Topology
+			if kind == "JF" {
+				sf, err := topo.Family("SF", topo.Small, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err = topo.EquivalentJellyfish(sf, rng)
+			} else {
+				want, err = topo.Family(kind, topo.Small, rng)
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
 			if !reflect.DeepEqual(got.G.Edges(), want.G.Edges()) || !reflect.DeepEqual(got.Conc, want.Conc) {
-				t.Errorf("%s at seed %d: the scenario build differs from topo.ByName", kind, seed)
+				t.Errorf("%s at seed %d: the scenario build differs from the family's", kind, seed)
 			}
+		}
+	}
+}
+
+// TestBuildTopologyValidates: BuildTopology checks the topology before it
+// builds, as BuildFabric and RunSpecs do, so a kind without a size class
+// asks for its param and a class next to a param is refused.
+func TestBuildTopologyValidates(t *testing.T) {
+	for _, c := range []struct {
+		ts   Topology
+		want string
+	}{
+		{Topology{Kind: "Star"}, "set param"},
+		{Topology{Kind: "SF", Class: "small", Param: 5}, "class"},
+		{Topology{Kind: "JF", Class: "medium", Param: 7}, "class"},
+		{Topology{Kind: "TORUS"}, "unknown topology kind"},
+	} {
+		if _, err := BuildTopology(Spec{Topology: c.ts}, 1); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err %v, want one naming %q", c.ts, err, c.want)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func (ts Topology) validate() error {
 		return fmt.Errorf("scenario: topology %s: negative size parameter", ts.Kind)
 	}
 	if ts.Kind == "Star" && ts.Param == 0 {
-		// topo.ByName has no class-sized Star to fall back on.
+		// topo.Family has no class-sized Star to fall back on.
 		return fmt.Errorf("scenario: topology Star has no size class: set param (the host count)")
 	}
 	// A value the build ignores would name the same topology under a second
@@ -116,30 +116,34 @@ func (ts Topology) validate() error {
 
 // build constructs the topology. All randomness (XP lifts, JF wiring)
 // derives from seed, so equal specs build identical topologies. A
-// class-sized JF goes through topo.ByName, whose XP lift its wiring draws
-// after; every other class-sized kind is the one family topo.Family builds,
-// which is what ByName returns for it without the lift.
+// class-sized kind is the family topo.Family builds; JF, by class or by
+// param, is the Jellyfish equivalent of that size's SF, wired from the
+// same rng.
 func (ts Topology) build(seed int64) (*topo.Topology, error) {
 	rng := rand.New(rand.NewSource(seed))
+	if ts.kind() != "JF" {
+		return ts.family(rng)
+	}
+	ts.Kind = "SF"
+	sf, err := ts.family(rng)
+	if err != nil {
+		return nil, err
+	}
+	return topo.EquivalentJellyfish(sf, rng)
+}
+
+// family builds every kind but JF, drawing from rng only for XP's lift.
+func (ts Topology) family(rng *rand.Rand) (*topo.Topology, error) {
 	if ts.Param == 0 {
 		class, err := ts.sizeClass()
 		if err != nil {
 			return nil, err
-		}
-		if ts.kind() == "JF" {
-			return topo.ByName("JF", class, rng)
 		}
 		return topo.Family(ts.kind(), class, rng)
 	}
 	switch ts.kind() {
 	case "SF":
 		return topo.SlimFly(ts.Param, ts.Param2)
-	case "JF":
-		sf, err := topo.SlimFly(ts.Param, ts.Param2)
-		if err != nil {
-			return nil, err
-		}
-		return topo.EquivalentJellyfish(sf, rng)
 	case "DF":
 		return topo.Dragonfly(ts.Param)
 	case "HX":

@@ -121,7 +121,7 @@ func Example() {
 	//   SF(q=5,p=4) layers=1: 200 flows, 100% completed, mean FCT 0.164 ms
 	//   SF(q=5,p=4) layers=4: 200 flows, 100% completed, mean FCT 0.159 ms
 	// -- GET /healthz and the daemon's own metrics
-	// {"status":"ok","fabrics":1,"maxFabrics":4,"fingerprint":"fatpaths-engine-v3"}
+	// {"status":"ok","fabrics":1,"maxFabrics":4,"fingerprint":"fatpaths-engine-v4"}
 	// requests=7 fabric hits=4 misses=1 whatif views=1
 	// -- determinism: daemon vs offline engine
 	// byte-identical: true

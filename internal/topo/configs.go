@@ -100,26 +100,3 @@ func Family(kind string, class SizeClass, rng *rand.Rand) (*Topology, error) {
 	}
 	return nil, fmt.Errorf("unknown topology kind %q", kind)
 }
-
-// ByName builds a topology family at a size class by its paper abbreviation
-// (SF, DF, HX, XP, FT3, JF, Clique). JF is the SF-equivalent Jellyfish. It
-// draws XP's lift from rng whatever the kind, as building the whole suite
-// did, so JF's wiring and a caller's later draws see the stream they always
-// saw.
-func ByName(kind string, class SizeClass, rng *rand.Rand) (*Topology, error) {
-	xp, err := Family("XP", class, rng)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case "XP":
-		return xp, nil
-	case "JF":
-		sf, err := Family("SF", class, rng)
-		if err != nil {
-			return nil, err
-		}
-		return EquivalentJellyfish(sf, rng)
-	}
-	return Family(kind, class, rng)
-}

@@ -62,27 +62,3 @@ func FuzzBuilders(f *testing.F) {
 		}
 	})
 }
-
-// FuzzByName checks the name-based registry entry point used by the
-// scenario engine: any (kind, class) pair yields a valid topology or an
-// error. The medium class builds the paper's N≈10k networks, so only the
-// small class (and invalid classes) are fuzzed.
-func FuzzByName(f *testing.F) {
-	for _, kind := range []string{"SF", "DF", "HX", "XP", "FT3", "FT", "JF", "Clique", "Star", "TORUS", ""} {
-		f.Add(kind, int16(0), int64(1))
-	}
-	f.Add("SF", int16(9), int64(1)) // invalid size class
-	f.Fuzz(func(t *testing.T, kind string, class int16, seed int64) {
-		cl := SizeClass(class)
-		if cl == Medium {
-			cl = Small
-		}
-		tp, err := ByName(kind, cl, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return
-		}
-		if verr := tp.Validate(); verr != nil {
-			t.Fatalf("ByName(%q, %d) built an invalid topology: %v", kind, cl, verr)
-		}
-	})
-}

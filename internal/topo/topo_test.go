@@ -473,22 +473,6 @@ func TestBuildSuiteMedium(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	rng := graph.NewRand(2)
-	for _, kind := range []string{"SF", "DF", "HX", "XP", "FT3", "JF", "Clique"} {
-		tp, err := ByName(kind, Small, rng)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if err := tp.Validate(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-	}
-	if _, err := ByName("bogus", Small, rng); err == nil {
-		t.Fatal("unknown kind should error")
-	}
-}
-
 func TestPrimitiveRoot(t *testing.T) {
 	for _, q := range []int{3, 5, 7, 11, 13, 17, 19, 23, 29} {
 		xi := primitiveRoot(q)
