@@ -21,7 +21,8 @@ import (
 )
 
 // mapRangePackages are the ordering-sensitive packages whose map
-// iterations feed table output, routing state, or event schedules.
+// iterations feed table output, routing state, event schedules, or daemon
+// answers.
 var mapRangePackages = []string{
 	"internal/routing",
 	"internal/layers",
@@ -29,6 +30,7 @@ var mapRangePackages = []string{
 	"internal/experiments",
 	"internal/scenario",
 	"internal/stats",
+	"internal/serve",
 }
 
 var MapRangeAnalyzer = &Analyzer{

@@ -1,0 +1,7 @@
+//go:build !race
+
+package serve
+
+// raceEnabled reports whether the race detector is compiled in; its
+// instrumentation allocates, so TestGetAllocsCeiling skips under -race.
+const raceEnabled = false

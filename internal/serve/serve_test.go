@@ -177,7 +177,8 @@ func TestPathsEndpoint(t *testing.T) {
 
 // TestRequestValidation walks the 400 surface: unknown/missing/bad
 // parameters, out-of-range routers, layers, and edges, malformed and
-// unknown-field bodies. Every rejection is {"error": ...}.
+// unknown-field bodies. Every rejection is {"error": ...}; where a case
+// names a message, the query-parameter ones word for word.
 func TestRequestValidation(t *testing.T) {
 	s := testServer(t, Config{MaxFabrics: 1})
 	// 257 loads x 256 failFracs: 256 cells over scenario.MaxCells, in 3 KB.
@@ -197,13 +198,17 @@ func TestRequestValidation(t *testing.T) {
 		name, method, target, body string
 		want                       string // substring the error must carry, if any
 	}{
-		{"unknown param", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=1&bogus=1", "", ""},
-		{"missing topo", "GET", "/nexthop?src=0&dst=1", "", ""},
-		{"missing src", "GET", "/nexthop?" + testFabricQ + "&dst=1", "", ""},
-		{"non-integer", "GET", "/nexthop?" + testFabricQ + "&src=zero&dst=1", "", ""},
+		{"unknown param", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=1&bogus=1", "", `unknown query parameter "bogus"`},
+		{"paths unknown param", "GET", "/paths?bogus=1", "", `unknown query parameter "bogus"`},
+		{"missing topo", "GET", "/nexthop?src=0&dst=1", "", `missing required query parameter "topo" (topology kind: SF, DF, HX, XP, FT3, JF, Clique, Star)`},
+		{"missing src", "GET", "/nexthop?" + testFabricQ + "&dst=1", "", `missing required query parameter "src"`},
+		{"non-integer", "GET", "/nexthop?" + testFabricQ + "&src=zero&dst=1", "", `query parameter "src": "zero" is not an integer`},
+		{"non-integer param", "GET", "/paths?topo=SF&param=five&src=0&dst=1", "", `query parameter "param": "five" is not an integer`},
+		{"non-integer layer", "GET", "/nexthop?" + testFabricQ + "&layer=x&src=0&dst=1", "", `query parameter "layer": "x" is not an integer`},
+		{"non-number rho", "GET", "/nexthop?topo=SF&rho=high&src=0&dst=1", "", `query parameter "rho": "high" is not a number`},
 		{"src range", "GET", "/nexthop?" + testFabricQ + "&src=50&dst=1", "", ""},
 		{"dst range", "GET", "/nexthop?" + testFabricQ + "&src=0&dst=-1", "", ""},
-		{"layer range", "GET", "/nexthop?" + testFabricQ + "&layer=2&src=0&dst=1", "", ""},
+		{"layer range", "GET", "/nexthop?" + testFabricQ + "&layer=2&src=0&dst=1", "", "layer 2 outside [0,2)"},
 		{"bad topo kind", "GET", "/nexthop?topo=NOPE&src=0&dst=1", "", ""},
 		{"rho NaN", "GET", "/nexthop?topo=SF&param=5&layers=2&rho=NaN&src=0&dst=1", "", "rho"},
 		{"star without param", "GET", "/nexthop?topo=Star&src=0&dst=1", "", "param"},
@@ -212,7 +217,7 @@ func TestRequestValidation(t *testing.T) {
 		{"DF param2", "GET", "/nexthop?topo=DF&param=3&param2=7&src=0&dst=1", "", "param2"},
 		{"Star param2", "GET", "/nexthop?topo=Star&param=4&param2=2&src=0&dst=1", "", "param2"},
 		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", "", ""},
-		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", ""},
+		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", "layer -7 outside [0,2)"},
 		{"whatif bad json", "POST", "/whatif", "{", ""},
 		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`, ""},
 		{"whatif two values", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7}} {"failedEdges":[1]}`, "more than one JSON value"},

@@ -30,7 +30,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -161,46 +163,101 @@ func (fs FabricSelector) spec() (scenario.Spec, int64) {
 	}, seed
 }
 
-// fabricQueryKeys are the query parameters selecting a fabric on the GET
-// endpoints; endpoint-specific keys ride on top.
-var fabricQueryKeys = []string{"topo", "class", "param", "param2", "layers", "rho", "construction", "seed"}
+// The query keys the GET endpoints accept: the fabric selector's, then
+// the (layer, src, dst) the question names. Each has one getQuery slot.
+const (
+	qTopo = iota
+	qClass
+	qParam
+	qParam2
+	qLayers
+	qRho
+	qConstruction
+	qSeed
+	qLayer
+	qSrc
+	qDst
+	numQueryKeys
+)
 
-// selectorFromQuery parses the fabric-defining query parameters,
-// rejecting unknown keys (extra holds the endpoint's own keys).
-func selectorFromQuery(q url.Values, extra ...string) (FabricSelector, error) {
-	allowed := map[string]bool{}
-	for _, k := range fabricQueryKeys {
-		allowed[k] = true
-	}
-	for _, k := range extra {
-		allowed[k] = true
-	}
-	for k := range q {
-		if !allowed[k] {
-			return FabricSelector{}, fmt.Errorf("unknown query parameter %q", k)
+var queryKeys = [numQueryKeys]string{"topo", "class", "param", "param2", "layers", "rho", "construction", "seed", "layer", "src", "dst"}
+
+// getQuery is a parsed GET query: the first value of each accepted key,
+// "" when the key is absent.
+type getQuery [numQueryKeys]string
+
+// parseGetQuery reads a raw query string in one pass, with the semantics
+// of url.ParseQuery followed by Values.Get: pairs split on '&'; a pair
+// holding ';' or a malformed escape is dropped; key and value are
+// unescaped only when the pair holds '%' or '+'; the first value of a key
+// wins. It rejects the first unknown key in query order.
+func parseGetQuery(raw string) (getQuery, error) {
+	var q getQuery
+	var seen uint16 // bit k: key k already has its value
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		semicolon, escaped := scanPair(pair)
+		if pair == "" || semicolon {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		if escaped {
+			var errKey, errVal error
+			key, errKey = url.QueryUnescape(key)
+			val, errVal = url.QueryUnescape(val)
+			if errKey != nil || errVal != nil {
+				continue
+			}
+		}
+		k := slices.Index(queryKeys[:], key)
+		if k < 0 {
+			return getQuery{}, fmt.Errorf("unknown query parameter %q", key)
+		}
+		if seen&(1<<k) == 0 {
+			q[k], seen = val, seen|1<<k
 		}
 	}
+	return q, nil
+}
+
+// scanPair reports whether a query pair holds a ';' and whether it holds
+// a '%' or '+', in one pass.
+func scanPair(pair string) (semicolon, escaped bool) {
+	for i := 0; i < len(pair); i++ {
+		switch pair[i] {
+		case ';':
+			semicolon = true
+		case '%', '+':
+			escaped = true
+		}
+	}
+	return semicolon, escaped
+}
+
+// selector parses the fabric-defining query parameters.
+func (q *getQuery) selector() (FabricSelector, error) {
 	var fs FabricSelector
-	fs.Topology.Kind = q.Get("topo")
+	fs.Topology.Kind = q[qTopo]
 	if fs.Topology.Kind == "" {
 		return FabricSelector{}, fmt.Errorf("missing required query parameter \"topo\" (topology kind: SF, DF, HX, XP, FT3, JF, Clique, Star)")
 	}
-	fs.Topology.Class = q.Get("class")
+	fs.Topology.Class = q[qClass]
 	var err error
-	if fs.Topology.Param, err = intQuery(q, "param", 0); err != nil {
+	if fs.Topology.Param, err = q.intParam(qParam, 0); err != nil {
 		return FabricSelector{}, err
 	}
-	if fs.Topology.Param2, err = intQuery(q, "param2", 0); err != nil {
+	if fs.Topology.Param2, err = q.intParam(qParam2, 0); err != nil {
 		return FabricSelector{}, err
 	}
-	if fs.Layers, err = intQuery(q, "layers", 0); err != nil {
+	if fs.Layers, err = q.intParam(qLayers, 0); err != nil {
 		return FabricSelector{}, err
 	}
-	if fs.Rho, err = floatQuery(q, "rho", 0); err != nil {
+	if fs.Rho, err = q.floatParam(qRho, 0); err != nil {
 		return FabricSelector{}, err
 	}
-	fs.Construction = q.Get("construction")
-	seed, err := intQuery(q, "seed", 0) // spec() maps 0 to defaultSeed
+	fs.Construction = q[qConstruction]
+	seed, err := q.intParam(qSeed, 0) // spec() maps 0 to defaultSeed
 	if err != nil {
 		return FabricSelector{}, err
 	}
@@ -208,28 +265,48 @@ func selectorFromQuery(q url.Values, extra ...string) (FabricSelector, error) {
 	return fs, nil
 }
 
-func intQuery(q url.Values, key string, def int) (int, error) {
-	v := q.Get(key)
+// intParam parses key k as an integer, def when absent.
+func (q *getQuery) intParam(k, def int) (int, error) {
+	v := q[k]
 	if v == "" {
 		return def, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %q is not an integer", key, v)
+		return 0, fmt.Errorf("query parameter %q: %q is not an integer", queryKeys[k], v)
 	}
 	return n, nil
 }
 
-func floatQuery(q url.Values, key string, def float64) (float64, error) {
-	v := q.Get(key)
+// requiredInt parses the mandatory integer key k.
+func (q *getQuery) requiredInt(k int) (int, error) {
+	if q[k] == "" {
+		return 0, fmt.Errorf("missing required query parameter %q", queryKeys[k])
+	}
+	return q.intParam(k, 0)
+}
+
+func (q *getQuery) floatParam(k int, def float64) (float64, error) {
+	v := q[k]
 	if v == "" {
 		return def, nil
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %q is not a number", key, v)
+		return 0, fmt.Errorf("query parameter %q: %q is not a number", queryKeys[k], v)
 	}
 	return f, nil
+}
+
+// parseFabricQuery parses a GET request's query and the fabric selector
+// it carries.
+func parseFabricQuery(r *http.Request) (getQuery, FabricSelector, error) {
+	q, err := parseGetQuery(r.URL.RawQuery)
+	if err != nil {
+		return q, FabricSelector{}, err
+	}
+	fs, err := q.selector()
+	return q, fs, err
 }
 
 // fabric resolves a selector to its resident fabric (admitting on miss).
@@ -265,6 +342,43 @@ func answerHop(fwd *routing.Engine, layer, src, dst int) HopAnswer {
 	}
 }
 
+// appendJSON appends the encoding/json form of a to b.
+func (a *HopAnswer) appendJSON(b []byte) []byte {
+	b = append(b, `{"layer":`...)
+	b = strconv.AppendInt(b, int64(a.Layer), 10)
+	b = append(b, `,"src":`...)
+	b = strconv.AppendInt(b, int64(a.Src), 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, int64(a.Dst), 10)
+	b = append(b, `,"next":`...)
+	b = strconv.AppendInt(b, int64(a.Next), 10)
+	b = append(b, `,"dist":`...)
+	b = strconv.AppendInt(b, int64(a.Dist), 10)
+	b = append(b, `,"candidates":`...)
+	b = appendList(b, a.Candidates, appendInt)
+	return append(b, '}')
+}
+
+// appendList appends the encoding/json form of xs, each element by elem:
+// null when xs is nil.
+func appendList[T any](b []byte, xs []T, elem func(*T, []byte) []byte) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(&xs[i], b)
+	}
+	return append(b, ']')
+}
+
+func appendInt[T int | int32](x *T, b []byte) []byte {
+	return strconv.AppendInt(b, int64(*x), 10)
+}
+
 // validateTriple bounds-checks one (layer, src, dst) query.
 func validateTriple(fab *core.Fabric, layer, src, dst int) error {
 	if layer < 0 || layer >= fab.Fwd.NumLayers() {
@@ -287,15 +401,14 @@ func validatePair(fab *core.Fabric, src, dst int) error {
 // handleNexthop: GET /nexthop?topo=SF&param=5&layer=0&src=3&dst=17 — one
 // lock-free table read.
 func (s *Server) handleNexthop(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	fs, err := selectorFromQuery(q, "layer", "src", "dst")
+	q, fs, err := parseFabricQuery(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	layer, err1 := intQuery(q, "layer", 0)
-	src, err2 := requiredInt(q, "src")
-	dst, err3 := requiredInt(q, "dst")
+	layer, err1 := q.intParam(qLayer, 0)
+	src, err2 := q.requiredInt(qSrc)
+	dst, err3 := q.requiredInt(qDst)
 	if err := firstErr(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -309,7 +422,8 @@ func (s *Server) handleNexthop(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, answerHop(fab.Fwd, layer, src, dst))
+	ans := answerHop(fab.Fwd, layer, src, dst)
+	writeAnswer(w, ans.appendJSON(make([]byte, 0, 128)))
 }
 
 // LayerPath is one layer's representative route in a /paths answer.
@@ -336,18 +450,45 @@ type PathsAnswer struct {
 	DistinctPaths int `json:"distinctPaths"`
 }
 
+// appendJSON appends the encoding/json form of lp to b.
+func (lp *LayerPath) appendJSON(b []byte) []byte {
+	b = append(b, `{"layer":`...)
+	b = strconv.AppendInt(b, int64(lp.Layer), 10)
+	b = append(b, `,"len":`...)
+	b = strconv.AppendInt(b, int64(lp.Len), 10)
+	if len(lp.Path) > 0 {
+		b = append(b, `,"path":`...)
+		b = appendList(b, lp.Path, appendInt)
+	}
+	b = append(b, `,"candidates":`...)
+	b = strconv.AppendInt(b, int64(lp.Candidates), 10)
+	return append(b, '}')
+}
+
+// appendJSON appends the encoding/json form of a to b.
+func (a *PathsAnswer) appendJSON(b []byte) []byte {
+	b = append(b, `{"src":`...)
+	b = strconv.AppendInt(b, int64(a.Src), 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, int64(a.Dst), 10)
+	b = append(b, `,"layers":`...)
+	b = appendList(b, a.Layers, (*LayerPath).appendJSON)
+	b = append(b, `,"distinctPaths":`...)
+	b = strconv.AppendInt(b, int64(a.DistinctPaths), 10)
+	return append(b, '}')
+}
+
 // handlePaths: GET /paths?topo=SF&param=5&src=3&dst=17[&layer=2] — the
 // multipath/diversity view of one router pair.
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	fs, err := selectorFromQuery(q, "layer", "src", "dst")
+	q, fs, err := parseFabricQuery(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	src, err1 := requiredInt(q, "src")
-	dst, err2 := requiredInt(q, "dst")
-	onlyLayer, err3 := intQuery(q, "layer", -1)
+	src, err1 := q.requiredInt(qSrc)
+	dst, err2 := q.requiredInt(qDst)
+	onlyLayer, err3 := q.intParam(qLayer, -1)
 	if err := firstErr(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -363,7 +504,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	}
 	// -1 is the absent parameter ("all layers"); a negative value the
 	// client actually sent is as out of range as one past the last layer.
-	if onlyLayer >= fab.Fwd.NumLayers() || (onlyLayer < 0 && q.Get("layer") != "") {
+	if onlyLayer >= fab.Fwd.NumLayers() || (onlyLayer < 0 && q[qLayer] != "") {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("layer %d outside [0,%d)", onlyLayer, fab.Fwd.NumLayers()))
 		return
 	}
@@ -379,7 +520,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		ans.Layers = append(ans.Layers, lp)
 	}
-	writeJSON(w, http.StatusOK, ans)
+	writeAnswer(w, ans.appendJSON(make([]byte, 0, 256)))
 }
 
 // WhatifRequest is the POST /whatif body: a fabric, the base edge IDs to
@@ -405,6 +546,19 @@ type WhatifAnswer struct {
 	SharedTables      int         `json:"sharedTables"`
 	InvalidatedTables int         `json:"invalidatedTables"`
 	Answers           []HopAnswer `json:"answers"`
+}
+
+// appendJSON appends the encoding/json form of a to b.
+func (a *WhatifAnswer) appendJSON(b []byte) []byte {
+	b = append(b, `{"failedEdges":`...)
+	b = appendList(b, a.FailedEdges, appendInt)
+	b = append(b, `,"sharedTables":`...)
+	b = strconv.AppendInt(b, int64(a.SharedTables), 10)
+	b = append(b, `,"invalidatedTables":`...)
+	b = strconv.AppendInt(b, int64(a.InvalidatedTables), 10)
+	b = append(b, `,"answers":`...)
+	b = appendList(b, a.Answers, (*HopAnswer).appendJSON)
+	return append(b, '}')
 }
 
 // handleWhatif derives a copy-on-write WithoutEdges view for this request
@@ -447,7 +601,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	for _, qt := range req.Queries {
 		ans.Answers = append(ans.Answers, answerHop(derived, qt.Layer, qt.Src, qt.Dst))
 	}
-	writeJSON(w, http.StatusOK, ans)
+	writeAnswer(w, ans.appendJSON(make([]byte, 0, 128*(1+len(ans.Answers)))))
 }
 
 // ScenarioRequest is the POST /scenarios body: a scenario matrix (the
@@ -538,7 +692,7 @@ type HealthAnswer struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthAnswer{
+	writeJSON(w, HealthAnswer{
 		Status:      "ok",
 		Fabrics:     s.fabrics.Len(),
 		MaxFabrics:  s.cfg.MaxFabrics,
@@ -553,14 +707,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.reg.Dump(w)
-}
-
-// requiredInt parses a mandatory integer query parameter.
-func requiredInt(q url.Values, key string) (int, error) {
-	if q.Get(key) == "" {
-		return 0, fmt.Errorf("missing required query parameter %q", key)
-	}
-	return intQuery(q, key, 0)
 }
 
 func firstErr(errs ...error) error {
@@ -596,14 +742,20 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 
 // writeJSON writes one JSON object and a trailing newline (answers are
 // valid JSONL, so fixtures and CLI pipelines diff cleanly).
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+func writeJSON(w http.ResponseWriter, v interface{}) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	writeAnswer(w, b)
+}
+
+// writeAnswer writes a 200 answer already encoded (by json.Marshal or an
+// answer's appendJSON) and a trailing newline.
+func writeAnswer(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
+	w.WriteHeader(http.StatusOK)
 	w.Write(append(b, '\n'))
 }
 
