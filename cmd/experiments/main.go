@@ -46,7 +46,7 @@ func main() {
 		run               = flag.String("run", "", "experiment ID to run (or 'all')")
 		list              = flag.Bool("list", false, "list available experiments")
 		full              = flag.Bool("full", false, "paper-scale runs instead of quick mode")
-		seed              = flag.Int64("seed", 42, "random seed")
+		seed              = flag.Int64("seed", scenario.DefaultSeed, "random seed")
 		parallel          = flag.Int("parallel", 0, "worker goroutines per experiment (0 = all cores)")
 		jsonOut           = flag.Bool("json", false, "emit a JSON array of tables instead of text")
 		cacheDir          = flag.String("cache-dir", "", "content-addressed result cache for scenario-backed experiments (see README \"Durable sweeps\")")

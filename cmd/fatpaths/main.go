@@ -29,7 +29,7 @@ func main() {
 		n                 = flag.Int("layers", 0, "number of layers (0: the topology's default)")
 		rho               = flag.Float64("rho", 0, "fraction of edges per sparsified layer (0: the topology's default)")
 		scheme            = flag.String("scheme", "random", "layer construction: random, min-interference, spain, past")
-		seed              = flag.Int64("seed", 42, "random seed")
+		seed              = flag.Int64("seed", scenario.DefaultSeed, "random seed")
 		deadlock          = flag.Bool("deadlock", false, "run the channel-dependency (lossless deployment) analysis per layer")
 		startObs, stopObs = obs.BindFlags(flag.CommandLine, "fatpaths")
 	)

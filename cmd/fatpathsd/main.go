@@ -16,7 +16,8 @@
 //	curl -d '{"fabric":{"topology":{"kind":"SF","param":5},"layers":4,"rho":0.7},
 //	         "failedEdges":[0,7],"queries":[{"layer":1,"src":3,"dst":17}]}' \
 //	     localhost:8095/whatif
-//	curl -d @examples/scenarios/failure_ladder.json.wrapped localhost:8095/scenarios
+//	python3 -c 'import json; print(json.dumps({"matrix": json.load(open("examples/scenarios/failure_ladder.json"))}))' |
+//	    curl --data-binary @- localhost:8095/scenarios
 //	curl localhost:8095/healthz; curl localhost:8095/metrics
 //
 // Answers obey the determinism contract: at the same seed they are

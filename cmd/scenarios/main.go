@@ -55,7 +55,7 @@ type fileResult struct {
 func main() {
 	var (
 		spec              = flag.String("spec", "", "scenario matrix spec file (further files may follow as positional arguments)")
-		seed              = flag.Int64("seed", 42, "random seed")
+		seed              = flag.Int64("seed", scenario.DefaultSeed, "random seed")
 		parallel          = flag.Int("parallel", 0, "worker goroutines (0 = all cores)")
 		jsonOut           = flag.Bool("json", false, "emit JSON instead of text tables")
 		cells             = flag.Bool("cells", false, "only expand and list the matrix cells, don't simulate")

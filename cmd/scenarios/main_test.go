@@ -215,18 +215,20 @@ func TestCellStatuses(t *testing.T) {
 	}
 }
 
-// TestLoadMatrixRejectsRetiredKnob: "shards" is no longer a spec field,
-// and the strict decoder must say so by name rather than silently ignore a
-// knob an old spec file still carries.
+// TestLoadMatrixRejectsRetiredKnob: "shards" and "seed" are no longer spec
+// fields, and the strict decoder must say so by name rather than silently
+// ignore a knob an old spec file still carries.
 func TestLoadMatrixRejectsRetiredKnob(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.json")
-	spec := `{"name":"old","base":{"topology":{"kind":"SF","param":3},"pattern":{"kind":"uniform"},"shards":2}}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := loadMatrix(path)
-	if err == nil || !strings.Contains(err.Error(), `"shards"`) {
-		t.Fatalf("loadMatrix error = %v, want an unknown-field error naming \"shards\"", err)
+	for _, knob := range []string{"shards", "seed"} {
+		path := filepath.Join(t.TempDir(), "old.json")
+		spec := `{"name":"old","base":{"topology":{"kind":"SF","param":3},"pattern":{"kind":"uniform"},"` + knob + `":2}}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadMatrix(path)
+		if err == nil || !strings.Contains(err.Error(), `"`+knob+`"`) {
+			t.Fatalf("loadMatrix error = %v, want an unknown-field error naming %q", err, knob)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func main() {
 		kind              = flag.String("topo", "SF", "topology: SF, DF, HX, XP, FT3, JF, Clique")
 		size              = flag.String("size", "small", "size class: small or medium")
 		samples           = flag.Int("samples", 300, "sampled router pairs for CDP/PI")
-		seed              = flag.Int64("seed", 42, "random seed")
+		seed              = flag.Int64("seed", scenario.DefaultSeed, "random seed")
 		startObs, stopObs = obs.BindFlags(flag.CommandLine, "topoinfo")
 	)
 	flag.Parse()

@@ -12,9 +12,8 @@ import (
 // Telemetry is an append-only JSONL sink for run telemetry: one JSON
 // object per line, written under a mutex so worker goroutines can emit
 // concurrently. A nil *Telemetry discards everything, which is the
-// disabled path. The stream doubles as the seed of the planned run
-// journal: cell records carry the canonical resource key a resume/cache
-// layer would key on.
+// disabled path. It is not the run journal (scenario.Journal), which
+// records results by cache identity; a cell record names its cell by key.
 type Telemetry struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -79,8 +78,8 @@ type CellRecord struct {
 	Type string `json:"type"` // "cell"
 	Name string `json:"name,omitempty"`
 	// Index is the cell's position in canonical expansion order; Key names
-	// it: the canonical resource key of a scenario cell, "<run>#<index>"
-	// for a hand-rolled experiment cell.
+	// it: scenario.Spec.Key for a scenario cell, "<run>#<index>" for a
+	// hand-rolled experiment cell.
 	Index int    `json:"index"`
 	Key   string `json:"key,omitempty"`
 	// WallMs is the cell's execution wall time; StartOffsetMs is the delay

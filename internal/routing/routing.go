@@ -771,7 +771,11 @@ func (e *Engine) NextPos(layer, src, dst int) int {
 // up with nil on a routing hole (sparse or repaired layers) or after Nr
 // hops.
 func (e *Engine) Route(layer, src, dst int) []int32 {
-	path := []int32{int32(src)}
+	d := e.PathLen(layer, src, dst)
+	if d < 0 {
+		return nil
+	}
+	path := append(make([]int32, 0, d+1), int32(src))
 	v := src
 	for v != dst {
 		nxt := e.Next(layer, v, dst)
@@ -802,8 +806,10 @@ func (e *Engine) LayerPaths(src, dst int) [][]int32 {
 // taken at that layer's path length. It is the cross-layer path diversity
 // the flowlet balancer chooses over.
 func (e *Engine) DistinctRoutes(src, dst int) int {
-	var lens []int
-	var union []uint16 // union[i*units:][:units] is the candidate mask at length lens[i]
+	// union[i*units:][:units] is the candidate mask at length lens[i]; at
+	// most one length per layer, so neither grows past its first size.
+	lens := make([]int, 0, len(e.masks))
+	union := make([]uint16, 0, len(e.masks)*e.units)
 	for l := range e.masks {
 		t := e.table(l, dst)
 		d := e.pathLen(t, src)
@@ -814,7 +820,7 @@ func (e *Engine) DistinctRoutes(src, dst int) int {
 		if i < 0 {
 			i = len(lens)
 			lens = append(lens, d)
-			union = append(union, make([]uint16, e.units)...)
+			union = union[:len(union)+e.units]
 		}
 		for k, u := range e.mask(t, src) {
 			union[i*e.units+k] |= u

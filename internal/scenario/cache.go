@@ -3,7 +3,7 @@ package scenario
 // The content-addressed result cache of the durable sweep runtime. Each
 // completed cell's CellResult persists under a key derived from the
 // cell's canonical identity (Spec.CacheIdentity: every result-affecting
-// field plus the effective seed) and the engine fingerprint. The repo's
+// field plus the run seed) and the engine fingerprint. The repo's
 // determinism contract — byte-identical output at any parallelism and
 // build order, pinned by the golden harness and detlint — makes cache hits
 // provably exact: two cells with equal identities under one fingerprint

@@ -47,7 +47,6 @@ func TestCacheIdentityCoversResultAffectingFields(t *testing.T) {
 		"replicas":       func(s *Spec) { s.Replicas = 3 },
 		"horizon":        func(s *Spec) { s.HorizonMs = 2000 },
 		"mat":            func(s *Spec) { s.MAT = true },
-		"seed override":  func(s *Spec) { s.Seed = 1234 },
 	}
 	seen := map[string]string{base.CacheIdentity(42): "base"}
 	names := make([]string, 0, len(variants))
@@ -69,7 +68,7 @@ func TestCacheIdentityCoversResultAffectingFields(t *testing.T) {
 
 // TestCacheIdentityExcludesLabelsAndKnobs: Name is a display label — it
 // cannot change results, so it must not change the identity. The run
-// seed folds in only when the cell does not override it.
+// seed folds in.
 func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 	base := cacheSpec()
 	labeled := base
@@ -79,14 +78,6 @@ func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 	}
 	if base.CacheIdentity(42) == base.CacheIdentity(43) {
 		t.Fatal("run seed did not fold into the identity")
-	}
-	pinned := base
-	pinned.Seed = 7
-	if pinned.CacheIdentity(42) != pinned.CacheIdentity(43) {
-		t.Fatal("run seed folded into the identity despite a Spec.Seed override")
-	}
-	if pinned.CacheIdentity(42) != base.CacheIdentity(7) {
-		t.Fatal("Spec.Seed 7 and run seed 7 must address the same entry")
 	}
 	// FT is an alias of FT3, not a second topology: one key, so one cache
 	// entry, one fabric, one workload and one set of folded seeds.

@@ -27,10 +27,10 @@ type Axes struct {
 	FailFracs     []float64  `json:"failFracs,omitempty"`
 }
 
-// Constraint skips every cell whose rendered axis values match all entries
-// of When. Keys are axis names (topology, pattern, routing, transport,
-// layers, rho, construction, flowSize, load, failFrac); values are the
-// canonical renderings produced by AxisValue.
+// Constraint skips every cell whose axis labels match all entries of When.
+// Keys are axis names (topology, pattern, routing, transport, layers, rho,
+// construction, flowSize, load, failFrac); values are the labels AxisValue
+// renders.
 type Constraint struct {
 	When map[string]string `json:"when"`
 }
@@ -46,56 +46,59 @@ type Matrix struct {
 
 // An axis is one swept dimension of a Matrix, stated once: its name, how
 // many override values a matrix lists for it, how the i-th override is
-// written into a cell, the key under which two overrides count as
-// duplicates, and the canonical string a cell's value renders to.
+// written into a cell, the exact rendering of a cell's value, and the
+// label skip constraints match. Two cells differ on an axis iff their
+// idents differ: duplicate overrides and Spec.Key are both defined by it.
 type axis struct {
-	name   string
-	n      func(*Axes) int
-	set    func(*Spec, *Axes, int)
-	key    func(*Axes, int) string
-	render func(Spec) string
+	name         string
+	n            func(*Axes) int
+	set          func(*Spec, *Axes, int)
+	ident, label func(Spec) string
 }
 
 // axisOf states an axis whose overrides are vals(axes) and whose value in a
-// cell is *field(spec).
-func axisOf[T any](name string, vals func(*Axes) []T, field func(*Spec) *T, key func(T) string, render func(Spec) string) axis {
+// cell is *field(spec). A nil label is the ident.
+func axisOf[T any](name string, vals func(*Axes) []T, field func(*Spec) *T, ident, label func(Spec) string) axis {
+	if label == nil {
+		label = ident
+	}
 	return axis{
-		name:   name,
-		n:      func(a *Axes) int { return len(vals(a)) },
-		set:    func(s *Spec, a *Axes, i int) { *field(s) = vals(a)[i] },
-		key:    func(a *Axes, i int) string { return key(vals(a)[i]) },
-		render: render,
+		name:  name,
+		n:     func(a *Axes) int { return len(vals(a)) },
+		set:   func(s *Spec, a *Axes, i int) { *field(s) = vals(a)[i] },
+		ident: ident,
+		label: label,
 	}
 }
 
-func asIs(v string) string  { return v }
 func fmtG(v float64) string { return string(appendFloat(nil, v)) }
 
 // axes is every matrix axis in the fixed nesting order of expansion,
 // outermost first. Cell order is the row order of every scenario table.
-// Renderings: topology → kind, pattern → kind (plus "+rand"), flowSize →
-// byte count or "pfabric", numeric axes → %g, scheme axes → resolved name.
+// Idents: topology and pattern → their keys, flowSize → byte count or
+// "pfabric", numeric axes → %g, scheme axes → resolved name. Labels equal
+// idents except topology → kind and pattern → kind (plus "+rand").
 var axes = []axis{
 	axisOf("topology", func(a *Axes) []Topology { return a.Topologies }, func(s *Spec) *Topology { return &s.Topology },
-		Topology.key, func(s Spec) string { return s.Topology.Kind }),
+		func(s Spec) string { return s.Topology.key() }, func(s Spec) string { return s.Topology.Kind }),
 	axisOf("pattern", func(a *Axes) []Pattern { return a.Patterns }, func(s *Spec) *Pattern { return &s.Pattern },
-		Pattern.key, func(s Spec) string { return s.Pattern.label() }),
+		func(s Spec) string { return s.Pattern.key() }, func(s Spec) string { return s.Pattern.label() }),
 	axisOf("routing", func(a *Axes) []string { return a.Routings }, func(s *Spec) *string { return &s.Routing },
-		asIs, Spec.routing),
+		Spec.routing, nil),
 	axisOf("transport", func(a *Axes) []string { return a.Transports }, func(s *Spec) *string { return &s.Transport },
-		asIs, Spec.transport),
+		Spec.transport, nil),
 	axisOf("layers", func(a *Axes) []int { return a.Layers }, func(s *Spec) *int { return &s.Layers },
-		strconv.Itoa, func(s Spec) string { return strconv.Itoa(s.Layers) }),
+		func(s Spec) string { return strconv.Itoa(s.Layers) }, nil),
 	axisOf("rho", func(a *Axes) []float64 { return a.Rhos }, func(s *Spec) *float64 { return &s.Rho },
-		fmtG, func(s Spec) string { return fmtG(s.Rho) }),
+		func(s Spec) string { return fmtG(s.Rho) }, nil),
 	axisOf("construction", func(a *Axes) []string { return a.Constructions }, func(s *Spec) *string { return &s.Construction },
-		asIs, Spec.construction),
+		Spec.construction, nil),
 	axisOf("flowSize", func(a *Axes) []FlowSize { return a.FlowSizes }, func(s *Spec) *FlowSize { return &s.FlowSize },
-		FlowSize.label, func(s Spec) string { return s.FlowSize.label() }),
+		func(s Spec) string { return s.FlowSize.label() }, nil),
 	axisOf("load", func(a *Axes) []float64 { return a.Loads }, func(s *Spec) *float64 { return &s.Load },
-		fmtG, func(s Spec) string { return fmtG(s.Load) }),
+		func(s Spec) string { return fmtG(s.Load) }, nil),
 	axisOf("failFrac", func(a *Axes) []float64 { return a.FailFracs }, func(s *Spec) *float64 { return &s.FailFrac },
-		fmtG, func(s Spec) string { return fmtG(s.FailFrac) }),
+		func(s Spec) string { return fmtG(s.FailFrac) }, nil),
 }
 
 // AxisNames returns the matrix axis names in their fixed nesting order
@@ -109,12 +112,12 @@ func AxisNames() []string {
 	return names
 }
 
-// AxisValue renders one axis of a spec to its canonical constraint-matching
-// string (see axes for the renderings).
+// AxisValue renders one axis of a spec to the label skip constraints
+// match (see axes for the renderings).
 func AxisValue(s Spec, name string) (string, error) {
 	for _, ax := range axes {
 		if ax.name == name {
-			return ax.render(s), nil
+			return ax.label(s), nil
 		}
 	}
 	return "", fmt.Errorf("scenario: unknown axis %q (have %v)", name, AxisNames())
@@ -144,16 +147,20 @@ func (m *Matrix) skipped(s Spec) (bool, error) {
 }
 
 // validate rejects duplicate values within an axis and invalid constraint
-// shapes up front, so Expand failures carry useful messages.
+// shapes up front, so Expand failures carry useful messages. Overrides are
+// compared as the cells they make, by ident: "" and the default's name
+// are one routing.
 func (m *Matrix) validate() error {
 	for _, ax := range axes {
-		set := map[string]bool{}
+		seen := map[string]bool{}
 		for i := 0; i < ax.n(&m.Axes); i++ {
-			k := ax.key(&m.Axes, i)
-			if set[k] {
-				return fmt.Errorf("scenario: matrix %q: duplicate %s axis value %s", m.Name, ax.name, k)
+			s := m.Base
+			ax.set(&s, &m.Axes, i)
+			id := ax.ident(s)
+			if seen[id] {
+				return fmt.Errorf("scenario: matrix %q: duplicate %s axis value %s", m.Name, ax.name, id)
 			}
-			set[k] = true
+			seen[id] = true
 		}
 	}
 	for _, c := range m.Skip {

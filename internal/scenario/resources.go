@@ -16,22 +16,14 @@ import (
 	"repro/internal/topo"
 )
 
-// FabricKey is the canonical resource key of the cell's fabric: the
-// effective seed plus the fabric-defining axes (topology, layers, rho,
+// FabricKey is the canonical resource key of the cell's fabric: the run
+// seed plus the fabric-defining axes (topology, layers, rho,
 // construction). Cells with equal fabric keys share one built fabric —
-// inside a run and across a daemon's requests alike, through a Store.
+// inside a run and across a daemon's requests alike, through a Store,
+// whose fabrics span seeds.
 func (s Spec) FabricKey(runSeed int64) string {
-	b := strconv.AppendInt(make([]byte, 0, 64), s.effectiveSeed(runSeed), 10)
+	b := strconv.AppendInt(make([]byte, 0, 64), runSeed, 10)
 	return string(s.appendRoutingKey(append(b, '|')))
-}
-
-// topologyCacheKey keys the per-run topology store. Like FabricKey
-// it carries the effective seed: cells overriding Spec.Seed must not
-// share artifacts with cells building the same topology from a different
-// seed.
-func (s Spec) topologyCacheKey(runSeed int64) string {
-	b := strconv.AppendInt(make([]byte, 0, 48), s.effectiveSeed(runSeed), 10)
-	return string(s.Topology.appendKey(append(b, '|')))
 }
 
 // BuildTopology validates the cell's topology and builds it at its
@@ -41,8 +33,7 @@ func BuildTopology(s Spec, runSeed int64) (*topo.Topology, error) {
 	if err := s.Topology.validate(); err != nil {
 		return nil, err
 	}
-	seed := s.effectiveSeed(runSeed)
-	return s.Topology.build(seedFor(seed, "topo|"+s.Topology.key()))
+	return s.Topology.build(seedFor(runSeed, "topo|"+s.Topology.key()))
 }
 
 // BuildFabricOn equips a built topology with the cell's layer set and
@@ -50,8 +41,7 @@ func BuildTopology(s Spec, runSeed int64) (*topo.Topology, error) {
 // instruments the routing engine (routing.* metrics); simulations bring
 // their own bundle in netsim.Config.Metrics.
 func BuildFabricOn(s Spec, t *topo.Topology, runSeed int64, reg *obs.Registry) (*core.Fabric, error) {
-	seed := s.effectiveSeed(runSeed)
-	fab, err := core.Build(t, coreConfig(s, t, seedFor(seed, string(s.appendRoutingKey([]byte("layers|"))))))
+	fab, err := core.Build(t, coreConfig(s, t, seedFor(runSeed, string(s.appendRoutingKey([]byte("layers|"))))))
 	if err == nil {
 		fab.Fwd.SetMetrics(obs.NewRoutingMetrics(reg))
 	}

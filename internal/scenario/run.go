@@ -14,11 +14,15 @@ import (
 	"repro/internal/topo"
 )
 
+// DefaultSeed is the run seed when none is named: every command's -seed
+// default, and a daemon request's seed when it is 0.
+const DefaultSeed = 42
+
 // RunOptions control scenario execution: the run context (exec.Run — seed,
 // worker count, observers) plus the durable runtime's two stores, each
 // opened once by whoever owns its flag; nil means off. The zero value runs
-// on all cores at seed 0, uncached and unjournaled. A cell's non-zero
-// Spec.Seed overrides Run.Seed for that cell only.
+// on all cores at seed 0, uncached and unjournaled. Every cell runs at
+// Run.Seed.
 type RunOptions struct {
 	exec.Run
 	// Cache, when non-nil, serves the cells it holds without simulating and
@@ -70,8 +74,8 @@ func seedFor(runSeed int64, tag string) int64 {
 }
 
 // resources dedupes topology and fabric construction across the cells of
-// one run. The routing engine inside a fabric is safe for concurrent
-// simulations, so cells share freely.
+// one run, keyed by Topology.key and FabricKey. The routing engine inside
+// a fabric is safe for concurrent simulations, so cells share freely.
 type resources struct {
 	topos *Store[*topo.Topology]
 	fabs  *Store[*core.Fabric]
@@ -114,17 +118,14 @@ func coreConfig(s Spec, t *topo.Topology, layerSeed int64) core.Config {
 // runCell executes cell i: build (or fetch) the fabric, compile and
 // validate the pattern, then simulate Replicas times and aggregate.
 func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
-	runSeed := s.effectiveSeed(o.Seed)
 	if err := s.Validate(); err != nil {
 		return CellResult{}, err
 	}
-	// Cache keys carry the effective run seed (see topologyCacheKey /
-	// FabricKey): cells overriding Spec.Seed must not share artifacts with
-	// (or race against) cells building the same topology or fabric from a
-	// different seed. The builders are the exported resource constructors
-	// (resources.go) the fabric daemon shares, so a resident daemon fabric
-	// and a sweep fabric with equal keys are behaviorally identical.
-	t, err := rs.topos.Get(s.topologyCacheKey(o.Seed), func() (*topo.Topology, error) {
+	// One run has one seed, so the topology store keys by topology alone.
+	// The builders are the exported resource constructors (resources.go)
+	// the fabric daemon shares, so a resident daemon fabric and a sweep
+	// fabric with equal keys are behaviorally identical.
+	t, err := rs.topos.Get(s.Topology.key(), func() (*topo.Topology, error) {
 		return BuildTopology(s, o.Seed)
 	})
 	if err != nil {
@@ -136,7 +137,7 @@ func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	pat, err := s.Pattern.build(t, seedFor(runSeed, "pattern|"+s.Topology.key()+"|"+s.Pattern.key()))
+	pat, err := s.Pattern.build(t, seedFor(o.Seed, "pattern|"+s.Topology.key()+"|"+s.Pattern.key()))
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -151,9 +152,9 @@ func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
 	cfg.Metrics = obs.NewSimMetrics(o.Obs)
 	cfg.Tracer = o.CellTracer(i)
 	horizon := netsim.Time(s.horizonMs() * 1e6)
-	workloadSeed := seedFor(runSeed, "workload|"+s.workloadKey())
-	simSeed := seedFor(runSeed, "sim|"+s.workloadKey())
-	failSeed := seedFor(runSeed, "fail|"+s.Topology.key()+"|"+AxisValueMust(s, "failFrac"))
+	workloadSeed := seedFor(o.Seed, "workload|"+s.workloadKey())
+	simSeed := seedFor(o.Seed, "sim|"+s.workloadKey())
+	failSeed := seedFor(o.Seed, "fail|"+s.Topology.key()+"|"+fmtG(s.FailFrac))
 	nFail := int(s.FailFrac * float64(t.G.M()))
 	wl := core.Workload{Pattern: pat, FlowSize: s.FlowSize.sampler(), Lambda: s.Load}
 
@@ -200,15 +201,6 @@ func runCell(s Spec, i int, rs resources, o RunOptions) (CellResult, error) {
 		res.MAT = mat
 	}
 	return res, nil
-}
-
-// AxisValueMust is AxisValue for axes known statically valid.
-func AxisValueMust(s Spec, axis string) string {
-	v, err := AxisValue(s, axis)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // acquireCell produces one cell's result from, in order of preference,

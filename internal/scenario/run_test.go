@@ -114,35 +114,6 @@ func TestReplicasDiffer(t *testing.T) {
 	}
 }
 
-// TestSpecSeedOverride: a cell's Spec.Seed must take effect even when
-// another cell in the batch shares its topology and routing keys, and the
-// batch must stay deterministic across worker counts.
-func TestSpecSeedOverride(t *testing.T) {
-	base := Spec{
-		Topology:  Topology{Kind: "XP", Param: 4}, // randomized construction
-		Pattern:   Pattern{Kind: "permutation"},
-		FlowSize:  FlowSize{Bytes: 32 << 10},
-		HorizonMs: 1000,
-	}
-	override := base
-	override.Seed = 1234
-	cells := []Spec{base, override}
-	serial, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Table("t", serial[:1]).String() == Table("t", serial[1:]).String() {
-		t.Fatal("Spec.Seed override had no effect next to a same-key cell")
-	}
-	par, err := RunSpecs(cells, RunOptions{Run: exec.Run{Seed: 7, Parallelism: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Table("t", serial).String() != Table("t", par).String() {
-		t.Fatal("mixed-seed batch not deterministic across worker counts")
-	}
-}
-
 // TestFailureModel: FailFrac fails the expected link count and the failed
 // set is identical across cells sharing (topology, failFrac).
 func TestFailureModel(t *testing.T) {

@@ -163,7 +163,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			FailFrac:     0.05,
 			Replicas:     3,
 			HorizonMs:    1234.5,
-			Seed:         99,
 			MAT:          true,
 		},
 	}
@@ -201,16 +200,58 @@ func TestMatrixJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExpandRejectsDuplicateAxisValues: two overrides that make one cell
+// are a duplicate. -0 equals 0, and "" selects a scheme's default, so it
+// duplicates the default's name.
 func TestExpandRejectsDuplicateAxisValues(t *testing.T) {
-	// -0 equals 0, so it duplicates it.
-	for _, rhos := range [][]float64{{0.6, 0.6}, {0, math.Copysign(0, -1)}} {
+	for _, axes := range []Axes{
+		{Rhos: []float64{0.6, 0.6}},
+		{Rhos: []float64{0, math.Copysign(0, -1)}},
+		{Routings: []string{"", "fatpaths"}},
+		{Transports: []string{"ndp", ""}},
+		{Constructions: []string{"", "random"}},
+		{FlowSizes: []FlowSize{{Bytes: 1 << 20}, {Kind: "fixed"}}},
+	} {
 		m := &Matrix{
 			Base: Spec{Topology: Topology{Kind: "SF", Param: 5}, Pattern: Pattern{Kind: "uniform"}},
-			Axes: Axes{Rhos: rhos},
+			Axes: axes,
 		}
-		if _, _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "duplicate") {
-			t.Fatalf("rhos %v: duplicate axis values must be rejected, got %v", rhos, err)
+		if cells, _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("axes %+v: duplicate axis values must be rejected, got %d cells and %v", axes, len(cells), err)
 		}
+	}
+}
+
+// TestKeyNamesEveryCell: cells that differ only in a topology size or a
+// pattern intensity have distinct keys, though they share the kind labels
+// skip constraints match.
+func TestKeyNamesEveryCell(t *testing.T) {
+	m := &Matrix{
+		Base: Spec{Topology: Topology{Kind: "SF"}, Pattern: Pattern{Kind: "uniform"}},
+		Axes: Axes{
+			Topologies: []Topology{{Kind: "SF", Param: 5}, {Kind: "SF", Param: 7}},
+			Patterns:   []Pattern{{Kind: "uniform", Intensity: 0.5}, {Kind: "uniform", Intensity: 0.25}},
+		},
+	}
+	cells, _, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, c := range cells {
+		keys[c.Key()] = true
+	}
+	if len(cells) != 4 || len(keys) != 4 {
+		t.Fatalf("%d cells with %d distinct keys, want 4 and 4: %v", len(cells), len(keys), keys)
+	}
+	const want = "topology=SF/small/7/0 pattern=uniform/0/0/0.25/false routing=fatpaths transport=ndp layers=0 rho=0 construction=random flowSize=1048576 load=0 failFrac=0"
+	if got := cells[3].Key(); got != want {
+		t.Fatalf("key %s\nwant %s", got, want)
+	}
+	top, _ := AxisValue(cells[3], "topology")
+	pat, _ := AxisValue(cells[3], "pattern")
+	if top != "SF" || pat != "uniform" {
+		t.Fatalf("labels %q and %q, want the kinds", top, pat)
 	}
 }
 
@@ -429,11 +470,12 @@ func TestExpandBoundsCrossProduct(t *testing.T) {
 // FuzzMatrixExpand: a matrix is bytes from a spec file or a /scenarios
 // body. Through the strict decoding both front ends apply (unknown fields
 // rejected) and then Expand, any bytes give an error or at most MaxCells
-// cells, each of which validates and has a key and a cache identity; never
-// a panic, never an unbounded expansion. The committed corpus
-// (testdata/fuzz/FuzzMatrixExpand) holds the examples/scenarios/ files plus
-// a duplicate axis value, an unknown constraint axis and an over-cap
-// matrix.
+// cells, each of which validates and has a key and a cache identity that
+// no other cell of the matrix shares; never a panic, never an unbounded
+// expansion. The committed corpus (testdata/fuzz/FuzzMatrixExpand) holds
+// the examples/scenarios/ files plus a duplicate axis value, a default
+// scheme listed under its name and as "", two SF sizes × two pattern
+// intensities, an unknown constraint axis and an over-cap matrix.
 func FuzzMatrixExpand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Matrix
@@ -447,13 +489,22 @@ func FuzzMatrixExpand(f *testing.F) {
 		if len(cells)+filtered > MaxCells {
 			t.Fatalf("expanded %d cells + %d skipped, over the limit of %d", len(cells), filtered, MaxCells)
 		}
+		keys, ids := map[string]int{}, map[string]int{}
 		for i, c := range cells {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("cell %d does not validate: %v", i, err)
 			}
-			if c.Key() == "" || c.CacheIdentity(42) == "" {
+			key, id := c.Key(), c.CacheIdentity(42)
+			if key == "" || id == "" {
 				t.Fatalf("cell %d has an empty key or cache identity", i)
 			}
+			if j, dup := keys[key]; dup {
+				t.Fatalf("cells %d and %d share the key %s", j, i, key)
+			}
+			if j, dup := ids[id]; dup {
+				t.Fatalf("cells %d and %d share the cache identity %s", j, i, id)
+			}
+			keys[key], ids[id] = i, i
 		}
 	})
 }

@@ -12,15 +12,14 @@
 // identical workload, the discipline the paper's sweep figures rely on.
 //
 // Specs round-trip through JSON; cmd/scenarios runs spec files from disk
-// (examples under examples/scenarios/), and the migrated experiment
-// runners (fig2, fig11, fig13, abl-*) are thin matrices over this package.
+// (examples under examples/scenarios/), and every simulation experiment
+// but fig17 is a matrix over this package.
 package scenario
 
 import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -352,8 +351,6 @@ type Spec struct {
 	Replicas int `json:"replicas,omitempty"`
 	// HorizonMs is the simulated horizon in milliseconds (0 = 8000).
 	HorizonMs float64 `json:"horizonMs,omitempty"`
-	// Seed overrides the run seed for this cell when non-zero.
-	Seed int64 `json:"seed,omitempty"`
 	// MAT additionally computes the maximum achievable throughput of the
 	// compiled (fabric, pattern) cell (the §VI layered LP, eps 0.12).
 	MAT bool `json:"mat,omitempty"`
@@ -466,33 +463,28 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Key renders the cell's canonical identity — every axis as axis=value in
-// canonical axis order. It names cells in -cells listings, telemetry
-// records, and worker-panic attribution.
+// Key names the cell by its matrix axes — every axis as name=ident in
+// canonical axis order, so two cells of one matrix never share a key. It
+// names cells in -cells listings, telemetry records, journal records,
+// errors and worker-panic attribution.
 func (s Spec) Key() string {
-	var parts []string
-	for _, axis := range AxisNames() {
-		parts = append(parts, axis+"="+AxisValueMust(s, axis))
+	b := make([]byte, 0, 160)
+	for i, ax := range axes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(append(append(b, ax.name...), '='), ax.ident(s)...)
 	}
-	return strings.Join(parts, " ")
-}
-
-// effectiveSeed resolves the seed the cell actually runs at: its own
-// Spec.Seed when non-zero, else the run seed.
-func (s Spec) effectiveSeed(runSeed int64) int64 {
-	if s.Seed != 0 {
-		return s.Seed
-	}
-	return runSeed
+	return string(b)
 }
 
 // CacheIdentity renders the cell's full canonical identity for the durable
 // runtime (result cache and run journal): every result-affecting field in
-// canonical form plus the effective seed, and nothing else. Name (a label)
-// is deliberately excluded, so renaming a cell still hits the cache. The
-// determinism contract makes equal
-// identities provably equal results: every random draw of a cell derives
-// from (effective seed, canonical resource keys) alone.
+// canonical form plus the run seed, and nothing else. Name (a label) is
+// deliberately excluded, so renaming a cell still hits the cache. The
+// determinism contract makes equal identities provably equal results:
+// every random draw of a cell derives from (run seed, canonical resource
+// keys) alone.
 //
 // The leading "v1" versions the identity schema itself; bump it if fields
 // are added or renderings change. The engine fingerprint is layered on top
@@ -513,7 +505,7 @@ func (s Spec) CacheIdentity(runSeed int64) string {
 	b = strconv.AppendInt(append(b, "|replicas="...), int64(s.replicas()), 10)
 	b = appendFloat(append(b, "|horizonMs="...), s.horizonMs())
 	b = strconv.AppendBool(append(b, "|mat="...), s.MAT)
-	b = strconv.AppendInt(append(b, "|seed="...), s.effectiveSeed(runSeed), 10)
+	b = strconv.AppendInt(append(b, "|seed="...), runSeed, 10)
 	return string(b)
 }
 

@@ -11,7 +11,7 @@ import (
 
 // FabricCache keeps fabrics resident in a scenario.Store bounded to the
 // daemon's capacity and keyed by the scenario engine's canonical fabric
-// resource key (Spec.FabricKey: the effective seed plus the fabric-defining
+// resource key (Spec.FabricKey: the run seed plus the fabric-defining
 // axes). What the store does not know is here: the eager table build that
 // completes an admission, and the fatpathsd.fabric_cache_* ledger. Evicting
 // under concurrent queries is safe: requests in flight hold the evicted

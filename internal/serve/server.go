@@ -141,19 +141,15 @@ type FabricSelector struct {
 	Layers       int               `json:"layers,omitempty"`
 	Rho          float64           `json:"rho,omitempty"`
 	Construction string            `json:"construction,omitempty"`
-	// Seed is the run seed; 0 means defaultSeed.
+	// Seed is the run seed; 0 means scenario.DefaultSeed.
 	Seed int64 `json:"seed,omitempty"`
 }
-
-// defaultSeed is the run seed of a request that names none (or 0): the
-// -seed default of cmd/experiments and cmd/scenarios.
-const defaultSeed = 42
 
 // spec converts the selector into the fabric-defining scenario Spec.
 func (fs FabricSelector) spec() (scenario.Spec, int64) {
 	seed := fs.Seed
 	if seed == 0 {
-		seed = defaultSeed
+		seed = scenario.DefaultSeed
 	}
 	return scenario.Spec{
 		Topology:     fs.Topology,
@@ -257,7 +253,7 @@ func (q *getQuery) selector() (FabricSelector, error) {
 		return FabricSelector{}, err
 	}
 	fs.Construction = q[qConstruction]
-	seed, err := q.intParam(qSeed, 0) // spec() maps 0 to defaultSeed
+	seed, err := q.intParam(qSeed, 0) // spec() maps 0 to scenario.DefaultSeed
 	if err != nil {
 		return FabricSelector{}, err
 	}
@@ -606,7 +602,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 
 // ScenarioRequest is the POST /scenarios body: a scenario matrix (the
 // same JSON cmd/scenarios reads from disk) plus the run seed (0 means
-// defaultSeed).
+// scenario.DefaultSeed).
 type ScenarioRequest struct {
 	Matrix scenario.Matrix `json:"matrix"`
 	Seed   int64           `json:"seed,omitempty"`
@@ -630,7 +626,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	}
 	seed := req.Seed
 	if seed == 0 {
-		seed = defaultSeed
+		seed = scenario.DefaultSeed
 	}
 	select {
 	case s.sem <- struct{}{}:
