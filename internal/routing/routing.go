@@ -70,7 +70,9 @@
 // deleting edges only lengthens distances, so only the routers whose every
 // candidate hop was cut or grew farther get new distances and masks, and
 // the rest keep theirs minus the lost bits — on the daemon's two fabric
-// shapes, 0 routers at the median repair, 1 at p90 and 32 at most.
+// shapes, 0 routers at the median repair, 1 at p90 and 32 at most. A view
+// publishes what it repairs into slots allocated per (layer, 64-destination
+// block), on the block's first publication, indexed like its stale bits.
 package routing
 
 import (
@@ -218,15 +220,17 @@ type Engine struct {
 	// failed. cut holds the two mask bits of each failed edge, which repair
 	// clears; a layer without the edge never sets them. Bit dst&63 of
 	// stale[l*⌈Nr/64⌉+dst>>6] is set iff a failed edge live in layer l is
-	// tight in the root's (l, dst) table (census). own[l] holds the Nr slots
-	// of the tables the view built in layer l, allocated on its first. A
-	// lookup takes the view's own table, else the root's when its stale bit
-	// is clear, else repairs the root's.
+	// tight in the root's (l, dst) table (census). own is indexed like
+	// stale: own[l*⌈Nr/64⌉+dst>>6] holds the 64 slots of the block's tables
+	// the view built, allocated on the block's first publication, so a
+	// request that repairs four tables pays for four blocks, not four
+	// Nr-wide layers. A lookup takes the view's own table, else the root's
+	// when its stale bit is clear, else repairs the root's.
 	root   *Engine
 	failed []int
 	cut    []maskBit
 	stale  []uint64
-	own    []atomic.Pointer[[]atomic.Pointer[table]]
+	own    []atomic.Pointer[[64]atomic.Pointer[table]]
 
 	// shared/invalidated count the root's tables a WithoutEdges derivation
 	// kept and dropped; zero for an engine from NewEngine.
@@ -322,31 +326,32 @@ func (e *Engine) lookup(layer, dst int) *table {
 	if e.root == nil {
 		return e.tables[layer*e.nr+dst].Load()
 	}
-	if own := e.own[layer].Load(); own != nil {
-		if t := (*own)[dst].Load(); t != nil {
+	b := layer*((e.nr+63)/64) + dst>>6
+	if own := e.own[b].Load(); own != nil {
+		if t := own[dst&63].Load(); t != nil {
 			return t
 		}
 	}
-	if e.stale[layer*((e.nr+63)/64)+dst>>6]&(1<<(dst&63)) != 0 {
+	if e.stale[b]&(1<<(dst&63)) != 0 {
 		return nil
 	}
 	return e.root.tables[layer*e.nr+dst].Load()
 }
 
 // slot returns the engine's own slot for (layer, dst), allocating a view's
-// slots for the layer on first use.
+// slots for the destination's 64-destination block on first use.
 func (e *Engine) slot(layer, dst int) *atomic.Pointer[table] {
 	if e.root == nil {
 		return &e.tables[layer*e.nr+dst]
 	}
-	own := e.own[layer].Load()
+	b := layer*((e.nr+63)/64) + dst>>6
+	own := e.own[b].Load()
 	if own == nil {
-		fresh := make([]atomic.Pointer[table], e.nr)
-		if own = &fresh; !e.own[layer].CompareAndSwap(nil, own) {
-			own = e.own[layer].Load()
+		if own = new([64]atomic.Pointer[table]); !e.own[b].CompareAndSwap(nil, own) {
+			own = e.own[b].Load()
 		}
 	}
-	return &(*own)[dst]
+	return &own[dst&63]
 }
 
 // publish stores t in its empty slot and returns it, or, when another
@@ -964,8 +969,9 @@ func (e *Engine) bitFor(src, to int32) maskBit {
 // view's stale tables off the root's parity index in O(L·|F|·⌈Nr/64⌉) word
 // operations, reading a block's tables only the first time a census needs
 // its bits. A view copies no mask, no slot and no adjacency row: it keeps
-// its root, the failed edges, their mask bits, one stale bit per table and
-// the slots of the tables it repairs or builds itself.
+// its root, the failed edges, their mask bits, one stale bit per table and,
+// per 64-destination block it repairs or builds a table of, that block's
+// slots.
 func (e *Engine) WithoutEdges(failed []int) *Engine {
 	r := e
 	if e.root != nil {
@@ -994,7 +1000,7 @@ func (e *Engine) WithoutEdges(failed []int) *Engine {
 		failed: gone,
 		cut:    make([]maskBit, 0, 2*len(gone)),
 		stale:  make([]uint64, nl*words),
-		own:    make([]atomic.Pointer[[]atomic.Pointer[table]], nl),
+		own:    make([]atomic.Pointer[[64]atomic.Pointer[table]], nl*words),
 		m:      r.m,
 	}
 	for _, id := range gone {

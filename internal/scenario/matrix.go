@@ -29,8 +29,11 @@ type Axes struct {
 
 // Constraint skips every cell whose axis labels match all entries of When.
 // Keys are axis names (topology, pattern, routing, transport, layers, rho,
-// construction, flowSize, load, failFrac); values are the labels AxisValue
-// renders.
+// construction, flowSize, load, failFrac); values are the labels the axes
+// render (see axes). A value on a scheme axis (routing, transport,
+// construction) is resolved as an override of that axis is, so "" names
+// the default. A value no cell of the cross product takes on its axis is
+// an error.
 type Constraint struct {
 	When map[string]string `json:"when"`
 }
@@ -54,10 +57,14 @@ type axis struct {
 	n            func(*Axes) int
 	set          func(*Spec, *Axes, int)
 	ident, label func(Spec) string
+	// resolve turns a skip constraint's value into the label it matches.
+	resolve func(string) string
 }
 
 // axisOf states an axis whose overrides are vals(axes) and whose value in a
-// cell is *field(spec). A nil label is the ident.
+// cell is *field(spec). A nil label is the ident. A constraint value on an
+// axis of strings is written into a cell and labelled, as an override is;
+// on any other axis it is the label itself.
 func axisOf[T any](name string, vals func(*Axes) []T, field func(*Spec) *T, ident, label func(Spec) string) axis {
 	if label == nil {
 		label = ident
@@ -68,6 +75,14 @@ func axisOf[T any](name string, vals func(*Axes) []T, field func(*Spec) *T, iden
 		set:   func(s *Spec, a *Axes, i int) { *field(s) = vals(a)[i] },
 		ident: ident,
 		label: label,
+		resolve: func(v string) string {
+			var s Spec
+			if f, ok := any(field(&s)).(*string); ok {
+				*f = v
+				return label(s)
+			}
+			return v
+		},
 	}
 }
 
@@ -112,15 +127,14 @@ func AxisNames() []string {
 	return names
 }
 
-// AxisValue renders one axis of a spec to the label skip constraints
-// match (see axes for the renderings).
-func AxisValue(s Spec, name string) (string, error) {
-	for _, ax := range axes {
-		if ax.name == name {
-			return ax.label(s), nil
+// axisNamed returns the axis a skip constraint names.
+func axisNamed(name string) (*axis, error) {
+	for i := range axes {
+		if axes[i].name == name {
+			return &axes[i], nil
 		}
 	}
-	return "", fmt.Errorf("scenario: unknown axis %q (have %v)", name, AxisNames())
+	return nil, fmt.Errorf("scenario: unknown axis %q (have %v)", name, AxisNames())
 }
 
 // skipped reports whether any constraint matches the cell.
@@ -129,12 +143,12 @@ func (m *Matrix) skipped(s Spec) (bool, error) {
 		match := true
 		// Sorted axis order keeps the error (when several axes are bad)
 		// deterministic; the conjunction itself is order-independent.
-		for _, axis := range slices.Sorted(maps.Keys(c.When)) {
-			got, err := AxisValue(s, axis)
+		for _, name := range slices.Sorted(maps.Keys(c.When)) {
+			ax, err := axisNamed(name)
 			if err != nil {
 				return false, err
 			}
-			if got != c.When[axis] {
+			if ax.label(s) != ax.resolve(c.When[name]) {
 				match = false
 				break
 			}
@@ -146,10 +160,11 @@ func (m *Matrix) skipped(s Spec) (bool, error) {
 	return false, nil
 }
 
-// validate rejects duplicate values within an axis and invalid constraint
-// shapes up front, so Expand failures carry useful messages. Overrides are
+// validate rejects duplicate values within an axis and invalid constraints
+// up front, so Expand failures carry useful messages. Overrides are
 // compared as the cells they make, by ident: "" and the default's name
-// are one routing.
+// are one routing. A constraint value must be a label some cell of the
+// cross product takes on its axis; any other value would skip nothing.
 func (m *Matrix) validate() error {
 	for _, ax := range axes {
 		seen := map[string]bool{}
@@ -163,17 +178,41 @@ func (m *Matrix) validate() error {
 			seen[id] = true
 		}
 	}
+	labels := map[string][]string{} // per constrained axis, filled on first use
 	for _, c := range m.Skip {
 		if len(c.When) == 0 {
 			return fmt.Errorf("scenario: matrix %q: empty skip constraint", m.Name)
 		}
-		for _, axis := range slices.Sorted(maps.Keys(c.When)) {
-			if _, err := AxisValue(m.Base, axis); err != nil {
+		for _, name := range slices.Sorted(maps.Keys(c.When)) {
+			ax, err := axisNamed(name)
+			if err != nil {
 				return fmt.Errorf("scenario: matrix %q: %w", m.Name, err)
+			}
+			if labels[name] == nil {
+				labels[name] = m.labels(ax)
+			}
+			if _, found := slices.BinarySearch(labels[name], ax.resolve(c.When[name])); !found {
+				return fmt.Errorf("scenario: matrix %q: skip constraint %s %q matches no cell: the %s axis takes %q", m.Name, name, c.When[name], name, labels[name])
 			}
 		}
 	}
 	return nil
+}
+
+// labels returns the labels the matrix's cells take on the axis, sorted
+// and distinct: the Base spec's alone when the axis has no overrides.
+func (m *Matrix) labels(ax *axis) []string {
+	labels := []string{ax.label(m.Base)}
+	if n := ax.n(&m.Axes); n > 0 {
+		labels = make([]string, n)
+		for i := range labels {
+			s := m.Base
+			ax.set(&s, &m.Axes, i)
+			labels[i] = ax.label(s)
+		}
+	}
+	slices.Sort(labels)
+	return slices.Compact(labels)
 }
 
 // MaxCells bounds a matrix's cross product, skipped cells included. A

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -248,8 +250,9 @@ func TestKeyNamesEveryCell(t *testing.T) {
 	if got := cells[3].Key(); got != want {
 		t.Fatalf("key %s\nwant %s", got, want)
 	}
-	top, _ := AxisValue(cells[3], "topology")
-	pat, _ := AxisValue(cells[3], "pattern")
+	topology, _ := axisNamed("topology")
+	pattern, _ := axisNamed("pattern")
+	top, pat := topology.label(cells[3]), pattern.label(cells[3])
 	if top != "SF" || pat != "uniform" {
 		t.Fatalf("labels %q and %q, want the kinds", top, pat)
 	}
@@ -266,6 +269,40 @@ func TestExpandRejectsUnknownConstraintAxis(t *testing.T) {
 	m.Skip = []Constraint{{When: map[string]string{}}}
 	if _, _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "empty skip") {
 		t.Fatalf("empty constraint must be rejected, got %v", err)
+	}
+}
+
+// TestSkipConstraintValuesResolve: a skip constraint's value is resolved
+// as an override of its axis is, and one no cell's label takes is an
+// error naming the axis and its labels, never a constraint that silently
+// skips nothing. On failure_ladder.json (routings fatpaths and minimal,
+// failFracs 0, 0.04, 0.08), "" names the default routing, fatpaths, so it
+// skips one cell; the topology label is the kind, so a topology key
+// matches no cell.
+func TestSkipConstraintValuesResolve(t *testing.T) {
+	ladder := func(when map[string]string) *Matrix {
+		t.Helper()
+		f, err := os.Open("../../examples/scenarios/failure_ladder.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var m Matrix
+		if err := DecodeStrict(f, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.Skip = []Constraint{{When: when}}
+		return &m
+	}
+	for _, routing := range []string{"", "fatpaths"} {
+		cells, skipped, err := ladder(map[string]string{"routing": routing, "failFrac": "0.04"}).Expand()
+		if err != nil || len(cells) != 5 || skipped != 1 {
+			t.Errorf("routing %q, failFrac 0.04: %d cells, %d skipped, err %v; want 5, 1, nil", routing, len(cells), skipped, err)
+		}
+	}
+	const want = `scenario: matrix "failure-ladder": skip constraint topology "SF/small/5/0" matches no cell: the topology axis takes ["SF"]`
+	if _, _, err := ladder(map[string]string{"topology": "SF/small/5/0"}).Expand(); err == nil || err.Error() != want {
+		t.Errorf("topology key as a constraint value: err %v\nwant %s", err, want)
 	}
 }
 
@@ -471,8 +508,9 @@ func TestExpandBoundsCrossProduct(t *testing.T) {
 // body. Through the strict decoding both front ends apply (unknown fields
 // rejected) and then Expand, any bytes give an error or at most MaxCells
 // cells, each of which validates and has a key and a cache identity that
-// no other cell of the matrix shares; never a panic, never an unbounded
-// expansion. The committed corpus (testdata/fuzz/FuzzMatrixExpand) holds
+// no other cell of the matrix shares, and every skip constraint value it
+// accepts is a label some cell of the cross product takes on its axis;
+// never a panic, never an unbounded expansion. The committed corpus (testdata/fuzz/FuzzMatrixExpand) holds
 // the examples/scenarios/ files plus a duplicate axis value, a default
 // scheme listed under its name and as "", two SF sizes × two pattern
 // intensities, an unknown constraint axis and an over-cap matrix.
@@ -488,6 +526,22 @@ func FuzzMatrixExpand(f *testing.F) {
 		}
 		if len(cells)+filtered > MaxCells {
 			t.Fatalf("expanded %d cells + %d skipped, over the limit of %d", len(cells), filtered, MaxCells)
+		}
+		// Every constraint value names a label some cell of the cross
+		// product takes on its axis. The cells without the skip list show
+		// them, when those all validate.
+		if all, _, err := (&Matrix{Name: m.Name, Base: m.Base, Axes: m.Axes}).Expand(); err == nil {
+			for _, c := range m.Skip {
+				for name, v := range c.When {
+					ax, err := axisNamed(name)
+					if err != nil {
+						t.Fatalf("constraint axis %q accepted: %v", name, err)
+					}
+					if !slices.ContainsFunc(all, func(s Spec) bool { return ax.label(s) == ax.resolve(v) }) {
+						t.Fatalf("constraint %s %q accepted, but no cell takes it", name, v)
+					}
+				}
+			}
 		}
 		keys, ids := map[string]int{}, map[string]int{}
 		for i, c := range cells {

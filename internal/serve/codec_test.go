@@ -8,9 +8,12 @@ import (
 	"math"
 	"math/rand"
 	"net/url"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // FuzzGetQuery holds parseGetQuery to the code it replaced: url.ParseQuery,
@@ -144,5 +147,79 @@ func TestAnswerEncodersMatchEncodingJSON(t *testing.T) {
 			}
 		}
 		check(&w)
+	}
+}
+
+// FuzzWhatifBody holds readWhatif to the decoder it stands in front of: a
+// body it accepts, scenario.DecodeStrict accepts too and decodes to a
+// reflect.DeepEqual request. What it refuses goes to DecodeStrict, so the
+// daemon answers any body as DecodeStrict alone did.
+func FuzzWhatifBody(f *testing.F) {
+	for _, seed := range []string{
+		testWhatifBody,
+		`{"fabric":{"topology":{"kind":"SF","param":11},"seed":42},"failedEdges":[118,640],"queries":[{"layer":3,"src":9,"dst":200}]}`,
+		`{"fabric":{"topology":{"kind":"S\u0046","class":"sm\u00e9ll"},"construction":"r\nandom"},"queries":[]}`,
+		`{"Fabric":{"topology":{"kind":"SF","param":5}},"failedEdges":[1]}`,
+		`{"fabric":{"topology":{"kind":"SF","param":5}},"failedEdges":null,"queries":[null]}`,
+		`{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"layers":3},"failedEdges":[1],"failedEdges":[2]}`,
+		`{"fabric":{"topology":{"kind":"SF","param":1e2},"layers":-0,"rho":-0},"failedEdges":[-0,1E0]}`,
+		`{"fabric":{"topology":{"kind":"SF","param":01}},"failedEdges":[01]}`,
+		`{"fabric":{"topology":{"kind":"SF","param":5}}}{}`,
+		` { "fabric" : { "topology" : { "kind" : "SF" } , "rho" : 7e-1 } , "failedEdges" : [ ] } ` + "\n",
+		`{"fabric":{"topology":{"kind":"SF","param":9223372036854775808},"seed":-9223372036854775808}}`,
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := readWhatif(body)
+		if !ok {
+			return
+		}
+		var want WhatifRequest
+		if err := scenario.DecodeStrict(bytes.NewReader(body), &want); err != nil {
+			t.Fatalf("readWhatif accepts %q, DecodeStrict says %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q:\n  readWhatif   %#v\n  DecodeStrict %#v", body, got, want)
+		}
+	})
+}
+
+// TestReadWhatifTakesMarshal: what a client's json.Marshal writes for a
+// request with its lists present, the hand reader reads, to the request
+// marshalled — so the daemon's common body never reaches DecodeStrict.
+func TestReadWhatifTakesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		return []string{"", "SF", "FT3", "medium", "random", "min-interference"}[rng.Intn(6)]
+	}
+	num := func() int { return []int{0, -1, 7, math.MaxInt, math.MinInt}[rng.Intn(5)] }
+	for i := 0; i < 500; i++ {
+		req := WhatifRequest{
+			Fabric: FabricSelector{
+				Topology:     scenario.Topology{Kind: word(), Class: word(), Param: num(), Param2: num()},
+				Layers:       num(),
+				Rho:          []float64{0, 0.7, -1.5e-300, math.MaxFloat64, 1e21}[rng.Intn(5)],
+				Construction: word(),
+				Seed:         int64(num()),
+			},
+			FailedEdges: make([]int, rng.Intn(40)),
+			Queries:     make([]QueryTriple, rng.Intn(20)),
+		}
+		for j := range req.FailedEdges {
+			req.FailedEdges[j] = num()
+		}
+		for j := range req.Queries {
+			req.Queries[j] = QueryTriple{Layer: num(), Src: num(), Dst: num()}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := readWhatif(body)
+		if !ok || !reflect.DeepEqual(got, req) {
+			t.Fatalf("readWhatif(%s) = %#v, %v; want the request marshalled", body, got, ok)
+		}
 	}
 }

@@ -1,10 +1,17 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
+
+// testWhatifBody is a /whatif body as json.Marshal writes one: two failed
+// edges and four queries on the suite's fabric.
+const testWhatifBody = `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[3,40],` +
+	`"queries":[{"layer":0,"src":3,"dst":17},{"layer":1,"src":0,"dst":49},{"layer":1,"src":12,"dst":30},{"layer":0,"src":44,"dst":2}]}`
 
 // discardWriter is the least http.ResponseWriter a handler can write
 // into: its header map is reused and the body is only counted, so what an
@@ -22,15 +29,20 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestGetAllocsCeiling bounds the heap allocations of one /nexthop and
-// one /paths request against a resident fabric, handler and telemetry
-// included. The queries are parsed off the raw query string into a fixed
-// array and the answers appended without reflection; what is left is the
-// status wrapper, the Content-Type value, the fabric key, the candidate
-// slice and the response buffer (on /paths: the layer list, each layer's
-// route and the diversity count's two scratch slices in place of the
-// candidates, each sized once). Before that parser and encoder the counts
-// were 18 and 26; /paths took 14 while routes and scratch grew by append.
+// TestGetAllocsCeiling bounds the heap allocations of one /nexthop, one
+// /paths and one /whatif request against a resident fabric, handler and
+// telemetry included; each ceiling is the count measured. The queries are
+// parsed off the raw query string into a fixed array and the answers
+// appended without reflection; what is left of a GET is the status
+// wrapper, the fabric key, the candidate slice and the response buffer (on
+// /paths: the layer list, each layer's route and the diversity count's two
+// scratch slices in place of the candidates, each sized once). Before that
+// parser and encoder the counts were 18 and 26; /paths took 14 while routes
+// and scratch grew by append, and 5 and 10 while the Content-Type value
+// was a fresh slice and /paths grew its layer list by append. A
+// /whatif body is read by hand (readWhatif) into the request's own strings
+// and slices; the rest is the view, its repairs and the answer. Through
+// scenario.DecodeStrict it took 54.
 // Not parallel, so no other test's allocations land in the count.
 func TestGetAllocsCeiling(t *testing.T) {
 	if raceEnabled {
@@ -38,21 +50,25 @@ func TestGetAllocsCeiling(t *testing.T) {
 	}
 	s := testServer(t, Config{MaxFabrics: 1})
 	for _, c := range []struct {
-		target  string
-		ceiling float64
+		method, target, body string
+		ceiling              float64
 	}{
-		{"/nexthop?" + testFabricQ + "&layer=1&src=3&dst=17", 5},
-		{"/paths?" + testFabricQ + "&src=3&dst=17", 10},
+		{"GET", "/nexthop?" + testFabricQ + "&layer=1&src=3&dst=17", "", 4},
+		{"GET", "/paths?" + testFabricQ + "&src=3&dst=17", "", 8},
+		{"POST", "/whatif", testWhatifBody, 32},
 	} {
-		r := httptest.NewRequest(http.MethodGet, c.target, nil)
+		body := strings.NewReader(c.body)
+		r := httptest.NewRequest(c.method, c.target, io.NopCloser(body))
 		w := &discardWriter{hdr: http.Header{}}
 		h := s.Handler()
-		h.ServeHTTP(w, r) // admits the fabric
-		got := testing.AllocsPerRun(200, func() {
+		serve := func() {
+			body.Reset(c.body) // re-arms a POST body
 			clear(w.hdr)
 			w.code, w.n = 0, 0
 			h.ServeHTTP(w, r)
-		})
+		}
+		serve() // admits the fabric
+		got := testing.AllocsPerRun(200, serve)
 		if w.code != http.StatusOK || w.n == 0 {
 			t.Fatalf("%s: status %d, %d body bytes", c.target, w.code, w.n)
 		}

@@ -218,11 +218,11 @@ func TestRequestValidation(t *testing.T) {
 		{"Star param2", "GET", "/nexthop?topo=Star&param=4&param2=2&src=0&dst=1", "", "param2"},
 		{"paths layer range", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=9", "", ""},
 		{"paths negative layer", "GET", "/paths?" + testFabricQ + "&src=0&dst=1&layer=-7", "", "layer -7 outside [0,2)"},
-		{"whatif bad json", "POST", "/whatif", "{", ""},
-		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`, ""},
-		{"whatif two values", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7}} {"failedEdges":[1]}`, "more than one JSON value"},
-		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`, ""},
-		{"whatif query range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"queries":[{"layer":0,"src":0,"dst":400}]}`, ""},
+		{"whatif bad json", "POST", "/whatif", "{", "request body: unexpected EOF"},
+		{"whatif unknown field", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5}},"edges":[1]}`, `request body: json: unknown field "edges"`},
+		{"whatif two values", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7}} {"failedEdges":[1]}`, "request body: more than one JSON value"},
+		{"whatif edge range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[99999]}`, "failed edge 99999 outside [0,175)"},
+		{"whatif query range", "POST", "/whatif", `{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"queries":[{"layer":0,"src":0,"dst":400}]}`, "dst router 400 outside [0,50)"},
 		{"scenarios trailing junk", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF","param":5},"pattern":{"kind":"uniform"}}}} junk`, "after the JSON value"},
 		{"scenarios bad matrix", "POST", "/scenarios", `{"matrix":{"base":{"topology":{"kind":"SF"},"pattern":{"kind":"uniform"}},"axes":{"rhos":[0.5,0.5]}}}`, ""},
 		{"scenarios over-cap matrix", "POST", "/scenarios", string(overCapBody), `"over-cap": cross product of 65792 cells`},
@@ -241,6 +241,9 @@ func TestRequestValidation(t *testing.T) {
 		}
 		if !strings.Contains(e.Error, c.want) {
 			t.Errorf("%s: error %q does not name %q", c.name, e.Error, c.want)
+		}
+		if c.target == "/whatif" && e.Error != c.want {
+			t.Errorf("%s: error %q, want %q word for word", c.name, e.Error, c.want)
 		}
 	}
 	// A failed build must not occupy LRU capacity.
@@ -261,7 +264,8 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestBodyLimit: both POST endpoints refuse a body over maxBodyBytes with
-// 413 before decoding it, and a body under the limit is served as before.
+// 413 before decoding it, unless it is malformed before the limit, which
+// is a 400 naming the fault; a body under the limit is served as before.
 func TestBodyLimit(t *testing.T) {
 	s := testServer(t, Config{MaxFabrics: 1})
 	fabric := `"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7}`
@@ -273,6 +277,14 @@ func TestBodyLimit(t *testing.T) {
 		}
 		if code != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil || e.Error == "" {
 			t.Errorf("%s with a %d-byte body: status %d body %q, want 413 and an error object", target, len(huge), code, body)
+		}
+	}
+	// Malformed at its second byte: the decoder stops there, before the
+	// limit, as it would on a short body.
+	const malformed = `{"error":"request body: invalid character 'x' looking for beginning of object key string"}` + "\n"
+	for _, target := range []string{"/whatif", "/scenarios"} {
+		if code, body := post(t, s, target, `{x`+strings.Repeat(" ", maxBodyBytes)); code != http.StatusBadRequest || string(body) != malformed {
+			t.Errorf("%s with a malformed body over the limit: status %d body %q, want 400 and %q", target, code, body, malformed)
 		}
 	}
 	if code, body := post(t, s, "/whatif", `{`+fabric+`,"failedEdges":[0]}`); code != http.StatusOK {

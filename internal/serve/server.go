@@ -25,14 +25,17 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -504,7 +507,11 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("layer %d outside [0,%d)", onlyLayer, fab.Fwd.NumLayers()))
 		return
 	}
-	ans := PathsAnswer{Src: src, Dst: dst, DistinctPaths: fab.Fwd.DistinctRoutes(src, dst)}
+	n := fab.Fwd.NumLayers()
+	if onlyLayer >= 0 {
+		n = 1
+	}
+	ans := PathsAnswer{Src: src, Dst: dst, Layers: make([]LayerPath, 0, n), DistinctPaths: fab.Fwd.DistinctRoutes(src, dst)}
 	for l := 0; l < fab.Fwd.NumLayers(); l++ {
 		if onlyLayer >= 0 && onlyLayer != l {
 			continue
@@ -516,7 +523,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		}
 		ans.Layers = append(ans.Layers, lp)
 	}
-	writeAnswer(w, ans.appendJSON(make([]byte, 0, 256)))
+	writeAnswer(w, ans.appendJSON(make([]byte, 0, 64+96*n)))
 }
 
 // WhatifRequest is the POST /whatif body: a fabric, the base edge IDs to
@@ -561,8 +568,8 @@ func (a *WhatifAnswer) appendJSON(b []byte) []byte {
 // only — the resident fabric is never mutated, so concurrent /nexthop
 // readers are unaffected — and answers the queries against it.
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
-	var req WhatifRequest
-	if !decodeJSON(w, r, &req) {
+	req, ok := decodeWhatif(w, r)
+	if !ok {
 		return
 	}
 	fab, err := s.fabric(req.Fabric)
@@ -588,8 +595,12 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		s.met.WhatifViews.Inc()
 	}
 	shared, invalidated := derived.Repair()
+	failed := req.FailedEdges
+	if failed == nil {
+		failed = []int{} // answered as [], not null
+	}
 	ans := WhatifAnswer{
-		FailedEdges:       append([]int{}, req.FailedEdges...),
+		FailedEdges:       failed,
 		SharedTables:      shared,
 		InvalidatedTables: invalidated,
 		Answers:           make([]HopAnswer, 0, len(req.Queries)),
@@ -616,7 +627,7 @@ type ScenarioRequest struct {
 // run starts). Submissions beyond MaxScenarioRuns queue on a semaphore.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), &req) {
 		return
 	}
 	cells, skipped, err := req.Matrix.Expand()
@@ -719,12 +730,12 @@ func firstErr(errs ...error) error {
 // query lists are KiB-sized.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON decodes a request body of at most maxBodyBytes with
-// scenario.DecodeStrict, the same rules as cmd/scenarios spec files. On
-// failure it writes the error response — 413 for an oversized body, 400
-// otherwise — and returns false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := scenario.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
+// decodeJSON decodes a request body, read through a reader that stops at
+// maxBodyBytes, with scenario.DecodeStrict, the same rules as
+// cmd/scenarios spec files. On failure it writes the error response — 413
+// for an oversized body, 400 otherwise — and returns false.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v interface{}) bool {
+	if err := scenario.DecodeStrict(body, v); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -735,6 +746,66 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	}
 	return true
 }
+
+// decodeWhatif reads a /whatif body of at most maxBodyBytes: by hand
+// (readWhatif) when it is in the form json.Marshal writes, else with
+// decodeJSON over the bytes read followed by the read's error — the stream
+// decodeJSON would have read off the request — so every other body gets
+// the answer it always got. On failure it writes the error response and
+// returns false.
+func decodeWhatif(w http.ResponseWriter, r *http.Request) (WhatifRequest, bool) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer putBodyBuf(buf)
+	body, err := readBody(w, r, (*buf)[:0])
+	*buf = body[:0]
+	if err == nil {
+		if req, ok := readWhatif(body); ok {
+			return req, true
+		}
+	}
+	var src io.Reader = bytes.NewReader(body)
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	var req WhatifRequest
+	return req, decodeJSON(w, src, &req)
+}
+
+// bodyBufs recycles the buffers /whatif bodies are read into; one that
+// grew past 64 KiB is left to the collector.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+func putBodyBuf(b *[]byte) {
+	if cap(*b) <= 64<<10 {
+		bodyBufs.Put(b)
+	}
+}
+
+// readBody appends the request body, at most maxBodyBytes of it, to b.
+// The error is the read's, io.EOF excepted: *http.MaxBytesError when the
+// body is longer. (A loop rather than bytes.Buffer.ReadFrom, which takes
+// the limiting reader as an interface and so moves it to the heap.)
+func readBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // writeJSON writes one JSON object and a trailing newline (answers are
 // valid JSONL, so fixtures and CLI pipelines diff cleanly).
@@ -747,10 +818,14 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	writeAnswer(w, b)
 }
 
+// jsonContentType is every JSON answer's Content-Type header value, shared
+// so that setting it allocates nothing (Header.Set allocates a slice).
+var jsonContentType = []string{"application/json"}
+
 // writeAnswer writes a 200 answer already encoded (by json.Marshal or an
 // answer's appendJSON) and a trailing newline.
 func writeAnswer(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(append(b, '\n'))
 }
@@ -759,7 +834,7 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	b, _ := json.Marshal(struct {
 		Error string `json:"error"`
 	}{Error: err.Error()})
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	w.Write(append(b, '\n'))
 }
