@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -52,6 +54,69 @@ func TestJSONGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("-json output differs from %s:\n%s", golden, got.Bytes())
+	}
+}
+
+// TestWriteJSONMatchesMarshalIndent: the hand -json rendering is
+// json.MarshalIndent(out, "", "  ") and a newline, byte for byte — file
+// names and matrix names that need escapes, results omitted when there are
+// none, seconds omitted when zero and written in 'e' form when tiny, NaN
+// and infinite summary values — and fails exactly when MarshalIndent
+// fails, with its message: on a NaN or an infinity outside a summary.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"", "sweep.json", "examples/scenarios/<a&b>.json", "n\u00e9", "\x01", `q"`}
+	floats := []float64{0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, math.MaxFloat64, 0.04, 12.5,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	float := func(finite bool) float64 {
+		for {
+			f := floats[rng.Intn(len(floats))]
+			if rng.Intn(2) == 0 {
+				f = math.Float64frombits(rng.Uint64())
+			}
+			if !finite || !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return f
+			}
+		}
+	}
+	summary := func() stats.Summary {
+		return stats.Summary{N: rng.Intn(100), Mean: float(false), P01: float(false), P10: float(false),
+			P50: float(false), P90: float(false), P99: float(false), P999: float(false)}
+	}
+	for i := 0; i < 500; i++ {
+		var out []fileResult
+		for range rng.Intn(3) {
+			fr := fileResult{
+				File: names[rng.Intn(len(names))], Name: names[rng.Intn(len(names))],
+				Cells: rng.Intn(500), Skipped: rng.Intn(5), Seconds: float(true),
+			}
+			switch rng.Intn(3) {
+			case 0:
+				fr.Results = []scenario.CellResult{}
+			case 1:
+				for range 1 + rng.Intn(3) {
+					fr.Results = append(fr.Results, scenario.CellResult{
+						Spec: scenario.Spec{
+							Name: names[rng.Intn(len(names))], Topology: scenario.Topology{Kind: "SF", Param: 3},
+							Pattern: scenario.Pattern{Kind: "uniform"}, Rho: float(rng.Intn(50) != 0),
+						},
+						TopoName: names[rng.Intn(len(names))], TopoN: 54, Layers: 2, Rho: float(rng.Intn(50) != 0),
+						Flows: 54, Completed: float(rng.Intn(50) != 0), Throughput: summary(), FCT: summary(),
+						FailedLinks: rng.Intn(2), MAT: float(rng.Intn(50) != 0) * float64(rng.Intn(2)),
+					})
+				}
+			}
+			out = append(out, fr)
+		}
+		want, wantErr := json.MarshalIndent(out, "", "  ")
+		var got bytes.Buffer
+		err := writeJSON(&got, out)
+		switch {
+		case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("writeJSON error %v, MarshalIndent error %v", err, wantErr)
+		case err == nil && !bytes.Equal(got.Bytes(), append(want, '\n')):
+			t.Fatalf("writeJSON:\n%s\nMarshalIndent:\n%s", got.Bytes(), want)
+		}
 	}
 }
 

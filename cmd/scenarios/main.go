@@ -29,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +39,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/wire"
 )
 
 // fileResult is the machine-readable form of one spec file's run (-json).
@@ -193,17 +193,60 @@ func main() {
 }
 
 // writeJSON renders the -json output: the file results as one indented
-// JSON array and a newline, in one write. json.MarshalIndent sizes its
-// indented copy from the compact rendering up front; an Encoder with
-// SetIndent grows its buffer by doubling, several megabytes for a
-// 480-cell matrix, for the same bytes.
+// JSON array and a newline, in one write. The bytes are those
+// json.MarshalIndent(out, "", "  ") writes, appended by hand
+// (scenario.CellResult.WriteJSON) into one buffer sized up front, with no
+// reflection and no compact copy to indent; TestWriteJSONMatchesMarshalIndent
+// holds the two together. A non-finite float outside a summary is the
+// error MarshalIndent gives.
 func writeJSON(w io.Writer, out []fileResult) error {
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
+	n := 0
+	for i := range out {
+		n += len(out[i].Results)
+	}
+	e := wire.Encoder{B: make([]byte, 0, 256*(1+len(out))+2560*n), Indent: true}
+	if out == nil {
+		e.B = append(e.B, "null"...)
+	} else {
+		e.Open('[')
+		for i := range out {
+			e.Elem()
+			out[i].writeJSON(&e)
+		}
+		e.Close(']')
+	}
+	if err := e.Err(); err != nil {
 		return err
 	}
-	_, err = w.Write(append(b, '\n'))
+	_, err := w.Write(append(e.B, '\n'))
 	return err
+}
+
+// writeJSON appends the file result's encoding/json form to e.
+func (fr *fileResult) writeJSON(e *wire.Encoder) {
+	e.Open('{')
+	e.Key("file")
+	e.String(fr.File)
+	e.Key("name")
+	e.String(fr.Name)
+	e.Key("cells")
+	e.Int(int64(fr.Cells))
+	e.Key("skipped")
+	e.Int(int64(fr.Skipped))
+	if len(fr.Results) > 0 {
+		e.Key("results")
+		e.Open('[')
+		for i := range fr.Results {
+			e.Elem()
+			fr.Results[i].WriteJSON(e)
+		}
+		e.Close(']')
+	}
+	if fr.Seconds != 0 {
+		e.Key("seconds")
+		e.Float(fr.Seconds)
+	}
+	e.Close('}')
 }
 
 // loadMatrix reads one Matrix spec file with scenario.DecodeStrict.

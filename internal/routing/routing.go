@@ -458,7 +458,9 @@ func buildTable(rows, base []uint64, nr, units, dst int) *table {
 //
 // Distances are read through pathLen, so saturated bytes come out exact.
 func (e *Engine) repair(layer int, t *table) *table {
-	var hit []int32 // the affected routers, in the order their masks emptied
+	sc := repairPool.Get().(*repairScratch)
+	defer repairPool.Put(sc)
+	hit := sc.hit[:0] // the affected routers, in the order their masks emptied
 	drop := func(b maskBit) {
 		if t.slab[b.unit]&b.bit == 0 {
 			return
@@ -482,6 +484,7 @@ func (e *Engine) repair(layer int, t *table) *table {
 			drop(e.bitFor(y, hit[i]))
 		}
 	}
+	sc.hit = hit
 	if len(hit) == 0 {
 		return t
 	}
@@ -494,8 +497,7 @@ func (e *Engine) repair(layer int, t *table) *table {
 		_, gone := slices.BinarySearch(e.failed, int(id))
 		return !gone
 	}
-	type hop struct{ d, v int32 }
-	seeds := make([]hop, 0, len(hit))
+	seeds := sc.seeds[:0]
 	for _, x := range hit {
 		best := -1
 		for _, h := range e.g.Neighbors(int(x)) {
@@ -504,17 +506,17 @@ func (e *Engine) repair(layer int, t *table) *table {
 			}
 		}
 		if best >= 0 {
-			seeds = append(seeds, hop{int32(best) + 1, x})
+			seeds = append(seeds, repairHop{int32(best) + 1, x})
 		}
 	}
-	slices.SortFunc(seeds, func(a, b hop) int { return int(a.d - b.d) })
-	var fifo []hop // settled routers' affected neighbours, distances ascending
-	for len(seeds)+len(fifo) > 0 {
-		var h hop
-		if len(fifo) == 0 || len(seeds) > 0 && seeds[0].d <= fifo[0].d {
-			h, seeds = seeds[0], seeds[1:]
+	slices.SortFunc(seeds, func(a, b repairHop) int { return int(a.d - b.d) })
+	fifo := sc.fifo[:0] // settled routers' affected neighbours, distances ascending
+	for si, fi := 0, 0; si < len(seeds) || fi < len(fifo); {
+		var h repairHop
+		if fi == len(fifo) || si < len(seeds) && seeds[si].d <= fifo[fi].d {
+			h, si = seeds[si], si+1
 		} else {
-			h, fifo = fifo[0], fifo[1:]
+			h, fi = fifo[fi], fi+1
 		}
 		v := int(h.v)
 		if e.dist(t, v) != unreachable {
@@ -528,7 +530,7 @@ func (e *Engine) repair(layer int, t *table) *table {
 			}
 			switch d := e.pathLen(t, int(nb.To)); d {
 			case -1: // affected, not settled yet
-				fifo = append(fifo, hop{h.d + 1, nb.To})
+				fifo = append(fifo, repairHop{h.d + 1, nb.To})
 			case int(h.d) - 1:
 				p, _ := slices.BinarySearch(nbrs, nb.To)
 				m[p>>4] |= 1 << (p & 15)
@@ -536,8 +538,23 @@ func (e *Engine) repair(layer int, t *table) *table {
 			}
 		}
 	}
+	sc.seeds, sc.fifo = seeds, fifo
 	return t
 }
+
+// repairScratch holds repair's three working lists between repairs, so
+// that a view repairing many tables — a /whatif's queries, a Repair sweep
+// — grows them once rather than once per table. Concurrent repairs take
+// separate scratch from the pool.
+type repairScratch struct {
+	hit         []int32
+	seeds, fifo []repairHop
+}
+
+// repairHop is an affected router v and the distance it would settle at.
+type repairHop struct{ d, v int32 }
+
+var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
 
 // layerEdge is one edge of a layer seen from router v: the neighbour u and
 // its position p in v's full neighbour list (Neighbors).

@@ -14,7 +14,6 @@ package scenario
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,7 +101,7 @@ func (c *Cache) Get(s Spec, runSeed int64) (CellResult, int, bool) {
 		return CellResult{}, 0, false
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(b, &e); err != nil ||
+	if err := decodeJSON(b, readCacheEntry, &e); err != nil ||
 		e.Fingerprint != EngineFingerprint ||
 		e.Identity != id {
 		return CellResult{}, 0, false
@@ -121,7 +120,7 @@ func (c *Cache) Put(s Spec, runSeed int64, r CellResult) (int, error) {
 		return 0, nil
 	}
 	id := s.CacheIdentity(runSeed)
-	b, err := json.Marshal(cacheEntry{
+	b, err := appendCacheEntry(make([]byte, 0, 2048), &cacheEntry{
 		Fingerprint: EngineFingerprint,
 		Identity:    id,
 		Result:      r,

@@ -273,14 +273,25 @@ func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
 // only on an entry that states this engine fingerprint and this cell's
 // identity. What a hit writes back through Put is canonical: it reads
 // back as a hit with the same result, and writing that result again
-// reproduces it byte for byte. The committed corpus
-// (testdata/fuzz/FuzzCacheEntry) holds canonical entries (one with an
-// empty-sample digest), one with reordered, spaced keys, a stale
+// reproduces it byte for byte. Whenever the hand reader takes the bytes,
+// json.Unmarshal gives the same value (NaN equal to NaN), so an entry
+// reads the same by either path. The committed corpus
+// (testdata/fuzz/FuzzCacheEntry) holds canonical entries at a stale and at
+// the current fingerprint (one with an empty-sample digest), one with
+// reordered, spaced keys, one with a single reordered key, escaped
+// strings, a repeated key, a null, 1e2 as an integer, -0 values, a stale
 // fingerprint, a foreign identity and a torn write.
 func FuzzCacheEntry(f *testing.F) {
 	const seed = 42
 	s := cacheSpec()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if e, ok := readCacheEntry(data); ok {
+			var want cacheEntry
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("the hand reader took an entry json.Unmarshal refuses (%v):\n%s", err, data)
+			}
+			sameValue(t, e, want)
+		}
 		c := openTestCache(t)
 		p := c.path(CacheKey(s, seed))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
@@ -93,12 +92,7 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 	if h.Fingerprint == "" {
 		h.Fingerprint = EngineFingerprint
 	}
-	b, err := json.Marshal(h)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("scenario: encoding journal header: %w", err)
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
+	if _, err := f.Write(append(appendHeader(nil, &h), '\n')); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("scenario: writing journal header: %w", err)
 	}
@@ -167,7 +161,7 @@ func (j *Journal) Record(s Spec, runSeed int64, r CellResult) error {
 	if j == nil {
 		return nil
 	}
-	b, err := json.Marshal(CellDone{
+	b, err := appendCellDone(make([]byte, 0, 2048), &CellDone{
 		Type:     "cell_done",
 		Identity: s.CacheIdentity(runSeed),
 		Key:      s.Key(),
@@ -247,12 +241,12 @@ func ReadJournal(path string) (*JournalState, error) {
 		return nil, fmt.Errorf("scenario: journal %s is empty", path)
 	}
 	st := &JournalState{Done: map[string]CellDone{}}
-	if err := json.Unmarshal(lines[0], &st.Header); err != nil || st.Header.Type != "run_header" {
+	if err := decodeJSON(lines[0], readHeader, &st.Header); err != nil || st.Header.Type != "run_header" {
 		return nil, fmt.Errorf("scenario: journal %s: first line is not a run_header record", path)
 	}
 	for i, line := range lines[1:] {
 		var cd CellDone
-		if err := json.Unmarshal(line, &cd); err != nil || cd.Type != "cell_done" || cd.Identity == "" {
+		if err := decodeJSON(line, readCellDone, &cd); err != nil || cd.Type != "cell_done" || cd.Identity == "" {
 			if i == len(lines)-2 { // final line: tolerate the torn write
 				st.Torn = true
 				break

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -429,11 +431,32 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 // or a concatenation may have left in any state. Whatever they are,
 // ReadJournal returns an error or a state that holds its own invariants
 // — a run_header, every record keyed by its own non-empty identity —
-// and that Match can be asked about; it never panics. The committed
-// corpus (testdata/fuzz/FuzzJournalRead) covers the shapes the journal
-// tests above build by hand.
+// and that Match can be asked about; it never panics. Whenever the hand
+// reader takes a line, json.Unmarshal gives the same value (NaN equal to
+// NaN), so a journal reads the same by either path. The committed corpus
+// (testdata/fuzz/FuzzJournalRead) covers the shapes the journal tests
+// above build by hand, and lines at the current fingerprint: canonical,
+// with escaped strings, a reordered key, a repeated key, a null, 1e2 as
+// an integer, -0 values and a torn final line.
 func FuzzJournalRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, line := range bytes.Split(data, []byte{'\n'}) {
+			if i == 0 {
+				if h, ok := readHeader(line); ok {
+					var want JournalHeader
+					if err := json.Unmarshal(line, &want); err != nil {
+						t.Fatalf("the hand reader took a header json.Unmarshal refuses (%v):\n%s", err, line)
+					}
+					sameValue(t, h, want)
+				}
+			} else if cd, ok := readCellDone(line); ok {
+				var want CellDone
+				if err := json.Unmarshal(line, &want); err != nil {
+					t.Fatalf("the hand reader took a record json.Unmarshal refuses (%v):\n%s", err, line)
+				}
+				sameValue(t, cd, want)
+			}
+		}
 		path := filepath.Join(t.TempDir(), "fuzz.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -340,7 +340,7 @@ type Spec struct {
 	// Transport: ndp (default), tcp, dctcp, mptcp.
 	Transport string   `json:"transport,omitempty"`
 	Pattern   Pattern  `json:"pattern"`
-	FlowSize  FlowSize `json:"flowSize,omitempty"`
+	FlowSize  FlowSize `json:"flowSize"`
 	// Load is the Poisson flow arrival rate λ in flows/s (0 = synchronized
 	// start at t=0).
 	Load float64 `json:"load,omitempty"`

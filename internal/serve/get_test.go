@@ -34,15 +34,17 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 // telemetry included; each ceiling is the count measured. The queries are
 // parsed off the raw query string into a fixed array and the answers
 // appended without reflection; what is left of a GET is the status
-// wrapper, the fabric key, the candidate slice and the response buffer (on
-// /paths: the layer list, each layer's route and the diversity count's two
-// scratch slices in place of the candidates, each sized once). Before that
-// parser and encoder the counts were 18 and 26; /paths took 14 while routes
-// and scratch grew by append, and 5 and 10 while the Content-Type value
-// was a fresh slice and /paths grew its layer list by append. A
-// /whatif body is read by hand (readWhatif) into the request's own strings
-// and slices; the rest is the view, its repairs and the answer. Through
-// scenario.DecodeStrict it took 54.
+// wrapper, the fabric key and the response buffer (on /paths: the layer
+// list, each layer's route and the diversity count's two scratch slices,
+// each sized once; /nexthop's candidates go into a stack array). Before
+// that parser and encoder the counts were 18 and 26; /paths took 14 while
+// routes and scratch grew by append, and 5 and 10 while the Content-Type
+// value was a fresh slice and /paths grew its layer list by append;
+// /nexthop took 4 while its candidate list grew by append. A /whatif body
+// is read by hand (readWhatif) into the request's own strings and slices;
+// the rest is the view, its repairs and the answer. Through
+// scenario.DecodeStrict it took 54, and 32 while each repair grew its own
+// working lists and each answer its own candidate list.
 // Not parallel, so no other test's allocations land in the count.
 func TestGetAllocsCeiling(t *testing.T) {
 	if raceEnabled {
@@ -53,9 +55,9 @@ func TestGetAllocsCeiling(t *testing.T) {
 		method, target, body string
 		ceiling              float64
 	}{
-		{"GET", "/nexthop?" + testFabricQ + "&layer=1&src=3&dst=17", "", 4},
+		{"GET", "/nexthop?" + testFabricQ + "&layer=1&src=3&dst=17", "", 3},
 		{"GET", "/paths?" + testFabricQ + "&src=3&dst=17", "", 8},
-		{"POST", "/whatif", testWhatifBody, 32},
+		{"POST", "/whatif", testWhatifBody, 19},
 	} {
 		body := strings.NewReader(c.body)
 		r := httptest.NewRequest(c.method, c.target, io.NopCloser(body))

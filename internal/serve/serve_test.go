@@ -74,7 +74,7 @@ func TestServedAnswersMatchOfflineEngine(t *testing.T) {
 	for _, q := range []struct{ layer, src, dst int }{
 		{0, 0, 1}, {1, 3, 17}, {0, 49, 0}, {1, 7, 7}, {0, 12, nr - 1},
 	} {
-		want := answerHop(fab.Fwd, q.layer, q.src, q.dst)
+		want, _ := answerHop(fab.Fwd, nil, q.layer, q.src, q.dst)
 		wb, _ := json.Marshal(want)
 		wb = append(wb, '\n')
 		code, got := get(t, s, "/nexthop?"+testFabricQ+
@@ -100,7 +100,8 @@ func TestServedAnswersMatchOfflineEngine(t *testing.T) {
 	}
 	queries := []QueryTriple{{Layer: 0, Src: 3, Dst: 17}, {Layer: 1, Src: 44, Dst: 2}}
 	for _, q := range queries {
-		want.Answers = append(want.Answers, answerHop(derived, q.Layer, q.Src, q.Dst))
+		a, _ := answerHop(derived, nil, q.Layer, q.Src, q.Dst)
+		want.Answers = append(want.Answers, a)
 	}
 	wb, _ := json.Marshal(want)
 	wb = append(wb, '\n')

@@ -331,14 +331,23 @@ type HopAnswer struct {
 }
 
 // answerHop reads one (layer, src, dst) answer off an engine: a resident
-// fabric's, or a /whatif view derived from it.
-func answerHop(fwd *routing.Engine, layer, src, dst int) HopAnswer {
+// fabric's, or a /whatif view derived from it. The candidates are
+// appended to buf, which is returned; the answer's list is its own part of
+// buf, capped so that later appends never write into it, and non-nil when
+// empty, so that it encodes as [].
+func answerHop(fwd *routing.Engine, buf []int32, layer, src, dst int) (HopAnswer, []int32) {
+	start := len(buf)
+	buf = fwd.AppendCandidates(buf, layer, src, dst)
+	cands := buf[start:len(buf):len(buf)]
+	if cands == nil {
+		cands = []int32{}
+	}
 	return HopAnswer{
 		Layer: layer, Src: src, Dst: dst,
 		Next:       fwd.Next(layer, src, dst),
 		Dist:       int32(fwd.PathLen(layer, src, dst)),
-		Candidates: fwd.AppendCandidates([]int32{}, layer, src, dst),
-	}
+		Candidates: cands,
+	}, buf
 }
 
 // appendJSON appends the encoding/json form of a to b.
@@ -421,7 +430,8 @@ func (s *Server) handleNexthop(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ans := answerHop(fab.Fwd, layer, src, dst)
+	var buf [32]int32 // a router's candidates, unless it has more neighbours
+	ans, _ := answerHop(fab.Fwd, buf[:0], layer, src, dst)
 	writeAnswer(w, ans.appendJSON(make([]byte, 0, 128)))
 }
 
@@ -605,8 +615,13 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		InvalidatedTables: invalidated,
 		Answers:           make([]HopAnswer, 0, len(req.Queries)),
 	}
+	// The answers' candidate lists share one buffer: a few per query, grown
+	// only for queries that have more.
+	cands := make([]int32, 0, 8*len(req.Queries))
 	for _, qt := range req.Queries {
-		ans.Answers = append(ans.Answers, answerHop(derived, qt.Layer, qt.Src, qt.Dst))
+		var a HopAnswer
+		a, cands = answerHop(derived, cands, qt.Layer, qt.Src, qt.Dst)
+		ans.Answers = append(ans.Answers, a)
 	}
 	writeAnswer(w, ans.appendJSON(make([]byte, 0, 128*(1+len(ans.Answers)))))
 }

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -14,6 +13,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Sample accumulates float64 observations.
@@ -79,19 +80,20 @@ type Summary struct {
 //
 //	{"N":3,"Mean":1.5,"P01":"NaN","P10":0.25,"P50":1.75,"P90":"+Inf","P99":2.75,"P999":2.875}
 //
-// with the fields in this order, no whitespace, finite values as
-// shortest-round-trip JSON numbers and non-finite ones as the quoted
-// strings "NaN", "+Inf" and "-Inf". encoding/json rejects non-finite
-// numbers outright, which would make any zero-completion cell (NaN
-// percentiles) unserializable: CLI -json output, the scenario result
-// cache, run journals. Both directions are bit-exact. MarshalJSON writes
-// only the canonical form and UnmarshalJSON reads it directly; any other
-// valid JSON spelling (reordered or case-folded keys, whitespace, numbers
-// in strings) takes the generic decode through summaryJSON.
+// with the fields in this order, finite values as shortest-round-trip
+// JSON numbers and non-finite ones as the quoted strings "NaN", "+Inf" and
+// "-Inf". encoding/json rejects non-finite numbers outright, which would
+// make any zero-completion cell (NaN percentiles) unserializable: CLI
+// -json output, the scenario result cache, run journals. Both directions
+// are bit-exact. WriteJSON writes the canonical form, compact or indented
+// as the encoder is; ReadJSON reads it, and any spelling that differs from
+// it only in whitespace or member order; UnmarshalJSON hands any other
+// valid JSON spelling (case-folded keys, numbers in strings, a repeated
+// key) to the generic decode through summaryJSON.
 
-// summaryFloatKeys are the float fields' keys in wire order, each with the
-// separator before it; summaryFloats lists the fields in the same order.
-var summaryFloatKeys = [...]string{`,"Mean":`, `,"P01":`, `,"P10":`, `,"P50":`, `,"P90":`, `,"P99":`, `,"P999":`}
+// summaryFloatKeys are the float fields' keys in wire order; summaryFloats
+// lists the fields in the same order.
+var summaryFloatKeys = [...]string{"Mean", "P01", "P10", "P50", "P90", "P99", "P999"}
 
 func (s *Summary) summaryFloats() [len(summaryFloatKeys)]*float64 {
 	return [...]*float64{&s.Mean, &s.P01, &s.P10, &s.P50, &s.P90, &s.P99, &s.P999}
@@ -99,17 +101,25 @@ func (s *Summary) summaryFloats() [len(summaryFloatKeys)]*float64 {
 
 // MarshalJSON renders the canonical wire form.
 func (s Summary) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 192)
-	b = strconv.AppendInt(append(b, `{"N":`...), int64(s.N), 10)
+	e := wire.Encoder{B: make([]byte, 0, 192)}
+	s.WriteJSON(&e)
+	return e.B, nil
+}
+
+// WriteJSON appends the canonical wire form to e. It never fails.
+func (s Summary) WriteJSON(e *wire.Encoder) {
+	e.Open('{')
+	e.Key("N")
+	e.Int(int64(s.N))
 	for i, f := range s.summaryFloats() {
-		b = append(b, summaryFloatKeys[i]...)
+		e.Key(summaryFloatKeys[i])
 		if v := *f; math.IsNaN(v) || math.IsInf(v, 0) {
-			b = append(strconv.AppendFloat(append(b, '"'), v, 'g', -1, 64), '"')
+			e.B = append(strconv.AppendFloat(append(e.B, '"'), v, 'g', -1, 64), '"')
 		} else {
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			e.B = strconv.AppendFloat(e.B, v, 'g', -1, 64)
 		}
 	}
-	return append(b, '}'), nil
+	e.Close('}')
 }
 
 // UnmarshalJSON is the inverse of MarshalJSON, and reads any other JSON
@@ -131,90 +141,56 @@ func (s *Summary) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// parseCanonicalSummary reads exactly the form MarshalJSON writes. It
-// reports false on anything else — including a number out of range — so
-// that the generic decode's answer, value or error, stays the contract
-// for every input.
+// parseCanonicalSummary reads b with ReadJSON. It reports false on
+// anything ReadJSON refuses — including a number out of range — so that
+// the generic decode's answer, value or error, stays the contract for
+// every such input.
 func parseCanonicalSummary(b []byte) (Summary, bool) {
 	var s Summary
-	b, ok := bytes.CutPrefix(b, []byte(`{"N":`))
-	if !ok {
-		return s, false
-	}
-	n := jsonNumberLen(b)
-	if n == 0 || bytes.ContainsAny(b[:n], ".eE") {
-		return s, false
-	}
-	v, err := strconv.ParseInt(string(b[:n]), 10, 0)
-	if err != nil {
-		return s, false
-	}
-	s.N, b = int(v), b[n:]
-	for i, f := range s.summaryFloats() {
-		if b, ok = bytes.CutPrefix(b, []byte(summaryFloatKeys[i])); !ok {
-			return s, false
-		}
-		if *f, b, ok = cutCanonicalFloat(b); !ok {
-			return s, false
-		}
-	}
-	return s, len(b) == 1 && b[0] == '}'
+	p := wire.NewReader(b)
+	s.ReadJSON(p)
+	return s, p.End()
 }
 
-// cutCanonicalFloat parses one float value of the canonical form off the
-// front of b.
-func cutCanonicalFloat(b []byte) (float64, []byte, bool) {
-	for _, q := range [...]struct {
-		lit string
-		v   float64
-	}{{`"NaN"`, math.NaN()}, {`"+Inf"`, math.Inf(1)}, {`"-Inf"`, math.Inf(-1)}} {
-		if rest, ok := bytes.CutPrefix(b, []byte(q.lit)); ok {
-			return q.v, rest, true
+// ReadJSON reads a summary in its wire form off p into s, which is zero:
+// an object of the known keys in exact case, none twice, a float as a
+// number or as one of the three quoted non-finite names. Anything else
+// fails p.
+func (s *Summary) ReadJSON(p *wire.Reader) {
+	var seen uint32
+	floats := s.summaryFloats()
+	p.Expect('{')
+	for n := 0; p.Next('}', n); n++ {
+		k := p.Key()
+		if string(k) == "N" {
+			p.Once(&seen, 1)
+			s.N = p.Atoi()
+			continue
 		}
-	}
-	n := jsonNumberLen(b)
-	if n == 0 {
-		return 0, b, false
-	}
-	v, err := strconv.ParseFloat(string(b[:n]), 64)
-	return v, b[n:], err == nil
-}
-
-// jsonNumberLen returns the length of the JSON number at the front of b
-// (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), or 0 if there is none.
-func jsonNumberLen(b []byte) int {
-	i := 0
-	digits := func() bool {
-		start := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i := 0
+		for i < len(summaryFloatKeys) && string(k) != summaryFloatKeys[i] {
 			i++
 		}
-		return i > start
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return 0
+		if i == len(summaryFloatKeys) {
+			p.Fail()
+			return
+		}
+		p.Once(&seen, 2<<i)
+		if !p.Quoted() {
+			*floats[i] = p.Float()
+			continue
+		}
+		switch string(p.Raw()) {
+		case "NaN":
+			*floats[i] = math.NaN()
+		case "+Inf":
+			*floats[i] = math.Inf(1)
+		case "-Inf":
+			*floats[i] = math.Inf(-1)
+		default:
+			p.Fail()
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return 0
-		}
-	}
-	return i
 }
 
 // summaryJSON is the generic decode of Summary's wire form: encoding/json
