@@ -97,7 +97,7 @@ func TestCacheIdentityExcludesLabelsAndKnobs(t *testing.T) {
 }
 
 // openTestCache opens a result cache in a fresh temp dir.
-func openTestCache(t *testing.T) *Cache {
+func openTestCache(t testing.TB) *Cache {
 	t.Helper()
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -274,28 +274,31 @@ func TestCachePartialHitsOnEditedMatrix(t *testing.T) {
 // identity. What a hit writes back through Put is canonical: it reads
 // back as a hit with the same result, and writing that result again
 // reproduces it byte for byte. Whenever the hand reader takes the bytes,
-// json.Unmarshal gives the same value (NaN equal to NaN), so an entry
-// reads the same by either path. The committed corpus
-// (testdata/fuzz/FuzzCacheEntry) holds canonical entries at a stale and at
-// the current fingerprint (one with an empty-sample digest), one with
-// reordered, spaced keys, one with a single reordered key, escaped
-// strings, a repeated key, a null, 1e2 as an integer, -0 values, a stale
-// fingerprint, a foreign identity and a torn write.
+// json.Unmarshal gives the same value (NaN equal to NaN) with the
+// recorded spec taken as raw JSON (unmarshalEntry), so an entry reads the
+// same by either path but for the spec, which a hit replaces. The
+// committed corpus (testdata/fuzz/FuzzCacheEntry) holds canonical entries
+// at a stale and at the current fingerprint (one with an empty-sample
+// digest), one with reordered, spaced keys, one with a single reordered
+// key, escaped strings, a repeated key, a null, 1e2 as an integer, -0
+// values, a stale fingerprint, a foreign identity, a torn write, and a
+// current entry whose spec is valid JSON but no Spec, which hits.
 func FuzzCacheEntry(f *testing.F) {
 	const seed = 42
 	s := cacheSpec()
+	// One directory per fuzzing process: each exec overwrites the entry.
+	c := openTestCache(f)
+	p := c.path(CacheKey(s, seed))
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if e, ok := readCacheEntry(data); ok {
-			var want cacheEntry
-			if err := json.Unmarshal(data, &want); err != nil {
+			want, err := unmarshalEntry(data)
+			if err != nil {
 				t.Fatalf("the hand reader took an entry json.Unmarshal refuses (%v):\n%s", err, data)
 			}
 			sameValue(t, e, want)
-		}
-		c := openTestCache(t)
-		p := c.path(CacheKey(s, seed))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
 		}
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)

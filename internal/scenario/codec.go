@@ -14,9 +14,11 @@ import (
 // stats.Summary. The readers take what the writers write (and the same
 // bytes with other whitespace or member order) and refuse everything
 // else: Cache.Get and ReadJournal hand refused bytes to json.Unmarshal,
-// which accepts or rejects them as it always has. TestWriterMatchesMarshal
-// holds the writers to encoding/json; FuzzCacheEntry and FuzzJournalRead
-// hold the readers to json.Unmarshal.
+// which accepts or rejects them as it always has. The readers skip a
+// result's spec undecoded (wire.Reader.Skip): both callers replace it.
+// TestWriterMatchesMarshal holds the writers to encoding/json;
+// FuzzCacheEntry and FuzzJournalRead hold the readers to json.Unmarshal,
+// the spec taken as raw JSON.
 
 // decodeJSON reads b into v: by hand (read) when b is in the form the
 // matching writer writes, else with json.Unmarshal, whose answer, value or
@@ -98,32 +100,6 @@ func (ps *Pattern) writeJSON(e *wire.Encoder) {
 	e.Close('}')
 }
 
-func (ps *Pattern) readJSON(p *wire.Reader) {
-	var seen uint32
-	p.Expect('{')
-	for n := 0; p.Next('}', n); n++ {
-		switch string(p.Key()) {
-		case "kind":
-			p.Once(&seen, 1)
-			ps.Kind = p.Str()
-		case "offset":
-			p.Once(&seen, 2)
-			ps.Offset = p.Atoi()
-		case "k":
-			p.Once(&seen, 4)
-			ps.K = p.Atoi()
-		case "intensity":
-			p.Once(&seen, 8)
-			ps.Intensity = p.Float()
-		case "randomize":
-			p.Once(&seen, 16)
-			ps.Randomize = p.Bool()
-		default:
-			p.Fail()
-		}
-	}
-}
-
 func (fs *FlowSize) writeJSON(e *wire.Encoder) {
 	e.Open('{')
 	if fs.Kind != "" {
@@ -135,23 +111,6 @@ func (fs *FlowSize) writeJSON(e *wire.Encoder) {
 		e.Int(fs.Bytes)
 	}
 	e.Close('}')
-}
-
-func (fs *FlowSize) readJSON(p *wire.Reader) {
-	var seen uint32
-	p.Expect('{')
-	for n := 0; p.Next('}', n); n++ {
-		switch string(p.Key()) {
-		case "kind":
-			p.Once(&seen, 1)
-			fs.Kind = p.Str()
-		case "bytes":
-			p.Once(&seen, 2)
-			fs.Bytes = p.Int(64)
-		default:
-			p.Fail()
-		}
-	}
 }
 
 func (s *Spec) writeJSON(e *wire.Encoder) {
@@ -209,59 +168,6 @@ func (s *Spec) writeJSON(e *wire.Encoder) {
 	e.Close('}')
 }
 
-func (s *Spec) readJSON(p *wire.Reader) {
-	var seen uint32
-	p.Expect('{')
-	for n := 0; p.Next('}', n); n++ {
-		switch string(p.Key()) {
-		case "name":
-			p.Once(&seen, 1<<0)
-			s.Name = p.Str()
-		case "topology":
-			p.Once(&seen, 1<<1)
-			s.Topology.ReadJSON(p)
-		case "layers":
-			p.Once(&seen, 1<<2)
-			s.Layers = p.Atoi()
-		case "rho":
-			p.Once(&seen, 1<<3)
-			s.Rho = p.Float()
-		case "construction":
-			p.Once(&seen, 1<<4)
-			s.Construction = p.Str()
-		case "routing":
-			p.Once(&seen, 1<<5)
-			s.Routing = p.Str()
-		case "transport":
-			p.Once(&seen, 1<<6)
-			s.Transport = p.Str()
-		case "pattern":
-			p.Once(&seen, 1<<7)
-			s.Pattern.readJSON(p)
-		case "flowSize":
-			p.Once(&seen, 1<<8)
-			s.FlowSize.readJSON(p)
-		case "load":
-			p.Once(&seen, 1<<9)
-			s.Load = p.Float()
-		case "failFrac":
-			p.Once(&seen, 1<<10)
-			s.FailFrac = p.Float()
-		case "replicas":
-			p.Once(&seen, 1<<11)
-			s.Replicas = p.Atoi()
-		case "horizonMs":
-			p.Once(&seen, 1<<12)
-			s.HorizonMs = p.Float()
-		case "mat":
-			p.Once(&seen, 1<<13)
-			s.MAT = p.Bool()
-		default:
-			p.Fail()
-		}
-	}
-}
-
 // WriteJSON appends the result's encoding/json form to e: the bytes
 // json.Marshal writes (json.MarshalIndent's, with e.Indent set). A NaN or
 // an infinite float outside the two summaries sets e's error, as it makes
@@ -308,7 +214,7 @@ func (r *CellResult) readJSON(p *wire.Reader) {
 		switch string(p.Key()) {
 		case "spec":
 			p.Once(&seen, 1<<0)
-			r.Spec.readJSON(p)
+			p.Skip() // the caller's spec replaces the recorded one
 		case "topoName":
 			p.Once(&seen, 1<<1)
 			r.TopoName = p.Str()

@@ -180,7 +180,7 @@ func TestWriterMatchesMarshal(t *testing.T) {
 
 // TestReadersTakeWhatWritersWrite: every result the writers can encode
 // whose strings need no escapes reads back by hand to the value
-// json.Unmarshal gives the same bytes.
+// json.Unmarshal gives the same bytes, its spec stepped over.
 func TestReadersTakeWhatWritersWrite(t *testing.T) {
 	d := oracleDraw{rng: rand.New(rand.NewSource(2))}
 	plain := oracleStrings[:5]
@@ -200,8 +200,8 @@ func TestReadersTakeWhatWritersWrite(t *testing.T) {
 		if !ok {
 			t.Fatalf("the hand reader refused a written entry:\n%s", b)
 		}
-		var want cacheEntry
-		if err := json.Unmarshal(b, &want); err != nil {
+		want, err := unmarshalEntry(b)
+		if err != nil {
 			t.Fatal(err)
 		}
 		sameValue(t, got, want)
@@ -214,12 +214,44 @@ func TestReadersTakeWhatWritersWrite(t *testing.T) {
 		if !ok {
 			t.Fatalf("the hand reader refused a written record:\n%s", b)
 		}
-		var wantCD CellDone
-		if err := json.Unmarshal(b, &wantCD); err != nil {
+		wantCD, err := unmarshalRecord(b)
+		if err != nil {
 			t.Fatal(err)
 		}
 		sameValue(t, gotCD, wantCD)
 	}
+}
+
+// resultMirror is a CellResult as the hand readers read one: its spec is
+// stepped over (here, taken as raw JSON), so the CellResult's Spec stays
+// zero.
+type resultMirror struct {
+	CellResult
+	Spec json.RawMessage `json:"spec"`
+}
+
+// unmarshalEntry reads an entry with json.Unmarshal as readCacheEntry
+// reads it: every member, but the result's spec only as valid JSON.
+func unmarshalEntry(b []byte) (cacheEntry, error) {
+	var m struct {
+		cacheEntry
+		Result resultMirror `json:"result"`
+	}
+	err := json.Unmarshal(b, &m)
+	m.cacheEntry.Result = m.Result.CellResult
+	return m.cacheEntry, err
+}
+
+// unmarshalRecord reads a cell_done line with json.Unmarshal as
+// readCellDone reads it.
+func unmarshalRecord(b []byte) (CellDone, error) {
+	var m struct {
+		CellDone
+		Result resultMirror `json:"result"`
+	}
+	err := json.Unmarshal(b, &m)
+	m.CellDone.Result = m.Result.CellResult
+	return m.CellDone, err
 }
 
 // sameValue compares two decoded values through their json.Marshal
@@ -237,6 +269,43 @@ func sameValue(t *testing.T, got, want any) {
 	}
 	if !bytes.Equal(g, w) {
 		t.Fatalf("hand read differs from json.Unmarshal:\n hand %s\n json %s", g, w)
+	}
+}
+
+// TestRecordedSpecIsSkipped: the readers step over a result's recorded
+// spec, so one that is valid JSON but no Spec ("topology":5, "layers":"x")
+// still hits and resumes, and the caller's spec replaces it.
+func TestRecordedSpecIsSkipped(t *testing.T) {
+	cells, _, err := tinyMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cells[0]
+	spec, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := func(b []byte) []byte {
+		if !bytes.Contains(b, spec) {
+			t.Fatalf("no recorded spec %s in:\n%s", spec, b)
+		}
+		return bytes.Replace(b, spec, []byte(`{"topology":5,"layers":"x","pattern":{"kind":1}}`), 1)
+	}
+	c := openTestCache(t)
+	b := putAndRead(t, c, s, 7, CellResult{Spec: s, Flows: 3})
+	if err := os.WriteFile(c.path(CacheKey(s, 7)), wrong(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, _, ok := c.Get(s, 7); !ok || r.Flows != 3 || r.Spec != s {
+		t.Fatalf("Get = %+v, %t; want a hit with 3 flows and the caller's spec", r, ok)
+	}
+	j, _, err := ResumeJournal(writeTestJournal(t, cells, 7, 1, wrong), cells, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if r, ok := j.recorded(s, 7); !ok || r.Flows != 1 || r.Spec != s {
+		t.Fatalf("recorded = %+v, %t; want the record with 1 flow and the caller's spec", r, ok)
 	}
 }
 

@@ -111,17 +111,13 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 // re-journaling them. The notes are for the user, in order: ignored
 // records, a repaired torn line, the recorded count.
 func ResumeJournal(path string, cells []Spec, runSeed int64) (*Journal, []string, error) {
-	st, err := ReadJournal(path)
+	st, b, err := readJournal(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	done, notes, err := st.Match(cells, runSeed)
 	if err != nil {
 		return nil, nil, err
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: opening journal: %w", err)
 	}
 	if st.Torn {
 		notes = append(notes, "journal has a torn final line (crash mid-append); ignoring and repairing it")
@@ -213,7 +209,9 @@ type JournalState struct {
 	Header JournalHeader
 	// Done maps cell identity to its recorded cell_done (first record
 	// wins — by the determinism contract duplicates carry identical
-	// results, and first-wins keeps the choice deterministic).
+	// results, and first-wins keeps the choice deterministic). A record's
+	// Result.Spec is not to be read: the hand reader leaves it zero, and a
+	// resume takes each cell's spec from the expanded matrix.
 	Done map[string]CellDone
 	// Duplicates counts cell_done records dropped as duplicates.
 	Duplicates int
@@ -228,9 +226,15 @@ type JournalState struct {
 // (journals are append-only — interior corruption means the file is not
 // a journal), while an unparseable final line sets Torn.
 func ReadJournal(path string) (*JournalState, error) {
+	st, _, err := readJournal(path)
+	return st, err
+}
+
+// readJournal is ReadJournal, also returning the bytes it parsed.
+func readJournal(path string) (*JournalState, []byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: reading journal: %w", err)
+		return nil, nil, fmt.Errorf("scenario: reading journal: %w", err)
 	}
 	lines := bytes.Split(b, []byte{'\n'})
 	// A trailing newline yields one empty final element; drop it.
@@ -238,11 +242,11 @@ func ReadJournal(path string) (*JournalState, error) {
 		lines = lines[:n-1]
 	}
 	if len(lines) == 0 {
-		return nil, fmt.Errorf("scenario: journal %s is empty", path)
+		return nil, nil, fmt.Errorf("scenario: journal %s is empty", path)
 	}
 	st := &JournalState{Done: map[string]CellDone{}}
 	if err := decodeJSON(lines[0], readHeader, &st.Header); err != nil || st.Header.Type != "run_header" {
-		return nil, fmt.Errorf("scenario: journal %s: first line is not a run_header record", path)
+		return nil, nil, fmt.Errorf("scenario: journal %s: first line is not a run_header record", path)
 	}
 	for i, line := range lines[1:] {
 		var cd CellDone
@@ -251,7 +255,7 @@ func ReadJournal(path string) (*JournalState, error) {
 				st.Torn = true
 				break
 			}
-			return nil, fmt.Errorf("scenario: journal %s: corrupt record on line %d", path, i+2)
+			return nil, nil, fmt.Errorf("scenario: journal %s: corrupt record on line %d", path, i+2)
 		}
 		if _, dup := st.Done[cd.Identity]; dup {
 			st.Duplicates++
@@ -259,7 +263,7 @@ func ReadJournal(path string) (*JournalState, error) {
 		}
 		st.Done[cd.Identity] = cd
 	}
-	return st, nil
+	return st, b, nil
 }
 
 // Match validates the journal against a freshly expanded cell list and

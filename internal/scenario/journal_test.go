@@ -433,12 +433,16 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 // — a run_header, every record keyed by its own non-empty identity —
 // and that Match can be asked about; it never panics. Whenever the hand
 // reader takes a line, json.Unmarshal gives the same value (NaN equal to
-// NaN), so a journal reads the same by either path. The committed corpus
-// (testdata/fuzz/FuzzJournalRead) covers the shapes the journal tests
-// above build by hand, and lines at the current fingerprint: canonical,
-// with escaped strings, a reordered key, a repeated key, a null, 1e2 as
-// an integer, -0 values and a torn final line.
+// NaN) with the recorded spec taken as raw JSON (unmarshalRecord), so a
+// journal reads the same by either path but for the specs, which a resume
+// replaces. The committed corpus (testdata/fuzz/FuzzJournalRead) covers
+// the shapes the journal tests above build by hand, and lines at the
+// current fingerprint: canonical, with escaped strings, a reordered key,
+// a repeated key, a null, 1e2 as an integer, -0 values, a torn final line
+// and a record whose spec is valid JSON but no Spec.
 func FuzzJournalRead(f *testing.F) {
+	// One directory per fuzzing process: each exec overwrites the journal.
+	path := filepath.Join(f.TempDir(), "fuzz.journal")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for i, line := range bytes.Split(data, []byte{'\n'}) {
 			if i == 0 {
@@ -450,14 +454,13 @@ func FuzzJournalRead(f *testing.F) {
 					sameValue(t, h, want)
 				}
 			} else if cd, ok := readCellDone(line); ok {
-				var want CellDone
-				if err := json.Unmarshal(line, &want); err != nil {
+				want, err := unmarshalRecord(line)
+				if err != nil {
 					t.Fatalf("the hand reader took a record json.Unmarshal refuses (%v):\n%s", err, line)
 				}
 				sameValue(t, cd, want)
 			}
 		}
-		path := filepath.Join(t.TempDir(), "fuzz.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,9 @@ import "strconv"
 
 // Reader reads a subset of JSON off a byte slice: objects, arrays, strings
 // of printable ASCII without escapes, numbers, true and false, with
-// whitespace between tokens. Every value it reads is the value
+// whitespace between tokens. Every value it returns is the value
 // encoding/json reads from the same bytes into a Go value of the type the
-// caller asks for. Failure is sticky: a read that fails marks the reader
+// caller asks for (Skip returns none). Failure is sticky: a read that fails marks the reader
 // bad, every later read fails, and the caller looks once, at the end
 // (End).
 //
@@ -127,6 +127,33 @@ func (p *Reader) Raw() []byte {
 	}
 	p.bad = true
 	return nil
+}
+
+// Skip reads an object and discards it. Its members may be strings,
+// numbers, true, false or objects of those, as deep as a scenario spec
+// nests; an array, null, an escape or a deeper object fails. What it takes
+// is valid JSON, though not always a value of the type written there.
+func (p *Reader) Skip() { p.skip(2) }
+
+func (p *Reader) skip(depth int) {
+	p.Expect('{')
+	for n := 0; p.Next('}', n); n++ {
+		p.Key()
+		var c byte
+		if p.ws(); p.i < len(p.b) {
+			c = p.b[p.i]
+		}
+		switch {
+		case c == '"':
+			p.Raw()
+		case c == '{' && depth > 1:
+			p.skip(depth - 1)
+		case c == 't' || c == 'f':
+			p.Bool()
+		default:
+			p.number()
+		}
+	}
 }
 
 // Bool reads true or false.

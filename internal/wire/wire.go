@@ -10,8 +10,9 @@
 // reads a subset of JSON — objects, arrays, strings of printable ASCII
 // without escapes, numbers, true and false — and refuses everything else,
 // so its callers hand any other bytes to encoding/json and keep its answer,
-// value or error. Each caller holds its pair to encoding/json with an
-// oracle test or a fuzz target.
+// value or error; Skip steps over, undecoded, an object the caller throws
+// away. Each caller holds its pair to encoding/json with an oracle test or
+// a fuzz target.
 package wire
 
 import (

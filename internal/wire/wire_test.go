@@ -185,3 +185,136 @@ func TestReaderTakesWhatEncodingJSONReads(t *testing.T) {
 		}
 	}
 }
+
+// skipObject draws an object of the shapes Skip takes, in the forms an
+// Encoder writes them: strings without escapes, integers, floats and
+// booleans, and, with nested set, objects of those — the shape of a
+// scenario spec, whose topology, pattern and flow size are objects.
+func skipObject(rng *rand.Rand, e *Encoder, nested bool) {
+	e.Open('{')
+	for range rng.Intn(8) {
+		e.Key([]string{"kind", "a", "flowSize", "x y", "<&>"}[rng.Intn(5)])
+		switch rng.Intn(5) {
+		case 0:
+			e.String([]string{"", "SF", "a b=c|d/e", "~"}[rng.Intn(4)])
+		case 1:
+			e.Int(rng.Int63() - rng.Int63())
+		case 2:
+			if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				e.Float(f)
+			} else {
+				e.Float(rng.NormFloat64())
+			}
+		case 3:
+			e.Bool(rng.Intn(2) == 0)
+		default:
+			if nested {
+				skipObject(rng, e, false)
+			} else {
+				e.Int(0)
+			}
+		}
+	}
+	e.Close('}')
+}
+
+// TestSkipTakesOneObject: Skip consumes exactly one object of the spec's
+// shape, compact or indented, and leaves what follows it; every
+// truncation of one fails; and whatever it takes from a mutated object
+// is valid JSON.
+func TestSkipTakesOneObject(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	taken := 0
+	for range 3000 {
+		e := Encoder{Indent: rng.Intn(2) == 0}
+		skipObject(rng, &e, true)
+		if e.Err() != nil {
+			t.Fatal(e.Err())
+		}
+		obj := e.B
+		p := NewReader(append(obj[:len(obj):len(obj)], ` ,"next"`...))
+		p.Skip()
+		p.Expect(',')
+		if p.Str() != "next" || !p.End() {
+			t.Fatalf("Skip did not take exactly the object:\n%s", obj)
+		}
+		for k := range len(obj) {
+			p := NewReader(obj[:k])
+			if p.Skip(); p.End() {
+				t.Fatalf("Skip took the truncation %q", obj[:k])
+			}
+		}
+		m := bytes.Clone(obj)
+		for range 1 + rng.Intn(3) {
+			i := rng.Intn(len(m))
+			switch rng.Intn(3) {
+			case 0:
+				const set = "{}[]\":,-.e0tn \\x"
+				m[i] = set[rng.Intn(len(set))]
+			case 1:
+				m = append(m[:i], m[i+1:]...)
+			default:
+				m = append(m[:i], append([]byte{m[rng.Intn(len(m))]}, m[i:]...)...)
+			}
+			if len(m) == 0 {
+				break
+			}
+		}
+		p = NewReader(m)
+		if p.Skip(); p.End() {
+			taken++
+			if !json.Valid(m) {
+				t.Fatalf("Skip took invalid JSON %q", m)
+			}
+		}
+	}
+	if taken == 0 {
+		t.Fatal("Skip took no mutated object: the mutations test nothing")
+	}
+}
+
+// TestSkipRefuses: Skip takes an object of strings, numbers, booleans and
+// objects of those, and nothing else.
+func TestSkipRefuses(t *testing.T) {
+	for _, c := range []struct {
+		in string
+		ok bool
+	}{
+		{`{}`, true},
+		{` { "a" : { } } `, true},
+		{`{"t":{"kind":"SF","param":3},"load":0.8,"mat":true,"x":false,"n":-0,"f":1E+2}`, true},
+		{`{"a":{"b":-1.5e-7,"c":"<&>","d":{}}}`, false},
+		{`{"a":[]}`, false},
+		{`{"a":{"b":[1]}}`, false},
+		{`{"a":null}`, false},
+		{`{"a":{"b":null}}`, false},
+		{`{"a":"\u0041"}`, false},
+		{`{"a\n":1}`, false},
+		{`{"a":"é"}`, false},
+		{`{"a":{"b":{"c":1}}}`, false},
+		{`[]`, false},
+		{`null`, false},
+		{`"a"`, false},
+		{`1`, false},
+		{`{"a":tru}`, false},
+		{`{"a":01}`, false},
+		{`{"a":1.}`, false},
+		{`{"a":-}`, false},
+		{`{"a":}`, false},
+		{`{"a"}`, false},
+		{`{"a":1,}`, false},
+		{`{,}`, false},
+		{`{"a":1`, false},
+		{`{"a":{"b":1}`, false},
+		{`{"a":1}}`, false},
+	} {
+		p := NewReader([]byte(c.in))
+		p.Skip()
+		if ok := p.End(); ok != c.ok {
+			t.Fatalf("%s: Skip took it %t, want %t", c.in, ok, c.ok)
+		}
+		if c.ok && !json.Valid([]byte(c.in)) {
+			t.Fatalf("%s: Skip took invalid JSON", c.in)
+		}
+	}
+}
