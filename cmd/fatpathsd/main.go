@@ -55,7 +55,6 @@ func main() {
 		maxFabrics = flag.Int("max-fabrics", 8, "resident-fabric LRU capacity")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed scenario result cache directory, shared with cmd/scenarios")
 		parallel   = flag.Int("parallel", 0, "scenario worker goroutines (0 = all cores)")
-		maxRuns    = flag.Int("max-runs", 1, "concurrently executing /scenarios submissions (excess queue)")
 		drainSecs  = flag.Float64("drain-timeout", 30, "seconds to wait for in-flight requests on shutdown")
 	)
 	flag.Parse()
@@ -76,10 +75,9 @@ func main() {
 	}
 	reg := obs.NewRegistry()
 	s := serve.New(serve.Config{
-		MaxFabrics:      *maxFabrics,
-		Cache:           cache,
-		Parallelism:     *parallel,
-		MaxScenarioRuns: *maxRuns,
+		MaxFabrics:  *maxFabrics,
+		Cache:       cache,
+		Parallelism: *parallel,
 	}, reg)
 
 	srv := &http.Server{

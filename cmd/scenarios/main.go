@@ -296,9 +296,10 @@ func guardJournalOverwrite(path string, cs []scenario.Spec, seed int64) error {
 }
 
 // cellStatuses builds the -cells dry-run status column: "done" when the
-// resume journal records the cell, else "hit"/"miss" against the result
-// cache. Nil (no column) when there is neither a cache nor a -resume
-// journal. Read-only: a dry run repairs no journal.
+// resume journal records the cell, else "hit" when the result cache's Get
+// would hit and "miss" when it would not. Nil (no column) when there is
+// neither a cache nor a -resume journal. Read-only: a dry run repairs no
+// journal.
 func cellStatuses(cs []scenario.Spec, seed int64, cache *scenario.Cache, resumePath string) ([]string, error) {
 	if cache == nil && resumePath == "" {
 		return nil, nil
@@ -315,14 +316,11 @@ func cellStatuses(cs []scenario.Spec, seed int64, cache *scenario.Cache, resumeP
 	}
 	status := make([]string, len(cs))
 	for i, c := range cs {
-		_, done := resume[c.CacheIdentity(seed)]
-		switch {
-		case done:
+		status[i] = "miss"
+		if _, done := resume[c.CacheIdentity(seed)]; done {
 			status[i] = "done"
-		case cache.Has(c, seed):
+		} else if _, _, hit := cache.Get(c, seed); hit {
 			status[i] = "hit"
-		default:
-			status[i] = "miss"
 		}
 	}
 	return status, nil

@@ -191,7 +191,8 @@ func TestCellStatuses(t *testing.T) {
 		t.Fatalf("no cache/resume: status=%v err=%v, want nil column", status, err)
 	}
 
-	cache, err := scenario.OpenCache(t.TempDir())
+	dir := t.TempDir()
+	cache, err := scenario.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +213,23 @@ func TestCellStatuses(t *testing.T) {
 	}
 	if status[0] != "miss" || status[1] != "hit" {
 		t.Fatalf("status = %v, want [miss hit]", status)
+	}
+
+	// A file at the entry's path that Get would not take lists as a miss,
+	// as the run would treat it.
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("entry files %v (%v), want one", entries, err)
+	}
+	if err := os.WriteFile(entries[0], []byte("not an entry\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, err = cellStatuses(cells, 7, cache, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status[0] != "miss" || status[1] != "miss" {
+		t.Fatalf("status = %v, want [miss miss]", status)
 	}
 }
 

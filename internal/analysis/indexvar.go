@@ -16,8 +16,8 @@ package analysis
 // result on Spec.CacheIdentity — the rendering of every result-affecting
 // field plus the effective seed — precisely so that a cell addresses the
 // same entry from any matrix, any enumeration order, and any day.
-// Passing a loop/cell index into a key-forming call (CacheKey, SpecHash,
-// Spec.CacheIdentity, Cache.Get/Put/Has, Journal.Record) couples the
+// Passing a loop/cell index into a key-forming call (SpecHash,
+// Spec.CacheIdentity, Cache.Get/Put, Journal.Record) couples the
 // cache to enumeration order (an edited matrix would hit the wrong
 // entries), and passing wall-clock time makes every run a universal miss
 // while looking like a working cache.
@@ -180,12 +180,11 @@ func foldSeedCallee(info *types.Info, call *ast.CallExpr) (string, bool) {
 // functions; cacheKeyMethods the key-forming methods by (receiver type,
 // method name). Every argument of these calls feeds a content address.
 var (
-	cacheKeyFuncs   = map[string]bool{"CacheKey": true, "SpecHash": true}
+	cacheKeyFuncs   = map[string]bool{"SpecHash": true}
 	cacheKeyMethods = map[[2]string]bool{
 		{"Spec", "CacheIdentity"}: true,
 		{"Cache", "Get"}:          true,
 		{"Cache", "Put"}:          true,
-		{"Cache", "Has"}:          true,
 		{"Journal", "Record"}:     true,
 	}
 )

@@ -28,15 +28,11 @@ import (
 // observational changes (obs, tracing, progress) do not bump it.
 const EngineFingerprint = "fatpaths-engine-v4"
 
-// CacheKey is the content address of a cell: a hex SHA-256 over the
-// engine fingerprint and the cell's canonical identity at the given run
-// seed. It deliberately involves no cell index, no matrix name, and no
-// wall-clock input, so the same cell addresses the same entry from any
-// matrix, any enumeration order, and any day.
-func CacheKey(s Spec, runSeed int64) string { return identityKey(s.CacheIdentity(runSeed)) }
-
-// identityKey is CacheKey from an already rendered identity, for the
-// paths that also compare or store the identity itself.
+// identityKey is the content address of a cell: a hex SHA-256 over the
+// engine fingerprint and the cell's canonical identity at the run seed
+// (Spec.CacheIdentity). It deliberately involves no cell index, no matrix
+// name, and no wall-clock input, so the same cell addresses the same entry
+// from any matrix, any enumeration order, and any day.
 func identityKey(identity string) string {
 	h := sha256.Sum256([]byte(EngineFingerprint + "\n" + identity))
 	return hex.EncodeToString(h[:])
@@ -73,16 +69,6 @@ func OpenCache(dir string) (*Cache, error) {
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
-}
-
-// Has reports whether an entry exists for the cell without reading it —
-// the cheap probe behind dry-run hit/miss listings.
-func (c *Cache) Has(s Spec, runSeed int64) bool {
-	if c == nil {
-		return false
-	}
-	_, err := os.Stat(c.path(CacheKey(s, runSeed)))
-	return err == nil
 }
 
 // Get looks the cell up, returning its result, the bytes read, and

@@ -12,10 +12,11 @@ import (
 // field order, each omitempty member only when encoding/json writes it —
 // and fail where json.Marshal fails, on a non-finite float outside a
 // stats.Summary. The readers take what the writers write (and the same
-// bytes with other whitespace or member order) and refuse everything
-// else: Cache.Get and ReadJournal hand refused bytes to json.Unmarshal,
-// which accepts or rejects them as it always has. The readers skip a
-// result's spec undecoded (wire.Reader.Skip): both callers replace it.
+// bytes with other whitespace, member order or a repeated key, read as
+// encoding/json reads it) and refuse everything else: Cache.Get and
+// ReadJournal hand refused bytes to json.Unmarshal, which accepts or
+// rejects them as it always has. The readers skip a result's spec
+// undecoded (wire.Reader.Skip): both callers replace it.
 // TestWriterMatchesMarshal holds the writers to encoding/json;
 // FuzzCacheEntry and FuzzJournalRead hold the readers to json.Unmarshal,
 // the spec taken as raw JSON.
@@ -51,25 +52,20 @@ func (ts *Topology) writeJSON(e *wire.Encoder) {
 	e.Close('}')
 }
 
-// ReadJSON reads a topology in its encoding/json form off p into ts, which
-// is zero. Anything the reader refuses — an unknown key, a repeated one,
-// null — fails p.
+// ReadJSON reads a topology in its encoding/json form off p over ts, as
+// encoding/json reads one into a Topology holding ts. Anything the reader
+// refuses — an unknown key, null — fails p.
 func (ts *Topology) ReadJSON(p *wire.Reader) {
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "kind":
-			p.Once(&seen, 1)
 			ts.Kind = p.Str()
 		case "class":
-			p.Once(&seen, 2)
 			ts.Class = p.Str()
 		case "param":
-			p.Once(&seen, 4)
 			ts.Param = p.Atoi()
 		case "param2":
-			p.Once(&seen, 8)
 			ts.Param2 = p.Atoi()
 		default:
 			p.Fail()
@@ -208,48 +204,34 @@ func (r *CellResult) WriteJSON(e *wire.Encoder) {
 }
 
 func (r *CellResult) readJSON(p *wire.Reader) {
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "spec":
-			p.Once(&seen, 1<<0)
 			p.Skip() // the caller's spec replaces the recorded one
 		case "topoName":
-			p.Once(&seen, 1<<1)
 			r.TopoName = p.Str()
 		case "topoN":
-			p.Once(&seen, 1<<2)
 			r.TopoN = p.Atoi()
 		case "layers":
-			p.Once(&seen, 1<<3)
 			r.Layers = p.Atoi()
 		case "rho":
-			p.Once(&seen, 1<<4)
 			r.Rho = p.Float()
 		case "flows":
-			p.Once(&seen, 1<<5)
 			r.Flows = p.Atoi()
 		case "completed":
-			p.Once(&seen, 1<<6)
 			r.Completed = p.Float()
 		case "throughput":
-			p.Once(&seen, 1<<7)
 			r.Throughput.ReadJSON(p)
 		case "fct":
-			p.Once(&seen, 1<<8)
 			r.FCT.ReadJSON(p)
 		case "drops":
-			p.Once(&seen, 1<<9)
 			r.Drops = p.Int(64)
 		case "trims":
-			p.Once(&seen, 1<<10)
 			r.Trims = p.Int(64)
 		case "failedLinks":
-			p.Once(&seen, 1<<11)
 			r.FailedLinks = p.Atoi()
 		case "mat":
-			p.Once(&seen, 1<<12)
 			r.MAT = p.Float()
 		default:
 			p.Fail()
@@ -275,18 +257,14 @@ func appendCacheEntry(b []byte, ce *cacheEntry) ([]byte, error) {
 // not the form appendCacheEntry writes.
 func readCacheEntry(b []byte) (ce cacheEntry, ok bool) {
 	p := wire.NewReader(b)
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "fingerprint":
-			p.Once(&seen, 1)
 			ce.Fingerprint = p.Str()
 		case "identity":
-			p.Once(&seen, 2)
 			ce.Identity = p.Str()
 		case "result":
-			p.Once(&seen, 4)
 			ce.Result.readJSON(p)
 		default:
 			p.Fail()
@@ -324,27 +302,20 @@ func appendHeader(b []byte, h *JournalHeader) []byte {
 // appendHeader writes.
 func readHeader(b []byte) (h JournalHeader, ok bool) {
 	p := wire.NewReader(b)
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "type":
-			p.Once(&seen, 1)
 			h.Type = p.Str()
 		case "name":
-			p.Once(&seen, 2)
 			h.Name = p.Str()
 		case "seed":
-			p.Once(&seen, 4)
 			h.Seed = p.Int(64)
 		case "specHash":
-			p.Once(&seen, 8)
 			h.SpecHash = p.Str()
 		case "fingerprint":
-			p.Once(&seen, 16)
 			h.Fingerprint = p.Str()
 		case "cells":
-			p.Once(&seen, 32)
 			h.Cells = p.Atoi()
 		default:
 			p.Fail()
@@ -376,21 +347,16 @@ func appendCellDone(b []byte, cd *CellDone) ([]byte, error) {
 // appendCellDone writes.
 func readCellDone(b []byte) (cd CellDone, ok bool) {
 	p := wire.NewReader(b)
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "type":
-			p.Once(&seen, 1)
 			cd.Type = p.Str()
 		case "identity":
-			p.Once(&seen, 2)
 			cd.Identity = p.Str()
 		case "key":
-			p.Once(&seen, 4)
 			cd.Key = p.Str()
 		case "result":
-			p.Once(&seen, 8)
 			cd.Result.readJSON(p)
 		default:
 			p.Fail()

@@ -293,7 +293,7 @@ func TestRecordedSpecIsSkipped(t *testing.T) {
 	}
 	c := openTestCache(t)
 	b := putAndRead(t, c, s, 7, CellResult{Spec: s, Flows: 3})
-	if err := os.WriteFile(c.path(CacheKey(s, 7)), wrong(b), 0o644); err != nil {
+	if err := os.WriteFile(c.path(identityKey(s.CacheIdentity(7))), wrong(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if r, _, ok := c.Get(s, 7); !ok || r.Flows != 3 || r.Spec != s {

@@ -127,7 +127,7 @@ func TestCacheIdentityPinned(t *testing.T) {
 		}
 		for _, k := range []struct{ what, got, want string }{
 			{"CacheIdentity", s.CacheIdentity(seed), c.identity},
-			{"CacheKey", CacheKey(s, seed), c.cacheKey},
+			{"identityKey", identityKey(s.CacheIdentity(seed)), c.cacheKey},
 			{"FabricKey", s.FabricKey(seed), c.fabric},
 			{"workloadKey", s.workloadKey(), c.workload},
 		} {

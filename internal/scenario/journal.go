@@ -56,9 +56,18 @@ type CellDone struct {
 // part of the digest: resume merges recorded rows positionally into the
 // canonical table order, so a reordered matrix is a different run.
 func SpecHash(cells []Spec, runSeed int64) string {
+	ids := make([]string, len(cells))
+	for i, s := range cells {
+		ids[i] = s.CacheIdentity(runSeed)
+	}
+	return specHash(ids)
+}
+
+// specHash is SpecHash over the rendered identities.
+func specHash(ids []string) string {
 	h := sha256.New()
-	for _, s := range cells {
-		io.WriteString(h, s.CacheIdentity(runSeed))
+	for _, id := range ids {
+		io.WriteString(h, id)
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -284,14 +293,16 @@ func (st *JournalState) Match(cells []Spec, runSeed int64) (map[string]CellResul
 			"scenario: journal was recorded at seed %d but this run requests seed %d; pass -seed %d or re-run without -resume",
 			st.Header.Seed, runSeed, st.Header.Seed)
 	}
-	if got := SpecHash(cells, runSeed); st.Header.SpecHash != got {
+	ids := make([]string, len(cells))
+	want := make(map[string]bool, len(cells))
+	for i, s := range cells {
+		ids[i] = s.CacheIdentity(runSeed)
+		want[ids[i]] = true
+	}
+	if got := specHash(ids); st.Header.SpecHash != got {
 		return nil, nil, fmt.Errorf(
 			"scenario: journal spec hash %s does not match the expanded matrix (%s): the spec changed since the journal was recorded; use the result cache (-cache-dir) for edited specs, -resume only continues identical runs",
 			abbrevHash(st.Header.SpecHash), abbrevHash(got))
-	}
-	want := make(map[string]bool, len(cells))
-	for _, s := range cells {
-		want[s.CacheIdentity(runSeed)] = true
 	}
 	resume := make(map[string]CellResult, len(st.Done))
 	var warnings []string

@@ -438,8 +438,9 @@ func TestKillResumeEqualsUninterrupted(t *testing.T) {
 // replaces. The committed corpus (testdata/fuzz/FuzzJournalRead) covers
 // the shapes the journal tests above build by hand, and lines at the
 // current fingerprint: canonical, with escaped strings, a reordered key,
-// a repeated key, a null, 1e2 as an integer, -0 values, a torn final line
-// and a record whose spec is valid JSON but no Spec.
+// a repeated scalar, summary and result, a null, 1e2 as an integer, -0
+// values, a torn final line and a record whose spec is valid JSON but no
+// Spec.
 func FuzzJournalRead(f *testing.F) {
 	// One directory per fuzzing process: each exec overwrites the journal.
 	path := filepath.Join(f.TempDir(), "fuzz.journal")

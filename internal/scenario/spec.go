@@ -488,7 +488,7 @@ func (s Spec) Key() string {
 //
 // The leading "v1" versions the identity schema itself; bump it if fields
 // are added or renderings change. The engine fingerprint is layered on top
-// by CacheKey, not here, so journals can detect fingerprint drift
+// by the cache's content address, not here, so journals can detect fingerprint drift
 // separately from spec edits.
 func (s Spec) CacheIdentity(runSeed int64) string {
 	b := make([]byte, 0, 256)

@@ -7,29 +7,29 @@ import (
 // The /whatif body reader. Clients build a WhatifRequest and send what
 // json.Marshal writes, so nearly every body arrives in one canonical form.
 // readWhatif reads that form with the module's one token reader
-// (wire.Reader), without reflection, and refuses anything else:
+// (wire.Reader), without reflection, a repeated key as encoding/json reads
+// it, and refuses anything else:
 // handleWhatif hands a refused body, byte for byte, to
 // scenario.DecodeStrict, which accepts or rejects it as it always has.
 // FuzzWhatifBody holds the two together: a body readWhatif accepts,
 // DecodeStrict accepts too, with the same value.
 
 // readWhatif reads body as a WhatifRequest, ok false unless the body is
-// one object of known keys in exact case, none twice and none null, with
-// nothing but whitespace after it.
+// one object of known keys in exact case, none null and "queries" at most
+// once, with nothing but whitespace after it.
 func readWhatif(body []byte) (req WhatifRequest, ok bool) {
 	p := wire.NewReader(body)
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "fabric":
-			p.Once(&seen, 1)
 			readFabric(p, &req.Fabric)
 		case "failedEdges":
-			p.Once(&seen, 2)
 			req.FailedEdges = readInts(p)
 		case "queries":
-			p.Once(&seen, 4)
+			if req.Queries != nil {
+				p.Fail() // encoding/json reads a second list over the first's elements
+			}
 			req.Queries = readQueries(p)
 		default:
 			p.Fail()
@@ -42,24 +42,18 @@ func readWhatif(body []byte) (req WhatifRequest, ok bool) {
 }
 
 func readFabric(p *wire.Reader, fs *FabricSelector) {
-	var seen uint32
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		switch string(p.Key()) {
 		case "topology":
-			p.Once(&seen, 1)
 			fs.Topology.ReadJSON(p)
 		case "layers":
-			p.Once(&seen, 2)
 			fs.Layers = p.Atoi()
 		case "rho":
-			p.Once(&seen, 4)
 			fs.Rho = p.Float()
 		case "construction":
-			p.Once(&seen, 8)
 			fs.Construction = p.Str()
 		case "seed":
-			p.Once(&seen, 16)
 			fs.Seed = p.Int(64)
 		default:
 			p.Fail()
@@ -87,18 +81,14 @@ func readQueries(p *wire.Reader) []QueryTriple {
 	p.Expect('[')
 	for n := 0; p.Next(']', n); n++ {
 		var q QueryTriple
-		var seen uint32
 		p.Expect('{')
 		for m := 0; p.Next('}', m); m++ {
 			switch string(p.Key()) {
 			case "layer":
-				p.Once(&seen, 1)
 				q.Layer = p.Atoi()
 			case "src":
-				p.Once(&seen, 2)
 				q.Src = p.Atoi()
 			case "dst":
-				p.Once(&seen, 4)
 				q.Dst = p.Atoi()
 			default:
 				p.Fail()

@@ -162,6 +162,7 @@ func FuzzWhatifBody(f *testing.F) {
 		`{"Fabric":{"topology":{"kind":"SF","param":5}},"failedEdges":[1]}`,
 		`{"fabric":{"topology":{"kind":"SF","param":5}},"failedEdges":null,"queries":[null]}`,
 		`{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"layers":3},"failedEdges":[1],"failedEdges":[2]}`,
+		`{"fabric":{"topology":{"kind":"SF","param":5}},"queries":[{"layer":1,"src":2,"dst":3},{"layer":4,"src":5,"dst":6}],"queries":[{"src":7}]}`,
 		`{"fabric":{"topology":{"kind":"SF","param":1e2},"layers":-0,"rho":-0},"failedEdges":[-0,1E0]}`,
 		`{"fabric":{"topology":{"kind":"SF","param":01}},"failedEdges":[01]}`,
 		`{"fabric":{"topology":{"kind":"SF","param":5}}}{}`,

@@ -300,7 +300,7 @@ func TestScenariosEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
-	s := testServer(t, Config{MaxFabrics: 2, MaxScenarioRuns: 1})
+	s := testServer(t, Config{MaxFabrics: 2})
 	m := scenario.Matrix{
 		Name: "serve-smoke",
 		Base: scenario.Spec{
@@ -359,9 +359,16 @@ func TestScenariosEndpoint(t *testing.T) {
 
 // TestSmokeFixtures pins the committed CI daemon-smoke fixtures: the same
 // requests the workflow curls against a live daemon must produce these
-// bytes. Regenerate with -update after an intentional engine change.
+// bytes. Regenerate with -update after an intentional engine change. The
+// request file states "fabric" and "failedEdges" twice; read as
+// encoding/json reads it, it is the canonical /whatif request before it,
+// and gets the same answer.
 func TestSmokeFixtures(t *testing.T) {
 	s := testServer(t, Config{MaxFabrics: 8}) // cmd/fatpathsd defaults
+	repeated, err := os.ReadFile(filepath.Join("testdata", "smoke_whatif_request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fixtures := []struct {
 		file, method, target, body string
 	}{
@@ -369,6 +376,7 @@ func TestSmokeFixtures(t *testing.T) {
 		{"smoke_paths.json", "GET", "/paths?" + testFabricQ + "&src=3&dst=17", ""},
 		{"smoke_whatif.json", "POST", "/whatif",
 			`{"fabric":{"topology":{"kind":"SF","param":5},"layers":2,"rho":0.7},"failedEdges":[0,7],"queries":[{"layer":1,"src":3,"dst":17},{"layer":0,"src":0,"dst":49}]}`},
+		{"smoke_whatif.json", "POST", "/whatif", string(repeated)},
 		// Healthz last: the requests above admit exactly one fabric.
 		{"smoke_healthz.json", "GET", "/healthz", ""},
 	}

@@ -55,11 +55,13 @@ type Config struct {
 	Cache *scenario.Cache
 	// Parallelism is the scenario worker pool width (0 = all cores).
 	Parallelism int
-	// MaxScenarioRuns caps concurrently executing /scenarios submissions;
-	// excess submissions queue (minimum and default 1). Path queries are
-	// never queued — they only read resident tables.
-	MaxScenarioRuns int
 }
+
+// maxScenarioRuns caps concurrently executing /scenarios submissions;
+// excess submissions queue. One run already spreads its cells over the
+// whole worker pool, so a second one at once would only share its cores.
+// Path queries are never queued — they only read resident tables.
+const maxScenarioRuns = 1
 
 // Server hosts the handlers over one resident-fabric cache. Create with
 // New, mount via Handler.
@@ -83,7 +85,7 @@ func New(cfg Config, reg *obs.Registry) *Server {
 		reg:     reg,
 		met:     met,
 		fabrics: NewFabricCache(cfg.MaxFabrics, reg, met),
-		sem:     make(chan struct{}, max(cfg.MaxScenarioRuns, 1)),
+		sem:     make(chan struct{}, maxScenarioRuns),
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /nexthop", s.instrument(s.handleNexthop))
@@ -639,7 +641,7 @@ type ScenarioRequest struct {
 // JSONL: the run_start / per-cell / run_end telemetry records, then one
 // final {"type":"result"} line carrying the cell results in canonical
 // order (or {"type":"error"} — streams commit the 200 status before the
-// run starts). Submissions beyond MaxScenarioRuns queue on a semaphore.
+// run starts). Submissions beyond maxScenarioRuns queue on a semaphore.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
 	if !decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), &req) {

@@ -87,9 +87,9 @@ type Summary struct {
 // -json output, the scenario result cache, run journals. Both directions
 // are bit-exact. WriteJSON writes the canonical form, compact or indented
 // as the encoder is; ReadJSON reads it, and any spelling that differs from
-// it only in whitespace or member order; UnmarshalJSON hands any other
-// valid JSON spelling (case-folded keys, numbers in strings, a repeated
-// key) to the generic decode through summaryJSON.
+// it only in whitespace, member order or a repeated key; UnmarshalJSON
+// hands any other valid JSON spelling (case-folded keys, numbers in
+// strings) to the generic decode through summaryJSON.
 
 // summaryFloatKeys are the float fields' keys in wire order; summaryFloats
 // lists the fields in the same order.
@@ -152,18 +152,17 @@ func parseCanonicalSummary(b []byte) (Summary, bool) {
 	return s, p.End()
 }
 
-// ReadJSON reads a summary in its wire form off p into s, which is zero:
-// an object of the known keys in exact case, none twice, a float as a
-// number or as one of the three quoted non-finite names. Anything else
-// fails p.
+// ReadJSON reads a summary in its wire form off p into s: an object of the
+// known keys in exact case, a float as a number or as one of the three
+// quoted non-finite names. Anything else fails p. Like UnmarshalJSON, it
+// replaces all of s, so a summary read twice keeps nothing of the first.
 func (s *Summary) ReadJSON(p *wire.Reader) {
-	var seen uint32
+	*s = Summary{}
 	floats := s.summaryFloats()
 	p.Expect('{')
 	for n := 0; p.Next('}', n); n++ {
 		k := p.Key()
 		if string(k) == "N" {
-			p.Once(&seen, 1)
 			s.N = p.Atoi()
 			continue
 		}
@@ -175,7 +174,6 @@ func (s *Summary) ReadJSON(p *wire.Reader) {
 			p.Fail()
 			return
 		}
-		p.Once(&seen, 2<<i)
 		if !p.Quoted() {
 			*floats[i] = p.Float()
 			continue

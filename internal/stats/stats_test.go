@@ -261,9 +261,9 @@ func sameSummary(a, b Summary) bool {
 // digest built from raw bits (NaN, ±Inf, -0, subnormals included),
 // MarshalJSON writes the reference's bytes, and they decode back to the
 // same bits through the direct path. The committed corpus (testdata/fuzz/FuzzSummaryJSON) holds
-// the canonical form and the spellings only the generic decode reads:
-// reordered, spaced and lower-case keys, an unquoted Inf, a leading + or
-// zeros.
+// the canonical form, repeated keys (read by the direct path, the later
+// value kept) and the spellings only the generic decode reads: reordered,
+// spaced and lower-case keys, an unquoted Inf, a leading + or zeros.
 func FuzzSummaryJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, n int64, mean, p01, p10, p50, p90, p99, p999 uint64) {
 		var got Summary

@@ -10,14 +10,14 @@ import "strconv"
 // bad, every later read fails, and the caller looks once, at the end
 // (End).
 //
-// An object is read member by member:
+// An object is read member by member, a repeated key as encoding/json
+// reads it: a later scalar or list replaces the earlier one, a later
+// object is read over it.
 //
-//	var seen uint32
 //	p.Expect('{')
 //	for n := 0; p.Next('}', n); n++ {
 //		switch string(p.Key()) {
 //		case "a":
-//			p.Once(&seen, 1)
 //			v.A = p.Int(64)
 //		default:
 //			p.Fail() // a key the type does not have
@@ -41,16 +41,6 @@ func (p *Reader) End() bool {
 
 // Fail marks the reader bad.
 func (p *Reader) Fail() { p.bad = true }
-
-// Once marks the object key with bit read, failing on its second
-// appearance: encoding/json lets a repeated key's value overwrite, or
-// merge into, the first, which no hand reader repeats.
-func (p *Reader) Once(seen *uint32, bit uint32) {
-	if *seen&bit != 0 {
-		p.bad = true
-	}
-	*seen |= bit
-}
 
 func (p *Reader) ws() {
 	for p.i < len(p.b) {

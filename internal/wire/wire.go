@@ -11,7 +11,8 @@
 // without escapes, numbers, true and false — and refuses everything else,
 // so its callers hand any other bytes to encoding/json and keep its answer,
 // value or error; Skip steps over, undecoded, an object the caller throws
-// away. Each caller holds its pair to encoding/json with an oracle test or
+// away. A caller reads a repeated key as encoding/json does, into the
+// value the earlier one left. Each caller holds its pair to encoding/json with an oracle test or
 // a fuzz target.
 package wire
 

@@ -113,9 +113,10 @@ func TestLayoutMatchesMarshalIndent(t *testing.T) {
 }
 
 // TestReaderTakesWhatEncodingJSONReads: the values the reader takes are
-// the values encoding/json reads from the same bytes, and the reader
-// refuses what it leaves to encoding/json: escapes, null, a fraction or
-// an exponent where an integer is read, a number out of range.
+// the values encoding/json reads from the same bytes, a repeated key's
+// last value among them, and the reader refuses what it leaves to
+// encoding/json: escapes, null, a fraction or an exponent where an
+// integer is read, a number out of range.
 func TestReaderTakesWhatEncodingJSONReads(t *testing.T) {
 	type rec struct {
 		S string  `json:"s"`
@@ -125,21 +126,16 @@ func TestReaderTakesWhatEncodingJSONReads(t *testing.T) {
 	}
 	read := func(b []byte) (r rec, ok bool) {
 		p := NewReader(b)
-		var seen uint32
 		p.Expect('{')
 		for n := 0; p.Next('}', n); n++ {
 			switch string(p.Key()) {
 			case "s":
-				p.Once(&seen, 1)
 				r.S = p.Str()
 			case "n":
-				p.Once(&seen, 2)
 				r.N = p.Int(64)
 			case "f":
-				p.Once(&seen, 4)
 				r.F = p.Float()
 			case "b":
-				p.Once(&seen, 8)
 				r.B = p.Bool()
 			default:
 				p.Fail()
@@ -162,7 +158,7 @@ func TestReaderTakesWhatEncodingJSONReads(t *testing.T) {
 		{`{"n":9223372036854775808}`, false},
 		{`{"f":1e400}`, false},
 		{`{"b":tru}`, false},
-		{`{"s":"a","s":"b"}`, false},
+		{`{"s":"a","s":"b"}`, true},
 		{`{"S":"a"}`, false},
 		{`{"x":1}`, false},
 		{`{"n":01}`, false},
